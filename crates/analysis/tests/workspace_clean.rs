@@ -50,7 +50,7 @@ fn live_workspace_is_clean() {
     assert!(analysis.stats.allow_markers >= 4);
     assert!(
         analysis.stats.ordering_sites >= 2,
-        "pool + parallel cursors"
+        "pool cursor + service atomics"
     );
     assert!(analysis.stats.unsafe_sites >= 2, "fma kernel + call site");
     assert!(
@@ -83,13 +83,12 @@ fn json_report_parses_with_the_perf_gate_reader() {
 
 #[test]
 fn stripping_an_ordering_comment_fires() {
-    for rel in ["crates/core/src/pool.rs", "crates/mc/src/parallel.rs"] {
-        let diags = analyze_mutated(rel, |s| s.replace("ORDERING:", "NOTE:"));
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::AtomicOrdering),
-            "{rel}: deleting the ORDERING justification must fire, got {diags:?}"
-        );
-    }
+    let rel = "crates/core/src/pool.rs";
+    let diags = analyze_mutated(rel, |s| s.replace("ORDERING:", "NOTE:"));
+    assert!(
+        diags.iter().any(|d| d.rule == Rule::AtomicOrdering),
+        "{rel}: deleting the ORDERING justification must fire, got {diags:?}"
+    );
 }
 
 #[test]

@@ -37,7 +37,7 @@
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{Fnv, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::priors::PriorsBank;
 use bist_core::report::Table;
@@ -193,8 +193,8 @@ fn run(sc: &mut Scenario) -> bool {
     if !workers_identical {
         println!("DIVERGENCE mixed-zoo reports differ between 1 and 4 workers");
     }
-    let mut checksum = Fnv::new();
-    checksum.fold(&w1);
+    let mut checksum = Fnv::default();
+    checksum.fold_reports(&w1);
 
     // --- Part 3: the priors loop ------------------------------------
     let mut bank = PriorsBank::new(policy);
@@ -337,27 +337,4 @@ fn run(sc: &mut Scenario) -> bool {
 fn source_arch(source: SourceSpec) -> Architecture {
     use bist_core::source::DeviceSource;
     source.architecture()
-}
-
-/// FNV-1a over the rendered reports, matching `batched_fleet`'s
-/// checksum so worker-count runs can be diffed from JSON records.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(usize, ScreenVerdict)]) {
-        for (device, verdict) in reports {
-            for b in format!("{device}:{verdict:?};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }

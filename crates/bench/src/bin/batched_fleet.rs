@@ -40,14 +40,13 @@ use bist_adc::flash::{FlashAdc, FlashConfig};
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{throughput, Fnv, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::{stream_rng, Batch};
-use std::time::Instant;
 
 /// Device RNG salt shared with the static fleet experiments.
 const STATIC_SALT: usize = 0x5eed_0000_0000_0000;
@@ -99,7 +98,7 @@ fn run(sc: &mut Scenario) -> bool {
     // be diffed for divergence without rerunning.
     const POOL_GRID: [(usize, usize); 4] = [(1, 5), (2, 8), (4, 32), (16, 3)];
     let mut divergences = 0u64;
-    let mut checksum = Fnv::new();
+    let mut checksum = Fnv::default();
     for sequenced in [false, true] {
         let w = Workload::static_ramp(config);
         let mut scalar = Screener::new(w);
@@ -119,7 +118,7 @@ fn run(sc: &mut Scenario) -> bool {
             |i| scalar.screen_one(&fleet[i], &mut static_rng(i)),
             label,
         );
-        checksum.fold(&reports);
+        checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
                 .lane_width(lanes)
@@ -166,7 +165,7 @@ fn run(sc: &mut Scenario) -> bool {
             |i| scalar.screen_one(&dyn_fleet[i], &mut dyn_rng(i)),
             label,
         );
-        checksum.fold(&reports);
+        checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
                 .lane_width(lanes)
@@ -359,29 +358,6 @@ fn run(sc: &mut Scenario) -> bool {
     clean
 }
 
-/// FNV-1a folded over the debug form of every `(device, verdict)` pair
-/// — a cheap, order-sensitive fleet fingerprint two runs can diff.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(usize, ScreenVerdict)]) {
-        for (device, verdict) in reports {
-            for b in format!("{device}:{verdict:?};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Compares batched reports against the scalar engine re-screening the
 /// same device, returning the mismatch count.
 fn compare<F>(batched: &[(usize, ScreenVerdict)], mut scalar: F, label: &str) -> u64
@@ -402,23 +378,4 @@ where
         }
     }
     mismatches
-}
-
-/// Devices/s of `pass` (which screens `devices` devices): one warm-up
-/// pass, then repeated passes until enough wall-clock accumulates for a
-/// stable rate.
-fn throughput(devices: usize, mut pass: impl FnMut()) -> f64 {
-    pass();
-    let start = Instant::now();
-    let mut screened = 0usize;
-    let mut passes = 0u32;
-    loop {
-        pass();
-        screened += devices;
-        passes += 1;
-        if (start.elapsed().as_secs_f64() > 0.3 && passes >= 2) || passes >= 64 {
-            break;
-        }
-    }
-    screened as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }

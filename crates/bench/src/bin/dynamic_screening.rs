@@ -30,10 +30,10 @@ use bist_bench::Scenario;
 use bist_core::dynamic::{
     plan_sine, process_dyn_code_stream, DynScratch, DynamicConfig, DynamicVerdict,
 };
+use bist_core::pool;
 use bist_core::report::Table;
 use bist_dsp::spectrum::{analyze_tone, ideal_sinad_db, ToneAnalysisConfig};
 use bist_dsp::stats::Running;
-use bist_mc::parallel::partitioned;
 use rand::rngs::StdRng;
 
 /// The mismatch cells of the sweep (code-width σ in LSB).
@@ -115,28 +115,28 @@ fn run(sc: &mut Scenario) {
         let flash = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
             .with_width_sigma_lsb(sigma);
         let blocks = n_devices.div_ceil(BLOCK);
-        let partials: Vec<Vec<CellStats>> = partitioned(blocks, workers, |b_from, b_to| {
-            let mut scratch = DynScratch::new();
-            (b_from..b_to)
-                .map(|block| {
-                    let mut stats = CellStats::default();
-                    for device in block * BLOCK..((block + 1) * BLOCK).min(n_devices) {
-                        let adc = flash.sample(&mut cell_device_rng(seed, cell, device));
-                        let (sine, sampling) = plan_sine(&adc, &config);
-                        let verdict = process_dyn_code_stream(
-                            &config,
-                            CodeStream::noiseless(&adc, &sine, sampling),
-                            &mut scratch,
-                        );
-                        if fft_check {
-                            fft_cross_check(&adc, &config, &sine, sampling, &verdict);
+        let partials: Vec<Vec<CellStats>> =
+            pool::map_ranges(blocks, workers, DynScratch::new, |scratch, b_from, b_to| {
+                (b_from..b_to)
+                    .map(|block| {
+                        let mut stats = CellStats::default();
+                        for device in block * BLOCK..((block + 1) * BLOCK).min(n_devices) {
+                            let adc = flash.sample(&mut cell_device_rng(seed, cell, device));
+                            let (sine, sampling) = plan_sine(&adc, &config);
+                            let verdict = process_dyn_code_stream(
+                                &config,
+                                CodeStream::noiseless(&adc, &sine, sampling),
+                                scratch,
+                            );
+                            if fft_check {
+                                fft_cross_check(&adc, &config, &sine, sampling, &verdict);
+                            }
+                            stats.record(&verdict);
                         }
-                        stats.record(&verdict);
-                    }
-                    stats
-                })
-                .collect()
-        });
+                        stats
+                    })
+                    .collect()
+            });
         let mut stats = CellStats::default();
         for p in partials.iter().flatten() {
             stats.merge(p);

@@ -33,13 +33,14 @@ use bist_adc::types::{Resolution, Volts};
 use bist_bench::Scenario;
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
+use bist_core::pool;
 use bist_core::report::Table;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::Batch;
 use bist_mc::differential::{run_seq_differential, SeqDifferentialResult};
 use bist_mc::experiment::{DynExperiment, DynExperimentResult, Experiment};
-use bist_mc::parallel::{partitioned, run_parallel};
+use bist_mc::parallel::run_parallel;
 use std::time::Instant;
 
 fn main() {
@@ -241,17 +242,20 @@ fn static_throughput(
     let full = run_parallel(&experiment, workers);
 
     let start = Instant::now();
-    let counts: Vec<u64> = partitioned(batch.size, workers, |from, to| {
-        let mut screener = Screener::new(Workload::static_ramp(config)).sequencer(*policy);
-        let mut screened = 0u64;
-        for i in from..to {
-            let tf = batch.device(i);
-            let out = screener.screen_one(&tf, &mut batch.device_rng(i ^ 0x5eed_0000_0000_0000));
-            screened += 1;
-            std::hint::black_box(out.accepted());
-        }
-        screened
-    });
+    let counts: Vec<u64> = pool::map_ranges(
+        batch.size,
+        workers,
+        || Screener::new(Workload::static_ramp(config)).sequencer(*policy),
+        |screener, from, to| {
+            for i in from..to {
+                let tf = batch.device(i);
+                let out =
+                    screener.screen_one(&tf, &mut batch.device_rng(i ^ 0x5eed_0000_0000_0000));
+                std::hint::black_box(out.accepted());
+            }
+            (to - from) as u64
+        },
+    );
     let seq_elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let screened: u64 = counts.iter().sum();
     Throughput {
@@ -296,23 +300,25 @@ fn dynamic_throughput(
     let config = config_for_seq.expect("at least one valid cell");
 
     let start = Instant::now();
-    let counts: Vec<u64> = partitioned(devices, workers, |from, to| {
-        let mut screener = Screener::new(Workload::dynamic_sine(config)).sequencer(*policy);
-        let mut screened = 0u64;
-        for i in from..to {
-            let adc = flash.sample(&mut bist_mc::batch::stream_rng(
-                seed ^ 0xd5ef,
-                &[0, i as u64],
-            ));
-            let out = screener.screen_one(
-                &adc,
-                &mut bist_mc::batch::stream_rng(seed ^ 0xd5ef, &[0xd1e_57a7, i as u64]),
-            );
-            screened += 1;
-            std::hint::black_box(out.accepted());
-        }
-        screened
-    });
+    let counts: Vec<u64> = pool::map_ranges(
+        devices,
+        workers,
+        || Screener::new(Workload::dynamic_sine(config)).sequencer(*policy),
+        |screener, from, to| {
+            for i in from..to {
+                let adc = flash.sample(&mut bist_mc::batch::stream_rng(
+                    seed ^ 0xd5ef,
+                    &[0, i as u64],
+                ));
+                let out = screener.screen_one(
+                    &adc,
+                    &mut bist_mc::batch::stream_rng(seed ^ 0xd5ef, &[0xd1e_57a7, i as u64]),
+                );
+                std::hint::black_box(out.accepted());
+            }
+            (to - from) as u64
+        },
+    );
     let seq_elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let screened: u64 = counts.iter().sum();
     Throughput {

@@ -34,7 +34,7 @@
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::{record_metrics, Scenario};
+use bist_bench::{record_metrics, throughput, Fnv, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -43,7 +43,7 @@ use bist_core::screener::{Screener, Workload};
 use bist_core::shard::JobKind;
 use bist_mc::batch::Batch;
 use bist_serve::{submission_rng, ServiceConfig, ServiceHandle, Submission};
-use std::time::Instant;
+use std::fmt::Write as _;
 
 const SEED_MIX: u64 = 0x9e37_79b9;
 
@@ -186,8 +186,10 @@ fn run(sc: &mut Scenario) -> bool {
                 divergences += 1;
             }
         }
-        let mut fnv = Fnv::new();
-        fnv.fold(&got);
+        let mut fnv = Fnv::default();
+        for (id, verdict) in &got {
+            write!(fnv, "{id}:{verdict};").expect("hashing text cannot fail");
+        }
         checksums.push(fnv.finish());
     }
     let deterministic = checksums.windows(2).all(|w| w[0] == w[1]);
@@ -356,46 +358,4 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-/// FNV-1a folded over the id-sorted `(id, verdict)` pairs — the same
-/// order-sensitive fingerprint shape as `batched_fleet`, so two runs at
-/// different worker counts can be diffed from their JSON records.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(u64, String)]) {
-        for (id, verdict) in reports {
-            for b in format!("{id}:{verdict};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Devices/s of `pass`: one warm-up, then repeated passes until enough
-/// wall-clock accumulates for a stable rate.
-fn throughput(devices: usize, mut pass: impl FnMut()) -> f64 {
-    pass();
-    let start = Instant::now();
-    let mut screened = 0usize;
-    let mut passes = 0u32;
-    loop {
-        pass();
-        screened += devices;
-        passes += 1;
-        if (start.elapsed().as_secs_f64() > 0.3 && passes >= 2) || passes >= 64 {
-            break;
-        }
-    }
-    screened as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }

@@ -17,9 +17,11 @@ pub mod scenario;
 
 pub use scenario::Scenario;
 
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Returns the output directory for experiment artifacts (`bench/out/`
 /// next to the workspace root), creating it if needed.
@@ -159,6 +161,63 @@ fn parse_flat_pairs(body: &str) -> Vec<(String, f64)> {
         rest = rest.strip_prefix(',').unwrap_or(rest);
     }
     out
+}
+
+/// The fleet bins' `report_checksum`: FNV-1a over the text written
+/// into it. Each report is written as one `"{device}:{verdict:?};"`
+/// record ([`Fnv::fold_reports`]), so the checksum is order-sensitive
+/// and two runs at different worker counts can be diffed from their
+/// JSON records alone.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    /// Folds one `"{device}:{verdict:?};"` record per report, in order.
+    pub fn fold_reports<V: fmt::Debug>(&mut self, reports: &[(usize, V)]) {
+        for (device, verdict) in reports {
+            write!(self, "{device}:{verdict:?};").expect("hashing text cannot fail");
+        }
+    }
+
+    /// The checksum of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Devices/s of `pass`, which screens `devices` devices: one warm-up
+/// pass, then repeated passes until enough wall-clock accumulates for a
+/// stable rate (0.3 s and two passes, or 64 passes).
+pub fn throughput(devices: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    let start = Instant::now();
+    let mut screened = 0usize;
+    let mut passes = 0u32;
+    loop {
+        pass();
+        screened += devices;
+        passes += 1;
+        if (start.elapsed().as_secs_f64() > 0.3 && passes >= 2) || passes >= 64 {
+            break;
+        }
+    }
+    screened as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
 /// A minimal ASCII scatter/line plot for the figure binaries.

@@ -1,32 +1,41 @@
-//! Sharded multi-core fleet screening: the scoped worker pool behind
-//! [`Screener::run`](crate::screener::Screener::run).
+//! The workspace's one work-stealing pool: scoped workers claiming
+//! small chunks of work from an atomic cursor.
 //!
 //! The lane-parallel engines of [`crate::batch`] keep one core busy;
 //! the paper's §5 economics rest on testing "several A/D converters …
 //! in parallel", and on a workstation that parallelism is cores ×
-//! lanes. This module supplies the cores axis:
+//! lanes. This module supplies the cores axis, in two shapes:
 //!
-//! * [`DeviceQueue`] packs the fleet into small chunks behind an
-//!   atomic cursor. Claiming is one `fetch_add` plus a buffer move —
-//!   allocation-free — and because chunks are small, a worker whose
-//!   early-stop sequencer drains its lanes quickly comes back for more
-//!   while slower workers are still busy, instead of idling behind a
-//!   contiguous pre-partition.
-//! * [`run_static_pool`] / [`run_dyn_pool`] spawn a scope of workers,
-//!   each owning a reusable [`StaticBatch`]/[`DynBatch`] (per-worker
+//! * [`run_pool`] screens a device fleet — the pool behind
+//!   [`Screener::run`](crate::screener::Screener::run). A
+//!   [`DeviceQueue`] packs the fleet into chunks; each worker owns one
+//!   reusable [`Engine`] ([`StaticBatch`]/[`DynBatch`]: per-worker
 //!   lanes, scratch and report buffer — the zero-alloc steady state
-//!   proven by `tests/zero_alloc.rs`) plus its own backend, and merge
-//!   the reports by device index.
+//!   proven by `tests/zero_alloc.rs`) plus its own backend, and
+//!   [`drain`]s the queue. Reports merge by device index.
+//! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
+//!   fan-out behind `bist_mc`'s experiments, differential sweeps and
+//!   tables, where devices derive from `(seed, index)`. Results come
+//!   back in range order.
+//!
+//! Both claim through one cursor (one `fetch_add`, allocation-free), so
+//! a worker whose early-stop sequencer drains its chunk quickly comes
+//! back for more while slower workers are still busy, instead of idling
+//! behind a contiguous pre-partition. Each worker keeps its results in
+//! a local `Vec`; the pool merges them after the scoped join, which is
+//! the only synchronisation the merge needs.
 //!
 //! **Determinism.** Every device carries its own RNG and every
 //! verdict is a pure function of `(device, rng)` — which worker
 //! screens a device, and in which order, cannot change its report.
-//! Merging by device index therefore makes pooled output bit-identical
-//! for any `workers × lane_width × chunk_size` combination; the
-//! `batch_equivalence` property tests pin that invariant against the
-//! scalar engine.
+//! Merging by device index (or range start) therefore makes pooled
+//! output bit-identical for any `workers × lane_width × chunk_size`
+//! combination; the `batch_equivalence` property tests pin that
+//! invariant against the scalar engine.
 
+use std::iter;
 use std::mem;
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -51,17 +60,100 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// A fleet sharded into chunks behind an atomic cursor — the
-/// work-stealing seam of the pool.
+/// The claim cursor: hands out the indices `0, 1, 2, …`, each exactly
+/// once, to any number of workers.
+#[derive(Debug, Default)]
+struct Cursor(AtomicUsize);
+
+impl Cursor {
+    /// The next unclaimed index below `limit`, or `None` once all are
+    /// claimed.
+    fn claim(&self, limit: usize) -> Option<usize> {
+        // ORDERING: Relaxed suffices. The cursor only needs to hand out
+        // *distinct* indices, which `fetch_add`'s atomicity guarantees
+        // regardless of memory ordering; whatever a claimed index
+        // refers to is either immutable or guarded by its own `Mutex`
+        // (acquire/release on lock), and the scoped-thread join in
+        // `fan_out` provides the happens-before edge that makes all
+        // worker results visible before they merge. No claim is ever
+        // ordered against another worker's data through this cursor.
+        let i = self.0.fetch_add(1, Ordering::Relaxed);
+        (i < limit).then_some(i)
+    }
+}
+
+/// Runs `job` on `workers` scoped threads and concatenates the vectors
+/// they return. Each worker builds its part locally; the join is the
+/// merge's only synchronisation. A worker panic is re-raised here with
+/// its original payload.
+fn fan_out<T: Send>(workers: usize, job: impl Fn() -> Vec<T> + Sync) -> Vec<T> {
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&job)).collect();
+        let mut merged = Vec::new();
+        for handle in handles {
+            merged.append(&mut handle.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+        }
+        merged
+    })
+}
+
+/// Maps the index range `0..size` in ranges of about eight per worker
+/// across a scoped pool of `workers` threads (`0` = available
+/// parallelism), returning one `work(&mut state, from, to)` result per
+/// range, in range order.
+///
+/// Each worker builds one `state` from `init` and threads it through
+/// every range it claims — the seam that lets a fleet worker keep a warm
+/// backend (RTL tops, batch lanes) across chunks. Workers are clamped to
+/// the chunk count; when that leaves one, the whole range is a single
+/// inline `work(&mut init(), 0, size)` call.
+pub fn map_ranges<S, T, Init, F>(size: usize, workers: usize, init: Init, work: F) -> Vec<T>
+where
+    T: Send,
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, usize) -> T + Sync,
+{
+    // Clamp the knob to the index count before any arithmetic.
+    let workers = resolve_workers(workers).min(size.max(1));
+    let chunk = range_chunk(size, workers);
+    let chunks = size.div_ceil(chunk);
+    let workers = workers.min(chunks);
+    if workers <= 1 {
+        return vec![work(&mut init(), 0, size)];
+    }
+    let cursor = Cursor::default();
+    let mut parts = fan_out(workers, || {
+        let mut state = init();
+        let mut local = Vec::new();
+        while let Some(i) = cursor.claim(chunks) {
+            let from = i * chunk;
+            local.push((from, work(&mut state, from, (from + chunk).min(size))));
+        }
+        local
+    });
+    parts.sort_unstable_by_key(|&(from, _)| from);
+    parts.into_iter().map(|(_, t)| t).collect()
+}
+
+/// The [`map_ranges`] chunk size for `size` indices over `workers`
+/// resolved workers: about eight chunks per worker, clamped to
+/// `16..=512`. Small chunks keep uneven per-device costs balanced; the
+/// clamp bounds claim traffic on huge ranges and chunk count on small
+/// ones. The product saturates, so a huge knob cannot wrap it.
+fn range_chunk(size: usize, workers: usize) -> usize {
+    (size / workers.saturating_mul(8)).clamp(16, 512)
+}
+
+/// A fleet sharded into chunks behind the claim cursor — the
+/// work-stealing seam of [`run_pool`].
 ///
 /// Chunks are boxed up once at construction; [`claim`](Self::claim)
 /// hands the next one to the calling worker with a `fetch_add` and a
 /// buffer move, so the steady-state drain performs no allocation.
 #[derive(Debug)]
 pub struct DeviceQueue<A, R> {
-    cursor: AtomicUsize,
+    cursor: Cursor,
     chunks: Vec<Mutex<Vec<BatchDevice<A, R>>>>,
-    devices: usize,
 }
 
 impl<A, R> DeviceQueue<A, R> {
@@ -73,10 +165,8 @@ impl<A, R> DeviceQueue<A, R> {
     pub fn new(devices: impl IntoIterator<Item = BatchDevice<A, R>>, chunk: usize) -> Self {
         assert!(chunk >= 1, "a device queue needs a positive chunk size");
         let mut chunks = Vec::new();
-        let mut count = 0usize;
         let mut current: Vec<BatchDevice<A, R>> = Vec::with_capacity(chunk);
         for dev in devices {
-            count += 1;
             current.push(dev);
             if current.len() == chunk {
                 let full = mem::replace(&mut current, Vec::with_capacity(chunk));
@@ -87,15 +177,9 @@ impl<A, R> DeviceQueue<A, R> {
             chunks.push(Mutex::new(current));
         }
         DeviceQueue {
-            cursor: AtomicUsize::new(0),
+            cursor: Cursor::default(),
             chunks,
-            devices: count,
         }
-    }
-
-    /// Total devices queued at construction.
-    pub fn devices(&self) -> usize {
-        self.devices
     }
 
     /// Number of chunks the fleet was sharded into.
@@ -107,150 +191,148 @@ impl<A, R> DeviceQueue<A, R> {
     /// dry. Each chunk is handed out exactly once.
     // bist-lint: hot-path — the pool's steady-state claim
     pub fn claim(&self) -> Option<Vec<BatchDevice<A, R>>> {
-        // ORDERING: Relaxed suffices. The cursor only needs to hand out
-        // *distinct* indices, which `fetch_add`'s atomicity guarantees
-        // regardless of memory ordering; the chunk contents claimed
-        // through the index are protected by their own `Mutex`
-        // (acquire/release on lock), and the scoped-thread join in
-        // `run_*_pool` provides the happens-before edge that makes all
-        // worker writes visible before reports merge. No claim is ever
-        // ordered against another worker's data through this cursor.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = self.chunks.get(i)?;
+        let slot = &self.chunks[self.cursor.claim(self.chunks.len())?];
         Some(mem::take(&mut *slot.lock().expect("chunk mutex poisoned")))
     }
 }
 
-/// A worker's static inner loop: claim a chunk, queue it into the
-/// worker's own `batch`, screen it through `backend`, repeat until the
-/// queue is dry. Reports accumulate in the batch across chunks;
-/// allocation-free once the batch's lanes are warm.
-// bist-lint: hot-path — per-worker drain loop
-pub fn drain_static<A, R, B>(
-    batch: &mut StaticBatch<A, R>,
-    queue: &DeviceQueue<A, R>,
-    backend: &mut B,
-) where
-    A: Adc,
-    R: RngCore,
-    B: Backend,
-{
-    while let Some(devices) = queue.claim() {
-        for dev in devices {
-            batch.push(dev);
-        }
-        backend.process_batch(batch);
+/// A reusable screening engine the pool drives — [`StaticBatch`] and
+/// [`DynBatch`]: queue devices, screen them through a backend, take
+/// the reports.
+pub trait Engine<A, R> {
+    /// One device's report.
+    type Report: Send;
+
+    /// Queues one device for screening.
+    fn push(&mut self, device: BatchDevice<A, R>);
+
+    /// Screens every queued device through `backend`'s batch seam.
+    fn screen<B: Backend>(&mut self, backend: &mut B);
+
+    /// Takes the accumulated reports, sorted by device index.
+    fn take_reports(&mut self) -> Vec<Self::Report>;
+
+    /// The device index `report` belongs to — the merge key.
+    fn device(report: &Self::Report) -> usize;
+}
+
+impl<A: Adc, R: RngCore> Engine<A, R> for StaticBatch<A, R> {
+    type Report = StaticReport;
+
+    fn push(&mut self, device: BatchDevice<A, R>) {
+        StaticBatch::push(self, device);
+    }
+
+    fn screen<B: Backend>(&mut self, backend: &mut B) {
+        backend.process_batch(self);
+    }
+
+    fn take_reports(&mut self) -> Vec<StaticReport> {
+        StaticBatch::take_reports(self)
+    }
+
+    fn device(report: &StaticReport) -> usize {
+        report.device
     }
 }
 
-/// [`drain_static`]'s dynamic-workload counterpart.
+impl<A: Adc, R: RngCore> Engine<A, R> for DynBatch<A, R> {
+    type Report = DynReport;
+
+    fn push(&mut self, device: BatchDevice<A, R>) {
+        DynBatch::push(self, device);
+    }
+
+    fn screen<B: Backend>(&mut self, backend: &mut B) {
+        backend.process_dyn_batch(self);
+    }
+
+    fn take_reports(&mut self) -> Vec<DynReport> {
+        DynBatch::take_reports(self)
+    }
+
+    fn device(report: &DynReport) -> usize {
+        report.device
+    }
+}
+
+/// A worker's inner loop: claim a chunk, queue it into the worker's
+/// own `engine`, screen it through `backend`, repeat until the queue
+/// is dry. Reports accumulate in the engine across chunks;
+/// allocation-free once the engine's lanes are warm.
 // bist-lint: hot-path — per-worker drain loop
-pub fn drain_dyn<A, R, B>(batch: &mut DynBatch<A, R>, queue: &DeviceQueue<A, R>, backend: &mut B)
+pub fn drain<A, R, E, B>(engine: &mut E, queue: &DeviceQueue<A, R>, backend: &mut B)
 where
-    A: Adc,
-    R: RngCore,
+    E: Engine<A, R>,
     B: Backend,
 {
     while let Some(devices) = queue.claim() {
         for dev in devices {
-            batch.push(dev);
+            engine.push(dev);
         }
-        backend.process_dyn_batch(batch);
+        engine.screen(backend);
     }
 }
 
-/// Screens a static fleet across a scoped pool of `workers` threads
-/// (`0` = available parallelism), each worker owning one engine from
-/// `make_batch` and one backend from `make_backend`, claiming
-/// `chunk`-sized device chunks from a shared [`DeviceQueue`].
+/// Screens a fleet across a scoped pool of `workers` threads (`0` =
+/// available parallelism) claiming `chunk`-device chunks from a shared
+/// [`DeviceQueue`]; every worker owns one engine from `make_engine` and
+/// one `B::default()` backend.
+///
+/// Workers are clamped to the chunk count. With a single worker the
+/// whole fleet goes into one engine, screened once by `backend` — the
+/// caller's own, warm backend, and no chunking.
 ///
 /// Returns reports sorted by device index — bit-identical to a
 /// single-worker run for any worker count and chunk size.
-pub fn run_static_pool<A, R, B, FB, FK>(
+pub fn run_pool<A, R, E, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     workers: usize,
     chunk: usize,
-    make_batch: FB,
-    make_backend: FK,
-) -> Vec<StaticReport>
+    make_engine: impl Fn() -> E + Sync,
+    backend: &mut B,
+) -> Vec<E::Report>
 where
-    A: Adc + Send,
-    R: RngCore + Send,
-    B: Backend,
-    FB: Fn() -> StaticBatch<A, R> + Sync,
-    FK: Fn() -> B + Sync,
+    A: Send,
+    R: Send,
+    E: Engine<A, R>,
+    B: Backend + Default,
 {
-    let queue = DeviceQueue::new(devices, chunk);
-    let workers = resolve_workers(workers).min(queue.chunk_count()).max(1);
+    let workers = resolve_workers(workers);
     if workers <= 1 {
-        let mut batch = make_batch();
-        let mut backend = make_backend();
-        drain_static(&mut batch, &queue, &mut backend);
-        return batch.take_reports();
+        return screen_once(make_engine(), devices, backend);
     }
-    let merged: Mutex<Vec<StaticReport>> = Mutex::new(Vec::with_capacity(queue.devices()));
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut batch = make_batch();
-                let mut backend = make_backend();
-                drain_static(&mut batch, &queue, &mut backend);
-                let mut reports = batch.take_reports();
-                merged
-                    .lock()
-                    .expect("report mutex poisoned")
-                    .append(&mut reports);
-            });
-        }
+    let queue = DeviceQueue::new(devices, chunk);
+    let workers = workers.min(queue.chunk_count());
+    if workers <= 1 {
+        let fleet = iter::from_fn(|| queue.claim()).flatten();
+        return screen_once(make_engine(), fleet, backend);
+    }
+    let mut reports = fan_out(workers, || {
+        let mut engine = make_engine();
+        drain(&mut engine, &queue, &mut B::default());
+        engine.take_reports()
     });
-    let mut reports = merged.into_inner().expect("report mutex poisoned");
-    reports.sort_unstable_by_key(|r| r.device);
+    reports.sort_unstable_by_key(<E as Engine<A, R>>::device);
     reports
 }
 
-/// [`run_static_pool`]'s dynamic-workload counterpart. Plan the shared
-/// stimulus with [`crate::batch::StimulusTable::plan_for`] and hand
-/// every `make_batch` the same `Arc` so workers read one table.
-pub fn run_dyn_pool<A, R, B, FB, FK>(
+/// The single-worker path of [`run_pool`]: queue the whole fleet, then
+/// screen it in one pass.
+fn screen_once<A, R, E, B>(
+    mut engine: E,
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
-    workers: usize,
-    chunk: usize,
-    make_batch: FB,
-    make_backend: FK,
-) -> Vec<DynReport>
+    backend: &mut B,
+) -> Vec<E::Report>
 where
-    A: Adc + Send,
-    R: RngCore + Send,
+    E: Engine<A, R>,
     B: Backend,
-    FB: Fn() -> DynBatch<A, R> + Sync,
-    FK: Fn() -> B + Sync,
 {
-    let queue = DeviceQueue::new(devices, chunk);
-    let workers = resolve_workers(workers).min(queue.chunk_count()).max(1);
-    if workers <= 1 {
-        let mut batch = make_batch();
-        let mut backend = make_backend();
-        drain_dyn(&mut batch, &queue, &mut backend);
-        return batch.take_reports();
+    for dev in devices {
+        engine.push(dev);
     }
-    let merged: Mutex<Vec<DynReport>> = Mutex::new(Vec::with_capacity(queue.devices()));
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut batch = make_batch();
-                let mut backend = make_backend();
-                drain_dyn(&mut batch, &queue, &mut backend);
-                let mut reports = batch.take_reports();
-                merged
-                    .lock()
-                    .expect("report mutex poisoned")
-                    .append(&mut reports);
-            });
-        }
-    });
-    let mut reports = merged.into_inner().expect("report mutex poisoned");
-    reports.sort_unstable_by_key(|r| r.device);
-    reports
+    engine.screen(backend);
+    engine.take_reports()
 }
 
 #[cfg(test)]
@@ -264,23 +346,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn fleet(n: usize) -> impl Iterator<Item = BatchDevice<TransferFunction, StdRng>> {
+        (0..n).map(|i| {
+            BatchDevice::new(
+                i,
+                TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)),
+                StdRng::seed_from_u64(i as u64),
+            )
+        })
+    }
+
     fn queue_of(n: usize, chunk: usize) -> DeviceQueue<TransferFunction, StdRng> {
-        DeviceQueue::new(
-            (0..n).map(|i| {
-                BatchDevice::new(
-                    i,
-                    TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)),
-                    StdRng::seed_from_u64(i as u64),
-                )
-            }),
-            chunk,
-        )
+        DeviceQueue::new(fleet(n), chunk)
     }
 
     #[test]
     fn queue_packs_exact_and_ragged_chunks() {
         let q = queue_of(10, 4);
-        assert_eq!(q.devices(), 10);
         assert_eq!(q.chunk_count(), 3);
         let sizes: Vec<usize> = std::iter::from_fn(|| q.claim()).map(|c| c.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
@@ -310,27 +392,90 @@ mod tests {
             .counter_bits(6)
             .build()
             .expect("paper-range counter");
-        let fleet = |n: usize| {
-            (0..n).map(move |i| {
-                BatchDevice::new(
-                    i,
-                    TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)),
-                    StdRng::seed_from_u64(i as u64),
-                )
-            })
-        };
         let make_batch = || StaticBatch::new(config).with_lane_width(4);
-        let reference = run_static_pool(fleet(17), 1, 5, make_batch, || BehavioralBackend);
+        let reference = run_pool(fleet(17), 1, 5, make_batch, &mut BehavioralBackend);
         assert_eq!(reference.len(), 17);
         for (i, r) in reference.iter().enumerate() {
             assert_eq!(r.device, i, "reports merge by device index");
         }
         for workers in [2, 3, 16] {
             for chunk in [1, 4, 32] {
-                let pooled =
-                    run_static_pool(fleet(17), workers, chunk, make_batch, || BehavioralBackend);
+                let pooled = run_pool(
+                    fleet(17),
+                    workers,
+                    chunk,
+                    make_batch,
+                    &mut BehavioralBackend,
+                );
                 assert_eq!(pooled, reference, "workers={workers} chunk={chunk}");
             }
         }
+    }
+
+    #[test]
+    fn map_ranges_tiles_the_range_in_order() {
+        let parts = map_ranges(103, 4, || (), |_, from, to| (from, to));
+        assert_eq!(parts.first().unwrap().0, 0);
+        assert_eq!(parts.last().unwrap().1, 103);
+        for w in parts.windows(2) {
+            assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
+        }
+        assert_eq!(map_ranges(0, 4, || (), |_, from, to| (from, to)), [(0, 0)]);
+    }
+
+    #[test]
+    fn map_ranges_reuses_worker_state_across_chunks() {
+        // Count how many states were built: one per spawned worker, not
+        // one per chunk.
+        let inits = AtomicUsize::new(0);
+        let parts = map_ranges(
+            1000,
+            4,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                0usize
+            },
+            |claims, from, to| {
+                *claims += 1;
+                (*claims, from, to)
+            },
+        );
+        assert!(inits.load(Ordering::Relaxed) <= 4);
+        assert!(parts.len() > 4, "dispatch must be chunked, not pre-split");
+        let mut covered = 0;
+        for (claims, from, to) in &parts {
+            assert!(*claims >= 1);
+            assert_eq!(*from, covered, "chunks must tile the range in order");
+            covered = *to;
+        }
+        assert_eq!(covered, 1000);
+        assert!(
+            parts.iter().any(|(claims, _, _)| *claims > 1),
+            "some worker must claim more than one chunk"
+        );
+    }
+
+    #[test]
+    fn one_worker_maps_the_whole_range_inline() {
+        let parts = map_ranges(1000, 1, || (), |_, from, to| (from, to));
+        assert_eq!(parts, [(0, 1000)]);
+    }
+
+    #[test]
+    fn a_huge_worker_knob_neither_wraps_nor_changes_results() {
+        let sum = |workers: usize| -> u64 {
+            map_ranges(
+                200,
+                workers,
+                || (),
+                |_, from, to| (from..to).map(|i| i as u64 * i as u64).sum::<u64>(),
+            )
+            .into_iter()
+            .sum()
+        };
+        assert_eq!(range_chunk(200, 1 << 63), 16);
+        assert_eq!(range_chunk(1 << 20, 1 << 63), 16);
+        assert_eq!(range_chunk(1 << 20, 1), 512);
+        assert_eq!(sum(1 << 63), sum(1));
     }
 }

@@ -334,15 +334,18 @@ impl<B: Backend> Screener<B> {
         I: IntoIterator<Item = (A, R)>,
         B: Default,
     {
-        let workers = pool::resolve_workers(self.workers);
-        let (lane_width, sequencer, chunk) = (self.lane_width, self.sequencer, self.chunk);
+        let (lane_width, sequencer) = (self.lane_width, self.sequencer);
+        let fleet = devices
+            .into_iter()
+            .enumerate()
+            .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
         match self.workload {
             Workload::Static {
                 config,
                 noise,
                 slope_error,
             } => {
-                let make_batch = move || {
+                let make_batch = || {
                     let mut batch = StaticBatch::new(config)
                         .with_noise(noise)
                         .with_slope_error(slope_error)
@@ -352,69 +355,47 @@ impl<B: Backend> Screener<B> {
                     }
                     batch
                 };
-                let fleet = devices
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-                let reports = if workers <= 1 {
-                    let mut batch = make_batch();
-                    for dev in fleet {
-                        batch.push(dev);
-                    }
-                    self.backend.process_batch(&mut batch);
-                    batch.take_reports()
-                } else {
-                    pool::run_static_pool(fleet, workers, chunk, make_batch, B::default)
-                };
+                let reports = pool::run_pool(
+                    fleet,
+                    self.workers,
+                    self.chunk,
+                    make_batch,
+                    &mut self.backend,
+                );
                 out.extend(reports.into_iter().map(|r| ScreenReport {
                     device: r.device,
                     verdict: ScreenVerdict::Static(r.outcome),
                 }));
             }
             Workload::Dynamic { config, noise } => {
-                let fleet = devices
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-                let reports = if workers <= 1 {
+                // Plan the sine once for the whole fleet, keyed on the
+                // first device (lanes whose plan differs fall back
+                // bit-exactly to per-sample evaluation), so every worker
+                // reads one immutable table.
+                let mut fleet = fleet.peekable();
+                let shared = fleet
+                    .peek()
+                    .filter(|_| noise.jitter_seconds() == 0.0)
+                    .map(|d| StimulusTable::plan_for(&d.adc, &config));
+                let make_batch = || {
                     let mut batch = DynBatch::new(config)
                         .with_noise(noise)
                         .with_lane_width(lane_width);
                     if let Some(policy) = sequencer {
                         batch = batch.with_sequencer(policy);
                     }
-                    for dev in fleet {
-                        batch.push(dev);
+                    if let Some(table) = &shared {
+                        batch = batch.with_shared_table(Arc::clone(table));
                     }
-                    self.backend.process_dyn_batch(&mut batch);
-                    batch.take_reports()
-                } else {
-                    // Plan the sine once for the whole pool, keyed on
-                    // the first device (lanes whose plan differs fall
-                    // back bit-exactly to per-sample evaluation), so
-                    // every worker reads one immutable table.
-                    let fleet: Vec<BatchDevice<A, R>> = fleet.collect();
-                    let shared = (noise.jitter_seconds() == 0.0)
-                        .then(|| {
-                            fleet
-                                .first()
-                                .map(|d| StimulusTable::plan_for(&d.adc, &config))
-                        })
-                        .flatten();
-                    let make_batch = move || {
-                        let mut batch = DynBatch::new(config)
-                            .with_noise(noise)
-                            .with_lane_width(lane_width);
-                        if let Some(policy) = sequencer {
-                            batch = batch.with_sequencer(policy);
-                        }
-                        if let Some(table) = &shared {
-                            batch = batch.with_shared_table(Arc::clone(table));
-                        }
-                        batch
-                    };
-                    pool::run_dyn_pool(fleet, workers, chunk, make_batch, B::default)
+                    batch
                 };
+                let reports = pool::run_pool(
+                    fleet,
+                    self.workers,
+                    self.chunk,
+                    make_batch,
+                    &mut self.backend,
+                );
                 out.extend(reports.into_iter().map(|r| ScreenReport {
                     device: r.device,
                     verdict: ScreenVerdict::Dynamic(r.outcome),

@@ -19,7 +19,7 @@ use bist_core::backend::{BehavioralBackend, RtlBackend};
 use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
-use bist_core::pool::{drain_dyn, drain_static, DeviceQueue};
+use bist_core::pool::{drain, DeviceQueue};
 use bist_core::ring::Ring;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
@@ -243,8 +243,8 @@ fn hot_path_is_allocation_free_after_warmup() {
 
     let mut drain_accepted = |q_static: &DeviceQueue<_, _>, q_dyn: &DeviceQueue<_, _>| -> u32 {
         let mut accepted = 0u32;
-        drain_static(&mut w_static, q_static, &mut BehavioralBackend);
-        drain_dyn(&mut w_dyn, q_dyn, &mut BehavioralBackend);
+        drain(&mut w_static, q_static, &mut BehavioralBackend);
+        drain(&mut w_dyn, q_dyn, &mut BehavioralBackend);
         for r in w_static.finish_reports() {
             accepted += u32::from(r.outcome.verdict.accepted());
         }

@@ -53,7 +53,6 @@ pub mod sinefit;
 pub mod special;
 pub mod spectrum;
 pub mod stats;
-pub mod welch;
 pub mod window;
 
 pub use complex::Complex64;

@@ -1,19 +1,15 @@
 //! Seeded device-batch generation over the `bist_core::source` seam.
 //!
-//! A [`Batch`] is a thin, `Copy` builder over one
-//! [`DeviceSource`] —
+//! A [`Batch`] is a thin, `Copy` builder over one [`SourceSpec`] —
 //! `Batch::of(source).seed(s).size(n)` — so every architecture the seam
 //! knows (flash, iid widths, SAR, pipeline) screens through the same
-//! fleet machinery. [`DeviceModel`] is the batch-local naming of that
-//! choice, kept for the paper's sim/measurement split:
+//! fleet machinery. The paper's sim/measurement split is two presets:
 //!
-//! * [`DeviceModel::IidWidths`] — code widths drawn iid from the §3
+//! * [`Batch::paper_simulation`] — code widths drawn iid from the §3
 //!   Gaussian (the *simulation* model behind Tables 1–2).
-//! * [`DeviceModel::PhysicalFlash`] — the resistor-ladder + comparator
+//! * [`Batch::paper_measurement`] — the resistor-ladder + comparator
 //!   flash of `bist-adc` (the stand-in for the paper's 364 measured
 //!   devices; its widths acquire the Eq. 10 correlation naturally).
-//! * [`DeviceModel::Sar`] / [`DeviceModel::Pipeline`] — the zoo
-//!   architectures, same seam.
 //!
 //! Devices are generated from `(seed, index)` so batches are
 //! reproducible and independent of threading. The canonical stream
@@ -22,8 +18,6 @@
 //! re-exported here bit-identically.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::pipeline::PipelineConfig;
-use bist_adc::sar::SarConfig;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
@@ -31,81 +25,14 @@ use bist_core::source::{DeviceSource, IidWidthSource, SourceSpec};
 use bist_dsp::special::normal_quantile;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::fmt;
 
 pub use bist_core::source::{iid_width_transfer, splitmix_finalize, stream_rng};
-
-/// How batch devices are modelled (the batch-local naming of the
-/// [`SourceSpec`] seam).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum DeviceModel {
-    /// Transfer functions with iid Gaussian code widths (theory model).
-    IidWidths(WidthDistribution),
-    /// Behavioural flash converters with ladder/comparator mismatch.
-    PhysicalFlash(FlashConfig),
-    /// SAR converters with binary-weighted capacitor mismatch.
-    Sar(SarConfig),
-    /// Two-stage pipeline converters with inter-stage gain error.
-    Pipeline(PipelineConfig),
-}
-
-impl DeviceModel {
-    /// The model as a seam source. `resolution` applies to the
-    /// iid-width model (the physical models state their own).
-    pub fn source(&self, resolution: Resolution) -> SourceSpec {
-        match *self {
-            DeviceModel::IidWidths(dist) => {
-                SourceSpec::IidWidths(IidWidthSource::new(resolution, dist))
-            }
-            DeviceModel::PhysicalFlash(cfg) => SourceSpec::Flash(cfg),
-            DeviceModel::Sar(cfg) => SourceSpec::Sar(cfg),
-            DeviceModel::Pipeline(cfg) => SourceSpec::Pipeline(cfg),
-        }
-    }
-}
-
-impl From<SourceSpec> for DeviceModel {
-    fn from(s: SourceSpec) -> Self {
-        match s {
-            SourceSpec::Flash(c) => DeviceModel::PhysicalFlash(c),
-            SourceSpec::IidWidths(c) => DeviceModel::IidWidths(c.distribution()),
-            SourceSpec::Sar(c) => DeviceModel::Sar(c),
-            SourceSpec::Pipeline(c) => DeviceModel::Pipeline(c),
-        }
-    }
-}
-
-impl fmt::Display for DeviceModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeviceModel::IidWidths(d) => {
-                write!(f, "iid widths (σ {} LSB)", d.sigma())
-            }
-            DeviceModel::PhysicalFlash(c) => {
-                write!(
-                    f,
-                    "physical flash (σ_w {:.3} LSB)",
-                    c.code_width_sigma_lsb()
-                )
-            }
-            DeviceModel::Sar(c) => {
-                write!(f, "sar (σ_unit {:.3})", c.unit_cap_sigma())
-            }
-            DeviceModel::Pipeline(c) => {
-                write!(f, "pipeline (σ_gain {:.3})", c.gain_sigma())
-            }
-        }
-    }
-}
 
 /// A reproducible batch descriptor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Batch {
-    /// Device model.
-    pub model: DeviceModel,
-    /// Converter resolution.
-    pub resolution: Resolution,
+    /// Device source.
+    pub source: SourceSpec,
     /// Master seed; device `i` derives its RNG from `(seed, i)`.
     pub seed: u64,
     /// Number of devices.
@@ -114,12 +41,9 @@ pub struct Batch {
 
 impl Batch {
     /// A batch over any seam source: `Batch::of(source).seed(s).size(n)`.
-    /// The resolution is taken from the source.
     pub fn of(source: impl Into<SourceSpec>) -> Self {
-        let source = source.into();
         Batch {
-            model: DeviceModel::from(source),
-            resolution: source.resolution(),
+            source: source.into(),
             seed: 0,
             size: 0,
         }
@@ -137,22 +61,26 @@ impl Batch {
         self
     }
 
-    /// The batch's model as a seam source.
+    /// The batch's device source.
     pub fn source(&self) -> SourceSpec {
-        self.model.source(self.resolution)
+        self.source
+    }
+
+    /// The converter resolution, as the source states it.
+    pub fn resolution(&self) -> Resolution {
+        self.source.resolution()
     }
 
     /// The batch's architecture tag.
     pub fn architecture(&self) -> bist_core::source::Architecture {
-        self.source().architecture()
+        self.source.architecture()
     }
 
     /// The paper's measured batch: 364 physical flash devices at the
     /// worst-case mismatch.
     pub fn paper_measurement(seed: u64) -> Self {
         Batch {
-            model: DeviceModel::PhysicalFlash(FlashConfig::paper_device()),
-            resolution: Resolution::SIX_BIT,
+            source: SourceSpec::Flash(FlashConfig::paper_device()),
             seed,
             size: 364,
         }
@@ -161,8 +89,7 @@ impl Batch {
     /// A theory batch of iid-width devices at σ = 0.21 LSB.
     pub fn paper_simulation(seed: u64, size: usize) -> Self {
         Batch {
-            model: DeviceModel::IidWidths(WidthDistribution::paper_worst_case()),
-            resolution: Resolution::SIX_BIT,
+            source: SourceSpec::IidWidths(IidWidthSource::paper()),
             seed,
             size,
         }
@@ -177,7 +104,7 @@ impl Batch {
     /// Generates device `index`'s transfer function through the seam.
     pub fn device(&self, index: usize) -> TransferFunction {
         let mut rng = self.device_rng(index);
-        self.source().sample_transfer(&mut rng)
+        self.source.sample_transfer(&mut rng)
     }
 
     /// Iterates over all devices in the batch.
@@ -317,11 +244,10 @@ mod tests {
     fn sar_and_pipeline_batches_run_through_the_same_seam() {
         for src in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
             let b = Batch::of(src).seed(3).size(8);
-            assert_eq!(b.resolution, Resolution::SIX_BIT);
+            assert_eq!(b.resolution(), Resolution::SIX_BIT);
             assert_eq!(b.architecture(), src.architecture());
             assert_eq!(b.device(2).transitions(), b.device(2).transitions());
             assert_ne!(b.device(2).transitions(), b.device(3).transitions());
-            // Round-trips through the model naming.
             assert_eq!(b.source(), src);
         }
     }
@@ -356,7 +282,7 @@ mod tests {
     fn paper_measurement_batch_size() {
         let b = Batch::paper_measurement(1);
         assert_eq!(b.size, 364);
-        assert!(matches!(b.model, DeviceModel::PhysicalFlash(_)));
+        assert!(matches!(b.source, SourceSpec::Flash(_)));
         // Yield under the stringent spec lands near the paper's 30 %.
         let spec = LinearitySpec::paper_stringent();
         let good = b.devices().filter(|tf| spec.classify(tf).good).count();
@@ -416,13 +342,5 @@ mod tests {
         for d in dnl(&tf) {
             assert!(d.0.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn model_display() {
-        let b = Batch::paper_simulation(1, 2);
-        assert!(b.model.to_string().contains("iid"));
-        let m = Batch::paper_measurement(1);
-        assert!(m.model.to_string().contains("flash"));
     }
 }

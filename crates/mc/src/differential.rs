@@ -29,7 +29,6 @@
 //! Any disagreement is a [`DynDivergence`] and fails the run.
 
 use crate::batch::Batch;
-use crate::parallel::partitioned;
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
@@ -39,6 +38,7 @@ use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
 use bist_core::harness::BistVerdict;
+use bist_core::pool;
 use bist_core::priors::{PriorsBank, SeqTally};
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::{SeqDecision, SeqOutcome, SequencerConfig, SweptVerdict};
@@ -342,9 +342,12 @@ pub fn run_differential_range(
 /// worker count: devices and RNG streams derive from `(seed, index,
 /// scenario)` alone.
 pub fn run_differential(batch: &Batch, slope_error: f64, workers: usize) -> DifferentialResult {
-    let partials = partitioned(batch.size, workers, |from, to| {
-        run_differential_range(batch, slope_error, from, to)
-    });
+    let partials = pool::map_ranges(
+        batch.size,
+        workers,
+        || (),
+        |_, from, to| run_differential_range(batch, slope_error, from, to),
+    );
     let mut total = DifferentialResult::default();
     for p in &partials {
         total.merge(p);
@@ -622,9 +625,12 @@ pub fn run_dyn_differential_range(seed: u64, from: usize, to: usize) -> DynDiffe
 /// Deterministic in the worker count: devices and RNG streams derive
 /// from `(seed, index, cell)` alone.
 pub fn run_dyn_differential(seed: u64, devices: usize, workers: usize) -> DynDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_dyn_differential_range(seed, from, to)
-    });
+    let partials = pool::map_ranges(
+        devices,
+        workers,
+        || (),
+        |_, from, to| run_dyn_differential_range(seed, from, to),
+    );
     let mut total = DynDifferentialResult::default();
     for p in &partials {
         total.merge(p);
@@ -1405,9 +1411,12 @@ pub fn run_seq_differential(
     devices: usize,
     workers: usize,
 ) -> SeqDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_seq_differential_range(seed, policy, from, to)
-    });
+    let partials = pool::map_ranges(
+        devices,
+        workers,
+        || (),
+        |_, from, to| run_seq_differential_range(seed, policy, from, to),
+    );
     let mut total = SeqDifferentialResult::default();
     for p in &partials {
         total.merge(p);
@@ -1451,9 +1460,12 @@ pub fn run_arch_differential(
     devices: usize,
     workers: usize,
 ) -> SeqDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_arch_differential_range(seed, policy, from, to)
-    });
+    let partials = pool::map_ranges(
+        devices,
+        workers,
+        || (),
+        |_, from, to| run_arch_differential_range(seed, policy, from, to),
+    );
     let mut total = SeqDifferentialResult::default();
     for p in &partials {
         total.merge(p);

@@ -10,7 +10,7 @@
 
 use crate::batch::Batch;
 use crate::estimate::Proportion;
-use crate::parallel::{partitioned, run_parallel};
+use crate::parallel::run_parallel;
 use bist_adc::noise::NoiseConfig;
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
@@ -18,6 +18,7 @@ use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::harness::{conventional_test, reference_measurement};
+use bist_core::pool;
 use bist_core::screener::{Screener, Workload};
 use bist_core::source::{DeviceSource, SourceSpec};
 use rand::rngs::StdRng;
@@ -304,7 +305,7 @@ impl fmt::Display for ExperimentResult {
 /// Compares the BIST against the conventional 4096-sample histogram test
 /// on the same batch (experiment E10): returns the two confusion
 /// matrices and the device-level agreement count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EquivalenceResult {
     /// Confusion matrix of the BIST decisions vs exact truth.
     pub bist: ConfusionMatrix,
@@ -346,15 +347,13 @@ pub fn run_equivalence(
     conventional_samples: u32,
     workers: usize,
 ) -> EquivalenceResult {
-    let partials = partitioned(batch.size, workers, |from, to| {
-        equivalence_range(batch, config, conventional_samples, from, to)
-    });
-    let mut total = EquivalenceResult {
-        bist: ConfusionMatrix::new(),
-        conventional: ConfusionMatrix::new(),
-        agreements: 0,
-        total: 0,
-    };
+    let partials = pool::map_ranges(
+        batch.size,
+        workers,
+        || (),
+        |_, from, to| equivalence_range(batch, config, conventional_samples, from, to),
+    );
+    let mut total = EquivalenceResult::default();
     for p in &partials {
         total.merge(p);
     }
@@ -514,12 +513,10 @@ impl DynExperiment {
     {
         // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
         let start = Instant::now();
-        let partials = crate::parallel::partitioned_with(
-            self.devices,
-            workers,
-            &make_backend,
-            |backend, from, to| self.run_range_with(backend, from, to),
-        );
+        let partials =
+            pool::map_ranges(self.devices, workers, &make_backend, |backend, from, to| {
+                self.run_range_with(backend, from, to)
+            });
         let mut total = DynExperimentResult::default();
         for p in &partials {
             total.merge(p);

@@ -69,7 +69,7 @@ pub mod experiment;
 pub mod parallel;
 pub mod tables;
 
-pub use batch::{Batch, DeviceModel};
+pub use batch::Batch;
 pub use differential::{
     run_arch_differential, run_differential, run_dyn_differential, run_seq_differential,
     DifferentialResult, Divergence, DynDifferentialResult, DynDivergence, SeqDifferentialResult,

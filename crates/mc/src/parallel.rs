@@ -1,101 +1,22 @@
-//! Thread fan-out for batch experiments.
+//! Thread fan-out for batch experiments, on `bist_core::pool`.
 //!
 //! Devices are generated from `(seed, index)`, so splitting a batch into
 //! index ranges and merging the confusion matrices is exactly equivalent
 //! to a sequential run — the tests assert that equivalence. Each worker
-//! keeps its own `bist_core::harness::Scratch` (created inside
-//! `Experiment::run_range`), so the fan-out multiplies the
-//! allocation-free streaming hot path across cores.
-//!
-//! Dispatch is chunked, not pre-partitioned: workers pull small index
-//! ranges from an atomic cursor (the same work-stealing discipline as
-//! `bist_core::pool`), so a worker that draws a run of cheap devices —
-//! early-stopped sequencer sweeps, short records — comes back for more
-//! instead of idling behind a contiguous split.
+//! keeps its own backend (and `Experiment::run_range` its own scratch),
+//! so the fan-out multiplies the allocation-free streaming hot path
+//! across cores. Ranges come from [`pool::map_ranges`]: workers pull
+//! small index ranges from the pool's claim cursor, so a worker that
+//! draws a run of cheap devices — early-stopped sequencer sweeps, short
+//! records — comes back for more instead of idling behind a contiguous
+//! split.
 
 use crate::batch::Batch;
 use crate::estimate::Proportion;
 use crate::experiment::{Experiment, ExperimentResult};
 use bist_adc::spec::LinearitySpec;
-use crossbeam::channel;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
+use bist_core::pool;
 use std::time::Instant;
-
-/// Resolves a worker-count knob: `0` selects the available parallelism.
-pub fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        workers
-    }
-}
-
-/// Splits `[0, size)` into small chunks behind an atomic cursor and
-/// evaluates `work(from, to)` on each from `workers` threads, returning
-/// the per-chunk results in range order. Degenerates to one inline call
-/// when a single worker suffices or the batch is tiny.
-pub fn partitioned<T, F>(size: usize, workers: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    partitioned_with(size, workers, || (), |(), from, to| work(from, to))
-}
-
-/// [`partitioned`] with per-worker state: each worker builds one `state`
-/// from `init` and threads it through every chunk it claims — the seam
-/// that lets a fleet worker keep a warm backend (RTL tops, batch lanes)
-/// across chunks instead of rebuilding per range.
-pub fn partitioned_with<S, T, Init, F>(size: usize, workers: usize, init: Init, work: F) -> Vec<T>
-where
-    T: Send,
-    Init: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, usize) -> T + Sync,
-{
-    let workers = resolve_workers(workers);
-    if workers <= 1 || size < 2 * workers {
-        return vec![work(&mut init(), 0, size)];
-    }
-    // Small chunks keep uneven per-device costs balanced; the clamp
-    // bounds claim traffic on huge batches and chunk count on small
-    // ones.
-    let chunk = (size / (workers * 8)).clamp(16, 512);
-    let chunks = size.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = channel::bounded(chunks + workers);
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, init, work) = (&cursor, &init, &work);
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    // ORDERING: Relaxed suffices — `fetch_add`'s
-                    // atomicity alone guarantees each worker draws a
-                    // distinct chunk index (the uniqueness argument);
-                    // chunk *results* synchronise through the channel
-                    // send/receive pair, and the scoped-thread join
-                    // provides the final happens-before edge before the
-                    // parts are merged. The cursor never orders one
-                    // worker's data against another's.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let from = i * chunk;
-                    if from >= size {
-                        break;
-                    }
-                    let to = (from + chunk).min(size);
-                    tx.send((from, work(&mut state, from, to)))
-                        .expect("receiver outlives workers");
-                }
-            });
-        }
-        drop(tx);
-        let mut parts: Vec<(usize, T)> = rx.into_iter().collect();
-        parts.sort_by_key(|(from, _)| *from);
-        parts.into_iter().map(|(_, t)| t).collect()
-    })
-}
 
 /// Runs an experiment across `workers` threads, returning the merged
 /// result with wall-clock `elapsed`. `workers = 1` degenerates to a
@@ -122,12 +43,10 @@ where
 {
     // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
     let start = Instant::now();
-    let partials = partitioned_with(
-        experiment.batch.size,
-        workers,
-        &make_backend,
-        |backend, from, to| experiment.run_range_with(backend, from, to),
-    );
+    let size = experiment.batch.size;
+    let partials = pool::map_ranges(size, workers, &make_backend, |backend, from, to| {
+        experiment.run_range_with(backend, from, to)
+    });
     let mut total = ExperimentResult::default();
     for partial in &partials {
         total.merge(partial);
@@ -142,11 +61,16 @@ where
 /// returning the good-device proportion — the ground-truth yield sweep
 /// used by the yield-anchor experiments.
 pub fn classify_parallel(batch: &Batch, spec: &LinearitySpec, workers: usize) -> Proportion {
-    let goods = partitioned(batch.size, workers, |from, to| {
-        (from..to)
-            .filter(|&i| spec.classify(&batch.device(i)).good)
-            .count() as u64
-    });
+    let goods = pool::map_ranges(
+        batch.size,
+        workers,
+        || (),
+        |_, from, to| {
+            (from..to)
+                .filter(|&i| spec.classify(&batch.device(i)).good)
+                .count() as u64
+        },
+    );
     Proportion::new(goods.iter().sum(), batch.size as u64)
 }
 
@@ -194,49 +118,6 @@ mod tests {
         let exp = experiment(64);
         let r = run_parallel(&exp, 0);
         assert_eq!(r.matrix.total(), 64);
-    }
-
-    #[test]
-    fn partitioned_covers_range_in_order() {
-        let parts = partitioned(103, 4, |from, to| (from, to));
-        assert_eq!(parts.first().unwrap().0, 0);
-        assert_eq!(parts.last().unwrap().1, 103);
-        for w in parts.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
-        }
-    }
-
-    #[test]
-    fn partitioned_with_reuses_worker_state_and_covers_range() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Count how many states were built: one per spawned worker, not
-        // one per chunk.
-        let inits = AtomicUsize::new(0);
-        let parts = partitioned_with(
-            1000,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |claims, from, to| {
-                *claims += 1;
-                (*claims, from, to)
-            },
-        );
-        assert!(inits.load(Ordering::Relaxed) <= 4);
-        assert!(parts.len() > 4, "dispatch must be chunked, not pre-split");
-        let mut covered = 0;
-        for (claims, from, to) in &parts {
-            assert!(*claims >= 1);
-            assert_eq!(*from, covered, "chunks must tile the range in order");
-            covered = *to;
-        }
-        assert_eq!(covered, 1000);
-        assert!(
-            parts.iter().any(|(claims, _, _)| *claims > 1),
-            "some worker must claim more than one chunk"
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::batch::{conditional_faulty_widths, transfer_from_widths, Batch};
 use crate::estimate::Proportion;
 use crate::experiment::Experiment;
-use crate::parallel::{partitioned, run_parallel};
+use crate::parallel::run_parallel;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::analytic::{
@@ -18,6 +18,7 @@ use bist_core::analytic::{
 };
 use bist_core::config::BistConfig;
 use bist_core::limits::{plan_delta_s, CountLimits};
+use bist_core::pool;
 use bist_core::screener::{Screener, Workload};
 
 /// Number of codes a full sweep judges on the paper's 6-bit device
@@ -174,19 +175,21 @@ pub fn table2(faulty_devices: usize, seed: u64, workers: usize) -> Vec<Table2Row
             // and run the full counting BIST on each. Devices derive
             // from `(seed, index)`, so the fan-out is deterministic.
             let batch = Batch::paper_simulation(seed ^ u64::from(bits), 1);
-            let accepted: u64 = partitioned(faulty_devices, workers, |from, to| {
-                let mut screener = Screener::new(Workload::static_ramp(bist));
-                let mut accepted = 0u64;
-                for i in from..to {
-                    let mut rng = batch.device_rng(i ^ 0x7ab1e2);
-                    let widths = conditional_faulty_widths(&dist, &spec, 62, &mut rng);
-                    let tf = transfer_from_widths(Resolution::SIX_BIT, &widths);
-                    if screener.screen_one(&tf, &mut rng).accepted() {
-                        accepted += 1;
-                    }
-                }
-                accepted
-            })
+            let accepted: u64 = pool::map_ranges(
+                faulty_devices,
+                workers,
+                || Screener::new(Workload::static_ramp(bist)),
+                |screener, from, to| {
+                    (from..to)
+                        .filter(|&i| {
+                            let mut rng = batch.device_rng(i ^ 0x7ab1e2);
+                            let widths = conditional_faulty_widths(&dist, &spec, 62, &mut rng);
+                            let tf = transfer_from_widths(Resolution::SIX_BIT, &widths);
+                            screener.screen_one(&tf, &mut rng).accepted()
+                        })
+                        .count() as u64
+                },
+            )
             .into_iter()
             .sum();
 

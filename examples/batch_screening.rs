@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // gross spot defects excluded, parametric mismatch only).
     let batch = Batch::paper_measurement(364);
     println!("screening {} physically-modelled flash devices", batch.size);
-    println!("model: {}\n", batch.model);
+    println!("source: {}\n", batch.source);
 
     let spec = LinearitySpec::paper_stringent();
     let mut table = Table::new(&["counter", "yield", "type I", "type II", "detail"])
