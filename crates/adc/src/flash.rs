@@ -113,11 +113,6 @@ impl FlashConfig {
         (self.low, self.high)
     }
 
-    /// Relative resistor mismatch σ_R/R.
-    pub fn resistor_sigma(&self) -> f64 {
-        self.sigma_resistor_rel
-    }
-
     /// Comparator offset σ in LSB.
     pub fn offset_sigma_lsb(&self) -> f64 {
         self.sigma_offset_lsb

@@ -86,11 +86,6 @@ impl NoiseConfig {
         self.jitter_s
     }
 
-    /// RMS transition noise in volts.
-    pub fn transition_noise_volts(&self) -> f64 {
-        self.transition_noise_v
-    }
-
     /// Whether every noise source is zero.
     pub fn is_noiseless(&self) -> bool {
         self.input_noise_v == 0.0 && self.jitter_s == 0.0 && self.transition_noise_v == 0.0

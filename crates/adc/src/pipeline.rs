@@ -88,11 +88,6 @@ impl PipelineConfig {
         self.sigma_gain_rel
     }
 
-    /// The coarse-comparator threshold σ in fine LSB.
-    pub fn coarse_sigma_lsb(&self) -> f64 {
-        self.sigma_coarse_lsb
-    }
-
     /// A paper-scale pipeline device: 6 bits (3 coarse + 3 fine) over
     /// 0–6.4 V with gain and coarse-threshold mismatch sized so the
     /// coarse-boundary DNL lands in the same decision-relevant band as

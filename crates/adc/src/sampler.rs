@@ -100,11 +100,6 @@ impl Capture {
         let n = (1u64 << bits) as f64;
         self.codes.iter().map(move |c| (c.0 as f64 + 0.5) / n - 0.5)
     }
-
-    /// Consumes the capture, returning the code vector.
-    pub fn into_codes(self) -> Vec<Code> {
-        self.codes
-    }
 }
 
 impl fmt::Display for Capture {

@@ -37,7 +37,7 @@
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::Resolution;
-use bist_bench::{Fnv, Scenario};
+use bist_bench::{report_divergences, Fnv, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::priors::PriorsBank;
 use bist_core::report::Table;
@@ -165,9 +165,7 @@ fn run(sc: &mut Scenario) -> bool {
         ]);
     }
     println!("{table}");
-    for d in diff.divergences.iter().take(5) {
-        println!("DIVERGENCE {d}");
-    }
+    report_divergences(&diff.divergences, "");
 
     // --- Part 2: mixed-zoo worker determinism -----------------------
     let zoo = Zoo::paper().with_seed(seed);

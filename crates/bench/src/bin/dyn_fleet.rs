@@ -23,11 +23,11 @@
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{report_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::report::Table;
-use bist_mc::differential::{run_dyn_differential, DynDifferentialResult};
+use bist_mc::differential::run_dyn_differential;
 use bist_mc::experiment::DynExperiment;
 
 fn main() {
@@ -68,7 +68,7 @@ fn run(sc: &mut Scenario) -> bool {
         ]);
     }
     println!("{table}");
-    report_divergences(&result);
+    report_divergences(&result.divergences, "");
 
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let flash =
@@ -125,13 +125,4 @@ fn run(sc: &mut Scenario) -> bool {
         println!("reading: behavioural and RTL dynamic verdicts DIVERGED — see above.");
     }
     clean
-}
-
-fn report_divergences(result: &DynDifferentialResult) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE: {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more", result.divergences.len() - 10);
-    }
 }

@@ -21,12 +21,12 @@
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{report_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
 use bist_core::report::Table;
 use bist_mc::batch::Batch;
-use bist_mc::differential::{run_differential, DifferentialResult};
+use bist_mc::differential::run_differential;
 use bist_mc::experiment::Experiment;
 use bist_mc::parallel::{run_parallel, run_parallel_with};
 
@@ -80,8 +80,8 @@ fn run(sc: &mut Scenario) -> bool {
         }
     }
     println!("{table}");
-    report_divergences(&nominal, "nominal");
-    report_divergences(&skewed, "skewed");
+    report_divergences(&nominal.divergences, "nominal");
+    report_divergences(&skewed.divergences, "skewed");
 
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
@@ -148,13 +148,4 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-fn report_divergences(result: &DifferentialResult, label: &str) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE ({label}): {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more ({label})", result.divergences.len() - 10);
-    }
 }

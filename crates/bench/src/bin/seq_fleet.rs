@@ -30,7 +30,7 @@
 use bist_adc::flash::FlashConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{report_divergences, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -38,7 +38,7 @@ use bist_core::report::Table;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::Batch;
-use bist_mc::differential::{run_seq_differential, SeqDifferentialResult};
+use bist_mc::differential::run_seq_differential;
 use bist_mc::experiment::{DynExperiment, DynExperimentResult, Experiment};
 use bist_mc::parallel::run_parallel;
 use std::time::Instant;
@@ -114,7 +114,7 @@ fn run(sc: &mut Scenario) -> bool {
         ]);
     }
     println!("{table}");
-    report_divergences(&result);
+    report_divergences(&result.divergences, "");
 
     // --- Part 2: wall-clock payoff, full vs sequenced ---------------
     let static_speed = static_throughput(seed, devices, workers, &policy);
@@ -209,15 +209,6 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-fn report_divergences(result: &SeqDifferentialResult) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE: {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more", result.divergences.len() - 10);
-    }
 }
 
 struct Throughput {

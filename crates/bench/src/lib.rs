@@ -220,6 +220,23 @@ pub fn throughput(devices: usize, mut pass: impl FnMut()) -> f64 {
     screened as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// Prints a differential sweep's first ten divergences, then how many
+/// more there were. A non-empty `label` tags every line (`DIVERGENCE
+/// (label): …`).
+pub fn report_divergences<D: fmt::Display>(divergences: &[D], label: &str) {
+    let tag = if label.is_empty() {
+        String::new()
+    } else {
+        format!(" ({label})")
+    };
+    for d in divergences.iter().take(10) {
+        println!("DIVERGENCE{tag}: {d}");
+    }
+    if divergences.len() > 10 {
+        println!("... and {} more{tag}", divergences.len() - 10);
+    }
+}
+
 /// A minimal ASCII scatter/line plot for the figure binaries.
 #[derive(Debug, Clone)]
 pub struct AsciiPlot {

@@ -125,9 +125,8 @@ impl DynamicConfig {
     }
 
     /// Starts a builder for a dynamic test plan — the validating front
-    /// door for non-default harmonics, overdrive or limits (unlike the
-    /// post-hoc `with_*` modifiers, an unrealisable plan surfaces as a
-    /// [`ConfigError`] instead of a panic).
+    /// door for non-default harmonics, overdrive or limits (an
+    /// unrealisable plan surfaces as a [`ConfigError`]).
     pub fn builder(resolution: Resolution, record_len: usize, cycles: u32) -> DynamicConfigBuilder {
         DynamicConfigBuilder {
             config: DynamicConfig {
@@ -146,26 +145,6 @@ impl DynamicConfig {
     /// experiment.
     pub fn paper_default() -> Self {
         DynamicConfig::new(Resolution::SIX_BIT, 4096, 1021).expect("paper operating point is valid")
-    }
-
-    /// Overrides the acceptance limits.
-    pub fn with_limits(mut self, limits: DynamicLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Overrides the number of harmonic orders counted as distortion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the enlarged tone-bin plan is unrealisable in the
-    /// fixed-point datapath (same audit as [`DynamicConfig::new`]).
-    pub fn with_harmonics(mut self, harmonics: usize) -> Self {
-        self.harmonics = harmonics;
-        if let Err(e) = self.to_rtl().validate() {
-            panic!("plan is unrealisable in the fixed-point datapath: {e}");
-        }
-        self
     }
 
     /// Overrides the relative full-scale overdrive of the stimulus.

@@ -205,11 +205,6 @@ impl<T> Ring<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// True once `close` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("ring lock").closed
-    }
 }
 
 #[cfg(test)]

@@ -1,47 +1,58 @@
-//! Differential fleet validation of the behavioural↔RTL verdict seam —
-//! static and dynamic workloads alike.
+//! Differential fleet validation of the behavioural↔RTL verdict seam:
+//! one harness, four grids.
 //!
 //! The streaming engine judges devices through pluggable backends
-//! (`bist_core::backend`): the behavioural accumulators the fleet runs
-//! in production, and the gate-accurate `bist_rtl::BistTop`. This
-//! module sweeps both over the *same* code streams — random devices ×
-//! counter widths 4–7 × deglitch on/off × noise configurations × ramp
-//! slope errors — and demands **bit-exact agreement on every verdict
-//! field** (codes judged, DNL/INL failure counts, functional
-//! checks/mismatches, sample count, acceptance).
+//! (`bist_core::backend`): the behavioural engines the fleet runs in
+//! production, and the gate-accurate `bist_rtl::BistTop` /
+//! `bist_rtl::DynBistTop`. One device-outer loop screens every device ×
+//! grid cell through both backends on bit-identical code streams (same
+//! seeded device and noise RNG) and demands that they agree:
+//!
+//! * both **latch** the same sequencer decision, accept/reject and
+//!   sample count;
+//! * a static verdict is **bit-exact** in every field (codes judged,
+//!   DNL/INL failure counts, functional checks/mismatches, samples);
+//! * a completed dynamic record agrees on every per-limit **decision**
+//!   ([`dyn_decisions_agree`]) — the raw dB metrics may differ by the
+//!   RTL's bounded fixed-point quantisation.
 //!
 //! Any disagreement is a [`Divergence`] carrying both verdicts; the
-//! `rtl_fleet` reproduction binary fails its run (and CI) if one
-//! appears. The equivalence holds because every harness sweep dwells
-//! past its last transition (10-LSB overshoot), which is exactly the
-//! drain contract the RTL needs to flush its synchroniser latency —
-//! see `bist_core::backend` for the fine print.
+//! fleet binaries fail their run (and CI) if one appears. The static
+//! equivalence holds because every harness sweep dwells past its last
+//! transition (10-LSB overshoot), exactly the drain contract the RTL
+//! needs to flush its synchroniser latency — see `bist_core::backend`.
 //!
-//! The **dynamic** seam gets the same treatment
-//! ([`run_dyn_differential`], driven by the `dyn_fleet` binary): random
-//! flash devices × converter resolution × mismatch σ × coherent-bin
-//! choice, each screened by the behavioural Goertzel bank and the
-//! fixed-point `bist_rtl::DynBistTop` on bit-identical code streams.
-//! There the raw dB metrics legitimately differ by the RTL's bounded
-//! quantisation, so agreement is demanded on what silicon latches: the
-//! per-limit *decisions*, the sample count and the completeness
-//! expectation ([`bist_core::dynamic::DynChecks`] plus the counters).
-//! Any disagreement is a [`DynDivergence`] and fails the run.
+//! The four grids share the loop, the [`DifferentialResult`] and the
+//! fan-out; each keeps its own entry point, cells and RNG salts:
+//!
+//! * [`run_differential`] (`rtl_fleet`): counter widths 4–7 × deglitch
+//!   × [`NoisePoint`] × an optional ramp slope error, over one batch
+//!   device per index shared by every cell.
+//! * [`run_dyn_differential`] (`dyn_fleet`): flash devices × resolution
+//!   × mismatch σ × coherent-bin choice, a fresh device per cell.
+//! * [`run_seq_differential`] (`seq_fleet`): static and dynamic cells
+//!   under the early-stop sequencer. A third, unsequenced behavioural
+//!   screen is the full-sweep ground truth, so [`SeqDifferentialResult`]
+//!   also scores type I/II drift and samples-to-decision reduction.
+//!   Candidate cells rejected by config validation are recorded as
+//!   skipped, never screened.
+//! * [`run_arch_differential`] (`arch_fleet`): every zoo paper preset ×
+//!   counter width, sequenced; its tallies seed a [`PriorsBank`].
 
-use crate::batch::Batch;
+use crate::batch::{stream_rng, Batch};
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
+use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
 use bist_core::backend::RtlBackend;
-use bist_core::config::BistConfig;
+use bist_core::config::{BistConfig, ConfigError};
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
-use bist_core::harness::BistVerdict;
 use bist_core::pool;
 use bist_core::priors::{PriorsBank, SeqTally};
-use bist_core::screener::{Screener, Workload};
-use bist_core::sequencer::{SeqDecision, SeqOutcome, SequencerConfig, SweptVerdict};
+use bist_core::screener::{ScreenVerdict, Screener, Workload};
+use bist_core::sequencer::{SeqDecision, SequencerConfig};
 use bist_core::source::{Architecture, DeviceSource, IidWidthSource, SourceSpec};
 use rand::rngs::StdRng;
 use std::fmt;
@@ -49,7 +60,51 @@ use std::fmt;
 /// The counter widths the paper sweeps (Table 1).
 pub const COUNTER_BITS: [u32; 4] = [4, 5, 6, 7];
 
-/// The acquisition noise points of the sweep.
+/// Converter resolutions of the dynamic sweep.
+pub const DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
+
+/// Code-width mismatch points of the dynamic sweep, milli-LSB (0 =
+/// ideal, 160/210 = the paper's circuit-simulation range).
+pub const DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
+
+/// Coherent-bin choices of the dynamic sweep (cycles per record, both
+/// odd and coprime with the record length).
+pub const DYN_CYCLES: [u32; 2] = [1021, 997];
+
+/// Samples per coherent record in the dynamic sweeps.
+pub const DYN_RECORD_LEN: usize = 4096;
+
+/// Counter widths of the sequenced static cells.
+pub const SEQ_STATIC_COUNTER_BITS: [u32; 2] = [4, 7];
+
+/// Static mismatch points of the sequenced sweep, milli-LSB.
+pub const SEQ_STATIC_SIGMA_MILLI: [u32; 2] = [50, 210];
+
+/// Dynamic mismatch points of the sequenced sweep, milli-LSB.
+pub const SEQ_DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
+
+/// Converter resolutions of the sequenced dynamic cells.
+pub const SEQ_DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
+
+/// Counter widths of the per-architecture sequenced cells.
+pub const ARCH_COUNTER_BITS: [u32; 2] = [4, 6];
+
+/// RNG-stream salt decorrelating the static sweep's noise from device
+/// generation and the other experiments.
+const DIFF_SALT: usize = 0xd1ff_0000;
+/// RNG-stream salts of the dynamic sweep.
+const DYN_DEVICE_SALT: u64 = 0xdd1f_f000;
+const DYN_NOISE_SALT: u64 = 0xdd1f_f001;
+/// RNG-stream salts of the sequenced sweep.
+const SEQ_DEVICE_SALT: u64 = 0x5e9_f000;
+const SEQ_NOISE_SALT: u64 = 0x5e9_f001;
+/// RNG-stream salts of the per-architecture sweep — disjoint from the
+/// sequenced grid's so the two sweeps draw independent silicon even at
+/// the same seed.
+const ARCH_DEVICE_SALT: u64 = 0x5e9_f002;
+const ARCH_NOISE_SALT: u64 = 0x5e9_f003;
+
+/// The acquisition noise points of the static sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NoisePoint {
@@ -92,7 +147,39 @@ impl NoisePoint {
     }
 }
 
-/// One cell of the sweep grid.
+/// The id of a sweep-grid cell. It names the cell in reports and picks
+/// the grid family's per-cell tally and summary wording.
+pub trait CellId: Copy + PartialEq + fmt::Debug + fmt::Display + Send + Sync {
+    /// The family's per-cell accounting.
+    type Tally: Tally<Self>;
+
+    /// What agreement means in this family, for the summary line.
+    const AGREEMENT: &'static str;
+
+    /// Family-specific figures appended to the summary line.
+    fn summary_tail(
+        _result: &DifferentialResult<Self>,
+        _f: &mut fmt::Formatter<'_>,
+    ) -> fmt::Result {
+        Ok(())
+    }
+}
+
+/// Per-cell accounting of one grid family.
+pub trait Tally<Id>: Clone + PartialEq + fmt::Debug + Send {
+    /// An empty tally for `scenario`.
+    fn new(scenario: Id) -> Self;
+
+    /// Counts one device: whether the backends agreed, the behavioural
+    /// verdict, and the full-sweep ground truth (in unsequenced sweeps,
+    /// the behavioural verdict itself).
+    fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, full: &ScreenVerdict);
+
+    /// Adds another worker's tally of the same cell.
+    fn merge(&mut self, other: &Self);
+}
+
+/// One cell of the static sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioId {
     /// Counter width in bits.
@@ -115,263 +202,10 @@ impl fmt::Display for ScenarioId {
     }
 }
 
-/// A device/scenario where the two backends disagreed, with both
-/// verdicts for the post-mortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Divergence {
-    /// Device index within the batch.
-    pub device: usize,
-    /// The sweep cell.
-    pub scenario: ScenarioId,
-    /// What the behavioural accumulators latched.
-    pub behavioral: BistVerdict,
-    /// What the gate-accurate datapath latched.
-    pub rtl: BistVerdict,
+impl CellId for ScenarioId {
+    type Tally = ScenarioTally<ScenarioId>;
+    const AGREEMENT: &'static str = "verdicts bit-exact";
 }
-
-impl fmt::Display for Divergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "device {} [{}]: behavioral {:?} vs rtl {:?}",
-            self.device, self.scenario, self.behavioral, self.rtl
-        )
-    }
-}
-
-/// Per-scenario agreement accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioTally {
-    /// The sweep cell.
-    pub scenario: ScenarioId,
-    /// Devices compared in this cell.
-    pub comparisons: u64,
-    /// Devices with bit-exact verdict agreement.
-    pub agreements: u64,
-    /// Devices the BIST accepted (both backends — counted on the
-    /// behavioural verdict).
-    pub accepted: u64,
-}
-
-/// Outcome of a differential sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with bit-exact verdict agreement.
-    pub agreements: u64,
-    /// Every disagreement observed.
-    pub divergences: Vec<Divergence>,
-    /// Agreement accounting per sweep cell (stable grid order).
-    pub per_scenario: Vec<ScenarioTally>,
-}
-
-impl DifferentialResult {
-    /// Whether the sweep found no divergence at all.
-    pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
-    }
-
-    /// Fraction of comparisons in bit-exact agreement.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.comparisons == 0 {
-            0.0
-        } else {
-            self.agreements as f64 / self.comparisons as f64
-        }
-    }
-
-    /// Merges a partial result from another worker (scenario tallies
-    /// merge cell-wise; both sides carry the same grid order).
-    pub fn merge(&mut self, other: &DifferentialResult) {
-        self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
-        } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.accepted += theirs.accepted;
-            }
-        }
-    }
-}
-
-impl fmt::Display for DifferentialResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} verdicts bit-exact ({} divergences)",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            self.divergences.len()
-        )
-    }
-}
-
-/// The sweep grid: every counter width × deglitch × noise point, with
-/// the BIST config built once per cell.
-fn scenario_grid() -> Vec<(ScenarioId, BistConfig, NoiseConfig)> {
-    let spec = LinearitySpec::paper_stringent();
-    let mut grid = Vec::new();
-    for &counter_bits in &COUNTER_BITS {
-        for deglitch in [false, true] {
-            let config = BistConfig::builder(bist_adc::types::Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .deglitch(deglitch)
-                .build()
-                .expect("paper operating points are valid");
-            for noise in NoisePoint::ALL {
-                grid.push((
-                    ScenarioId {
-                        counter_bits,
-                        deglitch,
-                        noise,
-                    },
-                    config,
-                    noise.config(),
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// RNG-stream salt decorrelating the differential sweep from device
-/// generation and the other experiments.
-const DIFF_SALT: usize = 0xd1ff_0000;
-
-/// Runs the differential sweep over a device range — the unit of work
-/// for the parallel fan-out. Both backends consume bit-identical code
-/// streams (same `(seed, device, scenario)`-derived RNG), so any
-/// disagreement is a genuine datapath divergence, not sampling noise.
-pub fn run_differential_range(
-    batch: &Batch,
-    slope_error: f64,
-    from: usize,
-    to: usize,
-) -> DifferentialResult {
-    let grid = scenario_grid();
-    // One screener per (grid cell, backend): the device-outer sweep
-    // order would otherwise thrash the RTL backend's single cached
-    // BistTop (one rebuild per config change); per-cell screeners keep
-    // every cache hit an in-place reset.
-    let mut behavioral: Vec<Screener> = grid
-        .iter()
-        .map(|(_, config, noise)| {
-            Screener::new(
-                Workload::static_ramp(*config)
-                    .with_noise(*noise)
-                    .with_slope_error(slope_error),
-            )
-        })
-        .collect();
-    let mut rtl: Vec<Screener<RtlBackend>> = grid
-        .iter()
-        .map(|(_, config, noise)| {
-            Screener::new(
-                Workload::static_ramp(*config)
-                    .with_noise(*noise)
-                    .with_slope_error(slope_error),
-            )
-            .backend(RtlBackend::new())
-        })
-        .collect();
-    let mut result = DifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, ..)| ScenarioTally {
-                scenario: *id,
-                comparisons: 0,
-                agreements: 0,
-                accepted: 0,
-            })
-            .collect(),
-        ..DifferentialResult::default()
-    };
-    let to = to.min(batch.size);
-    for i in from..to {
-        let tf = batch.device(i);
-        result.devices += 1;
-        for (cell, (id, ..)) in grid.iter().enumerate() {
-            // Cell stride 2^24: overflow-free even on 32-bit targets
-            // (cell < 48) and collision-free below 16M devices.
-            let rng_seed = i ^ DIFF_SALT ^ (cell << 24);
-            let behavioral = behavioral[cell]
-                .screen_one(&tf, &mut batch.device_rng(rng_seed))
-                .as_static()
-                .expect("static workload")
-                .verdict;
-            let rtl = rtl[cell]
-                .screen_one(&tf, &mut batch.device_rng(rng_seed))
-                .as_static()
-                .expect("static workload")
-                .verdict;
-            result.comparisons += 1;
-            result.per_scenario[cell].comparisons += 1;
-            if behavioral == rtl {
-                result.agreements += 1;
-                result.per_scenario[cell].agreements += 1;
-            } else {
-                result.divergences.push(Divergence {
-                    device: i,
-                    scenario: *id,
-                    behavioral,
-                    rtl,
-                });
-            }
-            if behavioral.accepted() {
-                result.per_scenario[cell].accepted += 1;
-            }
-        }
-    }
-    result
-}
-
-/// Runs the full differential sweep over a batch, fanned out across
-/// `workers` threads (0 = available parallelism). Deterministic in the
-/// worker count: devices and RNG streams derive from `(seed, index,
-/// scenario)` alone.
-pub fn run_differential(batch: &Batch, slope_error: f64, workers: usize) -> DifferentialResult {
-    let partials = pool::map_ranges(
-        batch.size,
-        workers,
-        || (),
-        |_, from, to| run_differential_range(batch, slope_error, from, to),
-    );
-    let mut total = DifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-// ---------------------------------------------------------------------
-// The dynamic seam: behavioural Goertzel bank vs fixed-point DynBistTop.
-// ---------------------------------------------------------------------
-
-/// Converter resolutions of the dynamic sweep.
-pub const DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
-
-/// Code-width mismatch points of the dynamic sweep, milli-LSB (0 =
-/// ideal, 160/210 = the paper's circuit-simulation range).
-pub const DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
-
-/// Coherent-bin choices of the dynamic sweep (cycles per record, both
-/// odd and coprime with the record length).
-pub const DYN_CYCLES: [u32; 2] = [1021, 997];
-
-/// Samples per coherent record in the dynamic sweep.
-pub const DYN_RECORD_LEN: usize = 4096;
 
 /// One cell of the dynamic sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,271 +228,12 @@ impl fmt::Display for DynScenarioId {
     }
 }
 
-/// A device/scenario where the two dynamic backends disagreed on a
-/// decision, with both verdicts for the post-mortem.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynDivergence {
-    /// Device index within the sweep.
-    pub device: usize,
-    /// The sweep cell.
-    pub scenario: DynScenarioId,
-    /// What the behavioural bank concluded.
-    pub behavioral: DynamicVerdict,
-    /// What the fixed-point datapath concluded.
-    pub rtl: DynamicVerdict,
+impl CellId for DynScenarioId {
+    type Tally = ScenarioTally<DynScenarioId>;
+    const AGREEMENT: &'static str = "dynamic decisions exact";
 }
 
-impl fmt::Display for DynDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "device {} [{}]: behavioral {} vs rtl {}",
-            self.device, self.scenario, self.behavioral, self.rtl
-        )
-    }
-}
-
-/// Per-cell agreement accounting of the dynamic sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynScenarioTally {
-    /// The sweep cell.
-    pub scenario: DynScenarioId,
-    /// Devices compared in this cell.
-    pub comparisons: u64,
-    /// Devices with decision-exact verdict agreement.
-    pub agreements: u64,
-    /// Devices accepted (counted on the behavioural verdict).
-    pub accepted: u64,
-}
-
-/// Outcome of a dynamic differential sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DynDifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with decision-exact agreement.
-    pub agreements: u64,
-    /// Every disagreement observed.
-    pub divergences: Vec<DynDivergence>,
-    /// Agreement accounting per sweep cell (stable grid order).
-    pub per_scenario: Vec<DynScenarioTally>,
-}
-
-impl DynDifferentialResult {
-    /// Whether the sweep found no divergence at all.
-    pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
-    }
-
-    /// Fraction of comparisons in decision-exact agreement.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.comparisons == 0 {
-            0.0
-        } else {
-            self.agreements as f64 / self.comparisons as f64
-        }
-    }
-
-    /// Merges a partial result from another worker (cell-wise, like the
-    /// static [`DifferentialResult::merge`]).
-    pub fn merge(&mut self, other: &DynDifferentialResult) {
-        self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
-        } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.accepted += theirs.accepted;
-            }
-        }
-    }
-}
-
-impl fmt::Display for DynDifferentialResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} dynamic decisions exact ({} divergences)",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            self.divergences.len()
-        )
-    }
-}
-
-/// The dynamic sweep grid: every resolution × mismatch σ × coherent-bin
-/// choice, with the device model and test plan built once per cell.
-fn dyn_scenario_grid() -> Vec<(DynScenarioId, FlashConfig, DynamicConfig)> {
-    let mut grid = Vec::new();
-    for &bits in &DYN_RESOLUTION_BITS {
-        let resolution = Resolution::new(bits).expect("sweep resolutions are valid");
-        // Keep the seed's 0.1 V/LSB convention at every resolution.
-        let high = Volts(0.1 * resolution.code_count() as f64);
-        for &sigma_milli in &DYN_SIGMA_MILLI {
-            let flash = FlashConfig::new(resolution, Volts(0.0), high)
-                .with_width_sigma_lsb(sigma_milli as f64 / 1000.0);
-            for &cycles in &DYN_CYCLES {
-                // Drive at exactly full scale: the default overdrive's
-                // clipping distortion (~−37 dBc, resolution-independent)
-                // would bury the 8-bit quantisation floor and reject
-                // even ideal devices.
-                let config = DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles)
-                    .expect("sweep bins are valid")
-                    .with_overdrive(0.0);
-                grid.push((
-                    DynScenarioId {
-                        resolution_bits: bits,
-                        sigma_milli_lsb: sigma_milli,
-                        cycles,
-                    },
-                    flash,
-                    config,
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// RNG-stream salts decorrelating dynamic device generation and
-/// acquisition noise from each other and from the other experiments.
-const DYN_DEVICE_SALT: u64 = 0xdd1f_f000;
-const DYN_NOISE_SALT: u64 = 0xdd1f_f001;
-
-/// A seeded RNG for `(seed, salt, device, cell)` — every cell gets its
-/// own device and noise streams, so the sweep is deterministic in the
-/// worker count and cells never share draws (the shared
-/// [`crate::batch::stream_rng`] mixing).
-fn dyn_stream_rng(seed: u64, device: usize, cell: usize, salt: u64) -> StdRng {
-    crate::batch::stream_rng(seed, &[salt, device as u64, cell as u64])
-}
-
-/// Whether two dynamic verdicts agree on everything the silicon
-/// latches: the per-limit decisions, the sample count and the
-/// completeness expectation. The raw dB metrics are allowed to differ
-/// by the RTL's bounded fixed-point quantisation.
-pub fn dyn_decisions_agree(a: &DynamicVerdict, b: &DynamicVerdict) -> bool {
-    a.checks == b.checks && a.samples == b.samples && a.expected_samples == b.expected_samples
-}
-
-/// Runs the dynamic differential sweep over a device range — the unit
-/// of work for the parallel fan-out. Both backends consume
-/// bit-identical code streams (same `(seed, device, cell)`-derived
-/// device and noise RNG), so any decision disagreement is a genuine
-/// datapath divergence.
-pub fn run_dyn_differential_range(seed: u64, from: usize, to: usize) -> DynDifferentialResult {
-    let grid = dyn_scenario_grid();
-    let noise = NoiseConfig::noiseless().with_input_noise(0.002);
-    // One screener per (grid cell, backend): the device-outer sweep
-    // order would otherwise thrash the cached DynBistTop / Goertzel
-    // bank (one rebuild per config change).
-    let mut behavioral: Vec<Screener> = grid
-        .iter()
-        .map(|(.., config)| Screener::new(Workload::dynamic_sine(*config).with_noise(noise)))
-        .collect();
-    let mut rtl: Vec<Screener<RtlBackend>> = grid
-        .iter()
-        .map(|(.., config)| {
-            Screener::new(Workload::dynamic_sine(*config).with_noise(noise))
-                .backend(RtlBackend::new())
-        })
-        .collect();
-    let mut result = DynDifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, ..)| DynScenarioTally {
-                scenario: *id,
-                comparisons: 0,
-                agreements: 0,
-                accepted: 0,
-            })
-            .collect(),
-        ..DynDifferentialResult::default()
-    };
-    for i in from..to {
-        result.devices += 1;
-        for (cell, (id, flash, _)) in grid.iter().enumerate() {
-            let adc = flash.sample(&mut dyn_stream_rng(seed, i, cell, DYN_DEVICE_SALT));
-            let behavioral = behavioral[cell]
-                .screen_one(&adc, &mut dyn_stream_rng(seed, i, cell, DYN_NOISE_SALT))
-                .as_dynamic()
-                .expect("dynamic workload")
-                .verdict;
-            let rtl = rtl[cell]
-                .screen_one(&adc, &mut dyn_stream_rng(seed, i, cell, DYN_NOISE_SALT))
-                .as_dynamic()
-                .expect("dynamic workload")
-                .verdict;
-            result.comparisons += 1;
-            result.per_scenario[cell].comparisons += 1;
-            if dyn_decisions_agree(&behavioral, &rtl) {
-                result.agreements += 1;
-                result.per_scenario[cell].agreements += 1;
-            } else {
-                result.divergences.push(DynDivergence {
-                    device: i,
-                    scenario: *id,
-                    behavioral,
-                    rtl,
-                });
-            }
-            if behavioral.accepted() {
-                result.per_scenario[cell].accepted += 1;
-            }
-        }
-    }
-    result
-}
-
-/// Runs the full dynamic differential sweep over `devices` devices,
-/// fanned out across `workers` threads (0 = available parallelism).
-/// Deterministic in the worker count: devices and RNG streams derive
-/// from `(seed, index, cell)` alone.
-pub fn run_dyn_differential(seed: u64, devices: usize, workers: usize) -> DynDifferentialResult {
-    let partials = pool::map_ranges(
-        devices,
-        workers,
-        || (),
-        |_, from, to| run_dyn_differential_range(seed, from, to),
-    );
-    let mut total = DynDifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-// ---------------------------------------------------------------------
-// The sequenced early-stop seam: both backends under the sequencer,
-// validated against full-sweep ground truth.
-// ---------------------------------------------------------------------
-
-/// Counter widths of the sequenced static cells.
-pub const SEQ_STATIC_COUNTER_BITS: [u32; 2] = [4, 7];
-
-/// Static mismatch points of the sequenced sweep, milli-LSB.
-pub const SEQ_STATIC_SIGMA_MILLI: [u32; 2] = [50, 210];
-
-/// Dynamic mismatch points of the sequenced sweep, milli-LSB.
-pub const SEQ_DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
-
-/// Converter resolutions of the sequenced dynamic cells.
-pub const SEQ_DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
-
-/// Counter widths of the per-architecture sequenced cells.
-pub const ARCH_COUNTER_BITS: [u32; 2] = [4, 6];
-
-/// One cell of the sequenced sweep grid.
+/// One cell of a sequenced sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqScenarioId {
     /// A static-linearity cell.
@@ -733,76 +308,60 @@ impl fmt::Display for SeqScenarioId {
     }
 }
 
-/// What the silicon latches from one sequenced run — the part that must
-/// be identical across backends for every workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqLatch {
-    /// The sequencer decision (kind and decision sample).
-    pub decision: SeqDecision,
-    /// The device-level decision.
-    pub accepted: bool,
-    /// ADC samples physically consumed.
-    pub samples: u64,
+impl CellId for SeqScenarioId {
+    type Tally = SeqScenarioTally;
+    const AGREEMENT: &'static str = "sequenced latches identical";
+
+    fn summary_tail(result: &SeqDifferentialResult, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            ", {:.0}% early stops, {:.2}x samples overall, drift I {:.2e} / II {:.2e}",
+            100.0 * result.early_stop_rate(),
+            result.reduction_overall(),
+            result.type_i_drift(),
+            result.type_ii_drift(),
+        )
+    }
 }
 
-impl SeqLatch {
-    fn of<V: SweptVerdict>(outcome: &SeqOutcome<V>) -> Self {
-        SeqLatch {
-            decision: outcome.decision,
-            accepted: outcome.accepted(),
-            samples: outcome.samples_consumed(),
+/// Per-cell agreement accounting of the unsequenced sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScenarioTally<Id> {
+    /// The sweep cell.
+    pub scenario: Id,
+    /// Devices compared in this cell.
+    pub comparisons: u64,
+    /// Devices on which the backends agreed.
+    pub agreements: u64,
+    /// Devices accepted (counted on the behavioural verdict).
+    pub accepted: u64,
+}
+
+impl<Id: Copy + PartialEq + fmt::Debug + Send> Tally<Id> for ScenarioTally<Id> {
+    fn new(scenario: Id) -> Self {
+        ScenarioTally {
+            scenario,
+            comparisons: 0,
+            agreements: 0,
+            accepted: 0,
         }
     }
-}
 
-impl fmt::Display for SeqLatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} after {} samples)",
-            self.decision,
-            if self.accepted { "ACCEPT" } else { "REJECT" },
-            self.samples
-        )
+    fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, _full: &ScreenVerdict) {
+        self.comparisons += 1;
+        self.agreements += u64::from(agree);
+        self.accepted += u64::from(behavioral.accepted());
+    }
+
+    fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.scenario, other.scenario);
+        self.comparisons += other.comparisons;
+        self.agreements += other.agreements;
+        self.accepted += other.accepted;
     }
 }
 
-/// A device/scenario where the two sequenced backends disagreed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqDivergence {
-    /// Device index within the sweep.
-    pub device: usize,
-    /// The sweep cell.
-    pub scenario: SeqScenarioId,
-    /// What the behavioural path latched.
-    pub behavioral: SeqLatch,
-    /// What the gate-accurate path latched.
-    pub rtl: SeqLatch,
-}
-
-impl fmt::Display for SeqDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "device {} [{}]: behavioral {} vs rtl {}",
-            self.device, self.scenario, self.behavioral, self.rtl
-        )
-    }
-}
-
-/// A candidate cell the grid builder dropped because its configuration
-/// failed validation (e.g. a fixed-point-unrealisable dynamic plan).
-/// Skipped cells carry no screened devices and are excluded from every
-/// throughput and drift figure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqSkippedCell {
-    /// The rejected cell.
-    pub scenario: SeqScenarioId,
-    /// The validation error.
-    pub reason: String,
-}
-
-/// Per-cell accounting of the sequenced sweep.
+/// Per-cell accounting of a sequenced sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqScenarioTally {
     /// The sweep cell.
@@ -836,6 +395,17 @@ pub struct SeqScenarioTally {
 }
 
 impl SeqScenarioTally {
+    /// Mean samples-to-decision reduction in this cell (full / seq).
+    pub fn reduction(&self) -> f64 {
+        if self.seq_samples == 0 {
+            0.0
+        } else {
+            self.full_samples as f64 / self.seq_samples as f64
+        }
+    }
+}
+
+impl Tally<SeqScenarioId> for SeqScenarioTally {
     fn new(scenario: SeqScenarioId) -> Self {
         SeqScenarioTally {
             scenario,
@@ -855,40 +425,187 @@ impl SeqScenarioTally {
         }
     }
 
-    /// Mean samples-to-decision reduction in this cell (full / seq).
-    pub fn reduction(&self) -> f64 {
-        if self.seq_samples == 0 {
-            0.0
+    fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, full: &ScreenVerdict) {
+        let (accepted, samples) = (behavioral.accepted(), behavioral.samples());
+        self.comparisons += 1;
+        self.agreements += u64::from(agree);
+        match behavioral.decision() {
+            SeqDecision::AcceptEarly(_) => self.early_accepts += 1,
+            SeqDecision::RejectEarly(_) => self.early_rejects += 1,
+            SeqDecision::Continue => {}
+        }
+        if behavioral.stopped_early() {
+            self.early_stops += 1;
+            self.seq_samples_early += samples;
+        }
+        self.full_samples += full.samples();
+        self.seq_samples += samples;
+        if full.accepted() {
+            self.full_accepted += 1;
+            self.full_samples_accepted += full.samples();
+            self.seq_samples_accepted += samples;
+            self.drift_i += u64::from(!accepted);
         } else {
-            self.full_samples as f64 / self.seq_samples as f64
+            self.drift_ii += u64::from(accepted);
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.scenario, other.scenario);
+        self.comparisons += other.comparisons;
+        self.agreements += other.agreements;
+        self.early_stops += other.early_stops;
+        self.early_accepts += other.early_accepts;
+        self.early_rejects += other.early_rejects;
+        self.seq_samples_early += other.seq_samples_early;
+        self.full_accepted += other.full_accepted;
+        self.drift_i += other.drift_i;
+        self.drift_ii += other.drift_ii;
+        self.full_samples += other.full_samples;
+        self.seq_samples += other.seq_samples;
+        self.full_samples_accepted += other.full_samples_accepted;
+        self.seq_samples_accepted += other.seq_samples_accepted;
+    }
+}
+
+/// A device/cell where the two backends disagreed, with both verdicts
+/// for the post-mortem.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Divergence<Id> {
+    /// Device index within the sweep.
+    pub device: usize,
+    /// The sweep cell.
+    pub scenario: Id,
+    /// What the behavioural engine concluded.
+    pub behavioral: ScreenVerdict,
+    /// What the gate-accurate datapath concluded.
+    pub rtl: ScreenVerdict,
+}
+
+impl<Id: fmt::Display> fmt::Display for Divergence<Id> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "device {} [{}]: behavioral ", self.device, self.scenario)?;
+        write_verdict(&self.behavioral, f)?;
+        f.write_str(" vs rtl ")?;
+        write_verdict(&self.rtl, f)
+    }
+}
+
+/// Writes a verdict as its latch (decision, accept/reject, samples)
+/// followed by the verdict itself.
+fn write_verdict(v: &ScreenVerdict, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(
+        f,
+        "{} ({} after {} samples) ",
+        v.decision(),
+        if v.accepted() { "ACCEPT" } else { "REJECT" },
+        v.samples()
+    )?;
+    match v {
+        ScreenVerdict::Static(o) => write!(f, "{:?}", o.verdict),
+        ScreenVerdict::Dynamic(o) => write!(f, "{}", o.verdict),
+    }
+}
+
+/// A candidate cell the grid builder dropped because its configuration
+/// failed validation (e.g. a fixed-point-unrealisable dynamic plan).
+/// Skipped cells carry no screened devices and are excluded from every
+/// throughput and drift figure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SkippedCell<Id> {
+    /// The rejected cell.
+    pub scenario: Id,
+    /// The validation error.
+    pub reason: String,
+}
+
+/// Outcome of a differential sweep over one grid family.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DifferentialResult<Id: CellId> {
+    /// Devices swept.
+    pub devices: u64,
+    /// Total (device × valid cell) comparisons.
+    pub comparisons: u64,
+    /// Comparisons on which the backends agreed.
+    pub agreements: u64,
+    /// Every disagreement observed.
+    pub divergences: Vec<Divergence<Id>>,
+    /// Accounting per valid sweep cell (stable grid order).
+    pub per_scenario: Vec<Id::Tally>,
+    /// Candidate cells rejected by config validation — excluded from
+    /// all throughput figures so devices/s stays comparable.
+    pub skipped_cells: Vec<SkippedCell<Id>>,
+}
+
+/// Outcome of a sequenced (or per-architecture) differential sweep.
+pub type SeqDifferentialResult = DifferentialResult<SeqScenarioId>;
+
+impl<Id: CellId> Default for DifferentialResult<Id> {
+    fn default() -> Self {
+        DifferentialResult {
+            devices: 0,
+            comparisons: 0,
+            agreements: 0,
+            divergences: Vec::new(),
+            per_scenario: Vec::new(),
+            skipped_cells: Vec::new(),
         }
     }
 }
 
-/// Outcome of a sequenced differential sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SeqDifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × valid scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with latch-identical backend agreement.
-    pub agreements: u64,
-    /// Every backend disagreement observed.
-    pub divergences: Vec<SeqDivergence>,
-    /// Accounting per valid sweep cell (stable grid order).
-    pub per_scenario: Vec<SeqScenarioTally>,
-    /// Candidate cells rejected by config validation — excluded from
-    /// all throughput figures so devices/s stays comparable.
-    pub skipped_cells: Vec<SeqSkippedCell>,
-}
-
-impl SeqDifferentialResult {
-    /// Whether the sweep found no backend divergence at all.
+impl<Id: CellId> DifferentialResult<Id> {
+    /// Whether the sweep found no divergence at all.
     pub fn is_clean(&self) -> bool {
         self.divergences.is_empty() && self.agreements == self.comparisons
     }
 
+    /// Fraction of comparisons on which the backends agreed.
+    pub fn agreement_rate(&self) -> f64 {
+        if self.comparisons == 0 {
+            0.0
+        } else {
+            self.agreements as f64 / self.comparisons as f64
+        }
+    }
+
+    /// Merges a partial result from another worker (cell-wise; both
+    /// sides carry the same grid order, and skipped cells are
+    /// grid-derived and identical on every worker).
+    pub fn merge(&mut self, other: &Self) {
+        self.devices += other.devices;
+        self.comparisons += other.comparisons;
+        self.agreements += other.agreements;
+        self.divergences.extend_from_slice(&other.divergences);
+        if self.per_scenario.is_empty() {
+            self.per_scenario = other.per_scenario.clone();
+            self.skipped_cells = other.skipped_cells.clone();
+        } else {
+            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
+            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
+                mine.merge(theirs);
+            }
+        }
+    }
+}
+
+impl<Id: CellId> fmt::Display for DifferentialResult<Id> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} devices × {} scenarios: {}/{} {} ({} divergences",
+            self.devices,
+            self.per_scenario.len(),
+            self.agreements,
+            self.comparisons,
+            Id::AGREEMENT,
+            self.divergences.len()
+        )?;
+        Id::summary_tail(self, f)?;
+        f.write_str(")")
+    }
+}
+
+impl SeqDifferentialResult {
     fn sum<F: Fn(&SeqScenarioTally) -> u64>(&self, f: F) -> u64 {
         self.per_scenario.iter().map(f).sum()
     }
@@ -978,479 +695,436 @@ impl SeqDifferentialResult {
             );
         }
     }
+}
 
-    /// Merges a partial result from another worker (cell-wise; skipped
-    /// cells are grid-derived and identical on every worker).
-    pub fn merge(&mut self, other: &SeqDifferentialResult) {
-        self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
-            self.skipped_cells = other.skipped_cells.clone();
-        } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.early_stops += theirs.early_stops;
-                mine.early_accepts += theirs.early_accepts;
-                mine.early_rejects += theirs.early_rejects;
-                mine.seq_samples_early += theirs.seq_samples_early;
-                mine.full_accepted += theirs.full_accepted;
-                mine.drift_i += theirs.drift_i;
-                mine.drift_ii += theirs.drift_ii;
-                mine.full_samples += theirs.full_samples;
-                mine.seq_samples += theirs.seq_samples;
-                mine.full_samples_accepted += theirs.full_samples_accepted;
-                mine.seq_samples_accepted += theirs.seq_samples_accepted;
+/// Whether two dynamic verdicts agree on everything the silicon
+/// latches: the per-limit decisions, the sample count and the
+/// completeness expectation. The raw dB metrics are allowed to differ
+/// by the RTL's bounded fixed-point quantisation.
+pub fn dyn_decisions_agree(a: &DynamicVerdict, b: &DynamicVerdict) -> bool {
+    a.checks == b.checks && a.samples == b.samples && a.expected_samples == b.expected_samples
+}
+
+/// The agreement rule of every grid: identical latches, and identical
+/// verdicts — bit-exact for static records, decision-exact for
+/// completed dynamic records (an early-stopped record is its latch).
+fn backends_agree(b: &ScreenVerdict, r: &ScreenVerdict) -> bool {
+    let latch = |v: &ScreenVerdict| (v.decision(), v.accepted(), v.samples());
+    latch(b) == latch(r)
+        && match (b, r) {
+            (ScreenVerdict::Static(b), ScreenVerdict::Static(r)) => b.verdict == r.verdict,
+            (ScreenVerdict::Dynamic(b), ScreenVerdict::Dynamic(r)) => {
+                b.stopped_early() || dyn_decisions_agree(&b.verdict, &r.verdict)
             }
+            _ => false,
+        }
+}
+
+/// A seeded RNG for `(seed, salt, device, cell)` — every cell gets its
+/// own device and noise streams, so a sweep is deterministic in the
+/// worker count and cells never share draws (the shared
+/// [`crate::batch::stream_rng`] mixing).
+fn cell_rng(seed: u64, device: usize, cell: usize, salt: u64) -> StdRng {
+    stream_rng(seed, &[salt, device as u64, cell as u64])
+}
+
+/// How a sweep draws its devices and acquisition noise.
+#[derive(Clone, Copy)]
+enum Streams<'a> {
+    /// Device `i` is `batch.device(i)`, drawn once and shared by every
+    /// cell (SAR and pipeline generation is the slow stage); cell noise
+    /// comes from `batch.device_rng(i ^ DIFF_SALT ^ (cell << 24))`. The
+    /// cell stride 2^24 is overflow-free even on 32-bit targets (cell <
+    /// 48) and collision-free below 16M devices.
+    Batch(&'a Batch),
+    /// Every (device, cell) draws its own device from the cell's
+    /// source and its own noise, on salted [`cell_rng`] streams.
+    Salted {
+        seed: u64,
+        device_salt: u64,
+        noise_salt: u64,
+    },
+}
+
+impl Streams<'_> {
+    fn noise_rng(self, device: usize, cell: usize) -> StdRng {
+        match self {
+            Streams::Batch(batch) => batch.device_rng(device ^ DIFF_SALT ^ (cell << 24)),
+            Streams::Salted {
+                seed, noise_salt, ..
+            } => cell_rng(seed, device, cell, noise_salt),
+        }
+    }
+
+    fn cell_device(self, source: &SourceSpec, device: usize, cell: usize) -> TransferFunction {
+        match self {
+            Streams::Batch(batch) => batch.device(device),
+            Streams::Salted {
+                seed, device_salt, ..
+            } => source.sample_transfer(&mut cell_rng(seed, device, cell, device_salt)),
         }
     }
 }
 
-impl fmt::Display for SeqDifferentialResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} sequenced latches identical \
-             ({} divergences, {:.0}% early stops, {:.2}x samples overall, \
-             drift I {:.2e} / II {:.2e})",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            self.divergences.len(),
-            100.0 * self.early_stop_rate(),
-            self.reduction_overall(),
-            self.type_i_drift(),
-            self.type_ii_drift(),
-        )
+/// One cell's screeners — per cell, so the cached RTL tops and scratch
+/// buffers reset in place across the device-outer sweep order instead
+/// of rebuilding on every config change.
+struct Screens {
+    behavioral: Screener,
+    rtl: Screener<RtlBackend>,
+    /// The unsequenced behavioural ground truth of a sequenced sweep.
+    full: Option<Screener>,
+}
+
+/// One grid family: its valid cells (id, device source, workload), the
+/// candidates config validation rejected, its streams and — for
+/// sequenced sweeps — the sequencer policy both backends run under.
+struct Grid<'a, Id> {
+    cells: Vec<(Id, SourceSpec, Workload)>,
+    skipped: Vec<SkippedCell<Id>>,
+    streams: Streams<'a>,
+    policy: Option<SequencerConfig>,
+}
+
+impl<Id: CellId> Grid<'_, Id> {
+    fn screens(&self) -> Vec<Screens> {
+        self.cells
+            .iter()
+            .map(|&(.., workload)| {
+                let screener = || match self.policy {
+                    Some(policy) => Screener::new(workload).sequencer(policy),
+                    None => Screener::new(workload),
+                };
+                Screens {
+                    behavioral: screener(),
+                    rtl: screener().backend(RtlBackend::new()),
+                    full: self.policy.map(|_| Screener::new(workload)),
+                }
+            })
+            .collect()
+    }
+
+    /// The device-outer loop behind every sweep: devices `from..to` ×
+    /// every cell, each screened by both backends (and the ground truth)
+    /// on fresh copies of the same noise stream, compared and tallied.
+    fn sweep(&self, screens: &mut [Screens], from: usize, to: usize) -> DifferentialResult<Id> {
+        let mut result = DifferentialResult {
+            per_scenario: self
+                .cells
+                .iter()
+                .map(|&(id, ..)| <Id::Tally as Tally<Id>>::new(id))
+                .collect(),
+            skipped_cells: self.skipped.clone(),
+            ..DifferentialResult::default()
+        };
+        for i in from..to {
+            result.devices += 1;
+            let shared = match self.streams {
+                Streams::Batch(batch) => Some(batch.device(i)),
+                Streams::Salted { .. } => None,
+            };
+            for (cell, ((id, source, _), s)) in self.cells.iter().zip(&mut *screens).enumerate() {
+                let drawn;
+                let adc = match &shared {
+                    Some(tf) => tf,
+                    None => {
+                        drawn = self.streams.cell_device(source, i, cell);
+                        &drawn
+                    }
+                };
+                let noise = || self.streams.noise_rng(i, cell);
+                let b = s.behavioral.screen_one(adc, &mut noise());
+                let r = s.rtl.screen_one(adc, &mut noise());
+                let full = match &mut s.full {
+                    Some(full) => full.screen_one(adc, &mut noise()),
+                    None => b,
+                };
+                let agree = backends_agree(&b, &r);
+                result.comparisons += 1;
+                if agree {
+                    result.agreements += 1;
+                } else {
+                    result.divergences.push(Divergence {
+                        device: i,
+                        scenario: *id,
+                        behavioral: b,
+                        rtl: r,
+                    });
+                }
+                result.per_scenario[cell].record(agree, &b, &full);
+            }
+        }
+        result
+    }
+
+    fn range(&self, from: usize, to: usize) -> DifferentialResult<Id> {
+        self.sweep(&mut self.screens(), from, to)
+    }
+
+    /// Sweeps devices `0..devices` across `workers` threads (0 =
+    /// available parallelism), one set of screeners per worker.
+    /// Deterministic in the worker count: devices and RNG streams
+    /// derive from `(seed, index, cell)` alone.
+    fn run(&self, devices: usize, workers: usize) -> DifferentialResult<Id> {
+        let parts = pool::map_ranges(
+            devices,
+            workers,
+            || self.screens(),
+            |screens, from, to| self.sweep(screens, from, to),
+        );
+        let mut total = DifferentialResult::default();
+        for part in &parts {
+            total.merge(part);
+        }
+        total
     }
 }
 
-/// A validated cell of the sequenced grid. Devices in either arm come
-/// from the [`DeviceSource`] seam, so one loop screens flash, iid-width,
-/// SAR and pipeline silicon alike.
-enum SeqCell {
-    Static {
-        config: BistConfig,
-        source: SourceSpec,
-        noise: NoiseConfig,
-    },
-    Dynamic {
-        config: DynamicConfig,
-        source: SourceSpec,
-    },
+/// A 6-bit paper-spec static configuration.
+fn static_config(counter_bits: u32, deglitch: bool) -> BistConfig {
+    BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+        .counter_bits(counter_bits)
+        .deglitch(deglitch)
+        .build()
+        .expect("paper operating points are valid")
 }
 
-/// The per-cell screeners of the sequenced sweep: the full-sweep
-/// behavioural ground truth plus both sequenced backends, all sharing
-/// the cell's workload.
-enum SeqRunner {
-    Static {
-        full: Screener,
-        seq_b: Screener,
-        seq_r: Screener<RtlBackend>,
-        source: SourceSpec,
-    },
-    Dynamic {
-        full: Screener,
-        seq_b: Screener,
-        seq_r: Screener<RtlBackend>,
-        source: SourceSpec,
-    },
+/// A flash source on the seed's 0.1 V/LSB convention and the coherent
+/// sine workload it is screened with: driven at exactly full scale (the
+/// default overdrive's clipping distortion, ~−37 dBc at any resolution,
+/// would bury the 8-bit quantisation floor and reject even ideal
+/// devices) under 2 mV input noise. Errs when the plan fails
+/// validation.
+fn dyn_cell(
+    bits: u32,
+    sigma_milli: u32,
+    cycles: u32,
+) -> Result<(SourceSpec, Workload), ConfigError> {
+    let resolution = Resolution::new(bits).expect("sweep resolutions are valid");
+    let high = Volts(0.1 * resolution.code_count() as f64);
+    let flash = FlashConfig::new(resolution, Volts(0.0), high)
+        .with_width_sigma_lsb(sigma_milli as f64 / 1000.0);
+    let config = DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles)?.with_overdrive(0.0);
+    let noise = NoiseConfig::noiseless().with_input_noise(0.002);
+    Ok((
+        flash.into(),
+        Workload::dynamic_sine(config).with_noise(noise),
+    ))
 }
 
-impl SeqRunner {
-    fn new(cell: &SeqCell, policy: &SequencerConfig) -> Self {
-        match cell {
-            SeqCell::Static {
-                config,
-                source,
-                noise,
-            } => {
-                let w = Workload::static_ramp(*config).with_noise(*noise);
-                SeqRunner::Static {
-                    full: Screener::new(w),
-                    seq_b: Screener::new(w).sequencer(*policy),
-                    seq_r: Screener::new(w)
-                        .sequencer(*policy)
-                        .backend(RtlBackend::new()),
-                    source: *source,
-                }
-            }
-            SeqCell::Dynamic { config, source } => {
-                let w = Workload::dynamic_sine(*config)
-                    .with_noise(NoiseConfig::noiseless().with_input_noise(0.002));
-                SeqRunner::Dynamic {
-                    full: Screener::new(w),
-                    seq_b: Screener::new(w).sequencer(*policy),
-                    seq_r: Screener::new(w)
-                        .sequencer(*policy)
-                        .backend(RtlBackend::new()),
-                    source: *source,
-                }
+/// The static grid: every counter width × deglitch × noise point over
+/// the batch's devices, ramps skewed by `slope_error`.
+fn static_grid(batch: &Batch, slope_error: f64) -> Grid<'_, ScenarioId> {
+    let mut cells = Vec::new();
+    for &counter_bits in &COUNTER_BITS {
+        for deglitch in [false, true] {
+            let config = static_config(counter_bits, deglitch);
+            for noise in NoisePoint::ALL {
+                let id = ScenarioId {
+                    counter_bits,
+                    deglitch,
+                    noise,
+                };
+                let workload = Workload::static_ramp(config)
+                    .with_noise(noise.config())
+                    .with_slope_error(slope_error);
+                cells.push((id, batch.source, workload));
             }
         }
     }
+    Grid {
+        cells,
+        skipped: Vec::new(),
+        streams: Streams::Batch(batch),
+        policy: None,
+    }
 }
 
-/// The sequenced sweep grid: static cells (counter width × mismatch σ,
-/// plus one deglitched transition-noise cell) and dynamic cells
+/// The dynamic grid: every resolution × mismatch σ × coherent-bin
+/// choice.
+fn dyn_grid(seed: u64) -> Grid<'static, DynScenarioId> {
+    let mut cells = Vec::new();
+    for &resolution_bits in &DYN_RESOLUTION_BITS {
+        for &sigma_milli_lsb in &DYN_SIGMA_MILLI {
+            for &cycles in &DYN_CYCLES {
+                let id = DynScenarioId {
+                    resolution_bits,
+                    sigma_milli_lsb,
+                    cycles,
+                };
+                let (source, workload) = dyn_cell(resolution_bits, sigma_milli_lsb, cycles)
+                    .expect("sweep bins are valid");
+                cells.push((id, source, workload));
+            }
+        }
+    }
+    Grid {
+        cells,
+        skipped: Vec::new(),
+        streams: Streams::Salted {
+            seed,
+            device_salt: DYN_DEVICE_SALT,
+            noise_salt: DYN_NOISE_SALT,
+        },
+        policy: None,
+    }
+}
+
+/// The sequenced grid: static iid-width cells (counter width × mismatch
+/// σ, plus one deglitched transition-noise cell) and dynamic flash cells
 /// (resolution × mismatch σ at the paper bin, plus the Nyquist-folding
 /// 1024-cycle candidates — of which the 8-bit one is rejected by the
 /// fixed-point register audit and recorded as a skipped cell).
-fn seq_scenario_grid() -> (Vec<(SeqScenarioId, SeqCell)>, Vec<SeqSkippedCell>) {
-    let spec = LinearitySpec::paper_stringent();
-    let mut grid = Vec::new();
-    let mut skipped = Vec::new();
+fn seq_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId> {
+    let iid_cell = |counter_bits, sigma_milli_lsb: u32, deglitch, noise: NoisePoint| {
+        let dist = WidthDistribution::new(1.0, sigma_milli_lsb as f64 / 1000.0);
+        let id = SeqScenarioId::Static {
+            counter_bits,
+            sigma_milli_lsb,
+            deglitch,
+            noise,
+        };
+        let workload =
+            Workload::static_ramp(static_config(counter_bits, deglitch)).with_noise(noise.config());
+        (
+            id,
+            IidWidthSource::new(Resolution::SIX_BIT, dist).into(),
+            workload,
+        )
+    };
+    let mut cells = Vec::new();
     for &counter_bits in &SEQ_STATIC_COUNTER_BITS {
         for &sigma_milli in &SEQ_STATIC_SIGMA_MILLI {
-            let id = SeqScenarioId::Static {
+            cells.push(iid_cell(
                 counter_bits,
-                sigma_milli_lsb: sigma_milli,
-                deglitch: false,
-                noise: NoisePoint::Noiseless,
-            };
-            let config = BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .build()
-                .expect("paper operating points are valid");
-            let dist = WidthDistribution::new(1.0, sigma_milli as f64 / 1000.0);
-            grid.push((
-                id,
-                SeqCell::Static {
-                    config,
-                    source: IidWidthSource::new(Resolution::SIX_BIT, dist).into(),
-                    noise: NoiseConfig::noiseless(),
-                },
+                sigma_milli,
+                false,
+                NoisePoint::Noiseless,
             ));
         }
     }
     // One deglitched, transition-noise cell: the filters and the quiet
     // dwell of the completion-accept rule under sequencing.
-    grid.push((
-        SeqScenarioId::Static {
-            counter_bits: 5,
-            sigma_milli_lsb: 210,
-            deglitch: true,
-            noise: NoisePoint::Transition,
-        },
-        SeqCell::Static {
-            config: BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(5)
-                .deglitch(true)
-                .build()
-                .expect("paper operating points are valid"),
-            source: IidWidthSource::new(Resolution::SIX_BIT, WidthDistribution::new(1.0, 0.21))
-                .into(),
-            noise: NoisePoint::Transition.config(),
-        },
-    ));
-    let mut dyn_candidates: Vec<(u32, u32, u32)> = Vec::new();
-    for &bits in &SEQ_DYN_RESOLUTION_BITS {
-        for &sigma_milli in &SEQ_DYN_SIGMA_MILLI {
-            dyn_candidates.push((bits, sigma_milli, 1021));
-        }
-        // Nyquist-folding candidate: valid at 6 bits, rejected by the
-        // fixed-point register audit at 8 bits.
-        dyn_candidates.push((bits, 160, 1024));
-    }
-    for (bits, sigma_milli, cycles) in dyn_candidates {
-        let id = SeqScenarioId::Dynamic {
-            resolution_bits: bits,
-            sigma_milli_lsb: sigma_milli,
-            cycles,
-        };
-        let resolution = Resolution::new(bits).expect("sweep resolutions are valid");
-        let high = Volts(0.1 * resolution.code_count() as f64);
-        let flash = FlashConfig::new(resolution, Volts(0.0), high)
-            .with_width_sigma_lsb(sigma_milli as f64 / 1000.0);
-        match DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles) {
-            Ok(config) => grid.push((
-                id,
-                SeqCell::Dynamic {
-                    config: config.with_overdrive(0.0),
-                    source: flash.into(),
-                },
-            )),
-            Err(e) => skipped.push(SeqSkippedCell {
-                scenario: id,
-                reason: e.to_string(),
-            }),
+    cells.push(iid_cell(5, 210, true, NoisePoint::Transition));
+    let mut skipped = Vec::new();
+    for &resolution_bits in &SEQ_DYN_RESOLUTION_BITS {
+        // The Nyquist-folding candidate comes last: valid at 6 bits,
+        // rejected by the fixed-point register audit at 8 bits.
+        let candidates = SEQ_DYN_SIGMA_MILLI.iter().map(|&s| (s, 1021));
+        for (sigma_milli_lsb, cycles) in candidates.chain([(160, 1024)]) {
+            let id = SeqScenarioId::Dynamic {
+                resolution_bits,
+                sigma_milli_lsb,
+                cycles,
+            };
+            match dyn_cell(resolution_bits, sigma_milli_lsb, cycles) {
+                Ok((source, workload)) => cells.push((id, source, workload)),
+                Err(e) => skipped.push(SkippedCell {
+                    scenario: id,
+                    reason: e.to_string(),
+                }),
+            }
         }
     }
-    (grid, skipped)
+    Grid {
+        cells,
+        skipped,
+        streams: Streams::Salted {
+            seed,
+            device_salt: SEQ_DEVICE_SALT,
+            noise_salt: SEQ_NOISE_SALT,
+        },
+        policy: Some(*policy),
+    }
 }
 
 /// The per-architecture grid: every zoo paper preset (flash, iid-width,
 /// SAR, pipeline) × counter width, all static-ramp noiseless cells.
-/// Every candidate validates, so the skipped list is always empty.
-fn arch_scenario_grid() -> (Vec<(SeqScenarioId, SeqCell)>, Vec<SeqSkippedCell>) {
-    let spec = LinearitySpec::paper_stringent();
+fn arch_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId> {
     let sources = [
         SourceSpec::paper_flash(),
         SourceSpec::paper_iid(),
         SourceSpec::paper_sar(),
         SourceSpec::paper_pipeline(),
     ];
-    let mut grid = Vec::new();
+    let mut cells = Vec::new();
     for &counter_bits in &ARCH_COUNTER_BITS {
         for source in sources {
             let id = SeqScenarioId::Arch {
                 arch: source.architecture(),
                 counter_bits,
             };
-            let config = BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .build()
-                .expect("paper operating points are valid");
-            grid.push((
-                id,
-                SeqCell::Static {
-                    config,
-                    source,
-                    noise: NoiseConfig::noiseless(),
-                },
-            ));
+            let workload = Workload::static_ramp(static_config(counter_bits, false))
+                .with_noise(NoiseConfig::noiseless());
+            cells.push((id, source, workload));
         }
     }
-    (grid, Vec::new())
+    Grid {
+        cells,
+        skipped: Vec::new(),
+        streams: Streams::Salted {
+            seed,
+            device_salt: ARCH_DEVICE_SALT,
+            noise_salt: ARCH_NOISE_SALT,
+        },
+        policy: Some(*policy),
+    }
 }
 
-/// RNG-stream salts of the sequenced sweep.
-const SEQ_DEVICE_SALT: u64 = 0x5e9_f000;
-const SEQ_NOISE_SALT: u64 = 0x5e9_f001;
-/// RNG-stream salts of the per-architecture sweep — disjoint from the
-/// sequenced grid's so the two sweeps draw independent silicon even at
-/// the same seed.
-const ARCH_DEVICE_SALT: u64 = 0x5e9_f002;
-const ARCH_NOISE_SALT: u64 = 0x5e9_f003;
-
-fn seq_stream_rng(seed: u64, device: usize, cell: usize, salt: u64) -> StdRng {
-    crate::batch::stream_rng(seed, &[salt, device as u64, cell as u64])
+/// Runs the static differential sweep over a batch, fanned out across
+/// `workers` threads (0 = available parallelism): every device × counter
+/// width × deglitch × noise point, ramps skewed by `slope_error`,
+/// demanding bit-exact verdicts.
+pub fn run_differential(
+    batch: &Batch,
+    slope_error: f64,
+    workers: usize,
+) -> DifferentialResult<ScenarioId> {
+    static_grid(batch, slope_error).run(batch.size, workers)
 }
 
-/// Runs the sequenced differential sweep over a device range — the unit
-/// of work for the parallel fan-out. For every device × valid cell,
-/// three runs consume bit-identical code streams: the full sweep
-/// (behavioural ground truth), the sequenced behavioural path and the
-/// sequenced RTL path. Backends must latch identical decisions; the
-/// sequenced decision is scored against the full sweep for empirical
-/// type I/II drift and samples-to-decision.
+/// Runs the dynamic differential sweep over `devices` flash devices per
+/// cell, fanned out across `workers` threads (0 = available
+/// parallelism), demanding decision-exact dynamic verdicts.
+pub fn run_dyn_differential(
+    seed: u64,
+    devices: usize,
+    workers: usize,
+) -> DifferentialResult<DynScenarioId> {
+    dyn_grid(seed).run(devices, workers)
+}
+
+/// Runs the sequenced differential sweep over the device range
+/// `from..to` on the calling thread: for every device × valid cell, the
+/// full sweep (behavioural ground truth), the sequenced behavioural path
+/// and the sequenced RTL path on bit-identical streams. Backends must
+/// latch identically; the sequenced decision is scored against the full
+/// sweep for empirical type I/II drift and samples-to-decision.
 pub fn run_seq_differential_range(
     seed: u64,
     policy: &SequencerConfig,
     from: usize,
     to: usize,
 ) -> SeqDifferentialResult {
-    let (grid, skipped) = seq_scenario_grid();
-    run_seq_grid_range(
-        &grid,
-        skipped,
-        (SEQ_DEVICE_SALT, SEQ_NOISE_SALT),
-        seed,
-        policy,
-        from,
-        to,
-    )
-}
-
-/// The shared device-outer loop behind every sequenced sweep: for each
-/// device × cell, three runs on bit-identical streams (full behavioural
-/// ground truth, sequenced behavioural, sequenced RTL), latch-compared
-/// and tallied. Which silicon a cell draws is entirely the cell's
-/// [`SourceSpec`] — the grid, not the loop, knows the architecture.
-#[allow(clippy::too_many_lines)]
-fn run_seq_grid_range(
-    grid: &[(SeqScenarioId, SeqCell)],
-    skipped: Vec<SeqSkippedCell>,
-    (device_salt, noise_salt): (u64, u64),
-    seed: u64,
-    policy: &SequencerConfig,
-    from: usize,
-    to: usize,
-) -> SeqDifferentialResult {
-    // Three screeners per cell: the full-sweep behavioural ground
-    // truth, the sequenced behavioural path and the sequenced
-    // gate-accurate path (per-cell so the cached RTL tops and scratch
-    // buffers reset in place across the device-outer sweep order).
-    let mut runners: Vec<SeqRunner> = grid
-        .iter()
-        .map(|(_, spec)| SeqRunner::new(spec, policy))
-        .collect();
-    let mut result = SeqDifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, _)| SeqScenarioTally::new(*id))
-            .collect(),
-        skipped_cells: skipped,
-        ..SeqDifferentialResult::default()
-    };
-    for i in from..to {
-        result.devices += 1;
-        for (cell, (id, _)) in grid.iter().enumerate() {
-            let noise_rng = || seq_stream_rng(seed, i, cell, noise_salt);
-            let (full_accepted, full_samples, b_latch, r_latch, verdicts_agree) =
-                match &mut runners[cell] {
-                    SeqRunner::Static {
-                        full,
-                        seq_b,
-                        seq_r,
-                        source,
-                    } => {
-                        let tf =
-                            source.sample_transfer(&mut seq_stream_rng(seed, i, cell, device_salt));
-                        let full = full
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload")
-                            .verdict;
-                        let b = *seq_b
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload");
-                        let r = *seq_r
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload");
-                        (
-                            full.accepted(),
-                            full.samples,
-                            SeqLatch::of(&b),
-                            SeqLatch::of(&r),
-                            b.verdict == r.verdict,
-                        )
-                    }
-                    SeqRunner::Dynamic {
-                        full,
-                        seq_b,
-                        seq_r,
-                        source,
-                    } => {
-                        let adc =
-                            source.sample_transfer(&mut seq_stream_rng(seed, i, cell, device_salt));
-                        let full = full
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload")
-                            .verdict;
-                        let b = *seq_b
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload");
-                        let r = *seq_r
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload");
-                        // Completed records additionally demand the
-                        // decision-exact dynamic verdict contract.
-                        let verdicts_agree =
-                            b.stopped_early() || dyn_decisions_agree(&b.verdict, &r.verdict);
-                        (
-                            full.accepted(),
-                            full.samples,
-                            SeqLatch::of(&b),
-                            SeqLatch::of(&r),
-                            verdicts_agree,
-                        )
-                    }
-                };
-            result.comparisons += 1;
-            let agree = b_latch == r_latch && verdicts_agree;
-            if agree {
-                result.agreements += 1;
-            } else {
-                result.divergences.push(SeqDivergence {
-                    device: i,
-                    scenario: *id,
-                    behavioral: b_latch,
-                    rtl: r_latch,
-                });
-            }
-            let tally = &mut result.per_scenario[cell];
-            tally.comparisons += 1;
-            tally.agreements += u64::from(agree);
-            tally.early_stops += u64::from(b_latch.decision.stops());
-            match b_latch.decision {
-                SeqDecision::AcceptEarly(_) => {
-                    tally.early_accepts += 1;
-                    tally.seq_samples_early += b_latch.samples;
-                }
-                SeqDecision::RejectEarly(_) => {
-                    tally.early_rejects += 1;
-                    tally.seq_samples_early += b_latch.samples;
-                }
-                SeqDecision::Continue => {}
-            }
-            tally.full_accepted += u64::from(full_accepted);
-            tally.full_samples += full_samples;
-            tally.seq_samples += b_latch.samples;
-            if full_accepted {
-                tally.full_samples_accepted += full_samples;
-                tally.seq_samples_accepted += b_latch.samples;
-                tally.drift_i += u64::from(!b_latch.accepted);
-            } else {
-                tally.drift_ii += u64::from(b_latch.accepted);
-            }
-        }
-    }
-    result
+    seq_grid(seed, policy).range(from, to)
 }
 
 /// Runs the full sequenced differential sweep over `devices` devices,
 /// fanned out across `workers` threads (0 = available parallelism).
-/// Deterministic in the worker count: devices and RNG streams derive
-/// from `(seed, index, cell)` alone.
 pub fn run_seq_differential(
     seed: u64,
     policy: &SequencerConfig,
     devices: usize,
     workers: usize,
 ) -> SeqDifferentialResult {
-    let partials = pool::map_ranges(
-        devices,
-        workers,
-        || (),
-        |_, from, to| run_seq_differential_range(seed, policy, from, to),
-    );
-    let mut total = SeqDifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
+    seq_grid(seed, policy).run(devices, workers)
 }
 
-/// Runs the per-architecture sequenced differential over a device
-/// range: every zoo paper preset (flash, iid-width, SAR, pipeline) ×
-/// counter width, three runs per device × cell on bit-identical
-/// streams. Backends must latch identically for every architecture —
-/// the paper's architecture-agnostic claim, checked at the gate level.
-pub fn run_arch_differential_range(
-    seed: u64,
-    policy: &SequencerConfig,
-    from: usize,
-    to: usize,
-) -> SeqDifferentialResult {
-    let (grid, skipped) = arch_scenario_grid();
-    run_seq_grid_range(
-        &grid,
-        skipped,
-        (ARCH_DEVICE_SALT, ARCH_NOISE_SALT),
-        seed,
-        policy,
-        from,
-        to,
-    )
-}
-
-/// Runs the full per-architecture sequenced differential over
-/// `devices` devices, fanned out across `workers` threads (0 =
-/// available parallelism). Deterministic in the worker count. The
-/// result's per-cell tallies carry per-architecture samples-to-decision
+/// Runs the per-architecture sequenced differential over `devices`
+/// devices, fanned out across `workers` threads (0 = available
+/// parallelism): backends must latch identically for every architecture
+/// — the paper's architecture-agnostic claim, checked at the gate level.
+/// The per-cell tallies carry per-architecture samples-to-decision
 /// accounting; feed them to a [`PriorsBank`] with
 /// [`SeqDifferentialResult::seed_priors`] to derive
 /// architecture-conditioned sequencer policies.
@@ -1460,17 +1134,7 @@ pub fn run_arch_differential(
     devices: usize,
     workers: usize,
 ) -> SeqDifferentialResult {
-    let partials = pool::map_ranges(
-        devices,
-        workers,
-        || (),
-        |_, from, to| run_arch_differential_range(seed, policy, from, to),
-    );
-    let mut total = SeqDifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
+    arch_grid(seed, policy).run(devices, workers)
 }
 
 #[cfg(test)]
@@ -1512,24 +1176,94 @@ mod tests {
         assert_eq!(seq, par);
     }
 
-    #[test]
-    fn merge_accumulates_cellwise() {
-        let batch = Batch::paper_simulation(43, 6);
-        let whole = run_differential_range(&batch, 0.0, 0, 6);
-        let mut parts = run_differential_range(&batch, 0.0, 0, 2);
-        parts.merge(&run_differential_range(&batch, 0.0, 2, 6));
+    /// Devices 0..n swept whole equal 0..split merged with split..n,
+    /// cell by cell.
+    fn check_merge<Id: CellId>(grid: &Grid<'_, Id>, split: usize, n: usize) {
+        let whole = grid.range(0, n);
+        let mut parts = grid.range(0, split);
+        parts.merge(&grid.range(split, n));
         assert_eq!(whole.comparisons, parts.comparisons);
         assert_eq!(whole.agreements, parts.agreements);
         assert_eq!(whole.per_scenario, parts.per_scenario);
+        assert_eq!(whole.skipped_cells, parts.skipped_cells);
+    }
+
+    /// A summary line names the device count plus its grid's own wording.
+    fn check_says<Id: CellId>(r: &DifferentialResult<Id>, phrase: &str) {
+        let s = r.to_string();
+        assert!(s.contains("2 devices"), "{s}");
+        assert!(s.contains(phrase), "{s}");
+    }
+
+    #[test]
+    fn merge_accumulates_cellwise() {
+        let batch = Batch::paper_simulation(43, 6);
+        check_merge(&static_grid(&batch, 0.0), 2, 6);
+        check_merge(&arch_grid(43, &SequencerConfig::default()), 1, 4);
+    }
+
+    #[test]
+    fn dyn_merge_accumulates_cellwise() {
+        check_merge(&dyn_grid(43), 1, 4);
+    }
+
+    #[test]
+    fn seq_merge_accumulates_cellwise() {
+        check_merge(&seq_grid(43, &SequencerConfig::default()), 1, 4);
     }
 
     #[test]
     fn display_summarises() {
-        let batch = Batch::paper_simulation(47, 2);
-        let r = run_differential(&batch, 0.0, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("bit-exact"), "{s}");
+        check_says(
+            &run_differential(&Batch::paper_simulation(47, 2), 0.0, 1),
+            "bit-exact",
+        );
+        check_says(
+            &run_arch_differential(61, &SequencerConfig::default(), 2, 1),
+            "latches identical",
+        );
+    }
+
+    #[test]
+    fn dyn_display_summarises() {
+        check_says(&run_dyn_differential(47, 2, 1), "decisions exact");
+    }
+
+    #[test]
+    fn seq_display_summarises() {
+        let r = run_seq_differential(61, &SequencerConfig::default(), 2, 1);
+        check_says(&r, "early stops");
+        assert!(r.per_scenario[0].scenario.to_string().contains("static/"));
+    }
+
+    #[test]
+    fn mismatched_backends_are_caught() {
+        // Cell 0 (4-bit/raw/noiseless) gets an RTL screener judging
+        // with a 7-bit counter: the gate must flag that cell on every
+        // device, and only that cell.
+        let batch = Batch::paper_simulation(67, 3);
+        let grid = static_grid(&batch, 0.0);
+        let mut screens = grid.screens();
+        let seven_bit = Workload::static_ramp(static_config(7, false));
+        screens[0].rtl = Screener::new(seven_bit).backend(RtlBackend::new());
+        let result = grid.sweep(&mut screens, 0, 3);
+        assert!(!result.is_clean(), "{result}");
+        let flagged: Vec<(usize, ScenarioId)> = result
+            .divergences
+            .iter()
+            .map(|d| (d.device, d.scenario))
+            .collect();
+        let victim = grid.cells[0].0;
+        assert_eq!(flagged, [(0, victim), (1, victim), (2, victim)]);
+        assert_eq!(result.per_scenario[0].agreements, 0);
+        assert!(result.per_scenario[1..]
+            .iter()
+            .all(|t| t.agreements == t.comparisons));
+        let shown = result.divergences[0].to_string();
+        assert!(
+            shown.starts_with("device 0 [4-bit/raw/noiseless]"),
+            "{shown}"
+        );
     }
 
     #[test]
@@ -1557,34 +1291,13 @@ mod tests {
     }
 
     #[test]
-    fn dyn_merge_accumulates_cellwise() {
-        let whole = run_dyn_differential_range(43, 0, 4);
-        let mut parts = run_dyn_differential_range(43, 0, 1);
-        parts.merge(&run_dyn_differential_range(43, 1, 4));
-        assert_eq!(whole.comparisons, parts.comparisons);
-        assert_eq!(whole.agreements, parts.agreements);
-        assert_eq!(whole.per_scenario, parts.per_scenario);
-    }
-
-    #[test]
     fn dyn_cells_draw_independent_devices() {
-        // The satellite fix behind run_dyn_differential: every cell has
-        // its own seeded device stream, so two cells at the same device
-        // index see different silicon.
-        let a = dyn_stream_rng(7, 3, 0, DYN_DEVICE_SALT);
-        let b = dyn_stream_rng(7, 3, 1, DYN_DEVICE_SALT);
-        let mut a = a;
-        let mut b = b;
+        // Every cell has its own seeded device stream, so two cells at
+        // the same device index see different silicon.
         use rand::RngCore;
+        let mut a = cell_rng(7, 3, 0, DYN_DEVICE_SALT);
+        let mut b = cell_rng(7, 3, 1, DYN_DEVICE_SALT);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn dyn_display_summarises() {
-        let r = run_dyn_differential(47, 2, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("decisions exact"), "{s}");
     }
 
     #[test]
@@ -1615,18 +1328,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_merge_accumulates_cellwise() {
-        let policy = SequencerConfig::default();
-        let whole = run_seq_differential_range(43, &policy, 0, 4);
-        let mut parts = run_seq_differential_range(43, &policy, 0, 1);
-        parts.merge(&run_seq_differential_range(43, &policy, 1, 4));
-        assert_eq!(whole.comparisons, parts.comparisons);
-        assert_eq!(whole.agreements, parts.agreements);
-        assert_eq!(whole.per_scenario, parts.per_scenario);
-        assert_eq!(whole.skipped_cells, parts.skipped_cells);
-    }
-
-    #[test]
     fn seq_min_samples_never_violated() {
         let policy = SequencerConfig {
             min_samples: 300,
@@ -1643,16 +1344,6 @@ mod tests {
                 assert!(t.seq_samples >= t.comparisons * 300);
             }
         }
-    }
-
-    #[test]
-    fn seq_display_summarises() {
-        let policy = SequencerConfig::default();
-        let r = run_seq_differential(61, &policy, 2, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("early stops"), "{s}");
-        assert!(r.per_scenario[0].scenario.to_string().contains("static/"));
     }
 
     #[test]

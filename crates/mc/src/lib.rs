@@ -15,21 +15,20 @@
 //!   verdict backend is pluggable
 //!   ([`experiment::Experiment::run_range_with`]): the behavioural
 //!   accumulators by default, or the gate-accurate `bist-rtl` datapath.
-//! * [`differential`] — the behavioural↔RTL seam validator: sweep both
-//!   backends over identical code streams at fleet scale and demand
-//!   bit-exact verdict agreement. The dynamic seam gets the same
-//!   treatment ([`differential::run_dyn_differential`]): devices ×
-//!   resolution × mismatch σ × coherent-bin choice, decision-exact
-//!   agreement between the Goertzel bank and the fixed-point RTL.
-//!   [`experiment::DynExperiment`] is the matching fleet-screening
-//!   entry point with throughput accounting. The **sequenced** seam
-//!   ([`differential::run_seq_differential`], driven by the `seq_fleet`
-//!   binary) validates the early-stop layer: both backends under the
-//!   sequencer must latch identical decisions at identical sample
-//!   indices, and the sequenced decision is scored against full-sweep
-//!   ground truth for empirical type I/II drift and samples-to-decision
-//!   reduction. Sweep cells rejected by config validation are recorded
-//!   as skipped, never screened, and excluded from throughput.
+//! * [`differential`] — the behavioural↔RTL seam validator: one
+//!   device-outer loop sweeps both backends over identical code streams
+//!   at fleet scale and demands that they latch the same decision and
+//!   agree on the verdict. Four grids run through it: static
+//!   ([`differential::run_differential`], bit-exact verdicts), dynamic
+//!   ([`differential::run_dyn_differential`], decision-exact between the
+//!   Goertzel bank and the fixed-point RTL), sequenced
+//!   ([`differential::run_seq_differential`], early-stop latches scored
+//!   against full-sweep ground truth for type I/II drift and
+//!   samples-to-decision) and per-architecture
+//!   ([`differential::run_arch_differential`]). Sweep cells rejected by
+//!   config validation are recorded as skipped, never screened.
+//!   [`experiment::DynExperiment`] is the dynamic fleet-screening entry
+//!   point with throughput accounting.
 //! * [`parallel`] — deterministic thread fan-out
 //!   ([`parallel::run_parallel`], the default under
 //!   [`experiment::Experiment::run`]; [`parallel::run_parallel_with`]
@@ -70,11 +69,7 @@ pub mod parallel;
 pub mod tables;
 
 pub use batch::Batch;
-pub use differential::{
-    run_arch_differential, run_differential, run_dyn_differential, run_seq_differential,
-    DifferentialResult, Divergence, DynDifferentialResult, DynDivergence, SeqDifferentialResult,
-    SeqDivergence, SeqLatch, SeqScenarioId, SeqSkippedCell,
-};
+pub use differential::{DifferentialResult, Divergence, SeqDifferentialResult};
 pub use estimate::Proportion;
 pub use experiment::{
     DynExperiment, DynExperimentResult, Experiment, ExperimentResult, GroundTruthMode,
