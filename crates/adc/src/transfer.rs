@@ -291,7 +291,8 @@ impl<T: Adc + ?Sized> Adc for &T {
 /// Useful for models that cannot state their transfer analytically
 /// (e.g. fault-wrapped converters). Non-monotonic converters are
 /// linearised by the sweep: the recovered level for transition `k` is the
-/// first voltage at which the output reaches code `k`.
+/// first voltage at which the output reaches code `k` — `low − step`
+/// for codes already reached where the sweep starts.
 ///
 /// # Panics
 ///
@@ -302,7 +303,8 @@ pub fn characterize<A: Adc>(adc: &A, step: Volts) -> TransferFunction {
     let res = adc.resolution();
     let mut transitions = Vec::with_capacity(res.transition_count() as usize);
     let mut v = low.0 - step.0;
-    let mut best = adc.convert(Volts(v)).0;
+    // The first sweep point records every code already reached there.
+    let mut best = 0;
     let margin = (high.0 - low.0) * 0.1;
     while v <= high.0 + margin && transitions.len() < res.transition_count() as usize {
         let code = adc.convert(Volts(v)).0;

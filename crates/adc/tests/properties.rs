@@ -85,16 +85,21 @@ proptest! {
     }
 
     /// Characterisation by sweeping recovers the true transitions of any
-    /// monotone transfer to within the sweep step.
+    /// monotone transfer to within the sweep step. The first `below`
+    /// transitions are moved under the sweep's start (`low − step`),
+    /// where the first sweep point is the level they must recover.
     #[test]
-    fn characterize_recovers_transitions(t in arb_transitions()) {
+    fn characterize_recovers_transitions(t in arb_transitions(), below in 0usize..8) {
         let res = Resolution::new(4).expect("4 bits valid");
+        let shift = below.checked_sub(1).map_or(0.0, |k| -(t[k] + 0.01));
+        let t: Vec<f64> = t.iter().map(|x| x + shift).collect();
         let hi = t.last().copied().expect("non-empty") + 0.1;
         let tf = TransferFunction::from_transitions(res, Volts(0.0), Volts(hi), t.clone());
         let step = 0.0005;
         let rec = characterize(&tf, Volts(step));
         for k in 1..=15u32 {
-            let err = (rec.transition(k).0 - tf.transition(k).0).abs();
+            let expect = tf.transition(k).0.max(-step);
+            let err = (rec.transition(k).0 - expect).abs();
             prop_assert!(err <= step * 1.01, "transition {k}: err {err}");
         }
     }

@@ -54,7 +54,7 @@ fn live_workspace_is_clean() {
     );
     assert!(analysis.stats.unsafe_sites >= 2, "fma kernel + call site");
     assert!(
-        analysis.kernels.contains("pair_kernel_fma"),
+        analysis.kernels.contains("group_kernel_fma"),
         "pass 1 must find the #[target_feature] kernel"
     );
     assert_eq!(analysis.stats.kernel_calls, 1, "one guarded fma dispatch");

@@ -21,7 +21,7 @@
 //! batched (one core), plus the pooled engine at the configured worker
 //! count. The run fails when the batched engine's speedup falls below
 //! the floors the lane refactor promises: ≥ 4x on the static
-//! (run-skipping) workload and ≥ 2x on the dynamic (shared-stimulus)
+//! (run-skipping) workload and ≥ 5x on the dynamic (coded-lane)
 //! workload (`BIST_BATCHED_MIN_STATIC_X` / `BIST_BATCHED_MIN_DYN_X`
 //! override, in hundredths via the integer knob layer). When the host
 //! actually has the cores to back the configured pool (≥ 4 workers, all
@@ -66,7 +66,7 @@ fn run(sc: &mut Scenario) -> bool {
     let dyn_devices = sc.usize_knob("BIST_DYN_DEVICES", 96);
     let lanes = sc.usize_knob("BIST_LANES", 16);
     let min_static_x = sc.usize_knob("BIST_BATCHED_MIN_STATIC_X", 400) as f64 / 100.0;
-    let min_dyn_x = sc.usize_knob("BIST_BATCHED_MIN_DYN_X", 200) as f64 / 100.0;
+    let min_dyn_x = sc.usize_knob("BIST_BATCHED_MIN_DYN_X", 500) as f64 / 100.0;
     let min_pool_static_x = sc.usize_knob("BIST_POOL_MIN_STATIC_X", 300) as f64 / 100.0;
     let workers = pool::resolve_workers(sc.workers());
     let chunk = sc.usize_knob("BIST_POOL_CHUNK", pool::DEFAULT_CHUNK).max(1);

@@ -19,12 +19,20 @@
 //!   run in O(1) ([`MonitorState::skip_run`]). The replayed head of
 //!   each run keeps the deglitcher and median-filter state machines
 //!   bit-exact with the scalar path.
-//! * [`DynBatch`] — the Goertzel resonator bank flattened lane-major
-//!   with Welford moments as parallel arrays, and the coherent sine
-//!   stimulus evaluated **once** into a shared table (at zero jitter
-//!   the stimulus is device-independent), so the per-lane work is one
-//!   table load, one transition search and a branch-free resonator
-//!   update — autovectorizer food.
+//! * [`DynBatch`] — the coherent sine stimulus evaluated **once** into
+//!   a shared table (at zero jitter the stimulus is device-independent)
+//!   and sorted once by value. A noiseless, unsequenced lane whose
+//!   device states at most 255 transition levels is *coded* on install:
+//!   one walk of the table in value order against the sorted levels
+//!   yields its whole record, one byte per sample, in `[u8; 8]` rows
+//!   shared by an 8-lane group. Each group's coded lanes then cross the
+//!   record in one kernel pass holding the Goertzel state as
+//!   `[bin][lane]` rows and the Welford moments as `[lane]` rows: the
+//!   Welford divide is one vector operation across the group, and each
+//!   sample's resonator updates are eight independent chains per bin
+//!   instead of one (AVX2+FMA when the host has it). Other lanes —
+//!   noisy, sequenced, or converters that state no levels — step
+//!   sample by sample through lane-major resonators.
 //!
 //! Sequencer checkpoints evaluate per lane on the same countdown
 //! protocol as the scalar backends (events latched through a per-lane
@@ -35,10 +43,10 @@
 //! running the same device, with the same RNG, through the scalar
 //! engine: run-skipping evaluates the *same* ramp expression on the
 //! *same* sample indices; the fallback path replays
-//! [`bist_adc::stream::CodeStream`]'s draw order per lane; the dynamic
-//! lanes apply the same per-(lane, bin) operation sequence as
-//! [`bist_dsp::goertzel::GoertzelBank::push`] and assemble powers
-//! through the same [`assemble_powers`] arithmetic. The
+//! [`bist_adc::stream::CodeStream`]'s draw order per lane; per-sample
+//! dynamic lanes run the scalar engine's own [`GoertzelBank`], and the
+//! group kernel applies [`GoertzelBank::push`]'s per-(lane, bin)
+//! operation sequence, then loads its result into the lane's bank. The
 //! `batch_equivalence` property tests pin this for arbitrary lane
 //! widths and refill orders.
 
@@ -60,7 +68,7 @@ use bist_adc::signal::{Ramp, SineWave, Stimulus};
 use bist_adc::stream::CodeStream;
 use bist_adc::types::{Code, Volts};
 use bist_adc::{Adc, SamplingConfig};
-use bist_dsp::goertzel::{assemble_powers, harmonic_plan, Goertzel, HarmonicPlan};
+use bist_dsp::goertzel::{harmonic_plan, Goertzel, GoertzelBank};
 use rand::RngCore;
 
 /// Default number of devices advancing in lockstep.
@@ -126,6 +134,9 @@ pub struct DynReport {
 pub struct StimulusTable {
     plan: Option<(SineWave, SamplingConfig)>,
     values: Vec<f64>,
+    /// Sample indices in ascending value order — empty when a value is
+    /// not finite, which keeps every lane off the coded path.
+    order: Vec<u32>,
 }
 
 impl StimulusTable {
@@ -134,18 +145,25 @@ impl StimulusTable {
     /// lanes stay bit-exact with [`crate::dynamic`]'s engine.
     pub fn plan_for<A: Adc + ?Sized>(adc: &A, config: &DynamicConfig) -> Arc<Self> {
         let (sine, sampling) = plan_sine(adc, config);
-        let values = (0..sampling.samples)
-            .map(|i| sine.value(sampling.sample_time(i)).0)
-            .collect();
-        Arc::new(StimulusTable {
-            plan: Some((sine, sampling)),
-            values,
-        })
+        let mut table = StimulusTable::default();
+        table.plan(sine, sampling);
+        Arc::new(table)
     }
 
-    /// Number of planned samples (0 while unplanned).
-    pub fn samples(&self) -> usize {
-        self.values.len()
+    /// (Re)plans the table in place: evaluates every sample and sorts
+    /// the value order coded lanes walk.
+    fn plan(&mut self, sine: SineWave, sampling: SamplingConfig) {
+        self.values.clear();
+        self.values
+            .extend((0..sampling.samples).map(|i| sine.value(sampling.sample_time(i)).0));
+        self.order.clear();
+        if self.values.iter().all(|v| v.is_finite()) {
+            self.order.extend(0..self.values.len() as u32);
+            let values = &self.values;
+            self.order
+                .sort_unstable_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+        }
+        self.plan = Some((sine, sampling));
     }
 }
 
@@ -624,152 +642,95 @@ fn first_at_or_above(
     lo
 }
 
-/// Buckets in a [`LevelLut`].
-const LUT_BUCKETS: usize = 256;
-/// Widest per-bucket level cluster the fixed-width scan tolerates;
-/// denser level sets fall back to [`Adc::convert`].
-const LUT_MAX_SPAN: usize = 8;
+/// Lanes per coded group: each sample of a group's record is one
+/// `[u8; GROUP]` row of codes.
+const GROUP: usize = 8;
 
-/// Branchless rank accelerator over one device's sorted transition
-/// levels. The [`Adc`] trait contract pins `convert(v)` to
-/// `levels.partition_point(|&t| t <= v)` whenever `transition_levels()`
-/// is `Some`, so the rank can be computed any way that counts the same
-/// levels — and the binary search's data-dependent branches mispredict
-/// on sine-like inputs, dominating the batched dynamic hot loop. This
-/// instead buckets the voltage range: `base[j]` counts the levels below
-/// bucket `j`, and a fixed-width compare-and-sum over the (padded)
-/// level array finishes the rank without a single data-dependent
-/// branch.
-#[derive(Debug, Clone, Default)]
-struct LevelLut {
-    /// `base[j]` = index of the first level whose bucket is ≥ `j`
-    /// (length `LUT_BUCKETS + 1`).
-    base: Vec<u32>,
-    /// The levels, padded with `LUT_MAX_SPAN` infinities so the
-    /// fixed-width scan never reads past the end or branches on the
-    /// tail.
-    padded: Vec<f64>,
-    lo: f64,
-    inv_w: f64,
-    span: usize,
+/// A coded group's accumulators: the resonator states `s1`, `s2` as
+/// `[bin][lane]` rows and the Welford moments as `[lane]` rows.
+#[derive(Debug, Clone)]
+struct GroupState {
+    coeff: Vec<f64>,
+    s1: Vec<[f64; GROUP]>,
+    s2: Vec<[f64; GROUP]>,
+    mean: [f64; GROUP],
+    m2: [f64; GROUP],
 }
 
-impl LevelLut {
-    /// Bucket of `v`. Monotone nondecreasing in `v` (IEEE subtraction
-    /// and multiplication are monotone; the `usize` cast saturates
-    /// below at 0), which is the only property correctness relies on:
-    /// levels in buckets before `bucket(v)` are ≤ `v`, levels in
-    /// buckets after it are > `v`, and the bucket itself gets scanned.
-    #[inline]
-    fn bucket(&self, v: f64) -> usize {
-        (((v - self.lo) * self.inv_w) as usize).min(LUT_BUCKETS - 1)
+impl GroupState {
+    /// Zeroed state for resonators with coefficients `coeff`.
+    fn new(coeff: Vec<f64>) -> Self {
+        GroupState {
+            s1: vec![[0.0; GROUP]; coeff.len()],
+            s2: vec![[0.0; GROUP]; coeff.len()],
+            coeff,
+            mean: [0.0; GROUP],
+            m2: [0.0; GROUP],
+        }
     }
 
-    /// (Re)builds the accelerator over `levels`, reusing buffers;
-    /// `false` when the level set is unsuitable (empty, non-finite or
-    /// degenerate span, or a cluster too dense for the fixed scan).
-    fn build(&mut self, levels: &[f64]) -> bool {
-        let (Some(&lo), Some(&hi)) = (levels.first(), levels.last()) else {
-            return false;
-        };
-        if hi <= lo || !(hi - lo).is_finite() {
-            return false;
-        }
-        self.lo = lo;
-        self.inv_w = LUT_BUCKETS as f64 / (hi - lo);
-        if !self.inv_w.is_finite() {
-            return false;
-        }
-        self.base.clear();
-        let mut i = 0usize;
-        for j in 0..=LUT_BUCKETS {
-            while i < levels.len() && self.bucket(levels[i]) < j {
-                i += 1;
-            }
-            self.base.push(i as u32);
-        }
-        let span = self
-            .base
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
-        if span > LUT_MAX_SPAN {
-            return false;
-        }
-        self.span = span;
-        self.padded.clear();
-        self.padded.extend_from_slice(levels);
-        self.padded
-            .extend(std::iter::repeat_n(f64::INFINITY, LUT_MAX_SPAN));
-        true
-    }
-
-    /// Number of levels ≤ `v` — by the [`Adc`] contract, exactly
-    /// `convert(v).0`.
-    // bist-lint: hot-path — per-sample branchless level rank
-    #[inline]
-    fn rank(&self, v: f64) -> u32 {
-        let base = self.base[self.bucket(v)];
-        let at = base as usize;
-        let mut r = base;
-        for m in 0..self.span {
-            r += u32::from(self.padded[at + m] <= v);
-        }
-        r
+    fn reset(&mut self) {
+        self.s1.fill([0.0; GROUP]);
+        self.s2.fill([0.0; GROUP]);
+        self.mean = [0.0; GROUP];
+        self.m2 = [0.0; GROUP];
     }
 }
 
-/// One lane's borrowed state inside the interleaved pair kernel.
-struct PairLane<'a> {
-    table: &'a [f64],
-    lut: &'a LevelLut,
-    res: &'a mut [Goertzel],
-    count: usize,
-    mean: f64,
-    m2: f64,
+/// Codes a whole record into column `col` of `rows`: walks the table
+/// in value order against the sorted `levels`, whose running count of
+/// levels `<= v` is exactly `convert(v)` by the
+/// [`Adc::transition_levels`] contract.
+fn code_record(table: &StimulusTable, levels: &[f64], rows: &mut [[u8; GROUP]], col: usize) {
+    let mut code = 0;
+    for &i in &table.order {
+        let v = table.values[i as usize];
+        while code < levels.len() && levels[code] <= v {
+            code += 1;
+        }
+        rows[i as usize][col] = code as u8;
+    }
 }
 
-/// The interleaved two-lane inner loop: per-lane arithmetic and
-/// operation order are exactly `advance_lane`'s, so results stay
-/// bit-identical — interleaving only lets the two lanes' serial
-/// dependency chains (the Welford mean division, each bin's Goertzel
-/// recurrence) overlap in the pipeline instead of running back to back.
-// bist-lint: hot-path — shared body of both pair-kernel entries
+/// Advances a coded group from zeroed state over its whole record.
+/// Each lane gets exactly `advance_lane`'s arithmetic in its order —
+/// `x = code + ½ − fs/2`, then every bin's `s0 = x + c·s1 − s2`, then
+/// the Welford step — so results are bit-identical. Eight lanes side
+/// by side turn the Welford divide chain into one vector divide per
+/// sample and give the core eight independent resonator chains per bin
+/// to overlap.
+// bist-lint: hot-path — shared body of both group-kernel entries
 #[inline(always)]
-fn pair_kernel_body(lanes: &mut [PairLane<'_>; 2], half_fs: f64) {
-    let n = lanes[0].table.len().min(lanes[1].table.len());
-    let [la, lb] = lanes;
-    for k in 0..n {
-        let xa = f64::from(la.lut.rank(la.table[k])) + 0.5 - half_fs;
-        let xb = f64::from(lb.lut.rank(lb.table[k])) + 0.5 - half_fs;
-        for g in la.res.iter_mut() {
-            g.push(xa);
+fn group_kernel_body(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
+    let GroupState {
+        coeff,
+        s1,
+        s2,
+        mean,
+        m2,
+    } = st;
+    for (k, row) in rows.iter().enumerate() {
+        let x = row.map(|c| f64::from(c) + 0.5 - half_fs);
+        for ((&c, s1), s2) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
+            for l in 0..GROUP {
+                let s0 = x[l] + c.mul_add(s1[l], -s2[l]);
+                s2[l] = s1[l];
+                s1[l] = s0;
+            }
         }
-        for g in lb.res.iter_mut() {
-            g.push(xb);
+        let n = (k + 1) as f64;
+        for l in 0..GROUP {
+            let delta = x[l] - mean[l];
+            mean[l] += delta / n;
+            m2[l] += delta * (x[l] - mean[l]);
         }
-        la.count += 1;
-        let da = xa - la.mean;
-        la.mean += da / la.count as f64;
-        la.m2 += da * (xa - la.mean);
-        lb.count += 1;
-        let db = xb - lb.mean;
-        lb.mean += db / lb.count as f64;
-        lb.m2 += db * (xb - lb.mean);
     }
-}
-
-/// Portable entry for [`pair_kernel_body`].
-fn pair_kernel(lanes: &mut [PairLane<'_>; 2], half_fs: f64) {
-    pair_kernel_body(lanes, half_fs);
 }
 
 /// x86-64 entry compiled with AVX2+FMA enabled: `mul_add` lowers to a
-/// hardware `vfmadd` — correctly rounded, bit-identical to the `fma()`
-/// libm call the portable build makes, but without a function call per
-/// resonator per sample, which is the single largest cost in the
-/// dynamic hot loop on the default target.
+/// hardware `vfmadd` and the lane-wise Welford divide to 4-wide
+/// `vdivpd` — correctly rounded, bit-identical to the portable build's
+/// `fma()` libm calls and scalar divides.
 ///
 /// # Safety
 ///
@@ -780,30 +741,38 @@ fn pair_kernel(lanes: &mut [PairLane<'_>; 2], half_fs: f64) {
 /// older CPU is undefined behaviour (illegal instruction at best).
 /// `bist-lint`'s `undocumented-unsafe` rule statically checks every
 /// call site for that guard.
-// bist-lint: hot-path — the interleaved dynamic lane kernel
+// bist-lint: hot-path — the coded group kernel
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn pair_kernel_fma(lanes: &mut [PairLane<'_>; 2], half_fs: f64) {
-    pair_kernel_body(lanes, half_fs);
+unsafe fn group_kernel_fma(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
+    group_kernel_body(rows, st, half_fs);
 }
 
-/// Structure-of-arrays state for the dynamic lanes. Resonators are
-/// flattened lane-major: lane `l` owns
-/// `resonators[l * bins .. (l + 1) * bins]`.
+/// Runs [`group_kernel_body`] through the AVX2+FMA entry when the host
+/// has those features, and the portable build otherwise.
+fn group_kernel(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: avx2 and fma were detected at runtime just above.
+        unsafe { group_kernel_fma(rows, st, half_fs) };
+        return;
+    }
+    group_kernel_body(rows, st, half_fs);
+}
+
+/// Structure-of-arrays state for the dynamic lanes, each with the
+/// scalar engine's own [`GoertzelBank`].
 #[derive(Debug, Clone, Default)]
 struct DynLanes {
-    resonators: Vec<Goertzel>,
-    count: Vec<usize>,
-    mean: Vec<f64>,
-    m2: Vec<f64>,
+    banks: Vec<GoertzelBank>,
     seq: Vec<DynSequencer>,
     next_checkpoint: Vec<u64>,
     consumed: Vec<u64>,
     use_table: Vec<bool>,
     sine: Vec<SineWave>,
     sampling: Vec<SamplingConfig>,
-    lut: Vec<LevelLut>,
-    lut_ok: Vec<bool>,
+    /// Whether the lane's record is coded into its group's rows.
+    coded: Vec<bool>,
 }
 
 /// A batch of devices screened through the dynamic (coherent-sine)
@@ -823,30 +792,27 @@ pub struct DynBatch<A, R> {
     dyn_scratch: DynScratch,
     scalar_seq: Option<DynSequencer>,
     devices: Vec<Option<BatchDevice<A, R>>>,
-    plan: HarmonicPlan,
-    template: Vec<Goertzel>,
     /// Stimulus voltages shared by every zero-jitter lane whose plan
     /// matches the table's — evaluated once per batch, or once per
     /// *pool* when pre-planned and shared through
     /// [`with_shared_table`](DynBatch::with_shared_table).
     table: Arc<StimulusTable>,
     lanes: DynLanes,
+    /// Coded records, one `record_len`-row block per lane group:
+    /// lane `l`'s code for sample `i` is
+    /// `codes[(l / GROUP) * record_len + i][l % GROUP]`.
+    codes: Vec<[u8; GROUP]>,
+    group: GroupState,
 }
 
 impl<A: Adc, R: RngCore> DynBatch<A, R> {
     /// A batch screening `config` noiselessly with no sequencer,
     /// [`DEFAULT_LANE_WIDTH`] lanes wide.
     pub fn new(config: DynamicConfig) -> Self {
-        let plan = harmonic_plan(
-            config.cycles() as usize,
-            config.record_len(),
-            config.harmonics(),
-        );
-        let template = plan
-            .bins
-            .iter()
-            .map(|&b| Goertzel::for_bin(b, config.record_len()))
-            .collect();
+        let n = config.record_len();
+        let plan = harmonic_plan(config.cycles() as usize, n, config.harmonics());
+        let coeff = plan.bins.iter().map(|&b| Goertzel::for_bin(b, n).coeff());
+        let group = GroupState::new(coeff.collect());
         DynBatch {
             config,
             noise: NoiseConfig::noiseless(),
@@ -857,10 +823,10 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
             dyn_scratch: DynScratch::new(),
             scalar_seq: None,
             devices: Vec::new(),
-            plan,
-            template,
             table: Arc::new(StimulusTable::default()),
             lanes: DynLanes::default(),
+            codes: Vec::new(),
+            group,
         }
     }
 
@@ -966,40 +932,26 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
     /// bit-exact to [`run_scalar`](DynBatch::run_scalar) with
     /// [`crate::backend::BehavioralBackend`].
     pub fn run_batched(&mut self) {
-        // Jitter-free, noiseless, unsequenced table lanes advance two
-        // at a time through the interleaved kernel; everything else
-        // takes the per-lane path.
-        let pairable = self.seq_config.is_none() && self.noise.is_noiseless();
-        let record = self.config.record_len() as u64;
+        // Coded lanes run their whole record in their group's kernel
+        // pass; every other lane advances chunk by chunk on its own.
         loop {
             let mut active = false;
-            let mut lane = 0;
-            while lane < self.lane_width {
-                if !self.ensure_installed(lane) {
-                    lane += 1;
-                    continue;
+            for group in 0..self.lane_width.div_ceil(GROUP) {
+                let mut coded = [false; GROUP];
+                for lane in group * GROUP..((group + 1) * GROUP).min(self.lane_width) {
+                    if !self.ensure_installed(lane) {
+                        continue;
+                    }
+                    active = true;
+                    if self.lanes.coded[lane] {
+                        coded[lane % GROUP] = true;
+                    } else {
+                        self.finish_lane(lane, self.lanes.consumed[lane] + CHUNK);
+                    }
                 }
-                active = true;
-                let until = self.lanes.consumed[lane] + CHUNK;
-                if pairable
-                    && self.lanes.use_table[lane]
-                    && self.lanes.lut_ok[lane]
-                    && lane + 1 < self.lane_width
-                    && self.ensure_installed(lane + 1)
-                    && self.lanes.use_table[lane + 1]
-                    && self.lanes.lut_ok[lane + 1]
-                {
-                    let until_b = self.lanes.consumed[lane + 1] + CHUNK;
-                    let n = (until.min(record) - self.lanes.consumed[lane])
-                        .min(until_b.min(record) - self.lanes.consumed[lane + 1]);
-                    self.advance_pair(lane, lane + 1, n);
-                    self.finish_lane(lane, until);
-                    self.finish_lane(lane + 1, until_b);
-                    lane += 2;
-                    continue;
+                if coded.contains(&true) {
+                    self.run_group(group, coded);
                 }
-                self.finish_lane(lane, until);
-                lane += 1;
             }
             if !active {
                 break;
@@ -1031,64 +983,24 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
         }
     }
 
-    /// Advances two jitter-free, noiseless, unsequenced lanes by `n`
-    /// samples in one interleaved loop. Each lane performs exactly the
-    /// arithmetic [`advance_lane`](Self::advance_lane) would, in the
-    /// same order, so results stay bit-identical — but the two lanes'
-    /// serial dependency chains (the Welford mean division, each bin's
-    /// Goertzel recurrence) overlap in the pipeline instead of running
-    /// back to back, which is where the batched engine's
-    /// dynamic-workload speedup comes from.
-    // bist-lint: hot-path — interleaved two-lane dispatch
-    fn advance_pair(&mut self, a: usize, b: usize, n: u64) {
-        debug_assert!(a < b);
-        let nbins = self.plan.bins.len();
+    /// Runs `group`'s coded record block through [`group_kernel`],
+    /// hands each `coded` lane's state back to its resonators and
+    /// Welford slots, and banks the lane's report.
+    // bist-lint: hot-path — coded group dispatch
+    fn run_group(&mut self, group: usize, coded: [bool; GROUP]) {
+        let record = self.config.record_len();
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
-        let ia = self.lanes.consumed[a] as usize;
-        let ib = self.lanes.consumed[b] as usize;
-        let n_us = n as usize;
-        let (head, tail) = self.lanes.resonators.split_at_mut(b * nbins);
-        let mut lanes = [
-            PairLane {
-                table: &self.table.values[ia..ia + n_us],
-                lut: &self.lanes.lut[a],
-                res: &mut head[a * nbins..(a + 1) * nbins],
-                count: self.lanes.count[a],
-                mean: self.lanes.mean[a],
-                m2: self.lanes.m2[a],
-            },
-            PairLane {
-                table: &self.table.values[ib..ib + n_us],
-                lut: &self.lanes.lut[b],
-                res: &mut tail[..nbins],
-                count: self.lanes.count[b],
-                mean: self.lanes.mean[b],
-                m2: self.lanes.m2[b],
-            },
-        ];
-        #[cfg(target_arch = "x86_64")]
-        let accelerated = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
-        #[cfg(not(target_arch = "x86_64"))]
-        let accelerated = false;
-        if accelerated {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: avx2 and fma were detected at runtime just above.
-            unsafe {
-                pair_kernel_fma(&mut lanes, half_fs)
-            };
-        } else {
-            pair_kernel(&mut lanes, half_fs);
+        let st = &mut self.group;
+        st.reset();
+        group_kernel(&self.codes[group * record..][..record], st, half_fs);
+        for (col, _) in coded.iter().enumerate().filter(|(_, &c)| c) {
+            let lane = group * GROUP + col;
+            let st = &self.group;
+            let state = |bin: usize| (st.s1[bin][col], st.s2[bin][col]);
+            self.lanes.banks[lane].set_state(record, st.mean[col], st.m2[col], state);
+            self.lanes.consumed[lane] = record as u64;
+            self.finish_lane(lane, record as u64);
         }
-        let [la, lb] = lanes;
-        self.lanes.consumed[a] += n;
-        self.lanes.consumed[b] += n;
-        self.lanes.count[a] = la.count;
-        self.lanes.mean[a] = la.mean;
-        self.lanes.m2[a] = la.m2;
-        self.lanes.count[b] = lb.count;
-        self.lanes.mean[b] = lb.mean;
-        self.lanes.m2[b] = lb.m2;
     }
 
     /// Installs a device into `lane`, planning its record and resetting
@@ -1103,46 +1015,61 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
             // evaluates, so table lanes stay bit-exact. An unplanned
             // table is always privately owned (`with_shared_table`
             // only accepts planned ones), so it is built in place.
-            let table = Arc::get_mut(&mut self.table).expect("unplanned tables are never shared");
-            table.values.clear();
-            table
-                .values
-                .extend((0..sampling.samples).map(|i| sine.value(sampling.sample_time(i)).0));
-            table.plan = Some((sine, sampling));
+            Arc::get_mut(&mut self.table)
+                .expect("unplanned tables are never shared")
+                .plan(sine, sampling);
         }
         let use_table = jitter_free && self.table.plan == Some((sine, sampling));
-        let nbins = self.plan.bins.len();
+        // A noiseless, unsequenced table lane whose codes fit a byte is
+        // coded once here and then runs in its group's kernel pass.
+        let levels = dev
+            .adc
+            .transition_levels()
+            .filter(|levels| levels.len() <= usize::from(u8::MAX));
+        let coded = match levels {
+            Some(levels)
+                if use_table
+                    && self.noise.is_noiseless()
+                    && self.seq_config.is_none()
+                    && !self.table.order.is_empty() =>
+            {
+                let record = self.config.record_len();
+                let rows = self.lane_width.div_ceil(GROUP) * record;
+                if self.codes.len() < rows {
+                    self.codes.resize(rows, [0; GROUP]);
+                }
+                let block = &mut self.codes[lane / GROUP * record..][..record];
+                code_record(&self.table, levels, block, lane % GROUP);
+                true
+            }
+            _ => false,
+        };
         let l = &mut self.lanes;
-        if lane == l.count.len() {
-            l.resonators.extend_from_slice(&self.template);
-            l.count.push(0);
-            l.mean.push(0.0);
-            l.m2.push(0.0);
+        if lane == l.banks.len() {
+            let c = &self.config;
+            l.banks.push(GoertzelBank::new(
+                c.cycles() as usize,
+                c.record_len(),
+                c.harmonics(),
+            ));
             l.consumed.push(0);
             l.next_checkpoint.push(u64::MAX);
             l.use_table.push(use_table);
             l.sine.push(sine);
             l.sampling.push(sampling);
-            l.lut.push(LevelLut::default());
-            l.lut_ok.push(false);
+            l.coded.push(coded);
             if let Some(policy) = self.seq_config {
                 l.seq.push(DynSequencer::new(policy));
             }
             self.devices.push(None);
         } else {
-            l.resonators[lane * nbins..(lane + 1) * nbins].copy_from_slice(&self.template);
-            l.count[lane] = 0;
-            l.mean[lane] = 0.0;
-            l.m2[lane] = 0.0;
+            l.banks[lane].reset();
             l.consumed[lane] = 0;
             l.use_table[lane] = use_table;
             l.sine[lane] = sine;
             l.sampling[lane] = sampling;
+            l.coded[lane] = coded;
         }
-        self.lanes.lut_ok[lane] = dev
-            .adc
-            .transition_levels()
-            .is_some_and(|levels| self.lanes.lut[lane].build(levels));
         if self.seq_config.is_some() {
             let seq = &mut self.lanes.seq[lane];
             seq.begin(&self.config);
@@ -1160,16 +1087,12 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
         let record_len = self.config.record_len() as u64;
         let until = until.min(record_len);
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
-        let nbins = self.plan.bins.len();
         let sine = self.lanes.sine[lane];
         let sampling = self.lanes.sampling[lane];
         let use_table = self.lanes.use_table[lane];
         let mut consumed = self.lanes.consumed[lane];
-        let mut count = self.lanes.count[lane];
-        let mut mean = self.lanes.mean[lane];
-        let mut m2 = self.lanes.m2[lane];
         let mut nc = self.lanes.next_checkpoint[lane];
-        let res = &mut self.lanes.resonators[lane * nbins..(lane + 1) * nbins];
+        let bank = &mut self.lanes.banks[lane];
         let dev = self.devices[lane].as_mut().expect("lane active");
         let mut outcome = None;
         while consumed < until {
@@ -1184,16 +1107,7 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
             };
             let v = self.noise.perturb_voltage(v0, &mut dev.rng);
             let code = dev.adc.convert(Volts(v));
-            let x = f64::from(code.0) + 0.5 - half_fs;
-            for g in res.iter_mut() {
-                g.push(x);
-            }
-            // Welford, in the exact operation order of
-            // `GoertzelBank::push` so the moments stay bit-identical.
-            count += 1;
-            let delta = x - mean;
-            mean += delta / count as f64;
-            m2 += delta * (x - mean);
+            bank.push(f64::from(code.0) + 0.5 - half_fs);
             consumed += 1;
             if sequenced {
                 let seq = &mut self.lanes.seq[lane];
@@ -1202,18 +1116,9 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
                     nc = seq.next_checkpoint_after(consumed);
                     let decision = seq.checkpoint(consumed);
                     if decision.stops() {
-                        let powers = assemble_powers(
-                            self.config.record_len(),
-                            &self.plan.bins,
-                            &self.plan.slots,
-                            res,
-                            count,
-                            mean,
-                            m2,
-                        );
                         outcome = Some(SeqOutcome {
                             decision,
-                            verdict: self.config.judge_powers(&powers, consumed),
+                            verdict: self.config.judge_powers(&bank.powers(), consumed),
                         });
                         break;
                     }
@@ -1221,25 +1126,47 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
             }
         }
         if outcome.is_none() && consumed == record_len {
-            let powers = assemble_powers(
-                self.config.record_len(),
-                &self.plan.bins,
-                &self.plan.slots,
-                res,
-                count,
-                mean,
-                m2,
-            );
             outcome = Some(SeqOutcome {
                 decision: SeqDecision::Continue,
-                verdict: self.config.judge_powers(&powers, consumed),
+                verdict: self.config.judge_powers(&bank.powers(), consumed),
             });
         }
         self.lanes.consumed[lane] = consumed;
-        self.lanes.count[lane] = count;
-        self.lanes.mean[lane] = mean;
-        self.lanes.m2[lane] = m2;
         self.lanes.next_checkpoint[lane] = nc;
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The portable body and the dispatched entry (AVX2+FMA where the
+    /// host has it) leave bit-identical state on random rows.
+    #[test]
+    fn group_kernel_entries_agree_bit_for_bit() {
+        let coeff: Vec<f64> = [37, 74, 111]
+            .map(|b| Goertzel::for_bin(b, 1024).coeff())
+            .to_vec();
+        let bits = |st: &GroupState| -> Vec<u64> {
+            let s = st.s1.iter().chain(&st.s2).flatten();
+            s.chain(&st.mean)
+                .chain(&st.m2)
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(0x6b);
+        for len in [0, 1, 7, 1024] {
+            let rows: Vec<[u8; GROUP]> = (0..len)
+                .map(|_| std::array::from_fn(|_| rng.gen_range(0..=u8::MAX)))
+                .collect();
+            let mut portable = GroupState::new(coeff.clone());
+            let mut dispatched = GroupState::new(coeff.clone());
+            group_kernel_body(&rows, &mut portable, 32.0);
+            group_kernel(&rows, &mut dispatched, 32.0);
+            assert_eq!(bits(&portable), bits(&dispatched), "{len} rows");
+        }
     }
 }

@@ -279,12 +279,17 @@ where
 /// [`DeviceQueue`]; every worker owns one engine from `make_engine` and
 /// one `B::default()` backend.
 ///
-/// Workers are clamped to the chunk count. With a single worker the
-/// whole fleet goes into one engine, screened once by `backend` — the
-/// caller's own, warm backend, and no chunking.
+/// Workers are clamped to the chunk count. With a single worker one
+/// engine screens the fleet through `backend` — the caller's own, warm
+/// backend — `chunk` devices per pass, so it never holds more than one
+/// chunk of devices.
 ///
 /// Returns reports sorted by device index — bit-identical to a
 /// single-worker run for any worker count and chunk size.
+///
+/// # Panics
+///
+/// Panics when `chunk` is zero.
 pub fn run_pool<A, R, E, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     workers: usize,
@@ -298,15 +303,16 @@ where
     E: Engine<A, R>,
     B: Backend + Default,
 {
+    assert!(chunk >= 1, "a pool needs a positive chunk size");
     let workers = resolve_workers(workers);
     if workers <= 1 {
-        return screen_once(make_engine(), devices, backend);
+        return screen_in_chunks(make_engine(), devices, chunk, backend);
     }
     let queue = DeviceQueue::new(devices, chunk);
     let workers = workers.min(queue.chunk_count());
     if workers <= 1 {
         let fleet = iter::from_fn(|| queue.claim()).flatten();
-        return screen_once(make_engine(), fleet, backend);
+        return screen_in_chunks(make_engine(), fleet, chunk, backend);
     }
     let mut reports = fan_out(workers, || {
         let mut engine = make_engine();
@@ -317,21 +323,22 @@ where
     reports
 }
 
-/// The single-worker path of [`run_pool`]: queue the whole fleet, then
-/// screen it in one pass.
-fn screen_once<A, R, E, B>(
+/// The single-worker path of [`run_pool`]: queue at most `chunk`
+/// devices, screen them, repeat until the fleet is dry.
+fn screen_in_chunks<A, R, E, B>(
     mut engine: E,
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+    chunk: usize,
     backend: &mut B,
 ) -> Vec<E::Report>
 where
     E: Engine<A, R>,
     B: Backend,
 {
-    for dev in devices {
-        engine.push(dev);
+    let mut devices = devices.into_iter();
+    while devices.by_ref().take(chunk).map(|d| engine.push(d)).count() > 0 {
+        engine.screen(backend);
     }
-    engine.screen(backend);
     engine.take_reports()
 }
 
@@ -386,13 +393,16 @@ mod tests {
         assert_eq!(seen, (0..23).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn pooled_reports_are_sorted_and_worker_count_invariant() {
-        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+    fn config() -> BistConfig {
+        BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(6)
             .build()
-            .expect("paper-range counter");
-        let make_batch = || StaticBatch::new(config).with_lane_width(4);
+            .expect("paper-range counter")
+    }
+
+    #[test]
+    fn pooled_reports_are_sorted_and_worker_count_invariant() {
+        let make_batch = || StaticBatch::new(config()).with_lane_width(4);
         let reference = run_pool(fleet(17), 1, 5, make_batch, &mut BehavioralBackend);
         assert_eq!(reference.len(), 17);
         for (i, r) in reference.iter().enumerate() {
@@ -409,6 +419,53 @@ mod tests {
                 );
                 assert_eq!(pooled, reference, "workers={workers} chunk={chunk}");
             }
+        }
+    }
+
+    /// A static batch that records the deepest queue it ever held.
+    struct DepthProbe<'a> {
+        batch: StaticBatch<TransferFunction, StdRng>,
+        deepest: &'a AtomicUsize,
+    }
+
+    impl Engine<TransferFunction, StdRng> for DepthProbe<'_> {
+        type Report = StaticReport;
+
+        fn push(&mut self, device: BatchDevice<TransferFunction, StdRng>) {
+            self.batch.push(device);
+            // ORDERING: Relaxed suffices — a single-threaded high-water
+            // mark, read after `run_pool` returns.
+            self.deepest
+                .fetch_max(self.batch.queued(), Ordering::Relaxed);
+        }
+
+        fn screen<B: Backend>(&mut self, backend: &mut B) {
+            backend.process_batch(&mut self.batch);
+        }
+
+        fn take_reports(&mut self) -> Vec<StaticReport> {
+            self.batch.take_reports()
+        }
+
+        fn device(report: &StaticReport) -> usize {
+            report.device
+        }
+    }
+
+    #[test]
+    fn one_worker_screens_at_most_one_chunk_at_a_time() {
+        let make_batch = || StaticBatch::new(config()).with_lane_width(4);
+        let unchunked = run_pool(fleet(23), 1, usize::MAX, make_batch, &mut BehavioralBackend);
+        for chunk in [1, 5, 23] {
+            let deepest = AtomicUsize::new(0);
+            let make_probe = || DepthProbe {
+                batch: make_batch(),
+                deepest: &deepest,
+            };
+            let reports = run_pool(fleet(23), 1, chunk, make_probe, &mut BehavioralBackend);
+            assert_eq!(reports, unchunked, "chunk={chunk}");
+            // ORDERING: Relaxed — `run_pool` has returned; one thread.
+            assert_eq!(deepest.load(Ordering::Relaxed), chunk, "chunk={chunk}");
         }
     }
 

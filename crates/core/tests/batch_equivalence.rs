@@ -6,19 +6,22 @@
 //! RNG streams — including the sequencer's latch points
 //! (`SeqDecision`), not just the final verdicts.
 
+use bist_adc::faults::{FaultyAdc, OutputFault};
 use bist_adc::flash::{FlashAdc, FlashConfig};
+use bist_adc::signal::Stimulus;
 use bist_adc::spec::LinearitySpec;
-use bist_adc::types::Resolution;
+use bist_adc::transfer::{Adc, TransferFunction};
+use bist_adc::types::{Resolution, Volts};
 use bist_core::backend::BehavioralBackend;
 use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
 use bist_core::config::BistConfig;
-use bist_core::dynamic::DynamicConfig;
+use bist_core::dynamic::{plan_sine, DynamicConfig};
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::source::{SourceSpec, Zoo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A small mismatched-flash fleet; the devices (and their RNG streams)
 /// are a pure function of `seed`, so scalar and batched runs screen
@@ -46,16 +49,16 @@ fn static_config(counter_bits: u32) -> BistConfig {
 }
 
 /// A short coherent record keeps each proptest case cheap while still
-/// exercising the Goertzel bank, the LUT rank path and lane pairing.
+/// exercising the Goertzel bank, coded lanes and the group kernel.
 fn dyn_config() -> DynamicConfig {
     DynamicConfig::new(Resolution::SIX_BIT, 512, 127).expect("coherent short record")
 }
 
 /// Scalar reference verdicts, one `screen_one` per device.
-fn scalar_verdicts(
+fn scalar_verdicts<A: Adc + Sync>(
     workload: Workload,
     sequenced: bool,
-    devices: &[FlashAdc],
+    devices: &[A],
     seed: u64,
 ) -> Vec<ScreenVerdict> {
     let mut screener = Screener::new(workload);
@@ -70,11 +73,11 @@ fn scalar_verdicts(
 }
 
 /// Batched verdicts through the `Screener::run` front door.
-fn batched_verdicts(
+fn batched_verdicts<A: Adc + Sync>(
     workload: Workload,
     sequenced: bool,
     lanes: usize,
-    devices: &[FlashAdc],
+    devices: &[A],
     seed: u64,
 ) -> Vec<(usize, ScreenVerdict)> {
     let mut screener = Screener::new(workload).lane_width(lanes);
@@ -93,8 +96,83 @@ fn batched_verdicts(
         .collect()
 }
 
+/// A mixed fleet at `config`'s resolution for the coded-lane tests,
+/// drawn from `seed`: mismatched flash devices; transfers with a tied
+/// level (a missing code), a level on a stimulus sample (a tie with
+/// `v`), and a level beyond the sine's swing (a stuck end code); and,
+/// every `faulty_every`-th device, a fault-wrapped flash that states no
+/// levels, so one lane group holds coded and per-sample lanes at once.
+fn coded_fleet(
+    seed: u64,
+    config: &DynamicConfig,
+    n: usize,
+    faulty_every: usize,
+) -> Vec<Box<dyn Adc + Sync>> {
+    let resolution = config.resolution();
+    let full = f64::from(resolution.code_count());
+    let (low, high) = (Volts(0.0), Volts(full));
+    let flash = FlashConfig::new(resolution, low, high).with_width_sigma_lsb(0.3);
+    let (sine, sampling) = plan_sine(&TransferFunction::ideal(resolution, low, high), config);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| -> Box<dyn Adc + Sync> {
+            if i % faulty_every == faulty_every - 1 {
+                let fault = OutputFault::CodeOffset(rng.gen_range(1..4));
+                return Box::new(FaultyAdc::new(flash.sample(&mut rng), fault));
+            }
+            if i % 2 == 0 {
+                return Box::new(flash.sample(&mut rng));
+            }
+            let count = resolution.transition_count() as usize;
+            let mut levels: Vec<f64> = (1..=count)
+                .map(|k| k as f64 + rng.gen_range(-0.6..0.6))
+                .collect();
+            let at = rng.gen_range(0..sampling.samples);
+            levels[rng.gen_range(0..count)] = sine.value(sampling.sample_time(at)).0;
+            levels.sort_by(f64::total_cmp);
+            let k = rng.gen_range(1..count);
+            levels[k] = levels[k - 1];
+            if rng.gen_bool(0.5) {
+                levels[0] = -full;
+            } else {
+                levels[count - 1] = 2.0 * full;
+            }
+            Box::new(TransferFunction::from_transitions(
+                resolution, low, high, levels,
+            ))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Coded lanes: any lane width 1–20 (not only multiples of the
+    /// 8-lane group) over fleets mixing coded and per-sample lanes
+    /// screens bit-exact to the scalar engine. 5–8-bit devices are
+    /// coded; 9- and 10-bit ones state more levels than a byte of code
+    /// holds and take the per-sample path.
+    #[test]
+    fn coded_lanes_match_scalar(
+        seed in any::<u64>(),
+        bits in 5u32..11,
+        n in 1usize..40,
+        lanes in 1usize..21,
+        faulty_every in 2usize..7,
+    ) {
+        let resolution = Resolution::new(bits).expect("valid resolution");
+        let config = DynamicConfig::new(resolution, 512, 127).expect("coherent short record");
+        let fleet = coded_fleet(seed, &config, n, faulty_every);
+        let devices: Vec<&(dyn Adc + Sync)> = fleet.iter().map(|d| &**d).collect();
+        let workload = Workload::dynamic_sine(config);
+        let scalar = scalar_verdicts(workload, false, &devices, seed);
+        let batched = batched_verdicts(workload, false, lanes, &devices, seed);
+        prop_assert_eq!(batched.len(), n);
+        for (i, (device, verdict)) in batched.into_iter().enumerate() {
+            prop_assert_eq!(device, i);
+            prop_assert_eq!(verdict, scalar[i]);
+        }
+    }
 
     /// Static workload: any fleet size × lane width × counter size ×
     /// sequencing choice gives reports bit-exact to the scalar engine.
@@ -117,8 +195,8 @@ proptest! {
         }
     }
 
-    /// Dynamic workload: the shared-stimulus table, LUT rank and FMA
-    /// pair kernel never change a verdict or a latch point.
+    /// Dynamic workload: the shared-stimulus table, coded lanes and the
+    /// group kernel never change a verdict or a latch point.
     #[test]
     fn dynamic_batched_matches_scalar(
         seed in any::<u64>(),

@@ -157,13 +157,13 @@ fn hot_path_is_allocation_free_after_warmup() {
     assert!(stopped > 0, "no sequenced run stopped early");
 
     // The lane-parallel batch engines get the same guarantee: lanes,
-    // the shared stimulus table, the rank LUTs, report buffers and the
-    // refill queue all reach their high-water mark on the first pass,
-    // and a reused batch drained with `finish_reports` +
+    // the shared stimulus table, the coded record rows, report buffers
+    // and the refill queue all reach their high-water mark on the first
+    // pass, and a reused batch drained with `finish_reports` +
     // `clear_reports` (not `take_reports`, which surrenders the
     // buffer) allocates nothing afterwards. Four batches cover
-    // run-skip and fallback static lanes, and the paired-FMA and
-    // fallback dynamic lanes, plain and sequenced.
+    // run-skip and fallback static lanes, and the coded and
+    // per-sample dynamic lanes, plain and sequenced.
     const FLEET: usize = 8;
     let mut b_static = StaticBatch::new(plain).with_lane_width(4);
     let mut b_static_seq = StaticBatch::new(deglitched)

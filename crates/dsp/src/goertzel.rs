@@ -85,6 +85,12 @@ impl Goertzel {
         self.count
     }
 
+    /// The recurrence coefficient `2·cos ω` that [`push`](Self::push)
+    /// multiplies by.
+    pub fn coeff(&self) -> f64 {
+        self.coeff
+    }
+
     /// The complex DFT value at the configured frequency for the samples
     /// pushed so far.
     pub fn dft(&self) -> Complex64 {
@@ -374,71 +380,55 @@ impl GoertzelBank {
     /// fixed-point RTL datapath's `Σv / n` register readout so the two
     /// estimators keep the same convention whatever the sample count.
     pub fn powers(&self) -> TonePowers {
-        assemble_powers(
-            self.n,
-            &self.bins,
-            &self.harmonic_slots,
-            &self.resonators,
-            self.count,
-            self.mean,
-            self.m2,
-        )
+        let n = self.n;
+        let n2 = (n * n) as f64;
+        let bin_power =
+            |slot: usize| one_sided_factor(self.bins[slot], n) * self.resonators[slot].power() / n2;
+        let carrier = bin_power(0);
+        let mut by_order = 0.0;
+        for slot in self.harmonic_slots.iter().flatten() {
+            by_order += bin_power(*slot);
+        }
+        let mut distinct = 0.0;
+        for slot in 1..self.bins.len() {
+            distinct += bin_power(slot);
+        }
+        // Reconstruct Σx and Σx² from the Welford moments (exact
+        // identities), then normalise by the planned length.
+        let count = self.count as f64;
+        let n_f = n as f64;
+        let sum = self.mean * count;
+        let sum_sq = self.m2 + count * self.mean * self.mean;
+        let dc = (sum / n_f) * (sum / n_f);
+        let total = sum_sq / n_f;
+        TonePowers {
+            n,
+            carrier,
+            harmonics_by_order: by_order,
+            harmonics_distinct: distinct,
+            dc,
+            total,
+        }
     }
-}
 
-/// Assembles a [`TonePowers`] decomposition from raw bank state: the
-/// [`harmonic_plan`] pieces, a contiguous slice of resonators (one per
-/// plan bin, in plan order), and Welford total-power moments.
-///
-/// This is the single normalisation/summation kernel behind
-/// [`GoertzelBank::powers`]; lane-parallel engines that keep their
-/// resonators in a lane-major array (`bist_core`'s batched dynamic path)
-/// call it per lane slice so the batched and scalar decompositions are
-/// the same floating-point expression, not merely close.
-///
-/// # Panics
-///
-/// Panics if `resonators.len() != bins.len()`.
-pub fn assemble_powers(
-    n: usize,
-    bins: &[usize],
-    harmonic_slots: &[Option<usize>],
-    resonators: &[Goertzel],
-    count: usize,
-    mean: f64,
-    m2: f64,
-) -> TonePowers {
-    assert_eq!(
-        resonators.len(),
-        bins.len(),
-        "one resonator per planned bin"
-    );
-    let n2 = (n * n) as f64;
-    let bin_power = |slot: usize| one_sided_factor(bins[slot], n) * resonators[slot].power() / n2;
-    let carrier = bin_power(0);
-    let mut by_order = 0.0;
-    for slot in harmonic_slots.iter().flatten() {
-        by_order += bin_power(*slot);
-    }
-    let mut distinct = 0.0;
-    for slot in 1..bins.len() {
-        distinct += bin_power(slot);
-    }
-    // Reconstruct Σx and Σx² from the Welford moments (exact
-    // identities), then normalise by the planned length.
-    let count = count as f64;
-    let n_f = n as f64;
-    let sum = mean * count;
-    let sum_sq = m2 + count * mean * mean;
-    let dc = (sum / n_f) * (sum / n_f);
-    let total = sum_sq / n_f;
-    TonePowers {
-        n,
-        carrier,
-        harmonics_by_order: by_order,
-        harmonics_distinct: distinct,
-        dc,
-        total,
+    /// Loads the state [`push`](Self::push) reaches after `count`
+    /// samples, for lane-parallel engines that run its arithmetic on
+    /// their own arrays: `resonator(i)` is the `(s1, s2)` of the `i`-th
+    /// planned bin, and `mean`/`m2` are the Welford moments.
+    pub fn set_state(
+        &mut self,
+        count: usize,
+        mean: f64,
+        m2: f64,
+        resonator: impl Fn(usize) -> (f64, f64),
+    ) {
+        for (i, g) in self.resonators.iter_mut().enumerate() {
+            (g.s1, g.s2) = resonator(i);
+            g.count = count;
+        }
+        self.count = count;
+        self.mean = mean;
+        self.m2 = m2;
     }
 }
 
