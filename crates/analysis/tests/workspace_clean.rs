@@ -136,7 +136,7 @@ fn inserting_an_allocation_into_a_hot_path_fires() {
 
 #[test]
 fn removing_an_allow_marker_fires() {
-    let diags = analyze_mutated("crates/mc/src/parallel.rs", |s| {
+    let diags = analyze_mutated("crates/mc/src/experiment.rs", |s| {
         s.lines()
             .filter(|l| !l.contains("bist-lint: allow(determinism)"))
             .collect::<Vec<_>>()

@@ -306,13 +306,13 @@ fn bench_experiment(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc");
     group.sample_size(10);
     let config = paper_config(4);
-    // Pinned to one thread (`run_range`): `Experiment::run` now fans
-    // out over all cores, which would make this number machine-
-    // dependent and dominated by thread spawn for a 100-device batch.
+    // Pinned to one thread (`run(1)`): more workers would make this
+    // number machine-dependent and dominated by thread spawn for a
+    // 100-device batch.
     group.bench_function("experiment_100_devices", |b| {
         b.iter(|| {
             let batch = Batch::paper_simulation(9, 100);
-            black_box(Experiment::new(batch, config).run_range(0, 100))
+            black_box(Experiment::new(batch, Workload::static_ramp(config)).run(1))
         })
     });
     group.finish();

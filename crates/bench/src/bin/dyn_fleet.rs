@@ -21,14 +21,15 @@
 //! comparisons), `BIST_SEED`, `BIST_WORKERS`.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::noise::NoiseConfig;
 use bist_adc::types::{Resolution, Volts};
 use bist_bench::{report_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::report::Table;
+use bist_core::screener::Workload;
+use bist_mc::batch::Batch;
 use bist_mc::differential::run_dyn_differential;
-use bist_mc::experiment::DynExperiment;
+use bist_mc::experiment::Experiment;
 
 fn main() {
     let mut clean = true;
@@ -73,8 +74,9 @@ fn run(sc: &mut Scenario) -> bool {
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let flash =
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21);
-    let experiment = DynExperiment::new(seed, devices, flash, DynamicConfig::paper_default())
-        .with_noise(NoiseConfig::noiseless());
+    let batch = Batch::of(flash).seed(seed).size(devices);
+    let workload = Workload::dynamic_sine(DynamicConfig::paper_default());
+    let experiment = Experiment::new(batch, workload);
     let behavioral = experiment.run(workers);
     let rtl = experiment.run_with(workers, RtlBackend::new);
     let verdicts_agree = behavioral == rtl;

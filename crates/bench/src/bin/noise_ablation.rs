@@ -16,9 +16,9 @@ use bist_adc::types::Resolution;
 use bist_bench::Scenario;
 use bist_core::config::BistConfig;
 use bist_core::report::{fmt_prob, Table};
+use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
 use bist_mc::experiment::Experiment;
-use bist_mc::parallel::run_parallel;
 
 fn main() {
     Scenario::run("noise_ablation", run);
@@ -51,7 +51,9 @@ fn run(sc: &mut Scenario) {
                 .build()
                 .expect("valid configuration");
             let batch = Batch::paper_simulation(seed, n);
-            let result = run_parallel(&Experiment::new(batch, config).with_noise(noise), workers);
+            let result = Experiment::new(batch, Workload::static_ramp(config))
+                .with_noise(noise)
+                .run(workers);
             cells.push((result.type_i(), result.type_ii()));
         }
         t.row_owned(vec![

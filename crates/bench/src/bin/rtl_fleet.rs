@@ -18,17 +18,16 @@
 //! applied as a *too-steep* — negative — error: the paper's "slightly
 //! too steep" measurement ramp as a second sweep).
 
-use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_bench::{report_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
 use bist_core::report::Table;
+use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
 use bist_mc::differential::run_differential;
 use bist_mc::experiment::Experiment;
-use bist_mc::parallel::{run_parallel, run_parallel_with};
 
 fn main() {
     let mut clean = true;
@@ -88,10 +87,10 @@ fn run(sc: &mut Scenario) -> bool {
         .counter_bits(6)
         .build()
         .expect("paper operating point");
-    let experiment = Experiment::new(batch, config).with_noise(NoiseConfig::noiseless());
-    let behavioral = run_parallel(&experiment, workers);
-    let rtl = run_parallel_with(&experiment, workers, RtlBackend::new);
-    let verdicts_agree = behavioral.matrix == rtl.matrix && behavioral.samples == rtl.samples;
+    let experiment = Experiment::new(batch, Workload::static_ramp(config));
+    let behavioral = experiment.run(workers);
+    let rtl = experiment.run_with(workers, RtlBackend::new);
+    let verdicts_agree = behavioral == rtl;
     println!(
         "throughput (6-bit counter, {devices} devices): behavioral {:.0} dev/s ({:.2e} samp/s), \
          rtl {:.0} dev/s ({:.2e} samp/s), gate-accuracy cost {:.1}x",
@@ -102,7 +101,7 @@ fn run(sc: &mut Scenario) -> bool {
         behavioral.devices_per_second() / rtl.devices_per_second().max(1e-9),
     );
     if !verdicts_agree {
-        println!("throughput phase: confusion matrices DIVERGED");
+        println!("throughput phase: screening results DIVERGED");
     }
 
     sc.metric_count("devices", devices as u64);

@@ -39,8 +39,7 @@ use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::Batch;
 use bist_mc::differential::run_seq_differential;
-use bist_mc::experiment::{DynExperiment, DynExperimentResult, Experiment};
-use bist_mc::parallel::run_parallel;
+use bist_mc::experiment::{Experiment, ExperimentResult};
 use std::time::Instant;
 
 fn main() {
@@ -229,8 +228,7 @@ fn static_throughput(
         .counter_bits(6)
         .build()
         .expect("paper operating point");
-    let experiment = Experiment::new(batch, config);
-    let full = run_parallel(&experiment, workers);
+    let full = Experiment::new(batch, Workload::static_ramp(config)).run(workers);
 
     let start = Instant::now();
     let counts: Vec<u64> = pool::map_ranges(
@@ -258,9 +256,8 @@ fn static_throughput(
 
 /// Full-sweep vs sequenced dynamic screening, including a candidate
 /// cell rejected by config validation — its planned devices are merged
-/// as `skipped_invalid` and excluded from devices/s (the satellite fix
-/// in `bist_mc::experiment` keeps sweeps with and without invalid
-/// cells comparable).
+/// as `ExperimentResult::skipped_invalid` and excluded from devices/s,
+/// so sweeps with and without invalid cells stay comparable.
 fn dynamic_throughput(
     seed: u64,
     devices: usize,
@@ -269,7 +266,7 @@ fn dynamic_throughput(
 ) -> Throughput {
     let flash =
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.16);
-    let mut full = DynExperimentResult::default();
+    let mut full = ExperimentResult::default();
     let mut config_for_seq = None;
     // The sweep grid: the paper cell plus an 8-bit Nyquist-folding
     // candidate the fixed-point register audit rejects.
@@ -281,11 +278,12 @@ fn dynamic_throughput(
                 let high = Volts(0.1 * resolution.code_count() as f64);
                 let cell_flash =
                     FlashConfig::new(resolution, Volts(0.0), high).with_width_sigma_lsb(0.16);
-                let exp = DynExperiment::new(seed ^ 0xd5ef, devices, cell_flash, config);
+                let batch = Batch::of(cell_flash).seed(seed ^ 0xd5ef).size(devices);
+                let exp = Experiment::new(batch, Workload::dynamic_sine(config));
                 full.merge(&exp.run(workers));
                 config_for_seq.get_or_insert(config);
             }
-            Err(_) => full.merge(&DynExperimentResult::skipped_invalid(devices as u64)),
+            Err(_) => full.merge(&ExperimentResult::skipped_invalid(devices as u64)),
         }
     }
     let config = config_for_seq.expect("at least one valid cell");

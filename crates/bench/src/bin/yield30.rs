@@ -17,7 +17,6 @@ use bist_core::report::{fmt_prob, Table};
 use bist_core::yield_model::YieldModel;
 use bist_mc::batch::Batch;
 use bist_mc::estimate::Proportion;
-use bist_mc::parallel::classify_parallel;
 
 fn main() {
     Scenario::run("yield30", run);
@@ -35,14 +34,14 @@ fn run(sc: &mut Scenario) {
     let mut flash = Batch::paper_measurement(seed ^ 0xF1A5);
     flash.size = n;
 
-    let iid_stringent = classify_parallel(&iid, &stringent, workers);
-    let flash_stringent = classify_parallel(&flash, &stringent, workers);
+    let iid_stringent = iid.classify(&stringent, workers);
+    let flash_stringent = flash.classify(&stringent, workers);
     let iid_actual_faulty = Proportion::new(
-        iid.size as u64 - classify_parallel(&iid, &actual, workers).successes(),
+        iid.size as u64 - iid.classify(&actual, workers).successes(),
         iid.size as u64,
     );
     let flash_actual_faulty = Proportion::new(
-        flash.size as u64 - classify_parallel(&flash, &actual, workers).successes(),
+        flash.size as u64 - flash.classify(&actual, workers).successes(),
         flash.size as u64,
     );
 

@@ -333,6 +333,23 @@ mod tests {
     }
 
     #[test]
+    fn validate_flags_unjudgeable_monitored_bit() {
+        let builder = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+            .counter_bits(5);
+        assert!(builder.build().unwrap().validate_monitorable().is_ok());
+        let bad = builder.monitored_bit(5).build().unwrap();
+        let err = bad.validate_monitorable().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnmonitorableBit {
+                monitored_bit: 5,
+                bits: 6
+            }
+        );
+        assert!(err.to_string().contains("monitored bit"), "{err}");
+    }
+
+    #[test]
     fn explicit_delta_s_respected() {
         let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(4)

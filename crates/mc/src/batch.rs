@@ -17,10 +17,13 @@
 //! [`iid_width_transfer`]) live in [`bist_core::source`] and are
 //! re-exported here bit-identically.
 
+use crate::estimate::Proportion;
 use bist_adc::flash::FlashConfig;
+use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
+use bist_core::pool;
 use bist_core::source::{DeviceSource, IidWidthSource, SourceSpec};
 use bist_dsp::special::normal_quantile;
 use rand::rngs::StdRng;
@@ -110,6 +113,24 @@ impl Batch {
     /// Iterates over all devices in the batch.
     pub fn devices(&self) -> impl Iterator<Item = TransferFunction> + '_ {
         (0..self.size).map(move |i| self.device(i))
+    }
+
+    /// Classifies every device against `spec` across `workers` threads
+    /// (0 = available parallelism), returning the good-device
+    /// proportion — the ground-truth yield sweep used by the
+    /// yield-anchor experiments. Independent of the worker count.
+    pub fn classify(&self, spec: &LinearitySpec, workers: usize) -> Proportion {
+        let goods = pool::map_ranges(
+            self.size,
+            workers,
+            || (),
+            |_, from, to| {
+                (from..to)
+                    .filter(|&i| spec.classify(&self.device(i)).good)
+                    .count() as u64
+            },
+        );
+        Proportion::new(goods.iter().sum(), self.size as u64)
     }
 }
 
@@ -214,7 +235,6 @@ pub fn transfer_from_widths(resolution: Resolution, widths_lsb: &[f64]) -> Trans
 mod tests {
     use super::*;
     use bist_adc::metrics::dnl;
-    use bist_adc::spec::LinearitySpec;
     use bist_dsp::stats::Running;
     use rand::SeedableRng;
 

@@ -1,27 +1,29 @@
-//! Batch experiments: run the BIST (and optionally the reference or
-//! conventional test) over a device batch and account type I/II errors.
+//! Batch experiments: screen a device batch under one [`Workload`] —
+//! the §4/§5 static linearity ramp or the §2 dynamic sine record — and
+//! account the outcome.
 //!
-//! Each worker drives the streaming engine of `bist-core` with one
-//! reusable [`bist_core::harness::Scratch`], so screening a device is
-//! allocation-free after the first (stimulus→stream→accumulator, no
-//! capture materialised), and [`ExperimentResult`] carries throughput
-//! accounting (devices and ADC samples per second) alongside the
-//! confusion matrix.
+//! One [`Experiment`] runs either workload. Each device range is
+//! screened as one batch through the backend's batch seam
+//! ([`Backend::process_batch`] / [`Backend::process_dyn_batch`]), with
+//! one reusable engine per worker, so screening a device is
+//! allocation-free after warm-up. The one [`ExperimentResult`] carries
+//! the accept tally, a [`Rejections`] tally by failed check, throughput
+//! accounting (devices and ADC samples per second) and — for static
+//! workloads, where ground truth exists — the type I/II confusion
+//! matrix.
 
-use crate::batch::Batch;
+use crate::batch::{stream_rng, Batch};
 use crate::estimate::Proportion;
-use crate::parallel::run_parallel;
 use bist_adc::noise::NoiseConfig;
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
-use bist_core::dynamic::DynamicConfig;
-use bist_core::harness::{conventional_test, reference_measurement};
+use bist_core::dynamic::DynamicVerdict;
+use bist_core::harness::{conventional_test, reference_measurement, BistVerdict};
 use bist_core::pool;
 use bist_core::screener::{Screener, Workload};
-use bist_core::source::{DeviceSource, SourceSpec};
-use rand::rngs::StdRng;
+use bist_core::source::DeviceSource;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -40,74 +42,83 @@ pub enum GroundTruthMode {
     },
 }
 
-/// Descriptor of one screening experiment.
+/// Descriptor of one screening experiment: a seeded device batch (any
+/// [`bist_core::source::SourceSpec`] architecture) screened under one
+/// [`Workload`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Experiment {
     /// The device batch.
     pub batch: Batch,
-    /// The BIST configuration under evaluation.
-    pub config: BistConfig,
-    /// Ground-truth procedure.
+    /// The test under evaluation, with its noise model and (static)
+    /// ramp slope error — the paper's "slightly too steep" measurement
+    /// ramp.
+    pub workload: Workload,
+    /// Ground-truth procedure. Static workloads only: a dynamic
+    /// experiment has no ground truth and leaves the matrix empty.
     pub ground_truth: GroundTruthMode,
-    /// Acquisition noise (applies to the BIST capture).
-    pub noise: NoiseConfig,
-    /// Relative ramp slope error for the BIST capture (the paper's
-    /// "slightly too steep" measurement ramp).
-    pub slope_error: f64,
 }
 
+/// Salt decorrelating dynamic acquisition noise from device generation.
+const DYN_EXP_SALT: u64 = 0xd1e_57a7;
+
 impl Experiment {
-    /// A noiseless experiment with exact ground truth.
-    pub fn new(batch: Batch, config: BistConfig) -> Self {
+    /// An experiment with exact ground truth:
+    /// `Experiment::new(batch, Workload::static_ramp(cfg))` or
+    /// `Experiment::new(batch, Workload::dynamic_sine(cfg))`.
+    pub fn new(batch: Batch, workload: Workload) -> Self {
         Experiment {
             batch,
-            config,
+            workload,
             ground_truth: GroundTruthMode::Exact,
-            noise: NoiseConfig::noiseless(),
-            slope_error: 0.0,
         }
     }
 
     /// Sets the ground-truth mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dynamic workload — the sine test has no ground truth.
     pub fn with_ground_truth(mut self, mode: GroundTruthMode) -> Self {
+        assert!(
+            matches!(self.workload, Workload::Static { .. }),
+            "ground truth applies to the static ramp workload only"
+        );
         self.ground_truth = mode;
         self
     }
 
-    /// Sets the acquisition noise.
+    /// Sets the acquisition noise ([`Workload::with_noise`]).
     pub fn with_noise(mut self, noise: NoiseConfig) -> Self {
-        self.noise = noise;
+        self.workload = self.workload.with_noise(noise);
         self
     }
 
-    /// Sets the ramp slope error.
-    pub fn with_slope_error(mut self, err: f64) -> Self {
-        self.slope_error = err;
-        self
-    }
-
-    /// Runs the experiment over device indices `[from, to)` —
-    /// the unit of work for parallel execution. One [`bist_core::harness::Scratch`] is
-    /// reused across the whole range, so per-device screening allocates
-    /// nothing after the first device.
-    pub fn run_range(&self, from: usize, to: usize) -> ExperimentResult {
-        self.run_range_with(&mut BehavioralBackend, from, to)
-    }
-
-    /// Runs a device range through an explicit verdict backend (the
-    /// behavioural accumulators or the gate-accurate RTL datapath) —
-    /// the seam the differential experiment exercises. The RNG stream
-    /// per device depends only on `(seed, index)`, so two backends run
-    /// against the same experiment see bit-identical code streams.
+    /// Sets the ramp slope error ([`Workload::with_slope_error`]).
     ///
-    /// The range is screened as one batch through the backend's
-    /// [`Backend::process_batch`] seam: the behavioural backend runs
-    /// the lane-parallel engine of [`bist_core::batch`], the RTL
-    /// backend clocks each device scalar-wise — verdicts are
-    /// bit-identical either way. Ground truth is established *before*
-    /// each device is queued, so the per-device RNG stream (truth
-    /// draws, then acquisition draws) is unchanged from the scalar
-    /// engine.
+    /// # Panics
+    ///
+    /// Panics on a dynamic workload — the sine plan has no slope.
+    pub fn with_slope_error(mut self, err: f64) -> Self {
+        self.workload = self.workload.with_slope_error(err);
+        self
+    }
+
+    /// Runs device indices `[from, to)` (clamped to the batch) through
+    /// an explicit verdict backend — the unit of work for the fan-out.
+    ///
+    /// The range is screened as one batch through the backend's batch
+    /// seam: the behavioural backend runs the lane-parallel engines of
+    /// [`bist_core::batch`], the RTL backend clocks each device
+    /// scalar-wise — verdicts are bit-identical either way. Per-device
+    /// streams depend only on `(seed, index)`, so two backends see
+    /// bit-identical code streams and the result is independent of how
+    /// the batch is split:
+    ///
+    /// * static — device `batch.device(i)`, acquisition (after any
+    ///   reference-measurement truth draws)
+    ///   `batch.device_rng(i ^ 0x5eed_0000_0000_0000)`;
+    /// * dynamic — device from `stream_rng(seed, &[0, i])`, acquisition
+    ///   `stream_rng(seed, &[DYN_EXP_SALT, i])`.
     pub fn run_range_with<B: Backend>(
         &self,
         backend: &mut B,
@@ -116,113 +127,187 @@ impl Experiment {
     ) -> ExperimentResult {
         // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
         let start = Instant::now();
-        let mut matrix = ConfusionMatrix::new();
-        let mut samples = 0u64;
-        let spec = *self.config.spec();
         let to = to.min(self.batch.size);
-        let mut work = StaticBatch::new(self.config)
-            .with_noise(self.noise)
-            .with_slope_error(self.slope_error);
-        let mut truths = Vec::with_capacity(to.saturating_sub(from));
-        for i in from..to {
-            let tf = self.batch.device(i);
-            let mut rng = self.batch.device_rng(i ^ 0x5eed_0000_0000_0000);
-            let truth_good = match self.ground_truth {
-                GroundTruthMode::Exact => spec.classify(&tf).good,
-                GroundTruthMode::Reference { samples_per_code } => reference_measurement(
-                    &tf,
-                    &spec,
-                    samples_per_code,
-                    &NoiseConfig::noiseless(),
-                    &mut rng,
-                )
-                .map(|v| v.accepted)
-                .unwrap_or(false),
-            };
-            truths.push(truth_good);
-            work.push(BatchDevice::new(i, tf, rng));
+        let mut result = ExperimentResult::default();
+        match self.workload {
+            Workload::Static {
+                config,
+                noise,
+                slope_error,
+            } => {
+                let mut work = StaticBatch::new(config)
+                    .with_noise(noise)
+                    .with_slope_error(slope_error);
+                let mut truths = Vec::with_capacity(to.saturating_sub(from));
+                for i in from..to {
+                    let tf = self.batch.device(i);
+                    let mut rng = self.batch.device_rng(i ^ 0x5eed_0000_0000_0000);
+                    let truth_good = match self.ground_truth {
+                        GroundTruthMode::Exact => config.spec().classify(&tf).good,
+                        GroundTruthMode::Reference { samples_per_code } => reference_measurement(
+                            &tf,
+                            config.spec(),
+                            samples_per_code,
+                            &NoiseConfig::noiseless(),
+                            &mut rng,
+                        )
+                        .map(|v| v.accepted)
+                        .unwrap_or(false),
+                    };
+                    truths.push(truth_good);
+                    work.push(BatchDevice::new(i, tf, rng));
+                }
+                backend.process_batch(&mut work);
+                for report in work.finish_reports() {
+                    let verdict = report.outcome.verdict;
+                    let truth_good = truths[report.device - from];
+                    result.matrix.record(truth_good, verdict.accepted());
+                    result.rejections.record_static(&verdict);
+                    result.count(verdict.accepted(), verdict.samples);
+                }
+            }
+            Workload::Dynamic { config, noise } => {
+                let seed = self.batch.seed;
+                let mut work = DynBatch::new(config).with_noise(noise);
+                for i in from..to {
+                    let index = i as u64;
+                    let adc = self
+                        .batch
+                        .source
+                        .sample_transfer(&mut stream_rng(seed, &[0, index]));
+                    let rng = stream_rng(seed, &[DYN_EXP_SALT, index]);
+                    work.push(BatchDevice::new(i, adc, rng));
+                }
+                backend.process_dyn_batch(&mut work);
+                for report in work.finish_reports() {
+                    let verdict = report.outcome.verdict;
+                    result.rejections.record_dynamic(&verdict);
+                    result.count(verdict.accepted(), verdict.samples);
+                }
+            }
         }
-        backend.process_batch(&mut work);
-        for report in work.finish_reports() {
-            samples += report.outcome.verdict.samples;
-            matrix.record(
-                truths[report.device - from],
-                report.outcome.verdict.accepted(),
-            );
-        }
-        ExperimentResult {
-            matrix,
-            samples,
-            invalid: 0,
-            elapsed: start.elapsed(),
-        }
+        result.elapsed = start.elapsed();
+        result
     }
 
-    /// Runs the whole batch, fanned out over the available parallelism
-    /// (equivalent to `run_parallel(self, 0)`; results are bit-identical
-    /// to a sequential [`Experiment::run_range`] because devices derive
-    /// from `(seed, index)`).
-    pub fn run(&self) -> ExperimentResult {
-        run_parallel(self, 0)
+    /// Runs the whole batch across `workers` threads (0 = available
+    /// parallelism; 1 = a sequential sweep) with a per-worker backend
+    /// built by `make_backend` — `|| RtlBackend::new()` for the
+    /// gate-accurate datapath. Returns the merged result with
+    /// wall-clock `elapsed`; everything else is bit-identical to a
+    /// sequential [`Experiment::run_range_with`] for any worker count.
+    pub fn run_with<B, F>(&self, workers: usize, make_backend: F) -> ExperimentResult
+    where
+        B: Backend,
+        F: Fn() -> B + Sync,
+    {
+        // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
+        let start = Instant::now();
+        let partials = pool::map_ranges(
+            self.batch.size,
+            workers,
+            &make_backend,
+            |backend, from, to| self.run_range_with(backend, from, to),
+        );
+        let mut total = ExperimentResult::default();
+        for partial in &partials {
+            total.merge(partial);
+        }
+        // Per-range elapsed sums CPU time; report the observed wall-clock so
+        // devices/s and samples/s mean what a caller expects of a fan-out.
+        total.elapsed = start.elapsed();
+        total
     }
 
-    /// Validates that every backend can judge this experiment's
-    /// configuration — currently the gate-accurate datapath's
-    /// requirement that at least one bit remains above the monitored
-    /// bit (the Figure-2 checker needs an upper word). Sweep drivers
-    /// whose grid can produce unjudgeable cells call this up front and
-    /// record the cell via [`ExperimentResult::skipped_invalid`]
-    /// instead of running it, so throughput figures only count devices
-    /// that were actually screened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidCellError`] when the cell cannot be judged.
-    pub fn validate(&self) -> Result<(), InvalidCellError> {
-        self.config
-            .validate_monitorable()
-            .map_err(|e| InvalidCellError {
-                reason: e.to_string(),
-            })
+    /// Runs the whole batch through the behavioural backend (equivalent
+    /// to `run_with(workers, || BehavioralBackend)`).
+    pub fn run(&self, workers: usize) -> ExperimentResult {
+        self.run_with(workers, || BehavioralBackend)
     }
 }
 
-/// A sweep cell whose configuration failed validation — see
-/// [`Experiment::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidCellError {
-    /// Why the cell cannot be run.
-    pub reason: String,
+/// Rejected devices by failed check, over both workloads. Counts are
+/// non-exclusive: a device failing two checks increments both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rejections {
+    /// Devices whose sweep or record did not complete.
+    pub incomplete: u64,
+    /// Static devices with a DNL window failure.
+    pub dnl: u64,
+    /// Static devices with an INL window failure.
+    pub inl: u64,
+    /// Static devices with a functional (upper-bit) mismatch.
+    pub functional: u64,
+    /// Dynamic devices below the SINAD limit.
+    pub sinad: u64,
+    /// Dynamic devices above the THD limit.
+    pub thd: u64,
+    /// Dynamic devices below the ENOB limit.
+    pub enob: u64,
+    /// Dynamic devices above the noise-power limit.
+    pub noise: u64,
 }
 
-impl fmt::Display for InvalidCellError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid sweep cell: {}", self.reason)
+impl Rejections {
+    /// Tallies the failed checks of one static verdict.
+    pub fn record_static(&mut self, verdict: &BistVerdict) {
+        self.incomplete += u64::from(!verdict.complete());
+        self.dnl += u64::from(verdict.dnl_failures > 0);
+        self.inl += u64::from(verdict.inl_failures > 0);
+        self.functional += u64::from(verdict.functional_mismatches > 0);
+    }
+
+    /// Tallies the failed checks of one dynamic verdict.
+    pub fn record_dynamic(&mut self, verdict: &DynamicVerdict) {
+        let checks = &verdict.checks;
+        self.incomplete += u64::from(!checks.complete);
+        self.sinad += u64::from(!checks.sinad);
+        self.thd += u64::from(!checks.thd);
+        self.enob += u64::from(!checks.enob);
+        self.noise += u64::from(!checks.noise);
+    }
+
+    /// Adds another tally.
+    pub fn merge(&mut self, other: &Rejections) {
+        self.incomplete += other.incomplete;
+        self.dnl += other.dnl;
+        self.inl += other.inl;
+        self.functional += other.functional;
+        self.sinad += other.sinad;
+        self.thd += other.thd;
+        self.enob += other.enob;
+        self.noise += other.noise;
     }
 }
-
-impl std::error::Error for InvalidCellError {}
 
 /// Accumulated outcome of an experiment, with throughput accounting.
 ///
-/// Equality compares the accounting (`matrix` and `samples`) but not
-/// `elapsed`, so two runs of the same experiment compare equal
-/// regardless of timing — e.g. across different worker counts.
+/// Equality compares the accounting but not `elapsed`, so two runs of
+/// the same experiment compare equal regardless of timing — e.g.
+/// across different worker counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExperimentResult {
-    /// The confusion matrix over all devices run so far.
-    pub matrix: ConfusionMatrix,
+    /// Devices screened.
+    pub screened: u64,
+    /// Devices accepted (complete and every check passed).
+    pub accepted: u64,
     /// Total ADC samples consumed by the BIST captures.
     pub samples: u64,
     /// Devices belonging to sweep cells rejected by config validation:
     /// planned but never screened (see
-    /// [`ExperimentResult::skipped_invalid`]). Excluded from the
-    /// confusion matrix and from every throughput figure, so devices/s
-    /// stays comparable across sweeps with and without invalid cells.
+    /// [`ExperimentResult::skipped_invalid`]). Excluded from every
+    /// count, rate and throughput figure, so devices/s stays comparable
+    /// across sweeps with and without invalid cells.
     pub invalid: u64,
-    /// Time spent screening: wall-clock for a `run_parallel` fan-out,
-    /// summed per-range CPU time when partials are merged by hand.
+    /// Time spent screening: wall-clock for a [`Experiment::run_with`]
+    /// fan-out, summed per-range CPU time when partials are merged by
+    /// hand.
     pub elapsed: Duration,
+    /// The confusion matrix against ground truth — static workloads
+    /// only; empty for dynamic experiments.
+    pub matrix: ConfusionMatrix,
+    /// Rejected devices by failed check.
+    pub rejections: Rejections,
 }
 
 impl ExperimentResult {
@@ -237,14 +322,23 @@ impl ExperimentResult {
         }
     }
 
+    fn count(&mut self, accepted: bool, samples: u64) {
+        self.screened += 1;
+        self.accepted += u64::from(accepted);
+        self.samples += samples;
+    }
+
     /// Merges a partial result (e.g. from another worker). Elapsed
-    /// times add; [`crate::parallel::run_parallel`] overwrites the sum
-    /// with the observed wall-clock.
+    /// times add; [`Experiment::run_with`] overwrites the sum with the
+    /// observed wall-clock.
     pub fn merge(&mut self, other: &ExperimentResult) {
-        self.matrix.merge(&other.matrix);
+        self.screened += other.screened;
+        self.accepted += other.accepted;
         self.samples += other.samples;
         self.invalid += other.invalid;
         self.elapsed += other.elapsed;
+        self.matrix.merge(&other.matrix);
+        self.rejections.merge(&other.rejections);
     }
 
     /// Type I rate estimate `P(reject | good)` with trial counts.
@@ -262,24 +356,32 @@ impl ExperimentResult {
         Proportion::new(self.matrix.good(), self.matrix.total())
     }
 
+    /// Observed acceptance rate (0 when nothing was screened).
+    pub fn acceptance_rate(&self) -> f64 {
+        if self.screened == 0 {
+            0.0
+        } else {
+            self.accepted as f64 / self.screened as f64
+        }
+    }
+
     /// Screening throughput in devices per second of [`Self::elapsed`].
     /// Counts only devices actually screened — cells rejected by config
     /// validation ([`Self::invalid`]) contribute nothing.
     pub fn devices_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.matrix.total() as f64 / secs
-        } else {
-            0.0
-        }
+        self.per_second(self.screened)
     }
 
     /// Acquisition throughput in ADC samples per second of
     /// [`Self::elapsed`].
     pub fn samples_per_second(&self) -> f64 {
+        self.per_second(self.samples)
+    }
+
+    fn per_second(&self, count: u64) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            self.samples as f64 / secs
+            count as f64 / secs
         } else {
             0.0
         }
@@ -288,9 +390,12 @@ impl ExperimentResult {
 
 impl PartialEq for ExperimentResult {
     fn eq(&self, other: &Self) -> bool {
-        self.matrix == other.matrix
+        self.screened == other.screened
+            && self.accepted == other.accepted
             && self.samples == other.samples
             && self.invalid == other.invalid
+            && self.matrix == other.matrix
+            && self.rejections == other.rejections
     }
 }
 
@@ -298,7 +403,15 @@ impl Eq for ExperimentResult {}
 
 impl fmt::Display for ExperimentResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.matrix)
+        write!(
+            f,
+            "{}/{} accepted, {:?}",
+            self.accepted, self.screened, self.rejections
+        )?;
+        if self.matrix.total() > 0 {
+            write!(f, "; {}", self.matrix)?;
+        }
+        Ok(())
     }
 }
 
@@ -404,263 +517,14 @@ fn equivalence_range(
     }
 }
 
-/// Descriptor of one **dynamic** screening experiment: a seeded device
-/// population (any [`SourceSpec`] architecture — flash, iid widths,
-/// SAR, pipeline) driven through the streaming
-/// SINAD/THD/ENOB/noise-power verdict path of `bist_core::dynamic`.
-///
-/// The worker fan-out mirrors [`Experiment`]: devices derive from
-/// `(seed, index)`, every worker reuses one [`bist_core::dynamic::DynScratch`] (and one
-/// cached RTL datapath when judging with
-/// [`bist_core::backend::RtlBackend`]), so the per-device hot path is
-/// allocation-free after warm-up on either backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynExperiment {
-    /// Master seed; device `i` derives its RNG from `(seed, i)`.
-    pub seed: u64,
-    /// Number of devices.
-    pub devices: usize,
-    /// The device model (any seam architecture).
-    pub source: SourceSpec,
-    /// The dynamic test plan and limits.
-    pub config: DynamicConfig,
-    /// Acquisition noise for the sine capture.
-    pub noise: NoiseConfig,
-}
-
-/// Salt decorrelating dynamic acquisition noise from device generation.
-const DYN_EXP_SALT: u64 = 0xd1e_57a7;
-
-impl DynExperiment {
-    /// A noiseless dynamic experiment over any seam source
-    /// (`FlashConfig`, `SarConfig`, `PipelineConfig`, … convert
-    /// directly).
-    pub fn new(
-        seed: u64,
-        devices: usize,
-        source: impl Into<SourceSpec>,
-        config: DynamicConfig,
-    ) -> Self {
-        DynExperiment {
-            seed,
-            devices,
-            source: source.into(),
-            config,
-            noise: NoiseConfig::noiseless(),
-        }
-    }
-
-    /// Sets the acquisition noise.
-    pub fn with_noise(mut self, noise: NoiseConfig) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// The RNG for stream `salt` of device `index` (the shared
-    /// [`crate::batch::stream_rng`] mixing).
-    fn rng(&self, index: usize, salt: u64) -> StdRng {
-        crate::batch::stream_rng(self.seed, &[salt, index as u64])
-    }
-
-    /// Runs the experiment over device indices `[from, to)` with an
-    /// explicit verdict backend — the unit of work for the fan-out.
-    ///
-    /// The range is screened as one batch through the backend's
-    /// [`Backend::process_dyn_batch`] seam (lane-parallel Goertzel
-    /// banks on the behavioural backend, the scalar gate-accurate loop
-    /// on the RTL backend — identical decisions either way).
-    pub fn run_range_with<B: Backend>(
-        &self,
-        backend: &mut B,
-        from: usize,
-        to: usize,
-    ) -> DynExperimentResult {
-        // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
-        let start = Instant::now();
-        let mut result = DynExperimentResult::default();
-        let mut work = DynBatch::new(self.config).with_noise(self.noise);
-        for i in from..to.min(self.devices) {
-            // Bit-identical to the historical flash path: the config's
-            // `sample` consumes the same draws and `transfer()` takes
-            // none, so the code stream is unchanged for flash sources.
-            let adc = self.source.sample_transfer(&mut self.rng(i, 0));
-            work.push(BatchDevice::new(i, adc, self.rng(i, DYN_EXP_SALT)));
-        }
-        backend.process_dyn_batch(&mut work);
-        for report in work.finish_reports() {
-            let verdict = report.outcome.verdict;
-            result.screened += 1;
-            result.samples += verdict.samples;
-            result.accepted += u64::from(verdict.accepted());
-            result.incomplete += u64::from(!verdict.checks.complete);
-            result.failed_sinad += u64::from(!verdict.checks.sinad);
-            result.failed_thd += u64::from(!verdict.checks.thd);
-            result.failed_enob += u64::from(!verdict.checks.enob);
-            result.failed_noise += u64::from(!verdict.checks.noise);
-        }
-        result.elapsed = start.elapsed();
-        result
-    }
-
-    /// Runs the whole population across `workers` threads (0 =
-    /// available parallelism) with a per-worker backend built by
-    /// `make_backend`, returning the merged result with wall-clock
-    /// `elapsed`. Results are independent of the worker count.
-    pub fn run_with<B, F>(&self, workers: usize, make_backend: F) -> DynExperimentResult
-    where
-        B: Backend,
-        F: Fn() -> B + Sync,
-    {
-        // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
-        let start = Instant::now();
-        let partials =
-            pool::map_ranges(self.devices, workers, &make_backend, |backend, from, to| {
-                self.run_range_with(backend, from, to)
-            });
-        let mut total = DynExperimentResult::default();
-        for p in &partials {
-            total.merge(p);
-        }
-        total.elapsed = start.elapsed();
-        total
-    }
-
-    /// Runs the whole population through the behavioural backend —
-    /// the default fleet path (equivalent to
-    /// `run_with(workers, || BehavioralBackend)`).
-    pub fn run(&self, workers: usize) -> DynExperimentResult {
-        self.run_with(workers, || BehavioralBackend)
-    }
-}
-
-/// Accumulated outcome of a dynamic experiment, with throughput
-/// accounting. Equality compares the counters but not `elapsed` (same
-/// convention as [`ExperimentResult`]). Failure counters are
-/// non-exclusive: a device missing two limits increments both.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DynExperimentResult {
-    /// Devices screened.
-    pub screened: u64,
-    /// Devices accepted (complete and every metric within limits).
-    pub accepted: u64,
-    /// Devices with an incomplete record.
-    pub incomplete: u64,
-    /// Devices below the SINAD limit.
-    pub failed_sinad: u64,
-    /// Devices above the THD limit.
-    pub failed_thd: u64,
-    /// Devices below the ENOB limit.
-    pub failed_enob: u64,
-    /// Devices above the noise-power limit.
-    pub failed_noise: u64,
-    /// Total ADC samples consumed.
-    pub samples: u64,
-    /// Devices belonging to sweep cells rejected by config validation:
-    /// planned but never screened (see
-    /// [`DynExperimentResult::skipped_invalid`]). Excluded from
-    /// `screened` and from every rate and throughput figure.
-    pub invalid: u64,
-    /// Time spent screening (wall-clock for `run`/`run_with`, summed
-    /// per-range CPU time when partials are merged by hand).
-    pub elapsed: Duration,
-}
-
-impl DynExperimentResult {
-    /// The result of a sweep cell rejected by config validation (e.g. a
-    /// fixed-point-unrealisable [`DynamicConfig`] plan): its `devices`
-    /// are recorded as planned-but-invalid and nothing else, so merging
-    /// it into a sweep total cannot move the acceptance rate or
-    /// devices/s.
-    pub fn skipped_invalid(devices: u64) -> Self {
-        DynExperimentResult {
-            invalid: devices,
-            ..DynExperimentResult::default()
-        }
-    }
-
-    /// Merges a partial result from another worker.
-    pub fn merge(&mut self, other: &DynExperimentResult) {
-        self.screened += other.screened;
-        self.accepted += other.accepted;
-        self.incomplete += other.incomplete;
-        self.failed_sinad += other.failed_sinad;
-        self.failed_thd += other.failed_thd;
-        self.failed_enob += other.failed_enob;
-        self.failed_noise += other.failed_noise;
-        self.samples += other.samples;
-        self.invalid += other.invalid;
-        self.elapsed += other.elapsed;
-    }
-
-    /// Observed acceptance rate.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.screened == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.screened as f64
-        }
-    }
-
-    /// Screening throughput in devices per second of `elapsed`. Counts
-    /// only devices actually screened — cells rejected by config
-    /// validation ([`Self::invalid`]) contribute nothing.
-    pub fn devices_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.screened as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Acquisition throughput in ADC samples per second of `elapsed`.
-    pub fn samples_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.samples as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-impl PartialEq for DynExperimentResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.screened == other.screened
-            && self.accepted == other.accepted
-            && self.incomplete == other.incomplete
-            && self.failed_sinad == other.failed_sinad
-            && self.failed_thd == other.failed_thd
-            && self.failed_enob == other.failed_enob
-            && self.failed_noise == other.failed_noise
-            && self.samples == other.samples
-            && self.invalid == other.invalid
-    }
-}
-
-impl Eq for DynExperimentResult {}
-
-impl fmt::Display for DynExperimentResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} accepted (sinad {} thd {} enob {} noise {} incomplete {} rejections)",
-            self.accepted,
-            self.screened,
-            self.failed_sinad,
-            self.failed_thd,
-            self.failed_enob,
-            self.failed_noise,
-            self.incomplete
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bist_adc::flash::FlashConfig;
     use bist_adc::spec::LinearitySpec;
-    use bist_adc::types::Resolution;
+    use bist_adc::types::{Resolution, Volts};
+    use bist_core::backend::RtlBackend;
+    use bist_core::dynamic::{DynChecks, DynamicConfig};
 
     fn config(bits: u32) -> BistConfig {
         BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
@@ -669,11 +533,26 @@ mod tests {
             .unwrap()
     }
 
+    fn static_experiment(seed: u64, size: usize, bits: u32) -> Experiment {
+        let batch = Batch::paper_simulation(seed, size);
+        Experiment::new(batch, Workload::static_ramp(config(bits)))
+    }
+
+    fn dyn_experiment(devices: usize, sigma: f64) -> Experiment {
+        let flash = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+            .with_width_sigma_lsb(sigma);
+        let batch = Batch::of(flash).seed(3).size(devices);
+        Experiment::new(
+            batch,
+            Workload::dynamic_sine(DynamicConfig::paper_default()),
+        )
+    }
+
     #[test]
     fn experiment_runs_batch() {
-        let batch = Batch::paper_simulation(3, 200);
-        let result = Experiment::new(batch, config(7)).run();
+        let result = static_experiment(3, 200, 7).run(0);
         assert_eq!(result.matrix.total(), 200);
+        assert_eq!(result.screened, 200);
         // Yield near 30 %.
         let y = result.observed_yield().point().unwrap();
         assert!((0.2..0.45).contains(&y), "yield {y}");
@@ -681,29 +560,77 @@ mod tests {
         assert!(result.type_i().point().unwrap() < 0.15);
     }
 
-    #[test]
-    fn run_range_partitions_consistently() {
-        let batch = Batch::paper_simulation(5, 100);
-        let exp = Experiment::new(batch, config(5));
-        let whole = exp.run();
-        let mut parts = exp.run_range(0, 40);
-        parts.merge(&exp.run_range(40, 100));
-        assert_eq!(whole.matrix, parts.matrix);
+    /// The invariance rows of one experiment through a `B` backend: two
+    /// split-and-merged ranges — the second overshooting the batch end,
+    /// so range clamping is checked too — and the fan-out at each
+    /// worker count must all equal `reference`, the sequential
+    /// behavioural `run_range_with(0, n)`.
+    fn check_rows<B: Backend + Default>(
+        label: &str,
+        exp: &Experiment,
+        workers: &[usize],
+        reference: &ExperimentResult,
+    ) {
+        let n = exp.batch.size;
+        let name = B::default().name();
+        let mut backend = B::default();
+        let mut split = exp.run_range_with(&mut backend, 0, n / 3);
+        split.merge(&exp.run_range_with(&mut backend, n / 3, n + 1000));
+        assert_eq!(&split, reference, "{label} / {name}: split ranges");
+        for &w in workers {
+            let fanned = exp.run_with(w, B::default);
+            assert_eq!(&fanned, reference, "{label} / {name} / {w} workers");
+        }
     }
 
     #[test]
-    fn range_clamps_to_batch() {
-        let batch = Batch::paper_simulation(5, 10);
-        let exp = Experiment::new(batch, config(5));
-        let r = exp.run_range(0, 1000);
-        assert_eq!(r.matrix.total(), 10);
+    fn results_independent_of_backend_workers_and_ranges() {
+        let reference_truth = GroundTruthMode::Reference {
+            samples_per_code: 1000,
+        };
+        let all: &[usize] = &[1, 3, 0];
+        let rows = [
+            ("static", static_experiment(29, 60, 5), all),
+            (
+                "static, slope -0.022",
+                static_experiment(29, 60, 5).with_slope_error(-0.022),
+                all,
+            ),
+            // Reference truth draws precede acquisition on each device's
+            // stream; 17 devices still span two pool chunks.
+            (
+                "static, reference truth",
+                static_experiment(29, 17, 5).with_ground_truth(reference_truth),
+                all,
+            ),
+            ("dynamic, sigma 0.21", dyn_experiment(25, 0.21), all),
+            // More workers than devices falls back to one range.
+            ("static, 3 devices", static_experiment(29, 3, 5), &[16]),
+        ];
+        for (label, exp, workers) in &rows {
+            let n = exp.batch.size;
+            let reference = exp.run_range_with(&mut BehavioralBackend, 0, n);
+            assert_eq!(reference.screened, n as u64, "{label}");
+            check_rows::<BehavioralBackend>(label, exp, workers, &reference);
+            check_rows::<RtlBackend>(label, exp, workers, &reference);
+            // The ground-truth yield sweep counts exactly the good
+            // devices of the exact-truth matrix, for any worker count.
+            if let Workload::Static { config, .. } = exp.workload {
+                if exp.ground_truth == GroundTruthMode::Exact {
+                    for &w in *workers {
+                        let good = exp.batch.classify(config.spec(), w);
+                        assert_eq!(good.successes(), reference.matrix.good(), "{label}");
+                        assert_eq!(good.trials(), n as u64, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn smaller_counter_more_type_i() {
-        let batch = Batch::paper_simulation(11, 600);
-        let small = Experiment::new(batch, config(4)).run();
-        let large = Experiment::new(batch, config(7)).run();
+        let small = static_experiment(11, 600, 4).run(0);
+        let large = static_experiment(11, 600, 7).run(0);
         let p_small = small.type_i().point().unwrap();
         let p_large = large.type_i().point().unwrap();
         assert!(
@@ -714,11 +641,10 @@ mod tests {
 
     #[test]
     fn slope_error_changes_decisions() {
-        let batch = Batch::paper_simulation(13, 400);
-        let nominal = Experiment::new(batch, config(4)).run();
-        let skewed = Experiment::new(batch, config(4))
+        let nominal = static_experiment(13, 400, 4).run(0);
+        let skewed = static_experiment(13, 400, 4)
             .with_slope_error(-0.022)
-            .run();
+            .run(0);
         // The paper saw type I roughly double with the slope error.
         let p0 = nominal.type_i().point().unwrap();
         let p1 = skewed.type_i().point().unwrap();
@@ -727,17 +653,22 @@ mod tests {
 
     #[test]
     fn reference_ground_truth_close_to_exact() {
-        let batch = Batch::paper_simulation(17, 60);
-        let exact = Experiment::new(batch, config(6)).run();
-        let referenced = Experiment::new(batch, config(6))
+        let exact = static_experiment(17, 60, 6).run(0);
+        let referenced = static_experiment(17, 60, 6)
             .with_ground_truth(GroundTruthMode::Reference {
                 samples_per_code: 1000,
             })
-            .run();
+            .run(0);
         // The reference measurement misclassifies at most a couple of
         // marginal devices out of 60.
         let diff = (exact.matrix.good() as i64 - referenced.matrix.good() as i64).abs();
         assert!(diff <= 3, "good-count diff {diff}");
+    }
+
+    #[test]
+    #[should_panic(expected = "static ramp workload only")]
+    fn dynamic_experiment_has_no_ground_truth() {
+        let _ = dyn_experiment(5, 0.0).with_ground_truth(GroundTruthMode::Exact);
     }
 
     #[test]
@@ -766,33 +697,24 @@ mod tests {
 
     #[test]
     fn result_accounts_samples_and_throughput() {
-        let batch = Batch::paper_simulation(3, 20);
-        let r = Experiment::new(batch, config(6)).run();
+        let r = static_experiment(3, 20, 6).run(0);
         // Every device's sweep is ~Δs⁻¹ samples per code on 64 codes.
         assert!(r.samples > 20 * 64, "samples {}", r.samples);
         assert!(r.elapsed > Duration::ZERO);
         assert!(r.devices_per_second() > 0.0);
         assert!(r.samples_per_second() > r.devices_per_second());
-        // Merging partials adds both counters.
+        // Merging partials adds every counter.
         let mut merged = r;
         merged.merge(&r);
         assert_eq!(merged.samples, 2 * r.samples);
+        assert_eq!(merged.screened, 2 * r.screened);
         assert_eq!(merged.matrix.total(), 2 * r.matrix.total());
     }
 
     #[test]
     fn display_result() {
-        let batch = Batch::paper_simulation(3, 10);
-        let r = Experiment::new(batch, config(6)).run();
-        assert!(r.to_string().contains("n=10"));
-    }
-
-    fn dyn_experiment(devices: usize, sigma: f64) -> DynExperiment {
-        use bist_adc::flash::FlashConfig;
-        use bist_adc::types::Volts;
-        let flash = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
-            .with_width_sigma_lsb(sigma);
-        DynExperiment::new(3, devices, flash, DynamicConfig::paper_default())
+        let r = static_experiment(3, 10, 6).run(0);
+        assert!(r.to_string().contains("n=10"), "{r}");
     }
 
     #[test]
@@ -801,37 +723,11 @@ mod tests {
         assert_eq!(ideal.screened, 30);
         assert_eq!(ideal.accepted, 30, "{ideal}");
         assert_eq!(ideal.samples, 30 * 4096);
+        assert_eq!(ideal.matrix.total(), 0, "no dynamic ground truth");
         assert!(ideal.devices_per_second() > 0.0);
         let worst = dyn_experiment(30, 0.3).run(0);
         assert!(worst.accepted < 30, "{worst}");
         assert!(worst.acceptance_rate() < ideal.acceptance_rate());
-    }
-
-    #[test]
-    fn dyn_experiment_independent_of_workers() {
-        let exp = dyn_experiment(40, 0.21);
-        let seq = exp.run(1);
-        let par = exp.run(4);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn dyn_rtl_fleet_decisions_match_behavioral() {
-        use bist_core::backend::RtlBackend;
-        let exp = dyn_experiment(25, 0.21);
-        let behavioral = exp.run(2);
-        let rtl = exp.run_with(2, RtlBackend::new);
-        assert_eq!(behavioral, rtl);
-    }
-
-    #[test]
-    fn dyn_experiment_range_clamps_and_merges() {
-        let exp = dyn_experiment(10, 0.16);
-        let whole = exp.run_range_with(&mut BehavioralBackend, 0, 1000);
-        assert_eq!(whole.screened, 10);
-        let mut parts = exp.run_range_with(&mut BehavioralBackend, 0, 4);
-        parts.merge(&exp.run_range_with(&mut BehavioralBackend, 4, 10));
-        assert_eq!(whole, parts);
     }
 
     #[test]
@@ -841,45 +737,91 @@ mod tests {
     }
 
     #[test]
-    fn invalid_cells_do_not_move_throughput_or_rates() {
-        // The satellite fix: a sweep cell rejected by config validation
-        // records its planned devices as `invalid` and nothing else, so
-        // devices/s and the rates stay comparable across sweeps.
-        let batch = Batch::paper_simulation(3, 20);
-        let mut total = Experiment::new(batch, config(6)).run();
-        let screened = total.matrix.total();
-        let dps_before = (total.matrix.total(), total.samples);
-        total.merge(&ExperimentResult::skipped_invalid(500));
-        assert_eq!(total.invalid, 500);
-        assert_eq!(
-            total.matrix.total(),
-            screened,
-            "invalid devices not screened"
-        );
-        assert_eq!((total.matrix.total(), total.samples), dps_before);
+    fn rejections_tally_each_failed_check() {
+        let mut tally = Rejections::default();
+        // Static verdicts as (codes judged, DNL, INL, functional
+        // mismatches) against 62 expected codes: a pass, one failure per
+        // check, then DNL and INL together.
+        for (codes_judged, dnl_failures, inl_failures, functional_mismatches) in [
+            (62, 0, 0, 0),
+            (61, 0, 0, 0),
+            (62, 2, 0, 0),
+            (62, 0, 1, 0),
+            (62, 0, 0, 1),
+            (62, 1, 3, 0),
+        ] {
+            tally.record_static(&BistVerdict {
+                codes_judged,
+                dnl_failures,
+                inl_failures,
+                functional_checks: 3,
+                functional_mismatches,
+                expected_codes: 62,
+                samples: 700,
+            });
+        }
+        // Dynamic check masks (bits 0–4: complete, SINAD, THD, ENOB,
+        // noise): a pass, one failure per check, then SINAD and ENOB
+        // together.
+        for mask in [
+            0b11111, 0b11110, 0b11101, 0b11011, 0b10111, 0b01111, 0b10101,
+        ] {
+            let checks = DynChecks {
+                complete: mask & 1 != 0,
+                sinad: mask & 2 != 0,
+                thd: mask & 4 != 0,
+                enob: mask & 8 != 0,
+                noise: mask & 16 != 0,
+            };
+            tally.record_dynamic(&DynamicVerdict {
+                sinad_db: 37.0,
+                thd_db: -60.0,
+                enob: 5.9,
+                noise_power_lsb2: 0.08,
+                samples: 4096,
+                expected_samples: 4096,
+                checks,
+            });
+        }
+        let counts = |r: &Rejections| {
+            let dynamic = (r.sinad, r.thd, r.enob, r.noise);
+            (r.incomplete, r.dnl, r.inl, r.functional, dynamic)
+        };
+        assert_eq!(counts(&tally), (2, 2, 2, 1, (2, 1, 2, 1)));
+        let mut twice = tally;
+        twice.merge(&tally);
+        assert_eq!(counts(&twice), (4, 4, 4, 2, (4, 2, 4, 2)));
 
-        let mut dyn_total = dyn_experiment(10, 0.0).run(1);
-        let rate = dyn_total.acceptance_rate();
-        dyn_total.merge(&DynExperimentResult::skipped_invalid(99));
-        assert_eq!(dyn_total.invalid, 99);
-        assert_eq!(dyn_total.screened, 10);
-        assert_eq!(dyn_total.acceptance_rate(), rate);
-        // Equality accounts for the invalid tally.
-        assert_ne!(dyn_total, dyn_experiment(10, 0.0).run(1));
+        // Pinned to the failure counts the separate dynamic result type
+        // reported for this population before the two result types
+        // were merged.
+        let worst = dyn_experiment(30, 0.3).run(0);
+        assert_eq!((worst.screened, worst.accepted), (30, 14));
+        assert_eq!(counts(&worst.rejections), (0, 0, 0, 0, (16, 1, 16, 0)));
     }
 
     #[test]
-    fn validate_flags_unjudgeable_monitored_bit() {
-        use bist_adc::spec::LinearitySpec;
-        let ok = Experiment::new(Batch::paper_simulation(1, 4), config(5));
-        assert!(ok.validate().is_ok());
-        let bad_cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
-            .counter_bits(5)
-            .monitored_bit(5)
-            .build()
-            .unwrap();
-        let bad = Experiment::new(Batch::paper_simulation(1, 4), bad_cfg);
-        let err = bad.validate().unwrap_err();
-        assert!(err.to_string().contains("monitored bit"), "{err}");
+    fn invalid_cells_do_not_move_throughput_or_rates() {
+        // A sweep cell rejected by config validation records its
+        // planned devices as `invalid` and nothing else, so devices/s
+        // and the rates stay comparable across sweeps.
+        for exp in [static_experiment(3, 20, 6), dyn_experiment(10, 0.0)] {
+            let before = exp.run(1);
+            let mut total = before;
+            total.merge(&ExperimentResult::skipped_invalid(500));
+            assert_eq!(total.invalid, 500);
+            assert_eq!(
+                total.screened, before.screened,
+                "invalid devices not screened"
+            );
+            assert_eq!(total.samples, before.samples);
+            assert_eq!(total.matrix, before.matrix);
+            assert_eq!(total.rejections, before.rejections);
+            assert_eq!(total.acceptance_rate(), before.acceptance_rate());
+            assert_eq!(total.type_i().point(), before.type_i().point());
+            assert_eq!(total.devices_per_second(), before.devices_per_second());
+            // Equality accounts for the invalid tally.
+            assert_ne!(total, before);
+        }
     }
 }

@@ -6,15 +6,21 @@
 //!
 //! * [`batch`] — seeded device batches: iid-width devices (the paper's
 //!   simulation model) and physical flash devices (the stand-in for its
-//!   364 measured parts), plus rare-event conditional sampling.
-//! * [`experiment`] — run the BIST/reference/conventional tests over a
-//!   batch and account type I/II errors plus throughput (devices/s,
-//!   samples/s). Each device is screened by the streaming engine
-//!   (stimulus → code stream → accumulators) with a per-worker
-//!   `Scratch`, so the hot path allocates nothing after warm-up. The
-//!   verdict backend is pluggable
-//!   ([`experiment::Experiment::run_range_with`]): the behavioural
-//!   accumulators by default, or the gate-accurate `bist-rtl` datapath.
+//!   364 measured parts), plus rare-event conditional sampling and the
+//!   parallel ground-truth yield sweep ([`batch::Batch::classify`]).
+//! * [`experiment`] — one [`experiment::Experiment`] over a
+//!   `bist_core::screener::Workload`: the static linearity ramp (type
+//!   I/II against ground truth) or the dynamic sine record (SINAD, THD,
+//!   ENOB, noise power). Each device range is screened through the
+//!   backend's batch seam with one reusable engine per worker, so the
+//!   hot path allocates nothing after warm-up. The verdict backend is
+//!   pluggable ([`experiment::Experiment::run_with`]): the behavioural
+//!   accumulators by default, or the gate-accurate `bist-rtl`
+//!   datapath; the fan-out runs on `bist_core::pool`, and results are
+//!   independent of the worker count. One
+//!   [`experiment::ExperimentResult`] carries the accept tally,
+//!   rejections by failed check, throughput (devices/s, samples/s) and
+//!   the confusion matrix.
 //! * [`differential`] — the behavioural↔RTL seam validator: one
 //!   device-outer loop sweeps both backends over identical code streams
 //!   at fleet scale and demands that they latch the same decision and
@@ -27,13 +33,6 @@
 //!   samples-to-decision) and per-architecture
 //!   ([`differential::run_arch_differential`]). Sweep cells rejected by
 //!   config validation are recorded as skipped, never screened.
-//!   [`experiment::DynExperiment`] is the dynamic fleet-screening entry
-//!   point with throughput accounting.
-//! * [`parallel`] — deterministic thread fan-out
-//!   ([`parallel::run_parallel`], the default under
-//!   [`experiment::Experiment::run`]; [`parallel::run_parallel_with`]
-//!   for a per-worker backend) and the generic range partitioner
-//!   behind it.
 //! * [`estimate`] — Wilson confidence intervals for the error rates.
 //! * [`tables`] — the drivers that regenerate Table 1, Table 2 and
 //!   Figure 7.
@@ -44,6 +43,7 @@
 //! use bist_adc::spec::LinearitySpec;
 //! use bist_adc::types::Resolution;
 //! use bist_core::config::BistConfig;
+//! use bist_core::screener::Workload;
 //! use bist_mc::batch::Batch;
 //! use bist_mc::experiment::Experiment;
 //!
@@ -51,7 +51,8 @@
 //! let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
 //!     .counter_bits(4)
 //!     .build()?;
-//! let result = Experiment::new(Batch::paper_simulation(1, 200), cfg).run();
+//! let batch = Batch::paper_simulation(1, 200);
+//! let result = Experiment::new(batch, Workload::static_ramp(cfg)).run(0);
 //! println!("type I = {}", result.type_i());
 //! # Ok(())
 //! # }
@@ -65,14 +66,9 @@ pub mod batch;
 pub mod differential;
 pub mod estimate;
 pub mod experiment;
-pub mod parallel;
 pub mod tables;
 
 pub use batch::Batch;
 pub use differential::{DifferentialResult, Divergence, SeqDifferentialResult};
 pub use estimate::Proportion;
-pub use experiment::{
-    DynExperiment, DynExperimentResult, Experiment, ExperimentResult, GroundTruthMode,
-    InvalidCellError,
-};
-pub use parallel::{run_parallel, run_parallel_with};
+pub use experiment::{Experiment, ExperimentResult, GroundTruthMode, Rejections};

@@ -10,7 +10,6 @@
 use crate::batch::{conditional_faulty_widths, transfer_from_widths, Batch};
 use crate::estimate::Proportion;
 use crate::experiment::Experiment;
-use crate::parallel::run_parallel;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::analytic::{
@@ -109,7 +108,7 @@ pub fn table1(cfg: &Table1Config) -> Vec<Table1Row> {
             let analytic = analytic_point(&spec, 0.21, ds, JUDGED_CODES);
 
             let sim_batch = Batch::paper_simulation(cfg.seed, cfg.sim_batch);
-            let sim = run_parallel(&Experiment::new(sim_batch, bist), cfg.workers);
+            let sim = Experiment::new(sim_batch, Workload::static_ramp(bist)).run(cfg.workers);
 
             let mut meas_batch = Batch::paper_measurement(cfg.seed ^ 0xABCD);
             meas_batch.size = cfg.meas_batch;
@@ -117,10 +116,9 @@ pub fn table1(cfg: &Table1Config) -> Vec<Table1Row> {
             // miscalibration stays a fixed fraction of the count spacing
             // (see `Table1Config::slope_error_millis`).
             let slope_error = cfg.slope_error_millis as f64 / 1000.0 * (ds / ds_4bit);
-            let meas = run_parallel(
-                &Experiment::new(meas_batch, bist).with_slope_error(slope_error),
-                cfg.workers,
-            );
+            let meas = Experiment::new(meas_batch, Workload::static_ramp(bist))
+                .with_slope_error(slope_error)
+                .run(cfg.workers);
 
             Table1Row {
                 counter_bits: bits,
@@ -267,7 +265,7 @@ pub fn figure7_mc(
                 .build()
                 .expect("sweep points are valid");
             let batch = Batch::paper_simulation(seed, batch_size);
-            let r = run_parallel(&Experiment::new(batch, bist), workers);
+            let r = Experiment::new(batch, Workload::static_ramp(bist)).run(workers);
             (ds, r.type_i(), r.type_ii())
         })
         .collect()

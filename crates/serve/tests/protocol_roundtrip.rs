@@ -22,6 +22,68 @@ fn decision(tag: u8, at: u64) -> SeqDecision {
     }
 }
 
+fn submit_frame(id: u64, seed: u64, device_seed: u64, dynamic: bool) -> ClientFrame {
+    ClientFrame::Submit(Submission {
+        id,
+        kind: if dynamic {
+            JobKind::Dynamic
+        } else {
+            JobKind::Static
+        },
+        adc: Batch::paper_simulation(device_seed, 1).device(0),
+        seed,
+    })
+}
+
+/// A static or dynamic verdict frame whose fields derive from `a`, `b`,
+/// `c` (counters), `sinad`/`thd` (metrics) and `mask` (dynamic checks).
+#[allow(clippy::too_many_arguments)]
+fn verdict_frame(
+    id: u64,
+    dec_tag: u8,
+    at: u64,
+    [a, b, c]: [u64; 3],
+    sinad: i32,
+    thd: i32,
+    mask: u8,
+    dynamic: bool,
+) -> ServerFrame {
+    let verdict = if dynamic {
+        ScreenVerdict::Dynamic(SeqOutcome {
+            decision: decision(dec_tag, at),
+            verdict: DynamicVerdict {
+                sinad_db: f64::from(sinad) / 3.0,
+                thd_db: f64::from(thd) / 7.0,
+                enob: f64::from(sinad - thd) / 11.0,
+                noise_power_lsb2: f64::from(thd).abs() / 13.0,
+                samples: a,
+                expected_samples: b,
+                checks: DynChecks {
+                    complete: mask & 1 != 0,
+                    sinad: mask & 2 != 0,
+                    thd: mask & 4 != 0,
+                    enob: mask & 8 != 0,
+                    noise: mask & 16 != 0,
+                },
+            },
+        })
+    } else {
+        ScreenVerdict::Static(SeqOutcome {
+            decision: decision(dec_tag, at),
+            verdict: BistVerdict {
+                codes_judged: a,
+                dnl_failures: b % 64,
+                inl_failures: c % 64,
+                functional_checks: c,
+                functional_mismatches: b % 7,
+                expected_codes: a % 65,
+                samples: b,
+            },
+        })
+    };
+    ServerFrame::Verdict(ShardVerdict { id, verdict })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -34,13 +96,7 @@ proptest! {
         device_seed in any::<u64>(),
         dynamic in any::<bool>(),
     ) {
-        let sub = Submission {
-            id,
-            kind: if dynamic { JobKind::Dynamic } else { JobKind::Static },
-            adc: Batch::paper_simulation(device_seed, 1).device(0),
-            seed,
-        };
-        let frame = ClientFrame::Submit(sub);
+        let frame = submit_frame(id, seed, device_seed, dynamic);
         let mut buf = Vec::new();
         frame.encode(&mut buf);
         prop_assert_eq!(ClientFrame::decode(&buf).expect("round-trip"), frame);
@@ -58,54 +114,16 @@ proptest! {
         mask in 0u8..32,
         dynamic in any::<bool>(),
     ) {
-        let verdict = if dynamic {
-            ScreenVerdict::Dynamic(SeqOutcome {
-                decision: decision(dec_tag, at),
-                verdict: DynamicVerdict {
-                    sinad_db: f64::from(sinad) / 3.0,
-                    thd_db: f64::from(thd) / 7.0,
-                    enob: f64::from(sinad - thd) / 11.0,
-                    noise_power_lsb2: f64::from(thd).abs() / 13.0,
-                    samples: a,
-                    expected_samples: b,
-                    checks: DynChecks {
-                        complete: mask & 1 != 0,
-                        sinad: mask & 2 != 0,
-                        thd: mask & 4 != 0,
-                        enob: mask & 8 != 0,
-                        noise: mask & 16 != 0,
-                    },
-                },
-            })
-        } else {
-            ScreenVerdict::Static(SeqOutcome {
-                decision: decision(dec_tag, at),
-                verdict: BistVerdict {
-                    codes_judged: a,
-                    dnl_failures: b % 64,
-                    inl_failures: c % 64,
-                    functional_checks: c,
-                    functional_mismatches: b % 7,
-                    expected_codes: a % 65,
-                    samples: b,
-                },
-            })
-        };
-        let frame = ServerFrame::Verdict(ShardVerdict { id, verdict });
+        let frame = verdict_frame(id, dec_tag, at, [a, b, c], sinad, thd, mask, dynamic);
         let mut buf = Vec::new();
         frame.encode(&mut buf);
         prop_assert_eq!(ServerFrame::decode(&buf).expect("round-trip"), frame);
     }
 }
 
-#[test]
-fn control_frames_roundtrip() {
-    let mut buf = Vec::new();
-    for frame in [ClientFrame::Telemetry, ClientFrame::Done] {
-        frame.encode(&mut buf);
-        assert_eq!(ClientFrame::decode(&buf).unwrap(), frame);
-    }
-    let frames = [
+/// Every control frame, client side then server side.
+fn control_frames() -> ([ClientFrame; 2], [ServerFrame; 5]) {
+    let server = [
         ServerFrame::Ack {
             id: 7,
             status: AckStatus::Accepted,
@@ -121,7 +139,18 @@ fn control_frames_roundtrip() {
         ServerFrame::Telemetry("{\"metrics\": {}}".to_owned()),
         ServerFrame::Finished,
     ];
-    for frame in frames {
+    ([ClientFrame::Telemetry, ClientFrame::Done], server)
+}
+
+#[test]
+fn control_frames_roundtrip() {
+    let mut buf = Vec::new();
+    let (client, server) = control_frames();
+    for frame in client {
+        frame.encode(&mut buf);
+        assert_eq!(ClientFrame::decode(&buf).unwrap(), frame);
+    }
+    for frame in server {
         frame.encode(&mut buf);
         assert_eq!(ServerFrame::decode(&buf).unwrap(), frame);
     }
@@ -236,4 +265,51 @@ fn writer_rejects_out_of_bounds_payloads() {
     let err = write_frame(&mut wire, &oversize).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(wire.is_empty(), "nothing hits the wire on a rejected frame");
+}
+
+/// Every prefix truncation and every single-bit flip of `frame` must
+/// decode to `Ok` or a typed `ProtoError` (a panic fails the test), and
+/// every `Ok` must re-encode to bytes that decode back to the same
+/// frame. Frames are compared by their encoding, which is bit-exact
+/// (a flipped exponent bit may decode to a NaN metric).
+fn fuzz_decoder<F>(
+    frame: &[u8],
+    decode: fn(&[u8]) -> Result<F, ProtoError>,
+    encode: fn(&F, &mut Vec<u8>),
+) {
+    let truncations = (0..frame.len()).map(|n| frame[..n].to_vec());
+    let flips = (0..frame.len() * 8).map(|bit| {
+        let mut flipped = frame.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    for input in truncations.chain(flips) {
+        if let Ok(decoded) = decode(&input) {
+            let (mut once, mut twice) = (Vec::new(), Vec::new());
+            encode(&decoded, &mut once);
+            let again = decode(&once).expect("a re-encoded frame decodes");
+            encode(&again, &mut twice);
+            assert_eq!(
+                once, twice,
+                "decode(encode(frame)) != frame for {input:02x?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn decoders_survive_truncation_and_bit_flips() {
+    let mut buf = Vec::new();
+    let (client, server) = control_frames();
+    let submits = [submit_frame(1, 9, 1, false), submit_frame(2, 9, 2, true)];
+    for frame in submits.into_iter().chain(client) {
+        frame.encode(&mut buf);
+        fuzz_decoder(&buf, ClientFrame::decode, ClientFrame::encode);
+    }
+    let verdicts = [false, true]
+        .map(|dynamic| verdict_frame(3, 2, 640, [40, 2, 1], 112, -175, 0b11110, dynamic));
+    for frame in verdicts.into_iter().chain(server) {
+        frame.encode(&mut buf);
+        fuzz_decoder(&buf, ServerFrame::decode, ServerFrame::encode);
+    }
 }

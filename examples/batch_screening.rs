@@ -4,19 +4,13 @@
 //!
 //! Run with: `cargo run --release --example batch_screening`
 
-use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::config::BistConfig;
-use bist_core::decision::ConfusionMatrix;
-use bist_core::harness::reference_measurement;
 use bist_core::report::{fmt_prob, Table};
-use bist_core::screener::{Screener, Workload};
+use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
-
-/// Device RNG salt shared with the fleet experiments, so this example
-/// screens the exact population `bist_mc::experiment` would.
-const DEVICE_SALT: usize = 0x5eed_0000_0000_0000;
+use bist_mc::experiment::{Experiment, GroundTruthMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's batch: 364 devices (we regenerate them behaviourally;
@@ -35,25 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         // Ground truth the way the paper did it: a high-accuracy
         // reference measurement, not an oracle — then the whole batch
-        // in one `Screener::run` call, which dispatches the
-        // lane-parallel batched engine.
-        let mut truths = Vec::with_capacity(batch.size);
-        let mut devices = Vec::with_capacity(batch.size);
-        for i in 0..batch.size {
-            let tf = batch.device(i);
-            let mut rng = batch.device_rng(i ^ DEVICE_SALT);
-            let truth =
-                reference_measurement(&tf, &spec, 1000, &NoiseConfig::noiseless(), &mut rng)
-                    .expect("reference sweep on a simulated device")
-                    .accepted;
-            truths.push(truth);
-            devices.push((tf, rng));
-        }
-        let mut screener = Screener::new(Workload::static_ramp(config));
-        let mut matrix = ConfusionMatrix::new();
-        for report in screener.run(devices) {
-            matrix.record(truths[report.device], report.verdict.accepted());
-        }
+        // through the lane-parallel batched engine, on every core.
+        let matrix = Experiment::new(batch, Workload::static_ramp(config))
+            .with_ground_truth(GroundTruthMode::Reference {
+                samples_per_code: 1000,
+            })
+            .run(0)
+            .matrix;
         table.row_owned(vec![
             bits.to_string(),
             fmt_prob(matrix.yield_fraction()),
