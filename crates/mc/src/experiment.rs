@@ -628,6 +628,49 @@ mod tests {
     }
 
     #[test]
+    fn run_range_partitions_consistently() {
+        let exp = static_experiment(5, 100, 5);
+        let whole = exp.run(0);
+        let mut parts = exp.run_range_with(&mut BehavioralBackend, 0, 40);
+        parts.merge(&exp.run_range_with(&mut BehavioralBackend, 40, 100));
+        assert_eq!(whole, parts);
+    }
+
+    #[test]
+    fn range_clamps_to_batch() {
+        let exp = static_experiment(5, 10, 5);
+        let r = exp.run_range_with(&mut BehavioralBackend, 0, 1000);
+        assert_eq!(r.matrix.total(), 10);
+        assert_eq!(r.screened, 10);
+    }
+
+    #[test]
+    fn dyn_experiment_independent_of_workers() {
+        let exp = dyn_experiment(40, 0.21);
+        let seq = exp.run(1);
+        let par = exp.run(4);
+        assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn dyn_rtl_fleet_decisions_match_behavioral() {
+        let exp = dyn_experiment(25, 0.21);
+        let behavioral = exp.run(2);
+        let rtl = exp.run_with(2, RtlBackend::new);
+        assert_eq!(behavioral, rtl);
+    }
+
+    #[test]
+    fn dyn_experiment_range_clamps_and_merges() {
+        let exp = dyn_experiment(10, 0.16);
+        let whole = exp.run_range_with(&mut BehavioralBackend, 0, 1000);
+        assert_eq!(whole.screened, 10);
+        let mut parts = exp.run_range_with(&mut BehavioralBackend, 0, 4);
+        parts.merge(&exp.run_range_with(&mut BehavioralBackend, 4, 10));
+        assert_eq!(whole, parts);
+    }
+
+    #[test]
     fn smaller_counter_more_type_i() {
         let small = static_experiment(11, 600, 4).run(0);
         let large = static_experiment(11, 600, 7).run(0);

@@ -72,3 +72,75 @@ pub use batch::Batch;
 pub use differential::{DifferentialResult, Divergence, SeqDifferentialResult};
 pub use estimate::Proportion;
 pub use experiment::{Experiment, ExperimentResult, GroundTruthMode, Rejections};
+
+/// Worker fan-out checks: [`Experiment::run_with`] and
+/// [`Batch::classify`] across worker counts against sequential sweeps.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::{Batch, Experiment};
+        use bist_adc::spec::LinearitySpec;
+        use bist_adc::types::Resolution;
+        use bist_core::backend::{BehavioralBackend, RtlBackend};
+        use bist_core::config::BistConfig;
+        use bist_core::screener::Workload;
+
+        fn experiment(size: usize) -> Experiment {
+            let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+                .counter_bits(5)
+                .build()
+                .unwrap();
+            Experiment::new(
+                Batch::paper_simulation(29, size),
+                Workload::static_ramp(cfg),
+            )
+        }
+
+        #[test]
+        fn parallel_equals_sequential() {
+            let exp = experiment(240);
+            let seq = exp.run_range_with(&mut BehavioralBackend, 0, 240);
+            for workers in [2, 3, 8] {
+                let par = exp.run(workers);
+                assert_eq!(par, seq, "workers {workers}");
+            }
+        }
+
+        #[test]
+        fn single_worker_matches_run() {
+            let exp = experiment(50);
+            assert_eq!(exp.run(1), exp.run(0));
+        }
+
+        #[test]
+        fn tiny_batch_falls_back_to_sequential() {
+            let exp = experiment(3);
+            assert_eq!(exp.run(16).matrix.total(), 3);
+        }
+
+        #[test]
+        fn zero_workers_uses_available_parallelism() {
+            let exp = experiment(64);
+            let r = exp.run(0);
+            assert_eq!(r.matrix.total(), 64);
+        }
+
+        #[test]
+        fn rtl_backend_fleet_matches_behavioral() {
+            let exp = experiment(60);
+            let behavioral = exp.run(2);
+            let rtl = exp.run_with(2, RtlBackend::new);
+            assert_eq!(behavioral, rtl);
+        }
+
+        #[test]
+        fn classify_parallel_matches_sequential() {
+            let batch = Batch::paper_simulation(7, 120);
+            let spec = LinearitySpec::paper_stringent();
+            let seq = batch.classify(&spec, 1);
+            let par = batch.classify(&spec, 4);
+            assert_eq!(seq.successes(), par.successes());
+            assert_eq!(seq.trials(), par.trials());
+        }
+    }
+}
