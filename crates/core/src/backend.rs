@@ -28,7 +28,7 @@
 //! configurations and counter widths. On the dynamic workload the
 //! contract is decision-exactness — see the trait docs.
 
-use crate::batch::{DynBatch, StaticBatch};
+use crate::batch::ScreenBatch;
 use crate::config::BistConfig;
 use crate::dynamic::{process_dyn_code_stream, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalAcc;
@@ -103,12 +103,12 @@ impl<T: Copy, const N: usize> DelayLine<T, N> {
 /// `expected_samples` must agree — which the dynamic differential fleet
 /// sweep (`bist_mc::differential`) enforces at scale.
 ///
-/// **Batch contract** (`process_batch` / `process_dyn_batch`): the
-/// reports a batch yields are device-for-device identical to running
-/// each queued device through the corresponding scalar method — the
-/// default bodies literally do that. [`BehavioralBackend`] overrides
-/// them with the lane-parallel engines of [`crate::batch`], which the
-/// batch-equivalence property tests pin bit-exact to the scalar path.
+/// **Batch contract** (`process_batch`): the reports a batch yields are
+/// device-for-device identical to running each queued device through
+/// the corresponding scalar method — the default body literally does
+/// that. [`BehavioralBackend`] overrides it with the lane-parallel
+/// engine of [`crate::batch`], which the batch-equivalence property
+/// tests pin bit-exact to the scalar path.
 pub trait Backend {
     /// Stable backend name for perf records and reports.
     fn name(&self) -> &'static str;
@@ -163,22 +163,11 @@ pub trait Backend {
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict>;
 
-    /// Screens every device queued in a static batch, leaving one
-    /// report per device (see [`StaticBatch::take_reports`]). The
-    /// default pops devices one at a time through [`Backend::process`]
-    /// / [`Backend::process_sequenced`].
-    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut StaticBatch<A, R>)
-    where
-        Self: Sized,
-    {
-        batch.run_scalar(self);
-    }
-
-    /// Screens every device queued in a dynamic batch, leaving one
-    /// report per device (see [`DynBatch::take_reports`]). The default
-    /// pops devices one at a time through [`Backend::process_dyn`] /
-    /// [`Backend::process_dyn_sequenced`].
-    fn process_dyn_batch<A: Adc, R: RngCore>(&mut self, batch: &mut DynBatch<A, R>)
+    /// Screens every device queued in `batch`, leaving one report per
+    /// device (see [`ScreenBatch::take_reports`]). The default pops
+    /// devices one at a time through the scalar methods above
+    /// ([`ScreenBatch::run_scalar`]).
+    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>)
     where
         Self: Sized,
     {
@@ -335,16 +324,10 @@ impl Backend for BehavioralBackend {
         }
     }
 
-    /// The lane-parallel SoA engine: run-skipping on noiseless
-    /// monotone ramps, per-lane scalar replay otherwise — bit-exact to
-    /// the scalar path either way (see [`crate::batch`]).
-    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut StaticBatch<A, R>) {
-        batch.run_batched();
-    }
-
-    /// The lane-parallel Goertzel engine with a shared stimulus table —
-    /// bit-exact to the scalar path (see [`crate::batch`]).
-    fn process_dyn_batch<A: Adc, R: RngCore>(&mut self, batch: &mut DynBatch<A, R>) {
+    /// The lane-parallel SoA engine: run-skipping static lanes, coded
+    /// and per-sample Goertzel lanes over a shared stimulus table —
+    /// bit-exact to the scalar path either way (see [`crate::batch`]).
+    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>) {
         batch.run_batched();
     }
 }

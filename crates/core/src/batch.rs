@@ -1,15 +1,18 @@
 //! Lane-parallel batch screening: N devices advance in lockstep
 //! through structure-of-arrays state blocks.
 //!
-//! The scalar engines of [`crate::harness`] and [`crate::dynamic`]
-//! screen one device at a time: stimulus → code → accumulator, one long
-//! dependent chain per device. A production screener tests a *fleet*,
-//! and the fleet hot loop is embarrassingly lane-parallel: every device
-//! runs the same plan over the same sample grid, only the transfer
-//! function (and its noise draws) differ. This module restructures the
-//! state so a batch of devices shares one pass:
+//! [`ScreenBatch`] is the one batch engine. It is built from a
+//! [`Workload`], an optional early-stop sequencer and a lane width, and
+//! owns the device queue, the report buffer and two ways of draining
+//! the queue: [`ScreenBatch::run_scalar`] screens one device at a time
+//! through a [`Backend`]'s scalar methods (the reference, and the path
+//! hardware-model backends take), and [`ScreenBatch::run_batched`]
+//! runs the lane-parallel behavioural engine. The fleet hot loop is
+//! embarrassingly lane-parallel: every device runs the same plan over
+//! the same sample grid, only the transfer function (and its noise
+//! draws) differ. Each workload keeps its own private lane state:
 //!
-//! * [`StaticBatch`] — code tallies as lane-indexed
+//! * static — code tallies as lane-indexed
 //!   [`MonitorState`]/[`FunctionalState`] arrays. On the dominant
 //!   noiseless-ramp workload each lane additionally *run-skips*: the
 //!   ramp is monotone and the transition levels are known
@@ -19,8 +22,8 @@
 //!   run in O(1) ([`MonitorState::skip_run`]). The replayed head of
 //!   each run keeps the deglitcher and median-filter state machines
 //!   bit-exact with the scalar path.
-//! * [`DynBatch`] — the coherent sine stimulus evaluated **once** into
-//!   a shared table (at zero jitter the stimulus is device-independent)
+//! * dynamic — the coherent sine stimulus evaluated **once** into a
+//!   shared table (at zero jitter the stimulus is device-independent)
 //!   and sorted once by value. A noiseless, unsequenced lane whose
 //!   device states at most 255 transition levels is *coded* on install:
 //!   one walk of the table in value order against the sorted levels
@@ -55,17 +58,17 @@ use std::sync::Arc;
 
 use crate::backend::{centred_half_lsb, Backend};
 use crate::config::BistConfig;
-use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
+use crate::dynamic::{plan_sine, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalState;
-use crate::harness::{plan_ramp, BistVerdict, Scratch};
+use crate::harness::{plan_ramp, BistVerdict};
 use crate::lsb_monitor::MonitorState;
+use crate::screener::{ScalarPath, ScreenReport, ScreenVerdict, Workload};
 use crate::sequencer::{
     DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer,
     STATIC_DECISION_LATENCY,
 };
 use bist_adc::noise::NoiseConfig;
 use bist_adc::signal::{Ramp, SineWave, Stimulus};
-use bist_adc::stream::CodeStream;
 use bist_adc::types::{Code, Volts};
 use bist_adc::{Adc, SamplingConfig};
 use bist_dsp::goertzel::{harmonic_plan, Goertzel, GoertzelBank};
@@ -100,36 +103,17 @@ impl<A, R> BatchDevice<A, R> {
     }
 }
 
-/// One screened device's result from a static batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticReport {
-    /// The [`BatchDevice::index`] this verdict belongs to.
-    pub device: usize,
-    /// Decision and verdict, exactly as the scalar sequenced path
-    /// would report (decision is `Continue` for unsequenced batches).
-    pub outcome: SeqOutcome<BistVerdict>,
-}
-
-/// One screened device's result from a dynamic batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynReport {
-    /// The [`BatchDevice::index`] this verdict belongs to.
-    pub device: usize,
-    /// Decision and verdict, exactly as the scalar sequenced path
-    /// would report (decision is `Continue` for unsequenced batches).
-    pub outcome: SeqOutcome<DynamicVerdict>,
-}
-
 /// The immutable dynamic stimulus: one coherent-sine plan and its
 /// evaluated sample table.
 ///
-/// A [`DynBatch`] owns a private table by default (planned lazily by
-/// the first zero-jitter lane); a worker pool plans one table up front
-/// with [`StimulusTable::plan_for`] and hands every worker's batch the
-/// same `Arc` via [`DynBatch::with_shared_table`], so the sine is
-/// evaluated once per *fleet* rather than once per engine. Lanes whose
-/// plan differs from the table's (or any jittered noise model) fall
-/// back to per-sample evaluation, so sharing never changes a verdict.
+/// A dynamic [`ScreenBatch`] owns a private table by default (planned
+/// lazily by the first zero-jitter lane); a worker pool plans one table
+/// up front with [`StimulusTable::plan_for`] and hands every worker's
+/// batch the same `Arc` via [`ScreenBatch::with_shared_table`], so the
+/// sine is evaluated once per *fleet* rather than once per engine.
+/// Lanes whose plan differs from the table's (or any jittered noise
+/// model) fall back to per-sample evaluation, so sharing never changes
+/// a verdict.
 #[derive(Debug, Default)]
 pub struct StimulusTable {
     plan: Option<(SineWave, SamplingConfig)>,
@@ -140,14 +124,22 @@ pub struct StimulusTable {
 }
 
 impl StimulusTable {
-    /// Plans and evaluates the shared table for `adc` under `config` —
-    /// the identical expression the scalar stream evaluates, so table
-    /// lanes stay bit-exact with [`crate::dynamic`]'s engine.
-    pub fn plan_for<A: Adc + ?Sized>(adc: &A, config: &DynamicConfig) -> Arc<Self> {
+    /// Plans the table a fleet screened under `workload` can share,
+    /// keyed on the fleet's first device `adc` — the identical
+    /// expression the scalar stream evaluates, so table lanes stay
+    /// bit-exact with [`crate::dynamic`]'s engine. `None` unless the
+    /// workload is dynamic and jitter-free.
+    pub fn plan_for<A: Adc + ?Sized>(adc: &A, workload: &Workload) -> Option<Arc<Self>> {
+        let Workload::Dynamic { config, noise } = workload else {
+            return None;
+        };
+        if noise.jitter_seconds() != 0.0 {
+            return None;
+        }
         let (sine, sampling) = plan_sine(adc, config);
         let mut table = StimulusTable::default();
         table.plan(sine, sampling);
-        Arc::new(table)
+        Some(Arc::new(table))
     }
 
     /// (Re)plans the table in place: evaluates every sample and sorts
@@ -164,6 +156,234 @@ impl StimulusTable {
                 .sort_unstable_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
         }
         self.plan = Some((sine, sampling));
+    }
+}
+
+/// A batch of devices screened through one [`Workload`] in
+/// lane-parallel lockstep — the one batch engine behind
+/// [`crate::screener::Screener::run`], the worker pool, the resident
+/// shard and `bist_mc`'s experiments.
+///
+/// Build one with [`ScreenBatch::new`], [`push`](ScreenBatch::push)
+/// the devices, hand it to [`Backend::process_batch`], then collect
+/// [`take_reports`](ScreenBatch::take_reports). The batch owns all
+/// working state, so a warm batch re-run allocates nothing.
+#[derive(Debug)]
+pub struct ScreenBatch<A, R> {
+    workload: Workload,
+    sequencer: Option<SequencerConfig>,
+    lane_width: usize,
+    queue: VecDeque<BatchDevice<A, R>>,
+    reports: Vec<ScreenReport>,
+    scalar: ScalarPath,
+    devices: Vec<Option<BatchDevice<A, R>>>,
+    lanes: LaneEngine,
+}
+
+/// The lane state of a [`ScreenBatch`]: one private layout per
+/// workload.
+#[derive(Debug)]
+enum LaneEngine {
+    Static(StaticEngine),
+    Dynamic(DynEngine),
+}
+
+impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
+    /// A batch screening `workload`, under the early-stop `sequencer`
+    /// policy when one is given, `lane_width` lanes wide
+    /// ([`DEFAULT_LANE_WIDTH`] is the usual choice).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane_width` is zero.
+    pub fn new(workload: Workload, sequencer: Option<SequencerConfig>, lane_width: usize) -> Self {
+        assert!(lane_width >= 1, "a batch needs at least one lane");
+        let lanes = match workload {
+            Workload::Static {
+                config,
+                noise,
+                slope_error,
+            } => LaneEngine::Static(StaticEngine {
+                config,
+                noise,
+                slope_error,
+                seq_config: sequencer,
+                lanes: StaticLanes::default(),
+            }),
+            Workload::Dynamic { config, noise } => {
+                LaneEngine::Dynamic(DynEngine::new(config, noise, sequencer))
+            }
+        };
+        ScreenBatch {
+            workload,
+            sequencer,
+            lane_width,
+            queue: VecDeque::new(),
+            reports: Vec::new(),
+            scalar: ScalarPath::default(),
+            devices: Vec::new(),
+            lanes,
+        }
+    }
+
+    /// Shares a pre-planned stimulus table (see
+    /// [`StimulusTable::plan_for`]) instead of letting a dynamic batch
+    /// build a private copy — the worker-pool path, where every
+    /// worker's engine reads one immutable table. A static batch has no
+    /// stimulus table and ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was never planned.
+    pub fn with_shared_table(mut self, table: Arc<StimulusTable>) -> Self {
+        assert!(
+            table.plan.is_some(),
+            "a shared stimulus table must be planned"
+        );
+        if let LaneEngine::Dynamic(engine) = &mut self.lanes {
+            engine.table = table;
+        }
+        self
+    }
+
+    /// The workload every device is screened under.
+    pub fn workload(&self) -> &Workload {
+        &self.workload
+    }
+
+    /// Queues one device for screening.
+    pub fn push(&mut self, device: BatchDevice<A, R>) {
+        self.queue.push_back(device);
+    }
+
+    /// Number of devices still waiting for a lane.
+    pub fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Reports accumulated so far, sorted by device index.
+    ///
+    /// The sort is in place and allocation-free, so this (with
+    /// [`clear_reports`](ScreenBatch::clear_reports)) is the warm-path
+    /// way to drain a reused batch.
+    pub fn finish_reports(&mut self) -> &[ScreenReport] {
+        self.reports.sort_unstable_by_key(|r| r.device);
+        &self.reports
+    }
+
+    /// Clears the report buffer, keeping its capacity.
+    pub fn clear_reports(&mut self) {
+        self.reports.clear();
+    }
+
+    /// Takes the accumulated reports, sorted by device index.
+    pub fn take_reports(&mut self) -> Vec<ScreenReport> {
+        self.reports.sort_unstable_by_key(|r| r.device);
+        std::mem::take(&mut self.reports)
+    }
+
+    /// Screens the queue one device at a time through the scalar
+    /// engine of `backend` — the reference the lane engine is measured
+    /// against, and the path hardware-model backends take.
+    pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
+        while let Some(mut dev) = self.queue.pop_front() {
+            let verdict = self.scalar.screen(
+                &self.workload,
+                self.sequencer,
+                backend,
+                &dev.adc,
+                &mut dev.rng,
+            );
+            self.reports.push(ScreenReport {
+                device: dev.index,
+                verdict,
+            });
+        }
+    }
+
+    /// Screens the queue through the lane-parallel behavioural engine:
+    /// lanes advance in lockstep chunks, coded dynamic lanes run their
+    /// whole record in their group's kernel pass, finished lanes refill
+    /// from the queue, and every verdict is bit-exact to
+    /// [`run_scalar`](ScreenBatch::run_scalar) with
+    /// [`crate::backend::BehavioralBackend`].
+    pub fn run_batched(&mut self) {
+        loop {
+            let mut active = false;
+            for group in 0..self.lane_width.div_ceil(GROUP) {
+                let mut coded = [false; GROUP];
+                for lane in group * GROUP..((group + 1) * GROUP).min(self.lane_width) {
+                    if !self.ensure_installed(lane) {
+                        continue;
+                    }
+                    active = true;
+                    if matches!(&self.lanes, LaneEngine::Dynamic(e) if e.lanes.coded[lane]) {
+                        coded[lane % GROUP] = true;
+                    } else {
+                        self.step(lane);
+                    }
+                }
+                if let LaneEngine::Dynamic(engine) = &mut self.lanes {
+                    if coded.contains(&true) {
+                        engine.run_group(group, coded);
+                    }
+                }
+                for (col, _) in coded.iter().enumerate().filter(|(_, &c)| c) {
+                    self.step(group * GROUP + col);
+                }
+            }
+            if !active {
+                break;
+            }
+        }
+    }
+
+    /// Installs the next queued device when `lane` is empty; whether
+    /// the lane now holds a device.
+    fn ensure_installed(&mut self, lane: usize) -> bool {
+        if lane == self.devices.len() {
+            self.devices.push(None);
+        }
+        if self.devices[lane].is_none() {
+            let Some(dev) = self.queue.pop_front() else {
+                return false;
+            };
+            match &mut self.lanes {
+                LaneEngine::Static(engine) => engine.install(lane, &dev.adc),
+                LaneEngine::Dynamic(engine) => engine.install(lane, &dev.adc),
+            }
+            self.devices[lane] = Some(dev);
+        }
+        true
+    }
+
+    /// Advances `lane` by one chunk and banks the report when the
+    /// lane's device concluded.
+    fn step(&mut self, lane: usize) {
+        let dev = self.devices[lane].as_mut().expect("lane is active");
+        let verdict = match &mut self.lanes {
+            LaneEngine::Static(engine) => engine.advance_lane(lane, dev).map(ScreenVerdict::Static),
+            LaneEngine::Dynamic(engine) => {
+                engine.advance_lane(lane, dev).map(ScreenVerdict::Dynamic)
+            }
+        };
+        if let Some(verdict) = verdict {
+            let dev = self.devices[lane].take().expect("lane is active");
+            self.reports.push(ScreenReport {
+                device: dev.index,
+                verdict,
+            });
+        }
+    }
+}
+
+/// Sets lane `lane` of one structure-of-arrays column, growing the
+/// column by one when the lane is new (lanes fill in order).
+fn put<T>(column: &mut Vec<T>, lane: usize, value: T) {
+    if lane == column.len() {
+        column.push(value);
+    } else {
+        column[lane] = value;
     }
 }
 
@@ -200,228 +420,67 @@ struct StaticLanes {
     events: Vec<VecDeque<(u64, LaneEvent)>>,
 }
 
-/// A batch of devices screened through the static (ramp/linearity)
-/// workload in lane-parallel lockstep.
-///
-/// Build one with the plan shared by every device (config, noise,
-/// slope error, optional sequencer), [`push`](StaticBatch::push) the
-/// devices, hand it to [`Backend::process_batch`], then collect
-/// [`take_reports`](StaticBatch::take_reports). The batch owns all
-/// working state, so a warm batch re-run allocates nothing.
+/// The static (ramp/linearity) lane engine: the plan every lane shares
+/// and the lanes' state.
 #[derive(Debug)]
-pub struct StaticBatch<A, R> {
+struct StaticEngine {
     config: BistConfig,
     noise: NoiseConfig,
     slope_error: f64,
     seq_config: Option<SequencerConfig>,
-    lane_width: usize,
-    queue: VecDeque<BatchDevice<A, R>>,
-    reports: Vec<StaticReport>,
-    scratch: Scratch,
-    scalar_seq: Option<StaticSequencer>,
-    devices: Vec<Option<BatchDevice<A, R>>>,
     lanes: StaticLanes,
 }
 
-impl<A: Adc, R: RngCore> StaticBatch<A, R> {
-    /// A batch screening `config` noiselessly with an ideal-slope ramp
-    /// and no sequencer, [`DEFAULT_LANE_WIDTH`] lanes wide.
-    pub fn new(config: BistConfig) -> Self {
-        StaticBatch {
-            config,
-            noise: NoiseConfig::noiseless(),
-            slope_error: 0.0,
-            seq_config: None,
-            lane_width: DEFAULT_LANE_WIDTH,
-            queue: VecDeque::new(),
-            reports: Vec::new(),
-            scratch: Scratch::new(),
-            scalar_seq: None,
-            devices: Vec::new(),
-            lanes: StaticLanes::default(),
-        }
-    }
-
-    /// Sets the noise model every device is screened under.
-    pub fn with_noise(mut self, noise: NoiseConfig) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Sets the relative ramp slope error shared by the batch.
-    pub fn with_slope_error(mut self, err: f64) -> Self {
-        self.slope_error = err;
-        self
-    }
-
-    /// Screens every device under the early-stop sequencer policy.
-    pub fn with_sequencer(mut self, policy: SequencerConfig) -> Self {
-        self.seq_config = Some(policy);
-        self
-    }
-
-    /// Sets the number of lockstep lanes (≥ 1).
-    pub fn with_lane_width(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "a batch needs at least one lane");
-        self.lane_width = lanes;
-        self
-    }
-
-    /// Queues one device for screening.
-    pub fn push(&mut self, device: BatchDevice<A, R>) {
-        self.queue.push_back(device);
-    }
-
-    /// Number of devices still waiting for a lane.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Reports accumulated so far, sorted by device index.
-    ///
-    /// The sort is in place and allocation-free, so this (with
-    /// [`clear_reports`](StaticBatch::clear_reports)) is the warm-path
-    /// way to drain a reused batch.
-    pub fn finish_reports(&mut self) -> &[StaticReport] {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        &self.reports
-    }
-
-    /// Clears the report buffer, keeping its capacity.
-    pub fn clear_reports(&mut self) {
-        self.reports.clear();
-    }
-
-    /// Takes the accumulated reports, sorted by device index.
-    pub fn take_reports(&mut self) -> Vec<StaticReport> {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        std::mem::take(&mut self.reports)
-    }
-
-    /// Screens the queue one device at a time through the scalar
-    /// engine of `backend` — the reference the lane engine is measured
-    /// against, and the path hardware-model backends take.
-    pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
-        while let Some(mut dev) = self.queue.pop_front() {
-            let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
-            let ramp = ramp.with_slope_error(self.slope_error);
-            let outcome = if let Some(policy) = self.seq_config {
-                let seq = self
-                    .scalar_seq
-                    .get_or_insert_with(|| StaticSequencer::new(policy));
-                backend.process_sequenced(
-                    &self.config,
-                    seq,
-                    CodeStream::noisy(&dev.adc, &ramp, sampling, &self.noise, &mut dev.rng),
-                    &mut self.scratch,
-                )
-            } else {
-                let verdict = backend.process(
-                    &self.config,
-                    CodeStream::noisy(&dev.adc, &ramp, sampling, &self.noise, &mut dev.rng),
-                    &mut self.scratch,
-                );
-                SeqOutcome {
-                    decision: SeqDecision::Continue,
-                    verdict,
-                }
-            };
-            self.reports.push(StaticReport {
-                device: dev.index,
-                outcome,
-            });
-        }
-    }
-
-    /// Screens the queue through the lane-parallel behavioural engine:
-    /// all lanes advance in lockstep chunks, finished lanes refill
-    /// from the queue, and every verdict is bit-exact to
-    /// [`run_scalar`](StaticBatch::run_scalar) with
-    /// [`crate::backend::BehavioralBackend`].
-    pub fn run_batched(&mut self) {
-        loop {
-            let mut active = false;
-            for lane in 0..self.lane_width {
-                if self.devices.get(lane).is_none_or(|d| d.is_none()) {
-                    match self.queue.pop_front() {
-                        Some(dev) => self.install(lane, dev),
-                        None => continue,
-                    }
-                }
-                active = true;
-                let until = self.lanes.consumed[lane] + CHUNK;
-                if let Some(outcome) = self.advance_lane(lane, until) {
-                    let dev = self.devices[lane].take().expect("lane was active");
-                    self.reports.push(StaticReport {
-                        device: dev.index,
-                        outcome,
-                    });
-                }
-            }
-            if !active {
-                break;
-            }
-        }
-    }
-
+impl StaticEngine {
     /// Installs a device into `lane`, planning its sweep and resetting
     /// the lane's accumulators (allocation-free once the lane exists).
-    fn install(&mut self, lane: usize, dev: BatchDevice<A, R>) {
-        let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
+    fn install<A: Adc>(&mut self, lane: usize, adc: &A) {
+        let (ramp, sampling) = plan_ramp(adc, &self.config);
         let ramp = ramp.with_slope_error(self.slope_error);
         // Run-skipping needs a device-independent, strictly advancing
         // stimulus (noiseless, positive effective slope; harness ramps
         // have no bow) and known transition levels to search against.
         let run_skip = self.noise.is_noiseless()
             && ramp.effective_slope() > 0.0
-            && dev.adc.transition_levels().is_some();
+            && adc.transition_levels().is_some();
         let monitor = MonitorState::new(&self.config);
         let functional = FunctionalState::new(self.config.monitored_bit(), self.config.deglitch());
         let l = &mut self.lanes;
-        if lane == l.monitor.len() {
-            l.monitor.push(monitor);
-            l.functional.push(functional);
-            l.consumed.push(0);
-            l.total.push(sampling.samples as u64);
-            l.ramp.push(ramp);
-            l.sampling.push(sampling);
-            l.run_skip.push(run_skip);
-            l.cur_code.push(0);
-            l.run_end.push(0);
-            l.head_left.push(0);
-            l.next_checkpoint.push(u64::MAX);
+        if lane == l.events.len() {
             l.events.push(VecDeque::new());
             if let Some(policy) = self.seq_config {
                 l.seq.push(StaticSequencer::new(policy));
             }
-            self.devices.push(None);
-        } else {
-            l.monitor[lane] = monitor;
-            l.functional[lane] = functional;
-            l.consumed[lane] = 0;
-            l.total[lane] = sampling.samples as u64;
-            l.ramp[lane] = ramp;
-            l.sampling[lane] = sampling;
-            l.run_skip[lane] = run_skip;
-            l.cur_code[lane] = 0;
-            l.run_end[lane] = 0;
-            l.head_left[lane] = 0;
-            l.events[lane].clear();
         }
+        l.events[lane].clear();
+        put(&mut l.monitor, lane, monitor);
+        put(&mut l.functional, lane, functional);
+        put(&mut l.consumed, lane, 0);
+        put(&mut l.total, lane, sampling.samples as u64);
+        put(&mut l.ramp, lane, ramp);
+        put(&mut l.sampling, lane, sampling);
+        put(&mut l.run_skip, lane, run_skip);
+        put(&mut l.cur_code, lane, 0);
+        put(&mut l.run_end, lane, 0);
+        put(&mut l.head_left, lane, 0);
+        put(&mut l.next_checkpoint, lane, u64::MAX);
         if self.seq_config.is_some() {
             let seq = &mut self.lanes.seq[lane];
             seq.begin(&self.config);
             self.lanes.next_checkpoint[lane] =
                 seq.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
         }
-        self.devices[lane] = Some(dev);
     }
 
-    /// Advances one lane to `until` (or its next checkpoint / end of
-    /// sweep, whichever first fires a decision). Returns the device's
-    /// outcome when its sweep concluded.
+    /// Advances one lane holding `dev` by one chunk (or to its next
+    /// checkpoint / end of sweep, whichever first fires a decision).
+    /// Returns the device's outcome when its sweep concluded.
     // bist-lint: hot-path — the static lane inner loop
-    fn advance_lane(&mut self, lane: usize, until: u64) -> Option<SeqOutcome<BistVerdict>> {
+    fn advance_lane<A: Adc, R: RngCore>(
+        &mut self,
+        lane: usize,
+        dev: &mut BatchDevice<A, R>,
+    ) -> Option<SeqOutcome<BistVerdict>> {
         let sequenced = self.seq_config.is_some();
         // Replayed head of each constant-code run: the deglitcher taps
         // / median window saturate after two identical samples, after
@@ -432,8 +491,8 @@ impl<A: Adc, R: RngCore> StaticBatch<A, R> {
         let ramp = self.lanes.ramp[lane];
         let sampling = self.lanes.sampling[lane];
         let run_skip = self.lanes.run_skip[lane];
-        let until = until.min(total);
         let mut consumed = self.lanes.consumed[lane];
+        let until = (consumed + CHUNK).min(total);
         let mut mon = self.lanes.monitor[lane];
         let mut func = self.lanes.functional[lane];
         let mut cur_code = self.lanes.cur_code[lane];
@@ -447,7 +506,6 @@ impl<A: Adc, R: RngCore> StaticBatch<A, R> {
                 until
             };
             if run_skip {
-                let dev = self.devices[lane].as_ref().expect("lane active");
                 let levels = dev
                     .adc
                     .transition_levels()
@@ -513,7 +571,6 @@ impl<A: Adc, R: RngCore> StaticBatch<A, R> {
                 // Per-sample fallback: byte-for-byte the scalar
                 // acquisition (`CodeStream::next`), with the lane's own
                 // RNG so the draw order matches the scalar run exactly.
-                let dev = self.devices[lane].as_mut().expect("lane active");
                 let events = &mut self.lanes.events[lane];
                 while consumed < target {
                     let t = self
@@ -775,27 +832,17 @@ struct DynLanes {
     coded: Vec<bool>,
 }
 
-/// A batch of devices screened through the dynamic (coherent-sine)
-/// workload in lane-parallel lockstep.
-///
-/// Same shape as [`StaticBatch`]: build with the shared plan, `push`
-/// devices, dispatch through [`Backend::process_dyn_batch`], collect
-/// with [`take_reports`](DynBatch::take_reports).
+/// The dynamic (coherent-sine) lane engine: the plan every lane shares,
+/// the stimulus table, the coded record rows and the lanes' state.
 #[derive(Debug)]
-pub struct DynBatch<A, R> {
+struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
     seq_config: Option<SequencerConfig>,
-    lane_width: usize,
-    queue: VecDeque<BatchDevice<A, R>>,
-    reports: Vec<DynReport>,
-    dyn_scratch: DynScratch,
-    scalar_seq: Option<DynSequencer>,
-    devices: Vec<Option<BatchDevice<A, R>>>,
     /// Stimulus voltages shared by every zero-jitter lane whose plan
     /// matches the table's — evaluated once per batch, or once per
     /// *pool* when pre-planned and shared through
-    /// [`with_shared_table`](DynBatch::with_shared_table).
+    /// [`ScreenBatch::with_shared_table`].
     table: Arc<StimulusTable>,
     lanes: DynLanes,
     /// Coded records, one `record_len`-row block per lane group:
@@ -805,187 +852,25 @@ pub struct DynBatch<A, R> {
     group: GroupState,
 }
 
-impl<A: Adc, R: RngCore> DynBatch<A, R> {
-    /// A batch screening `config` noiselessly with no sequencer,
-    /// [`DEFAULT_LANE_WIDTH`] lanes wide.
-    pub fn new(config: DynamicConfig) -> Self {
+impl DynEngine {
+    fn new(config: DynamicConfig, noise: NoiseConfig, seq_config: Option<SequencerConfig>) -> Self {
         let n = config.record_len();
         let plan = harmonic_plan(config.cycles() as usize, n, config.harmonics());
         let coeff = plan.bins.iter().map(|&b| Goertzel::for_bin(b, n).coeff());
-        let group = GroupState::new(coeff.collect());
-        DynBatch {
+        DynEngine {
             config,
-            noise: NoiseConfig::noiseless(),
-            seq_config: None,
-            lane_width: DEFAULT_LANE_WIDTH,
-            queue: VecDeque::new(),
-            reports: Vec::new(),
-            dyn_scratch: DynScratch::new(),
-            scalar_seq: None,
-            devices: Vec::new(),
+            noise,
+            seq_config,
             table: Arc::new(StimulusTable::default()),
             lanes: DynLanes::default(),
             codes: Vec::new(),
-            group,
+            group: GroupState::new(coeff.collect()),
         }
     }
 
-    /// Sets the noise model every device is screened under.
-    pub fn with_noise(mut self, noise: NoiseConfig) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Screens every device under the early-stop sequencer policy.
-    pub fn with_sequencer(mut self, policy: SequencerConfig) -> Self {
-        self.seq_config = Some(policy);
-        self
-    }
-
-    /// Sets the number of lockstep lanes (≥ 1).
-    pub fn with_lane_width(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "a batch needs at least one lane");
-        self.lane_width = lanes;
-        self
-    }
-
-    /// Shares a pre-planned stimulus table (see
-    /// [`StimulusTable::plan_for`]) instead of letting the batch build
-    /// a private copy — the worker-pool path, where every worker's
-    /// engine reads one immutable table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` was never planned.
-    pub fn with_shared_table(mut self, table: Arc<StimulusTable>) -> Self {
-        assert!(
-            table.plan.is_some(),
-            "a shared stimulus table must be planned"
-        );
-        self.table = table;
-        self
-    }
-
-    /// Queues one device for screening.
-    pub fn push(&mut self, device: BatchDevice<A, R>) {
-        self.queue.push_back(device);
-    }
-
-    /// Number of devices still waiting for a lane.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Reports accumulated so far, sorted by device index (in place,
-    /// allocation-free — the warm-path drain, with
-    /// [`clear_reports`](DynBatch::clear_reports)).
-    pub fn finish_reports(&mut self) -> &[DynReport] {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        &self.reports
-    }
-
-    /// Clears the report buffer, keeping its capacity.
-    pub fn clear_reports(&mut self) {
-        self.reports.clear();
-    }
-
-    /// Takes the accumulated reports, sorted by device index.
-    pub fn take_reports(&mut self) -> Vec<DynReport> {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        std::mem::take(&mut self.reports)
-    }
-
-    /// Screens the queue one device at a time through the scalar
-    /// engine of `backend`.
-    pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
-        while let Some(mut dev) = self.queue.pop_front() {
-            let (sine, sampling) = plan_sine(&dev.adc, &self.config);
-            let outcome = if let Some(policy) = self.seq_config {
-                let seq = self
-                    .scalar_seq
-                    .get_or_insert_with(|| DynSequencer::new(policy));
-                backend.process_dyn_sequenced(
-                    &self.config,
-                    seq,
-                    CodeStream::noisy(&dev.adc, &sine, sampling, &self.noise, &mut dev.rng),
-                    &mut self.dyn_scratch,
-                )
-            } else {
-                let verdict = backend.process_dyn(
-                    &self.config,
-                    CodeStream::noisy(&dev.adc, &sine, sampling, &self.noise, &mut dev.rng),
-                    &mut self.dyn_scratch,
-                );
-                SeqOutcome {
-                    decision: SeqDecision::Continue,
-                    verdict,
-                }
-            };
-            self.reports.push(DynReport {
-                device: dev.index,
-                outcome,
-            });
-        }
-    }
-
-    /// Screens the queue through the lane-parallel behavioural engine,
-    /// bit-exact to [`run_scalar`](DynBatch::run_scalar) with
-    /// [`crate::backend::BehavioralBackend`].
-    pub fn run_batched(&mut self) {
-        // Coded lanes run their whole record in their group's kernel
-        // pass; every other lane advances chunk by chunk on its own.
-        loop {
-            let mut active = false;
-            for group in 0..self.lane_width.div_ceil(GROUP) {
-                let mut coded = [false; GROUP];
-                for lane in group * GROUP..((group + 1) * GROUP).min(self.lane_width) {
-                    if !self.ensure_installed(lane) {
-                        continue;
-                    }
-                    active = true;
-                    if self.lanes.coded[lane] {
-                        coded[lane % GROUP] = true;
-                    } else {
-                        self.finish_lane(lane, self.lanes.consumed[lane] + CHUNK);
-                    }
-                }
-                if coded.contains(&true) {
-                    self.run_group(group, coded);
-                }
-            }
-            if !active {
-                break;
-            }
-        }
-    }
-
-    /// Installs the next queued device when `lane` is empty; whether
-    /// the lane now holds a device.
-    fn ensure_installed(&mut self, lane: usize) -> bool {
-        if self.devices.get(lane).is_none_or(|d| d.is_none()) {
-            match self.queue.pop_front() {
-                Some(dev) => self.install(lane, dev),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Runs [`advance_lane`](Self::advance_lane) and banks the report
-    /// when the lane's device concluded.
-    fn finish_lane(&mut self, lane: usize, until: u64) {
-        if let Some(outcome) = self.advance_lane(lane, until) {
-            let dev = self.devices[lane].take().expect("lane was active");
-            self.reports.push(DynReport {
-                device: dev.index,
-                outcome,
-            });
-        }
-    }
-
-    /// Runs `group`'s coded record block through [`group_kernel`],
+    /// Runs `group`'s coded record block through [`group_kernel`] and
     /// hands each `coded` lane's state back to its resonators and
-    /// Welford slots, and banks the lane's report.
+    /// Welford slots, leaving the lane at the end of its record.
     // bist-lint: hot-path — coded group dispatch
     fn run_group(&mut self, group: usize, coded: [bool; GROUP]) {
         let record = self.config.record_len();
@@ -999,15 +884,14 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
             let state = |bin: usize| (st.s1[bin][col], st.s2[bin][col]);
             self.lanes.banks[lane].set_state(record, st.mean[col], st.m2[col], state);
             self.lanes.consumed[lane] = record as u64;
-            self.finish_lane(lane, record as u64);
         }
     }
 
     /// Installs a device into `lane`, planning its record and resetting
     /// the lane's resonators (allocation-free once the lane and the
     /// shared table exist).
-    fn install(&mut self, lane: usize, dev: BatchDevice<A, R>) {
-        let (sine, sampling) = plan_sine(&dev.adc, &self.config);
+    fn install<A: Adc>(&mut self, lane: usize, adc: &A) {
+        let (sine, sampling) = plan_sine(adc, &self.config);
         let jitter_free = self.noise.jitter_seconds() == 0.0;
         if jitter_free && self.table.plan.is_none() {
             // First zero-jitter lane establishes the shared stimulus
@@ -1022,8 +906,7 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
         let use_table = jitter_free && self.table.plan == Some((sine, sampling));
         // A noiseless, unsequenced table lane whose codes fit a byte is
         // coded once here and then runs in its group's kernel pass.
-        let levels = dev
-            .adc
+        let levels = adc
             .transition_levels()
             .filter(|levels| levels.len() <= usize::from(u8::MAX));
         let coded = match levels {
@@ -1034,7 +917,7 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
                     && !self.table.order.is_empty() =>
             {
                 let record = self.config.record_len();
-                let rows = self.lane_width.div_ceil(GROUP) * record;
+                let rows = (lane / GROUP + 1) * record;
                 if self.codes.len() < rows {
                     self.codes.resize(rows, [0; GROUP]);
                 }
@@ -1047,53 +930,45 @@ impl<A: Adc, R: RngCore> DynBatch<A, R> {
         let l = &mut self.lanes;
         if lane == l.banks.len() {
             let c = &self.config;
-            l.banks.push(GoertzelBank::new(
-                c.cycles() as usize,
-                c.record_len(),
-                c.harmonics(),
-            ));
-            l.consumed.push(0);
-            l.next_checkpoint.push(u64::MAX);
-            l.use_table.push(use_table);
-            l.sine.push(sine);
-            l.sampling.push(sampling);
-            l.coded.push(coded);
+            let bank = GoertzelBank::new(c.cycles() as usize, c.record_len(), c.harmonics());
+            l.banks.push(bank);
             if let Some(policy) = self.seq_config {
                 l.seq.push(DynSequencer::new(policy));
             }
-            self.devices.push(None);
-        } else {
-            l.banks[lane].reset();
-            l.consumed[lane] = 0;
-            l.use_table[lane] = use_table;
-            l.sine[lane] = sine;
-            l.sampling[lane] = sampling;
-            l.coded[lane] = coded;
         }
+        l.banks[lane].reset();
+        put(&mut l.consumed, lane, 0);
+        put(&mut l.next_checkpoint, lane, u64::MAX);
+        put(&mut l.use_table, lane, use_table);
+        put(&mut l.sine, lane, sine);
+        put(&mut l.sampling, lane, sampling);
+        put(&mut l.coded, lane, coded);
         if self.seq_config.is_some() {
             let seq = &mut self.lanes.seq[lane];
             seq.begin(&self.config);
             self.lanes.next_checkpoint[lane] = seq.next_checkpoint_after(0);
         }
-        self.devices[lane] = Some(dev);
     }
 
-    /// Advances one lane to `until` (or end of record / an early-stop
-    /// decision). Returns the device's outcome when its record
-    /// concluded.
+    /// Advances one lane holding `dev` by one chunk (or to the end of
+    /// its record / an early-stop decision). Returns the device's
+    /// outcome when its record concluded.
     // bist-lint: hot-path — the dynamic lane inner loop
-    fn advance_lane(&mut self, lane: usize, until: u64) -> Option<SeqOutcome<DynamicVerdict>> {
+    fn advance_lane<A: Adc, R: RngCore>(
+        &mut self,
+        lane: usize,
+        dev: &mut BatchDevice<A, R>,
+    ) -> Option<SeqOutcome<DynamicVerdict>> {
         let sequenced = self.seq_config.is_some();
         let record_len = self.config.record_len() as u64;
-        let until = until.min(record_len);
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
         let sine = self.lanes.sine[lane];
         let sampling = self.lanes.sampling[lane];
         let use_table = self.lanes.use_table[lane];
         let mut consumed = self.lanes.consumed[lane];
+        let until = (consumed + CHUNK).min(record_len);
         let mut nc = self.lanes.next_checkpoint[lane];
         let bank = &mut self.lanes.banks[lane];
-        let dev = self.devices[lane].as_mut().expect("lane active");
         let mut outcome = None;
         while consumed < until {
             let i = consumed as usize;

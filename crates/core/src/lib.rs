@@ -33,8 +33,9 @@
 //!   for that pipeline: the behavioural accumulators or the
 //!   gate-accurate `bist-rtl` datapath ([`backend::RtlBackend`]),
 //!   bit-exact with each other, over scalar devices and whole batches.
-//! * [`batch`] — lane-parallel fleet screening: N devices advance in
-//!   lockstep through structure-of-arrays accumulator/Goertzel state,
+//! * [`batch`] — lane-parallel fleet screening through one engine,
+//!   [`batch::ScreenBatch`]: N devices advance in lockstep through
+//!   structure-of-arrays accumulator/Goertzel state,
 //!   with run-skipping on noiseless ramps and a shared sine table —
 //!   bit-exact to the scalar engines, several times faster.
 //! * [`pool`] — the cores axis over [`batch`]: a scoped worker pool
@@ -132,7 +133,7 @@ pub use analytic::{
     acceptance_probability, code_probabilities, device_probabilities, WidthDistribution,
 };
 pub use backend::{Backend, BehavioralBackend, RtlBackend};
-pub use batch::{BatchDevice, DynBatch, DynReport, StaticBatch, StaticReport};
+pub use batch::{BatchDevice, ScreenBatch};
 pub use config::BistConfig;
 pub use decision::ConfusionMatrix;
 pub use dynamic::{DynChecks, DynScratch, DynamicConfig, DynamicLimits, DynamicVerdict};
@@ -143,6 +144,6 @@ pub use qmin::QminPlan;
 pub use ring::{Enqueue, Ring};
 pub use screener::{ScreenReport, ScreenVerdict, Screener, Workload};
 pub use sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
-pub use shard::{JobKind, ResidentShard, ShardJob, ShardPlan, ShardVerdict};
+pub use shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
 pub use source::{Architecture, DeviceSource, DnlSignature, IidWidthSource, SourceSpec, Zoo};
 pub use yield_model::YieldModel;

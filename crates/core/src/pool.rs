@@ -1,7 +1,7 @@
 //! The workspace's one work-stealing pool: scoped workers claiming
 //! small chunks of work from an atomic cursor.
 //!
-//! The lane-parallel engines of [`crate::batch`] keep one core busy;
+//! The lane-parallel [`ScreenBatch`] keeps one core busy;
 //! the paper's §5 economics rest on testing "several A/D converters …
 //! in parallel", and on a workstation that parallelism is cores ×
 //! lanes. This module supplies the cores axis, in two shapes:
@@ -9,10 +9,10 @@
 //! * [`run_pool`] screens a device fleet — the pool behind
 //!   [`Screener::run`](crate::screener::Screener::run). A
 //!   [`DeviceQueue`] packs the fleet into chunks; each worker owns one
-//!   reusable [`Engine`] ([`StaticBatch`]/[`DynBatch`]: per-worker
-//!   lanes, scratch and report buffer — the zero-alloc steady state
-//!   proven by `tests/zero_alloc.rs`) plus its own backend, and
-//!   [`drain`]s the queue. Reports merge by device index.
+//!   reusable [`Engine`] (a [`ScreenBatch`]: per-worker lanes, scratch
+//!   and report buffer — the zero-alloc steady state proven by
+//!   `tests/zero_alloc.rs`) plus its own backend, and [`drain`]s the
+//!   queue. Reports merge by device index.
 //! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
 //!   fan-out behind `bist_mc`'s experiments, differential sweeps and
 //!   tables, where devices derive from `(seed, index)`. Results come
@@ -41,7 +41,8 @@ use std::sync::Mutex;
 use std::thread;
 
 use crate::backend::Backend;
-use crate::batch::{BatchDevice, DynBatch, DynReport, StaticBatch, StaticReport};
+use crate::batch::{BatchDevice, ScreenBatch};
+use crate::screener::ScreenReport;
 use bist_adc::Adc;
 use rand::RngCore;
 
@@ -196,13 +197,9 @@ impl<A, R> DeviceQueue<A, R> {
     }
 }
 
-/// A reusable screening engine the pool drives — [`StaticBatch`] and
-/// [`DynBatch`]: queue devices, screen them through a backend, take
-/// the reports.
+/// A reusable screening engine the pool drives — a [`ScreenBatch`]:
+/// queue devices, screen them through a backend, take the reports.
 pub trait Engine<A, R> {
-    /// One device's report.
-    type Report: Send;
-
     /// Queues one device for screening.
     fn push(&mut self, device: BatchDevice<A, R>);
 
@@ -210,49 +207,20 @@ pub trait Engine<A, R> {
     fn screen<B: Backend>(&mut self, backend: &mut B);
 
     /// Takes the accumulated reports, sorted by device index.
-    fn take_reports(&mut self) -> Vec<Self::Report>;
-
-    /// The device index `report` belongs to — the merge key.
-    fn device(report: &Self::Report) -> usize;
+    fn take_reports(&mut self) -> Vec<ScreenReport>;
 }
 
-impl<A: Adc, R: RngCore> Engine<A, R> for StaticBatch<A, R> {
-    type Report = StaticReport;
-
+impl<A: Adc, R: RngCore> Engine<A, R> for ScreenBatch<A, R> {
     fn push(&mut self, device: BatchDevice<A, R>) {
-        StaticBatch::push(self, device);
+        ScreenBatch::push(self, device);
     }
 
     fn screen<B: Backend>(&mut self, backend: &mut B) {
         backend.process_batch(self);
     }
 
-    fn take_reports(&mut self) -> Vec<StaticReport> {
-        StaticBatch::take_reports(self)
-    }
-
-    fn device(report: &StaticReport) -> usize {
-        report.device
-    }
-}
-
-impl<A: Adc, R: RngCore> Engine<A, R> for DynBatch<A, R> {
-    type Report = DynReport;
-
-    fn push(&mut self, device: BatchDevice<A, R>) {
-        DynBatch::push(self, device);
-    }
-
-    fn screen<B: Backend>(&mut self, backend: &mut B) {
-        backend.process_dyn_batch(self);
-    }
-
-    fn take_reports(&mut self) -> Vec<DynReport> {
-        DynBatch::take_reports(self)
-    }
-
-    fn device(report: &DynReport) -> usize {
-        report.device
+    fn take_reports(&mut self) -> Vec<ScreenReport> {
+        ScreenBatch::take_reports(self)
     }
 }
 
@@ -296,7 +264,7 @@ pub fn run_pool<A, R, E, B>(
     chunk: usize,
     make_engine: impl Fn() -> E + Sync,
     backend: &mut B,
-) -> Vec<E::Report>
+) -> Vec<ScreenReport>
 where
     A: Send,
     R: Send,
@@ -319,7 +287,7 @@ where
         drain(&mut engine, &queue, &mut B::default());
         engine.take_reports()
     });
-    reports.sort_unstable_by_key(<E as Engine<A, R>>::device);
+    reports.sort_unstable_by_key(|r| r.device);
     reports
 }
 
@@ -330,7 +298,7 @@ fn screen_in_chunks<A, R, E, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     chunk: usize,
     backend: &mut B,
-) -> Vec<E::Report>
+) -> Vec<ScreenReport>
 where
     E: Engine<A, R>,
     B: Backend,
@@ -347,6 +315,7 @@ mod tests {
     use super::*;
     use crate::backend::BehavioralBackend;
     use crate::config::BistConfig;
+    use crate::screener::Workload;
     use bist_adc::spec::LinearitySpec;
     use bist_adc::transfer::TransferFunction;
     use bist_adc::types::{Resolution, Volts};
@@ -393,30 +362,24 @@ mod tests {
         assert_eq!(seen, (0..23).collect::<Vec<_>>());
     }
 
-    fn config() -> BistConfig {
-        BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+    fn batch() -> ScreenBatch<TransferFunction, StdRng> {
+        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(6)
             .build()
-            .expect("paper-range counter")
+            .expect("paper-range counter");
+        ScreenBatch::new(Workload::static_ramp(config), None, 4)
     }
 
     #[test]
     fn pooled_reports_are_sorted_and_worker_count_invariant() {
-        let make_batch = || StaticBatch::new(config()).with_lane_width(4);
-        let reference = run_pool(fleet(17), 1, 5, make_batch, &mut BehavioralBackend);
+        let reference = run_pool(fleet(17), 1, 5, batch, &mut BehavioralBackend);
         assert_eq!(reference.len(), 17);
         for (i, r) in reference.iter().enumerate() {
             assert_eq!(r.device, i, "reports merge by device index");
         }
         for workers in [2, 3, 16] {
             for chunk in [1, 4, 32] {
-                let pooled = run_pool(
-                    fleet(17),
-                    workers,
-                    chunk,
-                    make_batch,
-                    &mut BehavioralBackend,
-                );
+                let pooled = run_pool(fleet(17), workers, chunk, batch, &mut BehavioralBackend);
                 assert_eq!(pooled, reference, "workers={workers} chunk={chunk}");
             }
         }
@@ -424,13 +387,11 @@ mod tests {
 
     /// A static batch that records the deepest queue it ever held.
     struct DepthProbe<'a> {
-        batch: StaticBatch<TransferFunction, StdRng>,
+        batch: ScreenBatch<TransferFunction, StdRng>,
         deepest: &'a AtomicUsize,
     }
 
     impl Engine<TransferFunction, StdRng> for DepthProbe<'_> {
-        type Report = StaticReport;
-
         fn push(&mut self, device: BatchDevice<TransferFunction, StdRng>) {
             self.batch.push(device);
             // ORDERING: Relaxed suffices — a single-threaded high-water
@@ -443,23 +404,18 @@ mod tests {
             backend.process_batch(&mut self.batch);
         }
 
-        fn take_reports(&mut self) -> Vec<StaticReport> {
+        fn take_reports(&mut self) -> Vec<ScreenReport> {
             self.batch.take_reports()
-        }
-
-        fn device(report: &StaticReport) -> usize {
-            report.device
         }
     }
 
     #[test]
     fn one_worker_screens_at_most_one_chunk_at_a_time() {
-        let make_batch = || StaticBatch::new(config()).with_lane_width(4);
-        let unchunked = run_pool(fleet(23), 1, usize::MAX, make_batch, &mut BehavioralBackend);
+        let unchunked = run_pool(fleet(23), 1, usize::MAX, batch, &mut BehavioralBackend);
         for chunk in [1, 5, 23] {
             let deepest = AtomicUsize::new(0);
             let make_probe = || DepthProbe {
-                batch: make_batch(),
+                batch: batch(),
                 deepest: &deepest,
             };
             let reports = run_pool(fleet(23), 1, chunk, make_probe, &mut BehavioralBackend);

@@ -1,11 +1,5 @@
 //! The one front door for device screening: [`Screener`].
 //!
-//! Before this module the crate exposed eight free functions
-//! (`run_static_bist*`, `run_dynamic_bist*`, `run_seq_*`) whose names
-//! encoded three orthogonal choices — workload, backend, sequencing —
-//! as separate entry points. The [`Screener`] folds them into one
-//! builder:
-//!
 //! ```text
 //!            Screener::new(workload)      which test?   Workload::{Static, Dynamic}
 //!                .backend(backend)        which judge?  BehavioralBackend | RtlBackend
@@ -15,28 +9,28 @@
 //!             or .screen_one(&adc, rng)   one device  → ScreenVerdict
 //! ```
 //!
-//! [`Screener::run`] dispatches through the batch seam
-//! ([`Backend::process_batch`] / [`Backend::process_dyn_batch`]): the
-//! behavioural backend screens the fleet through the lane-parallel
-//! engines of [`crate::batch`], the RTL backend clocks each device
-//! through the gate-accurate datapath scalar-wise — same reports,
-//! ordered by device index, either way. With [`Screener::workers`] the
-//! fleet is additionally sharded across the scoped worker pool of
-//! [`crate::pool`], each worker owning a reusable engine and claiming
-//! small device chunks from a shared queue — reports stay bit-identical
-//! for any worker count. [`Screener::screen_one`] is the scalar
-//! single-device path, leaving per-code detail in the screener's
-//! [`Scratch`] for inspection.
+//! [`Screener::run`] screens the fleet through one [`ScreenBatch`] per
+//! worker and the backend's batch seam ([`Backend::process_batch`]): the
+//! behavioural backend runs the batch's lane-parallel engine, the RTL
+//! backend clocks each device through the gate-accurate datapath
+//! scalar-wise — same reports, ordered by device index, either way.
+//! With [`Screener::workers`] the fleet is additionally sharded across
+//! the scoped worker pool of [`crate::pool`], each worker owning a
+//! reusable batch and claiming small device chunks from a shared queue
+//! — reports stay bit-identical for any worker count.
+//! [`Screener::screen_one`] is the scalar single-device path, leaving
+//! per-code detail in the screener's [`Scratch`] for inspection.
 
 use std::sync::Arc;
 
 use crate::backend::{Backend, BehavioralBackend};
-use crate::batch::{BatchDevice, DynBatch, StaticBatch, StimulusTable, DEFAULT_LANE_WIDTH};
+use crate::batch::{BatchDevice, ScreenBatch, StimulusTable, DEFAULT_LANE_WIDTH};
 use crate::config::BistConfig;
 use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
 use crate::pool;
 use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
+use crate::shard::JobKind;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::stream::CodeStream;
 use bist_adc::Adc;
@@ -91,6 +85,14 @@ impl Workload {
             Workload::Static { noise, .. } | Workload::Dynamic { noise, .. } => *noise = n,
         }
         self
+    }
+
+    /// Which [`JobKind`] of submission this workload screens.
+    pub fn kind(&self) -> JobKind {
+        match self {
+            Workload::Static { .. } => JobKind::Static,
+            Workload::Dynamic { .. } => JobKind::Dynamic,
+        }
     }
 
     /// Sets the relative ramp slope error (static workloads only).
@@ -214,10 +216,7 @@ pub struct Screener<B = BehavioralBackend> {
     lane_width: usize,
     workers: usize,
     chunk: usize,
-    scratch: Scratch,
-    dyn_scratch: DynScratch,
-    static_seq: Option<StaticSequencer>,
-    dyn_seq: Option<DynSequencer>,
+    scalar: ScalarPath,
 }
 
 impl Screener<BehavioralBackend> {
@@ -231,10 +230,7 @@ impl Screener<BehavioralBackend> {
             lane_width: DEFAULT_LANE_WIDTH,
             workers: 1,
             chunk: pool::DEFAULT_CHUNK,
-            scratch: Scratch::new(),
-            dyn_scratch: DynScratch::new(),
-            static_seq: None,
-            dyn_seq: None,
+            scalar: ScalarPath::default(),
         }
     }
 }
@@ -250,10 +246,7 @@ impl<B: Backend> Screener<B> {
             lane_width: self.lane_width,
             workers: self.workers,
             chunk: self.chunk,
-            scratch: self.scratch,
-            dyn_scratch: self.dyn_scratch,
-            static_seq: None,
-            dyn_seq: None,
+            scalar: self.scalar,
         }
     }
 
@@ -334,74 +327,33 @@ impl<B: Backend> Screener<B> {
         I: IntoIterator<Item = (A, R)>,
         B: Default,
     {
-        let (lane_width, sequencer) = (self.lane_width, self.sequencer);
-        let fleet = devices
+        let (workload, sequencer, lane_width) = (self.workload, self.sequencer, self.lane_width);
+        let mut fleet = devices
             .into_iter()
             .enumerate()
-            .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-        match self.workload {
-            Workload::Static {
-                config,
-                noise,
-                slope_error,
-            } => {
-                let make_batch = || {
-                    let mut batch = StaticBatch::new(config)
-                        .with_noise(noise)
-                        .with_slope_error(slope_error)
-                        .with_lane_width(lane_width);
-                    if let Some(policy) = sequencer {
-                        batch = batch.with_sequencer(policy);
-                    }
-                    batch
-                };
-                let reports = pool::run_pool(
-                    fleet,
-                    self.workers,
-                    self.chunk,
-                    make_batch,
-                    &mut self.backend,
-                );
-                out.extend(reports.into_iter().map(|r| ScreenReport {
-                    device: r.device,
-                    verdict: ScreenVerdict::Static(r.outcome),
-                }));
+            .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng))
+            .peekable();
+        // A dynamic fleet plans its sine once, keyed on the first device
+        // (lanes whose plan differs fall back bit-exactly to per-sample
+        // evaluation), so every worker reads one immutable table.
+        let shared = fleet
+            .peek()
+            .and_then(|d| StimulusTable::plan_for(&d.adc, &workload));
+        let make_batch = || {
+            let batch = ScreenBatch::new(workload, sequencer, lane_width);
+            match &shared {
+                Some(table) => batch.with_shared_table(Arc::clone(table)),
+                None => batch,
             }
-            Workload::Dynamic { config, noise } => {
-                // Plan the sine once for the whole fleet, keyed on the
-                // first device (lanes whose plan differs fall back
-                // bit-exactly to per-sample evaluation), so every worker
-                // reads one immutable table.
-                let mut fleet = fleet.peekable();
-                let shared = fleet
-                    .peek()
-                    .filter(|_| noise.jitter_seconds() == 0.0)
-                    .map(|d| StimulusTable::plan_for(&d.adc, &config));
-                let make_batch = || {
-                    let mut batch = DynBatch::new(config)
-                        .with_noise(noise)
-                        .with_lane_width(lane_width);
-                    if let Some(policy) = sequencer {
-                        batch = batch.with_sequencer(policy);
-                    }
-                    if let Some(table) = &shared {
-                        batch = batch.with_shared_table(Arc::clone(table));
-                    }
-                    batch
-                };
-                let reports = pool::run_pool(
-                    fleet,
-                    self.workers,
-                    self.chunk,
-                    make_batch,
-                    &mut self.backend,
-                );
-                out.extend(reports.into_iter().map(|r| ScreenReport {
-                    device: r.device,
-                    verdict: ScreenVerdict::Dynamic(r.outcome),
-                }));
-            }
-        }
+        };
+        let reports = pool::run_pool(
+            fleet,
+            self.workers,
+            self.chunk,
+            make_batch,
+            &mut self.backend,
+        );
+        out.extend(reports);
     }
 
     /// Screens one device through the scalar engine, leaving per-code
@@ -412,7 +364,52 @@ impl<B: Backend> Screener<B> {
         adc: &A,
         rng: &mut R,
     ) -> ScreenVerdict {
-        match self.workload {
+        self.scalar
+            .screen(&self.workload, self.sequencer, &mut self.backend, adc, rng)
+    }
+
+    /// Per-sweep detail left by the last [`Screener::screen_one`] on a
+    /// static workload.
+    pub fn scratch(&self) -> &Scratch {
+        &self.scalar.scratch
+    }
+
+    /// Assembles the full per-code [`BistOutcome`] for the most recent
+    /// static [`Screener::screen_one`], or `None` for a dynamic
+    /// verdict.
+    pub fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
+        match verdict {
+            ScreenVerdict::Static(o) => Some(self.scalar.scratch.take_outcome(o.verdict)),
+            ScreenVerdict::Dynamic(_) => None,
+        }
+    }
+}
+
+/// The scalar per-device path — plan the stimulus, stream the noisy
+/// codes, judge them through the backend's scalar (or sequenced) method
+/// — with the scratch and sequencers it reuses from device to device.
+/// [`Screener::screen_one`] and [`ScreenBatch::run_scalar`] both screen
+/// through it.
+#[derive(Debug, Default)]
+pub(crate) struct ScalarPath {
+    scratch: Scratch,
+    dyn_scratch: DynScratch,
+    static_seq: Option<StaticSequencer>,
+    dyn_seq: Option<DynSequencer>,
+}
+
+impl ScalarPath {
+    /// Screens `adc` under `workload` (and the early-stop `sequencer`
+    /// policy, when given) through `backend`.
+    pub(crate) fn screen<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+        &mut self,
+        workload: &Workload,
+        sequencer: Option<SequencerConfig>,
+        backend: &mut B,
+        adc: &A,
+        rng: &mut R,
+    ) -> ScreenVerdict {
+        match *workload {
             Workload::Static {
                 config,
                 noise,
@@ -421,57 +418,35 @@ impl<B: Backend> Screener<B> {
                 let (ramp, sampling) = plan_ramp(adc, &config);
                 let ramp = ramp.with_slope_error(slope_error);
                 let stream = CodeStream::noisy(adc, &ramp, sampling, &noise, rng);
-                let outcome = if let Some(policy) = self.sequencer {
-                    let seq = self
-                        .static_seq
-                        .get_or_insert_with(|| StaticSequencer::new(policy));
-                    self.backend
-                        .process_sequenced(&config, seq, stream, &mut self.scratch)
-                } else {
-                    let verdict = self.backend.process(&config, stream, &mut self.scratch);
-                    SeqOutcome {
-                        decision: SeqDecision::Continue,
-                        verdict,
+                ScreenVerdict::Static(match sequencer {
+                    Some(policy) => {
+                        let seq = self
+                            .static_seq
+                            .get_or_insert_with(|| StaticSequencer::new(policy));
+                        backend.process_sequenced(&config, seq, stream, &mut self.scratch)
                     }
-                };
-                ScreenVerdict::Static(outcome)
+                    None => SeqOutcome {
+                        decision: SeqDecision::Continue,
+                        verdict: backend.process(&config, stream, &mut self.scratch),
+                    },
+                })
             }
             Workload::Dynamic { config, noise } => {
                 let (sine, sampling) = plan_sine(adc, &config);
                 let stream = CodeStream::noisy(adc, &sine, sampling, &noise, rng);
-                let outcome = if let Some(policy) = self.sequencer {
-                    let seq = self
-                        .dyn_seq
-                        .get_or_insert_with(|| DynSequencer::new(policy));
-                    self.backend
-                        .process_dyn_sequenced(&config, seq, stream, &mut self.dyn_scratch)
-                } else {
-                    let verdict = self
-                        .backend
-                        .process_dyn(&config, stream, &mut self.dyn_scratch);
-                    SeqOutcome {
-                        decision: SeqDecision::Continue,
-                        verdict,
+                ScreenVerdict::Dynamic(match sequencer {
+                    Some(policy) => {
+                        let seq = self
+                            .dyn_seq
+                            .get_or_insert_with(|| DynSequencer::new(policy));
+                        backend.process_dyn_sequenced(&config, seq, stream, &mut self.dyn_scratch)
                     }
-                };
-                ScreenVerdict::Dynamic(outcome)
+                    None => SeqOutcome {
+                        decision: SeqDecision::Continue,
+                        verdict: backend.process_dyn(&config, stream, &mut self.dyn_scratch),
+                    },
+                })
             }
-        }
-    }
-
-    /// Per-sweep detail left by the last [`Screener::screen_one`] on a
-    /// static workload.
-    pub fn scratch(&self) -> &Scratch {
-        &self.scratch
-    }
-
-    /// Assembles the full per-code [`BistOutcome`] for the most recent
-    /// static [`Screener::screen_one`], or `None` for a dynamic
-    /// verdict.
-    pub fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
-        match verdict {
-            ScreenVerdict::Static(o) => Some(self.scratch.take_outcome(o.verdict)),
-            ScreenVerdict::Dynamic(_) => None,
         }
     }
 }

@@ -1,26 +1,25 @@
 //! Resident worker shard: the reusable compute unit behind the
 //! screening service (`bist-serve`).
 //!
-//! A [`ResidentShard`] wraps the same per-worker engines
-//! ([`StaticBatch`] / [`DynBatch`]) that [`crate::pool`] hands its
-//! scoped workers, but keeps them alive between bursts so a
-//! long-running service screens continuously without re-allocating:
-//! after the first burst warms the engines (lane scratch, report
-//! buffers, sine table), every later submit→verdict round trip is
-//! allocation-free — proven by the counting-allocator test in
-//! `crates/core/tests/zero_alloc.rs`.
+//! A [`ResidentShard`] keeps one [`ScreenBatch`] per resident workload
+//! — the same engine [`crate::pool`] hands its scoped workers — alive
+//! between bursts, so a long-running service screens continuously
+//! without re-allocating: after the first burst warms the engines (lane
+//! scratch, report buffers, sine table), every later submit→verdict
+//! round trip is allocation-free — proven by the counting-allocator
+//! test in `crates/core/tests/zero_alloc.rs`.
 //!
-//! The shard also carries the submission-id seam: callers tag each
-//! [`ShardJob`] with an arbitrary `u64` id, the shard maps engine
-//! device indices back to those ids when draining reports, and because
-//! every engine verdict is bit-identical to the scalar screener for
-//! any lane width and refill order (the batch-equivalence property),
-//! any arrival order, burst grouping, or worker count yields the same
-//! per-id verdicts as one [`crate::screener::Screener::run`] pass.
+//! A job's id is its engine device index, so each verdict comes back
+//! tagged with the id of the job it answers. Because every engine
+//! verdict is bit-identical to the scalar screener for any lane width
+//! and refill order (the batch-equivalence property), any arrival
+//! order, burst grouping, or worker count yields the same per-id
+//! verdicts as one [`crate::screener::Screener::run`] pass.
 
 use crate::backend::Backend;
-use crate::batch::{BatchDevice, DynBatch, StaticBatch};
+use crate::batch::{BatchDevice, ScreenBatch};
 use crate::screener::{ScreenVerdict, Workload};
+use crate::sequencer::SequencerConfig;
 use bist_adc::Adc;
 use rand::RngCore;
 
@@ -36,7 +35,7 @@ pub enum JobKind {
 /// One tagged device submission for a [`ResidentShard`].
 #[derive(Debug)]
 pub struct ShardJob<A, R> {
-    /// Caller-chosen submission id, echoed on the matching
+    /// Submission id, unique within a burst, echoed on the matching
     /// [`ShardVerdict`].
     pub id: u64,
     /// Which workload screens this device.
@@ -58,116 +57,45 @@ pub struct ShardVerdict {
     pub verdict: ScreenVerdict,
 }
 
-/// The shard's workload plan: which tests it is resident for and the
-/// engine knobs shared by every burst.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPlan {
-    /// Static workload, when the shard screens [`JobKind::Static`]
-    /// jobs. Must be a [`Workload::Static`] variant.
-    pub static_workload: Option<Workload>,
-    /// Dynamic workload, when the shard screens [`JobKind::Dynamic`]
-    /// jobs. Must be a [`Workload::Dynamic`] variant.
-    pub dynamic_workload: Option<Workload>,
-    /// Early-stop sequencing policy applied to both engines.
-    pub sequencer: Option<crate::sequencer::SequencerConfig>,
-    /// SoA lane width for both engines.
-    pub lane_width: usize,
-}
-
-impl ShardPlan {
-    /// A plan resident for one workload (static or dynamic), default
-    /// lane width, no sequencer.
-    pub fn for_workload(workload: Workload) -> Self {
-        let mut plan = ShardPlan {
-            static_workload: None,
-            dynamic_workload: None,
-            sequencer: None,
-            lane_width: crate::batch::DEFAULT_LANE_WIDTH,
-        };
-        match workload {
-            Workload::Static { .. } => plan.static_workload = Some(workload),
-            Workload::Dynamic { .. } => plan.dynamic_workload = Some(workload),
-        }
-        plan
-    }
-}
-
-/// A resident worker shard: long-lived batch engines plus the
-/// submission-id table, reused burst after burst.
+/// A resident worker shard: long-lived batch engines, one per resident
+/// workload, reused burst after burst.
 #[derive(Debug)]
 pub struct ResidentShard<A, R, B> {
-    static_batch: Option<StaticBatch<A, R>>,
-    dyn_batch: Option<DynBatch<A, R>>,
+    engines: Vec<ScreenBatch<A, R>>,
     backend: B,
-    /// Engine device index → submission id, rebuilt per burst inside
-    /// its retained capacity.
-    ids: Vec<u64>,
 }
 
 impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
-    /// Builds a shard resident for the workloads named by `plan`,
-    /// judging with `backend`.
+    /// Builds a shard resident for each of `workloads`, every engine
+    /// `lane_width` lanes wide under the early-stop `sequencer` policy
+    /// (when given), judging with `backend`. Jobs of a kind go to the
+    /// first workload of that kind.
     ///
     /// # Panics
     ///
-    /// Panics when `plan.static_workload` is not a
-    /// [`Workload::Static`] variant (or the dynamic field not a
-    /// [`Workload::Dynamic`]), or when neither workload is set.
-    pub fn new(plan: &ShardPlan, backend: B) -> Self {
+    /// Panics when `workloads` is empty or `lane_width` is zero.
+    pub fn new(
+        workloads: impl IntoIterator<Item = Workload>,
+        sequencer: Option<SequencerConfig>,
+        lane_width: usize,
+        backend: B,
+    ) -> Self {
+        let engines: Vec<_> = workloads
+            .into_iter()
+            .map(|w| ScreenBatch::new(w, sequencer, lane_width))
+            .collect();
         assert!(
-            plan.static_workload.is_some() || plan.dynamic_workload.is_some(),
+            !engines.is_empty(),
             "a resident shard needs at least one workload"
         );
-        let static_batch = plan.static_workload.map(|w| match w {
-            Workload::Static {
-                config,
-                noise,
-                slope_error,
-            } => {
-                let mut batch = StaticBatch::new(config)
-                    .with_noise(noise)
-                    .with_slope_error(slope_error)
-                    .with_lane_width(plan.lane_width);
-                if let Some(policy) = plan.sequencer {
-                    batch = batch.with_sequencer(policy);
-                }
-                batch
-            }
-            Workload::Dynamic { .. } => panic!("static_workload must be Workload::Static"),
-        });
-        let dyn_batch = plan.dynamic_workload.map(|w| match w {
-            Workload::Dynamic { config, noise } => {
-                let mut batch = DynBatch::new(config)
-                    .with_noise(noise)
-                    .with_lane_width(plan.lane_width);
-                if let Some(policy) = plan.sequencer {
-                    batch = batch.with_sequencer(policy);
-                }
-                batch
-            }
-            Workload::Static { .. } => panic!("dynamic_workload must be Workload::Dynamic"),
-        });
-        ResidentShard {
-            static_batch,
-            dyn_batch,
-            backend,
-            ids: Vec::new(),
-        }
-    }
-
-    /// True when the shard is resident for `kind` jobs.
-    pub fn accepts(&self, kind: JobKind) -> bool {
-        match kind {
-            JobKind::Static => self.static_batch.is_some(),
-            JobKind::Dynamic => self.dyn_batch.is_some(),
-        }
+        ResidentShard { engines, backend }
     }
 
     // bist-lint: hot-path — service steady state: every burst is screened through here
     /// Screens one burst of jobs, streaming one [`ShardVerdict`] per
-    /// job into `sink` (static verdicts first, then dynamic, each
-    /// group in submission order). After the first burst the engines
-    /// and id table are warm and this path allocates nothing.
+    /// job into `sink` (grouped by workload in the order the shard was
+    /// built with, each group in id order). After the first burst the
+    /// engines are warm and this path allocates nothing.
     ///
     /// # Panics
     ///
@@ -179,45 +107,31 @@ impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
         I: IntoIterator<Item = ShardJob<A, R>>,
         F: FnMut(ShardVerdict),
     {
-        self.ids.clear();
         for job in jobs {
-            let index = self.ids.len();
-            self.ids.push(job.id);
-            match job.kind {
-                JobKind::Static => self
-                    .static_batch
-                    .as_mut()
-                    .expect("shard is not resident for static jobs")
-                    .push(BatchDevice::new(index, job.adc, job.rng)),
-                JobKind::Dynamic => self
-                    .dyn_batch
-                    .as_mut()
-                    .expect("shard is not resident for dynamic jobs")
-                    .push(BatchDevice::new(index, job.adc, job.rng)),
-            }
+            let Some(engine) = self
+                .engines
+                .iter_mut()
+                .find(|e| e.workload().kind() == job.kind)
+            else {
+                let kind = match job.kind {
+                    JobKind::Static => "static",
+                    JobKind::Dynamic => "dynamic",
+                };
+                panic!("shard is not resident for {kind} jobs");
+            };
+            let index = usize::try_from(job.id).expect("job id fits a device index");
+            engine.push(BatchDevice::new(index, job.adc, job.rng));
         }
-        if let Some(batch) = &mut self.static_batch {
-            if batch.queued() > 0 {
-                self.backend.process_batch(batch);
-                for report in batch.finish_reports() {
+        for engine in &mut self.engines {
+            if engine.queued() > 0 {
+                self.backend.process_batch(engine);
+                for report in engine.finish_reports() {
                     sink(ShardVerdict {
-                        id: self.ids[report.device],
-                        verdict: ScreenVerdict::Static(report.outcome),
+                        id: report.device as u64,
+                        verdict: report.verdict,
                     });
                 }
-                batch.clear_reports();
-            }
-        }
-        if let Some(batch) = &mut self.dyn_batch {
-            if batch.queued() > 0 {
-                self.backend.process_dyn_batch(batch);
-                for report in batch.finish_reports() {
-                    sink(ShardVerdict {
-                        id: self.ids[report.device],
-                        verdict: ScreenVerdict::Dynamic(report.outcome),
-                    });
-                }
-                batch.clear_reports();
+                engine.clear_reports();
             }
         }
     }
@@ -227,6 +141,7 @@ impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
 mod tests {
     use super::*;
     use crate::backend::BehavioralBackend;
+    use crate::batch::DEFAULT_LANE_WIDTH;
     use crate::config::BistConfig;
     use crate::dynamic::DynamicConfig;
     use crate::screener::Screener;
@@ -251,9 +166,11 @@ mod tests {
 
     #[test]
     fn verdicts_match_screener_across_bursts_and_ids() {
-        let mut plan = ShardPlan::for_workload(static_workload());
-        plan.dynamic_workload = Some(Workload::dynamic_sine(DynamicConfig::paper_default()));
-        let mut shard = ResidentShard::new(&plan, BehavioralBackend);
+        let workloads = [
+            static_workload(),
+            Workload::dynamic_sine(DynamicConfig::paper_default()),
+        ];
+        let mut shard = ResidentShard::new(workloads, None, DEFAULT_LANE_WIDTH, BehavioralBackend);
         // Screen 6 static devices in two bursts with shuffled ids.
         let ids = [40u64, 11, 32, 23, 14, 5];
         let mut streamed = Vec::new();
@@ -280,9 +197,11 @@ mod tests {
 
     #[test]
     fn mixed_burst_streams_both_workloads() {
-        let mut plan = ShardPlan::for_workload(static_workload());
-        plan.dynamic_workload = Some(Workload::dynamic_sine(DynamicConfig::paper_default()));
-        let mut shard = ResidentShard::new(&plan, BehavioralBackend);
+        let workloads = [
+            static_workload(),
+            Workload::dynamic_sine(DynamicConfig::paper_default()),
+        ];
+        let mut shard = ResidentShard::new(workloads, None, DEFAULT_LANE_WIDTH, BehavioralBackend);
         let jobs = (0..4u64).map(|id| {
             let (adc, rng) = device(id);
             ShardJob {
@@ -307,8 +226,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "not resident for dynamic")]
     fn unrouted_kind_panics() {
-        let plan = ShardPlan::for_workload(static_workload());
-        let mut shard = ResidentShard::new(&plan, BehavioralBackend);
+        let mut shard = ResidentShard::new(
+            [static_workload()],
+            None,
+            DEFAULT_LANE_WIDTH,
+            BehavioralBackend,
+        );
         let (adc, rng) = device(0);
         shard.process(
             [ShardJob {

@@ -1,7 +1,7 @@
 //! Property-based equivalence of the lane-parallel SoA batch engines
 //! against the scalar reference: for any fleet size, lane width, noise
 //! setting, and refill order, `Screener::run` (and the raw
-//! `StaticBatch`/`DynBatch` drivers) must produce reports bit-exact to
+//! `ScreenBatch` driver) must produce reports bit-exact to
 //! `Screener::screen_one` on the same devices with the same per-device
 //! RNG streams — including the sequencer's latch points
 //! (`SeqDecision`), not just the final verdicts.
@@ -12,11 +12,11 @@ use bist_adc::signal::Stimulus;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
-use bist_core::backend::BehavioralBackend;
-use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
+use bist_core::backend::{Backend, BehavioralBackend, RtlBackend};
+use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::{plan_sine, DynamicConfig};
-use bist_core::screener::{ScreenVerdict, Screener, Workload};
+use bist_core::screener::{ScreenReport, ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::source::{SourceSpec, Zoo};
 use proptest::prelude::*;
@@ -94,6 +94,28 @@ fn batched_verdicts<A: Adc + Sync>(
         .into_iter()
         .map(|r| (r.device, r.verdict))
         .collect()
+}
+
+/// `screener.run` over `devices` — the pool and the backend's batch
+/// seam — next to the same screener's `screen_one` verdicts for the
+/// same devices and noise streams.
+fn pooled_and_scalar<B: Backend + Default>(
+    mut screener: Screener<B>,
+    devices: &[FlashAdc],
+    seed: u64,
+) -> (Vec<ScreenReport>, Vec<ScreenVerdict>) {
+    let scalar = devices
+        .iter()
+        .enumerate()
+        .map(|(i, adc)| screener.screen_one(adc, &mut device_rng(seed, i)))
+        .collect();
+    let pooled = screener.run(
+        devices
+            .iter()
+            .enumerate()
+            .map(|(i, adc)| (adc, device_rng(seed, i))),
+    );
+    (pooled, scalar)
 }
 
 /// A mixed fleet at `config`'s resolution for the coded-lane tests,
@@ -217,8 +239,9 @@ proptest! {
 
     /// Worker pool: sharding the fleet across a work-stealing pool of
     /// any size, with any chunk size and lane width, on either workload
-    /// with or without a sequencer, is bit-exact to the scalar engine —
-    /// which worker screens a device cannot change its report.
+    /// with or without a sequencer, through either backend's batch
+    /// seam, is bit-exact to that backend's scalar engine — which
+    /// worker screens a device cannot change its report.
     #[test]
     fn pooled_matches_scalar_for_any_worker_count(
         seed in any::<u64>(),
@@ -228,6 +251,7 @@ proptest! {
         chunk in 1usize..10,
         sequenced in any::<bool>(),
         dynamic in any::<bool>(),
+        rtl in any::<bool>(),
     ) {
         let devices = fleet(seed, n);
         let workload = if dynamic {
@@ -235,7 +259,6 @@ proptest! {
         } else {
             Workload::static_ramp(static_config(5))
         };
-        let scalar = scalar_verdicts(workload, sequenced, &devices, seed);
         let mut screener = Screener::new(workload)
             .lane_width(lanes)
             .workers(workers)
@@ -243,12 +266,11 @@ proptest! {
         if sequenced {
             screener = screener.sequencer(SequencerConfig::default());
         }
-        let pooled = screener.run(
-            devices
-                .iter()
-                .enumerate()
-                .map(|(i, adc)| (adc, device_rng(seed, i))),
-        );
+        let (pooled, scalar) = if rtl {
+            pooled_and_scalar(screener.backend(RtlBackend::new()), &devices, seed)
+        } else {
+            pooled_and_scalar(screener, &devices, seed)
+        };
         prop_assert_eq!(pooled.len(), n);
         for (i, report) in pooled.into_iter().enumerate() {
             prop_assert_eq!(report.device, i);
@@ -273,10 +295,8 @@ proptest! {
         let scalar =
             scalar_verdicts(Workload::static_ramp(config), sequenced, &devices, seed);
 
-        let mut batch = StaticBatch::new(config).with_lane_width(lanes);
-        if sequenced {
-            batch = batch.with_sequencer(SequencerConfig::default());
-        }
+        let policy = sequenced.then(SequencerConfig::default);
+        let mut batch = ScreenBatch::new(Workload::static_ramp(config), policy, lanes);
         for (i, adc) in devices.iter().enumerate().take(split) {
             batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }
@@ -289,7 +309,7 @@ proptest! {
         prop_assert_eq!(reports.len(), n);
         for (i, report) in reports.into_iter().enumerate() {
             prop_assert_eq!(report.device, i);
-            prop_assert_eq!(ScreenVerdict::Static(report.outcome), scalar[i]);
+            prop_assert_eq!(report.verdict, scalar[i]);
         }
     }
 
@@ -309,10 +329,8 @@ proptest! {
         let scalar =
             scalar_verdicts(Workload::dynamic_sine(config), sequenced, &devices, seed);
 
-        let mut batch = DynBatch::new(config).with_lane_width(lanes);
-        if sequenced {
-            batch = batch.with_sequencer(SequencerConfig::default());
-        }
+        let policy = sequenced.then(SequencerConfig::default);
+        let mut batch = ScreenBatch::new(Workload::dynamic_sine(config), policy, lanes);
         for (i, adc) in devices.iter().enumerate().take(split) {
             batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }
@@ -325,13 +343,10 @@ proptest! {
         prop_assert_eq!(reports.len(), n);
         for (i, report) in reports.iter().enumerate() {
             prop_assert_eq!(report.device, i);
-            prop_assert_eq!(ScreenVerdict::Dynamic(report.outcome), scalar[i]);
+            prop_assert_eq!(report.verdict, scalar[i]);
         }
 
-        let mut raw = DynBatch::new(config).with_lane_width(lanes);
-        if sequenced {
-            raw = raw.with_sequencer(SequencerConfig::default());
-        }
+        let mut raw = ScreenBatch::new(Workload::dynamic_sine(config), policy, lanes);
         for (i, adc) in devices.iter().enumerate() {
             raw.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }

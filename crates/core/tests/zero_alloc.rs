@@ -1,8 +1,8 @@
 //! Proves the acceptance criterion of the streaming engine: after
 //! warm-up, the device→verdict hot paths — scalar `Screener::screen_one`
 //! on every workload × backend × sequencing combination, and the
-//! lane-parallel `StaticBatch`/`DynBatch` engines — perform **zero heap
-//! allocations**.
+//! lane-parallel `ScreenBatch` engine on both workloads — perform
+//! **zero heap allocations**.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! warms each engine on a first pass (buffers reach the workload's
@@ -16,14 +16,14 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::backend::{BehavioralBackend, RtlBackend};
-use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
+use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool::{drain, DeviceQueue};
 use bist_core::ring::Ring;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
-use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardPlan, ShardVerdict};
+use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -165,17 +165,11 @@ fn hot_path_is_allocation_free_after_warmup() {
     // run-skip and fallback static lanes, and the coded and
     // per-sample dynamic lanes, plain and sequenced.
     const FLEET: usize = 8;
-    let mut b_static = StaticBatch::new(plain).with_lane_width(4);
-    let mut b_static_seq = StaticBatch::new(deglitched)
-        .with_noise(noise)
-        .with_slope_error(-0.01)
-        .with_sequencer(policy)
-        .with_lane_width(4);
-    let mut b_dyn = DynBatch::new(dyn_config).with_lane_width(4);
-    let mut b_dyn_seq = DynBatch::new(dyn_config)
-        .with_noise(dyn_noise)
-        .with_sequencer(policy)
-        .with_lane_width(4);
+    let w_dyn_plain = Workload::dynamic_sine(dyn_config);
+    let mut b_static = ScreenBatch::new(w_plain, None, 4);
+    let mut b_static_seq = ScreenBatch::new(w_noisy, Some(policy), 4);
+    let mut b_dyn = ScreenBatch::new(w_dyn_plain, None, 4);
+    let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy), 4);
 
     let mut batch_all = |accepted: &mut u32| {
         for i in 0..FLEET {
@@ -190,16 +184,16 @@ fn hot_path_is_allocation_free_after_warmup() {
         b_dyn.run_batched();
         b_dyn_seq.run_batched();
         for r in b_static.finish_reports() {
-            *accepted += u32::from(r.outcome.verdict.accepted());
+            *accepted += u32::from(r.verdict.accepted());
         }
         for r in b_static_seq.finish_reports() {
-            *accepted += u32::from(r.outcome.verdict.accepted());
+            *accepted += u32::from(r.verdict.accepted());
         }
         for r in b_dyn.finish_reports() {
-            *accepted += u32::from(r.outcome.verdict.accepted());
+            *accepted += u32::from(r.verdict.accepted());
         }
         for r in b_dyn_seq.finish_reports() {
-            *accepted += u32::from(r.outcome.verdict.accepted());
+            *accepted += u32::from(r.verdict.accepted());
         }
         b_static.clear_reports();
         b_static_seq.clear_reports();
@@ -238,21 +232,21 @@ fn hot_path_is_allocation_free_after_warmup() {
             chunk,
         )
     };
-    let mut w_static = StaticBatch::new(plain).with_lane_width(4);
-    let mut w_dyn = DynBatch::new(dyn_config).with_lane_width(4);
+    let mut p_static = ScreenBatch::new(w_plain, None, 4);
+    let mut p_dyn = ScreenBatch::new(w_dyn_plain, None, 4);
 
     let mut drain_accepted = |q_static: &DeviceQueue<_, _>, q_dyn: &DeviceQueue<_, _>| -> u32 {
         let mut accepted = 0u32;
-        drain(&mut w_static, q_static, &mut BehavioralBackend);
-        drain(&mut w_dyn, q_dyn, &mut BehavioralBackend);
-        for r in w_static.finish_reports() {
-            accepted += u32::from(r.outcome.verdict.accepted());
+        drain(&mut p_static, q_static, &mut BehavioralBackend);
+        drain(&mut p_dyn, q_dyn, &mut BehavioralBackend);
+        for r in p_static.finish_reports() {
+            accepted += u32::from(r.verdict.accepted());
         }
-        for r in w_dyn.finish_reports() {
-            accepted += u32::from(r.outcome.verdict.accepted());
+        for r in p_dyn.finish_reports() {
+            accepted += u32::from(r.verdict.accepted());
         }
-        w_static.clear_reports();
-        w_dyn.clear_reports();
+        p_static.clear_reports();
+        p_dyn.clear_reports();
         accepted
     };
 
@@ -278,13 +272,10 @@ fn hot_path_is_allocation_free_after_warmup() {
     // enter a bounded ring, a resident shard screens the burst with
     // warm engines, and verdicts leave through a second ring. The
     // rings move items inside preallocated slots and the shard reuses
-    // its id table and batch engines, so after one warm burst the
+    // its batch engines, so after one warm burst the
     // whole submit→verdict round trip must not allocate.
     const SERVICE_BURST: u64 = 12;
-    let mut shard_plan = ShardPlan::for_workload(w_noisy);
-    shard_plan.dynamic_workload = Some(Workload::dynamic_sine(dyn_config).with_noise(dyn_noise));
-    shard_plan.lane_width = 4;
-    let mut shard = ResidentShard::new(&shard_plan, BehavioralBackend);
+    let mut shard = ResidentShard::new([w_noisy, w_dyn], None, 4, BehavioralBackend);
     let submit: Ring<ShardJob<&TransferFunction, StdRng>> =
         Ring::with_capacity(SERVICE_BURST as usize);
     let verdict_ring: Ring<ShardVerdict> = Ring::with_capacity(SERVICE_BURST as usize);

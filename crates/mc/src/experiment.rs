@@ -3,9 +3,8 @@
 //! account the outcome.
 //!
 //! One [`Experiment`] runs either workload. Each device range is
-//! screened as one batch through the backend's batch seam
-//! ([`Backend::process_batch`] / [`Backend::process_dyn_batch`]), with
-//! one reusable engine per worker, so screening a device is
+//! screened as one [`ScreenBatch`] through the backend's batch seam
+//! ([`Backend::process_batch`]), so screening a device is
 //! allocation-free after warm-up. The one [`ExperimentResult`] carries
 //! the accept tally, a [`Rejections`] tally by failed check, throughput
 //! accounting (devices and ADC samples per second) and — for static
@@ -16,13 +15,12 @@ use crate::batch::{stream_rng, Batch};
 use crate::estimate::Proportion;
 use bist_adc::noise::NoiseConfig;
 use bist_core::backend::{Backend, BehavioralBackend};
-use bist_core::batch::{BatchDevice, DynBatch, StaticBatch};
+use bist_core::batch::{BatchDevice, ScreenBatch, DEFAULT_LANE_WIDTH};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
-use bist_core::dynamic::DynamicVerdict;
-use bist_core::harness::{conventional_test, reference_measurement, BistVerdict};
+use bist_core::harness::{conventional_test, reference_measurement};
 use bist_core::pool;
-use bist_core::screener::{Screener, Workload};
+use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::source::DeviceSource;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -129,20 +127,14 @@ impl Experiment {
         let start = Instant::now();
         let to = to.min(self.batch.size);
         let mut result = ExperimentResult::default();
-        match self.workload {
-            Workload::Static {
-                config,
-                noise,
-                slope_error,
-            } => {
-                let mut work = StaticBatch::new(config)
-                    .with_noise(noise)
-                    .with_slope_error(slope_error);
-                let mut truths = Vec::with_capacity(to.saturating_sub(from));
-                for i in from..to {
+        let mut work = ScreenBatch::new(self.workload, None, DEFAULT_LANE_WIDTH);
+        let mut truths = Vec::with_capacity(to.saturating_sub(from));
+        for i in from..to {
+            let (adc, rng) = match self.workload {
+                Workload::Static { config, .. } => {
                     let tf = self.batch.device(i);
                     let mut rng = self.batch.device_rng(i ^ 0x5eed_0000_0000_0000);
-                    let truth_good = match self.ground_truth {
+                    truths.push(match self.ground_truth {
                         GroundTruthMode::Exact => config.spec().classify(&tf).good,
                         GroundTruthMode::Reference { samples_per_code } => reference_measurement(
                             &tf,
@@ -153,38 +145,28 @@ impl Experiment {
                         )
                         .map(|v| v.accepted)
                         .unwrap_or(false),
-                    };
-                    truths.push(truth_good);
-                    work.push(BatchDevice::new(i, tf, rng));
+                    });
+                    (tf, rng)
                 }
-                backend.process_batch(&mut work);
-                for report in work.finish_reports() {
-                    let verdict = report.outcome.verdict;
-                    let truth_good = truths[report.device - from];
-                    result.matrix.record(truth_good, verdict.accepted());
-                    result.rejections.record_static(&verdict);
-                    result.count(verdict.accepted(), verdict.samples);
-                }
-            }
-            Workload::Dynamic { config, noise } => {
-                let seed = self.batch.seed;
-                let mut work = DynBatch::new(config).with_noise(noise);
-                for i in from..to {
-                    let index = i as u64;
+                Workload::Dynamic { .. } => {
+                    let (seed, index) = (self.batch.seed, i as u64);
                     let adc = self
                         .batch
                         .source
                         .sample_transfer(&mut stream_rng(seed, &[0, index]));
-                    let rng = stream_rng(seed, &[DYN_EXP_SALT, index]);
-                    work.push(BatchDevice::new(i, adc, rng));
+                    (adc, stream_rng(seed, &[DYN_EXP_SALT, index]))
                 }
-                backend.process_dyn_batch(&mut work);
-                for report in work.finish_reports() {
-                    let verdict = report.outcome.verdict;
-                    result.rejections.record_dynamic(&verdict);
-                    result.count(verdict.accepted(), verdict.samples);
-                }
+            };
+            work.push(BatchDevice::new(i, adc, rng));
+        }
+        backend.process_batch(&mut work);
+        for report in work.finish_reports() {
+            let verdict = &report.verdict;
+            if let Some(&truth_good) = truths.get(report.device - from) {
+                result.matrix.record(truth_good, verdict.accepted());
             }
+            result.rejections.record(verdict);
+            result.count(verdict.accepted(), verdict.samples());
         }
         result.elapsed = start.elapsed();
         result
@@ -249,22 +231,25 @@ pub struct Rejections {
 }
 
 impl Rejections {
-    /// Tallies the failed checks of one static verdict.
-    pub fn record_static(&mut self, verdict: &BistVerdict) {
-        self.incomplete += u64::from(!verdict.complete());
-        self.dnl += u64::from(verdict.dnl_failures > 0);
-        self.inl += u64::from(verdict.inl_failures > 0);
-        self.functional += u64::from(verdict.functional_mismatches > 0);
-    }
-
-    /// Tallies the failed checks of one dynamic verdict.
-    pub fn record_dynamic(&mut self, verdict: &DynamicVerdict) {
-        let checks = &verdict.checks;
-        self.incomplete += u64::from(!checks.complete);
-        self.sinad += u64::from(!checks.sinad);
-        self.thd += u64::from(!checks.thd);
-        self.enob += u64::from(!checks.enob);
-        self.noise += u64::from(!checks.noise);
+    /// Tallies the failed checks of one verdict.
+    pub fn record(&mut self, verdict: &ScreenVerdict) {
+        match verdict {
+            ScreenVerdict::Static(o) => {
+                let v = &o.verdict;
+                self.incomplete += u64::from(!v.complete());
+                self.dnl += u64::from(v.dnl_failures > 0);
+                self.inl += u64::from(v.inl_failures > 0);
+                self.functional += u64::from(v.functional_mismatches > 0);
+            }
+            ScreenVerdict::Dynamic(o) => {
+                let checks = &o.verdict.checks;
+                self.incomplete += u64::from(!checks.complete);
+                self.sinad += u64::from(!checks.sinad);
+                self.thd += u64::from(!checks.thd);
+                self.enob += u64::from(!checks.enob);
+                self.noise += u64::from(!checks.noise);
+            }
+        }
     }
 
     /// Adds another tally.
@@ -524,7 +509,9 @@ mod tests {
     use bist_adc::spec::LinearitySpec;
     use bist_adc::types::{Resolution, Volts};
     use bist_core::backend::RtlBackend;
-    use bist_core::dynamic::{DynChecks, DynamicConfig};
+    use bist_core::dynamic::{DynChecks, DynamicConfig, DynamicVerdict};
+    use bist_core::harness::BistVerdict;
+    use bist_core::sequencer::{SeqDecision, SeqOutcome};
 
     fn config(bits: u32) -> BistConfig {
         BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
@@ -793,15 +780,18 @@ mod tests {
             (62, 0, 0, 1),
             (62, 1, 3, 0),
         ] {
-            tally.record_static(&BistVerdict {
-                codes_judged,
-                dnl_failures,
-                inl_failures,
-                functional_checks: 3,
-                functional_mismatches,
-                expected_codes: 62,
-                samples: 700,
-            });
+            tally.record(&ScreenVerdict::Static(SeqOutcome {
+                decision: SeqDecision::Continue,
+                verdict: BistVerdict {
+                    codes_judged,
+                    dnl_failures,
+                    inl_failures,
+                    functional_checks: 3,
+                    functional_mismatches,
+                    expected_codes: 62,
+                    samples: 700,
+                },
+            }));
         }
         // Dynamic check masks (bits 0–4: complete, SINAD, THD, ENOB,
         // noise): a pass, one failure per check, then SINAD and ENOB
@@ -816,15 +806,18 @@ mod tests {
                 enob: mask & 8 != 0,
                 noise: mask & 16 != 0,
             };
-            tally.record_dynamic(&DynamicVerdict {
-                sinad_db: 37.0,
-                thd_db: -60.0,
-                enob: 5.9,
-                noise_power_lsb2: 0.08,
-                samples: 4096,
-                expected_samples: 4096,
-                checks,
-            });
+            tally.record(&ScreenVerdict::Dynamic(SeqOutcome {
+                decision: SeqDecision::Continue,
+                verdict: DynamicVerdict {
+                    sinad_db: 37.0,
+                    thd_db: -60.0,
+                    enob: 5.9,
+                    noise_power_lsb2: 0.08,
+                    samples: 4096,
+                    expected_samples: 4096,
+                    checks,
+                },
+            }));
         }
         let counts = |r: &Rejections| {
             let dynamic = (r.sinad, r.thd, r.enob, r.noise);

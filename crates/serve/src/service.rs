@@ -33,7 +33,7 @@ use bist_core::backend::BehavioralBackend;
 use bist_core::batch::DEFAULT_LANE_WIDTH;
 use bist_core::ring::{Enqueue, Ring};
 use bist_core::sequencer::SequencerConfig;
-use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardPlan, ShardVerdict};
+use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
 use bist_core::source::{device_rng, DeviceSource, SourceSpec, Zoo};
 use bist_core::Workload;
 use rand::rngs::StdRng;
@@ -206,9 +206,17 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics when no workload is resident.
+    /// Panics when no workload is resident, or when a workload is
+    /// filed under the other kind's field.
     pub fn start(self) -> ServiceHandle {
         ServiceHandle::start(self)
+    }
+
+    /// The resident workloads, static first.
+    fn workloads(&self) -> impl Iterator<Item = Workload> {
+        self.static_workload
+            .into_iter()
+            .chain(self.dynamic_workload)
     }
 }
 
@@ -275,17 +283,12 @@ impl Job {
 struct SvcShared {
     submit: Ring<Job>,
     telemetry: Telemetry,
-    plan: ShardPlan,
-    burst: usize,
-    verdict_capacity: usize,
+    config: ServiceConfig,
 }
 
 impl SvcShared {
     fn accepts(&self, kind: JobKind) -> bool {
-        match kind {
-            JobKind::Static => self.plan.static_workload.is_some(),
-            JobKind::Dynamic => self.plan.dynamic_workload.is_some(),
-        }
+        self.config.workloads().any(|w| w.kind() == kind)
     }
 
     /// The ingest seam shared by the in-process and TCP doors.
@@ -344,7 +347,7 @@ fn worker_loop(
 ) {
     while let Some(first) = shared.submit.pop() {
         jobs.push(first);
-        while jobs.len() < shared.burst {
+        while jobs.len() < shared.config.burst {
             match shared.submit.try_pop() {
                 Some(job) => jobs.push(job),
                 None => break,
@@ -406,23 +409,25 @@ struct ListenerHandle {
 impl ServiceHandle {
     /// Starts the service described by `config` (see
     /// [`ServiceConfig::start`]).
-    pub fn start(config: ServiceConfig) -> ServiceHandle {
+    pub fn start(mut config: ServiceConfig) -> ServiceHandle {
         assert!(
             config.static_workload.is_some() || config.dynamic_workload.is_some(),
             "the service needs at least one resident workload"
         );
-        let plan = ShardPlan {
-            static_workload: config.static_workload,
-            dynamic_workload: config.dynamic_workload,
-            sequencer: config.sequencer,
-            lane_width: config.lane_width,
-        };
+        assert!(
+            config
+                .static_workload
+                .is_none_or(|w| w.kind() == JobKind::Static)
+                && config
+                    .dynamic_workload
+                    .is_none_or(|w| w.kind() == JobKind::Dynamic),
+            "a resident workload is filed under the other kind"
+        );
+        config.burst = config.burst.max(1);
         let shared = Arc::new(SvcShared {
             submit: Ring::with_capacity(config.submit_capacity),
             telemetry: Telemetry::new(),
-            plan,
-            burst: config.burst.max(1),
-            verdict_capacity: config.verdict_capacity,
+            config,
         });
         let verdicts = Arc::new(Ring::with_capacity(config.verdict_capacity));
         let workers = (0..bist_core::pool::resolve_workers(config.workers))
@@ -431,9 +436,15 @@ impl ServiceHandle {
                 std::thread::Builder::new()
                     .name(format!("bist-serve-worker-{i}"))
                     .spawn(move || {
-                        let mut shard = ResidentShard::new(&shared.plan, BehavioralBackend);
-                        let mut jobs = Vec::with_capacity(shared.burst);
-                        let mut routes = Vec::with_capacity(shared.burst);
+                        let c = &shared.config;
+                        let mut shard = ResidentShard::new(
+                            c.workloads(),
+                            c.sequencer,
+                            c.lane_width,
+                            BehavioralBackend,
+                        );
+                        let mut jobs = Vec::with_capacity(c.burst);
+                        let mut routes = Vec::with_capacity(c.burst);
                         worker_loop(&shared, &mut shard, &mut jobs, &mut routes);
                     })
                     .expect("spawn worker shard")
@@ -593,7 +604,7 @@ fn listener_loop(listener: TcpListener, shared: Arc<SvcShared>, stop: Arc<Atomic
         }
         let Ok(stream) = conn else { continue };
         let session = Arc::new(Session {
-            events: Ring::with_capacity(shared.verdict_capacity),
+            events: Ring::with_capacity(shared.config.verdict_capacity),
             expected: AtomicU64::new(u64::MAX),
             verdict_depth: AtomicU64::new(0),
         });

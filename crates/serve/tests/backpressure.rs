@@ -5,6 +5,7 @@
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::config::BistConfig;
+use bist_core::dynamic::DynamicConfig;
 use bist_core::ring::Enqueue;
 use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
@@ -133,4 +134,27 @@ fn busy_returns_the_submission_intact() {
         "Busy must return the submission unchanged"
     );
     handle.shutdown();
+}
+
+/// A workload filed under the other kind's field used to leave every
+/// worker panicking while `submit` still answered `Accepted`, so no
+/// verdict ever arrived. `start` must refuse such a config on the
+/// caller's thread, before any worker spawns.
+#[test]
+fn misfiled_workload_is_rejected_at_start() {
+    let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
+    let misfiled = [
+        ServiceConfig {
+            static_workload: Some(dynamic),
+            ..ServiceConfig::new()
+        },
+        ServiceConfig {
+            dynamic_workload: Some(static_workload()),
+            ..ServiceConfig::new()
+        },
+    ];
+    for config in misfiled {
+        let started = std::panic::catch_unwind(|| config.with_workers(1).start());
+        assert!(started.is_err(), "started with {config:?}");
+    }
 }
