@@ -27,9 +27,8 @@ use bist_adc::sampler::SamplingConfig;
 use bist_adc::stream::CodeStream;
 use bist_adc::types::{Resolution, Volts};
 use bist_bench::Scenario;
-use bist_core::dynamic::{
-    plan_sine, process_dyn_code_stream, DynScratch, DynamicConfig, DynamicVerdict,
-};
+use bist_core::backend::{Backend, BehavioralBackend};
+use bist_core::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use bist_core::pool;
 use bist_core::report::Table;
 use bist_dsp::spectrum::{analyze_tone, ideal_sinad_db, ToneAnalysisConfig};
@@ -123,11 +122,10 @@ fn run(sc: &mut Scenario) {
                         for device in block * BLOCK..((block + 1) * BLOCK).min(n_devices) {
                             let adc = flash.sample(&mut cell_device_rng(seed, cell, device));
                             let (sine, sampling) = plan_sine(&adc, &config);
-                            let verdict = process_dyn_code_stream(
-                                &config,
-                                CodeStream::noiseless(&adc, &sine, sampling),
-                                scratch,
-                            );
+                            let codes = CodeStream::noiseless(&adc, &sine, sampling);
+                            let verdict = BehavioralBackend
+                                .judge_dyn(&config, None, codes, scratch)
+                                .verdict;
                             if fft_check {
                                 fft_cross_check(&adc, &config, &sine, sampling, &verdict);
                             }

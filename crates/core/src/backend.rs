@@ -2,20 +2,23 @@
 //!
 //! The streaming engine fixes *what* is measured (the fused
 //! stimulus→code pass of [`crate::harness`]); a [`Backend`] decides
-//! *who* judges it:
+//! *who* judges it. Each backend has one judge per workload —
+//! [`Backend::judge`] for the static sweep, [`Backend::judge_dyn`] for
+//! the dynamic record — with one sample loop in which an optional
+//! early-stop sequencer is a single branch:
 //!
 //! * [`BehavioralBackend`] — the reference accumulators
 //!   ([`crate::lsb_monitor::LsbMonitorAcc`] +
 //!   [`crate::functional::FunctionalAcc`]) and the streaming Goertzel
 //!   bank of [`crate::dynamic`]. Zero-size, zero-cost: this is exactly
 //!   the allocation-free hot path the Monte-Carlo fleet runs. It also
-//!   overrides the batch hooks with the lane-parallel SoA engines of
+//!   overrides the batch hook with the lane-parallel SoA engine of
 //!   [`crate::batch`].
 //! * [`RtlBackend`] — the gate-accurate `bist_rtl::top::BistTop` (and
 //!   fixed-point [`bist_rtl::dyn_top::DynBistTop`]), clocked one code
 //!   per tick and drained through its synchroniser latency at end of
 //!   sweep, with its [`bist_rtl::top::BistReport`] mapped onto the same
-//!   [`BistVerdict`]. Its batch hooks keep the scalar per-device loop,
+//!   [`BistVerdict`]. Its batch hook keeps the scalar per-device loop,
 //!   so gate-accuracy stays provable one device at a time.
 //!
 //! On the static workload the two backends are **bit-exact** on every
@@ -30,9 +33,9 @@
 
 use crate::batch::ScreenBatch;
 use crate::config::BistConfig;
-use crate::dynamic::{process_dyn_code_stream, DynScratch, DynamicConfig, DynamicVerdict};
+use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalAcc;
-use crate::harness::{process_code_stream, BistVerdict, Scratch};
+use crate::harness::{BistVerdict, Scratch};
 use crate::lsb_monitor::{CodeResult, LsbMonitorAcc};
 use crate::sequencer::{
     DynSequencer, SeqDecision, SeqOutcome, StaticSequencer, STATIC_DECISION_LATENCY,
@@ -44,128 +47,65 @@ use bist_rtl::dyn_top::{DynBistReport, DynBistTop};
 use bist_rtl::top::{BistTop, BistTopConfig};
 use rand::RngCore;
 
-/// Fixed-capacity delay line realising the sequencer's visibility
-/// protocol on the behavioural path: an event recorded at sample `t`
-/// becomes visible at `t + STATIC_DECISION_LATENCY`, exactly when the
-/// RTL datapath would emit it. At most one event of each kind fires per
-/// sample, so a capacity of 4 can never overflow at latency 2.
-#[derive(Debug, Clone, Copy)]
-struct DelayLine<T: Copy, const N: usize> {
-    buf: [Option<(u64, T)>; N],
-    head: usize,
-    len: usize,
-}
-
-impl<T: Copy, const N: usize> DelayLine<T, N> {
-    fn new() -> Self {
-        DelayLine {
-            buf: [None; N],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, sample: u64, value: T) {
-        debug_assert!(self.len < N, "delay line overflow");
-        let tail = (self.head + self.len) % N;
-        self.buf[tail] = Some((sample, value));
-        self.len += 1;
-    }
-
-    /// Pops the oldest entry whose sample is within the visible
-    /// horizon, if any.
-    fn pop_visible(&mut self, visible: u64) -> Option<(u64, T)> {
-        let (sample, value) = self.buf[self.head]?;
-        if sample > visible {
-            return None;
-        }
-        self.buf[self.head] = None;
-        self.head = (self.head + 1) % N;
-        self.len -= 1;
-        Some((sample, value))
-    }
-}
-
 /// The one verdict seam: a backend judges every workload the screener
-/// can dispatch — static sweeps, dynamic records, their sequenced
-/// variants, and whole batches of devices.
+/// can dispatch — static sweeps and dynamic records, with or without an
+/// early-stop sequencer (which may stop the stream at any checkpoint it
+/// schedules), and whole batches of devices.
 ///
-/// **Static contract** (`process` / `process_sequenced`): both
-/// implementors are bit-exact on every verdict field; under a
-/// sequencer, the visibility protocol in [`crate::sequencer`] makes the
-/// decision independent of the backend's pipeline latency, so for the
-/// same code stream and the same (re-`begin`-able) sequencer every
-/// backend reaches the identical [`SeqDecision`] and identical verdict.
+/// **Static contract** (`judge`): both implementors are bit-exact on
+/// every verdict field; under a sequencer, the visibility protocol in
+/// [`crate::sequencer`] makes the decision independent of the backend's
+/// pipeline latency, so for the same code stream and the same
+/// sequencer every backend reaches the identical [`SeqDecision`] and
+/// identical verdict.
 ///
-/// **Dynamic contract** (`process_dyn` / `process_dyn_sequenced`): the
-/// raw dB metrics may differ by the RTL's bounded fixed-point
-/// quantisation, but [`DynamicVerdict::checks`], `samples` and
-/// `expected_samples` must agree — which the dynamic differential fleet
-/// sweep (`bist_mc::differential`) enforces at scale.
+/// **Dynamic contract** (`judge_dyn`): the raw dB metrics may differ by
+/// the RTL's bounded fixed-point quantisation, but
+/// [`DynamicVerdict::checks`], `samples` and `expected_samples` must
+/// agree — which the dynamic differential fleet sweep
+/// (`bist_mc::differential`) enforces at scale. The sequencer watches
+/// the centred code stream itself, so its decisions are
+/// backend-independent by construction; on an early stop both backends
+/// report the same consumed-sample count (the RTL flushes its input
+/// pipeline).
 ///
 /// **Batch contract** (`process_batch`): the reports a batch yields are
 /// device-for-device identical to running each queued device through
-/// the corresponding scalar method — the default body literally does
-/// that. [`BehavioralBackend`] overrides it with the lane-parallel
-/// engine of [`crate::batch`], which the batch-equivalence property
-/// tests pin bit-exact to the scalar path.
+/// the corresponding judge — the default body literally does that.
+/// [`BehavioralBackend`] overrides it with the lane-parallel engine of
+/// [`crate::batch`], which the batch-equivalence property tests pin
+/// bit-exact to the scalar path.
 pub trait Backend {
     /// Stable backend name for perf records and reports.
     fn name(&self) -> &'static str;
 
-    /// Judges one sweep: consumes the code stream sample by sample and
-    /// returns the compact verdict, leaving per-code detail for the
-    /// most recent sweep in `scratch` (as much of it as the backend
-    /// models — see the implementors).
-    fn process<I: IntoIterator<Item = Code>>(
+    /// Judges one static sweep (re-`begin`-ing `seq`), leaving per-code
+    /// detail in `scratch` (as much as the backend models — see the
+    /// implementors). An early-stopped verdict holds the
+    /// sequencer-visible tallies.
+    fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
-        codes: I,
-        scratch: &mut Scratch,
-    ) -> BistVerdict;
-
-    /// Judges one sweep under an early-stop sequencer: like
-    /// [`Backend::process`], but every
-    /// [`crate::sequencer::SequencerConfig::check_interval`] samples
-    /// the sequencer may stop the sweep, in which case the stream is
-    /// abandoned and the verdict holds the sequencer-visible tallies.
-    fn process_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &BistConfig,
-        seq: &mut StaticSequencer,
+        seq: Option<&mut StaticSequencer>,
         codes: I,
         scratch: &mut Scratch,
     ) -> SeqOutcome<BistVerdict>;
 
-    /// Judges one coherent record: consumes the code stream sample by
-    /// sample and returns the compact dynamic verdict. `scratch` holds
-    /// the behavioural bank (unused by hardware-state backends).
-    fn process_dyn<I: IntoIterator<Item = Code>>(
+    /// Judges one coherent record. `scratch` holds the behavioural bank
+    /// (unused by hardware-state backends). An early-stopped verdict
+    /// holds the truncated record's metrics, whose raw values keep the
+    /// full-record quantisation contract.
+    fn judge_dyn<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &DynamicConfig,
-        codes: I,
-        scratch: &mut DynScratch,
-    ) -> DynamicVerdict;
-
-    /// Judges one coherent record under an early-stop sequencer: like
-    /// [`Backend::process_dyn`], but the sequencer watches the centred
-    /// code stream and may stop the record early. The decision is
-    /// backend-independent by construction (the sequencer owns its
-    /// statistic); on an early stop both backends must report the same
-    /// consumed-sample count (the RTL flushes its input pipeline), and
-    /// the truncated verdict's raw metrics keep the full-record
-    /// quantisation contract.
-    fn process_dyn_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &DynamicConfig,
-        seq: &mut DynSequencer,
+        seq: Option<&mut DynSequencer>,
         codes: I,
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict>;
 
     /// Screens every device queued in `batch`, leaving one report per
     /// device (see [`ScreenBatch::take_reports`]). The default pops
-    /// devices one at a time through the scalar methods above
+    /// devices one at a time through the judges above
     /// ([`ScreenBatch::run_scalar`]).
     fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>)
     where
@@ -175,15 +115,10 @@ pub trait Backend {
     }
 }
 
-/// The centred signed half-LSB value `2·code + 1 − 2ⁿ` the dynamic
-/// sequencer consumes — identical for both backends by construction.
-pub(crate) fn centred_half_lsb(config: &DynamicConfig, code: Code) -> i64 {
-    2 * i64::from(code.0) + 1 - config.resolution().code_count() as i64
-}
-
-/// The behavioural reference backend — a zero-size handle onto
-/// [`process_code_stream`], so a [`crate::screener::Screener`] sweep
-/// compiled through it is byte-for-byte the pre-backend hot path (the
+/// The behavioural reference backend — zero-size: the streaming
+/// accumulators ([`LsbMonitorAcc`], [`FunctionalAcc`]) and the
+/// streaming Goertzel bank, so a [`crate::screener::Screener`] sweep
+/// compiled through it is the allocation-free hot path (the
 /// counting-allocator test keeps it honest).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BehavioralBackend;
@@ -193,133 +128,73 @@ impl Backend for BehavioralBackend {
         "behavioral"
     }
 
-    fn process<I: IntoIterator<Item = Code>>(
+    fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
-        codes: I,
-        scratch: &mut Scratch,
-    ) -> BistVerdict {
-        process_code_stream(config, codes, scratch)
-    }
-
-    fn process_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &BistConfig,
-        seq: &mut StaticSequencer,
+        mut seq: Option<&mut StaticSequencer>,
         codes: I,
         scratch: &mut Scratch,
     ) -> SeqOutcome<BistVerdict> {
         let bit = config.monitored_bit();
         let mut monitor = LsbMonitorAcc::new(config, &mut scratch.monitor_codes);
         let mut functional = FunctionalAcc::new(bit, config.deglitch(), &mut scratch.checks);
-        seq.begin(config);
-        // Events are delayed to the RTL's emission horizon so both
-        // backends see bit-identical event streams at every checkpoint.
-        let mut code_line: DelayLine<CodeResult, 4> = DelayLine::new();
-        let mut func_line: DelayLine<bool, 4> = DelayLine::new();
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.begin(config);
+        }
         let mut consumed = 0u64;
-        let mut codes_seen = 0usize;
-        let mut checks_seen = 0usize;
-        // Countdown to the next checkpoint, in consumed samples — the
-        // per-sample fast path is compare-and-branch only.
-        let mut next_checkpoint = seq.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
         for code in codes {
             consumed += 1;
-            monitor.push((code.0 >> bit) & 1 == 1);
-            functional.push(code);
-            if monitor.recorded() > codes_seen {
-                codes_seen = monitor.recorded();
-                let m = monitor.latest().expect("just recorded");
-                code_line.push(consumed, m);
-            }
-            if functional.fired() > checks_seen {
-                checks_seen = functional.fired();
-                let c = functional.latest().expect("just fired");
-                func_line.push(consumed, c.ok);
-            }
-            let Some(visible) = consumed.checked_sub(STATIC_DECISION_LATENCY) else {
-                continue;
-            };
-            while let Some((t, m)) = code_line.pop_visible(visible) {
-                seq.observe_code(
-                    t,
-                    m.count,
-                    m.dnl_verdict.is_pass(),
-                    m.inl_pass,
-                    m.inl_counts,
-                );
-            }
-            while let Some((_, ok)) = func_line.pop_visible(visible) {
-                seq.observe_functional(ok);
-            }
-            if consumed == next_checkpoint {
-                next_checkpoint = seq.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
-                let decision = seq.checkpoint(visible);
-                if decision.stops() {
-                    return SeqOutcome {
-                        decision,
-                        verdict: seq.verdict(consumed),
-                    };
+            let measured = monitor.push((code.0 >> bit) & 1 == 1);
+            let checked = functional.push(code);
+            if let Some(seq) = seq.as_deref_mut() {
+                if let Some(m) = measured {
+                    seq.observe_code(consumed, &m);
+                }
+                if let Some(c) = checked {
+                    seq.observe_functional(consumed, c.ok);
+                }
+                if let Some(stop) = seq.stop_if_due(consumed) {
+                    return stop;
                 }
             }
         }
-        // Stream exhausted: the full-sweep verdict, bit-identical to
-        // `process_code_stream` on the same stream.
-        let m = monitor.finish();
-        let f = functional.finish();
-        SeqOutcome {
-            decision: SeqDecision::Continue,
-            verdict: BistVerdict {
-                codes_judged: m.codes_judged,
-                dnl_failures: m.dnl_failures,
-                inl_failures: m.inl_failures,
-                functional_checks: f.checks,
-                functional_mismatches: f.mismatches,
-                expected_codes: config.expected_measurements(),
-                samples: consumed,
-            },
-        }
+        SeqOutcome::completed(BistVerdict::from_tallies(
+            config,
+            monitor.finish(),
+            functional.finish(),
+            consumed,
+        ))
     }
 
-    fn process_dyn<I: IntoIterator<Item = Code>>(
+    fn judge_dyn<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &DynamicConfig,
-        codes: I,
-        scratch: &mut DynScratch,
-    ) -> DynamicVerdict {
-        process_dyn_code_stream(config, codes, scratch)
-    }
-
-    fn process_dyn_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &DynamicConfig,
-        seq: &mut DynSequencer,
+        mut seq: Option<&mut DynSequencer>,
         codes: I,
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict> {
         let bank = scratch.bank_for(config);
         let half_fs = (config.resolution().code_count() / 2) as f64;
-        seq.begin(config);
-        let record_len = config.record_len() as u64;
-        let mut next_checkpoint = seq.next_checkpoint_after(0);
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.begin(config);
+        }
+        let mut decision = SeqDecision::Continue;
         let mut consumed = 0u64;
         for code in codes {
             consumed += 1;
             bank.push(f64::from(code.0) + 0.5 - half_fs);
-            seq.push(centred_half_lsb(config, code));
-            if consumed == next_checkpoint && consumed < record_len {
-                next_checkpoint = seq.next_checkpoint_after(consumed);
-                let decision = seq.checkpoint(consumed);
-                if decision.stops() {
-                    return SeqOutcome {
-                        decision,
-                        verdict: config.judge_powers(&bank.powers(), consumed),
-                    };
+            if let Some(seq) = seq.as_deref_mut() {
+                seq.push(code);
+                if consumed == seq.next_due() {
+                    decision = seq.checkpoint(consumed);
+                    if decision.stops() {
+                        break;
+                    }
                 }
             }
         }
         SeqOutcome {
-            decision: SeqDecision::Continue,
+            decision,
             verdict: config.judge_powers(&bank.powers(), consumed),
         }
     }
@@ -353,7 +228,7 @@ impl Backend for BehavioralBackend {
 #[derive(Debug, Default)]
 pub struct RtlBackend {
     top: Option<BistTop>,
-    /// Cached dynamic-test datapath (see [`Backend::process_dyn`]).
+    /// Cached dynamic-test datapath (see [`Backend::judge_dyn`]).
     dyn_top: Option<DynBistTop>,
 }
 
@@ -410,46 +285,10 @@ impl Backend for RtlBackend {
         "rtl"
     }
 
-    fn process<I: IntoIterator<Item = Code>>(
+    fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
-        codes: I,
-        scratch: &mut Scratch,
-    ) -> BistVerdict {
-        let want = Self::top_config(config);
-        let top = self.top_for(want);
-        scratch.monitor_codes.clear();
-        scratch.checks.clear();
-        let bit = config.monitored_bit();
-        let delta_s = config.delta_s().0;
-        let mut samples = 0u64;
-        for code in codes {
-            if let Some(m) = top.tick(u64::from(code.0) >> bit) {
-                push_rtl_code_result(&mut scratch.monitor_codes, delta_s, &m);
-            }
-            samples += 1;
-        }
-        for _ in 0..BistTop::DRAIN_TICKS {
-            if let Some(m) = top.drain_tick() {
-                push_rtl_code_result(&mut scratch.monitor_codes, delta_s, &m);
-            }
-        }
-        let report = top.report();
-        BistVerdict {
-            codes_judged: report.codes_measured,
-            dnl_failures: report.dnl_failures,
-            inl_failures: report.inl_failures,
-            functional_checks: report.functional_checks,
-            functional_mismatches: report.functional_mismatches,
-            expected_codes: want.expected_codes,
-            samples,
-        }
-    }
-
-    fn process_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &BistConfig,
-        seq: &mut StaticSequencer,
+        mut seq: Option<&mut StaticSequencer>,
         codes: I,
         scratch: &mut Scratch,
     ) -> SeqOutcome<BistVerdict> {
@@ -457,71 +296,60 @@ impl Backend for RtlBackend {
         let top = self.top_for(want);
         scratch.monitor_codes.clear();
         scratch.checks.clear();
-        seq.begin(config);
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.begin(config);
+        }
         let bit = config.monitored_bit();
         let delta_s = config.delta_s().0;
         let mut consumed = 0u64;
-        let mut next_checkpoint = seq.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
         for code in codes {
             consumed += 1;
-            let checks_before = top.functional_checks();
-            let mismatches_before = top.functional_mismatches();
-            // Emission is exactly STATIC_DECISION_LATENCY ticks behind
-            // the behavioural accumulators, so events observed here
-            // carry their behavioural closing sample and arrive at the
-            // sequencer in the identical order.
-            if let Some(m) = top.tick(u64::from(code.0) >> bit) {
-                push_rtl_code_result(&mut scratch.monitor_codes, delta_s, &m);
-                seq.observe_code(
-                    consumed - STATIC_DECISION_LATENCY,
-                    m.count,
-                    m.dnl_verdict.is_pass(),
-                    m.inl_pass,
-                    m.inl_counts,
-                );
-            }
-            if top.functional_checks() > checks_before {
-                seq.observe_functional(top.functional_mismatches() == mismatches_before);
-            }
-            if consumed == next_checkpoint {
-                let visible = consumed - STATIC_DECISION_LATENCY;
-                next_checkpoint = seq.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
-                let decision = seq.checkpoint(visible);
-                if decision.stops() {
-                    // Stop dead: measurements still inside the
-                    // synchroniser belong to samples beyond the
-                    // decision horizon, so no drain — the verdict is
-                    // the sequencer's visible tally, bit-exact with
-                    // the behavioural backend's.
-                    return SeqOutcome {
-                        decision,
-                        verdict: seq.verdict(consumed),
-                    };
+            let (checks, mismatches) = (top.functional_checks(), top.functional_mismatches());
+            let measured = top
+                .tick(u64::from(code.0) >> bit)
+                .map(|m| rtl_code_result(delta_s, &m));
+            scratch.monitor_codes.extend(measured);
+            if let Some(seq) = seq.as_deref_mut() {
+                // Emission trails the behavioural accumulators by
+                // exactly STATIC_DECISION_LATENCY ticks: stamp each
+                // event with its behavioural closing sample.
+                let at = consumed.saturating_sub(STATIC_DECISION_LATENCY);
+                if let Some(m) = &measured {
+                    seq.observe_code(at, m);
+                }
+                if top.functional_checks() > checks {
+                    seq.observe_functional(at, top.functional_mismatches() == mismatches);
+                }
+                // Stop dead: measurements still inside the synchroniser
+                // belong to samples beyond the decision horizon, so no
+                // drain — the verdict is the sequencer's visible tally,
+                // bit-exact with the behavioural backend's.
+                if let Some(stop) = seq.stop_if_due(consumed) {
+                    return stop;
                 }
             }
         }
         for _ in 0..BistTop::DRAIN_TICKS {
             if let Some(m) = top.drain_tick() {
-                push_rtl_code_result(&mut scratch.monitor_codes, delta_s, &m);
+                scratch.monitor_codes.push(rtl_code_result(delta_s, &m));
             }
         }
         let report = top.report();
-        SeqOutcome {
-            decision: SeqDecision::Continue,
-            verdict: BistVerdict {
-                codes_judged: report.codes_measured,
-                dnl_failures: report.dnl_failures,
-                inl_failures: report.inl_failures,
-                functional_checks: report.functional_checks,
-                functional_mismatches: report.functional_mismatches,
-                expected_codes: want.expected_codes,
-                samples: consumed,
-            },
-        }
+        SeqOutcome::completed(BistVerdict {
+            codes_judged: report.codes_measured,
+            dnl_failures: report.dnl_failures,
+            inl_failures: report.inl_failures,
+            functional_checks: report.functional_checks,
+            functional_mismatches: report.functional_mismatches,
+            expected_codes: want.expected_codes,
+            samples: consumed,
+        })
     }
 
     /// Feeds `bist_rtl::DynBistTop` one code per tick and drains its
-    /// input pipeline at end of record.
+    /// input pipeline at end of record — or on an early stop, where the
+    /// single drain tick completes the last consumed sample's MAC, so
+    /// both backends report the identical consumed-sample count.
     ///
     /// Like the static path, the constructed top level is cached and
     /// *reset in place* between devices while the configuration is
@@ -533,56 +361,37 @@ impl Backend for RtlBackend {
     /// bank uses, so the only possible behavioural↔RTL difference is
     /// the bounded fixed-point quantisation of the Goertzel
     /// accumulation.
-    fn process_dyn<I: IntoIterator<Item = Code>>(
+    fn judge_dyn<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &DynamicConfig,
-        codes: I,
-        _scratch: &mut DynScratch,
-    ) -> DynamicVerdict {
-        let top = self.dyn_top_for(config.to_rtl());
-        for code in codes {
-            top.tick(u64::from(code.0));
-        }
-        for _ in 0..DynBistTop::DRAIN_TICKS {
-            top.drain_tick();
-        }
-        rtl_dyn_verdict(config, &top.report())
-    }
-
-    fn process_dyn_sequenced<I: IntoIterator<Item = Code>>(
-        &mut self,
-        config: &DynamicConfig,
-        seq: &mut DynSequencer,
+        mut seq: Option<&mut DynSequencer>,
         codes: I,
         _scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict> {
         let top = self.dyn_top_for(config.to_rtl());
-        seq.begin(config);
-        let record_len = config.record_len() as u64;
-        let mut next_checkpoint = seq.next_checkpoint_after(0);
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.begin(config);
+        }
+        let mut decision = SeqDecision::Continue;
         let mut consumed = 0u64;
-        let mut stopped = None;
         for code in codes {
             consumed += 1;
             top.tick(u64::from(code.0));
-            seq.push(centred_half_lsb(config, code));
-            if consumed == next_checkpoint && consumed < record_len {
-                next_checkpoint = seq.next_checkpoint_after(consumed);
-                let decision = seq.checkpoint(consumed);
-                if decision.stops() {
-                    stopped = Some(decision);
-                    break;
+            if let Some(seq) = seq.as_deref_mut() {
+                seq.push(code);
+                if consumed == seq.next_due() {
+                    decision = seq.checkpoint(consumed);
+                    if decision.stops() {
+                        break;
+                    }
                 }
             }
         }
-        // Flush the input pipeline in either case: on an early stop the
-        // single drain tick completes the last consumed sample's MAC,
-        // so both backends report the identical consumed-sample count.
         for _ in 0..DynBistTop::DRAIN_TICKS {
             top.drain_tick();
         }
         SeqOutcome {
-            decision: stopped.unwrap_or(SeqDecision::Continue),
+            decision,
             verdict: rtl_dyn_verdict(config, &top.report()),
         }
     }
@@ -590,13 +399,9 @@ impl Backend for RtlBackend {
 
 /// Maps one RTL code measurement onto the scratch's per-code view (the
 /// hardware's view: a saturated code reports the clamped width).
-fn push_rtl_code_result(
-    monitor_codes: &mut Vec<CodeResult>,
-    delta_s: f64,
-    m: &bist_rtl::datapath::CodeMeasurement,
-) {
+fn rtl_code_result(delta_s: f64, m: &bist_rtl::datapath::CodeMeasurement) -> CodeResult {
     let width_lsb = Lsb(m.count as f64 * delta_s);
-    monitor_codes.push(CodeResult {
+    CodeResult {
         index: m.index,
         count: m.count,
         overflow: m.overflow,
@@ -605,7 +410,7 @@ fn push_rtl_code_result(
         dnl_lsb: Lsb(width_lsb.0 - 1.0),
         inl_counts: m.inl_counts,
         inl_pass: m.inl_pass,
-    });
+    }
 }
 
 /// Maps the RTL result registers onto the shared verdict arithmetic.
@@ -630,6 +435,7 @@ mod tests {
     use super::*;
     use crate::dynamic::plan_sine;
     use crate::harness::plan_ramp;
+    use crate::sequencer::SequencerConfig;
     use bist_adc::flash::FlashConfig;
     use bist_adc::noise::NoiseConfig;
     use bist_adc::spec::LinearitySpec;
@@ -663,11 +469,8 @@ mod tests {
         scratch: &mut Scratch,
     ) -> BistVerdict {
         let (ramp, sampling) = plan_ramp(adc, config);
-        backend.process(
-            config,
-            CodeStream::noisy(adc, &ramp, sampling, noise, rng),
-            scratch,
-        )
+        let codes = CodeStream::noisy(adc, &ramp, sampling, noise, rng);
+        backend.judge(config, None, codes, scratch).verdict
     }
 
     /// [`static_sweep`]'s dynamic-record counterpart.
@@ -680,11 +483,8 @@ mod tests {
         scratch: &mut DynScratch,
     ) -> DynamicVerdict {
         let (sine, sampling) = plan_sine(adc, config);
-        backend.process_dyn(
-            config,
-            CodeStream::noisy(adc, &sine, sampling, noise, rng),
-            scratch,
-        )
+        let codes = CodeStream::noisy(adc, &sine, sampling, noise, rng);
+        backend.judge_dyn(config, None, codes, scratch).verdict
     }
 
     #[test]
@@ -694,17 +494,27 @@ mod tests {
         let (ramp, sampling) = plan_ramp(&adc, &config);
         let mut s1 = Scratch::new();
         let mut s2 = Scratch::new();
-        let direct = process_code_stream(
+        // A sequencer whose first checkpoint lies past the stream
+        // watches the whole sweep without ever taking a decision.
+        let mut seq = StaticSequencer::new(SequencerConfig {
+            min_samples: sampling.samples as u64,
+            ..SequencerConfig::default()
+        });
+        let plain = BehavioralBackend.judge(
             &config,
+            None,
             CodeStream::noiseless(&adc, &ramp, sampling),
             &mut s1,
         );
-        let via_backend = BehavioralBackend.process(
+        let watched = BehavioralBackend.judge(
             &config,
+            Some(&mut seq),
             CodeStream::noiseless(&adc, &ramp, sampling),
             &mut s2,
         );
-        assert_eq!(direct, via_backend);
+        assert_eq!(plain, watched);
+        assert_eq!(plain.decision, SeqDecision::Continue);
+        assert!(plain.verdict.accepted());
         assert_eq!(s1.monitor_codes(), s2.monitor_codes());
         assert_eq!(s1.checks(), s2.checks());
     }
@@ -837,17 +647,26 @@ mod tests {
         let (sine, sampling) = plan_sine(&adc, &config);
         let mut s1 = DynScratch::new();
         let mut s2 = DynScratch::new();
-        let direct = process_dyn_code_stream(
+        // No checkpoint falls strictly inside the record.
+        let mut seq = DynSequencer::new(SequencerConfig {
+            min_samples: config.record_len() as u64,
+            ..SequencerConfig::default()
+        });
+        let plain = BehavioralBackend.judge_dyn(
             &config,
-            bist_adc::stream::CodeStream::noiseless(&adc, &sine, sampling),
+            None,
+            CodeStream::noiseless(&adc, &sine, sampling),
             &mut s1,
         );
-        let via_backend = BehavioralBackend.process_dyn(
+        let watched = BehavioralBackend.judge_dyn(
             &config,
-            bist_adc::stream::CodeStream::noiseless(&adc, &sine, sampling),
+            Some(&mut seq),
+            CodeStream::noiseless(&adc, &sine, sampling),
             &mut s2,
         );
-        assert_eq!(direct, via_backend);
+        assert_eq!(plain, watched);
+        assert_eq!(plain.decision, SeqDecision::Continue);
+        assert!(plain.verdict.accepted());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`Workload`], an optional early-stop sequencer and a lane width, and
 //! owns the device queue, the report buffer and two ways of draining
 //! the queue: [`ScreenBatch::run_scalar`] screens one device at a time
-//! through a [`Backend`]'s scalar methods (the reference, and the path
-//! hardware-model backends take), and [`ScreenBatch::run_batched`]
+//! through a [`Backend`]'s judge for the workload (the reference, and
+//! the path hardware-model backends take), and [`ScreenBatch::run_batched`]
 //! runs the lane-parallel behavioural engine. The fleet hot loop is
 //! embarrassingly lane-parallel: every device runs the same plan over
 //! the same sample grid, only the transfer function (and its noise
@@ -37,10 +37,12 @@
 //!   noisy, sequenced, or converters that state no levels — step
 //!   sample by sample through lane-major resonators.
 //!
-//! Sequencer checkpoints evaluate per lane on the same countdown
-//! protocol as the scalar backends (events latched through a per-lane
-//! FIFO to the [`STATIC_DECISION_LATENCY`] horizon), and a finished
-//! lane is refilled from the device queue so the batch never idles.
+//! A sequenced batch keeps one sequencer per lane and feeds it exactly
+//! as the scalar judges do: each event is stamped with its closing
+//! sample, the sequencer latches it under its own visibility protocol
+//! (see [`crate::sequencer`]), and a lane pauses at the sequencer's
+//! [`next_due`](StaticSequencer::next_due) checkpoint. A finished lane
+//! is refilled from the device queue so the batch never idles.
 //!
 //! **Bit-exactness.** Every verdict a batch reports is identical to
 //! running the same device, with the same RNG, through the scalar
@@ -56,17 +58,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::backend::{centred_half_lsb, Backend};
+use crate::backend::Backend;
 use crate::config::BistConfig;
 use crate::dynamic::{plan_sine, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalState;
 use crate::harness::{plan_ramp, BistVerdict};
 use crate::lsb_monitor::MonitorState;
 use crate::screener::{ScalarPath, ScreenReport, ScreenVerdict, Workload};
-use crate::sequencer::{
-    DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer,
-    STATIC_DECISION_LATENCY,
-};
+use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
 use bist_adc::noise::NoiseConfig;
 use bist_adc::signal::{Ramp, SineWave, Stimulus};
 use bist_adc::types::{Code, Volts};
@@ -207,11 +206,10 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
                 config,
                 noise,
                 slope_error,
-                seq_config: sequencer,
                 lanes: StaticLanes::default(),
             }),
             Workload::Dynamic { config, noise } => {
-                LaneEngine::Dynamic(DynEngine::new(config, noise, sequencer))
+                LaneEngine::Dynamic(DynEngine::new(config, noise))
             }
         };
         ScreenBatch {
@@ -282,8 +280,8 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
         std::mem::take(&mut self.reports)
     }
 
-    /// Screens the queue one device at a time through the scalar
-    /// engine of `backend` — the reference the lane engine is measured
+    /// Screens the queue one device at a time through the judge of
+    /// `backend` — the reference the lane engine is measured
     /// against, and the path hardware-model backends take.
     pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
         while let Some(mut dev) = self.queue.pop_front() {
@@ -349,8 +347,8 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
                 return false;
             };
             match &mut self.lanes {
-                LaneEngine::Static(engine) => engine.install(lane, &dev.adc),
-                LaneEngine::Dynamic(engine) => engine.install(lane, &dev.adc),
+                LaneEngine::Static(engine) => engine.install(lane, &dev.adc, self.sequencer),
+                LaneEngine::Dynamic(engine) => engine.install(lane, &dev.adc, self.sequencer),
             }
             self.devices[lane] = Some(dev);
         }
@@ -387,28 +385,13 @@ fn put<T>(column: &mut Vec<T>, lane: usize, value: T) {
     }
 }
 
-/// Per-lane sequencer event, latched until its visibility horizon.
-#[derive(Debug, Clone, Copy)]
-enum LaneEvent {
-    /// A completed code measurement (fields of the scalar
-    /// [`crate::lsb_monitor::CodeResult`] the sequencer consumes).
-    Code {
-        count: u64,
-        dnl_pass: bool,
-        inl_pass: bool,
-        inl_counts: i64,
-    },
-    /// A fired upper-bit functional check.
-    Functional { ok: bool },
-}
-
 /// Structure-of-arrays state for the static lanes.
 #[derive(Debug, Clone, Default)]
 struct StaticLanes {
     monitor: Vec<MonitorState>,
     functional: Vec<FunctionalState>,
+    /// One sequencer per lane when the batch is sequenced, else empty.
     seq: Vec<StaticSequencer>,
-    next_checkpoint: Vec<u64>,
     consumed: Vec<u64>,
     total: Vec<u64>,
     ramp: Vec<Ramp>,
@@ -417,7 +400,6 @@ struct StaticLanes {
     cur_code: Vec<u32>,
     run_end: Vec<u64>,
     head_left: Vec<u64>,
-    events: Vec<VecDeque<(u64, LaneEvent)>>,
 }
 
 /// The static (ramp/linearity) lane engine: the plan every lane shares
@@ -427,14 +409,13 @@ struct StaticEngine {
     config: BistConfig,
     noise: NoiseConfig,
     slope_error: f64,
-    seq_config: Option<SequencerConfig>,
     lanes: StaticLanes,
 }
 
 impl StaticEngine {
     /// Installs a device into `lane`, planning its sweep and resetting
     /// the lane's accumulators (allocation-free once the lane exists).
-    fn install<A: Adc>(&mut self, lane: usize, adc: &A) {
+    fn install<A: Adc>(&mut self, lane: usize, adc: &A, sequencer: Option<SequencerConfig>) {
         let (ramp, sampling) = plan_ramp(adc, &self.config);
         let ramp = ramp.with_slope_error(self.slope_error);
         // Run-skipping needs a device-independent, strictly advancing
@@ -446,13 +427,12 @@ impl StaticEngine {
         let monitor = MonitorState::new(&self.config);
         let functional = FunctionalState::new(self.config.monitored_bit(), self.config.deglitch());
         let l = &mut self.lanes;
-        if lane == l.events.len() {
-            l.events.push(VecDeque::new());
-            if let Some(policy) = self.seq_config {
+        if let Some(policy) = sequencer {
+            if lane == l.seq.len() {
                 l.seq.push(StaticSequencer::new(policy));
             }
+            l.seq[lane].begin(&self.config);
         }
-        l.events[lane].clear();
         put(&mut l.monitor, lane, monitor);
         put(&mut l.functional, lane, functional);
         put(&mut l.consumed, lane, 0);
@@ -463,13 +443,6 @@ impl StaticEngine {
         put(&mut l.cur_code, lane, 0);
         put(&mut l.run_end, lane, 0);
         put(&mut l.head_left, lane, 0);
-        put(&mut l.next_checkpoint, lane, u64::MAX);
-        if self.seq_config.is_some() {
-            let seq = &mut self.lanes.seq[lane];
-            seq.begin(&self.config);
-            self.lanes.next_checkpoint[lane] =
-                seq.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
-        }
     }
 
     /// Advances one lane holding `dev` by one chunk (or to its next
@@ -481,7 +454,6 @@ impl StaticEngine {
         lane: usize,
         dev: &mut BatchDevice<A, R>,
     ) -> Option<SeqOutcome<BistVerdict>> {
-        let sequenced = self.seq_config.is_some();
         // Replayed head of each constant-code run: the deglitcher taps
         // / median window saturate after two identical samples, after
         // which `skip_run` covers the remainder in O(1).
@@ -498,19 +470,15 @@ impl StaticEngine {
         let mut cur_code = self.lanes.cur_code[lane];
         let mut run_end = self.lanes.run_end[lane];
         let mut head_left = self.lanes.head_left[lane];
+        let mut seq = self.lanes.seq.get_mut(lane);
 
         let outcome = 'sweep: loop {
-            let target = if sequenced {
-                until.min(self.lanes.next_checkpoint[lane])
-            } else {
-                until
-            };
+            let target = until.min(seq.as_ref().map_or(u64::MAX, |s| s.next_due()));
             if run_skip {
                 let levels = dev
                     .adc
                     .transition_levels()
                     .expect("run-skip lane has levels");
-                let events = &mut self.lanes.events[lane];
                 while consumed < target {
                     if run_end <= consumed {
                         // Open a run: settle the level cursor to the
@@ -536,28 +504,10 @@ impl StaticEngine {
                     }
                     let leg = (run_end - consumed).min(target - consumed);
                     let code = Code(cur_code);
-                    let raw = (code.0 >> bit) & 1 == 1;
                     let head = head_left.min(leg);
                     for _ in 0..head {
                         consumed += 1;
-                        let rec = mon.push(raw);
-                        let chk = func.push(code);
-                        if sequenced {
-                            if let Some(r) = rec {
-                                events.push_back((
-                                    consumed,
-                                    LaneEvent::Code {
-                                        count: r.count,
-                                        dnl_pass: r.dnl_verdict.is_pass(),
-                                        inl_pass: r.inl_pass,
-                                        inl_counts: r.inl_counts,
-                                    },
-                                ));
-                            }
-                            if let Some(c) = chk {
-                                events.push_back((consumed, LaneEvent::Functional { ok: c.ok }));
-                            }
-                        }
+                        push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
                     }
                     head_left -= head;
                     let bulk = leg - head;
@@ -571,7 +521,6 @@ impl StaticEngine {
                 // Per-sample fallback: byte-for-byte the scalar
                 // acquisition (`CodeStream::next`), with the lane's own
                 // RNG so the draw order matches the scalar run exactly.
-                let events = &mut self.lanes.events[lane];
                 while consumed < target {
                     let t = self
                         .noise
@@ -579,74 +528,19 @@ impl StaticEngine {
                     let v = self.noise.perturb_voltage(ramp.value(t).0, &mut dev.rng);
                     let code = dev.adc.convert(Volts(v));
                     consumed += 1;
-                    let rec = mon.push((code.0 >> bit) & 1 == 1);
-                    let chk = func.push(code);
-                    if sequenced {
-                        if let Some(r) = rec {
-                            events.push_back((
-                                consumed,
-                                LaneEvent::Code {
-                                    count: r.count,
-                                    dnl_pass: r.dnl_verdict.is_pass(),
-                                    inl_pass: r.inl_pass,
-                                    inl_counts: r.inl_counts,
-                                },
-                            ));
-                        }
-                        if let Some(c) = chk {
-                            events.push_back((consumed, LaneEvent::Functional { ok: c.ok }));
-                        }
-                    }
+                    push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
                 }
             }
-            if sequenced && consumed == self.lanes.next_checkpoint[lane] {
-                // Deliver every event inside the visibility horizon in
-                // fire order — the same stream the scalar delay lines
-                // drain — then take the decision.
-                let seq = &mut self.lanes.seq[lane];
-                let events = &mut self.lanes.events[lane];
-                let visible = consumed - STATIC_DECISION_LATENCY;
-                while let Some(&(at, ev)) = events.front() {
-                    if at > visible {
-                        break;
-                    }
-                    events.pop_front();
-                    match ev {
-                        LaneEvent::Code {
-                            count,
-                            dnl_pass,
-                            inl_pass,
-                            inl_counts,
-                        } => seq.observe_code(at, count, dnl_pass, inl_pass, inl_counts),
-                        LaneEvent::Functional { ok } => seq.observe_functional(ok),
-                    }
-                }
-                self.lanes.next_checkpoint[lane] =
-                    seq.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
-                let decision = seq.checkpoint(visible);
-                if decision.stops() {
-                    break 'sweep Some(SeqOutcome {
-                        decision,
-                        verdict: seq.verdict(consumed),
-                    });
-                }
-                continue;
+            if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed)) {
+                break 'sweep Some(stop);
             }
             if consumed == total {
-                let m = mon.tally();
-                let f = func.tally();
-                break 'sweep Some(SeqOutcome {
-                    decision: SeqDecision::Continue,
-                    verdict: BistVerdict {
-                        codes_judged: m.codes_judged,
-                        dnl_failures: m.dnl_failures,
-                        inl_failures: m.inl_failures,
-                        functional_checks: f.checks,
-                        functional_mismatches: f.mismatches,
-                        expected_codes: self.config.expected_measurements(),
-                        samples: consumed,
-                    },
-                });
+                break 'sweep Some(SeqOutcome::completed(BistVerdict::from_tallies(
+                    &self.config,
+                    mon.tally(),
+                    func.tally(),
+                    consumed,
+                )));
             }
             if consumed == until {
                 break 'sweep None;
@@ -659,6 +553,30 @@ impl StaticEngine {
         self.lanes.run_end[lane] = run_end;
         self.lanes.head_left[lane] = head_left;
         outcome
+    }
+}
+
+/// Pushes sample `at` (code `code`, monitored bit `bit`) through one
+/// static lane's accumulators — the same `push` the scalar engine
+/// steps — latching the events it closes into the lane's sequencer.
+#[inline(always)]
+fn push_sample(
+    mon: &mut MonitorState,
+    func: &mut FunctionalState,
+    seq: Option<&mut StaticSequencer>,
+    at: u64,
+    bit: u32,
+    code: Code,
+) {
+    let measured = mon.push((code.0 >> bit) & 1 == 1);
+    let checked = func.push(code);
+    if let Some(seq) = seq {
+        if let Some(m) = measured {
+            seq.observe_code(at, &m);
+        }
+        if let Some(c) = checked {
+            seq.observe_functional(at, c.ok);
+        }
     }
 }
 
@@ -822,8 +740,8 @@ fn group_kernel(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
 #[derive(Debug, Clone, Default)]
 struct DynLanes {
     banks: Vec<GoertzelBank>,
+    /// One sequencer per lane when the batch is sequenced, else empty.
     seq: Vec<DynSequencer>,
-    next_checkpoint: Vec<u64>,
     consumed: Vec<u64>,
     use_table: Vec<bool>,
     sine: Vec<SineWave>,
@@ -838,7 +756,6 @@ struct DynLanes {
 struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
-    seq_config: Option<SequencerConfig>,
     /// Stimulus voltages shared by every zero-jitter lane whose plan
     /// matches the table's — evaluated once per batch, or once per
     /// *pool* when pre-planned and shared through
@@ -853,14 +770,13 @@ struct DynEngine {
 }
 
 impl DynEngine {
-    fn new(config: DynamicConfig, noise: NoiseConfig, seq_config: Option<SequencerConfig>) -> Self {
+    fn new(config: DynamicConfig, noise: NoiseConfig) -> Self {
         let n = config.record_len();
         let plan = harmonic_plan(config.cycles() as usize, n, config.harmonics());
         let coeff = plan.bins.iter().map(|&b| Goertzel::for_bin(b, n).coeff());
         DynEngine {
             config,
             noise,
-            seq_config,
             table: Arc::new(StimulusTable::default()),
             lanes: DynLanes::default(),
             codes: Vec::new(),
@@ -890,7 +806,7 @@ impl DynEngine {
     /// Installs a device into `lane`, planning its record and resetting
     /// the lane's resonators (allocation-free once the lane and the
     /// shared table exist).
-    fn install<A: Adc>(&mut self, lane: usize, adc: &A) {
+    fn install<A: Adc>(&mut self, lane: usize, adc: &A, sequencer: Option<SequencerConfig>) {
         let (sine, sampling) = plan_sine(adc, &self.config);
         let jitter_free = self.noise.jitter_seconds() == 0.0;
         if jitter_free && self.table.plan.is_none() {
@@ -913,7 +829,7 @@ impl DynEngine {
             Some(levels)
                 if use_table
                     && self.noise.is_noiseless()
-                    && self.seq_config.is_none()
+                    && sequencer.is_none()
                     && !self.table.order.is_empty() =>
             {
                 let record = self.config.record_len();
@@ -932,22 +848,19 @@ impl DynEngine {
             let c = &self.config;
             let bank = GoertzelBank::new(c.cycles() as usize, c.record_len(), c.harmonics());
             l.banks.push(bank);
-            if let Some(policy) = self.seq_config {
+            if let Some(policy) = sequencer {
                 l.seq.push(DynSequencer::new(policy));
             }
         }
         l.banks[lane].reset();
+        if let Some(seq) = l.seq.get_mut(lane) {
+            seq.begin(&self.config);
+        }
         put(&mut l.consumed, lane, 0);
-        put(&mut l.next_checkpoint, lane, u64::MAX);
         put(&mut l.use_table, lane, use_table);
         put(&mut l.sine, lane, sine);
         put(&mut l.sampling, lane, sampling);
         put(&mut l.coded, lane, coded);
-        if self.seq_config.is_some() {
-            let seq = &mut self.lanes.seq[lane];
-            seq.begin(&self.config);
-            self.lanes.next_checkpoint[lane] = seq.next_checkpoint_after(0);
-        }
     }
 
     /// Advances one lane holding `dev` by one chunk (or to the end of
@@ -959,7 +872,6 @@ impl DynEngine {
         lane: usize,
         dev: &mut BatchDevice<A, R>,
     ) -> Option<SeqOutcome<DynamicVerdict>> {
-        let sequenced = self.seq_config.is_some();
         let record_len = self.config.record_len() as u64;
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
         let sine = self.lanes.sine[lane];
@@ -967,9 +879,9 @@ impl DynEngine {
         let use_table = self.lanes.use_table[lane];
         let mut consumed = self.lanes.consumed[lane];
         let until = (consumed + CHUNK).min(record_len);
-        let mut nc = self.lanes.next_checkpoint[lane];
         let bank = &mut self.lanes.banks[lane];
-        let mut outcome = None;
+        let mut seq = self.lanes.seq.get_mut(lane);
+        let mut decision = SeqDecision::Continue;
         while consumed < until {
             let i = consumed as usize;
             let v0 = if use_table {
@@ -984,31 +896,21 @@ impl DynEngine {
             let code = dev.adc.convert(Volts(v));
             bank.push(f64::from(code.0) + 0.5 - half_fs);
             consumed += 1;
-            if sequenced {
-                let seq = &mut self.lanes.seq[lane];
-                seq.push(centred_half_lsb(&self.config, code));
-                if consumed == nc && consumed < record_len {
-                    nc = seq.next_checkpoint_after(consumed);
-                    let decision = seq.checkpoint(consumed);
+            if let Some(seq) = seq.as_deref_mut() {
+                seq.push(code);
+                if consumed == seq.next_due() {
+                    decision = seq.checkpoint(consumed);
                     if decision.stops() {
-                        outcome = Some(SeqOutcome {
-                            decision,
-                            verdict: self.config.judge_powers(&bank.powers(), consumed),
-                        });
                         break;
                     }
                 }
             }
         }
-        if outcome.is_none() && consumed == record_len {
-            outcome = Some(SeqOutcome {
-                decision: SeqDecision::Continue,
-                verdict: self.config.judge_powers(&bank.powers(), consumed),
-            });
-        }
         self.lanes.consumed[lane] = consumed;
-        self.lanes.next_checkpoint[lane] = nc;
-        outcome
+        (decision.stops() || consumed == record_len).then(|| SeqOutcome {
+            decision,
+            verdict: self.config.judge_powers(&bank.powers(), consumed),
+        })
     }
 }
 

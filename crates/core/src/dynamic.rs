@@ -36,7 +36,7 @@ use crate::harness::SAMPLE_RATE;
 use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::SineWave;
 use bist_adc::transfer::Adc;
-use bist_adc::types::{Code, Resolution};
+use bist_adc::types::Resolution;
 use bist_dsp::goertzel::{GoertzelBank, ToneMetrics, TonePowers};
 use bist_dsp::spectrum::ideal_sinad_db;
 use std::fmt;
@@ -438,29 +438,6 @@ pub fn plan_sine<A: Adc + ?Sized>(adc: &A, config: &DynamicConfig) -> (SineWave,
     )
 }
 
-/// Runs the behavioural dynamic processing over any code stream in one
-/// pass: every code feeds the Goertzel bank as its LSB-centred value
-/// `code + ½ − 2ⁿ⁻¹` (so powers come out in LSB² directly), and the
-/// verdict is judged at end of stream.
-///
-/// This is the engine under [`crate::screener::Screener::screen_one`]
-/// (dynamic workloads); use it directly to analyse codes from an
-/// external source without materialising them.
-pub fn process_dyn_code_stream<I: IntoIterator<Item = Code>>(
-    config: &DynamicConfig,
-    codes: I,
-    scratch: &mut DynScratch,
-) -> DynamicVerdict {
-    let bank = scratch.bank_for(config);
-    let half_fs = (config.resolution.code_count() / 2) as f64;
-    let mut samples = 0u64;
-    for code in codes {
-        bank.push(f64::from(code.0) + 0.5 - half_fs);
-        samples += 1;
-    }
-    config.judge_powers(&bank.powers(), samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,11 +508,10 @@ mod tests {
         let adc = ideal();
         let (sine, sampling) = plan_sine(&adc, &config);
         let mut scratch = DynScratch::new();
-        let v = process_dyn_code_stream(
-            &config,
-            CodeStream::noiseless(&adc, &sine, sampling).take(4000),
-            &mut scratch,
-        );
+        let codes = CodeStream::noiseless(&adc, &sine, sampling).take(4000);
+        let v = BehavioralBackend
+            .judge_dyn(&config, None, codes, &mut scratch)
+            .verdict;
         assert!(!v.complete());
         assert!(!v.accepted());
         assert_eq!(v.samples, 4000);
@@ -552,17 +528,11 @@ mod tests {
         // the backend seam the screener uses.
         for config in [&c_a, &c_b, &c_a] {
             let (sine, sampling) = plan_sine(&adc, config);
-            let v = BehavioralBackend.process_dyn(
-                config,
-                CodeStream::noisy(
-                    &adc,
-                    &sine,
-                    sampling,
-                    &NoiseConfig::noiseless(),
-                    &mut rng(7),
-                ),
-                &mut scratch,
-            );
+            let (noise, mut rng) = (NoiseConfig::noiseless(), rng(7));
+            let codes = CodeStream::noisy(&adc, &sine, sampling, &noise, &mut rng);
+            let v = BehavioralBackend
+                .judge_dyn(config, None, codes, &mut scratch)
+                .verdict;
             if config == &c_a {
                 assert_eq!(v, fresh);
             } else {

@@ -250,32 +250,15 @@ impl<'s> FunctionalAcc<'s> {
         }
     }
 
-    /// Pushes one raw code sample.
-    pub fn push(&mut self, code: Code) {
-        if let Some(check) = self.state.push(code) {
-            self.checks.push(check);
-        }
+    /// Pushes one raw code sample, recording and returning the check it
+    /// fires, if any.
+    pub fn push(&mut self, code: Code) -> Option<FunctionalCheck> {
+        let check = self.state.push(code);
+        self.checks.extend(check);
+        check
     }
 
-    /// Number of checks fired so far this sweep — lets a caller driving
-    /// the accumulator sample by sample (the sequenced engine) detect a
-    /// new check without releasing the borrow.
-    pub fn fired(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// The most recent check, if any.
-    pub fn latest(&self) -> Option<FunctionalCheck> {
-        self.checks.last().copied()
-    }
-
-    /// Ends the sweep. The median filter's in-flight window is
-    /// discarded — like the monitor path (and the hardware), the sweep
-    /// stops dead at the last sample and judges nothing beyond it. (An
-    /// earlier revision flushed the trailing raw code here, which could
-    /// fire one final check no realisable filter-then-synchronise
-    /// datapath would ever see; the harness's overshoot past full scale
-    /// makes the two semantics identical on real sweeps.)
+    /// Ends the sweep with the [`FunctionalState::tally`] so far.
     pub fn finish(self) -> FunctionalTally {
         self.state.tally()
     }

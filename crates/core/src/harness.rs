@@ -17,8 +17,8 @@
 //! matches the hardware semantics: a lazy
 //! [`CodeStream`] evaluates the stimulus,
 //! injects noise and converts one sample at a time, and the
-//! accumulators — [`LsbMonitorAcc`],
-//! [`FunctionalAcc`], the transition
+//! accumulators — [`LsbMonitorAcc`](crate::lsb_monitor::LsbMonitorAcc),
+//! [`FunctionalAcc`](crate::functional::FunctionalAcc), the transition
 //! counter and (for the histogram harnesses) the
 //! [`CodeHistogram`] — consume it
 //! incrementally from one traversal. No capture is materialised on the
@@ -27,11 +27,14 @@
 //!
 //! The verdict stage is pluggable through [`crate::backend::Backend`]:
 //! the identical fused acquisition can be judged by the behavioural
-//! accumulators (the default) or by the gate-accurate
-//! `bist_rtl::BistTop` datapath ([`crate::backend::RtlBackend`]) — the
-//! seam the differential fleet experiment in `bist-mc` validates at
-//! scale. The entry point is [`crate::screener::Screener`], which
-//! drives this engine for static workloads.
+//! accumulators ([`crate::backend::BehavioralBackend`], the default) or
+//! by the gate-accurate `bist_rtl::BistTop` datapath
+//! ([`crate::backend::RtlBackend`]) — the seam the differential fleet
+//! experiment in `bist-mc` validates at scale. The entry point is
+//! [`crate::screener::Screener`], which drives this engine for static
+//! workloads; to screen codes from an external source without
+//! materialising them, call [`crate::backend::Backend::judge`]
+//! directly.
 //!
 //! ## Scratch reuse
 //!
@@ -43,10 +46,11 @@
 //! [`crate::screener::Screener::screen_one`] performs zero heap
 //! allocations (enforced by `tests/zero_alloc.rs`).
 
+use crate::backend::{Backend, BehavioralBackend};
 use crate::config::BistConfig;
-use crate::functional::{FunctionalAcc, FunctionalCheck, FunctionalResult};
+use crate::functional::{FunctionalCheck, FunctionalResult, FunctionalTally};
 use crate::limits::slope_for_delta_s;
-use crate::lsb_monitor::{CodeResult, LsbMonitorAcc, MonitorResult};
+use crate::lsb_monitor::{CodeResult, MonitorResult, MonitorTally};
 use bist_adc::histogram::{ramp_linearity, CodeHistogram, HistogramLinearity, HistogramTestError};
 use bist_adc::noise::NoiseConfig;
 use bist_adc::sampler::{Capture, SamplingConfig};
@@ -54,7 +58,7 @@ use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::stream::CodeStream;
 use bist_adc::transfer::Adc;
-use bist_adc::types::{Code, Volts};
+use bist_adc::types::Volts;
 use rand::RngCore;
 use std::error::Error;
 use std::fmt;
@@ -157,6 +161,25 @@ impl BistVerdict {
             && self.inl_failures == 0
             && self.functional_mismatches == 0
     }
+
+    /// The full-sweep verdict from the accumulators' closing tallies
+    /// after `samples` samples under `config`.
+    pub fn from_tallies(
+        config: &BistConfig,
+        monitor: MonitorTally,
+        functional: FunctionalTally,
+        samples: u64,
+    ) -> Self {
+        BistVerdict {
+            codes_judged: monitor.codes_judged,
+            dnl_failures: monitor.dnl_failures,
+            inl_failures: monitor.inl_failures,
+            functional_checks: functional.checks,
+            functional_mismatches: functional.mismatches,
+            expected_codes: config.expected_measurements(),
+            samples,
+        }
+    }
 }
 
 /// Reusable per-device working state for the streaming engine.
@@ -165,8 +188,8 @@ impl BistVerdict {
 /// every run *clears* the buffers but never shrinks them, so capacity
 /// warms up on the first device and subsequent devices allocate
 /// nothing. Keep one `Scratch` per worker thread and pass it to
-/// [`process_code_stream`] (a [`crate::screener::Screener`] carries
-/// its own).
+/// [`Backend::judge`] (a [`crate::screener::Screener`] carries its
+/// own).
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub(crate) monitor_codes: Vec<CodeResult>,
@@ -228,46 +251,15 @@ pub fn plan_ramp<A: Adc + ?Sized>(adc: &A, config: &BistConfig) -> (Ramp, Sampli
     )
 }
 
-/// Runs the BIST processing over any code stream in one pass: the LSB
-/// monitor, the upper-bit functional check and the transition counter
-/// all accumulate incrementally from the single traversal.
-///
-/// This is the engine under [`crate::screener::Screener::screen_one`]
-/// (static workloads) and [`bist_from_capture`]; use it directly to
-/// screen codes from an external source without materialising them.
-pub fn process_code_stream<I: IntoIterator<Item = Code>>(
-    config: &BistConfig,
-    codes: I,
-    scratch: &mut Scratch,
-) -> BistVerdict {
-    let bit = config.monitored_bit();
-    let mut monitor = LsbMonitorAcc::new(config, &mut scratch.monitor_codes);
-    let mut functional = FunctionalAcc::new(bit, config.deglitch(), &mut scratch.checks);
-    let mut samples = 0u64;
-    for code in codes {
-        monitor.push((code.0 >> bit) & 1 == 1);
-        functional.push(code);
-        samples += 1;
-    }
-    let m = monitor.finish();
-    let f = functional.finish();
-    BistVerdict {
-        codes_judged: m.codes_judged,
-        dnl_failures: m.dnl_failures,
-        inl_failures: m.inl_failures,
-        functional_checks: f.checks,
-        functional_mismatches: f.mismatches,
-        expected_codes: config.expected_measurements(),
-        samples,
-    }
-}
-
 /// Runs the BIST processing on an already-captured code record (e.g.
 /// from a shared acquisition or an external source) — the materialised
 /// counterpart of the streaming engine, kept for tests and diagnostics.
 pub fn bist_from_capture(config: &BistConfig, capture: &Capture) -> BistOutcome {
     let mut scratch = Scratch::new();
-    let verdict = process_code_stream(config, capture.codes().iter().copied(), &mut scratch);
+    let codes = capture.codes().iter().copied();
+    let verdict = BehavioralBackend
+        .judge(config, None, codes, &mut scratch)
+        .verdict;
     scratch.take_outcome(verdict)
 }
 

@@ -311,27 +311,15 @@ impl<'s> LsbMonitorAcc<'s> {
         }
     }
 
-    /// Pushes one raw sample of the monitored bit.
-    pub fn push(&mut self, raw: bool) {
-        if let Some(result) = self.state.push(raw) {
-            self.codes.push(result);
-        }
+    /// Pushes one raw sample of the monitored bit, recording and
+    /// returning the code measurement it completes, if any.
+    pub fn push(&mut self, raw: bool) -> Option<CodeResult> {
+        let result = self.state.push(raw);
+        self.codes.extend(result);
+        result
     }
 
-    /// Number of code measurements recorded so far this sweep — lets a
-    /// caller driving the accumulator sample by sample (the sequenced
-    /// engine) detect a completed code without releasing the borrow.
-    pub fn recorded(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// The most recent code measurement, if any.
-    pub fn latest(&self) -> Option<CodeResult> {
-        self.codes.last().copied()
-    }
-
-    /// Ends the sweep. The run in flight (after the last transition) is
-    /// a partial code and is not judged, mirroring the hardware.
+    /// Ends the sweep with the [`MonitorState::tally`] so far.
     pub fn finish(self) -> MonitorTally {
         self.state.tally()
     }

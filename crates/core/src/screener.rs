@@ -386,8 +386,8 @@ impl<B: Backend> Screener<B> {
 }
 
 /// The scalar per-device path — plan the stimulus, stream the noisy
-/// codes, judge them through the backend's scalar (or sequenced) method
-/// — with the scratch and sequencers it reuses from device to device.
+/// codes, judge them through the backend's judge for the workload —
+/// with the scratch and sequencers it reuses from device to device.
 /// [`Screener::screen_one`] and [`ScreenBatch::run_scalar`] both screen
 /// through it.
 #[derive(Debug, Default)]
@@ -418,34 +418,25 @@ impl ScalarPath {
                 let (ramp, sampling) = plan_ramp(adc, &config);
                 let ramp = ramp.with_slope_error(slope_error);
                 let stream = CodeStream::noisy(adc, &ramp, sampling, &noise, rng);
-                ScreenVerdict::Static(match sequencer {
-                    Some(policy) => {
-                        let seq = self
-                            .static_seq
-                            .get_or_insert_with(|| StaticSequencer::new(policy));
-                        backend.process_sequenced(&config, seq, stream, &mut self.scratch)
-                    }
-                    None => SeqOutcome {
-                        decision: SeqDecision::Continue,
-                        verdict: backend.process(&config, stream, &mut self.scratch),
-                    },
-                })
+                let seq = sequencer.map(|policy| {
+                    self.static_seq
+                        .get_or_insert_with(|| StaticSequencer::new(policy))
+                });
+                ScreenVerdict::Static(backend.judge(&config, seq, stream, &mut self.scratch))
             }
             Workload::Dynamic { config, noise } => {
                 let (sine, sampling) = plan_sine(adc, &config);
                 let stream = CodeStream::noisy(adc, &sine, sampling, &noise, rng);
-                ScreenVerdict::Dynamic(match sequencer {
-                    Some(policy) => {
-                        let seq = self
-                            .dyn_seq
-                            .get_or_insert_with(|| DynSequencer::new(policy));
-                        backend.process_dyn_sequenced(&config, seq, stream, &mut self.dyn_scratch)
-                    }
-                    None => SeqOutcome {
-                        decision: SeqDecision::Continue,
-                        verdict: backend.process_dyn(&config, stream, &mut self.dyn_scratch),
-                    },
-                })
+                let seq = sequencer.map(|policy| {
+                    self.dyn_seq
+                        .get_or_insert_with(|| DynSequencer::new(policy))
+                });
+                ScreenVerdict::Dynamic(backend.judge_dyn(
+                    &config,
+                    seq,
+                    stream,
+                    &mut self.dyn_scratch,
+                ))
             }
         }
     }

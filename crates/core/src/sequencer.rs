@@ -32,23 +32,25 @@
 //! ## Backend decision-exactness
 //!
 //! The sequencer is threaded through the backend seam
-//! ([`crate::backend::Backend::process_sequenced`] /
-//! [`crate::backend::Backend::process_dyn_sequenced`]) under a
-//! **visibility protocol** that makes the behavioural engine and the
+//! ([`crate::backend::Backend::judge`] /
+//! [`crate::backend::Backend::judge_dyn`]) under a **visibility
+//! protocol**, owned here, that makes the behavioural engine and the
 //! gate-accurate RTL tops stop at the *same sample index*:
 //!
 //! * Static: every RTL measurement and functional check emerges exactly
 //!   [`STATIC_DECISION_LATENCY`] ticks after the behavioural
 //!   accumulators record it (the two-flop synchroniser; both deglitch
 //!   filters vote over windows ending at the current sample, adding no
-//!   lag). A checkpoint "at sample `s`" is therefore evaluated by both
-//!   backends after consuming sample `s + 2`: the RTL has emitted
-//!   exactly the events with closing sample `≤ s`, and the behavioural
-//!   wrapper delays its events through a bounded FIFO to match. Early
+//!   lag). Engines stamp each event with its behavioural closing sample
+//!   — the behavioural and batch engines as they record it, the RTL
+//!   two ticks later as it emits it — and the sequencer latches it. A
+//!   checkpoint falls due after consuming sample `s + 2`
+//!   ([`StaticSequencer::next_due`]) and admits exactly the events with
+//!   closing sample `≤ s`, whichever order they arrived in. Early
 //!   verdict counters come from the sequencer's own visible tallies, so
 //!   early-stopped verdicts are bit-exact across backends by
-//!   construction; completed sweeps fall through to the PR-3 bit-exact
-//!   full-sweep path.
+//!   construction; completed sweeps fall through to the bit-exact
+//!   full-sweep verdict.
 //! * Dynamic: the sequencer consumes the centred code values directly —
 //!   the identical integer sequence both backends acquire — so its
 //!   decisions cannot depend on the backend at all. On an early stop
@@ -65,6 +67,8 @@
 use crate::config::{BistConfig, ConfigError};
 use crate::dynamic::{DynamicConfig, DynamicVerdict};
 use crate::harness::BistVerdict;
+use crate::lsb_monitor::CodeResult;
+use bist_adc::types::Code;
 use bist_dsp::special::{normal_pdf, normal_quantile};
 use bist_dsp::stats::Running;
 use std::f64::consts::TAU;
@@ -183,12 +187,6 @@ impl SequencerConfig {
         Ok(())
     }
 
-    /// Whether `visible` samples is a checkpoint under this policy.
-    pub fn checkpoint_due(&self, visible: u64) -> bool {
-        visible >= self.min_samples
-            && (visible - self.min_samples).is_multiple_of(self.check_interval)
-    }
-
     /// Per-checkpoint budget: the total budget split evenly over the
     /// worst-case number of looks (clamped into a numerically safe
     /// range for the normal quantile).
@@ -303,6 +301,16 @@ pub struct SeqOutcome<V> {
     pub verdict: V,
 }
 
+impl<V> SeqOutcome<V> {
+    /// The outcome of a sweep that ran to completion.
+    pub fn completed(verdict: V) -> Self {
+        SeqOutcome {
+            decision: SeqDecision::Continue,
+            verdict,
+        }
+    }
+}
+
 impl<V: SweptVerdict> SeqOutcome<V> {
     /// The device-level decision the sequenced test latches.
     pub fn accepted(&self) -> bool {
@@ -355,7 +363,24 @@ fn gauss_tail_lower(z: f64) -> f64 {
     }
 }
 
+/// A latched static event: a code measurement or a functional check.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Code(CodeResult),
+    Functional(bool),
+}
+
+/// Latch capacity: events are admitted on arrival up to the due
+/// checkpoint's horizon, so only those of the [`STATIC_DECISION_LATENCY`]
+/// samples after it wait — at most one of each kind per sample.
+const LATCH: usize = 2 * STATIC_DECISION_LATENCY as usize;
+
 /// The early-stop decision layer for the static-linearity workload.
+///
+/// Owns the visibility protocol (see the module docs): engines feed
+/// every event through the `observe_*` methods and call
+/// [`checkpoint`](StaticSequencer::checkpoint) when the consumed-sample
+/// count reaches [`next_due`](StaticSequencer::next_due).
 ///
 /// Reusable across sweeps: [`StaticSequencer::begin`] rederives the
 /// per-config thresholds and clears the tallies without touching the
@@ -386,6 +411,12 @@ pub struct StaticSequencer {
     inl_last: i64,
     last_event_sample: u64,
     widths: Running,
+    // Visibility protocol: the consumed-sample count the next
+    // checkpoint falls due at, and the events not yet admitted, in
+    // arrival order.
+    next_due: u64,
+    latched: [(u64, Event); LATCH],
+    latched_len: usize,
 }
 
 impl StaticSequencer {
@@ -418,12 +449,10 @@ impl StaticSequencer {
             inl_last: 0,
             last_event_sample: 0,
             widths: Running::new(),
+            next_due: policy.min_samples + STATIC_DECISION_LATENCY,
+            latched: [(0, Event::Functional(true)); LATCH],
+            latched_len: 0,
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &SequencerConfig {
-        &self.policy
     }
 
     /// Arms the sequencer for one sweep under `config`: derives the
@@ -457,51 +486,64 @@ impl StaticSequencer {
         self.inl_last = 0;
         self.last_event_sample = 0;
         self.widths = Running::new();
+        self.next_due = self.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
+        self.latched_len = 0;
     }
 
-    /// Feeds one visible code measurement (closing sample `at_sample`).
-    pub fn observe_code(
-        &mut self,
-        at_sample: u64,
-        count: u64,
-        dnl_pass: bool,
-        inl_pass: bool,
-        inl_counts: i64,
-    ) {
-        self.codes += 1;
-        if !dnl_pass {
-            self.dnl_failures += 1;
+    /// Latches one code measurement, stamped with its behavioural
+    /// closing sample `at`.
+    pub fn observe_code(&mut self, at: u64, code: &CodeResult) {
+        self.latch(at, Event::Code(*code));
+    }
+
+    /// Latches one functional check, stamped with its behavioural
+    /// closing sample `at`.
+    pub fn observe_functional(&mut self, at: u64, ok: bool) {
+        self.latch(at, Event::Functional(ok));
+    }
+
+    /// The consumed-sample count at which the next checkpoint falls
+    /// due — the countdown target engines compare against instead of a
+    /// per-sample modulo.
+    pub fn next_due(&self) -> u64 {
+        self.next_due
+    }
+
+    /// Queues `event`, then admits every latched event the due
+    /// checkpoint's horizon covers (no tallies are read before it).
+    fn latch(&mut self, at: u64, event: Event) {
+        assert!(self.latched_len < LATCH, "sequencer checkpoint missed");
+        self.latched[self.latched_len] = (at, event);
+        self.latched_len += 1;
+        self.admit(self.next_due - STATIC_DECISION_LATENCY);
+    }
+
+    /// Moves the latched events with closing sample `≤ horizon` into
+    /// the visible tallies, in arrival order.
+    fn admit(&mut self, horizon: u64) {
+        while self.latched_len > 0 && self.latched[0].0 <= horizon {
+            match self.latched[0] {
+                (at, Event::Code(code)) => {
+                    self.codes += 1;
+                    self.dnl_failures += u64::from(!code.dnl_verdict.is_pass());
+                    self.inl_failures += u64::from(!code.inl_pass);
+                    self.inl_last = code.inl_counts;
+                    self.last_event_sample = at;
+                    self.widths.push(code.count as f64);
+                }
+                (_, Event::Functional(ok)) => {
+                    self.functional_checks += 1;
+                    self.functional_mismatches += u64::from(!ok);
+                }
+            }
+            self.latched.copy_within(1..self.latched_len, 0);
+            self.latched_len -= 1;
         }
-        if !inl_pass {
-            self.inl_failures += 1;
-        }
-        self.inl_last = inl_counts;
-        self.last_event_sample = at_sample;
-        self.widths.push(count as f64);
-    }
-
-    /// Feeds one visible functional check.
-    pub fn observe_functional(&mut self, ok: bool) {
-        self.functional_checks += 1;
-        if !ok {
-            self.functional_mismatches += 1;
-        }
-    }
-
-    /// Number of code measurements visible so far.
-    pub fn codes_seen(&self) -> u64 {
-        self.codes
-    }
-
-    /// Whether a checkpoint is due at `visible` samples.
-    pub fn checkpoint_due(&self, visible: u64) -> bool {
-        self.policy.checkpoint_due(visible)
     }
 
     /// The first checkpoint sample strictly after `visible` on the
-    /// `min_samples + k·check_interval` lattice — the countdown target
-    /// hot loops compare against instead of a per-sample modulo.
-    pub fn next_checkpoint_after(&self, visible: u64) -> u64 {
+    /// `min_samples + k·check_interval` lattice.
+    fn next_checkpoint_after(&self, visible: u64) -> u64 {
         let min = self.policy.min_samples;
         if visible < min {
             min
@@ -546,10 +588,32 @@ impl StaticSequencer {
         (below + above).min(1.0)
     }
 
-    /// Evaluates the decision rule at a checkpoint with `visible`
-    /// samples of evidence.
+    /// Takes the checkpoint due after `consumed` samples: admits the
+    /// events closing at or before `consumed −` [`STATIC_DECISION_LATENCY`],
+    /// schedules the next checkpoint and decides on that evidence.
     // bist-lint: hot-path — static checkpoint decision
-    pub fn checkpoint(&mut self, visible: u64) -> SeqDecision {
+    pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
+        let visible = consumed.saturating_sub(STATIC_DECISION_LATENCY);
+        self.admit(visible);
+        self.next_due = self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
+        self.decide(visible)
+    }
+
+    /// Takes the checkpoint when one is due after `consumed` samples;
+    /// the early-stop outcome when it stops the sweep.
+    pub(crate) fn stop_if_due(&mut self, consumed: u64) -> Option<SeqOutcome<BistVerdict>> {
+        if consumed != self.next_due {
+            return None;
+        }
+        let decision = self.checkpoint(consumed);
+        decision.stops().then(|| SeqOutcome {
+            decision,
+            verdict: self.verdict(consumed),
+        })
+    }
+
+    /// The decision rule on the tallies visible at sample `visible`.
+    fn decide(&self, visible: u64) -> SeqDecision {
         // Observed failure: the full sweep rejects with certainty.
         if self.dnl_failures + self.inl_failures + self.functional_mismatches > 0 {
             return SeqDecision::RejectEarly(visible);
@@ -673,7 +737,8 @@ pub struct DynSequencer {
     n: usize,
     bin: usize,
     harmonics: usize,
-    // Derived thresholds.
+    // Derived thresholds (`full_scale` centres codes: 2ⁿ).
+    full_scale: i64,
     sinad_ratio_min: f64,
     thd_ratio_max: f64,
     noise_max_half: f64,
@@ -693,13 +758,14 @@ pub struct DynSequencer {
     // Exact integer side sums.
     sum: i64,
     sum_sq: u64,
-    samples: u64,
     // Residual blocks.
     blocks: Vec<BlockSums>,
     cur: BlockSums,
     /// Samples left in the current block (countdown — no hot-path
     /// modulo).
     block_left: u64,
+    /// The consumed-sample count the next checkpoint falls due at.
+    next_due: u64,
 }
 
 impl DynSequencer {
@@ -717,6 +783,7 @@ impl DynSequencer {
             n: 0,
             bin: 0,
             harmonics: 0,
+            full_scale: 0,
             sinad_ratio_min: 1.0,
             thd_ratio_max: 1.0,
             noise_max_half: 0.0,
@@ -734,16 +801,11 @@ impl DynSequencer {
             qs: 0.0,
             sum: 0,
             sum_sq: 0,
-            samples: 0,
             blocks: Vec::new(),
             cur: BlockSums::default(),
             block_left: policy.check_interval,
+            next_due: u64::MAX,
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &SequencerConfig {
-        &self.policy
     }
 
     /// Arms the sequencer for one record under `config`: derives the
@@ -777,6 +839,7 @@ impl DynSequencer {
             let s2 = (omega / 2.0).sin().abs().max(1e-6);
             self.guard_scale = 8.0 / (s1 * s1) + 4.0 / (s2 * s2);
         }
+        self.full_scale = config.resolution().code_count() as i64;
         let limits = config.limits();
         let sinad_eff = limits.min_sinad_db.max(limits.min_enob * 6.02 + 1.76);
         self.sinad_ratio_min = 10f64.powf(sinad_eff / 10.0);
@@ -797,17 +860,19 @@ impl DynSequencer {
         self.qs = 0.0;
         self.sum = 0;
         self.sum_sq = 0;
-        self.samples = 0;
         self.blocks.clear();
         self.blocks
             .reserve(n / self.policy.check_interval as usize + 1);
         self.cur = BlockSums::default();
         self.block_left = self.policy.check_interval;
+        self.next_due = self.next_checkpoint_after(0);
     }
 
-    /// Feeds one centred half-LSB code value `v = 2·code + 1 − 2ⁿ`.
+    /// Feeds one acquired code as its centred half-LSB value
+    /// `v = 2·code + 1 − 2ⁿ` — the identical integer for both backends.
     // bist-lint: hot-path — per-sample dynamic sequencer update
-    pub fn push(&mut self, v: i64) {
+    pub fn push(&mut self, code: Code) {
+        let v = 2 * i64::from(code.0) + 1 - self.full_scale;
         let x = v as f64;
         let (c, s) = (self.cur_cos, self.cur_sin);
         self.qc += x * c;
@@ -826,7 +891,6 @@ impl DynSequencer {
         self.cur.cc += c * c;
         self.cur.ss += s * s;
         self.cur.cs += c * s;
-        self.samples += 1;
         self.block_left -= 1;
         if self.block_left == 0 {
             self.blocks.push(self.cur);
@@ -835,41 +899,38 @@ impl DynSequencer {
         }
     }
 
-    /// Samples consumed so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
+    /// The consumed-sample count at which the next checkpoint falls
+    /// due — on a block boundary at or after `min_samples` (no pipeline
+    /// latency) — or `u64::MAX` once none falls strictly inside the
+    /// record.
+    pub fn next_due(&self) -> u64 {
+        self.next_due
     }
 
-    /// Whether a checkpoint is due at `visible` consumed samples: the
-    /// dynamic path has no pipeline latency, so decisions ride directly
-    /// on the acquired stream — on block boundaries at or after
-    /// `min_samples`, strictly before the record completes. (Hot loops
-    /// use [`DynSequencer::next_checkpoint_after`] countdowns instead
-    /// of calling this per sample.)
-    pub fn checkpoint_due(&self, visible: u64) -> bool {
-        visible < self.n as u64
-            && visible >= self.policy.min_samples
-            && visible.is_multiple_of(self.policy.check_interval)
-    }
-
-    /// The first checkpoint sample strictly after `consumed` — the
-    /// countdown target hot loops compare against instead of a
-    /// per-sample modulo.
-    pub fn next_checkpoint_after(&self, consumed: u64) -> u64 {
+    /// The first checkpoint strictly after `consumed` that lies
+    /// strictly inside the record, or `u64::MAX`.
+    fn next_checkpoint_after(&self, consumed: u64) -> u64 {
         let interval = self.policy.check_interval;
-        let next = (consumed / interval + 1) * interval;
-        next.max(self.policy.min_samples.div_ceil(interval) * interval)
+        let next = ((consumed / interval + 1) * interval)
+            .max(self.policy.min_samples.div_ceil(interval) * interval);
+        if next < self.n as u64 {
+            next
+        } else {
+            u64::MAX
+        }
     }
 
-    /// Evaluates the decision rule at a checkpoint with `visible`
-    /// consumed samples.
+    /// Takes the checkpoint due after `consumed` samples
+    /// ([`next_due`](DynSequencer::next_due)): schedules the next one
+    /// and evaluates the decision rule.
     // bist-lint: hot-path — dynamic checkpoint decision
-    pub fn checkpoint(&mut self, visible: u64) -> SeqDecision {
+    pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
+        self.next_due = self.next_checkpoint_after(consumed);
         let blocks = self.blocks.len() as u64;
         if blocks < MIN_BLOCKS_FOR_STATS {
             return SeqDecision::Continue;
         }
-        let m = visible as f64;
+        let m = consumed as f64;
         let dc = self.sum as f64 / m;
         let ac = 2.0 * self.qc / m;
         let asn = 2.0 * self.qs / m;
@@ -903,7 +964,7 @@ impl DynSequencer {
         let thd_ok = self.order_multiplicity * nad_hi <= self.thd_ratio_max * car_lo;
         let noise_ok = nad_hi <= self.noise_max_half;
         if sinad_ok && thd_ok && noise_ok {
-            return SeqDecision::AcceptEarly(visible);
+            return SeqDecision::AcceptEarly(consumed);
         }
         // Reject: the SINAD/ENOB band confidently fails even under the
         // optimistic reading (a failed noise or THD limit implies a
@@ -911,7 +972,7 @@ impl DynSequencer {
         // failing only a looser custom limit fall through to the full
         // record — zero drift).
         if nad_lo > 0.0 && nad_lo * self.sinad_ratio_min > car_hi {
-            return SeqDecision::RejectEarly(visible);
+            return SeqDecision::RejectEarly(consumed);
         }
         SeqDecision::Continue
     }
@@ -1033,10 +1094,86 @@ mod tests {
             check_interval: 50,
             ..Default::default()
         };
-        assert!(!p.checkpoint_due(99));
-        assert!(p.checkpoint_due(100));
-        assert!(!p.checkpoint_due(120));
-        assert!(p.checkpoint_due(150));
+        // Static checkpoints sit on the `min_samples + k·check_interval`
+        // evidence lattice and fall due the decision latency later.
+        let mut seq = StaticSequencer::new(p);
+        seq.begin(&cfg(5));
+        assert_eq!(seq.next_due(), 100 + STATIC_DECISION_LATENCY);
+        assert_eq!(seq.checkpoint(seq.next_due()), SeqDecision::Continue);
+        assert_eq!(seq.next_due(), 150 + STATIC_DECISION_LATENCY);
+        // Dynamic checkpoints sit on block boundaries from
+        // `min_samples` on, strictly inside the record.
+        let mut dyn_seq = DynSequencer::new(p);
+        dyn_seq.begin(&DynamicConfig::paper_default());
+        assert_eq!(dyn_seq.next_due(), 100);
+        dyn_seq.checkpoint(100);
+        assert_eq!(dyn_seq.next_due(), 150);
+        dyn_seq.checkpoint(4050);
+        assert_eq!(dyn_seq.next_due(), u64::MAX, "4100 lies past the record");
+    }
+
+    /// The code measurement closing a `count`-sample run under `cfg(5)`.
+    fn code(count: u64) -> CodeResult {
+        let mut monitor = crate::lsb_monitor::MonitorState::new(&cfg(5));
+        let run = std::iter::repeat_n(true, count as usize);
+        let bits = std::iter::once(false).chain(run).chain([false]);
+        bits.filter_map(|b| monitor.push(b))
+            .last()
+            .expect("one closed run")
+    }
+
+    #[test]
+    fn latch_admits_only_events_inside_the_horizon_in_either_arrival_order() {
+        let policy = SequencerConfig {
+            min_samples: 100,
+            check_interval: 50,
+            ..Default::default()
+        };
+        let config = cfg(5);
+        let limits = config.limits();
+        // Five clean codes (too few for the statistical rules), the
+        // last closing exactly on the first horizon (sample 100), then a
+        // too-wide code and a functional mismatch closing just past it.
+        let mut codes: Vec<_> = (1..=5).map(|k| (20 * k, code(limits.i_ideal()))).collect();
+        codes.push((101, code(limits.i_max() + 1)));
+        // `lag` 0 feeds each event at its closing sample (behavioural
+        // and batch order), `lag` 2 as the RTL emits it.
+        let run = |lag: u64| {
+            let mut seq = StaticSequencer::new(policy);
+            seq.begin(&config);
+            let mut checkpoints = Vec::new();
+            for consumed in 1..=200 {
+                for (at, c) in codes.iter().filter(|(at, _)| at + lag == consumed) {
+                    seq.observe_code(*at, c);
+                }
+                if consumed == 102 + lag {
+                    seq.observe_functional(102, false);
+                }
+                if consumed == seq.next_due() {
+                    let decision = seq.checkpoint(consumed);
+                    checkpoints.push((decision, seq.verdict(consumed)));
+                    if decision.stops() {
+                        break;
+                    }
+                }
+            }
+            checkpoints
+        };
+        let emitted = run(0);
+        assert_eq!(emitted, run(STATIC_DECISION_LATENCY));
+        let [(first, at_first), (second, at_second)] = emitted[..] else {
+            panic!("expected two checkpoints, got {emitted:?}");
+        };
+        assert_eq!(first, SeqDecision::Continue);
+        assert_eq!(
+            at_first.codes_judged, 5,
+            "the code closing at 100 is visible"
+        );
+        assert_eq!(at_first.dnl_failures + at_first.functional_mismatches, 0);
+        assert_eq!(second, SeqDecision::RejectEarly(150));
+        assert_eq!((at_second.codes_judged, at_second.dnl_failures), (6, 1));
+        assert_eq!(at_second.functional_mismatches, 1);
+        assert_eq!(at_second.samples, 152);
     }
 
     #[test]

@@ -68,8 +68,12 @@ fn stream(widths: &[u8], glitches: &[usize], deglitch: bool) -> Vec<Code> {
 fn run_both(config: &BistConfig, codes: &[Code]) -> (Scratch, Scratch) {
     let mut scratch_b = Scratch::new();
     let mut scratch_r = Scratch::new();
-    let behavioral = BehavioralBackend.process(config, codes.iter().copied(), &mut scratch_b);
-    let rtl = RtlBackend::new().process(config, codes.iter().copied(), &mut scratch_r);
+    let behavioral = BehavioralBackend
+        .judge(config, None, codes.iter().copied(), &mut scratch_b)
+        .verdict;
+    let rtl = RtlBackend::new()
+        .judge(config, None, codes.iter().copied(), &mut scratch_r)
+        .verdict;
     assert_eq!(
         behavioral,
         rtl,
@@ -174,8 +178,12 @@ fn toggling_lsb_breaks_completeness_in_both_backends() {
         .collect();
     let mut scratch_b = Scratch::new();
     let mut scratch_r = Scratch::new();
-    let behavioral = BehavioralBackend.process(&config, codes.iter().copied(), &mut scratch_b);
-    let rtl = RtlBackend::new().process(&config, codes.iter().copied(), &mut scratch_r);
+    let behavioral = BehavioralBackend
+        .judge(&config, None, codes.iter().copied(), &mut scratch_b)
+        .verdict;
+    let rtl = RtlBackend::new()
+        .judge(&config, None, codes.iter().copied(), &mut scratch_r)
+        .verdict;
     assert_eq!(behavioral, rtl);
     assert!(behavioral.codes_judged > behavioral.expected_codes);
     assert!(

@@ -206,8 +206,9 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics when no workload is resident, or when a workload is
-    /// filed under the other kind's field.
+    /// Panics when no workload is resident, when a workload is filed
+    /// under the other kind's field, when the lane width is zero, or
+    /// when the sequencer policy fails [`SequencerConfig::validate`].
     pub fn start(self) -> ServiceHandle {
         ServiceHandle::start(self)
     }
@@ -423,6 +424,13 @@ impl ServiceHandle {
                     .is_none_or(|w| w.kind() == JobKind::Dynamic),
             "a resident workload is filed under the other kind"
         );
+        assert!(
+            config.lane_width >= 1,
+            "the service needs at least one lane"
+        );
+        if let Some(Err(e)) = config.sequencer.map(|policy| policy.validate()) {
+            panic!("invalid sequencer policy: {e}");
+        }
         config.burst = config.burst.max(1);
         let shared = Arc::new(SvcShared {
             submit: Ring::with_capacity(config.submit_capacity),

@@ -8,6 +8,7 @@ use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::ring::Enqueue;
 use bist_core::screener::Workload;
+use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::Batch;
 use bist_serve::{JobKind, ServiceConfig, Submission};
 
@@ -136,10 +137,11 @@ fn busy_returns_the_submission_intact() {
     handle.shutdown();
 }
 
-/// A workload filed under the other kind's field used to leave every
-/// worker panicking while `submit` still answered `Accepted`, so no
-/// verdict ever arrived. `start` must refuse such a config on the
-/// caller's thread, before any worker spawns.
+/// A workload filed under the other kind's field, a zero lane width
+/// set through the public field, or an invalid sequencer policy used to
+/// leave every worker panicking while `submit` still answered
+/// `Accepted`, so no verdict ever arrived. `start` must refuse such a
+/// config on the caller's thread, before any worker spawns.
 #[test]
 fn misfiled_workload_is_rejected_at_start() {
     let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
@@ -152,6 +154,16 @@ fn misfiled_workload_is_rejected_at_start() {
             dynamic_workload: Some(static_workload()),
             ..ServiceConfig::new()
         },
+        ServiceConfig {
+            lane_width: 0,
+            ..ServiceConfig::new().with_workload(static_workload())
+        },
+        ServiceConfig::new()
+            .with_workload(static_workload())
+            .with_sequencer(SequencerConfig {
+                check_interval: 0,
+                ..SequencerConfig::default()
+            }),
     ];
     for config in misfiled {
         let started = std::panic::catch_unwind(|| config.with_workers(1).start());

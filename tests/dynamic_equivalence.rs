@@ -173,16 +173,13 @@ fn truncated_records_incomplete_on_both_backends() {
     let (sine, sampling) = plan_sine(&adc, &config);
     let mut scratch = DynScratch::new();
     for keep in [0usize, 1, 4095] {
-        let b = BehavioralBackend.process_dyn(
-            &config,
-            CodeStream::noiseless(&adc, &sine, sampling).take(keep),
-            &mut scratch,
-        );
-        let r = RtlBackend::new().process_dyn(
-            &config,
-            CodeStream::noiseless(&adc, &sine, sampling).take(keep),
-            &mut scratch,
-        );
+        let codes = || CodeStream::noiseless(&adc, &sine, sampling).take(keep);
+        let b = BehavioralBackend
+            .judge_dyn(&config, None, codes(), &mut scratch)
+            .verdict;
+        let r = RtlBackend::new()
+            .judge_dyn(&config, None, codes(), &mut scratch)
+            .verdict;
         assert!(!b.complete() && !b.accepted(), "keep {keep}: {b}");
         assert_eq!(b.checks, r.checks, "keep {keep}");
         assert_eq!(b.samples, keep as u64);

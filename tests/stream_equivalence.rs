@@ -18,9 +18,10 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
+use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
-use bist_core::harness::{bist_from_capture, process_code_stream, Scratch};
+use bist_core::harness::{bist_from_capture, Scratch};
 use bist_core::limits::slope_for_delta_s;
 use bist_mc::batch::Batch;
 use proptest::prelude::*;
@@ -85,11 +86,8 @@ proptest! {
 
         let mut rng_s = StdRng::seed_from_u64(seed ^ 0xfeed);
         let mut scratch = Scratch::new();
-        let verdict = process_code_stream(
-            &cfg,
-            CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s),
-            &mut scratch,
-        );
+        let codes = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s);
+        let verdict = BehavioralBackend.judge(&cfg, None, codes, &mut scratch).verdict;
 
         prop_assert_eq!(verdict.accepted(), materialized.accepted());
         prop_assert_eq!(verdict.complete(), materialized.complete());
@@ -126,11 +124,8 @@ proptest! {
             let truth = spec.classify(&tf).good;
 
             let mut rng = batch.device_rng(i);
-            let verdict = process_code_stream(
-                &cfg,
-                CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng),
-                &mut scratch,
-            );
+            let codes = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng);
+            let verdict = BehavioralBackend.judge(&cfg, None, codes, &mut scratch).verdict;
             streamed.record(truth, verdict.accepted());
 
             let mut rng = batch.device_rng(i);
