@@ -314,6 +314,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot advance")]
+    fn transfer_panics_when_sweep_step_is_below_one_ulp() {
+        // q/256 ≈ 6e-8 V, but one ULP at 1e10 V is about 2e-6 V.
+        let cfg = PipelineConfig::new(Resolution::SIX_BIT, 3, Volts(1e10), Volts(1e10 + 1e-3));
+        cfg.sample(&mut rng(1)).transfer();
+    }
+
+    #[test]
     fn display_mentions_pipeline() {
         assert!(ideal().to_string().contains("pipeline"));
     }

@@ -6,7 +6,9 @@
 //! binary-weighted capacitor DAC; capacitor mismatch produces the
 //! characteristic DNL signature at major code boundaries (largest at the
 //! MSB transition), a very different error profile from the flash
-//! ladder's iid widths.
+//! ladder's iid widths. A device's DAC levels are fixed, so
+//! [`SarAdc::transfer`] computes them once into a per-device level table
+//! and characterises the converter against it.
 
 use crate::dist::Normal;
 use crate::transfer::{Adc, TransferFunction};
@@ -162,6 +164,54 @@ impl SarAdc {
         }
         Volts(v)
     }
+
+    /// Successive approximation: trial each bit from MSB down. The
+    /// comparator decides `v` (−offset) against `level(trial)`, the DAC
+    /// level of the trial code; with ideal weights the transition into
+    /// code k sits at `low + k·q`, matching `TransferFunction::ideal`.
+    fn approximate(&self, v: Volts, level: impl Fn(u32) -> f64) -> Code {
+        let bits = self.config.resolution.bits();
+        let vin = v.0 + self.offset;
+        let mut code = 0u32;
+        for i in (0..bits).rev() {
+            let trial = code | (1 << i);
+            if vin >= level(trial) {
+                code = trial;
+            }
+        }
+        Code(code)
+    }
+}
+
+/// A [`SarAdc`] converting against its DAC levels computed once: entry
+/// `c` of `levels` is `dac(Code(c))`, so every conversion matches
+/// [`SarAdc::convert`] bit for bit.
+struct LevelTable<'a> {
+    adc: &'a SarAdc,
+    levels: Vec<f64>,
+}
+
+impl<'a> LevelTable<'a> {
+    fn new(adc: &'a SarAdc) -> Self {
+        let levels = (0..adc.config.resolution.code_count())
+            .map(|c| adc.dac(Code(c)).0)
+            .collect();
+        LevelTable { adc, levels }
+    }
+}
+
+impl Adc for LevelTable<'_> {
+    fn resolution(&self) -> Resolution {
+        self.adc.resolution()
+    }
+
+    fn convert(&self, v: Volts) -> Code {
+        self.adc.approximate(v, |c| self.levels[c as usize])
+    }
+
+    fn input_range(&self) -> (Volts, Volts) {
+        self.adc.input_range()
+    }
 }
 
 impl Adc for SarAdc {
@@ -170,20 +220,7 @@ impl Adc for SarAdc {
     }
 
     fn convert(&self, v: Volts) -> Code {
-        // Successive approximation: trial each bit from MSB down. The
-        // comparator decides v (−offset) against DAC(trial); with ideal
-        // weights the transition into code k sits at `low + k·q`, matching
-        // TransferFunction::ideal.
-        let bits = self.config.resolution.bits();
-        let vin = v.0 + self.offset;
-        let mut code = 0u32;
-        for i in (0..bits).rev() {
-            let trial = code | (1 << i);
-            if vin >= self.dac(Code(trial)).0 {
-                code = trial;
-            }
-        }
-        Code(code)
+        self.approximate(v, |c| self.dac(Code(c)).0)
     }
 
     fn input_range(&self) -> (Volts, Volts) {
@@ -194,9 +231,14 @@ impl Adc for SarAdc {
         // The SAR decision tree yields transitions at the DAC levels of
         // each code (plus the mid-rise q), but DAC non-monotonicity can
         // reorder them; recover by characterisation at fine resolution.
+        // The sweep's conversions read the device's DAC levels, computed
+        // once here: they are fixed per device.
         let q =
             (self.config.high.0 - self.config.low.0) / self.config.resolution.code_count() as f64;
-        Some(crate::transfer::characterize(self, Volts(q / 256.0)))
+        Some(crate::transfer::characterize(
+            &LevelTable::new(self),
+            Volts(q / 256.0),
+        ))
     }
 }
 
@@ -324,6 +366,45 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_sigma_panics() {
         SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(1.0)).with_unit_cap_sigma(-0.1);
+    }
+
+    #[test]
+    fn level_table_matches_convert_at_every_comparator_boundary() {
+        // The comparator trips at `v + offset >= dac(trial)`: probe each
+        // DAC level minus the offset, and one ULP either side of it.
+        let cfg = SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+            .with_unit_cap_sigma(0.3)
+            .with_offset_sigma_lsb(2.0);
+        let mut r = rng(11);
+        for _ in 0..20 {
+            let sar = cfg.sample(&mut r);
+            let table = LevelTable::new(&sar);
+            for c in 0..64 {
+                let at = sar.dac(Code(c)).0 - sar.offset;
+                for v in [at.next_down(), at, at.next_up()] {
+                    assert_eq!(sar.convert(Volts(v)), table.convert(Volts(v)), "at {v} V");
+                }
+            }
+        }
+        // With ideal weights and no offset, a DAC level itself converts
+        // to its own code and one ULP below it does not (`>=`, not `>`).
+        let sar = ideal_sar();
+        let table = LevelTable::new(&sar);
+        for c in 1..64 {
+            let at = sar.dac(Code(c)).0;
+            for adc in [&sar as &dyn Adc, &table] {
+                assert_eq!(adc.convert(Volts(at)), Code(c));
+                assert_eq!(adc.convert(Volts(at.next_down())), Code(c - 1));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance")]
+    fn transfer_panics_when_sweep_step_is_below_one_ulp() {
+        // q/256 ≈ 6e-8 V, but one ULP at 1e10 V is about 2e-6 V.
+        let cfg = SarConfig::new(Resolution::SIX_BIT, Volts(1e10), Volts(1e10 + 1e-3));
+        cfg.sample(&mut rng(1)).transfer();
     }
 
     #[test]

@@ -296,28 +296,38 @@ impl<T: Adc + ?Sized> Adc for &T {
 ///
 /// # Panics
 ///
-/// Panics if `step` is not positive.
+/// Panics if `step` is not positive, or if the sweep stalls: when
+/// `v + step == v` (the step is below one ULP at the sweep voltage `v`)
+/// while transitions are still missing.
 pub fn characterize<A: Adc>(adc: &A, step: Volts) -> TransferFunction {
     assert!(step.0 > 0.0, "sweep step must be positive");
     let (low, high) = adc.input_range();
     let res = adc.resolution();
-    let mut transitions = Vec::with_capacity(res.transition_count() as usize);
+    let count = res.transition_count() as usize;
+    let mut transitions = Vec::with_capacity(count);
     let mut v = low.0 - step.0;
     // The first sweep point records every code already reached there.
     let mut best = 0;
     let margin = (high.0 - low.0) * 0.1;
-    while v <= high.0 + margin && transitions.len() < res.transition_count() as usize {
+    while v <= high.0 + margin && transitions.len() < count {
         let code = adc.convert(Volts(v)).0;
-        while best < code && transitions.len() < res.transition_count() as usize {
+        while best < code && transitions.len() < count {
             best += 1;
             transitions.push(v);
         }
-        v += step.0;
+        let next = v + step.0;
+        assert!(
+            next != v || transitions.len() == count,
+            "sweep cannot advance: step {} V is below one ULP at {} V",
+            step.0,
+            v
+        );
+        v = next;
     }
     // Any transitions never reached (e.g. stuck top codes) sit above the
     // range. The nominal [low, high] is preserved so the LSB size (and
     // hence DNL/INL) of the recovered transfer matches the original.
-    while transitions.len() < res.transition_count() as usize {
+    while transitions.len() < count {
         transitions.push(high.0 + margin);
     }
     TransferFunction::from_transitions(res, low, high, transitions)
