@@ -40,14 +40,6 @@ impl Normal {
         Normal { mean, sigma }
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal {
-            mean: 0.0,
-            sigma: 1.0,
-        }
-    }
-
     /// The distribution mean.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -104,7 +96,7 @@ mod tests {
     #[test]
     fn tail_fractions_are_gaussian() {
         let mut rng = StdRng::seed_from_u64(23);
-        let n = Normal::standard();
+        let n = Normal::new(0.0, 1.0);
         let total = 200_000;
         let beyond_2: usize = (0..total)
             .filter(|_| n.sample(&mut rng).abs() > 2.0)
@@ -127,7 +119,7 @@ mod tests {
     fn fill_populates_slice() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut buf = [0.0; 8];
-        Normal::standard().fill(&mut rng, &mut buf);
+        Normal::new(0.0, 1.0).fill(&mut rng, &mut buf);
         assert!(buf.iter().all(|x| x.is_finite()));
         assert!(buf.iter().any(|&x| x != 0.0));
     }

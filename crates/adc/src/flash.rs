@@ -65,17 +65,6 @@ impl FlashConfig {
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21)
     }
 
-    /// Sets the relative resistor mismatch σ_R/R.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn with_resistor_sigma(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        self.sigma_resistor_rel = sigma;
-        self
-    }
-
     /// Sets the comparator offset σ in LSB.
     ///
     /// # Panics
@@ -223,25 +212,6 @@ impl FlashAdc {
         &self.config
     }
 
-    /// Physical (unsorted) comparator thresholds.
-    pub fn comparator_thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
-    /// The raw thermometer code for input `v`: bit `k` set when
-    /// comparator `k` (ordered along the ladder) asserts.
-    pub fn thermometer(&self, v: Volts) -> Vec<bool> {
-        self.thresholds.iter().map(|&t| v.0 >= t).collect()
-    }
-
-    /// Whether the thermometer code for `v` contains a bubble (a 0 below
-    /// a 1), which happens when comparator offsets reorder thresholds.
-    pub fn has_bubble_at(&self, v: Volts) -> bool {
-        let code = self.thermometer(v);
-        let first_zero = code.iter().position(|&b| !b).unwrap_or(code.len());
-        code[first_zero..].iter().any(|&b| b)
-    }
-
     /// Applies a short-circuit fault to ladder segment `k` (the resistor
     /// between taps `k` and `k+1`): its resistance collapses, merging two
     /// thresholds. Returns a new faulty instance.
@@ -331,6 +301,12 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// The raw thermometer code for input `v`: bit `k` set when
+    /// comparator `k` (ordered along the ladder) asserts.
+    fn thermometer(adc: &FlashAdc, v: Volts) -> Vec<bool> {
+        adc.thresholds.iter().map(|&t| v.0 >= t).collect()
+    }
+
     #[test]
     fn mismatch_free_device_is_ideal() {
         let cfg = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
@@ -369,7 +345,10 @@ mod tests {
         // ρ = −1/(N−1) with N = 2^n codes (Eq. 10). Use a small device so
         // the effect is visible above estimation noise.
         let res = Resolution::new(4).unwrap();
-        let cfg = FlashConfig::new(res, Volts(0.0), Volts(1.6)).with_resistor_sigma(0.1);
+        let cfg = FlashConfig {
+            sigma_resistor_rel: 0.1,
+            ..FlashConfig::new(res, Volts(0.0), Volts(1.6))
+        };
         let mut samples = Vec::new();
         let mut r = rng(7);
         for _ in 0..4000 {
@@ -391,7 +370,7 @@ mod tests {
         let mut r = rng(3);
         let a = cfg.sample(&mut r);
         let b = cfg.sample(&mut r);
-        assert_ne!(a.comparator_thresholds(), b.comparator_thresholds());
+        assert_ne!(a.thresholds, b.thresholds);
     }
 
     #[test]
@@ -399,7 +378,7 @@ mod tests {
         let cfg = FlashConfig::paper_device();
         let a = cfg.sample(&mut rng(11));
         let b = cfg.sample(&mut rng(11));
-        assert_eq!(a.comparator_thresholds(), b.comparator_thresholds());
+        assert_eq!(a.thresholds, b.thresholds);
     }
 
     #[test]
@@ -417,6 +396,14 @@ mod tests {
         assert_eq!(last, 63);
     }
 
+    /// Whether the thermometer code for `v` contains a bubble (a 0 below
+    /// a 1), which happens when comparator offsets reorder thresholds.
+    fn has_bubble_at(adc: &FlashAdc, v: Volts) -> bool {
+        let code = thermometer(adc, v);
+        let first_zero = code.iter().position(|&b| !b).unwrap_or(code.len());
+        code[first_zero..].iter().any(|&b| b)
+    }
+
     #[test]
     fn bubble_detection_with_large_offsets() {
         // Huge comparator offsets guarantee reordered thresholds.
@@ -426,7 +413,7 @@ mod tests {
         let mut any_bubble = false;
         let mut v = 0.0;
         while v < 6.4 {
-            any_bubble |= adc.has_bubble_at(Volts(v));
+            any_bubble |= has_bubble_at(&adc, Volts(v));
             v += 0.01;
         }
         assert!(any_bubble, "expected at least one thermometer bubble");
@@ -434,12 +421,14 @@ mod tests {
 
     #[test]
     fn no_bubbles_without_offsets() {
-        let cfg =
-            FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_resistor_sigma(0.2);
+        let cfg = FlashConfig {
+            sigma_resistor_rel: 0.2,
+            ..FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+        };
         let adc = cfg.sample(&mut rng(2));
         let mut v = 0.0;
         while v < 6.4 {
-            assert!(!adc.has_bubble_at(Volts(v)));
+            assert!(!has_bubble_at(&adc, Volts(v)));
             v += 0.01;
         }
     }
@@ -474,7 +463,7 @@ mod tests {
         let adc = cfg.sample(&mut rng(9));
         for i in 0..64 {
             let v = Volts(i as f64 * 0.1 + 0.05);
-            let ones = adc.thermometer(v).iter().filter(|&&b| b).count() as u32;
+            let ones = thermometer(&adc, v).iter().filter(|&&b| b).count() as u32;
             assert_eq!(adc.convert(v).0, ones);
         }
     }
@@ -482,7 +471,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sigma must be non-negative")]
     fn negative_sigma_panics() {
-        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(1.0)).with_resistor_sigma(-0.1);
+        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(1.0)).with_offset_sigma_lsb(-0.1);
     }
 
     #[test]

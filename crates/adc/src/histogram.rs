@@ -209,6 +209,7 @@ pub fn ramp_linearity(hist: &CodeHistogram) -> Result<HistogramLinearity, Histog
 /// Returns [`HistogramTestError::NoInnerSamples`] for an empty inner
 /// histogram or [`HistogramTestError::EmptyInnerCode`] if the estimated
 /// stimulus leaves an inner code with zero expected probability.
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub fn sine_linearity(
     hist: &CodeHistogram,
     full_scale_low: f64,

@@ -101,6 +101,7 @@ pub fn missing_codes(tf: &TransferFunction, threshold: Lsb) -> Vec<u32> {
 /// Whether the transfer is monotonic. Transfer functions built from
 /// sorted transitions always are; this exists for characterised
 /// (swept) transfers of faulty devices.
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub fn is_monotonic(tf: &TransferFunction) -> bool {
     tf.transitions().windows(2).all(|w| w[0] <= w[1])
 }

@@ -21,8 +21,8 @@ use rand::Rng;
 /// let noise = NoiseConfig::noiseless()
 ///     .with_input_noise(0.001)
 ///     .with_jitter(1e-9);
-/// assert_eq!(noise.input_noise_volts(), 0.001);
 /// assert_eq!(noise.jitter_seconds(), 1e-9);
+/// assert!(!noise.is_noiseless());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NoiseConfig {
@@ -74,11 +74,6 @@ impl NoiseConfig {
         assert!(rms >= 0.0, "noise must be non-negative");
         self.transition_noise_v = rms;
         self
-    }
-
-    /// RMS input noise in volts.
-    pub fn input_noise_volts(&self) -> f64 {
-        self.input_noise_v
     }
 
     /// RMS jitter in seconds.

@@ -44,12 +44,6 @@ impl SamplingConfig {
         }
     }
 
-    /// Sets the time of the first sample.
-    pub fn with_start_time(mut self, t: f64) -> Self {
-        self.start_time = t;
-        self
-    }
-
     /// The sampling interval `1/f_sample` in seconds.
     pub fn sample_period(&self) -> f64 {
         1.0 / self.sample_rate
@@ -151,7 +145,10 @@ mod tests {
 
     #[test]
     fn sampling_config_times() {
-        let s = SamplingConfig::new(1000.0, 5).with_start_time(1.0);
+        let s = SamplingConfig {
+            start_time: 1.0,
+            ..SamplingConfig::new(1000.0, 5)
+        };
         assert_eq!(s.sample_period(), 0.001);
         assert_eq!(s.sample_time(0), 1.0);
         assert!((s.sample_time(3) - 1.003).abs() < 1e-12);

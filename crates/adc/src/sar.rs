@@ -149,11 +149,6 @@ impl SarAdc {
         &self.config
     }
 
-    /// The realised DAC bit weights in volts (LSB first).
-    pub fn bit_weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// The DAC output voltage for a code.
     pub fn dac(&self, code: Code) -> Volts {
         let mut v = self.config.low.0;
@@ -350,7 +345,7 @@ mod tests {
         let v = Volts(3.2);
         let diff = a.convert(v).0 as i64 - ideal.convert(v).0 as i64;
         assert!(diff.abs() <= 4, "offset moved code by {diff}");
-        assert!(a.bit_weights().len() == 6);
+        assert!(a.weights.len() == 6);
     }
 
     #[test]
@@ -359,7 +354,7 @@ mod tests {
             SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_unit_cap_sigma(0.02);
         let a = cfg.sample(&mut rng(7));
         let b = cfg.sample(&mut rng(7));
-        assert_eq!(a.bit_weights(), b.bit_weights());
+        assert_eq!(a.weights, b.weights);
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl Ramp {
     /// # Panics
     ///
     /// Panics if `span` is not positive.
+    // bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
     pub fn with_bow(mut self, bow: Volts, span: f64) -> Self {
         assert!(span > 0.0, "bow span must be positive");
         self.bow = bow.0;
@@ -107,12 +108,8 @@ impl Ramp {
         self.slope * (1.0 + self.slope_error_rel)
     }
 
-    /// The nominal (requested) slope, volts/second.
-    pub fn nominal_slope(&self) -> f64 {
-        self.slope
-    }
-
     /// Time at which the ideal ramp crosses voltage `v`.
+    // bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
     pub fn time_of(&self, v: Volts) -> f64 {
         (v.0 - self.start.0) / self.effective_slope()
     }
@@ -128,6 +125,7 @@ impl Stimulus for Ramp {
 
 /// A periodic sawtooth sweeping `[low, high)` with period `period`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub struct Sawtooth {
     low: Volts,
     high: Volts,
@@ -162,6 +160,7 @@ impl Stimulus for Sawtooth {
 
 /// A symmetric triangle wave between `low` and `high`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub struct Triangle {
     low: Volts,
     high: Volts,
@@ -306,7 +305,6 @@ mod tests {
         let r = Ramp::new(Volts(0.0), 1.0).with_slope_error(0.1);
         assert!((r.effective_slope() - 1.1).abs() < 1e-15);
         assert!((r.value(1.0).0 - 1.1).abs() < 1e-15);
-        assert_eq!(r.nominal_slope(), 1.0);
     }
 
     #[test]

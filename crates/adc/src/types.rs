@@ -12,18 +12,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Volts(pub f64);
 
-impl Volts {
-    /// Converts to an LSB-denominated quantity given the LSB size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lsb_size` is not positive.
-    pub fn to_lsb(self, lsb_size: Volts) -> Lsb {
-        assert!(lsb_size.0 > 0.0, "LSB size must be positive");
-        Lsb(self.0 / lsb_size.0)
-    }
-}
-
 impl fmt::Display for Volts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} V", self.0)
@@ -40,18 +28,6 @@ impl From<f64> for Volts {
 /// sampling step Δs, a code width ΔV).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Lsb(pub f64);
-
-impl Lsb {
-    /// Converts back to volts given the LSB size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lsb_size` is not positive.
-    pub fn to_volts(self, lsb_size: Volts) -> Volts {
-        assert!(lsb_size.0 > 0.0, "LSB size must be positive");
-        Volts(self.0 * lsb_size.0)
-    }
-}
 
 impl fmt::Display for Lsb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -258,10 +234,6 @@ mod tests {
         let r = Resolution::new(6).unwrap();
         let lsb = r.lsb_size(Volts(6.4));
         assert!((lsb.0 - 0.1).abs() < 1e-15);
-        let x = Volts(0.25).to_lsb(lsb);
-        assert!((x.0 - 2.5).abs() < 1e-12);
-        let v = Lsb(2.5).to_volts(lsb);
-        assert!((v.0 - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -155,7 +155,14 @@ pub fn lex(src: &str) -> Vec<LexedLine> {
                     newline!();
                     i += 1;
                 } else if c == '\\' {
-                    cur.code.push_str("  ");
+                    // An escape blanks two chars; when the second is the
+                    // line break of a `\` continuation, the line still ends.
+                    cur.code.push(' ');
+                    if chars.get(i + 1) == Some(&'\n') {
+                        newline!();
+                    } else {
+                        cur.code.push(' ');
+                    }
                     i += 2;
                 } else if c == '"' {
                     cur.code.push('"');
@@ -282,6 +289,14 @@ mod tests {
         assert_eq!(l.len(), 4);
         assert!(!l[1].code.contains("Vec::new"));
         assert!(l[3].code.contains("let x"));
+    }
+
+    #[test]
+    fn string_continuations_keep_line_count() {
+        let src = "let s = \"a \\\n   b\";\nlet v = Vec::new();\n";
+        let l = lex(src);
+        assert_eq!(l.len(), 3);
+        assert!(l[2].code.contains("Vec::new"), "{l:?}");
     }
 
     #[test]

@@ -25,6 +25,16 @@
 //!   `bist_mc::batch::stream_rng` seam in the report-producing crates
 //!   (core/dsp/rtl/mc library sources).
 //!
+//! A fifth rule keeps the library surface down to what something calls:
+//!
+//! * [`rules::Rule::DeadPub`] — every bare-`pub` item in library source
+//!   (`crates/*/src`, outside bins and the API-mirroring compat crates)
+//!   is named in code by another file, or by its own file outside its
+//!   own definition, its own `impl` blocks and `#[cfg(test)]` code.
+//!   Pass 1 indexes every file's identifiers, so a caller anywhere in
+//!   the workspace, `fleetbench/` included, keeps an item alive; doc
+//!   comments, doctests and strings never do.
+//!
 //! Diagnostics are machine-readable flat JSON (the same record shape
 //! `perf_gate` diffs — see [`report::render_json`]) and suppressible
 //! only via inline `// bist-lint: allow(<rule>) — <reason>` markers.
@@ -45,5 +55,7 @@ pub mod rules;
 pub mod structure;
 pub mod workspace;
 
-pub use rules::{analyze_file, collect_kernels, Diagnostic, FileContext, Rule};
-pub use workspace::{analyze_workspace, context_for, find_workspace_root, Analysis};
+pub use rules::{analyze_file, Diagnostic, FileContext, Index, Rule};
+pub use workspace::{
+    analyze_sources, analyze_workspace, context_for, find_workspace_root, read_sources, Analysis,
+};

@@ -76,12 +76,13 @@ fn main() -> ExitCode {
             .collect();
         eprintln!(
             "bist-lint: {} file(s), {} hot-path region(s), {} unsafe site(s), \
-             {} ordering site(s), {} kernel call site(s), {} allow marker(s)",
+             {} ordering site(s), {} kernel call site(s), {} pub item(s), {} allow marker(s)",
             analysis.files_scanned,
             analysis.stats.hot_regions,
             analysis.stats.unsafe_sites,
             analysis.stats.ordering_sites,
             analysis.stats.kernel_calls,
+            analysis.stats.pub_items,
             analysis.stats.allow_markers,
         );
         eprintln!(

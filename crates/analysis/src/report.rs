@@ -56,12 +56,18 @@ pub fn render_json(a: &Analysis) -> String {
     ));
     s.push_str(&format!(
         "    \"target_feature_kernels\": {},\n",
-        a.kernels.len()
+        a.index.kernels.len()
     ));
     s.push_str(&format!(
-        "    \"target_feature_call_sites\": {}\n",
+        "    \"target_feature_call_sites\": {},\n",
         a.stats.kernel_calls
     ));
+    s.push_str(&format!("    \"pub_items\": {},\n", a.stats.pub_items));
+    for (krate, lines) in &a.rust_lines {
+        s.push_str(&format!("    \"rust_lines_{krate}\": {lines},\n"));
+    }
+    let total: usize = a.rust_lines.values().sum();
+    s.push_str(&format!("    \"rust_lines_total\": {total}\n"));
     s.push_str("  },\n  \"diagnostics\": [");
     for (i, d) in a.diagnostics.iter().enumerate() {
         if i > 0 {

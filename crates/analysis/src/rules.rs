@@ -1,5 +1,6 @@
-//! The four rule families of `bist-lint`, each the static shadow of a
-//! runtime gate the workspace already enforces dynamically:
+//! The five rule families of `bist-lint`. Four are the static shadow
+//! of a runtime gate the workspace already enforces dynamically; the
+//! fifth keeps the library surface down to what something calls:
 //!
 //! | rule | statically proves | runtime gate it shadows |
 //! |---|---|---|
@@ -7,6 +8,7 @@
 //! | `undocumented-unsafe` | every `unsafe` justified; `#[target_feature]` kernels only reached behind runtime detection | UB has no runtime gate — this is the only net |
 //! | `atomic-ordering` | every atomic `Ordering::` choice justified | worker-count `report_checksum` equality gate |
 //! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any workers × lanes × chunk |
+//! | `dead-pub` | every bare-`pub` library item is named in code somewhere other than its own definition, its own `impl` blocks and `#[cfg(test)]` code | none — the compiler's dead-code lint stops at `pub` |
 //!
 //! Diagnostics are suppressible only via an inline
 //! `// bist-lint: allow(<rule>) — <reason>` marker (same line or the
@@ -14,7 +16,7 @@
 
 use crate::lexer::{is_ident_char, lex, LexedLine};
 use crate::structure::Structure;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The rule families.
@@ -29,6 +31,8 @@ pub enum Rule {
     AtomicOrdering,
     /// Nondeterminism seams in report-producing crates.
     Determinism,
+    /// A bare-`pub` library item nothing outside itself references.
+    DeadPub,
 }
 
 impl Rule {
@@ -39,15 +43,17 @@ impl Rule {
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::Determinism => "determinism",
+            Rule::DeadPub => "dead-pub",
         }
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 4] = [
+    pub const ALL: [Rule; 5] = [
         Rule::HotPathAlloc,
         Rule::UndocumentedUnsafe,
         Rule::AtomicOrdering,
         Rule::Determinism,
+        Rule::DeadPub,
     ];
 }
 
@@ -98,6 +104,10 @@ pub struct FileContext {
     /// construction is its job, so the RNG-construction check is
     /// waived — every other determinism check still applies.
     pub rng_seam: bool,
+    /// Library source (`crates/*/src/**` outside `src/bin/`, `main.rs`
+    /// and the API-mirroring `crates/compat/`): the `dead-pub` rule
+    /// applies.
+    pub library: bool,
 }
 
 /// Per-file tallies folded into the workspace report.
@@ -113,6 +123,8 @@ pub struct FileStats {
     pub ordering_sites: usize,
     /// `#[target_feature]` kernel call sites inspected.
     pub kernel_calls: usize,
+    /// Bare-`pub` library items inspected.
+    pub pub_items: usize,
 }
 
 /// Allocating constructs forbidden in hot-path regions: each is a
@@ -152,27 +164,50 @@ const RNG_TOKENS: &[&str] = &[
     "thread_rng",
 ];
 
-/// Collects the names of `#[target_feature]` functions declared in a
-/// file — pass 1 of the workspace analysis, so call sites in *other*
-/// files are checked too.
-pub fn collect_kernels(src: &str) -> Vec<String> {
-    let lines = lex(src);
-    Structure::build(&lines)
-        .fns
-        .iter()
-        .filter(|f| f.target_feature)
-        .map(|f| f.name.clone())
-        .collect()
+/// Pass 1 of the workspace analysis: the facts every file's check
+/// needs from all the others.
+#[derive(Debug, Default)]
+pub struct Index {
+    /// Names of the `#[target_feature]` functions declared anywhere, so
+    /// a call site in any file is checked against the full set.
+    pub kernels: BTreeSet<String>,
+    /// How many files name each identifier in their code channel, so
+    /// `dead-pub` can ask whether any file but an item's own does.
+    pub(crate) ident_files: BTreeMap<String, usize>,
+}
+
+impl Index {
+    /// Builds the index over every source of the analysis.
+    pub fn build<'a>(sources: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut index = Index::default();
+        for src in sources {
+            let lines = lex(src);
+            let st = Structure::build(&lines);
+            let kernels = st.fns.iter().filter(|f| f.target_feature);
+            index.kernels.extend(kernels.map(|f| f.name.clone()));
+            for ident in file_idents(&lines) {
+                *index.ident_files.entry(ident.to_owned()).or_default() += 1;
+            }
+        }
+        index
+    }
+}
+
+/// Identifier tokens on one line's code channel.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !is_ident_char(c))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The distinct identifiers a file names in code.
+fn file_idents(lines: &[LexedLine]) -> BTreeSet<&str> {
+    lines.iter().flat_map(|l| idents(&l.code)).collect()
 }
 
 /// Analyzes one file under `ctx` against every rule, returning the
-/// findings and tallies. `kernels` is the workspace-wide set of
-/// `#[target_feature]` function names from [`collect_kernels`].
-pub fn analyze_file(
-    src: &str,
-    ctx: &FileContext,
-    kernels: &BTreeSet<String>,
-) -> (Vec<Diagnostic>, FileStats) {
+/// findings and tallies. `index` is pass 1 over the whole workspace
+/// (see [`Index::build`]).
+pub fn analyze_file(src: &str, ctx: &FileContext, index: &Index) -> (Vec<Diagnostic>, FileStats) {
     let lines = lex(src);
     let st = Structure::build(&lines);
     let mut out = Vec::new();
@@ -184,9 +219,10 @@ pub fn analyze_file(
 
     check_hot_path_alloc(&lines, &st, ctx, &mut out);
     check_unsafe(&lines, &st, ctx, &mut out, &mut stats);
-    check_kernel_calls(&lines, &st, ctx, kernels, &mut out, &mut stats);
+    check_kernel_calls(&lines, &st, ctx, &index.kernels, &mut out, &mut stats);
     check_atomic_ordering(&lines, &st, ctx, &mut out, &mut stats);
     check_determinism(&lines, &st, ctx, &mut out);
+    check_dead_pub(&lines, &st, ctx, index, &mut out, &mut stats);
 
     out.sort();
     (out, stats)
@@ -509,6 +545,68 @@ fn check_determinism(
     }
 }
 
+// ---------------------------------------------------------------------
+// Rule 5: dead-pub
+// ---------------------------------------------------------------------
+
+fn check_dead_pub(
+    lines: &[LexedLine],
+    st: &Structure,
+    ctx: &FileContext,
+    index: &Index,
+    out: &mut Vec<Diagnostic>,
+    stats: &mut FileStats,
+) {
+    if !ctx.library {
+        return;
+    }
+    let here = file_idents(lines);
+    for item in &st.pub_items {
+        if st.in_cfg_test(item.line) {
+            continue;
+        }
+        stats.pub_items += 1;
+        let name = item.name.as_str();
+        let files = index.ident_files.get(name).copied().unwrap_or(0);
+        if files > usize::from(here.contains(name)) {
+            continue;
+        }
+        // A type's own `impl` blocks name it without using it.
+        let is_type = item.owner.is_none() && item.kind != "fn";
+        let excluded = |li: usize| {
+            (item.line..=item.end).contains(&li)
+                || st.in_cfg_test(li)
+                || is_type
+                    && st
+                        .impls
+                        .iter()
+                        .any(|b| b.self_ty == name && (b.start..=b.end).contains(&li))
+        };
+        let used_here = lines
+            .iter()
+            .enumerate()
+            .any(|(li, l)| !excluded(li) && idents(&l.code).any(|w| w == name));
+        if !used_here {
+            let path = match &item.owner {
+                Some(owner) => format!("{owner}::{name}"),
+                None => name.to_owned(),
+            };
+            emit(
+                st,
+                ctx,
+                out,
+                item.line,
+                Rule::DeadPub,
+                format!(
+                    "`pub {} {path}` is named nowhere outside its own definition, impl \
+                     blocks and `#[cfg(test)]` code",
+                    item.kind
+                ),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,11 +617,12 @@ mod tests {
             report_crate: true,
             test_code: false,
             rng_seam: false,
+            library: true,
         }
     }
 
     fn run(src: &str, ctx: &FileContext) -> Vec<Diagnostic> {
-        analyze_file(src, ctx, &BTreeSet::new()).0
+        analyze_file(src, ctx, &Index::build([src])).0
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Structural index over a lexed file: function spans, `#[cfg(test)]`
-//! regions, hot-path regions and `bist-lint:` markers.
+//! regions, hot-path regions, `bist-lint:` markers, `impl` blocks and
+//! the bare-`pub` items the `dead-pub` rule checks.
 //!
 //! Everything here is line-granular and brace-counted over the *code*
 //! channel only, so braces in strings or comments never derail a span.
@@ -45,6 +46,36 @@ pub struct AllowMarker {
     pub has_reason: bool,
 }
 
+/// A bare-`pub` item: a top-level (or inline-`mod`) definition, or a
+/// method of an inherent `impl` block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubItem {
+    /// The item's name.
+    pub name: String,
+    /// Its keyword: `fn`, `struct`, `enum`, `const`, `static`, `type`,
+    /// `trait` or `union`.
+    pub kind: &'static str,
+    /// The self type when the item is an inherent-`impl` method.
+    pub owner: Option<String>,
+    /// 0-based line of the `pub` keyword.
+    pub line: usize,
+    /// 0-based last line of the item (its closing brace or `;`).
+    pub end: usize,
+}
+
+/// An `impl` block's self type and extent (inclusive, 0-based lines).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImplBlock {
+    /// Last path segment of the self type (`Foo` for `impl<T> a::Foo<T>`).
+    pub self_ty: String,
+    /// Whether this is `impl Trait for Type`.
+    pub trait_impl: bool,
+    /// 0-based line the block's header starts on.
+    pub start: usize,
+    /// 0-based line of the closing brace.
+    pub end: usize,
+}
+
 /// The structural index of one file.
 #[derive(Debug, Default)]
 pub struct Structure {
@@ -56,16 +87,23 @@ pub struct Structure {
     pub hot_regions: Vec<HotRegion>,
     /// Allow markers, in source order.
     pub allows: Vec<AllowMarker>,
+    /// Bare-`pub` items outside function bodies, in source order.
+    pub pub_items: Vec<PubItem>,
+    /// `impl` blocks, in source order.
+    pub impls: Vec<ImplBlock>,
 }
 
 impl Structure {
     /// Builds the index for a lexed file.
     pub fn build(lines: &[LexedLine]) -> Self {
+        let (pub_items, impls) = find_items(lines);
         let mut s = Structure {
             fns: find_fns(lines),
             cfg_test: Vec::new(),
             hot_regions: Vec::new(),
             allows: Vec::new(),
+            pub_items,
+            impls,
         };
         for (i, line) in lines.iter().enumerate() {
             if line.code.contains("#[cfg(test)]") {
@@ -142,6 +180,202 @@ fn marker_payload<'a>(comment: &'a str, key: &str) -> Option<&'a str> {
     }
     let rest = comment[at + "bist-lint:".len()..].trim_start();
     rest.strip_prefix(key)
+}
+
+/// What opened a brace block, as far as item scoping cares.
+#[derive(Clone, Copy)]
+enum Block {
+    /// An inline `mod`: its items are still module items.
+    Mod,
+    /// An `impl` block (index into the impl list).
+    Impl(usize),
+    /// Anything else: fn bodies, type bodies, traits, expressions.
+    Other,
+}
+
+/// An item header's classification at its first `{` or top-level `;`.
+enum Header {
+    /// A bare-`pub` item: its keyword and name.
+    Pub(&'static str, String),
+    /// An `impl` block: self type and whether it implements a trait.
+    Impl(String, bool),
+    Mod,
+    Other,
+}
+
+/// Item keywords the `dead-pub` rule checks.
+const PUB_KINDS: [&str; 8] = [
+    "fn", "struct", "enum", "const", "static", "type", "trait", "union",
+];
+
+/// Walks the code channel as a sequence of item headers, each ended by
+/// its first `{` or paren-depth-0 `;`, and collects the bare-`pub`
+/// items and `impl` blocks in item scope: the file, inline `mod`s, and
+/// (for methods) inherent `impl` bodies.
+fn find_items(lines: &[LexedLine]) -> (Vec<PubItem>, Vec<ImplBlock>) {
+    let mut items: Vec<PubItem> = Vec::new();
+    let mut impls: Vec<ImplBlock> = Vec::new();
+    // Each open block, with the item it closes (if any).
+    let mut stack: Vec<(Block, Option<usize>)> = Vec::new();
+    // The header so far, one `\n` per line break, and the line it
+    // started on.
+    let mut header = String::new();
+    let mut header_line = 0;
+    let mut parens = 0i32;
+    for (li, l) in lines.iter().enumerate() {
+        for c in l.code.chars() {
+            match c {
+                '(' | '[' => parens += 1,
+                ')' | ']' => parens -= 1,
+                '}' => {
+                    if let Some((block, item)) = stack.pop() {
+                        if let Some(k) = item {
+                            items[k].end = li;
+                        }
+                        if let Block::Impl(k) = block {
+                            impls[k].end = li;
+                        }
+                    }
+                }
+                _ => {}
+            }
+            if c != '{' && c != '}' && (c != ';' || parens > 0) {
+                header.push(c);
+                continue;
+            }
+            if c != '}' {
+                let item_scope = stack
+                    .iter()
+                    .all(|(b, _)| matches!(b, Block::Mod | Block::Impl(_)));
+                let owner = match stack.last() {
+                    Some((Block::Impl(k), _)) => Some(&impls[*k]),
+                    _ => None,
+                };
+                let (offset, parsed) = if item_scope {
+                    parse_header(&header)
+                } else {
+                    (0, Header::Other)
+                };
+                let start = header_line + header[..offset].matches('\n').count();
+                let mut item = None;
+                let mut block = Block::Other;
+                match parsed {
+                    // Inside an `impl`, only inherent methods count.
+                    Header::Pub(kind, name)
+                        if owner.is_none_or(|o| !o.trait_impl && kind == "fn") =>
+                    {
+                        item = Some(items.len());
+                        items.push(PubItem {
+                            name,
+                            kind,
+                            owner: owner.map(|o| o.self_ty.clone()),
+                            line: start,
+                            end: li,
+                        });
+                    }
+                    Header::Impl(self_ty, trait_impl) if owner.is_none() && c == '{' => {
+                        block = Block::Impl(impls.len());
+                        impls.push(ImplBlock {
+                            self_ty,
+                            trait_impl,
+                            start,
+                            end: li,
+                        });
+                    }
+                    Header::Mod if owner.is_none() => block = Block::Mod,
+                    _ => {}
+                }
+                if c == '{' {
+                    stack.push((block, item));
+                }
+            }
+            header.clear();
+            header_line = li;
+            parens = 0;
+        }
+        header.push('\n');
+    }
+    (items, impls)
+}
+
+/// Classifies an item header (the code before its first `{` or
+/// top-level `;`), returning the byte offset where the item proper
+/// starts, after its attributes, and what it is.
+fn parse_header(header: &str) -> (usize, Header) {
+    let mut rest = header.trim_start();
+    // Skip `#[...]` / `#![...]` attributes, brackets balanced.
+    while rest.starts_with('#') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += i32::from(c == '[') - i32::from(c == ']');
+            c == ']' && depth == 0
+        });
+        match close {
+            Some(i) => rest = rest[i + 1..].trim_start(),
+            None => return (0, Header::Other),
+        }
+    }
+    let offset = header.len() - rest.len();
+    // `pub(crate)` and friends are not bare `pub`.
+    let (bare_pub, tail) = match rest.strip_prefix("pub") {
+        Some(t) if t.starts_with('(') => (false, t.split_once(')').map_or("", |(_, t)| t)),
+        Some(t) if t.starts_with(char::is_whitespace) => (true, t),
+        _ => (false, rest),
+    };
+    let words: Vec<&str> = tail
+        .split(|c: char| !is_ident_char(c))
+        .filter(|w| !w.is_empty())
+        .collect();
+    let mut w = &words[..];
+    while let [q, next, ..] = w {
+        let qualifier = matches!(*q, "unsafe" | "async" | "extern" | "default")
+            || *q == "const" && matches!(*next, "fn" | "unsafe" | "async" | "extern");
+        if !qualifier {
+            break;
+        }
+        w = &w[1..];
+    }
+    let parsed = match w {
+        ["mod", ..] => Header::Mod,
+        ["impl", ..] => parse_impl(tail),
+        [kw, rest @ ..] if bare_pub => {
+            // `static mut NAME`: the name follows the `mut`.
+            let name = rest.iter().find(|&&n| n != "mut");
+            match (PUB_KINDS.iter().find(|k| *k == kw), name) {
+                (Some(kind), Some(name)) => Header::Pub(kind, (*name).to_owned()),
+                _ => Header::Other,
+            }
+        }
+        _ => Header::Other,
+    };
+    (offset, parsed)
+}
+
+/// Classifies an `impl` header: the last path segment of its self type
+/// and whether it implements a trait (`impl Trait for Type`).
+fn parse_impl(header: &str) -> Header {
+    // Drop everything inside angle brackets (`->` is not a closer).
+    let mut depth = 0i32;
+    let mut prev = ' ';
+    let mut top = String::new();
+    for c in header.chars() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth -= 1,
+            _ if depth == 0 => top.push(c),
+            _ => {}
+        }
+        prev = c;
+    }
+    let words: Vec<&str> = top
+        .split(|c: char| !is_ident_char(c))
+        .filter(|w| !w.is_empty())
+        .skip_while(|w| *w != "impl")
+        .skip(1)
+        .take_while(|w| *w != "where")
+        .collect();
+    let self_ty = words.last().map_or(String::new(), |w| (*w).to_owned());
+    Header::Impl(self_ty, words.contains(&"for"))
 }
 
 /// Finds every function item by scanning for `fn <ident>` in the code
@@ -327,6 +561,36 @@ mod tests {
             !s.allowed_at(2, "determinism"),
             "bare marker never suppresses"
         );
+    }
+
+    #[test]
+    fn pub_items_and_impl_blocks() {
+        let src = "#[derive(Debug)]\npub struct A;\nimpl A {\n    pub fn m(&self) {}\n    fn private(&self) {}\n}\n\
+                   impl<T: Fn() -> u8> fmt::Display for A {\n    fn fmt(&self) {}\n}\n\
+                   pub(crate) fn hidden() {}\npub const fn k() -> u8 {\n    0\n}\n\
+                   mod inner {\n    pub static mut S: [u8; 2] = [0; 2];\n}\n\
+                   fn body() {\n    pub fn nested() {}\n}\n";
+        let s = Structure::build(&lex(src));
+        let items: Vec<_> = s
+            .pub_items
+            .iter()
+            .map(|i| (i.kind, i.name.as_str(), i.owner.as_deref(), i.line, i.end))
+            .collect();
+        assert_eq!(
+            items,
+            [
+                ("struct", "A", None, 1, 1),
+                ("fn", "m", Some("A"), 3, 3),
+                ("fn", "k", None, 10, 12),
+                ("static", "S", None, 14, 14),
+            ]
+        );
+        let impls: Vec<_> = s
+            .impls
+            .iter()
+            .map(|b| (b.self_ty.as_str(), b.trait_impl, b.start, b.end))
+            .collect();
+        assert_eq!(impls, [("A", false, 2, 5), ("A", true, 6, 8)]);
     }
 
     #[test]

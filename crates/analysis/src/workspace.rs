@@ -1,9 +1,10 @@
 //! Workspace walking and whole-workspace analysis: collect every `.rs`
 //! file, derive each file's [`FileContext`] from its path, run pass 1
-//! (kernel collection) then pass 2 (all rules) and fold the tallies.
+//! (the kernel and identifier [`Index`]) then pass 2 (all rules) and
+//! fold the tallies and per-crate line counts.
 
-use crate::rules::{analyze_file, collect_kernels, Diagnostic, FileContext, FileStats};
-use std::collections::BTreeSet;
+use crate::rules::{analyze_file, Diagnostic, FileContext, FileStats, Index};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,8 +36,12 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Summed per-file tallies.
     pub stats: FileStats,
-    /// `#[target_feature]` kernels found workspace-wide.
-    pub kernels: BTreeSet<String>,
+    /// Pass 1: kernels and identifier references, workspace-wide.
+    pub index: Index,
+    /// Physical lines of scanned Rust per crate: `crates/<name>/…` under
+    /// `<name>`, `fleetbench/…` under `fleetbench`, and the root package
+    /// (`src/`, `tests/`, `examples/`) under `adc_bist`.
+    pub rust_lines: BTreeMap<String, usize>,
 }
 
 impl Analysis {
@@ -51,11 +56,25 @@ pub fn context_for(rel: &str) -> FileContext {
     let test_code = rel
         .split('/')
         .any(|c| c == "tests" || c == "benches" || c == "examples");
+    let parts: Vec<&str> = rel.split('/').collect();
+    let library = matches!(parts[..], ["crates", krate, "src", ..] if krate != "compat")
+        && !parts.contains(&"bin")
+        && !rel.ends_with("/main.rs");
     FileContext {
         path: rel.to_owned(),
         report_crate: !test_code && REPORT_CRATE_ROOTS.iter().any(|r| rel.starts_with(r)),
         test_code,
         rng_seam: RNG_SEAMS.contains(&rel),
+        library,
+    }
+}
+
+/// The crate a file's lines count toward in [`Analysis::rust_lines`].
+fn line_key(rel: &str) -> &str {
+    match rel.split('/').collect::<Vec<_>>()[..] {
+        ["crates", krate, _, ..] => krate,
+        ["fleetbench", _, ..] => "fleetbench",
+        _ => "adc_bist",
     }
 }
 
@@ -88,38 +107,47 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads every analyzable file under `root` as `(relative path,
+/// source)` pairs, in [`collect_files`] order.
+pub fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    collect_files(root)?
+        .into_iter()
+        .map(|rel| {
+            let src = fs::read_to_string(root.join(&rel))?;
+            Ok((rel.to_string_lossy().replace('\\', "/"), src))
+        })
+        .collect()
+}
+
 /// Runs the full two-pass analysis over the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    let files = collect_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
-    }
-    // Pass 1: every `#[target_feature]` kernel in the workspace, so a
-    // call site anywhere is checked against the full set.
-    let mut kernels = BTreeSet::new();
-    for (_, src) in &sources {
-        kernels.extend(collect_kernels(src));
-    }
-    // Pass 2: all rules per file.
+    Ok(analyze_sources(&read_sources(root)?))
+}
+
+/// Runs the two-pass analysis over in-memory `(relative path, source)`
+/// pairs: pass 1 indexes them all, pass 2 checks each file.
+pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     let mut analysis = Analysis {
         files_scanned: sources.len(),
-        kernels,
+        index: Index::build(sources.iter().map(|(_, src)| src.as_str())),
         ..Analysis::default()
     };
-    for (rel, src) in &sources {
-        let ctx = context_for(rel);
-        let (diags, stats) = analyze_file(src, &ctx, &analysis.kernels);
+    for (rel, src) in sources {
+        let (diags, stats) = analyze_file(src, &context_for(rel), &analysis.index);
         analysis.diagnostics.extend(diags);
         analysis.stats.hot_regions += stats.hot_regions;
         analysis.stats.allow_markers += stats.allow_markers;
         analysis.stats.unsafe_sites += stats.unsafe_sites;
         analysis.stats.ordering_sites += stats.ordering_sites;
         analysis.stats.kernel_calls += stats.kernel_calls;
+        analysis.stats.pub_items += stats.pub_items;
+        *analysis
+            .rust_lines
+            .entry(line_key(rel).to_owned())
+            .or_default() += src.lines().count();
     }
     analysis.diagnostics.sort();
-    Ok(analysis)
+    analysis
 }
 
 /// Walks upward from `start` to the directory whose `Cargo.toml`
@@ -162,6 +190,31 @@ mod tests {
         assert!(!c.report_crate && !c.test_code);
         let c = context_for("examples/quickstart.rs");
         assert!(c.test_code);
+        // `dead-pub` scope: library source only.
+        for rel in ["crates/core/src/batch.rs", "crates/bench/src/lib.rs"] {
+            assert!(context_for(rel).library, "{rel}");
+        }
+        for rel in [
+            "examples/quickstart.rs",
+            "crates/bench/src/bin/table1.rs",
+            "crates/analysis/src/main.rs",
+            "crates/compat/rand/src/lib.rs",
+            "crates/core/tests/zero_alloc.rs",
+            "src/lib.rs",
+            "fleetbench/src/lib.rs",
+        ] {
+            assert!(!context_for(rel).library, "{rel}");
+        }
+    }
+
+    #[test]
+    fn lines_count_toward_their_crate() {
+        assert_eq!(line_key("crates/core/src/batch.rs"), "core");
+        assert_eq!(line_key("crates/compat/rand/src/lib.rs"), "compat");
+        assert_eq!(line_key("fleetbench/src/main.rs"), "fleetbench");
+        assert_eq!(line_key("src/lib.rs"), "adc_bist");
+        assert_eq!(line_key("tests/paper.rs"), "adc_bist");
+        assert_eq!(line_key("examples/quickstart.rs"), "adc_bist");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Golden-fixture tests: each rule family has a trigger fixture whose
 //! exact diagnostics (rule, line, message) are pinned, and an allowed
 //! fixture proving the documented escape hatches — SAFETY/ORDERING
-//! comments, detection guards, `#[cfg(test)]` scoping and inline
-//! `// bist-lint: allow(...)` markers — suppress cleanly.
+//! comments, detection guards, `#[cfg(test)]` scoping, references from
+//! other files and inline `// bist-lint: allow(...)` markers — suppress
+//! cleanly.
 
-use bist_analysis::{analyze_file, collect_kernels, Diagnostic, FileContext, Rule};
-use std::collections::BTreeSet;
+use bist_analysis::{analyze_file, Diagnostic, FileContext, Index, Rule};
 
 fn report_ctx(path: &str) -> FileContext {
     FileContext {
@@ -13,14 +13,14 @@ fn report_ctx(path: &str) -> FileContext {
         report_crate: true,
         test_code: false,
         rng_seam: false,
+        library: true,
     }
 }
 
-/// Runs a fixture with its own `#[target_feature]` fns as the kernel
-/// set, mirroring the workspace two-pass analysis.
+/// Runs a fixture indexed on its own, as if it were the whole
+/// workspace, mirroring the two-pass analysis.
 fn run(src: &str, ctx: &FileContext) -> Vec<Diagnostic> {
-    let kernels: BTreeSet<String> = collect_kernels(src).into_iter().collect();
-    analyze_file(src, ctx, &kernels).0
+    analyze_file(src, ctx, &Index::build([src])).0
 }
 
 fn flat(diags: &[Diagnostic]) -> Vec<(Rule, usize, &str)> {
@@ -195,6 +195,61 @@ fn determinism_only_applies_to_report_crates() {
     let mut ctx = report_ctx("crates/bench/src/lib.rs");
     ctx.report_crate = false;
     assert_eq!(run(src, &ctx), [], "non-report crates are out of scope");
+}
+
+fn dead_pub(line: usize, item: &str) -> (Rule, usize, String) {
+    (
+        Rule::DeadPub,
+        line,
+        format!(
+            "`pub {item}` is named nowhere outside its own definition, impl blocks and \
+             `#[cfg(test)]` code"
+        ),
+    )
+}
+
+#[test]
+fn dead_pub_fires_on_items_only_their_tests_and_docs_name() {
+    let src = include_str!("fixtures/dead_pub_trigger.rs");
+    let diags = run(src, &report_ctx("fixtures/dead_pub_trigger.rs"));
+    let got: Vec<(Rule, usize, String)> = diags
+        .iter()
+        .map(|d| (d.rule, d.line, d.message.clone()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            dead_pub(8, "fn only_in_doctest"),
+            dead_pub(14, "struct OnlyInTests"),
+            dead_pub(20, "fn OnlyInTests::new"),
+            dead_pub(26, "fn countdown"),
+            dead_pub(35, "const IN_PROSE"),
+        ],
+    );
+}
+
+#[test]
+fn dead_pub_accepts_siblings_own_impl_and_other_files() {
+    let src = include_str!("fixtures/dead_pub_allowed.rs");
+    let ctx = report_ctx("fixtures/dead_pub_allowed.rs");
+    let other = "fn main() {\n    let mut m = fixture::Meter::default();\n    m.reset();\n}\n";
+    let diags = analyze_file(src, &ctx, &Index::build([src, other])).0;
+    assert_eq!(flat(&diags), []);
+    // Without the other file, the two items only it names fire.
+    let alone: Vec<(Rule, usize)> = run(src, &ctx).iter().map(|d| (d.rule, d.line)).collect();
+    assert_eq!(alone, [(Rule::DeadPub, 8), (Rule::DeadPub, 19)]);
+}
+
+#[test]
+fn dead_pub_only_applies_to_library_source() {
+    let src = include_str!("fixtures/dead_pub_trigger.rs");
+    let mut ctx = report_ctx("crates/bench/src/bin/table1.rs");
+    ctx.library = false;
+    assert_eq!(
+        run(src, &ctx),
+        [],
+        "bins, tests and examples are callers, not API"
+    );
 }
 
 #[test]

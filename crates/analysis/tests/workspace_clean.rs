@@ -1,31 +1,39 @@
 //! The live-workspace gate: `bist-lint` must report zero violations on
 //! this repository, and deleting any of the justifications it guards —
 //! a `SAFETY:` comment, an `ORDERING:` comment, an allow marker — or
-//! inserting an allocation into a hot path must surface a diagnostic.
+//! inserting an allocation into a hot path or an uncalled `pub fn` into
+//! a library must surface a diagnostic.
 //! Because this file runs under `cargo test` (tier 1) and the dedicated
 //! CI job, those mutations fail CI.
 
+use bist_analysis::lexer::lex;
 use bist_analysis::{
-    analyze_file, analyze_workspace, collect_kernels, context_for, find_workspace_root, Diagnostic,
-    Rule,
+    analyze_sources, analyze_workspace, find_workspace_root, read_sources, Diagnostic, Rule,
 };
-use std::collections::BTreeSet;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 fn root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
 }
 
-/// Reads a real workspace file, applies `mutate`, and re-analyzes it
-/// under its real path context — the in-memory version of editing the
-/// file and re-running `bist-lint`.
+/// Applies `mutate` to one real workspace file and re-analyzes the
+/// whole workspace with it, returning that file's findings — the
+/// in-memory version of editing the file and re-running `bist-lint`.
 fn analyze_mutated(rel: &str, mutate: impl Fn(&str) -> String) -> Vec<Diagnostic> {
-    let src = fs::read_to_string(root().join(rel)).expect(rel);
-    let mutated = mutate(&src);
-    assert_ne!(src, mutated, "mutation must change {rel}");
-    let kernels: BTreeSet<String> = collect_kernels(&mutated).into_iter().collect();
-    analyze_file(&mutated, &context_for(rel), &kernels).0
+    let mut sources = read_sources(&root()).expect("workspace sources");
+    let (_, src) = sources
+        .iter_mut()
+        .find(|(path, _)| path == rel)
+        .unwrap_or_else(|| panic!("{rel} is scanned"));
+    let mutated = mutate(src);
+    assert_ne!(*src, mutated, "mutation must change {rel}");
+    *src = mutated;
+    let analysis = analyze_sources(&sources);
+    analysis
+        .diagnostics
+        .into_iter()
+        .filter(|d| d.file == rel)
+        .collect()
 }
 
 #[test]
@@ -54,10 +62,24 @@ fn live_workspace_is_clean() {
     );
     assert!(analysis.stats.unsafe_sites >= 2, "fma kernel + call site");
     assert!(
-        analysis.kernels.contains("group_kernel_fma"),
+        analysis.index.kernels.contains("group_kernel_fma"),
         "pass 1 must find the #[target_feature] kernel"
     );
     assert_eq!(analysis.stats.kernel_calls, 1, "one guarded fma dispatch");
+    assert!(
+        analysis.stats.pub_items >= 500,
+        "dead-pub must see the library surface, saw {}",
+        analysis.stats.pub_items
+    );
+}
+
+#[test]
+fn every_scanned_file_lexes_to_its_physical_line_count() {
+    // Diagnostics carry line numbers from the lexer, so a lexer that
+    // drops a line break misplaces every finding below it.
+    for (rel, src) in read_sources(&root()).expect("workspace sources") {
+        assert_eq!(lex(&src).len(), src.lines().count(), "{rel}");
+    }
 }
 
 #[test]
@@ -79,6 +101,36 @@ fn json_report_parses_with_the_perf_gate_reader() {
         let key = format!("violations_{}", rule.name().replace('-', "_"));
         assert_eq!(get(&key), 0.0, "{key}");
     }
+    assert_eq!(get("pub_items"), analysis.stats.pub_items as f64);
+    // Rust line count per crate, keyed as `rust_lines_<crate>`.
+    let crates = [
+        "adc",
+        "analysis",
+        "bench",
+        "compat",
+        "core",
+        "dsp",
+        "mc",
+        "rtl",
+        "serve",
+        "fleetbench",
+        "adc_bist",
+    ];
+    let per_crate: f64 = crates
+        .iter()
+        .map(|c| get(&format!("rust_lines_{c}")))
+        .inspect(|&lines| assert!(lines > 0.0))
+        .sum();
+    let physical: usize = read_sources(&root())
+        .expect("workspace sources")
+        .iter()
+        .map(|(_, src)| src.lines().count())
+        .sum();
+    assert_eq!(get("rust_lines_total"), physical as f64);
+    assert_eq!(
+        per_crate, physical as f64,
+        "every line counts toward one crate"
+    );
 }
 
 #[test]
@@ -147,5 +199,24 @@ fn removing_an_allow_marker_fires() {
             .iter()
             .any(|d| d.rule == Rule::Determinism && d.message.contains("Instant::now")),
         "the wall-clock read is only legal under its marker, got {diags:?}"
+    );
+}
+
+#[test]
+fn appending_an_uncalled_pub_fn_fires_once_at_its_line() {
+    let rel = "crates/dsp/src/stats.rs";
+    let src = std::fs::read_to_string(root().join(rel)).expect(rel);
+    // One blank line after the file's last line, then the new item.
+    let line = src.trim_end().lines().count() + 2;
+    let diags = analyze_mutated(rel, |s| {
+        format!(
+            "{}\n\npub fn stats_helper_nothing_calls() -> f64 {{\n    0.0\n}}\n",
+            s.trim_end()
+        )
+    });
+    assert_eq!(
+        diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+        [(Rule::DeadPub, line)],
+        "{diags:?}"
     );
 }

@@ -40,15 +40,6 @@ pub enum ConfigError {
     /// is that every valid plan is judged by *either* backend, so the
     /// plan is rejected up front.
     FixedPointUnrealisable(bist_rtl::dyn_top::RegisterOverflowError),
-    /// The functional check needs at least one bit above the monitored
-    /// bit; this configuration monitors too high a bit for the
-    /// resolution.
-    UnmonitorableBit {
-        /// The configured monitored bit index.
-        monitored_bit: u32,
-        /// The converter resolution in bits.
-        bits: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -71,13 +62,6 @@ impl fmt::Display for ConfigError {
             ConfigError::FixedPointUnrealisable(e) => {
                 write!(f, "plan is unrealisable in the fixed-point datapath: {e}")
             }
-            ConfigError::UnmonitorableBit {
-                monitored_bit,
-                bits,
-            } => write!(
-                f,
-                "no upper bit above monitored bit {monitored_bit} of a {bits}-bit converter"
-            ),
         }
     }
 }
@@ -208,24 +192,6 @@ impl BistConfig {
         (u64::from(self.resolution.code_count()) >> self.monitored_bit).saturating_sub(2)
     }
 
-    /// Checks that the functional path can judge this configuration:
-    /// there must be at least one bit above the monitored bit for the
-    /// upper-word increment check (the RTL top asserts the same bound).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::UnmonitorableBit`] otherwise.
-    pub fn validate_monitorable(&self) -> Result<(), ConfigError> {
-        let bits = self.resolution.bits();
-        if self.monitored_bit + 2 > bits {
-            return Err(ConfigError::UnmonitorableBit {
-                monitored_bit: self.monitored_bit,
-                bits,
-            });
-        }
-        Ok(())
-    }
-
     /// The RTL datapath configuration equivalent to this config.
     pub fn to_rtl(&self) -> bist_rtl::datapath::LsbProcessorConfig {
         bist_rtl::datapath::LsbProcessorConfig {
@@ -330,23 +296,6 @@ mod tests {
         assert_eq!(cfg.limits().i_min(), 6);
         assert!(!cfg.deglitch());
         assert_eq!(cfg.monitored_bit(), 0);
-    }
-
-    #[test]
-    fn validate_flags_unjudgeable_monitored_bit() {
-        let builder = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
-            .counter_bits(5);
-        assert!(builder.build().unwrap().validate_monitorable().is_ok());
-        let bad = builder.monitored_bit(5).build().unwrap();
-        let err = bad.validate_monitorable().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::UnmonitorableBit {
-                monitored_bit: 5,
-                bits: 6
-            }
-        );
-        assert!(err.to_string().contains("monitored bit"), "{err}");
     }
 
     #[test]

@@ -157,21 +157,8 @@ impl fmt::Display for CountLimits {
     }
 }
 
-/// The step size in LSB from ramp slope and sample rate (Eq. 5):
-/// `Δs = U/(f_sample·q)` with the slope in volts/second and the LSB size
-/// in volts.
-///
-/// # Panics
-///
-/// Panics if `sample_rate` or `lsb_size_volts` is not positive.
-pub fn delta_s_lsb(slope_v_per_s: f64, sample_rate: f64, lsb_size_volts: f64) -> Lsb {
-    assert!(sample_rate > 0.0, "sample rate must be positive");
-    assert!(lsb_size_volts > 0.0, "LSB size must be positive");
-    Lsb(slope_v_per_s / sample_rate / lsb_size_volts)
-}
-
 /// The ramp slope (volts/second) that realises a step of `delta_s` LSB at
-/// `sample_rate` (Eq. 5 inverted).
+/// `sample_rate`: Eq. 5, `Δs = U/(f_sample·q)`, solved for `U`.
 ///
 /// # Panics
 ///
@@ -305,17 +292,17 @@ mod tests {
 
     #[test]
     fn delta_s_round_trip() {
-        // 0.091 V/s at 1 kHz with a 1 mV LSB → 0.091 LSB per sample.
-        let ds = delta_s_lsb(0.091, 1000.0, 0.001);
-        assert!((ds.0 - 0.091).abs() < 1e-12);
-        let slope = slope_for_delta_s(ds, 1000.0, 0.001);
+        // 0.091 LSB per sample at 1 kHz with a 1 mV LSB ↔ 0.091 V/s.
+        let slope = slope_for_delta_s(Lsb(0.091), 1000.0, 0.001);
         assert!((slope - 0.091).abs() < 1e-12);
+        let ds = slope / 1000.0 / 0.001;
+        assert!((ds - 0.091).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "sample rate must be positive")]
     fn delta_s_rejects_bad_rate() {
-        delta_s_lsb(1.0, 0.0, 1.0);
+        slope_for_delta_s(Lsb(1.0), 0.0, 1.0);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl MonitorResult {
     pub fn counts(&self) -> Vec<u64> {
         self.codes.iter().map(|c| c.count).collect()
     }
-
-    /// The estimated DNL profile in LSB.
-    pub fn dnl_profile(&self) -> Vec<Lsb> {
-        self.codes.iter().map(|c| c.dnl_lsb).collect()
-    }
 }
 
 impl fmt::Display for MonitorResult {
@@ -437,7 +432,7 @@ mod tests {
     #[test]
     fn dnl_profile_and_display() {
         let result = monitor_bit_stream(&cfg(4), &stream(&[3, 11, 11, 3]));
-        assert_eq!(result.dnl_profile().len(), 2);
+        assert_eq!(result.codes.len(), 2);
         assert!(result.to_string().contains("PASS"));
     }
 

@@ -47,19 +47,6 @@ pub struct SeqTally {
 }
 
 impl SeqTally {
-    /// One observed run: `decision_samples` consumed, `full_samples`
-    /// the full-sweep cost, and whether/how it stopped early.
-    pub fn of_run(decision_samples: u64, full_samples: u64, early: Option<bool>) -> Self {
-        SeqTally {
-            runs: 1,
-            early_accepts: u64::from(early == Some(true)),
-            early_rejects: u64::from(early == Some(false)),
-            seq_samples: decision_samples,
-            seq_samples_early: if early.is_some() { decision_samples } else { 0 },
-            full_samples,
-        }
-    }
-
     /// Early-stopped runs (accepts + rejects).
     pub fn early_stops(&self) -> u64 {
         self.early_accepts + self.early_rejects
@@ -129,9 +116,15 @@ pub struct ArchPrior {
 ///
 /// let mut bank = PriorsBank::new(SequencerConfig::default());
 /// // 64 SAR devices all decided right at the first checkpoint (256).
-/// for _ in 0..64 {
-///     bank.absorb(Architecture::Sar, SeqTally::of_run(256, 1024, Some(true)));
-/// }
+/// let tally = SeqTally {
+///     runs: 64,
+///     early_accepts: 64,
+///     early_rejects: 0,
+///     seq_samples: 64 * 256,
+///     seq_samples_early: 64 * 256,
+///     full_samples: 64 * 1024,
+/// };
+/// bank.absorb(Architecture::Sar, tally);
 /// let hint = bank.policy_for(Architecture::Sar);
 /// assert!(hint.min_samples < 256); // evidence floor pulled down
 /// assert_eq!(hint.alpha, 1e-3); // drift budgets untouched
@@ -272,6 +265,19 @@ impl fmt::Display for PriorsBank {
 mod tests {
     use super::*;
 
+    /// One observed run: `decision_samples` consumed, `full_samples`
+    /// the full-sweep cost, and whether/how it stopped early.
+    fn of_run(decision_samples: u64, full_samples: u64, early: Option<bool>) -> SeqTally {
+        SeqTally {
+            runs: 1,
+            early_accepts: u64::from(early == Some(true)),
+            early_rejects: u64::from(early == Some(false)),
+            seq_samples: decision_samples,
+            seq_samples_early: if early.is_some() { decision_samples } else { 0 },
+            full_samples,
+        }
+    }
+
     #[test]
     fn empty_bank_returns_base_policy() {
         let bank = PriorsBank::new(SequencerConfig::default());
@@ -284,13 +290,13 @@ mod tests {
     fn below_evidence_floor_returns_base() {
         let mut bank = PriorsBank::new(SequencerConfig::default());
         for _ in 0..DEFAULT_MIN_RUNS - 1 {
-            bank.absorb(Architecture::Flash, SeqTally::of_run(256, 1024, Some(true)));
+            bank.absorb(Architecture::Flash, of_run(256, 1024, Some(true)));
         }
         assert_eq!(
             bank.policy_for(Architecture::Flash),
             SequencerConfig::default()
         );
-        bank.absorb(Architecture::Flash, SeqTally::of_run(256, 1024, Some(true)));
+        bank.absorb(Architecture::Flash, of_run(256, 1024, Some(true)));
         assert_ne!(
             bank.policy_for(Architecture::Flash),
             SequencerConfig::default()
@@ -306,10 +312,7 @@ mod tests {
             for k in 0..100u64 {
                 let early = k % (i as u64 + 2) != 0;
                 let s = if early { 256 + 64 * (k % 5) } else { 1500 };
-                bank.absorb(
-                    *arch,
-                    SeqTally::of_run(s, 1500, early.then_some(k % 2 == 0)),
-                );
+                bank.absorb(*arch, of_run(s, 1500, early.then_some(k % 2 == 0)));
             }
         }
         for arch in Architecture::ALL {
@@ -326,7 +329,7 @@ mod tests {
     fn no_early_stops_means_no_hint() {
         let mut bank = PriorsBank::new(SequencerConfig::default());
         for _ in 0..100 {
-            bank.absorb(Architecture::Pipeline, SeqTally::of_run(1024, 1024, None));
+            bank.absorb(Architecture::Pipeline, of_run(1024, 1024, None));
         }
         assert_eq!(
             bank.policy_for(Architecture::Pipeline),
@@ -336,9 +339,9 @@ mod tests {
 
     #[test]
     fn tallies_merge_additively() {
-        let mut a = SeqTally::of_run(256, 1024, Some(true));
-        a.merge(&SeqTally::of_run(512, 1024, Some(false)));
-        a.merge(&SeqTally::of_run(1024, 1024, None));
+        let mut a = of_run(256, 1024, Some(true));
+        a.merge(&of_run(512, 1024, Some(false)));
+        a.merge(&of_run(1024, 1024, None));
         assert_eq!(a.runs, 3);
         assert_eq!(a.early_accepts, 1);
         assert_eq!(a.early_rejects, 1);

@@ -330,11 +330,6 @@ impl<V: SweptVerdict> SeqOutcome<V> {
     pub fn samples_consumed(&self) -> u64 {
         self.verdict.samples()
     }
-
-    /// Samples saved against a known full-sweep length.
-    pub fn samples_saved(&self, full_samples: u64) -> u64 {
-        full_samples.saturating_sub(self.samples_consumed())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1197,7 +1192,6 @@ mod tests {
         // fires long before the ramp completes.
         let (_, sampling) = plan_ramp(&ideal(), &config);
         assert!(out.samples_consumed() < sampling.samples as u64 / 2);
-        assert!(out.samples_saved(sampling.samples as u64) > 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! §3 of the paper notes that comparator *transition noise* makes the LSB
 //! toggle around a code edge, and that "toggles in the LSB can be removed
 //! by means of a simple digital filter". The [`MajorityVote`] filter here
-//! is the behavioural reference for the RTL deglitcher in `bist-rtl`;
-//! the numeric filters support stimulus conditioning and analysis.
+//! is the behavioural reference the RTL deglitcher in `bist-rtl` is
+//! tested against. The numeric filters have no caller; their deletion
+//! is queued (ROADMAP item 4).
 
 use std::collections::VecDeque;
 
@@ -20,6 +21,7 @@ use std::collections::VecDeque;
 /// assert_eq!(ys[3], 4.0); // fully primed
 /// ```
 #[derive(Debug, Clone, PartialEq)]
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub struct MovingAverage {
     window: VecDeque<f64>,
     len: usize,
@@ -68,6 +70,7 @@ impl MovingAverage {
 
 /// Odd-length streaming median filter (useful against impulsive noise).
 #[derive(Debug, Clone, PartialEq)]
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub struct MedianFilter {
     window: VecDeque<f64>,
     len: usize,
@@ -102,6 +105,7 @@ impl MedianFilter {
 
 /// Single-pole IIR low-pass: `y += α(x − y)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub struct SinglePoleIir {
     alpha: f64,
     state: f64,
@@ -202,17 +206,17 @@ impl MajorityVote {
         }
         2 * self.ones > self.window.len()
     }
-
-    /// Filters an entire bit sequence, returning the voted sequence.
-    pub fn filter_sequence(len: usize, bits: &[bool]) -> Vec<bool> {
-        let mut f = MajorityVote::new(len);
-        bits.iter().map(|&b| f.push(b)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Votes an entire bit sequence through a fresh `len`-bit filter.
+    fn filter_sequence(len: usize, bits: &[bool]) -> Vec<bool> {
+        let mut f = MajorityVote::new(len);
+        bits.iter().map(|&b| f.push(b)).collect()
+    }
 
     #[test]
     fn moving_average_ramps_up() {
@@ -281,7 +285,7 @@ mod tests {
     fn majority_vote_suppresses_isolated_glitch() {
         // Steady low with one glitch high: output never goes high.
         let bits = [false, false, false, true, false, false, false];
-        let out = MajorityVote::filter_sequence(3, &bits);
+        let out = filter_sequence(3, &bits);
         assert!(out.iter().all(|&b| !b), "{out:?}");
     }
 
@@ -289,14 +293,14 @@ mod tests {
     fn majority_vote_suppresses_glitch_low() {
         // Steady high with one glitch low: output stays high once primed.
         let bits = [true, true, true, false, true, true, true];
-        let out = MajorityVote::filter_sequence(3, &bits);
+        let out = filter_sequence(3, &bits);
         assert!(out[2..].iter().all(|&b| b), "{out:?}");
     }
 
     #[test]
     fn majority_vote_passes_transition_with_latency() {
         let bits = [false, false, false, true, true, true, true];
-        let out = MajorityVote::filter_sequence(3, &bits);
+        let out = filter_sequence(3, &bits);
         // Transition at raw index 3 appears at voted index 4 (latency 1).
         assert!(!out[3]);
         assert!(out[4]);
@@ -320,7 +324,7 @@ mod tests {
         let bits = [
             false, false, true, false, true, true, false, true, true, true,
         ];
-        let out = MajorityVote::filter_sequence(3, &bits);
+        let out = filter_sequence(3, &bits);
         let transitions = out.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(transitions, 1, "{out:?}");
     }

@@ -163,6 +163,7 @@ pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `n == 0`.
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub fn gauss_legendre_composite<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     assert!(n > 0, "panel count must be non-zero");
     let h = (b - a) / n as f64;

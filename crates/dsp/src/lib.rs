@@ -16,7 +16,8 @@
 //! * [`special`] — erf/normal distribution/binomials for the §3 error
 //!   theory (Eqs. 6–12).
 //! * [`integrate`] — quadrature used to evaluate Eqs. 6–7.
-//! * [`stats`] — Welford moments, histograms, correlation (Eq. 10 checks).
+//! * [`stats`] — Welford moments, histograms, pairwise correlation (Eq. 10
+//!   checks).
 //! * [`filter`] — digital filters, including the majority-vote LSB
 //!   deglitcher of §3.
 //!

@@ -21,7 +21,6 @@ use std::fmt;
 /// }
 /// assert_eq!(r.count(), 8);
 /// assert!((r.mean() - 5.0).abs() < 1e-12);
-/// assert!((r.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Running {
@@ -80,15 +79,6 @@ impl Running {
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance (divides by `n`); 0 when fewer than 1 sample.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
     }
 
     /// Unbiased sample variance (divides by `n−1`); 0 when fewer than 2.
@@ -158,46 +148,6 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// Unbiased sample standard deviation of a slice (0 for n < 2).
 pub fn std_dev(xs: &[f64]) -> f64 {
     xs.iter().copied().collect::<Running>().std_dev()
-}
-
-/// Pearson sample correlation between two equal-length slices.
-///
-/// Returns 0 when either input is degenerate (constant or shorter than 2).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// let x = [1.0, 2.0, 3.0, 4.0];
-/// let y = [2.0, 4.0, 6.0, 8.0];
-/// assert!((bist_dsp::stats::correlation(&x, &y) - 1.0).abs() < 1e-12);
-/// ```
-pub fn correlation(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "correlation inputs must be equal length");
-    let n = x.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
 }
 
 /// Average pairwise correlation between distinct positions of repeated
@@ -297,8 +247,8 @@ pub fn percentile(data: &[f64], p: f64) -> f64 {
 /// h.record(0.05);
 /// h.record(0.95);
 /// h.record(2.0); // overflow
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.bin_count(9), 1);
+/// assert_eq!(h.counts()[0], 1);
+/// assert_eq!(h.counts()[9], 1);
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
@@ -352,15 +302,6 @@ impl Histogram {
         }
     }
 
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
     /// All bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -379,12 +320,6 @@ impl Histogram {
     /// Total number of recorded observations, including out-of-range.
     pub fn total(&self) -> u64 {
         self.underflow + self.overflow + self.counts.iter().sum::<u64>()
-    }
-
-    /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi() - self.lo()) / self.counts.len() as f64;
-        self.lo() + (i as f64 + 0.5) * w
     }
 }
 
@@ -448,21 +383,23 @@ mod tests {
 
     #[test]
     fn correlation_of_anticorrelated() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [3.0, 2.0, 1.0];
-        assert!((correlation(&x, &y) + 1.0).abs() < 1e-12);
+        // Two positions observed three times, moving in opposite directions.
+        let samples = [vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]];
+        assert!((mean_pairwise_correlation(&samples) + 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn correlation_degenerate_inputs() {
-        assert_eq!(correlation(&[1.0], &[2.0]), 0.0);
-        assert_eq!(correlation(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
+        assert_eq!(mean_pairwise_correlation(&[vec![1.0, 2.0]]), 0.0);
+        assert_eq!(mean_pairwise_correlation(&[vec![1.0], vec![2.0]]), 0.0);
+        let constant = [vec![1.0, 1.0], vec![1.0, 1.0]];
+        assert_eq!(mean_pairwise_correlation(&constant), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
     fn correlation_length_mismatch_panics() {
-        correlation(&[1.0], &[1.0, 2.0]);
+        mean_pairwise_correlation(&[vec![1.0, 2.0], vec![1.0]]);
     }
 
     #[test]
@@ -523,12 +460,11 @@ mod tests {
         h.record(9.999); // top bin
         h.record(10.0); // exclusive upper bound -> overflow
         h.record(-0.001); // underflow
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(9), 1);
+        assert_eq!(h.counts()[0], 1);
+        assert_eq!(h.counts()[9], 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.total(), 4);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl fmt::Display for Proportion {
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)` or `half_width` is not positive.
+// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
 pub fn trials_for_half_width(p: f64, half_width: f64) -> u64 {
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
     assert!(half_width > 0.0, "half width must be positive");

@@ -336,11 +336,6 @@ impl ExperimentResult {
         Proportion::new(self.matrix.type_ii_count(), self.matrix.faulty())
     }
 
-    /// Observed yield.
-    pub fn observed_yield(&self) -> Proportion {
-        Proportion::new(self.matrix.good(), self.matrix.total())
-    }
-
     /// Observed acceptance rate (0 when nothing was screened).
     pub fn acceptance_rate(&self) -> f64 {
         if self.screened == 0 {
@@ -541,7 +536,7 @@ mod tests {
         assert_eq!(result.matrix.total(), 200);
         assert_eq!(result.screened, 200);
         // Yield near 30 %.
-        let y = result.observed_yield().point().unwrap();
+        let y = result.matrix.good() as f64 / result.matrix.total() as f64;
         assert!((0.2..0.45).contains(&y), "yield {y}");
         // 7-bit counter: very few errors.
         assert!(result.type_i().point().unwrap() < 0.15);

@@ -1,5 +1,5 @@
-//! Minimal synchronous-simulation scaffolding: a cycle counter, a
-//! clocked-block convention and a text waveform tracer.
+//! Minimal synchronous-simulation scaffolding: a clocked-block
+//! convention and a text waveform tracer.
 //!
 //! Every sequential block in this crate follows the same convention: a
 //! `tick(...)` method receives the cycle's input values, updates internal
@@ -11,36 +11,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A free-running cycle counter standing in for the sample clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Clock {
-    cycle: u64,
-}
-
-impl Clock {
-    /// A clock at cycle zero.
-    pub fn new() -> Self {
-        Clock::default()
-    }
-
-    /// The current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Advances one cycle and returns the new cycle number.
-    pub fn advance(&mut self) -> u64 {
-        self.cycle += 1;
-        self.cycle
-    }
-}
-
-impl fmt::Display for Clock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cycle {}", self.cycle)
-    }
-}
 
 /// Records named digital signals per cycle and renders them as an ASCII
 /// waveform — a debugging aid for datapath bring-up and the `rtl_trace`
@@ -78,11 +48,6 @@ impl Trace {
             .or_default()
             .push((cycle, value));
         self.last_cycle = self.last_cycle.max(cycle);
-    }
-
-    /// Names of all recorded signals (sorted).
-    pub fn signal_names(&self) -> Vec<&str> {
-        self.signals.keys().map(String::as_str).collect()
     }
 
     /// The samples of one signal.
@@ -132,21 +97,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clock_advances() {
-        let mut c = Clock::new();
-        assert_eq!(c.cycle(), 0);
-        assert_eq!(c.advance(), 1);
-        assert_eq!(c.advance(), 2);
-        assert_eq!(c.to_string(), "cycle 2");
-    }
-
-    #[test]
     fn trace_records_and_lists() {
         let mut t = Trace::new();
         t.sample(0, "a", 1);
         t.sample(1, "a", 0);
         t.sample(0, "count", 12);
-        assert_eq!(t.signal_names(), vec!["a", "count"]);
+        assert!(t.signals.keys().eq(["a", "count"]));
         assert_eq!(t.samples("a").unwrap(), &[(0, 1), (1, 0)]);
         assert!(t.samples("missing").is_none());
     }
