@@ -98,14 +98,6 @@ pub fn missing_codes(tf: &TransferFunction, threshold: Lsb) -> Vec<u32> {
         .collect()
 }
 
-/// Whether the transfer is monotonic. Transfer functions built from
-/// sorted transitions always are; this exists for characterised
-/// (swept) transfers of faulty devices.
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn is_monotonic(tf: &TransferFunction) -> bool {
-    tf.transitions().windows(2).all(|w| w[0] <= w[1])
-}
-
 /// Summary of the static linearity of one converter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticSummary {
@@ -252,11 +244,6 @@ mod tests {
         let s = StaticSummary::of(&tf);
         assert_eq!(s.missing, 1);
         assert!((s.peak_dnl.0 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn monotonic_check() {
-        assert!(is_monotonic(&ideal()));
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! binary-weighted capacitor DAC; capacitor mismatch produces the
 //! characteristic DNL signature at major code boundaries (largest at the
 //! MSB transition), a very different error profile from the flash
-//! ladder's iid widths. A device's DAC levels are fixed, so
-//! [`SarAdc::transfer`] computes them once into a per-device level table
-//! and characterises the converter against it.
+//! ladder's iid widths. [`SarAdc::transfer`] reports the transitions a
+//! q/256 characterisation sweep would record, without sweeping: a
+//! device's DAC levels are fixed, so it computes them once, and its code
+//! can only change where the comparator input crosses one of them, so it
+//! binary-searches the sweep grid for those crossings and converts only
+//! there.
 
 use crate::dist::Normal;
 use crate::transfer::{Adc, TransferFunction};
@@ -164,6 +167,8 @@ impl SarAdc {
     /// comparator decides `v` (−offset) against `level(trial)`, the DAC
     /// level of the trial code; with ideal weights the transition into
     /// code k sits at `low + k·q`, matching `TransferFunction::ideal`.
+    /// [`SarAdc::transfer`]'s grid search relies on this exact
+    /// comparison, `v + offset >= level`, and on code 0 when none holds.
     fn approximate(&self, v: Volts, level: impl Fn(u32) -> f64) -> Code {
         let bits = self.config.resolution.bits();
         let vin = v.0 + self.offset;
@@ -223,16 +228,19 @@ impl Adc for SarAdc {
     }
 
     fn transfer(&self) -> Option<TransferFunction> {
-        // The SAR decision tree yields transitions at the DAC levels of
-        // each code (plus the mid-rise q), but DAC non-monotonicity can
-        // reorder them; recover by characterisation at fine resolution.
-        // The sweep's conversions read the device's DAC levels, computed
-        // once here: they are fixed per device.
+        // DAC non-monotonicity can reorder the transitions, so they are
+        // what a q/256 characterisation sweep would record. The code only
+        // changes where `v + offset` crosses the DAC level of a trial code
+        // (1..2ⁿ), so search the sweep grid for those crossings and
+        // convert only there, against the device's levels computed once.
         let q =
             (self.config.high.0 - self.config.low.0) / self.config.resolution.code_count() as f64;
-        Some(crate::transfer::characterize(
-            &LevelTable::new(self),
+        let table = LevelTable::new(self);
+        Some(crate::transfer::characterize_crossings(
+            &table,
             Volts(q / 256.0),
+            self.offset,
+            &table.levels[1..],
         ))
     }
 }
@@ -397,9 +405,88 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot advance")]
     fn transfer_panics_when_sweep_step_is_below_one_ulp() {
-        // q/256 ≈ 6e-8 V, but one ULP at 1e10 V is about 2e-6 V.
+        // q/256 ≈ 6e-8 V, but one ULP at 1e10 V is about 2e-6 V: the
+        // stalled grid cannot be searched, and the sweep it falls back
+        // to panics.
         let cfg = SarConfig::new(Resolution::SIX_BIT, Volts(1e10), Volts(1e10 + 1e-3));
         cfg.sample(&mut rng(1)).transfer();
+    }
+
+    /// Asserts that `sar.transfer()` is, bit for bit, the q/256 sweep of
+    /// its direct `convert`.
+    fn assert_transfer_matches_sweep(sar: &SarAdc) {
+        let (low, high) = sar.input_range();
+        let q = (high.0 - low.0) / sar.resolution().code_count() as f64;
+        let swept = crate::transfer::characterize(sar, Volts(q / 256.0));
+        let searched = sar.transfer().unwrap();
+        for (k, (a, b)) in searched
+            .transitions()
+            .iter()
+            .zip(swept.transitions())
+            .enumerate()
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{sar}, transition {}: {a} vs {b}",
+                k + 1
+            );
+        }
+    }
+
+    /// The paper device, a stressed 10-bit device over −1…+1 V, and a
+    /// 1-bit device whose offset (σ 8 LSB) mostly puts its one transition
+    /// before the sweep start or past its end.
+    fn three_ranges() -> [SarConfig; 3] {
+        [
+            SarConfig::paper_device(),
+            SarConfig::new(Resolution::new(10).unwrap(), Volts(-1.0), Volts(1.0))
+                .with_unit_cap_sigma(0.3)
+                .with_offset_sigma_lsb(2.0),
+            SarConfig::new(Resolution::new(1).unwrap(), Volts(0.0), Volts(1.0))
+                .with_offset_sigma_lsb(8.0),
+        ]
+    }
+
+    #[test]
+    fn search_matches_sweep_as_ranges_interleave_on_one_thread() {
+        // A, B, A, C, A: each change of range must rebuild the thread's
+        // stored sweep grid, or the next search reads the wrong points.
+        let [a, b, c] = three_ranges();
+        let mut r = rng(21);
+        for cfg in [a, b, a, c, a] {
+            for _ in 0..3 {
+                assert_transfer_matches_sweep(&cfg.sample(&mut r));
+            }
+        }
+    }
+
+    #[test]
+    fn search_matches_sweep_on_two_threads() {
+        let configs = three_ranges();
+        std::thread::scope(|s| {
+            for seed in [31, 32] {
+                s.spawn(move || {
+                    let mut r = rng(seed);
+                    for cfg in configs.iter().chain(configs.iter().rev()) {
+                        assert_transfer_matches_sweep(&cfg.sample(&mut r));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn search_trips_on_the_sweep_point_equal_to_a_dac_level() {
+        // Over 0–64 V every DAC level and every sweep point (steps of
+        // 1/256 V from −1/256) is exact in binary, so the point equal to
+        // each level trips the comparator (`>=`, not `>`).
+        let sar = SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(64.0)).sample(&mut rng(1));
+        let tf = sar.transfer().unwrap();
+        for k in 1..=63 {
+            assert_eq!(tf.transition(k), Volts(f64::from(k)));
+        }
+        assert_transfer_matches_sweep(&sar);
     }
 
     #[test]

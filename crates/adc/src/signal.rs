@@ -107,12 +107,6 @@ impl Ramp {
     pub fn effective_slope(&self) -> f64 {
         self.slope * (1.0 + self.slope_error_rel)
     }
-
-    /// Time at which the ideal ramp crosses voltage `v`.
-    // bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-    pub fn time_of(&self, v: Volts) -> f64 {
-        (v.0 - self.start.0) / self.effective_slope()
-    }
 }
 
 impl Stimulus for Ramp {
@@ -305,13 +299,6 @@ mod tests {
         let r = Ramp::new(Volts(0.0), 1.0).with_slope_error(0.1);
         assert!((r.effective_slope() - 1.1).abs() < 1e-15);
         assert!((r.value(1.0).0 - 1.1).abs() < 1e-15);
-    }
-
-    #[test]
-    fn ramp_time_of_inverts_value() {
-        let r = Ramp::new(Volts(0.5), 2.0).with_slope_error(-0.05);
-        let t = r.time_of(Volts(3.0));
-        assert!((r.value(t).0 - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! the BIST processing path.
 //!
 //! These quantify the cost of regenerating the paper's experiments:
-//! device synthesis, conversion, the LSB monitor (behavioural and RTL),
-//! the §3 quadrature, and a full screening experiment.
+//! device synthesis, conversion, device generation per architecture, the
+//! LSB monitor (behavioural and RTL), the §3 quadrature, and a full
+//! screening experiment.
 
 use bist_adc::flash::FlashConfig;
 use bist_adc::histogram::{ramp_linearity, CodeHistogram};
+use bist_adc::pipeline::PipelineConfig;
 use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sar::SarConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::Adc;
@@ -73,6 +76,28 @@ fn bench_flash(c: &mut Criterion) {
             v = (v + 0.37) % 6.4;
             black_box(adc.convert(Volts(v)))
         })
+    });
+    group.finish();
+}
+
+/// Device generation as a screen sees it: draw a paper device and state
+/// its transition levels. SAR and pipeline derive them from their
+/// comparator models; flash sorts its drawn ladder.
+fn bench_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generate");
+    group.throughput(Throughput::Elements(1));
+    let sar = SarConfig::paper_device();
+    let mut rng = StdRng::seed_from_u64(1);
+    group.bench_function("sar_transfer", |b| {
+        b.iter(|| black_box(sar.sample(&mut rng).transfer()))
+    });
+    let pipeline = PipelineConfig::paper_device();
+    group.bench_function("pipeline_transfer", |b| {
+        b.iter(|| black_box(pipeline.sample(&mut rng).transfer()))
+    });
+    let flash = FlashConfig::paper_device();
+    group.bench_function("flash_transfer", |b| {
+        b.iter(|| black_box(flash.sample(&mut rng).transfer()))
     });
     group.finish();
 }
@@ -326,6 +351,7 @@ criterion_group!(
     targets =
         bench_fft,
         bench_flash,
+        bench_generate,
         bench_monitor,
         bench_full_bist,
         bench_device_to_verdict,

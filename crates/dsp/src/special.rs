@@ -133,21 +133,6 @@ pub fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
-/// Upper-tail survival function `1 − Φ(z)`, accurate deep into the tail.
-///
-/// # Examples
-///
-/// ```
-/// // P(Z > 4.76) ≈ 9.7e-7 — the per-code fault probability behind the
-/// // paper's 1.4e-4 whole-device figure.
-/// let s = bist_dsp::special::normal_sf(4.7619);
-/// assert!(s > 9.0e-7 && s < 1.1e-6);
-/// ```
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn normal_sf(z: f64) -> f64 {
-    0.5 * erfc(z / std::f64::consts::SQRT_2)
-}
-
 /// Gaussian PDF with mean `mu` and standard deviation `sigma`.
 ///
 /// # Panics
@@ -376,7 +361,7 @@ mod tests {
     fn normal_cdf_known_points() {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-15);
         assert!((normal_cdf(1.0) - 0.8413447460685429).abs() < 1e-10);
-        assert!((normal_sf(2.0) - 0.022750131948179195).abs() < 1e-10);
+        assert!((0.5 * erfc(2.0 / std::f64::consts::SQRT_2) - 0.022750131948179195).abs() < 1e-10);
     }
 
     #[test]
@@ -384,13 +369,13 @@ mod tests {
         // ±0.5 LSB spec, σ = 0.21 LSB: P(one code good) = Φ(z)-Φ(-z),
         // z = 0.5/0.21; P(all 64 good) ≈ 0.33 (paper says ~30 %).
         let z = 0.5 / 0.21;
-        let p_one = 1.0 - 2.0 * normal_sf(z);
+        let p_one = 1.0 - erfc(z / std::f64::consts::SQRT_2);
         let p_all = p_one.powi(64);
         assert!((0.28..0.38).contains(&p_all), "p_all = {p_all}");
 
         // ±1 LSB: P(device faulty) ≈ 1.4e-4 per the paper.
         let z = 1.0 / 0.21;
-        let p_one_bad = 2.0 * normal_sf(z);
+        let p_one_bad = erfc(z / std::f64::consts::SQRT_2);
         let p_dev_bad = at_least_one(64, p_one_bad);
         assert!(
             (0.7e-4..2.5e-4).contains(&p_dev_bad),

@@ -95,20 +95,6 @@ impl fmt::Display for Proportion {
     }
 }
 
-/// Number of trials needed so a proportion near `p` is estimated with
-/// absolute half-width `half_width` at ~95 % confidence.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `(0, 1)` or `half_width` is not positive.
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn trials_for_half_width(p: f64, half_width: f64) -> u64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
-    assert!(half_width > 0.0, "half width must be positive");
-    let z = 1.959963984540054;
-    ((z * z * p * (1.0 - p)) / (half_width * half_width)).ceil() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,13 +141,6 @@ mod tests {
         let p = Proportion::new(13, 100); // the paper's measured 0.13
         assert!(p.consistent_with(0.13));
         assert!(!p.consistent_with(0.5));
-    }
-
-    #[test]
-    fn trials_for_half_width_sane() {
-        // p = 0.1 within ±0.01 needs ~3458 trials.
-        let n = trials_for_half_width(0.1, 0.01);
-        assert!((3300..3600).contains(&n), "n {n}");
     }
 
     #[test]
