@@ -4,9 +4,7 @@
 //!
 //! §4: *"The quality of the conventional test, where 4096 samples are
 //! taken for the test of all the codes, can be compared to the BIST with
-//! a 7-bit counter."* The ramp histogram here is that conventional test;
-//! the sine histogram (Doernberg) is included as the other standard
-//! flavour.
+//! a 7-bit counter."* The ramp histogram here is that conventional test.
 
 use crate::sampler::Capture;
 use crate::types::{Code, Lsb, Resolution};
@@ -119,10 +117,6 @@ impl CodeHistogram {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum HistogramTestError {
-    /// An inner code received no hits, so DNL is undefined (the stimulus
-    /// did not cover the range or too few samples were taken). Carries
-    /// the first empty code.
-    EmptyInnerCode(Code),
     /// The capture had no inner-code samples at all.
     NoInnerSamples,
 }
@@ -130,9 +124,6 @@ pub enum HistogramTestError {
 impl fmt::Display for HistogramTestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HistogramTestError::EmptyInnerCode(c) => {
-                write!(f, "inner code {c} received no samples")
-            }
             HistogramTestError::NoInnerSamples => {
                 f.write_str("capture contains no inner-code samples")
             }
@@ -196,72 +187,11 @@ pub fn ramp_linearity(hist: &CodeHistogram) -> Result<HistogramLinearity, Histog
     })
 }
 
-/// Sine (arcsine-density) histogram linearity estimate, after Doernberg.
-///
-/// The expected density under a full-scale sine of amplitude `A` and
-/// offset `O` is arcsine-shaped; each code's expected probability is
-/// `p[k] = (asin(u[k+1]) − asin(u[k]))/π` with
-/// `u = (edge − O)/A`. The stimulus amplitude/offset are estimated from
-/// the end-code counts, then `DNL[k] = count[k]/(total·p[k]) − 1`.
-///
-/// # Errors
-///
-/// Returns [`HistogramTestError::NoInnerSamples`] for an empty inner
-/// histogram or [`HistogramTestError::EmptyInnerCode`] if the estimated
-/// stimulus leaves an inner code with zero expected probability.
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn sine_linearity(
-    hist: &CodeHistogram,
-    full_scale_low: f64,
-    full_scale_high: f64,
-) -> Result<HistogramLinearity, HistogramTestError> {
-    let counts = hist.counts();
-    let n = counts.len();
-    let total: u64 = hist.total();
-    if hist.inner_total() == 0 {
-        return Err(HistogramTestError::NoInnerSamples);
-    }
-    let q = (full_scale_high - full_scale_low) / n as f64;
-
-    // Estimate amplitude and offset from the cumulative end-code
-    // probabilities (Doernberg's method): the fraction of samples at or
-    // below code 0 pins where the sine spends time below T[1].
-    let p_low = counts[0] as f64 / total as f64;
-    let p_high = counts[n - 1] as f64 / total as f64;
-    let t1 = full_scale_low + q; // first transition
-    let t_last = full_scale_high - q; // last transition
-    let c_low = (std::f64::consts::PI * p_low).cos();
-    let c_high = (std::f64::consts::PI * p_high).cos();
-    // t1 = O - A·c_low ; t_last = O + A·c_high
-    let amplitude = (t_last - t1) / (c_low + c_high);
-    let offset = t1 + amplitude * c_low;
-
-    let edge = |k: usize| full_scale_low + (k as f64 + 1.0) * q;
-    let asin_clamped = |x: f64| x.clamp(-1.0, 1.0).asin();
-    let mut dnl = Vec::with_capacity(n - 2);
-    for k in 1..n - 1 {
-        let u_lo = (edge(k - 1) - offset) / amplitude;
-        let u_hi = (edge(k) - offset) / amplitude;
-        let p = (asin_clamped(u_hi) - asin_clamped(u_lo)) / std::f64::consts::PI;
-        if p <= 0.0 {
-            return Err(HistogramTestError::EmptyInnerCode(Code(k as u32)));
-        }
-        dnl.push(Lsb(counts[k] as f64 / (total as f64 * p) - 1.0));
-    }
-    let inl = crate::metrics::inl_from_dnl(&dnl);
-    let samples_per_code = hist.inner_total() as f64 / (n - 2) as f64;
-    Ok(HistogramLinearity {
-        dnl,
-        inl,
-        samples_per_code,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampler::{acquire, SamplingConfig};
-    use crate::signal::{Ramp, SineWave};
+    use crate::signal::Ramp;
     use crate::transfer::TransferFunction;
     use crate::types::{Resolution, Volts};
 
@@ -350,33 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn sine_histogram_ideal_dnl_near_zero() {
-        let adc = ideal();
-        // Slight over-range sine, non-coherent frequency, many samples.
-        let sine = SineWave::new(3.3, 101.0 / 65536.0 * 1e4, 0.1, Volts(3.2));
-        let cap = acquire(&adc, &sine, SamplingConfig::new(1e4, 262_144));
-        let h = CodeHistogram::from_capture(Resolution::SIX_BIT, &cap);
-        let lin = sine_linearity(&h, 0.0, 6.4).unwrap();
-        assert!(lin.peak_dnl().0 < 0.08, "peak dnl {}", lin.peak_dnl().0);
-    }
-
-    #[test]
-    fn sine_histogram_detects_wide_code() {
-        let adc = skewed();
-        let sine = SineWave::new(3.3, 101.0 / 65536.0 * 1e4, 0.1, Volts(3.2));
-        let cap = acquire(&adc, &sine, SamplingConfig::new(1e4, 262_144));
-        let h = CodeHistogram::from_capture(Resolution::SIX_BIT, &cap);
-        let lin = sine_linearity(&h, 0.0, 6.4).unwrap();
-        assert!((lin.dnl[9].0 - 0.5).abs() < 0.1, "dnl[10] {}", lin.dnl[9].0);
-    }
-
-    #[test]
-    fn sine_histogram_empty_is_error() {
-        let h = CodeHistogram::new(Resolution::SIX_BIT);
-        assert!(sine_linearity(&h, 0.0, 6.4).is_err());
-    }
-
-    #[test]
     fn histogram_linearity_peaks() {
         let lin = HistogramLinearity {
             dnl: vec![Lsb(0.2), Lsb(-0.6)],
@@ -389,9 +292,6 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(HistogramTestError::EmptyInnerCode(Code(3))
-            .to_string()
-            .contains("3"));
         assert!(HistogramTestError::NoInnerSamples
             .to_string()
             .contains("no inner"));

@@ -15,12 +15,12 @@
 //!   and correlation ρ ≈ −1/(N−1) (Eq. 10).
 //! * [`sar`] — a SAR converter (different mismatch signature) showing the
 //!   method is architecture-agnostic.
-//! * [`signal`] / [`noise`] / [`stream`] / [`sampler`] — ramp/sine/
-//!   triangle stimuli, the §3 noise sources (jitter, transition noise),
+//! * [`signal`] / [`noise`] / [`stream`] / [`sampler`] — ramp/sine
+//!   stimuli, the §3 noise sources (jitter, transition noise),
 //!   the lazy single-pass acquisition stream ([`stream::CodeStream`])
 //!   and its materialised [`sampler::Capture`] view.
 //! * [`metrics`] / [`histogram`] — ground-truth DNL/INL and the
-//!   conventional code-density tests (ramp and sine histogram).
+//!   conventional code-density test (ramp histogram).
 //! * [`faults`] — gross spot-defect injection (stuck bits, stuck codes).
 //! * [`spec`] — linearity specs (±0.5 / ±1 LSB) and good/faulty
 //!   classification.

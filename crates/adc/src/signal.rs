@@ -1,13 +1,12 @@
-//! Test stimuli: ramps, sawtooths, sines, triangles and DC.
+//! Test stimuli: a linear ramp, a sine and DC.
 //!
 //! The paper's static BIST drives the converter with a slow voltage ramp
 //! whose slope `U` sets the voltage step between samples,
 //! `Δs = U/f_sample` (Eq. 5). On-chip ramp generation is out of the
 //! paper's scope (it cites DeWitt and Roberts for that), so the ramp here
-//! is ideal-with-impairments: a configurable slope error reproduces the
+//! is ideal apart from a configurable slope error, which reproduces the
 //! paper's observation that the measured ramp was "slightly too steep"
-//! (Δs ≈ 0.002 LSB smaller than intended), and a bow term models
-//! generator non-linearity.
+//! (Δs ≈ 0.002 LSB smaller than intended).
 
 use crate::types::Volts;
 use std::f64::consts::TAU;
@@ -37,8 +36,8 @@ impl Stimulus for Dc {
     }
 }
 
-/// A single linear ramp `v(t) = start + slope·t`, with optional relative
-/// slope error and quadratic bow.
+/// A single linear ramp `v(t) = start + slope·t`, with an optional
+/// relative slope error.
 ///
 /// # Examples
 ///
@@ -54,9 +53,6 @@ pub struct Ramp {
     start: Volts,
     slope: f64,
     slope_error_rel: f64,
-    /// Peak bow (volts) applied as a parabola over `bow_span` seconds.
-    bow: f64,
-    bow_span: f64,
 }
 
 impl Ramp {
@@ -75,8 +71,6 @@ impl Ramp {
             start,
             slope,
             slope_error_rel: 0.0,
-            bow: 0.0,
-            bow_span: 1.0,
         }
     }
 
@@ -88,21 +82,6 @@ impl Ramp {
         self
     }
 
-    /// Adds a parabolic bow: the deviation is zero at `t = 0` and
-    /// `t = span`, peaking at `bow` volts in the middle — a simple model
-    /// of ramp-generator non-linearity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `span` is not positive.
-    // bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-    pub fn with_bow(mut self, bow: Volts, span: f64) -> Self {
-        assert!(span > 0.0, "bow span must be positive");
-        self.bow = bow.0;
-        self.bow_span = span;
-        self
-    }
-
     /// The effective slope including the slope error, volts/second.
     pub fn effective_slope(&self) -> f64 {
         self.slope * (1.0 + self.slope_error_rel)
@@ -111,83 +90,12 @@ impl Ramp {
 
 impl Stimulus for Ramp {
     fn value(&self, t: f64) -> Volts {
-        let x = t / self.bow_span;
-        let bow = 4.0 * self.bow * x * (1.0 - x);
-        Volts(self.start.0 + self.effective_slope() * t + bow)
-    }
-}
-
-/// A periodic sawtooth sweeping `[low, high)` with period `period`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub struct Sawtooth {
-    low: Volts,
-    high: Volts,
-    period: f64,
-}
-
-impl Sawtooth {
-    /// Creates a sawtooth between `low` and `high` with the given period
-    /// in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or `period <= 0`.
-    pub fn new(low: Volts, high: Volts, period: f64) -> Self {
-        assert!(low.0 < high.0, "low must be below high");
-        assert!(period > 0.0, "period must be positive");
-        Sawtooth { low, high, period }
-    }
-
-    /// The sweep rate in volts per second.
-    pub fn slope(&self) -> f64 {
-        (self.high.0 - self.low.0) / self.period
-    }
-}
-
-impl Stimulus for Sawtooth {
-    fn value(&self, t: f64) -> Volts {
-        let phase = (t / self.period).rem_euclid(1.0);
-        Volts(self.low.0 + (self.high.0 - self.low.0) * phase)
-    }
-}
-
-/// A symmetric triangle wave between `low` and `high`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub struct Triangle {
-    low: Volts,
-    high: Volts,
-    period: f64,
-}
-
-impl Triangle {
-    /// Creates a triangle wave with the given period in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or `period <= 0`.
-    pub fn new(low: Volts, high: Volts, period: f64) -> Self {
-        assert!(low.0 < high.0, "low must be below high");
-        assert!(period > 0.0, "period must be positive");
-        Triangle { low, high, period }
-    }
-}
-
-impl Stimulus for Triangle {
-    fn value(&self, t: f64) -> Volts {
-        let phase = (t / self.period).rem_euclid(1.0);
-        let frac = if phase < 0.5 {
-            2.0 * phase
-        } else {
-            2.0 * (1.0 - phase)
-        };
-        Volts(self.low.0 + (self.high.0 - self.low.0) * frac)
+        Volts(self.start.0 + self.effective_slope() * t)
     }
 }
 
 /// A sine `offset + amplitude·sin(2πft + φ)` — the stimulus for dynamic
-/// (THD/SINAD) tests and the sine-histogram baseline.
+/// (THD/SINAD) tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SineWave {
     amplitude: f64,
@@ -302,44 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn ramp_bow_zero_at_ends_peak_mid() {
-        let r = Ramp::new(Volts(0.0), 1.0).with_bow(Volts(0.1), 10.0);
-        assert!((r.value(0.0).0 - 0.0).abs() < 1e-12);
-        assert!((r.value(10.0).0 - 10.0).abs() < 1e-12);
-        // At mid-span the bow adds its full 0.1 V.
-        assert!((r.value(5.0).0 - 5.1).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "slope must be finite and non-zero")]
     fn ramp_zero_slope_panics() {
         Ramp::new(Volts(0.0), 0.0);
-    }
-
-    #[test]
-    fn sawtooth_wraps() {
-        let s = Sawtooth::new(Volts(0.0), Volts(1.0), 2.0);
-        assert_eq!(s.value(0.0), Volts(0.0));
-        assert_eq!(s.value(1.0), Volts(0.5));
-        assert_eq!(s.value(2.0), Volts(0.0)); // wrapped
-        assert!((s.slope() - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sawtooth_negative_time() {
-        let s = Sawtooth::new(Volts(0.0), Volts(1.0), 1.0);
-        // rem_euclid keeps the phase in [0, 1).
-        assert!((s.value(-0.25).0 - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn triangle_up_then_down() {
-        let s = Triangle::new(Volts(0.0), Volts(2.0), 4.0);
-        assert_eq!(s.value(0.0), Volts(0.0));
-        assert_eq!(s.value(1.0), Volts(1.0));
-        assert_eq!(s.value(2.0), Volts(2.0));
-        assert_eq!(s.value(3.0), Volts(1.0));
-        assert_eq!(s.value(4.0), Volts(0.0));
     }
 
     #[test]

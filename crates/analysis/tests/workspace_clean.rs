@@ -7,6 +7,7 @@
 //! CI job, those mutations fail CI.
 
 use bist_analysis::lexer::lex;
+use bist_analysis::structure::Structure;
 use bist_analysis::{
     analyze_sources, analyze_workspace, find_workspace_root, read_sources, Diagnostic, Rule,
 };
@@ -71,6 +72,25 @@ fn live_workspace_is_clean() {
         "dead-pub must see the library surface, saw {}",
         analysis.stats.pub_items
     );
+}
+
+#[test]
+fn no_library_source_queues_a_dead_pub_item() {
+    // An uncalled `pub` item is deleted, not parked behind a marker. The
+    // lint's own fixtures, which the walker skips, still exercise it.
+    let queued: Vec<String> = read_sources(&root())
+        .expect("workspace sources")
+        .into_iter()
+        .filter(|(rel, _)| rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"))
+        .flat_map(|(rel, src)| {
+            Structure::build(&lex(&src))
+                .allows
+                .into_iter()
+                .filter(|m| m.rule == "dead-pub")
+                .map(move |m| format!("{rel}:{}", m.line + 1))
+        })
+        .collect();
+    assert_eq!(queued, Vec::<String>::new(), "allow(dead-pub) markers");
 }
 
 #[test]

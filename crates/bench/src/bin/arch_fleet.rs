@@ -31,13 +31,12 @@
 //!
 //! Knobs: `BIST_DEVICES` (differential devices, default 64),
 //! `BIST_ZOO_DEVICES` (mixed fleet, default 200), `BIST_EVAL_DEVICES`
-//! (held-out per-arch fleets, default 150), `BIST_SEED`,
-//! `BIST_WORKERS`.
+//! (held-out per-arch fleets, default 150), `BIST_WORKERS`.
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::Resolution;
-use bist_bench::{report_divergences, Fnv, Scenario};
+use bist_bench::{report_divergences, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::priors::PriorsBank;
 use bist_core::report::Table;
@@ -122,12 +121,11 @@ fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 64);
     let zoo_devices = sc.usize_knob("BIST_ZOO_DEVICES", 200);
     let eval_devices = sc.usize_knob("BIST_EVAL_DEVICES", 150);
-    let seed = sc.seed();
     let workers = sc.workers();
     let policy = SequencerConfig::default();
 
     // --- Part 1: per-architecture differential ----------------------
-    let diff = run_arch_differential(seed, &policy, devices, workers);
+    let diff = run_arch_differential(SEED, &policy, devices, workers);
     println!("arch differential  {diff}");
     let mut table = Table::new(&[
         "cell",
@@ -168,7 +166,7 @@ fn run(sc: &mut Scenario) -> bool {
     report_divergences(&diff.divergences, "");
 
     // --- Part 2: mixed-zoo worker determinism -----------------------
-    let zoo = Zoo::paper().with_seed(seed);
+    let zoo = Zoo::paper().with_seed(SEED);
     let census = zoo.census(zoo_devices);
     println!(
         "mixed fleet of {zoo_devices}: census flash {} / iid {} / sar {} / pipeline {}",
@@ -222,7 +220,7 @@ fn run(sc: &mut Scenario) -> bool {
     ] {
         let arch = source_arch(source);
         let batch = Batch::of(source)
-            .seed(seed ^ EVAL_SEED_XOR)
+            .seed(SEED ^ EVAL_SEED_XOR)
             .size(eval_devices);
         let fleet: Vec<TransferFunction> = (0..eval_devices).map(|i| batch.device(i)).collect();
         // Full-sweep ground truth (no sequencer), same noise streams.

@@ -6,7 +6,7 @@
 //! roughly half the devices violate the ±0.5 LSB spec, then screened by
 //! the 6-bit-counter BIST against exact ground truth.
 //!
-//! Knobs: `BIST_BATCH` (default 600), `BIST_SEED`. (Runs
+//! Knobs: `BIST_BATCH` (default 600). (Runs
 //! sequentially by design: each population draws devices from one
 //! shared RNG stream.)
 
@@ -16,7 +16,7 @@ use bist_adc::sar::SarConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
 use bist_core::report::{fmt_prob, Table};
@@ -59,7 +59,6 @@ fn main() {
 
 fn run(sc: &mut Scenario) {
     let n = sc.usize_knob("BIST_BATCH", 600);
-    let seed = sc.seed();
     let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
         .counter_bits(6)
         .build()
@@ -71,7 +70,7 @@ fn run(sc: &mut Scenario) {
     let mut csv = Vec::new();
 
     let flash_cfg = FlashConfig::paper_device();
-    let (_, row) = screen("flash (ladder σ)", n, seed, &config, |rng| {
+    let (_, row) = screen("flash (ladder σ)", n, SEED, &config, |rng| {
         flash_cfg
             .sample(rng)
             .transfer()
@@ -82,7 +81,7 @@ fn run(sc: &mut Scenario) {
 
     let sar_cfg =
         SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_unit_cap_sigma(0.09);
-    let (_, row) = screen("SAR (cap mismatch)", n, seed ^ 1, &config, |rng| {
+    let (_, row) = screen("SAR (cap mismatch)", n, SEED ^ 1, &config, |rng| {
         sar_cfg.sample(rng).transfer().expect("sar characterises")
     });
     csv.push(row.clone());
@@ -91,7 +90,7 @@ fn run(sc: &mut Scenario) {
     let pipe_cfg = PipelineConfig::new(Resolution::SIX_BIT, 3, Volts(0.0), Volts(6.4))
         .with_gain_sigma(0.08)
         .with_coarse_sigma_lsb(0.3);
-    let (_, row) = screen("pipeline (gain err)", n, seed ^ 2, &config, |rng| {
+    let (_, row) = screen("pipeline (gain err)", n, SEED ^ 2, &config, |rng| {
         pipe_cfg
             .sample(rng)
             .transfer()

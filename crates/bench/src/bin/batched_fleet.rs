@@ -22,25 +22,23 @@
 //! count. The run fails when the batched engine's speedup falls below
 //! the floors the lane refactor promises: ≥ 4x on the static
 //! (run-skipping) workload and ≥ 5x on the dynamic (coded-lane)
-//! workload (`BIST_BATCHED_MIN_STATIC_X` / `BIST_BATCHED_MIN_DYN_X`
-//! override, in hundredths via the integer knob layer). When the host
-//! actually has the cores to back the configured pool (≥ 4 workers, all
-//! resident), the pooled static throughput must additionally clear
-//! `BIST_POOL_MIN_STATIC_X` (default 3x) over the single-worker batched
+//! workload. When the host actually has the cores to back the
+//! configured pool (≥ 4 workers, all resident), the pooled static
+//! throughput must additionally clear 3x the single-worker batched
 //! rate — informational on smaller hosts, a hard gate on multi-core CI.
+//! Every batched and pooled run is 16 lanes wide; the timed pooled runs
+//! use the pool's default chunk.
 //! The committed `crates/bench/baseline/batched_fleet.json` additionally
 //! gates the absolute devices/s numbers through `perf_gate`.
 //!
 //! Knobs: `BIST_DEVICES` (default 600), `BIST_DYN_DEVICES` (default
-//! 96), `BIST_LANES` (default 16), `BIST_WORKERS` (default 0 = all
-//! cores), `BIST_POOL_CHUNK` (default `pool::DEFAULT_CHUNK`),
-//! `BIST_SEED`.
+//! 96), `BIST_WORKERS` (default 0 = all cores).
 
 use bist_adc::flash::{FlashAdc, FlashConfig};
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::{throughput, Fnv, Scenario};
+use bist_bench::{throughput, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -51,6 +49,13 @@ use bist_mc::batch::{stream_rng, Batch};
 /// Device RNG salt shared with the static fleet experiments.
 const STATIC_SALT: usize = 0x5eed_0000_0000_0000;
 const DYN_SEED_XOR: u64 = 0xba7c;
+/// SoA lane width of every batched and pooled screener.
+const LANES: usize = 16;
+/// Speedup floors: batched over scalar (static, dynamic) and pooled
+/// over single-worker batched (static).
+const MIN_STATIC_X: f64 = 4.0;
+const MIN_DYN_X: f64 = 5.0;
+const MIN_POOL_STATIC_X: f64 = 3.0;
 
 fn main() {
     let mut clean = true;
@@ -64,14 +69,8 @@ fn main() {
 fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 600);
     let dyn_devices = sc.usize_knob("BIST_DYN_DEVICES", 96);
-    let lanes = sc.usize_knob("BIST_LANES", 16);
-    let min_static_x = sc.usize_knob("BIST_BATCHED_MIN_STATIC_X", 400) as f64 / 100.0;
-    let min_dyn_x = sc.usize_knob("BIST_BATCHED_MIN_DYN_X", 500) as f64 / 100.0;
-    let min_pool_static_x = sc.usize_knob("BIST_POOL_MIN_STATIC_X", 300) as f64 / 100.0;
     let workers = pool::resolve_workers(sc.workers());
-    let chunk = sc.usize_knob("BIST_POOL_CHUNK", pool::DEFAULT_CHUNK).max(1);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let seed = sc.seed();
 
     let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
         .counter_bits(6)
@@ -82,15 +81,15 @@ fn run(sc: &mut Scenario) -> bool {
 
     // The populations, generated once; both engines screen references
     // to the same devices with identical per-device RNG streams.
-    let batch = Batch::paper_simulation(seed, devices);
+    let batch = Batch::paper_simulation(SEED, devices);
     let fleet: Vec<TransferFunction> = (0..devices).map(|i| batch.device(i)).collect();
     let static_rng = |i: usize| batch.device_rng(i ^ STATIC_SALT);
     let flash =
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21);
     let dyn_fleet: Vec<FlashAdc> = (0..dyn_devices)
-        .map(|i| flash.sample(&mut stream_rng(seed ^ DYN_SEED_XOR, &[0, i as u64])))
+        .map(|i| flash.sample(&mut stream_rng(SEED ^ DYN_SEED_XOR, &[0, i as u64])))
         .collect();
-    let dyn_rng = |i: usize| stream_rng(seed ^ DYN_SEED_XOR, &[1, i as u64]);
+    let dyn_rng = |i: usize| stream_rng(SEED ^ DYN_SEED_XOR, &[1, i as u64]);
 
     // --- Part 1: exactness, all four modes, lanes then cores --------
     // Pooled runs are compared at several worker counts × chunk sizes;
@@ -102,7 +101,7 @@ fn run(sc: &mut Scenario) -> bool {
     for sequenced in [false, true] {
         let w = Workload::static_ramp(config);
         let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w).lane_width(lanes);
+        let mut batched = Screener::new(w).lane_width(LANES);
         if sequenced {
             scalar = scalar.sequencer(policy);
             batched = batched.sequencer(policy);
@@ -121,7 +120,7 @@ fn run(sc: &mut Scenario) -> bool {
         checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
-                .lane_width(lanes)
+                .lane_width(LANES)
                 .workers(pool_workers)
                 .chunk_size(pool_chunk);
             if sequenced {
@@ -144,7 +143,7 @@ fn run(sc: &mut Scenario) -> bool {
     for sequenced in [false, true] {
         let w = Workload::dynamic_sine(dyn_config);
         let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w).lane_width(lanes);
+        let mut batched = Screener::new(w).lane_width(LANES);
         if sequenced {
             scalar = scalar.sequencer(policy);
             batched = batched.sequencer(policy);
@@ -168,7 +167,7 @@ fn run(sc: &mut Scenario) -> bool {
         checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
-                .lane_width(lanes)
+                .lane_width(LANES)
                 .workers(pool_workers)
                 .chunk_size(pool_chunk);
             if sequenced {
@@ -195,7 +194,7 @@ fn run(sc: &mut Scenario) -> bool {
     }
     println!(
         "exactness: {} static + {} dynamic devices × (plain, sequenced) × \
-         (scalar, batched {lanes}-lane, pooled {:?} workers×chunk) → {divergences} divergences",
+         (scalar, batched {LANES}-lane, pooled {:?} workers×chunk) → {divergences} divergences",
         devices, dyn_devices, POOL_GRID
     );
 
@@ -207,7 +206,7 @@ fn run(sc: &mut Scenario) -> bool {
         }
     });
     let batched_static = throughput(devices, || {
-        let mut s = Screener::new(Workload::static_ramp(config)).lane_width(lanes);
+        let mut s = Screener::new(Workload::static_ramp(config)).lane_width(LANES);
         let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
         std::hint::black_box(reports.len());
     });
@@ -218,7 +217,7 @@ fn run(sc: &mut Scenario) -> bool {
         }
     });
     let batched_dyn = throughput(dyn_devices, || {
-        let mut s = Screener::new(Workload::dynamic_sine(dyn_config)).lane_width(lanes);
+        let mut s = Screener::new(Workload::dynamic_sine(dyn_config)).lane_width(LANES);
         let reports = s.run(
             dyn_fleet
                 .iter()
@@ -229,17 +228,15 @@ fn run(sc: &mut Scenario) -> bool {
     });
     let pooled_static = throughput(devices, || {
         let mut s = Screener::new(Workload::static_ramp(config))
-            .lane_width(lanes)
-            .workers(workers)
-            .chunk_size(chunk);
+            .lane_width(LANES)
+            .workers(workers);
         let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
         std::hint::black_box(reports.len());
     });
     let pooled_dyn = throughput(dyn_devices, || {
         let mut s = Screener::new(Workload::dynamic_sine(dyn_config))
-            .lane_width(lanes)
-            .workers(workers)
-            .chunk_size(chunk);
+            .lane_width(LANES)
+            .workers(workers);
         let reports = s.run(
             dyn_fleet
                 .iter()
@@ -258,17 +255,18 @@ fn run(sc: &mut Scenario) -> bool {
     let pool_gate_live = workers >= 4 && host_cores >= workers;
     println!(
         "throughput static ({devices} devices): scalar {scalar_static:.0} dev/s, \
-         batched {batched_static:.0} dev/s ({static_x:.2}x, floor {min_static_x:.2}x)"
+         batched {batched_static:.0} dev/s ({static_x:.2}x, floor {MIN_STATIC_X:.2}x)"
     );
     println!(
         "throughput dynamic ({dyn_devices} devices): scalar {scalar_dyn:.0} dev/s, \
-         batched {batched_dyn:.0} dev/s ({dyn_x:.2}x, floor {min_dyn_x:.2}x)"
+         batched {batched_dyn:.0} dev/s ({dyn_x:.2}x, floor {MIN_DYN_X:.2}x)"
     );
     println!(
-        "throughput pooled ({workers} workers × {lanes} lanes, chunk {chunk}, \
+        "throughput pooled ({workers} workers × {LANES} lanes, chunk {}, \
          {host_cores} host cores): static {pooled_static:.0} dev/s \
-         ({pooled_static_x:.2}x batched, floor {min_pool_static_x:.2}x {}), \
+         ({pooled_static_x:.2}x batched, floor {MIN_POOL_STATIC_X:.2}x {}), \
          dynamic {pooled_dyn:.0} dev/s",
+        pool::DEFAULT_CHUNK,
         if pool_gate_live {
             "LIVE"
         } else {
@@ -291,7 +289,7 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric("dyn_speedup_x", dyn_x);
     sc.metric("pooled_static_x", pooled_static_x);
     sc.metric_count("workers", workers as u64);
-    sc.metric_count("lane_width", lanes as u64);
+    sc.metric_count("lane_width", LANES as u64);
     sc.metric_count("host_cores", host_cores as u64);
     sc.metric_count("report_checksum", checksum.finish());
     let path = sc.csv(
@@ -334,9 +332,9 @@ fn run(sc: &mut Scenario) -> bool {
     let clean = devices > 0
         && dyn_devices > 0
         && divergences == 0
-        && static_x >= min_static_x
-        && dyn_x >= min_dyn_x
-        && (!pool_gate_live || pooled_static_x >= min_pool_static_x);
+        && static_x >= MIN_STATIC_X
+        && dyn_x >= MIN_DYN_X
+        && (!pool_gate_live || pooled_static_x >= MIN_POOL_STATIC_X);
     if clean {
         println!("reading: the lane-parallel engine reports bit-identical verdicts for any");
         println!(
@@ -351,8 +349,8 @@ fn run(sc: &mut Scenario) -> bool {
     } else {
         println!(
             "reading: GATE FAILED — divergences {divergences}, static {static_x:.2}x \
-             (≥{min_static_x:.2}x?), dynamic {dyn_x:.2}x (≥{min_dyn_x:.2}x?), \
-             pooled {pooled_static_x:.2}x (≥{min_pool_static_x:.2}x if live: {pool_gate_live})"
+             (≥{MIN_STATIC_X:.2}x?), dynamic {dyn_x:.2}x (≥{MIN_DYN_X:.2}x?), \
+             pooled {pooled_static_x:.2}x (≥{MIN_POOL_STATIC_X:.2}x if live: {pool_gate_live})"
         );
     }
     clean

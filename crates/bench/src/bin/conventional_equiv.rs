@@ -5,12 +5,12 @@
 //! Runs both tests on the same device batches and compares their
 //! confusion matrices and device-level agreement, for counter sizes 4–7.
 //!
-//! Knobs: `BIST_BATCH` (default 2000), `BIST_SEED`, `BIST_WORKERS`
-//! (0 = all cores).
+//! Knobs: `BIST_BATCH` (default 2000), `BIST_WORKERS` (0 = all
+//! cores).
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::report::{fmt_prob, Table};
 use bist_mc::batch::Batch;
@@ -22,7 +22,6 @@ fn main() {
 
 fn run(sc: &mut Scenario) {
     let n = sc.usize_knob("BIST_BATCH", 2000);
-    let seed = sc.seed();
     let workers = sc.workers();
     let spec = LinearitySpec::paper_stringent();
     eprintln!("conventional_equiv: {n} iid-width devices, spec {spec}");
@@ -42,7 +41,7 @@ fn run(sc: &mut Scenario) {
             .counter_bits(bits)
             .build()
             .expect("paper operating points are valid");
-        let batch = Batch::paper_simulation(seed, n);
+        let batch = Batch::paper_simulation(SEED, n);
         let res = run_equivalence(&batch, &cfg, 4096, workers);
         t.row_owned(vec![
             bits.to_string(),

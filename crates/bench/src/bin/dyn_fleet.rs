@@ -18,11 +18,11 @@
 //! perf trajectory (`bench/out/dyn_fleet.json`).
 //!
 //! Knobs: `BIST_DEVICES` (default 1000 → 12 000 device×scenario
-//! comparisons), `BIST_SEED`, `BIST_WORKERS`.
+//! comparisons), `BIST_WORKERS`.
 
 use bist_adc::flash::FlashConfig;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::{report_divergences, Scenario};
+use bist_bench::{report_divergences, Scenario, SEED};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::report::Table;
@@ -42,11 +42,10 @@ fn main() {
 
 fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 1000);
-    let seed = sc.seed();
     let workers = sc.workers();
 
     // --- Part 1: the dynamic differential sweep ---------------------
-    let result = run_dyn_differential(seed, devices, workers);
+    let result = run_dyn_differential(SEED, devices, workers);
     println!("dynamic sweep  {result}");
 
     let mut table = Table::new(&["scenario", "compared", "decision-exact", "accepted"])
@@ -74,7 +73,7 @@ fn run(sc: &mut Scenario) -> bool {
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let flash =
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21);
-    let batch = Batch::of(flash).seed(seed).size(devices);
+    let batch = Batch::of(flash).seed(SEED).size(devices);
     let workload = Workload::dynamic_sine(DynamicConfig::paper_default());
     let experiment = Experiment::new(batch, workload);
     let behavioral = experiment.run(workers);

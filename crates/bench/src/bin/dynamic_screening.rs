@@ -17,21 +17,17 @@
 //! of the worker count — the old sequential shared-stream limitation is
 //! gone.
 //!
-//! Knobs: `BIST_BATCH` (default 100 devices/cell), `BIST_SEED`,
-//! `BIST_WORKERS`, and `BIST_FFT_CHECK=1` to cross-check every
-//! streaming verdict against the materialised FFT analysis
-//! (`analyze_tone`) as a debug assertion (~2× slower).
+//! Knobs: `BIST_BATCH` (default 100 devices/cell), `BIST_WORKERS`.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::sampler::SamplingConfig;
 use bist_adc::stream::CodeStream;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use bist_core::pool;
 use bist_core::report::Table;
-use bist_dsp::spectrum::{analyze_tone, ideal_sinad_db, ToneAnalysisConfig};
+use bist_dsp::spectrum::ideal_sinad_db;
 use bist_dsp::stats::Running;
 use rand::rngs::StdRng;
 
@@ -78,14 +74,9 @@ fn cell_device_rng(seed: u64, cell: usize, device: usize) -> StdRng {
 
 fn run(sc: &mut Scenario) {
     let n_devices = sc.usize_knob("BIST_BATCH", 100);
-    let seed = sc.seed();
     let workers = sc.workers();
-    let fft_check = sc.usize_knob("BIST_FFT_CHECK", 0) != 0;
     let config = DynamicConfig::paper_default();
-    eprintln!(
-        "dynamic_screening: {n_devices} devices per σ cell, streaming Goertzel path{}",
-        if fft_check { " + FFT cross-check" } else { "" }
-    );
+    eprintln!("dynamic_screening: {n_devices} devices per σ cell, streaming Goertzel path");
 
     let mut t = Table::new(&[
         "σ_w [LSB]",
@@ -120,15 +111,12 @@ fn run(sc: &mut Scenario) {
                     .map(|block| {
                         let mut stats = CellStats::default();
                         for device in block * BLOCK..((block + 1) * BLOCK).min(n_devices) {
-                            let adc = flash.sample(&mut cell_device_rng(seed, cell, device));
+                            let adc = flash.sample(&mut cell_device_rng(SEED, cell, device));
                             let (sine, sampling) = plan_sine(&adc, &config);
                             let codes = CodeStream::noiseless(&adc, &sine, sampling);
                             let verdict = BehavioralBackend
                                 .judge_dyn(&config, None, codes, scratch)
                                 .verdict;
-                            if fft_check {
-                                fft_cross_check(&adc, &config, &sine, sampling, &verdict);
-                            }
                             stats.record(&verdict);
                         }
                         stats
@@ -181,37 +169,4 @@ fn run(sc: &mut Scenario) {
         &csv,
     );
     eprintln!("wrote {}", path.display());
-}
-
-/// Debug assertion behind `BIST_FFT_CHECK`: the streaming verdict must
-/// agree with the materialised FFT analysis of the identical capture.
-fn fft_cross_check(
-    adc: &impl bist_adc::transfer::Adc,
-    config: &DynamicConfig,
-    sine: &bist_adc::signal::SineWave,
-    sampling: SamplingConfig,
-    verdict: &DynamicVerdict,
-) {
-    let capture = CodeStream::noiseless(adc, sine, sampling).capture();
-    let record: Vec<f64> = capture.normalized(config.resolution().bits()).collect();
-    let analysis = analyze_tone(
-        &record,
-        &ToneAnalysisConfig {
-            fundamental_bin: Some(config.cycles() as usize),
-            ..Default::default()
-        },
-    )
-    .expect("coherent record length is a power of two");
-    assert!(
-        (analysis.sinad_db - verdict.sinad_db).abs() < 1e-6,
-        "FFT cross-check failed: SINAD {} (fft) vs {} (stream)",
-        analysis.sinad_db,
-        verdict.sinad_db
-    );
-    assert!(
-        (analysis.thd_db - verdict.thd_db).abs() < 1e-6,
-        "FFT cross-check failed: THD {} (fft) vs {} (stream)",
-        analysis.thd_db,
-        verdict.thd_db
-    );
 }

@@ -9,9 +9,9 @@
 //! overlay validates the theory at selected points.
 //!
 //! Knobs: `BIST_MC_BATCH` (devices per MC point, default 3000; 0
-//! disables the overlay), `BIST_SEED`, `BIST_WORKERS` (0 = all cores).
+//! disables the overlay), `BIST_WORKERS` (0 = all cores).
 
-use bist_bench::{AsciiPlot, Scenario};
+use bist_bench::{AsciiPlot, Scenario, SEED};
 use bist_mc::tables::{figure7, figure7_mc};
 
 fn main() {
@@ -21,7 +21,6 @@ fn main() {
 fn run(sc: &mut Scenario) {
     let pts = figure7(4, 161);
     let mc_batch = sc.usize_knob("BIST_MC_BATCH", 3000);
-    let seed = sc.seed();
     let workers = sc.workers();
 
     let ti: Vec<(f64, f64)> = pts.iter().map(|p| (p.delta_s, p.type_i)).collect();
@@ -39,7 +38,7 @@ fn run(sc: &mut Scenario) {
         let probe: Vec<f64> = [0.0895, 0.0909, 0.0953, 0.1034, 0.1120, 0.125, 0.1395]
             .into_iter()
             .collect();
-        let mc = figure7_mc(&probe, mc_batch, seed, workers);
+        let mc = figure7_mc(&probe, mc_batch, SEED, workers);
         let mc_ti: Vec<(f64, f64)> = mc
             .iter()
             .filter_map(|(ds, p1, _)| p1.point().map(|p| (*ds, p)))

@@ -7,13 +7,13 @@
 //! deglitcher, quantifying both the damage the noise does and how much
 //! of it the filter recovers.
 //!
-//! Knobs: `BIST_BATCH` (default 800), `BIST_SEED`, `BIST_WORKERS`
-//! (0 = all cores).
+//! Knobs: `BIST_BATCH` (default 800), `BIST_WORKERS` (0 = all
+//! cores).
 
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::report::{fmt_prob, Table};
 use bist_core::screener::Workload;
@@ -26,7 +26,6 @@ fn main() {
 
 fn run(sc: &mut Scenario) {
     let n = sc.usize_knob("BIST_BATCH", 800);
-    let seed = sc.seed();
     let workers = sc.workers();
     let spec = LinearitySpec::paper_stringent();
     eprintln!("noise_ablation: {n} devices per cell, 6-bit counter");
@@ -50,7 +49,7 @@ fn run(sc: &mut Scenario) {
                 .deglitch(deglitch)
                 .build()
                 .expect("valid configuration");
-            let batch = Batch::paper_simulation(seed, n);
+            let batch = Batch::paper_simulation(SEED, n);
             let result = Experiment::new(batch, Workload::static_ramp(config))
                 .with_noise(noise)
                 .run(workers);

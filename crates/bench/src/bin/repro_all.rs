@@ -1,4 +1,4 @@
-//! Runs every reproduction binary in sequence (E1–E11) with reduced
+//! Runs the 15 paper-reproduction binaries in sequence with reduced
 //! batch sizes suitable for a quick end-to-end regeneration, capturing
 //! each binary's stdout into `bench/out/repro_all.txt` and the
 //! per-experiment wall times into `bench/out/repro_all.json`.

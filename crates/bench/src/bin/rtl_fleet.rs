@@ -13,14 +13,14 @@
 //! reports devices/s and samples/s, so the RTL path joins the
 //! run-over-run perf trajectory (`bench/out/rtl_fleet.json`).
 //!
-//! Knobs: `BIST_DEVICES` (default 1000), `BIST_SEED`, `BIST_WORKERS`,
-//! `BIST_SLOPE_ERROR_MILLI` (magnitude in thousandths, default 22,
-//! applied as a *too-steep* — negative — error: the paper's "slightly
-//! too steep" measurement ramp as a second sweep).
+//! The second sweep runs a ramp with a −0.022 relative slope error: the
+//! paper's "slightly too steep" measurement ramp.
+//!
+//! Knobs: `BIST_DEVICES` (default 1000), `BIST_WORKERS`.
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::{report_divergences, Scenario};
+use bist_bench::{report_divergences, Scenario, SEED};
 use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
 use bist_core::report::Table;
@@ -28,6 +28,9 @@ use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
 use bist_mc::differential::run_differential;
 use bist_mc::experiment::Experiment;
+
+/// Relative slope error of the skewed sweep's ramp.
+const SLOPE_ERROR: f64 = -0.022;
 
 fn main() {
     let mut clean = true;
@@ -40,17 +43,12 @@ fn main() {
 
 fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 1000);
-    let seed = sc.seed();
     let workers = sc.workers();
-    // Magnitude knob (the Scenario knob layer is unsigned); the error
-    // is applied as a too-steep (negative) ramp like the paper's.
-    let slope_milli = sc.usize_knob("BIST_SLOPE_ERROR_MILLI", 22);
-    let slope_error = -(slope_milli as f64) / 1000.0;
-    let batch = Batch::paper_simulation(seed, devices);
+    let batch = Batch::paper_simulation(SEED, devices);
 
     // --- Part 1: differential sweep, nominal and skewed ramps -------
     let nominal = run_differential(&batch, 0.0, workers);
-    let skewed = run_differential(&batch, slope_error, workers);
+    let skewed = run_differential(&batch, SLOPE_ERROR, workers);
     println!("nominal ramp   {nominal}");
     println!("skewed ramp    {skewed}");
 

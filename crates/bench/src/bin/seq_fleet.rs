@@ -22,15 +22,15 @@
 //! (`bench/out/seq_fleet.json`) feeds the run-over-run trajectory and
 //! the committed `crates/bench/baseline/` gate.
 //!
-//! Knobs: `BIST_DEVICES` (default 400), `BIST_SEED`, `BIST_WORKERS`,
-//! `BIST_SEQ_ALPHA_PPM` / `BIST_SEQ_BETA_PPM` (drift budgets in parts
-//! per million, default 1000 = 1e-3), `BIST_SEQ_MIN_SAMPLES` (default
-//! 256), `BIST_SEQ_CHECK_INTERVAL` (default 64).
+//! The policy is `SequencerConfig::default()`: drift budgets α = β =
+//! 1e-3, 256 samples before the first checkpoint, one every 64.
+//!
+//! Knobs: `BIST_DEVICES` (default 400), `BIST_WORKERS`.
 
 use bist_adc::flash::FlashConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::{report_divergences, Scenario};
+use bist_bench::{report_divergences, Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -53,23 +53,11 @@ fn main() {
 
 fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 400);
-    let seed = sc.seed();
     let workers = sc.workers();
-    let alpha = sc.usize_knob("BIST_SEQ_ALPHA_PPM", 1000) as f64 * 1e-6;
-    let beta = sc.usize_knob("BIST_SEQ_BETA_PPM", 1000) as f64 * 1e-6;
-    let policy = SequencerConfig {
-        alpha,
-        beta,
-        min_samples: sc.usize_knob("BIST_SEQ_MIN_SAMPLES", 256) as u64,
-        check_interval: sc.usize_knob("BIST_SEQ_CHECK_INTERVAL", 64) as u64,
-    };
-    if let Err(e) = policy.validate() {
-        eprintln!("seq_fleet: invalid sequencer policy: {e}");
-        return false;
-    }
+    let policy = SequencerConfig::default();
 
     // --- Part 1: the sequenced differential sweep -------------------
-    let result = run_seq_differential(seed, &policy, devices, workers);
+    let result = run_seq_differential(SEED, &policy, devices, workers);
     println!("sequenced sweep  {result}");
     for cell in &result.skipped_cells {
         println!("skipped cell {}: {}", cell.scenario, cell.reason);
@@ -116,8 +104,8 @@ fn run(sc: &mut Scenario) -> bool {
     report_divergences(&result.divergences, "");
 
     // --- Part 2: wall-clock payoff, full vs sequenced ---------------
-    let static_speed = static_throughput(seed, devices, workers, &policy);
-    let dyn_speed = dynamic_throughput(seed, devices, workers, &policy);
+    let static_speed = static_throughput(SEED, devices, workers, &policy);
+    let dyn_speed = dynamic_throughput(SEED, devices, workers, &policy);
     println!(
         "throughput static (6-bit counter, σ0.21, {devices} devices): \
          full {:.0} dev/s, sequenced {:.0} dev/s ({:.2}x)",

@@ -15,8 +15,7 @@
 //! receipt, ids round-tripping through the rings) against the pooled
 //! `Screener::run` floor on the same fleet. Streaming adds queue hops
 //! and per-device routing, so it may not beat the batch engine — but it
-//! must stay within the ratio floor (default 0.8x,
-//! `BIST_SERVE_MIN_RATIO_X` in hundredths) or the run fails.
+//! must stay within the 0.8x ratio floor or the run fails.
 //!
 //! Part 3 floods a deliberately tiny service (4-slot rings, burst 2)
 //! and checks the overload contract: `Busy` must actually occur, the
@@ -28,13 +27,14 @@
 //! snapshot must parse through `record_metrics` — the same flat JSON
 //! contract `perf_gate` relies on.
 //!
+//! Every service and screener runs 16 lanes wide.
+//!
 //! Knobs: `BIST_DEVICES` (default 600), `BIST_DYN_DEVICES` (default
-//! 96), `BIST_LANES` (default 16), `BIST_WORKERS` (default 0 = all
-//! cores), `BIST_SERVE_MIN_RATIO_X` (default 80), `BIST_SEED`.
+//! 96), `BIST_WORKERS` (default 0 = all cores).
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::{record_metrics, throughput, Fnv, Scenario};
+use bist_bench::{record_metrics, throughput, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -46,6 +46,10 @@ use bist_serve::{submission_rng, ServiceConfig, ServiceHandle, Submission};
 use std::fmt::Write as _;
 
 const SEED_MIX: u64 = 0x9e37_79b9;
+/// SoA lane width of every service and screener.
+const LANES: usize = 16;
+/// Floor on streamed over pooled throughput.
+const MIN_RATIO: f64 = 0.8;
 
 fn main() {
     let mut clean = true;
@@ -88,7 +92,7 @@ fn fleet(seed: u64, n_static: usize, n_dyn: usize) -> Vec<Submission> {
 
 /// Reference verdicts by submission id from the one-shot engine, one
 /// `Screener::run` per workload group.
-fn reference(subs: &[Submission], lanes: usize) -> Vec<(u64, String)> {
+fn reference(subs: &[Submission]) -> Vec<(u64, String)> {
     let mut expect = Vec::new();
     for (workload, kind) in [
         (static_workload(), JobKind::Static),
@@ -98,7 +102,7 @@ fn reference(subs: &[Submission], lanes: usize) -> Vec<(u64, String)> {
         if group.is_empty() {
             continue;
         }
-        let reports = Screener::new(workload).lane_width(lanes).run(
+        let reports = Screener::new(workload).lane_width(LANES).run(
             group
                 .iter()
                 .map(|s| (s.adc.clone(), submission_rng(s.seed))),
@@ -147,14 +151,11 @@ fn stream_fleet(handle: &ServiceHandle, subs: &[Submission]) -> Vec<(u64, String
 fn run(sc: &mut Scenario) -> bool {
     let devices = sc.usize_knob("BIST_DEVICES", 600);
     let dyn_devices = sc.usize_knob("BIST_DYN_DEVICES", 96);
-    let lanes = sc.usize_knob("BIST_LANES", 16).max(1);
-    let min_ratio = sc.usize_knob("BIST_SERVE_MIN_RATIO_X", 80) as f64 / 100.0;
     let workers = pool::resolve_workers(sc.workers());
-    let seed = sc.seed();
     let total = devices + dyn_devices;
 
-    let subs = fleet(seed, devices, dyn_devices);
-    let expect = reference(&subs, lanes);
+    let subs = fleet(SEED, devices, dyn_devices);
+    let expect = reference(&subs);
 
     // --- Part 1: exactness and worker-count determinism -------------
     let mut divergences = 0u64;
@@ -164,7 +165,7 @@ fn run(sc: &mut Scenario) -> bool {
             .with_workload(static_workload())
             .with_workload(dyn_workload())
             .with_workers(service_workers)
-            .with_lane_width(lanes)
+            .with_lane_width(LANES)
             .start();
         let got = stream_fleet(&handle, &subs);
         let drain = handle.shutdown();
@@ -205,7 +206,7 @@ fn run(sc: &mut Scenario) -> bool {
     // --- Part 2: streaming throughput vs the batched-pool floor -----
     let pooled_rate = throughput(total, || {
         let static_reports = Screener::new(static_workload())
-            .lane_width(lanes)
+            .lane_width(LANES)
             .workers(workers)
             .run(
                 subs[..devices]
@@ -213,7 +214,7 @@ fn run(sc: &mut Scenario) -> bool {
                     .map(|s| (s.adc.clone(), submission_rng(s.seed))),
             );
         let dyn_reports = Screener::new(dyn_workload())
-            .lane_width(lanes)
+            .lane_width(LANES)
             .workers(workers)
             .run(
                 subs[devices..]
@@ -226,7 +227,7 @@ fn run(sc: &mut Scenario) -> bool {
         .with_workload(static_workload())
         .with_workload(dyn_workload())
         .with_workers(workers)
-        .with_lane_width(lanes)
+        .with_lane_width(LANES)
         .start();
     let service_rate = throughput(total, || {
         std::hint::black_box(stream_fleet(&handle, &subs).len());
@@ -235,9 +236,9 @@ fn run(sc: &mut Scenario) -> bool {
     handle.shutdown();
     let ratio = service_rate / pooled_rate.max(1e-9);
     println!(
-        "throughput ({total} devices, {workers} workers × {lanes} lanes): \
+        "throughput ({total} devices, {workers} workers × {LANES} lanes): \
          pooled {pooled_rate:.0} dev/s, streamed {service_rate:.0} dev/s \
-         ({ratio:.2}x, floor {min_ratio:.2}x)"
+         ({ratio:.2}x, floor {MIN_RATIO:.2}x)"
     );
 
     // --- Part 3: overload stays bounded, drains without loss --------
@@ -314,7 +315,7 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("busy_responses", busy_responses);
     sc.metric_count("max_queue_depth", max_depth);
     sc.metric_count("workers", workers as u64);
-    sc.metric_count("lane_width", lanes as u64);
+    sc.metric_count("lane_width", LANES as u64);
     sc.metric("service_uptime_seconds", uptime_snapshot.uptime_seconds);
     let path = sc.csv(
         "service_soak.csv",
@@ -334,7 +335,7 @@ fn run(sc: &mut Scenario) -> bool {
         && dyn_devices > 0
         && divergences == 0
         && deterministic
-        && ratio >= min_ratio
+        && ratio >= MIN_RATIO
         && busy_responses > 0
         && bounded
         && no_loss
@@ -353,7 +354,7 @@ fn run(sc: &mut Scenario) -> bool {
     } else {
         println!(
             "reading: GATE FAILED — divergences {divergences}, deterministic {deterministic}, \
-             ratio {ratio:.2}x (≥{min_ratio:.2}x?), busy {busy_responses} (>0?), \
+             ratio {ratio:.2}x (≥{MIN_RATIO:.2}x?), busy {busy_responses} (>0?), \
              bounded {bounded}, loss-free {no_loss}, drain {drain_complete}, json {json_ok}"
         );
     }

@@ -8,9 +8,9 @@
 //! with the paper's inferred ramp-slope error.
 //!
 //! Knobs: `BIST_SIM_BATCH` / `BIST_MEAS_BATCH` (device counts,
-//! default 4000), `BIST_SEED`, `BIST_WORKERS` (0 = all cores).
+//! default 4000), `BIST_WORKERS` (0 = all cores).
 
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::report::{fmt_prob, Table};
 use bist_mc::tables::{table1, Table1Config};
 
@@ -32,7 +32,7 @@ fn run(sc: &mut Scenario) {
         sim_batch: sc.usize_knob("BIST_SIM_BATCH", 4000),
         meas_batch: sc.usize_knob("BIST_MEAS_BATCH", 4000),
         slope_error_millis: -22,
-        seed: sc.seed(),
+        seed: SEED,
         workers: sc.workers(),
     };
     eprintln!(

@@ -8,9 +8,9 @@
 //! rare-event Monte Carlo (devices sampled conditioned on being faulty).
 //!
 //! Knobs: `BIST_FAULTY_DEVICES` (conditioned draws per row, default
-//! 4000), `BIST_SEED`, `BIST_WORKERS` (0 = all cores).
+//! 4000), `BIST_WORKERS` (0 = all cores).
 
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::report::Table;
 use bist_mc::tables::table2;
 
@@ -29,10 +29,9 @@ fn main() {
 
 fn run(sc: &mut Scenario) {
     let faulty = sc.usize_knob("BIST_FAULTY_DEVICES", 4000);
-    let seed = sc.seed();
     let workers = sc.workers();
     eprintln!("table2: {faulty} conditioned faulty devices per counter size");
-    let rows = table2(faulty, seed, workers);
+    let rows = table2(faulty, SEED, workers);
 
     let mut t = Table::new(&[
         "counter",

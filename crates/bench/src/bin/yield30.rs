@@ -8,11 +8,11 @@
 //! Both are checked three ways: the closed-form yield model, a batch of
 //! iid-width devices, and a batch of physically-modelled flash devices.
 //!
-//! Knobs: `BIST_BATCH` (default 20000), `BIST_SEED`, `BIST_WORKERS`
-//! (0 = all cores).
+//! Knobs: `BIST_BATCH` (default 20000), `BIST_WORKERS` (0 = all
+//! cores).
 
 use bist_adc::spec::LinearitySpec;
-use bist_bench::Scenario;
+use bist_bench::{Scenario, SEED};
 use bist_core::report::{fmt_prob, Table};
 use bist_core::yield_model::YieldModel;
 use bist_mc::batch::Batch;
@@ -24,14 +24,13 @@ fn main() {
 
 fn run(sc: &mut Scenario) {
     let n = sc.usize_knob("BIST_BATCH", 20_000);
-    let seed = sc.seed();
     let workers = sc.workers();
     let model = YieldModel::paper_device();
     let stringent = LinearitySpec::paper_stringent();
     let actual = LinearitySpec::paper_actual();
 
-    let iid = Batch::paper_simulation(seed, n);
-    let mut flash = Batch::paper_measurement(seed ^ 0xF1A5);
+    let iid = Batch::paper_simulation(SEED, n);
+    let mut flash = Batch::paper_measurement(SEED ^ 0xF1A5);
     flash.size = n;
 
     let iid_stringent = iid.classify(&stringent, workers);

@@ -7,7 +7,9 @@
 //! machine-readable `<name>.json` perf record under `bench/out/`. The
 //! binaries run their Monte-Carlo batches in parallel by default;
 //! `BIST_WORKERS` overrides the worker count (0 = available
-//! parallelism) alongside the existing `BIST_*` batch knobs.
+//! parallelism) alongside the `BIST_*` batch knobs. A knob set to a value
+//! that does not parse stops the binary. Every binary seeds its devices
+//! from [`SEED`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,21 +59,46 @@ pub fn baseline_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline")
 }
 
+/// The master seed every reproduction binary draws its devices from.
+pub const SEED: u64 = 1997;
+
 /// Reads an environment variable as usize with a default — the knob used
 /// by the binaries for batch sizes (e.g. `BIST_BATCH=500 cargo run ...`).
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, if it is set but does not
+/// parse as a `usize`.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_knob(name, env_raw(name).as_deref(), default)
 }
 
 /// Reads an environment variable as f64 with a default.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, if it is set but does not
+/// parse as an `f64`.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_knob(name, env_raw(name).as_deref(), default)
+}
+
+/// The raw value of an environment variable, `None` when unset. A value
+/// that is not UTF-8 comes back lossily converted, so it fails to parse
+/// rather than reading as unset.
+fn env_raw(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parses a knob's raw value: unset takes `default`, and a set value that
+/// does not parse panics, so a mistyped knob never runs as the default.
+fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>, default: T) -> T {
+    match raw {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} does not parse as a number")),
+    }
 }
 
 /// Extracts the numeric metrics of a `Scenario` perf record (the flat
@@ -368,6 +395,22 @@ mod tests {
     fn env_usize_default() {
         assert_eq!(env_usize("BIST_SURELY_UNSET_VAR", 42), 42);
         assert_eq!(env_f64("BIST_SURELY_UNSET_VAR", 0.25), 0.25);
+    }
+
+    #[test]
+    fn knob_parses_set_values() {
+        assert_eq!(parse_knob("BIST_WORKERS", Some("4"), 0usize), 4);
+        assert_eq!(parse_knob("BIST_PERF_TOLERANCE", Some("1.0"), 0.25), 1.0);
+    }
+
+    #[test]
+    fn knob_rejects_unparsable_values() {
+        for raw in ["four", "1e3", ""] {
+            let panic = std::panic::catch_unwind(|| parse_knob("BIST_DEVICES", Some(raw), 0usize))
+                .expect_err(raw);
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains(&format!("BIST_DEVICES={raw:?}")), "{msg}");
+        }
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl Scenario {
         v
     }
 
-    /// The master seed (`BIST_SEED`, default 1997).
-    pub fn seed(&mut self) -> u64 {
-        self.usize_knob("BIST_SEED", 1997) as u64
-    }
-
     /// The worker-thread knob (`BIST_WORKERS`, default 0 = available
     /// parallelism) — the binaries hand this to the `bist-mc` fan-out.
     pub fn workers(&mut self) -> usize {
@@ -164,7 +159,6 @@ mod tests {
         Scenario::run("scenario_selftest", |sc| {
             let n = sc.usize_knob("BIST_SURELY_UNSET_VAR", 7);
             assert_eq!(n, 7);
-            assert_eq!(sc.seed(), 1997);
             sc.metric("throughput", 123.5);
             sc.metric_count("devices", 7);
             sc.metric_str("note", "quoted \"text\"");
@@ -175,7 +169,6 @@ mod tests {
         let json = fs::read_to_string(&record).unwrap();
         assert!(json.contains("\"scenario\": \"scenario_selftest\""));
         assert!(json.contains("\"BIST_SURELY_UNSET_VAR\": 7"));
-        assert!(json.contains("\"BIST_SEED\": 1997"));
         assert!(json.contains("\"throughput\": 123.5"));
         assert!(json.contains("\"note\": \"quoted \\\"text\\\"\""));
         assert!(json.contains("\"scenario_selftest.csv\""));

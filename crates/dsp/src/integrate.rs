@@ -2,10 +2,9 @@
 //! of the paper integrate the product of a Gaussian code-width density and
 //! the trapezoidal acceptance function).
 //!
-//! Two methods are provided: adaptive Simpson (robust for piecewise-smooth
-//! integrands such as `h(ΔV)·f(ΔV)`, which has corner points at the
-//! trapezoid knees) and fixed-order Gauss–Legendre (fast for smooth
-//! integrands).
+//! The method is adaptive Simpson, robust for piecewise-smooth integrands
+//! such as `h(ΔV)·f(ΔV)`, which has corner points at the trapezoid knees;
+//! [`integrate_with_knots`] splits the range at those corners first.
 
 /// Result limit guard: adaptive subdivision never goes deeper than this.
 const MAX_DEPTH: u32 = 60;
@@ -112,69 +111,6 @@ pub fn integrate_with_knots<F: Fn(f64) -> f64>(
     total + adaptive_simpson(&f, lo, b, piece_tol)
 }
 
-/// 20-point Gauss–Legendre nodes (positive half) and weights on [-1, 1].
-const GL20_X: [f64; 10] = [
-    0.0765265211334973,
-    0.2277858511416451,
-    0.3737060887154196,
-    0.5108670019508271,
-    0.636_053_680_726_515,
-    0.7463319064601508,
-    0.8391169718222188,
-    0.912_234_428_251_326,
-    0.9639719272779138,
-    0.9931285991850949,
-];
-const GL20_W: [f64; 10] = [
-    0.1527533871307258,
-    0.1491729864726037,
-    0.142_096_109_318_382,
-    0.1316886384491766,
-    0.1181945319615184,
-    0.1019301198172404,
-    0.0832767415767048,
-    0.0626720483341091,
-    0.0406014298003869,
-    0.0176140071391521,
-];
-
-/// Integrates `f` over `[a, b]` with 20-point Gauss–Legendre quadrature
-/// (exact for polynomials up to degree 39).
-///
-/// # Examples
-///
-/// ```
-/// let v = bist_dsp::integrate::gauss_legendre(|x: f64| x.exp(), 0.0, 1.0);
-/// assert!((v - (std::f64::consts::E - 1.0)).abs() < 1e-14);
-/// ```
-pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
-    let c = 0.5 * (a + b);
-    let h = 0.5 * (b - a);
-    let mut sum = 0.0;
-    for i in 0..10 {
-        sum += GL20_W[i] * (f(c + h * GL20_X[i]) + f(c - h * GL20_X[i]));
-    }
-    sum * h
-}
-
-/// Composite Gauss–Legendre over `n` panels — for integrands too wiggly
-/// for a single 20-point panel.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn gauss_legendre_composite<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
-    assert!(n > 0, "panel count must be non-zero");
-    let h = (b - a) / n as f64;
-    (0..n)
-        .map(|i| {
-            let lo = a + i as f64 * h;
-            gauss_legendre(&f, lo, lo + h)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,35 +169,14 @@ mod tests {
     }
 
     #[test]
-    fn gauss_legendre_exactness_high_degree() {
-        // x^19 over [0,1] = 1/20; GL20 must be exact to machine precision.
-        let v = gauss_legendre(|x: f64| x.powi(19), 0.0, 1.0);
-        assert!((v - 0.05).abs() < 1e-14);
-    }
-
-    #[test]
-    fn composite_handles_oscillatory() {
-        // ∫₀^{10π} sin² = 5π
-        let v = gauss_legendre_composite(
-            |x: f64| x.sin().powi(2),
-            0.0,
-            10.0 * std::f64::consts::PI,
-            32,
-        );
-        assert!((v - 5.0 * std::f64::consts::PI).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "panel count")]
-    fn composite_zero_panels_panics() {
-        gauss_legendre_composite(|x| x, 0.0, 1.0, 0);
-    }
-
-    #[test]
     fn simpson_agrees_with_gauss() {
-        let f = |x: f64| (x * 1.3).cos() * (-0.2 * x).exp();
+        // Closed form: ∫ e^{ax}·cos(bx) dx = e^{ax}(a·cos bx + b·sin bx)/(a² + b²).
+        let (a, b) = (-0.2_f64, 1.3_f64);
+        let antiderivative =
+            |x: f64| (a * x).exp() * (a * (b * x).cos() + b * (b * x).sin()) / (a * a + b * b);
+        let want = antiderivative(4.0) - antiderivative(0.0);
+        let f = |x: f64| (x * b).cos() * (a * x).exp();
         let s = adaptive_simpson(f, 0.0, 4.0, 1e-12);
-        let g = gauss_legendre_composite(f, 0.0, 4.0, 4);
-        assert!((s - g).abs() < 1e-10);
+        assert!((s - want).abs() < 1e-10, "{s} vs {want}");
     }
 }

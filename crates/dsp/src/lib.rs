@@ -13,13 +13,12 @@
 //! * [`goertzel`] — cheap single-bin DFT, the "simple digital function"
 //!   flavour of on-chip processing the paper advocates.
 //! * [`sinefit`] — IEEE-1057 sine fitting (alternative dynamic test).
-//! * [`special`] — erf/normal distribution/binomials for the §3 error
-//!   theory (Eqs. 6–12).
+//! * [`special`] — erf and the normal distribution for the §3 error
+//!   theory.
 //! * [`integrate`] — quadrature used to evaluate Eqs. 6–7.
 //! * [`stats`] — Welford moments, histograms, pairwise correlation (Eq. 10
 //!   checks).
-//! * [`filter`] — digital filters, including the majority-vote LSB
-//!   deglitcher of §3.
+//! * [`filter`] — the majority-vote LSB deglitcher of §3.
 //!
 //! ## Example
 //!

@@ -1,6 +1,5 @@
 //! Special functions for the statistical error analysis of §3: the error
-//! function, the standard normal distribution, its quantile, and binomial
-//! tail probabilities (Eqs. 11–12 of the paper).
+//! function, the standard normal distribution and its quantile.
 
 /// The error function `erf(x)`, accurate to about 1.2×10⁻⁷ (Abramowitz &
 /// Stegun 7.1.26 rational approximation), refined by one Newton step
@@ -219,99 +218,6 @@ pub fn normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// Natural log of the gamma function (Lanczos approximation).
-///
-/// # Panics
-///
-/// Panics if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
-    const G: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.984_369_578_019_572e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = G[0];
-    let t = x + 7.5;
-    for (i, &g) in G.iter().enumerate().skip(1) {
-        a += g / (x + i as f64);
-    }
-    0.5 * (std::f64::consts::TAU).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Natural log of the binomial coefficient `C(n, k)`.
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    assert!(k <= n, "k ({k}) must not exceed n ({n})");
-    if k == 0 || k == n {
-        return 0.0;
-    }
-    ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
-}
-
-/// Binomial probability mass `P(X = k)` for `X ~ Binomial(n, p)`.
-///
-/// Used for the whole-converter type-I/II approximation of Eqs. 11–12.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]` or `k > n`.
-///
-/// # Examples
-///
-/// ```
-/// let p = bist_dsp::special::binomial_pmf(4, 2, 0.5);
-/// assert!((p - 0.375).abs() < 1e-12);
-/// ```
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-    assert!(k <= n, "k ({k}) must not exceed n ({n})");
-    if p == 0.0 {
-        return if k == 0 { 1.0 } else { 0.0 };
-    }
-    if p == 1.0 {
-        return if k == n { 1.0 } else { 0.0 };
-    }
-    (ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln()).exp()
-}
-
-/// Probability that at least one of `n` independent events of probability
-/// `p` occurs: `1 − (1−p)^n`, computed stably for tiny `p` (the
-/// whole-device error probability given a per-code error probability).
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// // 64 codes, 1e-9 per-code error: whole-device error ≈ 6.4e-8.
-/// let p = bist_dsp::special::at_least_one(64, 1e-9);
-/// assert!((p - 6.4e-8).abs() / 6.4e-8 < 1e-6);
-/// ```
-// bist-lint: allow(dead-pub) — deletion queued on ROADMAP item 4; its own tests go with it
-pub fn at_least_one(n: u64, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-    -((-p).ln_1p() * n as f64).exp_m1()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +282,7 @@ mod tests {
         // ±1 LSB: P(device faulty) ≈ 1.4e-4 per the paper.
         let z = 1.0 / 0.21;
         let p_one_bad = erfc(z / std::f64::consts::SQRT_2);
-        let p_dev_bad = at_least_one(64, p_one_bad);
+        let p_dev_bad = -((-p_one_bad).ln_1p() * 64.0).exp_m1();
         assert!(
             (0.7e-4..2.5e-4).contains(&p_dev_bad),
             "p_dev_bad = {p_dev_bad}"
@@ -402,52 +308,6 @@ mod tests {
     #[should_panic(expected = "p must be in (0,1)")]
     fn quantile_rejects_zero() {
         normal_quantile(0.0);
-    }
-
-    #[test]
-    fn ln_gamma_factorials() {
-        // Γ(n+1) = n!
-        let mut fact = 1.0f64;
-        for n in 1..15u32 {
-            fact *= n as f64;
-            assert!((ln_gamma(n as f64 + 1.0) - fact.ln()).abs() < 1e-9, "n={n}");
-        }
-    }
-
-    #[test]
-    fn ln_gamma_half() {
-        // Γ(1/2) = √π
-        assert!((ln_gamma(0.5) - 0.5 * std::f64::consts::PI.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn binomial_pmf_sums_to_one() {
-        let n = 20;
-        let p = 0.3;
-        let total: f64 = (0..=n).map(|k| binomial_pmf(n, k, p)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binomial_pmf_degenerate() {
-        assert_eq!(binomial_pmf(10, 0, 0.0), 1.0);
-        assert_eq!(binomial_pmf(10, 10, 1.0), 1.0);
-        assert_eq!(binomial_pmf(10, 3, 0.0), 0.0);
-    }
-
-    #[test]
-    fn at_least_one_matches_naive_for_moderate_p() {
-        let p: f64 = 0.01;
-        let n = 64;
-        let naive = 1.0 - (1.0 - p).powi(n as i32);
-        assert!((at_least_one(n, p) - naive).abs() < 1e-12);
-    }
-
-    #[test]
-    fn at_least_one_stable_for_tiny_p() {
-        let p = 1e-15;
-        let v = at_least_one(64, p);
-        assert!((v - 64e-15).abs() / 64e-15 < 1e-9);
     }
 
     #[test]

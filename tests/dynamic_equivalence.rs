@@ -14,6 +14,9 @@
 //! * **Decision exactness** — judged through the backend seam, the
 //!   behavioural and RTL verdicts reach identical per-limit decisions,
 //!   sample counts and completeness on bit-identical code streams.
+//!
+//! A third, deterministic test pins the whole streaming verdict to the
+//! materialised FFT analysis (`analyze_tone`) of the same capture.
 
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
@@ -24,6 +27,7 @@ use bist_core::backend::{BehavioralBackend, RtlBackend};
 use bist_core::dynamic::{plan_sine, DynScratch, DynamicConfig};
 use bist_core::screener::{Screener, Workload};
 use bist_dsp::goertzel::GoertzelBank;
+use bist_dsp::spectrum::{analyze_tone, ToneAnalysisConfig};
 use bist_rtl::dyn_top::{DynBistTop, DynBistTopConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -184,5 +188,50 @@ fn truncated_records_incomplete_on_both_backends() {
         assert_eq!(b.checks, r.checks, "keep {keep}");
         assert_eq!(b.samples, keep as u64);
         assert_eq!(r.samples, keep as u64);
+    }
+}
+
+/// The whole streaming verdict agrees with the materialised FFT: on
+/// noiseless paper flash devices at σ_w 0, 0.16 and 0.21 LSB,
+/// `judge_dyn`'s SINAD and THD match `analyze_tone` on the identical
+/// capture to 1e-6 dB.
+#[test]
+fn streaming_verdict_matches_materialised_fft() {
+    use bist_core::backend::Backend;
+    let config = DynamicConfig::paper_default();
+    let fft_config = ToneAnalysisConfig {
+        fundamental_bin: Some(config.cycles() as usize),
+        ..Default::default()
+    };
+    let mut scratch = DynScratch::new();
+    for sigma in [0.0, 0.16, 0.21] {
+        let flash = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+            .with_width_sigma_lsb(sigma);
+        for seed in 0..4u64 {
+            let adc = flash.sample(&mut StdRng::seed_from_u64(seed));
+            let (sine, sampling) = plan_sine(&adc, &config);
+            let codes = || CodeStream::noiseless(&adc, &sine, sampling);
+            let verdict = BehavioralBackend
+                .judge_dyn(&config, None, codes(), &mut scratch)
+                .verdict;
+            let record: Vec<f64> = codes()
+                .capture()
+                .normalized(config.resolution().bits())
+                .collect();
+            let fft = analyze_tone(&record, &fft_config)
+                .expect("coherent record length is a power of two");
+            assert!(
+                (fft.sinad_db - verdict.sinad_db).abs() < 1e-6,
+                "σ {sigma} seed {seed}: SINAD {} (fft) vs {} (stream)",
+                fft.sinad_db,
+                verdict.sinad_db
+            );
+            assert!(
+                (fft.thd_db - verdict.thd_db).abs() < 1e-6,
+                "σ {sigma} seed {seed}: THD {} (fft) vs {} (stream)",
+                fft.thd_db,
+                verdict.thd_db
+            );
+        }
     }
 }
