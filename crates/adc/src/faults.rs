@@ -103,11 +103,6 @@ impl<A: Adc> FaultyAdc<A> {
         FaultyAdc { inner, fault }
     }
 
-    /// The injected fault.
-    pub fn fault(&self) -> OutputFault {
-        self.fault
-    }
-
     /// Unwraps the inner converter.
     pub fn into_inner(self) -> A {
         self.inner
@@ -202,7 +197,7 @@ mod tests {
         let bad = FaultyAdc::new(ideal(), OutputFault::CodeOffset(1));
         assert!(bad.transfer().is_none());
         assert_eq!(bad.resolution().bits(), 6);
-        assert_eq!(bad.fault(), OutputFault::CodeOffset(1));
+        assert_eq!(bad.fault, OutputFault::CodeOffset(1));
     }
 
     #[test]

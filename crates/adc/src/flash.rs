@@ -102,11 +102,6 @@ impl FlashConfig {
         (self.low, self.high)
     }
 
-    /// Comparator offset σ in LSB.
-    pub fn offset_sigma_lsb(&self) -> f64 {
-        self.sigma_offset_lsb
-    }
-
     /// The predicted code-width standard deviation in LSB:
     /// `σ_w = √(σ_R² + 2·σ_os²)`.
     ///

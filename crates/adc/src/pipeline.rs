@@ -78,11 +78,6 @@ impl PipelineConfig {
         self.resolution
     }
 
-    /// Coarse-stage bit count.
-    pub fn coarse_bits(&self) -> u32 {
-        self.coarse_bits
-    }
-
     /// The inter-stage gain relative mismatch σ.
     pub fn gain_sigma(&self) -> f64 {
         self.sigma_gain_rel
@@ -148,11 +143,6 @@ impl PipelineAdc {
     /// The configuration this instance was drawn from.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
-    }
-
-    /// The realised residue gain (1.0 nominal).
-    pub fn residue_gain(&self) -> f64 {
-        self.residue_gain
     }
 }
 
@@ -298,7 +288,7 @@ mod tests {
             .with_gain_sigma(0.02);
         let a = cfg.sample(&mut rng(9));
         let b = cfg.sample(&mut rng(9));
-        assert_eq!(a.residue_gain(), b.residue_gain());
+        assert_eq!(a.residue_gain, b.residue_gain);
     }
 
     #[test]

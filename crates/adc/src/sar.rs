@@ -82,11 +82,6 @@ impl SarConfig {
         self.sigma_unit_cap
     }
 
-    /// The comparator offset σ in LSB.
-    pub fn offset_sigma_lsb(&self) -> f64 {
-        self.sigma_offset_lsb
-    }
-
     /// A paper-scale SAR device: 6 bits over 0–6.4 V with a
     /// unit-capacitor mismatch sized so the MSB major-carry DNL lands in
     /// the same decision-relevant band as the flash batch's σ_w = 0.21

@@ -122,22 +122,6 @@ impl SineWave {
         }
     }
 
-    /// A sine that exactly spans the range `[low, high]` (full-scale
-    /// stimulus for histogram and FFT tests), centred mid-range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or `frequency <= 0`.
-    pub fn full_scale(low: Volts, high: Volts, frequency: f64) -> Self {
-        assert!(low.0 < high.0, "low must be below high");
-        SineWave::new(
-            (high.0 - low.0) / 2.0,
-            frequency,
-            0.0,
-            Volts((low.0 + high.0) / 2.0),
-        )
-    }
-
     /// The amplitude in volts.
     pub fn amplitude(&self) -> f64 {
         self.amplitude
@@ -220,22 +204,6 @@ mod tests {
         let s = SineWave::new(1.0, 1.0, 0.0, Volts(0.5));
         assert!((s.value(0.25).0 - 1.5).abs() < 1e-12);
         assert!((s.value(0.75).0 + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_scale_sine_spans_range() {
-        let s = SineWave::full_scale(Volts(0.0), Volts(6.4), 10.0);
-        assert!((s.amplitude() - 3.2).abs() < 1e-12);
-        assert!((s.offset().0 - 3.2).abs() < 1e-12);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..1000 {
-            let v = s.value(i as f64 * 1e-4).0;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        assert!((-1e-9..0.05).contains(&lo));
-        assert!(hi <= 6.4 + 1e-9 && hi > 6.35);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl<'a, A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore + ?Sized>
 }
 
 impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> CodeStream<'_, A, S, R> {
-    /// The sampling plan driving this stream.
-    pub fn sampling(&self) -> &SamplingConfig {
-        &self.sampling
-    }
-
     /// Materialises the remaining codes into a [`Capture`] — the view
     /// used by tests, plots and the conventional histogram baselines.
     ///

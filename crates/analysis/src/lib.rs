@@ -29,11 +29,15 @@
 //!
 //! * [`rules::Rule::DeadPub`] — every bare-`pub` item in library source
 //!   (`crates/*/src`, outside bins and the API-mirroring compat crates)
-//!   is named in code by another file, or by its own file outside its
+//!   is used in code by another file, or by its own file outside its
 //!   own definition, its own `impl` blocks and `#[cfg(test)]` code.
-//!   Pass 1 indexes every file's identifiers, so a caller anywhere in
-//!   the workspace, `fleetbench/` included, keeps an item alive; doc
-//!   comments, doctests and strings never do.
+//!   Pass 1 indexes how every file mentions each identifier. A use
+//!   counts only where the item can be meant: in a file whose package
+//!   is the item's own or depends on it (`fleetbench/` included), not at
+//!   a definition site, and not in a `pub use` of its own crate. An
+//!   inherent method is used only where it is called or named by path,
+//!   never by a field or local of the same name. Doc comments,
+//!   doctests and strings never count.
 //!
 //! Diagnostics are machine-readable flat JSON (the same record shape
 //! `perf_gate` diffs — see [`report::render_json`]) and suppressible
@@ -58,4 +62,5 @@ pub mod workspace;
 pub use rules::{analyze_file, Diagnostic, FileContext, Index, Rule};
 pub use workspace::{
     analyze_sources, analyze_workspace, context_for, find_workspace_root, read_sources, Analysis,
+    Packages,
 };

@@ -8,7 +8,7 @@
 //! | `undocumented-unsafe` | every `unsafe` justified; `#[target_feature]` kernels only reached behind runtime detection | UB has no runtime gate — this is the only net |
 //! | `atomic-ordering` | every atomic `Ordering::` choice justified | worker-count `report_checksum` equality gate |
 //! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any workers × lanes × chunk |
-//! | `dead-pub` | every bare-`pub` library item is named in code somewhere other than its own definition, its own `impl` blocks and `#[cfg(test)]` code | none — the compiler's dead-code lint stops at `pub` |
+//! | `dead-pub` | every bare-`pub` library item is used in code somewhere other than its own definition, its own `impl` blocks, `#[cfg(test)]` code, its crate's own `pub use` re-exports and crates that cannot name it | none — the compiler's dead-code lint stops at `pub` |
 //!
 //! Diagnostics are suppressible only via an inline
 //! `// bist-lint: allow(<rule>) — <reason>` marker (same line or the
@@ -108,6 +108,12 @@ pub struct FileContext {
     /// and the API-mirroring `crates/compat/`): the `dead-pub` rule
     /// applies.
     pub library: bool,
+    /// The package that owns the file (its manifest's `name`).
+    pub krate: String,
+    /// The packages its manifest lists as dependencies or
+    /// dev-dependencies: besides its own, the only packages whose items
+    /// the file can name.
+    pub deps: Vec<String>,
 }
 
 /// Per-file tallies folded into the workspace report.
@@ -171,37 +177,118 @@ pub struct Index {
     /// Names of the `#[target_feature]` functions declared anywhere, so
     /// a call site in any file is checked against the full set.
     pub kernels: BTreeSet<String>,
-    /// How many files name each identifier in their code channel, so
-    /// `dead-pub` can ask whether any file but an item's own does.
-    pub(crate) ident_files: BTreeMap<String, usize>,
+    /// Every indexed file's path, package and dependencies.
+    files: Vec<FileContext>,
+    /// For each identifier, the files that mention it (indices into
+    /// `files`) and their strongest mention, so `dead-pub` can ask
+    /// whether any file but an item's own uses it.
+    mentions: BTreeMap<String, Vec<(usize, Mention)>>,
 }
 
 impl Index {
-    /// Builds the index over every source of the analysis.
-    pub fn build<'a>(sources: impl IntoIterator<Item = &'a str>) -> Self {
+    /// Builds the index over every source of the analysis, each with
+    /// the context of its file.
+    pub fn build<'a>(sources: impl IntoIterator<Item = (&'a FileContext, &'a str)>) -> Self {
         let mut index = Index::default();
-        for src in sources {
+        for (ctx, src) in sources {
             let lines = lex(src);
             let st = Structure::build(&lines);
             let kernels = st.fns.iter().filter(|f| f.target_feature);
             index.kernels.extend(kernels.map(|f| f.name.clone()));
-            for ident in file_idents(&lines) {
-                *index.ident_files.entry(ident.to_owned()).or_default() += 1;
+            let mut strongest: BTreeMap<&str, Mention> = BTreeMap::new();
+            for (_, name, how) in mentions(&lines) {
+                let m = strongest.entry(name).or_insert(how);
+                *m = (*m).max(how);
             }
+            for (name, how) in strongest {
+                let files = index.mentions.entry(name.to_owned()).or_default();
+                files.push((index.files.len(), how));
+            }
+            index.files.push(ctx.clone());
         }
         index
     }
 }
 
-/// Identifier tokens on one line's code channel.
-fn idents(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !is_ident_char(c))
-        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+/// How code mentions an identifier, weakest first. A definition site
+/// (`fn NAME`, `struct NAME`, …) is no mention at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Mention {
+    /// Inside a `pub use` re-export: a use only from another crate.
+    Reexport,
+    /// Named anywhere else: a use of any item but an inherent method,
+    /// whose name a field, local or parameter can share.
+    Named,
+    /// Called or named by path (`.name(`, `.name::<`, `::name`): a use
+    /// of any item.
+    Called,
 }
 
-/// The distinct identifiers a file names in code.
-fn file_idents(lines: &[LexedLine]) -> BTreeSet<&str> {
-    lines.iter().flat_map(|l| idents(&l.code)).collect()
+/// Keywords whose next identifier is being defined, not used.
+const DEF_KEYWORDS: [&str; 9] = [
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+];
+
+/// The code channel as tokens: identifier-character runs and single
+/// punctuation characters, whitespace dropped.
+fn tokens(code: &str) -> impl Iterator<Item = &str> {
+    let mut rest = code;
+    std::iter::from_fn(move || {
+        rest = rest.trim_start();
+        let first = rest.chars().next()?;
+        let len = if is_ident_char(first) {
+            rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len())
+        } else {
+            first.len_utf8()
+        };
+        let (tok, tail) = rest.split_at(len);
+        rest = tail;
+        Some(tok)
+    })
+}
+
+/// Every identifier a file mentions in code, with its 0-based line and
+/// how it is mentioned. Definition sites are left out.
+fn mentions(lines: &[LexedLine]) -> Vec<(usize, &str, Mention)> {
+    let toks: Vec<(usize, &str)> = lines
+        .iter()
+        .enumerate()
+        .flat_map(|(li, l)| tokens(&l.code).map(move |t| (li, t)))
+        .collect();
+    let at = |i: usize| toks.get(i).map_or("", |t| t.1);
+    let before = |i: usize, k: usize| i.checked_sub(k).map_or("", at);
+    let mut out = Vec::new();
+    let mut reexport = false;
+    for (i, &(li, tok)) in toks.iter().enumerate() {
+        match tok {
+            ";" => reexport = false,
+            // `pub use` and `pub(crate) use`.
+            "use" => {
+                reexport = before(i, 1) == "pub"
+                    || before(i, 1) == ")" && before(i, 3) == "(" && before(i, 4) == "pub";
+            }
+            _ => {}
+        }
+        if !tok.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+            continue;
+        }
+        // `'static` is a lifetime and `*const` a pointer, not a definition.
+        let keyword = before(i, 1);
+        if DEF_KEYWORDS.contains(&keyword) && !matches!(before(i, 2), "'" | "*") {
+            continue;
+        }
+        let path = keyword == ":" && before(i, 2) == ":";
+        let call = keyword == "." && (at(i + 1) == "(" || at(i + 1) == ":" && at(i + 2) == ":");
+        let how = if reexport {
+            Mention::Reexport
+        } else if path || call {
+            Mention::Called
+        } else {
+            Mention::Named
+        };
+        out.push((li, tok, how));
+    }
+    out
 }
 
 /// Analyzes one file under `ctx` against every rule, returning the
@@ -560,19 +647,34 @@ fn check_dead_pub(
     if !ctx.library {
         return;
     }
-    let here = file_idents(lines);
+    let here = mentions(lines);
     for item in &st.pub_items {
         if st.in_cfg_test(item.line) {
             continue;
         }
         stats.pub_items += 1;
         let name = item.name.as_str();
-        let files = index.ident_files.get(name).copied().unwrap_or(0);
-        if files > usize::from(here.contains(name)) {
+        // A field, local or parameter can share an inherent method's
+        // name, so only a call or a path uses one.
+        let method = item.owner.is_some();
+        let need = |same_crate: bool| match (method, same_crate) {
+            (true, _) => Mention::Called,
+            (false, true) => Mention::Named,
+            (false, false) => Mention::Reexport,
+        };
+        let mut elsewhere = index.mentions.get(name).into_iter().flatten();
+        let used_elsewhere = elsewhere.any(|&(f, how)| {
+            let file = &index.files[f];
+            let same_crate = file.krate == ctx.krate;
+            file.path != ctx.path
+                && (same_crate || file.deps.contains(&ctx.krate))
+                && how >= need(same_crate)
+        });
+        if used_elsewhere {
             continue;
         }
         // A type's own `impl` blocks name it without using it.
-        let is_type = item.owner.is_none() && item.kind != "fn";
+        let is_type = !method && item.kind != "fn";
         let excluded = |li: usize| {
             (item.line..=item.end).contains(&li)
                 || st.in_cfg_test(li)
@@ -582,10 +684,9 @@ fn check_dead_pub(
                         .iter()
                         .any(|b| b.self_ty == name && (b.start..=b.end).contains(&li))
         };
-        let used_here = lines
+        let used_here = here
             .iter()
-            .enumerate()
-            .any(|(li, l)| !excluded(li) && idents(&l.code).any(|w| w == name));
+            .any(|&(li, w, how)| w == name && how >= need(true) && !excluded(li));
         if !used_here {
             let path = match &item.owner {
                 Some(owner) => format!("{owner}::{name}"),
@@ -598,7 +699,7 @@ fn check_dead_pub(
                 item.line,
                 Rule::DeadPub,
                 format!(
-                    "`pub {} {path}` is named nowhere outside its own definition, impl \
+                    "`pub {} {path}` is used nowhere outside its own definition, impl \
                      blocks and `#[cfg(test)]` code",
                     item.kind
                 ),
@@ -618,11 +719,12 @@ mod tests {
             test_code: false,
             rng_seam: false,
             library: true,
+            ..FileContext::default()
         }
     }
 
     fn run(src: &str, ctx: &FileContext) -> Vec<Diagnostic> {
-        analyze_file(src, ctx, &Index::build([src])).0
+        analyze_file(src, ctx, &Index::build([(ctx, src)])).0
     }
 
     #[test]

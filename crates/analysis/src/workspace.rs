@@ -1,7 +1,8 @@
 //! Workspace walking and whole-workspace analysis: collect every `.rs`
-//! file, derive each file's [`FileContext`] from its path, run pass 1
-//! (the kernel and identifier [`Index`]) then pass 2 (all rules) and
-//! fold the tallies and per-crate line counts.
+//! file, derive each file's [`FileContext`] from its path and its
+//! package's manifest, run pass 1 (the kernel and identifier [`Index`])
+//! then pass 2 (all rules) and fold the tallies and per-crate line
+//! counts.
 
 use crate::rules::{analyze_file, Diagnostic, FileContext, FileStats, Index};
 use std::collections::BTreeMap;
@@ -51,8 +52,86 @@ impl Analysis {
     }
 }
 
-/// Derives a file's rule scope from its workspace-relative path.
-pub fn context_for(rel: &str) -> FileContext {
+/// One package of the workspace, as its `Cargo.toml` declares it.
+#[derive(Debug)]
+struct Package {
+    /// Workspace-relative directory with a trailing `/`; empty for the
+    /// root package.
+    dir: String,
+    /// `[package] name`.
+    name: String,
+    /// Keys of `[dependencies]` and `[dev-dependencies]`.
+    deps: Vec<String>,
+}
+
+/// The workspace's packages: which one owns each file, and which
+/// packages that file can name.
+#[derive(Debug, Default)]
+pub struct Packages(Vec<Package>);
+
+impl Packages {
+    /// Parses `(workspace-relative manifest path, text)` pairs. Only the
+    /// package name and the dependency keys are read.
+    pub fn parse(manifests: &[(String, String)]) -> Self {
+        let mut packages = Vec::new();
+        for (rel, text) in manifests {
+            let mut section = "";
+            let mut name = None;
+            let mut deps = Vec::new();
+            for line in text.lines().map(str::trim) {
+                if let Some(header) = line.strip_prefix('[') {
+                    section = header.trim_end_matches(']');
+                    continue;
+                }
+                let Some((key, value)) = line.split_once('=') else {
+                    continue;
+                };
+                // `bist-dsp.workspace = true` depends on `bist-dsp`.
+                let key = key.split('.').next().unwrap_or("").trim().trim_matches('"');
+                match section {
+                    "package" if key == "name" => name = Some(value.trim().trim_matches('"')),
+                    "dependencies" | "dev-dependencies" => deps.push(key.to_owned()),
+                    _ => {}
+                }
+            }
+            if let Some(name) = name {
+                packages.push(Package {
+                    dir: rel.trim_end_matches("Cargo.toml").to_owned(),
+                    name: name.to_owned(),
+                    deps,
+                });
+            }
+        }
+        Packages(packages)
+    }
+
+    /// Reads and parses every `Cargo.toml` under `root`, skipping what
+    /// [`collect_files`] skips.
+    pub fn read(root: &Path) -> io::Result<Self> {
+        let mut paths = Vec::new();
+        walk(root, root, "Cargo.toml", &mut paths)?;
+        let manifests = paths
+            .into_iter()
+            .map(|rel| {
+                let text = fs::read_to_string(root.join(&rel))?;
+                Ok((rel.to_string_lossy().replace('\\', "/"), text))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(Packages::parse(&manifests))
+    }
+
+    /// The package whose directory most closely encloses `rel`.
+    fn owner(&self, rel: &str) -> Option<&Package> {
+        self.0
+            .iter()
+            .filter(|p| rel.starts_with(&p.dir))
+            .max_by_key(|p| p.dir.len())
+    }
+}
+
+/// Derives a file's rule scope from its workspace-relative path and the
+/// package that owns it.
+pub fn context_for(rel: &str, packages: &Packages) -> FileContext {
     let test_code = rel
         .split('/')
         .any(|c| c == "tests" || c == "benches" || c == "examples");
@@ -60,12 +139,15 @@ pub fn context_for(rel: &str) -> FileContext {
     let library = matches!(parts[..], ["crates", krate, "src", ..] if krate != "compat")
         && !parts.contains(&"bin")
         && !rel.ends_with("/main.rs");
+    let owner = packages.owner(rel);
     FileContext {
         path: rel.to_owned(),
         report_crate: !test_code && REPORT_CRATE_ROOTS.iter().any(|r| rel.starts_with(r)),
         test_code,
         rng_seam: RNG_SEAMS.contains(&rel),
         library,
+        krate: owner.map_or(String::new(), |p| p.name.clone()),
+        deps: owner.map_or(Vec::new(), |p| p.deps.clone()),
     }
 }
 
@@ -84,12 +166,13 @@ fn line_key(rel: &str) -> &str {
 /// violate the rules).
 pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    walk(root, root, &mut files)?;
+    walk(root, root, ".rs", &mut files)?;
     files.sort();
     Ok(files)
 }
 
-fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Collects the files under `dir` whose names end with `suffix`.
+fn walk(root: &Path, dir: &Path, suffix: &str, files: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -99,8 +182,8 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
             if name == "target" || name == "fixtures" || name.starts_with('.') {
                 continue;
             }
-            walk(root, &path, files)?;
-        } else if name.ends_with(".rs") {
+            walk(root, &path, suffix, files)?;
+        } else if name.ends_with(suffix) {
             files.push(path.strip_prefix(root).unwrap_or(&path).to_path_buf());
         }
     }
@@ -121,19 +204,31 @@ pub fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
 
 /// Runs the full two-pass analysis over the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    Ok(analyze_sources(&read_sources(root)?))
+    Ok(analyze_sources(
+        &read_sources(root)?,
+        &Packages::read(root)?,
+    ))
 }
 
 /// Runs the two-pass analysis over in-memory `(relative path, source)`
-/// pairs: pass 1 indexes them all, pass 2 checks each file.
-pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
+/// pairs owned by `packages`: pass 1 indexes them all, pass 2 checks
+/// each file.
+pub fn analyze_sources(sources: &[(String, String)], packages: &Packages) -> Analysis {
+    let contexts: Vec<FileContext> = sources
+        .iter()
+        .map(|(rel, _)| context_for(rel, packages))
+        .collect();
+    let indexed = contexts
+        .iter()
+        .zip(sources)
+        .map(|(c, (_, s))| (c, s.as_str()));
     let mut analysis = Analysis {
         files_scanned: sources.len(),
-        index: Index::build(sources.iter().map(|(_, src)| src.as_str())),
+        index: Index::build(indexed),
         ..Analysis::default()
     };
-    for (rel, src) in sources {
-        let (diags, stats) = analyze_file(src, &context_for(rel), &analysis.index);
+    for (ctx, (rel, src)) in contexts.iter().zip(sources) {
+        let (diags, stats) = analyze_file(src, ctx, &analysis.index);
         analysis.diagnostics.extend(diags);
         analysis.stats.hot_regions += stats.hot_regions;
         analysis.stats.allow_markers += stats.allow_markers;
@@ -174,6 +269,7 @@ mod tests {
 
     #[test]
     fn contexts_follow_paths() {
+        let context_for = |rel: &str| context_for(rel, &Packages::default());
         let c = context_for("crates/core/src/batch.rs");
         assert!(c.report_crate && !c.test_code && !c.rng_seam);
         let c = context_for("crates/mc/src/batch.rs");
@@ -215,6 +311,29 @@ mod tests {
         assert_eq!(line_key("src/lib.rs"), "adc_bist");
         assert_eq!(line_key("tests/paper.rs"), "adc_bist");
         assert_eq!(line_key("examples/quickstart.rs"), "adc_bist");
+    }
+
+    #[test]
+    fn files_belong_to_their_nearest_manifest() {
+        let manifests = [
+            ("Cargo.toml", "[package]\nname = \"umbrella\"\n[dependencies]\nleaf.workspace = true\n[workspace.dependencies]\nleaf = { path = \"crates/leaf\" }\n"),
+            ("crates/leaf/Cargo.toml", "[package]\nname = \"leaf\"\n[dev-dependencies]\n\"tool\" = { path = \"../tool\" }\n[[bin]]\nname = \"x\"\n"),
+        ];
+        let manifests: Vec<(String, String)> = manifests
+            .iter()
+            .map(|&(p, t)| (p.to_owned(), t.to_owned()))
+            .collect();
+        let packages = Packages::parse(&manifests);
+        let c = context_for("crates/leaf/src/lib.rs", &packages);
+        assert_eq!(
+            (c.krate.as_str(), c.deps),
+            ("leaf", vec!["tool".to_owned()])
+        );
+        let c = context_for("examples/tour.rs", &packages);
+        assert_eq!(
+            (c.krate.as_str(), c.deps),
+            ("umbrella", vec!["leaf".to_owned()])
+        );
     }
 
     #[test]

@@ -14,13 +14,37 @@ fn report_ctx(path: &str) -> FileContext {
         test_code: false,
         rng_seam: false,
         library: true,
+        ..FileContext::default()
     }
 }
 
 /// Runs a fixture indexed on its own, as if it were the whole
 /// workspace, mirroring the two-pass analysis.
 fn run(src: &str, ctx: &FileContext) -> Vec<Diagnostic> {
-    analyze_file(src, ctx, &Index::build([src])).0
+    analyze_file(src, ctx, &Index::build([(ctx, src)])).0
+}
+
+/// A library file `crates/<krate>/src/<file>` of package `krate`, whose
+/// manifest lists `deps`.
+fn lib_file(krate: &str, file: &str, deps: &[&str]) -> FileContext {
+    FileContext {
+        krate: krate.to_owned(),
+        deps: deps.iter().map(|d| (*d).to_owned()).collect(),
+        ..report_ctx(&format!("crates/{krate}/src/{file}"))
+    }
+}
+
+/// Runs fixture files indexed together, as if they were the whole
+/// workspace, returning every file's `dead-pub` findings as
+/// `(path, line, message)`.
+fn dead_pub_in(files: &[(FileContext, &str)]) -> Vec<(String, usize, String)> {
+    let index = Index::build(files.iter().map(|(ctx, src)| (ctx, *src)));
+    files
+        .iter()
+        .flat_map(|(ctx, src)| analyze_file(src, ctx, &index).0)
+        .filter(|d| d.rule == Rule::DeadPub)
+        .map(|d| (d.file, d.line, d.message))
+        .collect()
 }
 
 fn flat(diags: &[Diagnostic]) -> Vec<(Rule, usize, &str)> {
@@ -202,7 +226,7 @@ fn dead_pub(line: usize, item: &str) -> (Rule, usize, String) {
         Rule::DeadPub,
         line,
         format!(
-            "`pub {item}` is named nowhere outside its own definition, impl blocks and \
+            "`pub {item}` is used nowhere outside its own definition, impl blocks and \
              `#[cfg(test)]` code"
         ),
     )
@@ -233,11 +257,137 @@ fn dead_pub_accepts_siblings_own_impl_and_other_files() {
     let src = include_str!("fixtures/dead_pub_allowed.rs");
     let ctx = report_ctx("fixtures/dead_pub_allowed.rs");
     let other = "fn main() {\n    let mut m = fixture::Meter::default();\n    m.reset();\n}\n";
-    let diags = analyze_file(src, &ctx, &Index::build([src, other])).0;
+    let other_ctx = report_ctx("fixtures/caller.rs");
+    let diags = analyze_file(src, &ctx, &Index::build([(&ctx, src), (&other_ctx, other)])).0;
     assert_eq!(flat(&diags), []);
     // Without the other file, the two items only it names fire.
     let alone: Vec<(Rule, usize)> = run(src, &ctx).iter().map(|d| (d.rule, d.line)).collect();
     assert_eq!(alone, [(Rule::DeadPub, 8), (Rule::DeadPub, 19)]);
+}
+
+fn dead_at(file: &str, line: usize, item: &str) -> (String, usize, String) {
+    let (_, line, message) = dead_pub(line, item);
+    (file.to_owned(), line, message)
+}
+
+#[test]
+fn dead_pub_ignores_its_own_crates_reexports() {
+    let lib = "pub mod fft;\npub use fft::spectrum;\n";
+    let fft = "pub fn spectrum() -> u32 {\n    1\n}\n";
+    let files = [
+        (lib_file("dsp", "lib.rs", &[]), lib),
+        (lib_file("dsp", "fft.rs", &[]), fft),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [dead_at("crates/dsp/src/fft.rs", 1, "fn spectrum")],
+        "a `pub use` in the item's own crate only re-exports it"
+    );
+    // Another crate that depends on it may re-export it: that is a use.
+    let facade = "pub use dsp::fft::spectrum;\n";
+    let files = [
+        files[0].clone(),
+        files[1].clone(),
+        (lib_file("umbrella", "lib.rs", &["dsp"]), facade),
+    ];
+    assert_eq!(dead_pub_in(&files), []);
+}
+
+#[test]
+fn dead_pub_ignores_definitions_of_the_same_name() {
+    // Two configs whose same-named getters only define each other's name.
+    let flash = "pub struct Flash;\nimpl Flash {\n    pub fn sigma(&self) -> f64 {\n        1.0\n    }\n}\n";
+    let sar =
+        "pub struct Sar;\nimpl Sar {\n    pub fn sigma(&self) -> f64 {\n        2.0\n    }\n}\n";
+    let user = "fn make() -> (adc::Flash, adc::Sar) {\n    (adc::Flash, adc::Sar)\n}\n";
+    let files = [
+        (lib_file("adc", "flash.rs", &[]), flash),
+        (lib_file("adc", "sar.rs", &[]), sar),
+        (lib_file("core", "make.rs", &["adc"]), user),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [
+            dead_at("crates/adc/src/flash.rs", 3, "fn Flash::sigma"),
+            dead_at("crates/adc/src/sar.rs", 3, "fn Sar::sigma"),
+        ]
+    );
+    // The same holds for free items: `fn helper` is no use of `helper`.
+    let a = "pub fn helper() {}\n";
+    let b = "pub fn helper() {}\n";
+    let files = [
+        (lib_file("adc", "a.rs", &[]), a),
+        (lib_file("adc", "b.rs", &[]), b),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [
+            dead_at("crates/adc/src/a.rs", 1, "fn helper"),
+            dead_at("crates/adc/src/b.rs", 1, "fn helper"),
+        ]
+    );
+}
+
+#[test]
+fn dead_pub_counts_a_method_only_where_it_is_called_or_pathed() {
+    let wave = "pub struct Wave;\nimpl Wave {\n    pub fn full_scale(&self) -> f64 {\n        1.0\n    }\n}\n";
+    // A field, a parameter and a local of the method's name.
+    let plan = "pub struct Plan {\n    pub full_scale: f64,\n}\n\
+                fn span(p: &Plan, w: adc::Wave, full_scale: bool) -> f64 {\n\
+                \x20   let _ = (w, full_scale);\n    p.full_scale\n}\n";
+    let files = [
+        (lib_file("adc", "signal.rs", &[]), wave),
+        (lib_file("core", "plan.rs", &["adc"]), plan),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [dead_at(
+            "crates/adc/src/signal.rs",
+            3,
+            "fn Wave::full_scale"
+        )]
+    );
+    for caller in [
+        "w.full_scale()",
+        "adc::Wave::full_scale(&w)",
+        "[w].map(Wave::full_scale)",
+    ] {
+        let call = format!("fn f(w: adc::Wave) {{\n    let _ = {caller};\n}}\n");
+        let call = (lib_file("core", "call.rs", &["adc"]), call.as_str());
+        let files = [files[0].clone(), files[1].clone(), call];
+        assert_eq!(dead_pub_in(&files), [], "{caller}");
+    }
+}
+
+#[test]
+fn dead_pub_counts_only_crates_that_can_name_the_item() {
+    let stats = "pub fn percentile(v: &[f64]) -> f64 {\n    v[0]\n}\n";
+    // A bench crate with its own `stats::percentile`, and no dependency
+    // on the library's crate.
+    let bench = "mod stats {\n    pub fn percentile(v: &[f64]) -> f64 {\n        v[0]\n    }\n}\n\
+                 pub fn p50(v: &[f64]) -> f64 {\n    stats::percentile(v)\n}\n";
+    let bench_ctx = FileContext {
+        path: "fleetbench/src/main.rs".to_owned(),
+        krate: "fleetbench".to_owned(),
+        deps: vec!["core".to_owned()],
+        library: false,
+        ..FileContext::default()
+    };
+    let files = [
+        (lib_file("dsp", "stats.rs", &[]), stats),
+        (bench_ctx.clone(), bench),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [dead_at("crates/dsp/src/stats.rs", 1, "fn percentile")]
+    );
+    // A crate that lists it as a dev-dependency can call it.
+    let dev = FileContext {
+        deps: vec!["core".to_owned(), "dsp".to_owned()],
+        ..bench_ctx
+    };
+    let files = [files[0].clone(), (dev, bench)];
+    assert_eq!(dead_pub_in(&files), []);
 }
 
 #[test]

@@ -9,7 +9,8 @@
 use bist_analysis::lexer::lex;
 use bist_analysis::structure::Structure;
 use bist_analysis::{
-    analyze_sources, analyze_workspace, find_workspace_root, read_sources, Diagnostic, Rule,
+    analyze_sources, analyze_workspace, find_workspace_root, read_sources, Diagnostic, Packages,
+    Rule,
 };
 use std::path::{Path, PathBuf};
 
@@ -29,7 +30,8 @@ fn analyze_mutated(rel: &str, mutate: impl Fn(&str) -> String) -> Vec<Diagnostic
     let mutated = mutate(src);
     assert_ne!(*src, mutated, "mutation must change {rel}");
     *src = mutated;
-    let analysis = analyze_sources(&sources);
+    let packages = Packages::read(&root()).expect("workspace manifests");
+    let analysis = analyze_sources(&sources, &packages);
     analysis
         .diagnostics
         .into_iter()

@@ -22,9 +22,11 @@
 //!   run in O(1) ([`MonitorState::skip_run`]). The replayed head of
 //!   each run keeps the deglitcher and median-filter state machines
 //!   bit-exact with the scalar path.
-//! * dynamic — the coherent sine stimulus evaluated **once** into a
-//!   shared table (at zero jitter the stimulus is device-independent)
-//!   and sorted once by value. A noiseless, unsequenced lane whose
+//! * dynamic — the coherent sine stimulus evaluated **once** per batch
+//!   into a table, planned by the batch's first zero-jitter lane (at
+//!   zero jitter the stimulus is device-independent), and sorted once by
+//!   value. A lane whose plan differs from the table's falls back to
+//!   per-sample evaluation. A noiseless, unsequenced lane whose
 //!   device states at most 255 transition levels is *coded* on install:
 //!   one walk of the table in value order against the sorted levels
 //!   yields its whole record, one byte per sample, in `[u8; 8]` rows
@@ -56,7 +58,6 @@
 //! widths and refill orders.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::backend::Backend;
 use crate::config::BistConfig;
@@ -102,19 +103,15 @@ impl<A, R> BatchDevice<A, R> {
     }
 }
 
-/// The immutable dynamic stimulus: one coherent-sine plan and its
-/// evaluated sample table.
+/// The dynamic stimulus: one coherent-sine plan and its evaluated
+/// sample table.
 ///
-/// A dynamic [`ScreenBatch`] owns a private table by default (planned
-/// lazily by the first zero-jitter lane); a worker pool plans one table
-/// up front with [`StimulusTable::plan_for`] and hands every worker's
-/// batch the same `Arc` via [`ScreenBatch::with_shared_table`], so the
-/// sine is evaluated once per *fleet* rather than once per engine.
-/// Lanes whose plan differs from the table's (or any jittered noise
-/// model) fall back to per-sample evaluation, so sharing never changes
-/// a verdict.
+/// A dynamic [`ScreenBatch`] plans its table lazily, on its first
+/// zero-jitter lane. Lanes whose plan differs from the table's (or any
+/// jittered noise model) fall back to per-sample evaluation, so the
+/// table never changes a verdict.
 #[derive(Debug, Default)]
-pub struct StimulusTable {
+struct StimulusTable {
     plan: Option<(SineWave, SamplingConfig)>,
     values: Vec<f64>,
     /// Sample indices in ascending value order — empty when a value is
@@ -123,24 +120,6 @@ pub struct StimulusTable {
 }
 
 impl StimulusTable {
-    /// Plans the table a fleet screened under `workload` can share,
-    /// keyed on the fleet's first device `adc` — the identical
-    /// expression the scalar stream evaluates, so table lanes stay
-    /// bit-exact with [`crate::dynamic`]'s engine. `None` unless the
-    /// workload is dynamic and jitter-free.
-    pub fn plan_for<A: Adc + ?Sized>(adc: &A, workload: &Workload) -> Option<Arc<Self>> {
-        let Workload::Dynamic { config, noise } = workload else {
-            return None;
-        };
-        if noise.jitter_seconds() != 0.0 {
-            return None;
-        }
-        let (sine, sampling) = plan_sine(adc, config);
-        let mut table = StimulusTable::default();
-        table.plan(sine, sampling);
-        Some(Arc::new(table))
-    }
-
     /// (Re)plans the table in place: evaluates every sample and sorts
     /// the value order coded lanes walk.
     fn plan(&mut self, sine: SineWave, sampling: SamplingConfig) {
@@ -222,26 +201,6 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
             devices: Vec::new(),
             lanes,
         }
-    }
-
-    /// Shares a pre-planned stimulus table (see
-    /// [`StimulusTable::plan_for`]) instead of letting a dynamic batch
-    /// build a private copy — the worker-pool path, where every
-    /// worker's engine reads one immutable table. A static batch has no
-    /// stimulus table and ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` was never planned.
-    pub fn with_shared_table(mut self, table: Arc<StimulusTable>) -> Self {
-        assert!(
-            table.plan.is_some(),
-            "a shared stimulus table must be planned"
-        );
-        if let LaneEngine::Dynamic(engine) = &mut self.lanes {
-            engine.table = table;
-        }
-        self
     }
 
     /// The workload every device is screened under.
@@ -757,10 +716,8 @@ struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
     /// Stimulus voltages shared by every zero-jitter lane whose plan
-    /// matches the table's — evaluated once per batch, or once per
-    /// *pool* when pre-planned and shared through
-    /// [`ScreenBatch::with_shared_table`].
-    table: Arc<StimulusTable>,
+    /// matches the table's — evaluated once per batch.
+    table: Box<StimulusTable>,
     lanes: DynLanes,
     /// Coded records, one `record_len`-row block per lane group:
     /// lane `l`'s code for sample `i` is
@@ -777,7 +734,7 @@ impl DynEngine {
         DynEngine {
             config,
             noise,
-            table: Arc::new(StimulusTable::default()),
+            table: Box::default(),
             lanes: DynLanes::default(),
             codes: Vec::new(),
             group: GroupState::new(coeff.collect()),
@@ -805,19 +762,15 @@ impl DynEngine {
 
     /// Installs a device into `lane`, planning its record and resetting
     /// the lane's resonators (allocation-free once the lane and the
-    /// shared table exist).
+    /// table exist).
     fn install<A: Adc>(&mut self, lane: usize, adc: &A, sequencer: Option<SequencerConfig>) {
         let (sine, sampling) = plan_sine(adc, &self.config);
         let jitter_free = self.noise.jitter_seconds() == 0.0;
         if jitter_free && self.table.plan.is_none() {
-            // First zero-jitter lane establishes the shared stimulus
+            // First zero-jitter lane establishes the batch's stimulus
             // table: the identical expression the scalar stream
-            // evaluates, so table lanes stay bit-exact. An unplanned
-            // table is always privately owned (`with_shared_table`
-            // only accepts planned ones), so it is built in place.
-            Arc::get_mut(&mut self.table)
-                .expect("unplanned tables are never shared")
-                .plan(sine, sampling);
+            // evaluates, so table lanes stay bit-exact.
+            self.table.plan(sine, sampling);
         }
         let use_table = jitter_free && self.table.plan == Some((sine, sampling));
         // A noiseless, unsequenced table lane whose codes fit a byte is

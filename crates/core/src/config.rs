@@ -122,7 +122,6 @@ pub struct BistConfigBuilder {
     spec: LinearitySpec,
     counter_bits: u32,
     delta_s: Option<Lsb>,
-    inl_from_spec: bool,
     deglitch: bool,
     monitored_bit: u32,
 }
@@ -137,7 +136,6 @@ impl BistConfig {
             spec,
             counter_bits: 4,
             delta_s: None,
-            inl_from_spec: true,
             deglitch: false,
             monitored_bit: 0,
         }
@@ -168,7 +166,7 @@ impl BistConfig {
         &self.limits
     }
 
-    /// The INL window in counter units, if INL checking is enabled.
+    /// The INL window in counter units, if the spec carries an INL limit.
     pub fn inl_limit_counts(&self) -> Option<u64> {
         self.inl_limit_counts
     }
@@ -229,13 +227,6 @@ impl BistConfigBuilder {
         self
     }
 
-    /// Enables or disables INL window checking (enabled by default when
-    /// the spec carries an INL limit).
-    pub fn check_inl(mut self, enable: bool) -> Self {
-        self.inl_from_spec = enable;
-        self
-    }
-
     /// Inserts the majority-vote deglitcher in the monitored-bit path.
     pub fn deglitch(mut self, enable: bool) -> Self {
         self.deglitch = enable;
@@ -261,13 +252,10 @@ impl BistConfigBuilder {
             .unwrap_or_else(|| plan_delta_s(&self.spec, self.counter_bits));
         let limits = CountLimits::from_spec(&self.spec, delta_s.0)?;
         limits.check_counter(self.counter_bits)?;
-        let inl_limit_counts = if self.inl_from_spec {
-            self.spec
-                .inl_limit()
-                .map(|l| (l.0 / delta_s.0).floor().max(1.0) as u64)
-        } else {
-            None
-        };
+        let inl_limit_counts = self
+            .spec
+            .inl_limit()
+            .map(|l| (l.0 / delta_s.0).floor().max(1.0) as u64);
         Ok(BistConfig {
             resolution: self.resolution,
             spec: self.spec,
@@ -328,12 +316,6 @@ mod tests {
             .unwrap();
         // INL ±1 LSB at the balanced Δs = 1.5/16.5: floor(16.5/1.5) = 11.
         assert_eq!(cfg.inl_limit_counts(), Some(11));
-        let no_inl = BistConfig::builder(Resolution::SIX_BIT, spec)
-            .counter_bits(4)
-            .check_inl(false)
-            .build()
-            .unwrap();
-        assert_eq!(no_inl.inl_limit_counts(), None);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! §3 frames test quality through four conditional probabilities:
 //! `P(accept|good)`, `P(reject|good)` (type I), `P(accept|faulty)`
 //! (type II) and `P(reject|faulty)`. [`ConfusionMatrix`] accumulates the
-//! four outcomes over a batch and reports both the conditional rates the
-//! paper tabulates and the joint fractions relevant to shipped-part
-//! quality (the 10–100 ppm language of §3).
+//! four outcomes over a batch and reports the conditional rates the
+//! paper tabulates.
 
 use std::fmt;
 
@@ -124,25 +123,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Joint type I fraction `P(reject ∧ good)` over all devices.
-    pub fn type_i_joint(&self) -> Option<f64> {
-        if self.total() == 0 {
-            None
-        } else {
-            Some(self.type_i as f64 / self.total() as f64)
-        }
-    }
-
-    /// Joint type II fraction `P(accept ∧ faulty)` over all devices —
-    /// the shipped-defect (ppm) figure.
-    pub fn type_ii_joint(&self) -> Option<f64> {
-        if self.total() == 0 {
-            None
-        } else {
-            Some(self.type_ii as f64 / self.total() as f64)
-        }
-    }
-
     /// The observed yield `P(good)`.
     pub fn yield_fraction(&self) -> Option<f64> {
         if self.total() == 0 {
@@ -206,8 +186,6 @@ mod tests {
         assert_eq!(m.faulty(), 50);
         assert!((m.type_i_rate().unwrap() - 0.1).abs() < 1e-12);
         assert!((m.type_ii_rate().unwrap() - 0.1).abs() < 1e-12);
-        assert!((m.type_i_joint().unwrap() - 10.0 / 150.0).abs() < 1e-12);
-        assert!((m.type_ii_joint().unwrap() - 5.0 / 150.0).abs() < 1e-12);
         assert!((m.yield_fraction().unwrap() - 100.0 / 150.0).abs() < 1e-12);
     }
 

@@ -125,7 +125,7 @@ impl DynamicConfig {
     }
 
     /// Starts a builder for a dynamic test plan — the validating front
-    /// door for non-default harmonics, overdrive or limits (an
+    /// door for non-default harmonics or limits (an
     /// unrealisable plan surfaces as a [`ConfigError`]).
     pub fn builder(resolution: Resolution, record_len: usize, cycles: u32) -> DynamicConfigBuilder {
         DynamicConfigBuilder {
@@ -176,11 +176,6 @@ impl DynamicConfig {
     /// Harmonic orders counted as distortion.
     pub fn harmonics(&self) -> usize {
         self.harmonics
-    }
-
-    /// Relative full-scale overdrive of the stimulus.
-    pub fn overdrive(&self) -> f64 {
-        self.overdrive
     }
 
     /// The acceptance limits.
@@ -249,7 +244,6 @@ impl fmt::Display for DynamicConfig {
 /// # fn main() -> Result<(), bist_core::config::ConfigError> {
 /// let plan = DynamicConfig::builder(Resolution::SIX_BIT, 4096, 1021)
 ///     .harmonics(4)
-///     .overdrive(0.0)
 ///     .build()?;
 /// assert_eq!(plan.harmonics(), 4);
 /// # Ok(())
@@ -264,17 +258,6 @@ impl DynamicConfigBuilder {
     /// Sets the number of harmonic orders counted as distortion.
     pub fn harmonics(mut self, harmonics: usize) -> Self {
         self.config.harmonics = harmonics;
-        self
-    }
-
-    /// Sets the relative full-scale overdrive of the stimulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overdrive` is negative.
-    pub fn overdrive(mut self, overdrive: f64) -> Self {
-        assert!(overdrive >= 0.0, "overdrive must be non-negative");
-        self.config.overdrive = overdrive;
         self
     }
 

@@ -167,11 +167,6 @@ impl PriorsBank {
         self
     }
 
-    /// The unconditioned base policy.
-    pub fn base(&self) -> SequencerConfig {
-        self.base
-    }
-
     /// Accumulates observations for `arch`.
     pub fn absorb(&mut self, arch: Architecture, tally: SeqTally) {
         self.per_arch[arch.index()].merge(&tally);

@@ -14,8 +14,8 @@ use std::fmt;
 /// use bist_core::report::Table;
 ///
 /// let mut t = Table::new(&["counter", "type I", "type II"]);
-/// t.row(&["4", "0.065", "0.045"]);
-/// t.row(&["5", "0.025", "0.045"]);
+/// t.row_owned(vec!["4".into(), "0.065".into(), "0.045".into()]);
+/// t.row_owned(vec!["5".into(), "0.025".into(), "0.045".into()]);
 /// let s = t.to_string();
 /// assert!(s.contains("counter"));
 /// assert!(s.lines().count() >= 4); // header, rule, two rows
@@ -48,12 +48,12 @@ impl Table {
         self
     }
 
-    /// Appends a row.
+    /// Appends a row of already-owned cells.
     ///
     /// # Panics
     ///
     /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
+    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -61,18 +61,6 @@ impl Table {
             cells.len(),
             self.headers.len()
         );
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends a row of already-owned cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len());
         self.rows.push(cells);
         self
     }
@@ -134,10 +122,14 @@ pub fn fmt_prob(p: Option<f64>) -> String {
 mod tests {
     use super::*;
 
+    fn cells(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["a", "long-header", "b"]);
-        t.row(&["1", "2", "33333"]);
+        t.row_owned(cells(&["1", "2", "33333"]));
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -149,7 +141,7 @@ mod tests {
     #[test]
     fn title_precedes_table() {
         let mut t = Table::new(&["x"]).with_title("Table 1");
-        t.row(&["1"]);
+        t.row_owned(cells(&["1"]));
         let s = t.to_string();
         assert!(s.starts_with("Table 1\n"));
     }
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row has 1 cells, expected 2")]
     fn wrong_cell_count_panics() {
-        Table::new(&["a", "b"]).row(&["only-one"]);
+        Table::new(&["a", "b"]).row_owned(cells(&["only-one"]));
     }
 
     #[test]
@@ -170,7 +162,7 @@ mod tests {
     fn len_and_empty() {
         let mut t = Table::new(&["a"]);
         assert!(t.is_empty());
-        t.row(&["1"]).row(&["2"]);
+        t.row_owned(cells(&["1"])).row_owned(cells(&["2"]));
         assert_eq!(t.len(), 2);
     }
 

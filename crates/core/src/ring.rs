@@ -19,7 +19,8 @@
 //! taking the lock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Outcome of a non-blocking enqueue attempt — the service's
 /// backpressure contract.
@@ -88,11 +89,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current queue depth. Monitoring only: the value may be stale by
     /// the time the caller acts on it.
     pub fn len(&self) -> usize {
@@ -110,7 +106,41 @@ impl<T> Ring<T> {
     // bist-lint: hot-path — service ingest: every submission crosses this seam
     /// Attempts to queue `item` without blocking.
     pub fn try_push(&self, item: T) -> Enqueue<T> {
-        let mut state = self.state.lock().expect("ring lock");
+        let state = self.state.lock().expect("ring lock");
+        self.enqueue(state, item)
+    }
+
+    // bist-lint: hot-path — verdict delivery: workers block here instead of dropping
+    /// Queues `item`, blocking while the ring is full. Returns the item
+    /// back as `Err` if the ring is closed before space frees up.
+    pub fn push(&self, item: T) -> Result<(), T> {
+        let state = self.state.lock().expect("ring lock");
+        let state = self
+            .not_full
+            .wait_while(state, |s| !s.closed && s.len == self.capacity)
+            .expect("ring lock");
+        match self.enqueue(state, item) {
+            Enqueue::Accepted => Ok(()),
+            Enqueue::Busy(item) | Enqueue::Closed(item) => Err(item),
+        }
+    }
+
+    // bist-lint: hot-path — verdict delivery to a TCP session
+    /// Queues `item`, blocking while the ring is full for at most
+    /// `timeout`: [`Enqueue::Busy`] hands it back when the ring is still
+    /// full by then, [`Enqueue::Closed`] when the ring closed first.
+    pub fn push_timeout(&self, item: T, timeout: Duration) -> Enqueue<T> {
+        let state = self.state.lock().expect("ring lock");
+        let (state, _) = self
+            .not_full
+            .wait_timeout_while(state, timeout, |s| !s.closed && s.len == self.capacity)
+            .expect("ring lock");
+        self.enqueue(state, item)
+    }
+
+    /// Queues `item` under the held lock unless the ring is closed or
+    /// full.
+    fn enqueue(&self, mut state: MutexGuard<'_, RingState<T>>, item: T) -> Enqueue<T> {
         if state.closed {
             return Enqueue::Closed(item);
         }
@@ -126,30 +156,6 @@ impl<T> Ring<T> {
         drop(state);
         self.not_empty.notify_one();
         Enqueue::Accepted
-    }
-
-    // bist-lint: hot-path — verdict delivery: workers block here instead of dropping
-    /// Queues `item`, blocking while the ring is full. Returns the item
-    /// back as `Err` if the ring is closed before space frees up.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("ring lock");
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.len < self.capacity {
-                let tail = (state.head + state.len) % self.capacity;
-                state.slots[tail] = Some(item);
-                state.len += 1;
-                // ORDERING: Relaxed — depth mirror for telemetry only;
-                // the mutex orders the queue contents themselves.
-                self.depth.store(state.len, Ordering::Relaxed);
-                drop(state);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).expect("ring lock");
-        }
     }
 
     // bist-lint: hot-path — worker claim loop: every queued item leaves through here
@@ -228,6 +234,16 @@ mod tests {
         assert_eq!(ring.try_pop(), Some(3));
         assert_eq!(ring.try_pop(), None);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn push_timeout_hands_back_on_a_full_or_closed_ring() {
+        let ring = Ring::with_capacity(1);
+        let wait = Duration::from_millis(5);
+        assert!(ring.push_timeout(1, wait).is_accepted());
+        assert!(matches!(ring.push_timeout(2, wait), Enqueue::Busy(2)));
+        ring.close();
+        assert!(matches!(ring.push_timeout(3, wait), Enqueue::Closed(3)));
     }
 
     #[test]

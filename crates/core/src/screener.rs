@@ -16,15 +16,14 @@
 //! scalar-wise — same reports, ordered by device index, either way.
 //! With [`Screener::workers`] the fleet is additionally sharded across
 //! the scoped worker pool of [`crate::pool`], each worker owning a
-//! reusable batch and claiming small device chunks from a shared queue
-//! — reports stay bit-identical for any worker count.
+//! reusable batch (which plans its own dynamic stimulus table) and
+//! claiming small device chunks from a shared queue — reports stay
+//! bit-identical for any worker count.
 //! [`Screener::screen_one`] is the scalar single-device path, leaving
 //! per-code detail in the screener's [`Scratch`] for inspection.
 
-use std::sync::Arc;
-
 use crate::backend::{Backend, BehavioralBackend};
-use crate::batch::{BatchDevice, ScreenBatch, StimulusTable, DEFAULT_LANE_WIDTH};
+use crate::batch::{BatchDevice, ScreenBatch, DEFAULT_LANE_WIDTH};
 use crate::config::BistConfig;
 use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
@@ -33,6 +32,7 @@ use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, S
 use crate::shard::JobKind;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::stream::CodeStream;
+use bist_adc::types::Resolution;
 use bist_adc::Adc;
 use rand::RngCore;
 
@@ -92,6 +92,14 @@ impl Workload {
         match self {
             Workload::Static { .. } => JobKind::Static,
             Workload::Dynamic { .. } => JobKind::Dynamic,
+        }
+    }
+
+    /// The converter resolution this workload's test is planned for.
+    pub fn resolution(&self) -> Resolution {
+        match self {
+            Workload::Static { config, .. } => config.resolution(),
+            Workload::Dynamic { config, .. } => config.resolution(),
         }
     }
 
@@ -318,8 +326,8 @@ impl<B: Backend> Screener<B> {
     /// [`BehavioralBackend`] and [`crate::backend::RtlBackend`]
     /// default to exactly their `new` state, so verdicts don't depend
     /// on which worker (or the single-threaded path) screened a
-    /// device. On the dynamic workload the sine table is planned once
-    /// and shared immutably by every worker.
+    /// device. On the dynamic workload each worker's batch plans its
+    /// own sine table from its first device.
     pub fn run_into<A, R, I>(&mut self, devices: I, out: &mut Vec<ScreenReport>)
     where
         A: Adc + Send,
@@ -328,24 +336,11 @@ impl<B: Backend> Screener<B> {
         B: Default,
     {
         let (workload, sequencer, lane_width) = (self.workload, self.sequencer, self.lane_width);
-        let mut fleet = devices
+        let fleet = devices
             .into_iter()
             .enumerate()
-            .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng))
-            .peekable();
-        // A dynamic fleet plans its sine once, keyed on the first device
-        // (lanes whose plan differs fall back bit-exactly to per-sample
-        // evaluation), so every worker reads one immutable table.
-        let shared = fleet
-            .peek()
-            .and_then(|d| StimulusTable::plan_for(&d.adc, &workload));
-        let make_batch = || {
-            let batch = ScreenBatch::new(workload, sequencer, lane_width);
-            match &shared {
-                Some(table) => batch.with_shared_table(Arc::clone(table)),
-                None => batch,
-            }
-        };
+            .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
+        let make_batch = || ScreenBatch::new(workload, sequencer, lane_width);
         let reports = pool::run_pool(
             fleet,
             self.workers,

@@ -127,7 +127,23 @@ impl fmt::Display for SeqDecision {
     }
 }
 
-/// The early-stop policy: drift budgets and checkpoint cadence.
+/// The early-stop policy: drift budgets and checkpoint cadence, checked
+/// by [`validate`](SequencerConfig::validate).
+///
+/// # Examples
+///
+/// ```
+/// use bist_core::sequencer::SequencerConfig;
+///
+/// let policy = SequencerConfig {
+///     alpha: 1e-4,
+///     min_samples: 512,
+///     ..SequencerConfig::default()
+/// };
+/// assert!(policy.validate().is_ok());
+/// let bad = SequencerConfig { alpha: 2.0, ..policy };
+/// assert!(bad.validate().is_err());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequencerConfig {
     /// Type I drift budget: the allowed probability (per device) that
@@ -158,14 +174,6 @@ impl Default for SequencerConfig {
 }
 
 impl SequencerConfig {
-    /// Starts a builder at the default policy — the validating
-    /// counterpart of struct-literal construction.
-    pub fn builder() -> SequencerConfigBuilder {
-        SequencerConfigBuilder {
-            config: SequencerConfig::default(),
-        }
-    }
-
     /// Validates the policy.
     ///
     /// # Errors
@@ -192,66 +200,6 @@ impl SequencerConfig {
     /// range for the normal quantile).
     fn per_look(total: f64, looks: u64) -> f64 {
         (total / looks.max(1) as f64).clamp(1e-12, 0.5)
-    }
-}
-
-/// Builder for [`SequencerConfig`]: the same knobs, validated at
-/// [`build`](SequencerConfigBuilder::build) through the shared
-/// [`ConfigError`].
-///
-/// # Examples
-///
-/// ```
-/// use bist_core::sequencer::SequencerConfig;
-///
-/// # fn main() -> Result<(), bist_core::config::ConfigError> {
-/// let policy = SequencerConfig::builder()
-///     .alpha(1e-4)
-///     .min_samples(512)
-///     .build()?;
-/// assert_eq!(policy.min_samples, 512);
-/// assert!(SequencerConfig::builder().alpha(2.0).build().is_err());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SequencerConfigBuilder {
-    config: SequencerConfig,
-}
-
-impl SequencerConfigBuilder {
-    /// Sets the type I drift budget.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Sets the type II drift budget.
-    pub fn beta(mut self, beta: f64) -> Self {
-        self.config.beta = beta;
-        self
-    }
-
-    /// Sets the evidence floor before any decision.
-    pub fn min_samples(mut self, min_samples: u64) -> Self {
-        self.config.min_samples = min_samples;
-        self
-    }
-
-    /// Sets the checkpoint spacing in samples.
-    pub fn check_interval(mut self, check_interval: u64) -> Self {
-        self.config.check_interval = check_interval;
-        self
-    }
-
-    /// Builds and validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when a knob is out of range.
-    pub fn build(self) -> Result<SequencerConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 

@@ -27,9 +27,24 @@ use rand::{Rng, SeedableRng};
 /// are a pure function of `seed`, so scalar and batched runs screen
 /// identical populations.
 fn fleet(seed: u64, n: usize) -> Vec<FlashAdc> {
-    let cfg = FlashConfig::paper_device();
+    two_range_fleet(seed, n, 0)
+}
+
+/// [`fleet`], with device `i` moved to the input range −3.2..3.2 V when
+/// bit `i % 16` of `shifted` is set. Its sine plan then differs from a
+/// stimulus table planned by a device of the paper range, and the other
+/// way round.
+fn two_range_fleet(seed: u64, n: usize, shifted: u16) -> Vec<FlashAdc> {
+    let paper = FlashConfig::paper_device();
+    let moved =
+        FlashConfig::new(Resolution::SIX_BIT, Volts(-3.2), Volts(3.2)).with_width_sigma_lsb(0.21);
     (0..n)
         .map(|i| {
+            let cfg = if shifted >> (i % 16) & 1 == 1 {
+                &moved
+            } else {
+                &paper
+            };
             cfg.sample(&mut StdRng::seed_from_u64(
                 seed ^ (i as u64).wrapping_mul(0x9e37),
             ))
@@ -240,8 +255,9 @@ proptest! {
     /// Worker pool: sharding the fleet across a work-stealing pool of
     /// any size, with any chunk size and lane width, on either workload
     /// with or without a sequencer, through either backend's batch
-    /// seam, is bit-exact to that backend's scalar engine — which
-    /// worker screens a device cannot change its report.
+    /// seam, over a fleet split across two input ranges, is bit-exact
+    /// to that backend's scalar engine — which worker screens a device
+    /// cannot change its report.
     #[test]
     fn pooled_matches_scalar_for_any_worker_count(
         seed in any::<u64>(),
@@ -252,8 +268,12 @@ proptest! {
         sequenced in any::<bool>(),
         dynamic in any::<bool>(),
         rtl in any::<bool>(),
+        shifted in any::<u16>(),
     ) {
-        let devices = fleet(seed, n);
+        // Two input ranges: a worker's batch plans its stimulus table
+        // from its first device, and lanes of the other range fall back
+        // to per-sample evaluation.
+        let devices = two_range_fleet(seed, n, shifted);
         let workload = if dynamic {
             Workload::dynamic_sine(dyn_config())
         } else {

@@ -85,12 +85,6 @@ impl Complex64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// The argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -270,7 +264,7 @@ mod tests {
     fn polar_round_trip() {
         let z = Complex64::from_polar(2.5, 0.7);
         assert!((z.abs() - 2.5).abs() < EPS);
-        assert!((z.arg() - 0.7).abs() < EPS);
+        assert!((z.im.atan2(z.re) - 0.7).abs() < EPS);
     }
 
     #[test]

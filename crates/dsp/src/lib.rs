@@ -56,7 +56,7 @@ pub mod stats;
 pub mod window;
 
 pub use complex::Complex64;
-pub use fft::{fft_in_place, fft_real, ifft_in_place, magnitude_spectrum};
+pub use fft::{fft_in_place, fft_real, ifft_in_place};
 pub use goertzel::{harmonic_plan, Goertzel, GoertzelBank, HarmonicPlan, ToneMetrics, TonePowers};
 pub use spectrum::{analyze_tone, SpectralAnalysis, ToneAnalysisConfig};
 pub use window::Window;

@@ -1,5 +1,5 @@
 //! Descriptive statistics used throughout the reproduction: running
-//! moments (Welford), histograms, percentiles and sample correlation.
+//! moments (Welford), histograms and sample correlation.
 //!
 //! The paper's verification hinges on code-width statistics: the standard
 //! deviation (0.16–0.21 LSB from circuit simulation) and the inter-code
@@ -208,34 +208,6 @@ pub fn mean_pairwise_correlation(samples: &[Vec<f64>]) -> f64 {
     (off_diag_cov_total / pairs) / mean_var
 }
 
-/// Linear-interpolated percentile (`p` in `[0, 100]`) of unsorted data.
-///
-/// # Panics
-///
-/// Panics if `data` is empty or `p` is outside `[0, 100]`.
-///
-/// # Examples
-///
-/// ```
-/// let data = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(bist_dsp::stats::percentile(&data, 50.0), 2.5);
-/// ```
-pub fn percentile(data: &[f64], p: f64) -> f64 {
-    assert!(!data.is_empty(), "percentile of empty data");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of [0,100]");
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("data must not contain NaN"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
 /// A fixed-bin histogram over `[lo, hi)` with out-of-range counters.
 ///
 /// # Examples
@@ -246,10 +218,9 @@ pub fn percentile(data: &[f64], p: f64) -> f64 {
 /// let mut h = Histogram::new(0.0, 1.0, 10);
 /// h.record(0.05);
 /// h.record(0.95);
-/// h.record(2.0); // overflow
+/// h.record(2.0); // overflow: counted in the total only
 /// assert_eq!(h.counts()[0], 1);
 /// assert_eq!(h.counts()[9], 1);
-/// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,16 +276,6 @@ impl Histogram {
     /// All bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Number of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Total number of recorded observations, including out-of-range.
@@ -440,20 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_interpolates() {
-        let data = [10.0, 20.0, 30.0];
-        assert_eq!(percentile(&data, 0.0), 10.0);
-        assert_eq!(percentile(&data, 100.0), 30.0);
-        assert_eq!(percentile(&data, 25.0), 15.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_empty_panics() {
-        percentile(&[], 50.0);
-    }
-
-    #[test]
     fn histogram_bins_and_edges() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         h.record(0.0); // lowest edge inclusive
@@ -462,8 +409,8 @@ mod tests {
         h.record(-0.001); // underflow
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.total(), 4);
     }
 

@@ -142,11 +142,6 @@ impl Lfsr {
         self.state = Bus::truncate(self.state.width(), next);
         self.state
     }
-
-    /// The current state.
-    pub fn state(&self) -> Bus {
-        self.state
-    }
 }
 
 /// A multiple-input signature register (MISR) compacting a word stream.
@@ -249,12 +244,12 @@ mod tests {
         // x^6 + x^5 + 1: taps at stages 5 and 4 → period 63 (the
         // paper's 6-bit world).
         let mut lfsr = Lfsr::new(6, 0b110000, 1);
-        let start = lfsr.state().value();
+        let start = lfsr.state.value();
         let mut period = 0;
         loop {
             lfsr.tick();
             period += 1;
-            if lfsr.state().value() == start {
+            if lfsr.state.value() == start {
                 break;
             }
             assert!(period <= 64, "no repeat found");

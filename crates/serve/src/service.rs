@@ -12,7 +12,9 @@
 //! Every queue is a bounded [`Ring`], so overload surfaces as
 //! [`Enqueue::Busy`] at the front door (the submission handed back,
 //! never dropped) and a slow verdict consumer backpressures the
-//! workers (they block pushing, never buffer unboundedly). Workers are
+//! workers (they block pushing, never buffer unboundedly). A TCP
+//! session that stops reading is evicted after a fixed deadline, so it
+//! cannot park the workers. Workers are
 //! plain threads, each owning a [`ResidentShard`] whose batch engines
 //! stay warm between bursts — the steady state allocates nothing.
 //! Verdicts are tagged with submission ids, and because every engine
@@ -22,7 +24,7 @@
 //! [`Screener::run`](bist_core::screener::Screener::run) would emit.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,6 +42,10 @@ use rand::rngs::StdRng;
 
 use crate::protocol::{self, AckStatus, ClientFrame, ServerFrame};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
+
+/// How long a worker waits on a TCP session whose event ring stays
+/// full before it evicts the session: its client has stopped reading.
+const SLOW_SESSION_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Builds the device RNG for a submission seed — the service-side
 /// mirror of what a caller must use to reproduce a verdict with
@@ -239,17 +245,25 @@ enum Reply {
 impl Reply {
     /// Delivers one verdict, blocking on a full ring (backpressure) —
     /// a closed ring means the consumer is gone, so the verdict is
-    /// released (the device *was* screened; nobody is listening).
-    fn deliver(&self, verdict: ShardVerdict) {
+    /// released (the device *was* screened; nobody is listening). A
+    /// TCP session whose ring stays full past
+    /// [`SLOW_SESSION_DEADLINE`] is evicted, so a client that never
+    /// reads cannot park the worker.
+    fn deliver(&self, verdict: ShardVerdict, telemetry: &Telemetry) {
         match self {
             Reply::Local(ring) => {
                 let _ = ring.push(verdict);
             }
             Reply::Session(session) => {
-                if session.events.push(SessionEvent::Verdict(verdict)).is_ok() {
-                    // ORDERING: Relaxed — telemetry gauge only; the
-                    // event ring's mutex orders the verdict itself.
-                    session.verdict_depth.fetch_add(1, Ordering::Relaxed);
+                let event = SessionEvent::Verdict(verdict);
+                match session.events.push_timeout(event, SLOW_SESSION_DEADLINE) {
+                    Enqueue::Accepted => {
+                        // ORDERING: Relaxed — telemetry gauge only; the
+                        // event ring's mutex orders the verdict itself.
+                        session.verdict_depth.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Enqueue::Busy(_) => session.evict(telemetry),
+                    Enqueue::Closed(_) => {}
                 }
             }
         }
@@ -288,16 +302,22 @@ struct SvcShared {
 }
 
 impl SvcShared {
-    fn accepts(&self, kind: JobKind) -> bool {
-        self.config.workloads().any(|w| w.kind() == kind)
+    /// Whether a resident workload screens `sub`: one of its kind,
+    /// planned for its device's resolution.
+    fn accepts(&self, sub: &Submission) -> bool {
+        let resolution = sub.adc.resolution();
+        self.config
+            .workloads()
+            .any(|w| w.kind() == sub.kind && w.resolution() == resolution)
     }
 
     /// The ingest seam shared by the in-process and TCP doors.
     fn submit_job(&self, sub: Submission, reply: Reply) -> Enqueue<Submission> {
         assert!(
-            self.accepts(sub.kind),
-            "service is not resident for {:?} submissions",
-            sub.kind
+            self.accepts(&sub),
+            "service is not resident for {:?} submissions of {}-bit devices",
+            sub.kind,
+            sub.adc.resolution().bits()
         );
         let rng = submission_rng(sub.seed);
         let job = Job {
@@ -373,7 +393,7 @@ fn worker_loop(
                     verdict: verdict.verdict,
                 };
                 telemetry.count_verdict(&verdict);
-                reply.deliver(verdict);
+                reply.deliver(verdict, telemetry);
             },
         );
     }
@@ -473,8 +493,8 @@ impl ServiceHandle {
     ///
     /// # Panics
     ///
-    /// Panics when the service is not resident for `sub.kind` — a
-    /// routing bug, not load.
+    /// Panics when no resident workload screens `sub.kind` at the
+    /// device's resolution — a routing bug, not load.
     pub fn submit(&self, sub: Submission) -> Enqueue<Submission> {
         self.shared
             .submit_job(sub, Reply::Local(Arc::clone(&self.verdicts)))
@@ -588,6 +608,26 @@ struct Session {
     /// separately because `events` also carries acks and telemetry,
     /// which would overstate pending verdicts.
     verdict_depth: AtomicU64,
+    /// The client socket: the writer thread's stream, shut down when
+    /// the writer ends or the session is evicted.
+    socket: TcpStream,
+    /// Whether the session was evicted.
+    evicted: AtomicBool,
+}
+
+impl Session {
+    /// Drops a session whose client stopped reading: closes its event
+    /// ring, so no worker waits on it again, and shuts its socket down,
+    /// so its reader and writer threads unblock too.
+    fn evict(&self, telemetry: &Telemetry) {
+        self.events.close();
+        let _ = self.socket.shutdown(Shutdown::Both);
+        // ORDERING: Relaxed — only picks the one caller that counts
+        // the eviction; the ring's mutex orders everything else.
+        if !self.evicted.swap(true, Ordering::Relaxed) {
+            telemetry.count_eviction();
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -611,18 +651,20 @@ fn listener_loop(listener: TcpListener, shared: Arc<SvcShared>, stop: Arc<Atomic
             break;
         }
         let Ok(stream) = conn else { continue };
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
         let session = Arc::new(Session {
             events: Ring::with_capacity(shared.config.verdict_capacity),
             expected: AtomicU64::new(u64::MAX),
             verdict_depth: AtomicU64::new(0),
+            socket,
+            evicted: AtomicBool::new(false),
         });
-        let Ok(write_half) = stream.try_clone() else {
-            continue;
-        };
         let writer_session = Arc::clone(&session);
         let writer = std::thread::Builder::new()
             .name("bist-serve-session-writer".to_owned())
-            .spawn(move || session_writer(write_half, writer_session));
+            .spawn(move || session_writer(writer_session));
         if writer.is_err() {
             continue;
         }
@@ -651,7 +693,7 @@ fn session_reader(stream: TcpStream, shared: Arc<SvcShared>, session: Arc<Sessio
         match ClientFrame::decode(bytes) {
             Ok(ClientFrame::Submit(sub)) => {
                 let id = sub.id;
-                let status = if !shared.accepts(sub.kind) {
+                let status = if !shared.accepts(&sub) {
                     AckStatus::Rejected
                 } else {
                     match shared.submit_job(sub, Reply::Session(Arc::clone(&session))) {
@@ -693,8 +735,8 @@ fn session_reader(stream: TcpStream, shared: Arc<SvcShared>, session: Arc<Sessio
 
 /// Streams session events to the client, finishing once every accepted
 /// verdict has been delivered after the reader is done.
-fn session_writer(stream: TcpStream, session: Arc<Session>) {
-    let mut writer = BufWriter::new(stream);
+fn session_writer(session: Arc<Session>) {
+    let mut writer = BufWriter::new(&session.socket);
     let mut frame = Vec::new();
     let mut delivered = 0u64;
     // Finishing is gated on having popped the Flush event itself — not
@@ -741,7 +783,11 @@ fn session_writer(stream: TcpStream, session: Arc<Session>) {
             }
         }
     }
+    drop(writer);
     // Unblocks workers still delivering to a dead session: their
-    // pushes fail fast instead of blocking forever.
+    // pushes fail fast instead of blocking forever. Workers may hold
+    // the session a while longer, so the socket is shut down here, not
+    // when its last handle drops.
     session.events.close();
+    let _ = session.socket.shutdown(Shutdown::Both);
 }

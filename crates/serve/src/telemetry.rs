@@ -36,6 +36,8 @@ pub struct Telemetry {
     static_done: AtomicU64,
     /// Completed dynamic-workload devices.
     dyn_done: AtomicU64,
+    /// TCP sessions evicted because their client stopped reading.
+    sessions_evicted: AtomicU64,
 }
 
 impl Telemetry {
@@ -51,6 +53,7 @@ impl Telemetry {
             early_stops: AtomicU64::new(0),
             static_done: AtomicU64::new(0),
             dyn_done: AtomicU64::new(0),
+            sessions_evicted: AtomicU64::new(0),
         }
     }
 
@@ -89,6 +92,12 @@ impl Telemetry {
         per_workload.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one TCP session evicted for not reading its verdicts.
+    pub fn count_eviction(&self) {
+        // ORDERING: Relaxed — monitoring counter only.
+        self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Captures the counters into an immutable snapshot. `queue_depth`
     /// and `verdict_depth` are the rings' current occupancy, passed in
     /// by the service which owns the rings.
@@ -110,6 +119,8 @@ impl Telemetry {
         let static_done = self.static_done.load(Ordering::Relaxed);
         // ORDERING: Relaxed — monitoring counter only.
         let dyn_done = self.dyn_done.load(Ordering::Relaxed);
+        // ORDERING: Relaxed — monitoring counter only.
+        let sessions_evicted = self.sessions_evicted.load(Ordering::Relaxed);
         TelemetrySnapshot {
             submitted,
             busy,
@@ -118,6 +129,7 @@ impl Telemetry {
             early_stops,
             static_done,
             dyn_done,
+            sessions_evicted,
             queue_depth,
             verdict_depth,
             uptime_seconds,
@@ -158,6 +170,8 @@ pub struct TelemetrySnapshot {
     pub static_done: u64,
     /// Completed dynamic-workload devices.
     pub dyn_done: u64,
+    /// TCP sessions evicted because their client stopped reading.
+    pub sessions_evicted: u64,
     /// Submission-queue occupancy at snapshot time.
     pub queue_depth: u64,
     /// Verdicts pending delivery to the snapshotting consumer: the
@@ -186,6 +200,7 @@ impl TelemetrySnapshot {
             ("early_stops", self.early_stops),
             ("static_done", self.static_done),
             ("dyn_done", self.dyn_done),
+            ("sessions_evicted", self.sessions_evicted),
             ("queue_depth", self.queue_depth),
             ("verdict_depth", self.verdict_depth),
         ];

@@ -5,9 +5,11 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::Duration;
 
 use bist_adc::spec::LinearitySpec;
-use bist_adc::types::Resolution;
+use bist_adc::transfer::TransferFunction;
+use bist_adc::types::{Resolution, Volts};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::screener::{Screener, Workload};
@@ -114,6 +116,12 @@ fn tcp_session_streams_reference_verdicts() {
         }
     }
     assert!(finished, "session must end with Finished");
+    // The server closes the session after `Finished`: the next read
+    // sees end of stream, not a wait.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    assert!(matches!(read_frame(&mut stream, &mut buf), Ok(None)));
     acks.sort_unstable();
     assert_eq!(acks, (0..subs.len() as u64).collect::<Vec<_>>());
     got.sort();
@@ -295,4 +303,161 @@ fn malformed_frame_closes_session_service_survives() {
     }
     assert_eq!(verdicts, 1, "the service survives a poisoned session");
     handle.shutdown();
+}
+
+/// A resident workload is planned for one resolution, so a device of
+/// any other resolution is refused at both doors instead of screened:
+/// the TCP door acks `Rejected`, the in-process door panics on the
+/// caller's thread as it does for a kind that is not resident.
+#[test]
+fn devices_of_another_resolution_are_refused() {
+    let mut handle = ServiceConfig::new()
+        .with_workload(static_workload())
+        .with_workload(dyn_workload())
+        .with_workers(1)
+        .start();
+    let addr = handle.serve_tcp(0).expect("bind localhost");
+    let ideal = |bits: u32| {
+        let resolution = Resolution::new(bits).expect("valid resolution");
+        TransferFunction::ideal(resolution, Volts(0.0), Volts(6.4))
+    };
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut expected = Vec::new();
+    let mut id = 0;
+    for kind in [JobKind::Static, JobKind::Dynamic] {
+        for bits in [1, 2, 6, 8, 10] {
+            let adc = ideal(bits);
+            let sub = Submission {
+                id,
+                kind,
+                adc,
+                seed: id,
+            };
+            send(&mut stream, &ClientFrame::Submit(sub));
+            let status = if bits == 6 {
+                AckStatus::Accepted
+            } else {
+                AckStatus::Rejected
+            };
+            expected.push((id, status));
+            id += 1;
+        }
+    }
+    send(&mut stream, &ClientFrame::Done);
+    let mut buf = Vec::new();
+    let mut statuses = Vec::new();
+    let mut verdict_ids = Vec::new();
+    while let Some(frame) = recv(&mut stream, &mut buf) {
+        match frame {
+            ServerFrame::Ack { id, status } => statuses.push((id, status)),
+            ServerFrame::Verdict(v) => verdict_ids.push(v.id),
+            ServerFrame::Telemetry(_) => {}
+            ServerFrame::Finished => break,
+        }
+    }
+    statuses.sort_by_key(|&(id, _)| id);
+    verdict_ids.sort_unstable();
+    assert_eq!(statuses, expected);
+    assert_eq!(
+        verdict_ids,
+        vec![2, 7],
+        "only the 6-bit devices are screened"
+    );
+
+    let eight_bit = Submission {
+        id: 99,
+        kind: JobKind::Static,
+        adc: ideal(8),
+        seed: 99,
+    };
+    let refused =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.submit(eight_bit)));
+    assert!(refused.is_err(), "the in-process door refuses it too");
+    handle.shutdown();
+}
+
+/// A client that floods submissions and never reads its answers fills
+/// its session's event ring. The worker delivering to it gives up after
+/// a deadline and evicts the session, so another session still reaches
+/// `Finished`.
+#[test]
+fn a_client_that_never_reads_cannot_park_the_workers() {
+    const FLOOD: u64 = 50_000;
+    const B_DEVICES: u64 = 4;
+    let mut handle = ServiceConfig::new()
+        .with_workload(static_workload())
+        .with_workers(1)
+        // Room for every flooded job, so session B is never `Busy`.
+        .with_submit_capacity(2 * FLOOD as usize)
+        .with_verdict_capacity(16)
+        .start();
+    let addr = handle.serve_tcp(0).expect("bind localhost");
+    let batch = Batch::paper_simulation(13, 64);
+    let sub = move |id: u64| Submission {
+        id,
+        kind: JobKind::Static,
+        adc: batch.device((id % 64) as usize),
+        seed: id,
+    };
+
+    // Session A: a sender thread floods; nobody reads.
+    let flood = TcpStream::connect(addr).expect("connect A");
+    let mut a = flood.try_clone().expect("clone A");
+    let subs: Vec<Submission> = (0..FLOOD).map(&sub).collect();
+    let sender = std::thread::spawn(move || {
+        let mut frame = Vec::new();
+        for s in subs {
+            frame.clear();
+            ClientFrame::Submit(s).encode(&mut frame);
+            if write_frame(&mut a, &frame).is_err() {
+                break;
+            }
+        }
+    });
+    // Wait until screening stalls: the worker is blocked on A's ring.
+    let mut last = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let done = handle.telemetry().completed;
+        if done > 0 && done == last {
+            break;
+        }
+        last = done;
+    }
+
+    // Session B: a few devices, then `Done`, read with a timeout.
+    let mut b = TcpStream::connect(addr).expect("connect B");
+    b.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    for id in 0..B_DEVICES {
+        send(&mut b, &ClientFrame::Submit(sub(id)));
+    }
+    send(&mut b, &ClientFrame::Done);
+    let mut buf = Vec::new();
+    let (mut accepted, mut verdicts, mut finished) = (0, 0, false);
+    while let Ok(Some(bytes)) = read_frame(&mut b, &mut buf) {
+        match ServerFrame::decode(bytes) {
+            Ok(ServerFrame::Ack { status, .. }) => {
+                accepted += u64::from(status == AckStatus::Accepted)
+            }
+            Ok(ServerFrame::Verdict(_)) => verdicts += 1,
+            Ok(ServerFrame::Finished) => {
+                finished = true;
+                break;
+            }
+            _ => {}
+        }
+    }
+    if !finished {
+        // The worker is parked on A for good: dropping the handle would
+        // join it forever.
+        std::mem::forget(handle);
+        panic!("session B timed out after {verdicts} verdicts: session A parked the worker");
+    }
+    assert_eq!((accepted, verdicts), (B_DEVICES, B_DEVICES));
+    sender.join().expect("the flood ends once A is evicted");
+    drop(flood);
+    let report = handle.shutdown();
+    assert_eq!(report.telemetry.sessions_evicted, 1);
 }
