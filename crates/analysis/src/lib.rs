@@ -34,7 +34,8 @@
 //!   Pass 1 indexes how every file mentions each identifier. A use
 //!   counts only where the item can be meant: in a file whose package
 //!   is the item's own or depends on it (`fleetbench/` included), not at
-//!   a definition site, and not in a `pub use` of its own crate. An
+//!   a definition site, not in a `pub use` of its own crate, and not as
+//!   an enum variant (its definition or an `Enum::Variant` path). An
 //!   inherent method is used only where it is called or named by path,
 //!   never by a field or local of the same name. Doc comments,
 //!   doctests and strings never count.

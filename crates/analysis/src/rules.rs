@@ -248,7 +248,9 @@ fn tokens(code: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Every identifier a file mentions in code, with its 0-based line and
-/// how it is mentioned. Definition sites are left out.
+/// how it is mentioned. Definition sites are left out, and so are enum
+/// variants: a variant's definition and an `Enum::Variant` path name
+/// the variant, not a type that shares its name.
 fn mentions(lines: &[LexedLine]) -> Vec<(usize, &str, Mention)> {
     let toks: Vec<(usize, &str)> = lines
         .iter()
@@ -257,8 +259,14 @@ fn mentions(lines: &[LexedLine]) -> Vec<(usize, &str, Mention)> {
         .collect();
     let at = |i: usize| toks.get(i).map_or("", |t| t.1);
     let before = |i: usize, k: usize| i.checked_sub(k).map_or("", at);
+    let camel = |t: &str| t.starts_with(char::is_uppercase) && t.contains(char::is_lowercase);
     let mut out = Vec::new();
     let mut reexport = false;
+    // Bracket nesting depth, the depth of the enum body the cursor is
+    // in, and whether an `enum` keyword still awaits its body.
+    let mut depth = 0usize;
+    let mut enum_body = None;
+    let mut enum_header = false;
     for (i, &(li, tok)) in toks.iter().enumerate() {
         match tok {
             ";" => reexport = false,
@@ -266,6 +274,19 @@ fn mentions(lines: &[LexedLine]) -> Vec<(usize, &str, Mention)> {
             "use" => {
                 reexport = before(i, 1) == "pub"
                     || before(i, 1) == ")" && before(i, 3) == "(" && before(i, 4) == "pub";
+            }
+            "enum" => enum_header = true,
+            "{" | "(" | "[" => {
+                depth += 1;
+                if tok == "{" && std::mem::take(&mut enum_header) {
+                    enum_body = Some(depth);
+                }
+            }
+            "}" | ")" | "]" => {
+                if enum_body == Some(depth) {
+                    enum_body = None;
+                }
+                depth = depth.saturating_sub(1);
             }
             _ => {}
         }
@@ -278,6 +299,12 @@ fn mentions(lines: &[LexedLine]) -> Vec<(usize, &str, Mention)> {
             continue;
         }
         let path = keyword == ":" && before(i, 2) == ":";
+        // A variant starts each entry of an enum body; modules are
+        // snake_case, so `Upper::Camel` is an enum (or `Self`) path.
+        let variant_def = enum_body == Some(depth) && matches!(keyword, "{" | "," | "]");
+        if variant_def || path && camel(tok) && before(i, 3).starts_with(char::is_uppercase) {
+            continue;
+        }
         let call = keyword == "." && (at(i + 1) == "(" || at(i + 1) == ":" && at(i + 2) == ":");
         let how = if reexport {
             Mention::Reexport

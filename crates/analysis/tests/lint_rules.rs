@@ -391,6 +391,37 @@ fn dead_pub_counts_only_crates_that_can_name_the_item() {
 }
 
 #[test]
+fn dead_pub_counts_a_variant_as_no_use_of_a_same_named_type() {
+    let src = include_str!("fixtures/dead_pub_variant_trigger.rs");
+    let ctx = report_ctx("fixtures/dead_pub_variant_trigger.rs");
+    let got: Vec<(Rule, usize, String)> = run(src, &ctx)
+        .iter()
+        .map(|d| (d.rule, d.line, d.message.clone()))
+        .collect();
+    assert_eq!(got, [dead_pub(6, "struct Histogram")]);
+    let src = include_str!("fixtures/dead_pub_variant_allowed.rs");
+    let ctx = report_ctx("fixtures/dead_pub_variant_allowed.rs");
+    assert_eq!(flat(&run(src, &ctx)), []);
+    // Nor does a variant in a dependent crate use the type.
+    let stats = "pub struct Histogram;\n";
+    let harness = "pub enum HarnessError {\n    Histogram(u32),\n}\n\
+                   pub fn code(e: HarnessError) -> u32 {\n\
+                   \x20   let HarnessError::Histogram(c) = e;\n    c\n}\n";
+    let files = [
+        (lib_file("dsp", "stats.rs", &[]), stats),
+        (lib_file("core", "harness.rs", &["dsp"]), harness),
+        (
+            lib_file("root", "lib.rs", &["core"]),
+            "pub use core::code;\n",
+        ),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [dead_at("crates/dsp/src/stats.rs", 1, "struct Histogram")]
+    );
+}
+
+#[test]
 fn dead_pub_only_applies_to_library_source() {
     let src = include_str!("fixtures/dead_pub_trigger.rs");
     let mut ctx = report_ctx("crates/bench/src/bin/table1.rs");

@@ -12,12 +12,10 @@
 //! * [`window`] / [`spectrum`] — windowing and single-tone spectral metrics.
 //! * [`goertzel`] — cheap single-bin DFT, the "simple digital function"
 //!   flavour of on-chip processing the paper advocates.
-//! * [`sinefit`] — IEEE-1057 sine fitting (alternative dynamic test).
 //! * [`special`] — erf and the normal distribution for the §3 error
 //!   theory.
 //! * [`integrate`] — quadrature used to evaluate Eqs. 6–7.
-//! * [`stats`] — Welford moments, histograms, pairwise correlation (Eq. 10
-//!   checks).
+//! * [`stats`] — Welford moments and pairwise correlation (Eq. 10 checks).
 //! * [`filter`] — the majority-vote LSB deglitcher of §3.
 //!
 //! ## Example
@@ -49,7 +47,6 @@ pub mod fft;
 pub mod filter;
 pub mod goertzel;
 pub mod integrate;
-pub mod sinefit;
 pub mod special;
 pub mod spectrum;
 pub mod stats;

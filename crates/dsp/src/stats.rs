@@ -1,5 +1,5 @@
 //! Descriptive statistics used throughout the reproduction: running
-//! moments (Welford), histograms and sample correlation.
+//! moments (Welford) and sample correlation.
 //!
 //! The paper's verification hinges on code-width statistics: the standard
 //! deviation (0.16–0.21 LSB from circuit simulation) and the inter-code
@@ -208,82 +208,6 @@ pub fn mean_pairwise_correlation(samples: &[Vec<f64>]) -> f64 {
     (off_diag_cov_total / pairs) / mean_var
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with out-of-range counters.
-///
-/// # Examples
-///
-/// ```
-/// use bist_dsp::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 1.0, 10);
-/// h.record(0.05);
-/// h.record(0.95);
-/// h.record(2.0); // overflow: counted in the total only
-/// assert_eq!(h.counts()[0], 1);
-/// assert_eq!(h.counts()[9], 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    lo_bits: u64,
-    hi_bits: u64,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi` or either bound is not finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-        assert!(lo < hi, "lo must be below hi");
-        Histogram {
-            counts: vec![0; bins],
-            lo_bits: lo.to_bits(),
-            hi_bits: hi.to_bits(),
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    fn lo(&self) -> f64 {
-        f64::from_bits(self.lo_bits)
-    }
-
-    fn hi(&self) -> f64 {
-        f64::from_bits(self.hi_bits)
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        let (lo, hi) = (self.lo(), self.hi());
-        if x < lo {
-            self.underflow += 1;
-        } else if x >= hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - lo) / (hi - lo) * self.counts.len() as f64) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// All bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of recorded observations, including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.counts.iter().sum::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,32 +322,6 @@ mod tests {
             .collect();
         let rho = mean_pairwise_correlation(&samples);
         assert!((rho + 1.0 / 3.0).abs() < 0.05, "rho = {rho}");
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.0); // lowest edge inclusive
-        h.record(9.999); // top bin
-        h.record(10.0); // exclusive upper bound -> overflow
-        h.record(-0.001); // underflow
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.overflow, 1);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo must be below hi")]
-    fn histogram_bad_range_panics() {
-        Histogram::new(1.0, 1.0, 4);
     }
 
     #[test]

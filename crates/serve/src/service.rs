@@ -374,7 +374,6 @@ fn worker_loop(
                 None => break,
             }
         }
-        routes.clear();
         for job in jobs.iter() {
             routes.push((job.id, job.reply.clone()));
         }
@@ -396,6 +395,9 @@ fn worker_loop(
                 reply.deliver(verdict, telemetry);
             },
         );
+        // Each `Reply` holds its session alive: drop them now, not
+        // when the worker is next woken.
+        routes.clear();
     }
 }
 
@@ -790,4 +792,43 @@ fn session_writer(session: Arc<Session>) {
     // when its last handle drops.
     session.events.close();
     let _ = session.socket.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bist_adc::spec::LinearitySpec;
+    use bist_adc::types::{Resolution, Volts};
+    use bist_core::config::BistConfig;
+
+    #[test]
+    fn worker_drops_a_bursts_replies_once_it_is_delivered() {
+        let bist = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+            .counter_bits(5)
+            .build()
+            .expect("paper-range counter");
+        let shared = SvcShared {
+            submit: Ring::with_capacity(4),
+            telemetry: Telemetry::new(),
+            config: ServiceConfig::new().with_workload(Workload::static_ramp(bist)),
+        };
+        let verdicts = Arc::new(Ring::with_capacity(4));
+        let sub = Submission {
+            id: 7,
+            kind: JobKind::Static,
+            adc: TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(3.2)),
+            seed: 1,
+        };
+        let reply = Reply::Local(Arc::clone(&verdicts));
+        assert!(matches!(shared.submit_job(sub, reply), Enqueue::Accepted));
+        shared.submit.close();
+        let c = &shared.config;
+        let mut shard =
+            ResidentShard::new(c.workloads(), c.sequencer, c.lane_width, BehavioralBackend);
+        let mut routes = Vec::new();
+        worker_loop(&shared, &mut shard, &mut Vec::new(), &mut routes);
+        assert_eq!(verdicts.try_pop().map(|v| v.id), Some(7));
+        assert_eq!(routes.len(), 0, "the delivered burst's replies outlive it");
+        assert_eq!(Arc::strong_count(&verdicts), 1);
+    }
 }

@@ -1,12 +1,11 @@
 //! Dynamic testing: §2 notes the BIST capture path also supports
 //! "dynamic" tests where THD and noise power are the parameters. This
 //! example drives a mismatched flash converter with a full-scale sine
-//! and extracts THD/SNR/SINAD/ENOB four ways:
+//! and extracts THD/SNR/SINAD/ENOB three ways:
 //!
 //! 1. coherent FFT analysis of the captured codes,
 //! 2. Goertzel bins only (the cheap on-chip-style computation),
-//! 3. IEEE-1057 sine fitting (no coherency requirement),
-//! 4. the streaming dynamic BIST subsystem (`bist_core::dynamic`) —
+//! 3. the streaming dynamic BIST subsystem (`bist_core::dynamic`) —
 //!    the production path: no record buffer, pluggable behavioural/RTL
 //!    verdict backends, and a pass/fail decision against limits.
 //!
@@ -20,11 +19,9 @@ use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::screener::{Screener, Workload};
 use bist_dsp::goertzel::goertzel_bin;
-use bist_dsp::sinefit::fit_sine_4param;
 use bist_dsp::spectrum::{analyze_tone, fold_bin, ideal_sinad_db, ToneAnalysisConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::f64::consts::TAU;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(77);
@@ -69,17 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.thd_db
     );
 
-    // --- 3. Sine fit -------------------------------------------------------
-    let omega = TAU * f_in / fs;
-    let fit = fit_sine_4param(&record, omega * 1.0005)?;
-    println!("sine fit: {fit}");
-    println!(
-        "  ENOB from fit residual: {:.2} bits (FFT said {:.2})",
-        fit.enob(1.0),
-        analysis.enob
-    );
-
-    // --- 4. The streaming dynamic BIST subsystem --------------------------
+    // --- 3. The streaming dynamic BIST subsystem --------------------------
     // Same physics, production path through the one front door: a
     // `Screener` over the dynamic-sine workload streams the sine
     // through the lazy CodeStream into a Goertzel bank — no 4096-sample
