@@ -41,10 +41,13 @@
 //!
 //! A sequenced batch keeps one sequencer per lane and feeds it exactly
 //! as the scalar judges do: each event is stamped with its closing
-//! sample, the sequencer latches it under its own visibility protocol
-//! (see [`crate::sequencer`]), and a lane pauses at the sequencer's
-//! [`next_due`](StaticSequencer::next_due) checkpoint. A finished lane
-//! is refilled from the device queue so the batch never idles.
+//! sample, the sequencer admits it under its own visibility protocol
+//! (see [`crate::sequencer`]), and the lane takes each checkpoint at
+//! the sequencer's [`next_due`](StaticSequencer::next_due) sample. A
+//! run-skipping lane takes the checkpoints that fall inside a run's
+//! skipped bulk, where no event closes, without splitting the run. A
+//! finished lane is refilled from the device queue so the batch never
+//! idles.
 //!
 //! **Bit-exactness.** Every verdict a batch reports is identical to
 //! running the same device, with the same RNG, through the scalar
@@ -388,7 +391,12 @@ impl StaticEngine {
         let l = &mut self.lanes;
         if let Some(policy) = sequencer {
             if lane == l.seq.len() {
-                l.seq.push(StaticSequencer::new(policy));
+                // A copy of the first lane's sequencer keeps the look
+                // budgets it derived, so `begin` derives them once per
+                // batch.
+                let seq = l.seq.first().cloned();
+                l.seq
+                    .push(seq.unwrap_or_else(|| StaticSequencer::new(policy)));
             }
             l.seq[lane].begin(&self.config);
         }
@@ -404,9 +412,9 @@ impl StaticEngine {
         put(&mut l.head_left, lane, 0);
     }
 
-    /// Advances one lane holding `dev` by one chunk (or to its next
-    /// checkpoint / end of sweep, whichever first fires a decision).
-    /// Returns the device's outcome when its sweep concluded.
+    /// Advances one lane holding `dev` by one chunk, or until a
+    /// checkpoint stops its sweep or the sweep ends. Returns the
+    /// device's outcome when its sweep concluded.
     // bist-lint: hot-path — the static lane inner loop
     fn advance_lane<A: Adc, R: RngCore>(
         &mut self,
@@ -431,14 +439,13 @@ impl StaticEngine {
         let mut head_left = self.lanes.head_left[lane];
         let mut seq = self.lanes.seq.get_mut(lane);
 
-        let outcome = 'sweep: loop {
-            let target = until.min(seq.as_ref().map_or(u64::MAX, |s| s.next_due()));
+        let stop = 'sweep: {
             if run_skip {
                 let levels = dev
                     .adc
                     .transition_levels()
                     .expect("run-skip lane has levels");
-                while consumed < target {
+                while consumed < until {
                     if run_end <= consumed {
                         // Open a run: settle the level cursor to the
                         // exact partition point at this sample, then
@@ -461,26 +468,37 @@ impl StaticEngine {
                         };
                         head_left = head_n;
                     }
-                    let leg = (run_end - consumed).min(target - consumed);
+                    let end = run_end.min(until);
                     let code = Code(cur_code);
-                    let head = head_left.min(leg);
+                    let head = head_left.min(end - consumed);
+                    head_left -= head;
                     for _ in 0..head {
                         consumed += 1;
                         push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
+                        if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed))
+                        {
+                            break 'sweep Some(stop);
+                        }
                     }
-                    head_left -= head;
-                    let bulk = leg - head;
+                    // No event closes in the rest of the run, so each
+                    // checkpoint falling due in it is taken now, on the
+                    // tallies it would see at its own sample, and a
+                    // checkpoint that continues does not split the run.
+                    if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_in_quiet(end)) {
+                        break 'sweep Some(stop);
+                    }
+                    let bulk = end - consumed;
                     if bulk > 0 {
                         mon.skip_run(bulk);
                         func.skip_run(bulk);
-                        consumed += bulk;
+                        consumed = end;
                     }
                 }
             } else {
                 // Per-sample fallback: byte-for-byte the scalar
                 // acquisition (`CodeStream::next`), with the lane's own
                 // RNG so the draw order matches the scalar run exactly.
-                while consumed < target {
+                while consumed < until {
                     let t = self
                         .noise
                         .perturb_time(sampling.sample_time(consumed as usize), &mut dev.rng);
@@ -488,23 +506,23 @@ impl StaticEngine {
                     let code = dev.adc.convert(Volts(v));
                     consumed += 1;
                     push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
+                    if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed)) {
+                        break 'sweep Some(stop);
+                    }
                 }
             }
-            if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed)) {
-                break 'sweep Some(stop);
-            }
-            if consumed == total {
-                break 'sweep Some(SeqOutcome::completed(BistVerdict::from_tallies(
+            None
+        };
+        let outcome = stop.or_else(|| {
+            (consumed == total).then(|| {
+                SeqOutcome::completed(BistVerdict::from_tallies(
                     &self.config,
                     mon.tally(),
                     func.tally(),
                     consumed,
-                )));
-            }
-            if consumed == until {
-                break 'sweep None;
-            }
-        };
+                ))
+            })
+        });
         self.lanes.consumed[lane] = consumed;
         self.lanes.monitor[lane] = mon;
         self.lanes.functional[lane] = func;
@@ -872,6 +890,51 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A run skipped in two parts leaves both accumulators exactly as
+    /// one skip over the whole run does, and they go on to emit the same
+    /// measurements and checks.
+    #[test]
+    fn skip_run_split_in_two_matches_one_skip() {
+        use bist_adc::spec::LinearitySpec;
+        use bist_adc::types::Resolution;
+        fn feed(
+            mon: &mut MonitorState,
+            func: &mut FunctionalState,
+            bit: u32,
+            codes: &[u32],
+        ) -> Vec<String> {
+            let emitted = codes.iter().map(|&code| {
+                let measured = mon.push((code >> bit) & 1 == 1);
+                (measured, func.push(Code(code)))
+            });
+            emitted.map(|e| format!("{e:?}")).collect()
+        }
+        for deglitch in [false, true] {
+            let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+                .counter_bits(5)
+                .deglitch(deglitch)
+                .build()
+                .unwrap();
+            let bit = config.monitored_bit();
+            let [whole, split] = [&[40][..], &[15, 25]].map(|parts| {
+                let mut mon = MonitorState::new(&config);
+                let mut func = FunctionalState::new(bit, deglitch);
+                // Settle on code 4 (the replayed head of its run).
+                feed(&mut mon, &mut func, bit, &[2, 2, 2, 3, 3, 3, 4, 4]);
+                for &k in parts {
+                    mon.skip_run(k);
+                    func.skip_run(k);
+                }
+                let state = format!("{mon:?} {func:?}");
+                (
+                    state,
+                    feed(&mut mon, &mut func, bit, &[5, 5, 5, 6, 6, 6, 7, 7, 7]),
+                )
+            });
+            assert_eq!(whole, split, "deglitch {deglitch}");
+        }
+    }
 
     /// The portable body and the dispatched entry (AVX2+FMA where the
     /// host has it) leave bit-identical state on random rows.

@@ -43,11 +43,18 @@
 //!   filters vote over windows ending at the current sample, adding no
 //!   lag). Engines stamp each event with its behavioural closing sample
 //!   — the behavioural and batch engines as they record it, the RTL
-//!   two ticks later as it emits it — and the sequencer latches it. A
-//!   checkpoint falls due after consuming sample `s + 2`
-//!   ([`StaticSequencer::next_due`]) and admits exactly the events with
-//!   closing sample `≤ s`, whichever order they arrived in. Early
-//!   verdict counters come from the sequencer's own visible tallies, so
+//!   two ticks later as it emits it. A checkpoint falls due after
+//!   consuming sample `s + 2` ([`StaticSequencer::next_due`]) and sees
+//!   exactly the events with closing sample `≤ s`, whichever order they
+//!   arrived in. No tally is read between checkpoints, so an event that
+//!   closes within the due checkpoint's horizon, with nothing waiting
+//!   ahead of it, goes straight into the tallies on arrival; only the
+//!   events of the last two samples before a checkpoint wait in a
+//!   four-slot latch. A run-skipping batch lane knows that no event
+//!   closes in the skipped bulk of a constant-code run, so it takes the
+//!   checkpoints falling due there without stopping at each: they see
+//!   the same tallies they would at their own sample. Early verdict
+//!   counters come from the sequencer's own visible tallies, so
 //!   early-stopped verdicts are bit-exact across backends by
 //!   construction; completed sweeps fall through to the bit-exact
 //!   full-sweep verdict.
@@ -203,6 +210,81 @@ impl SequencerConfig {
     }
 }
 
+/// The per-checkpoint budgets of one policy over a sweep of known
+/// length, and the thresholds the decision rules read from them.
+///
+/// Deriving them costs two `normal_quantile` calls, one `ln` and a
+/// bisection, so a sequencer keeps them from sweep to sweep and derives
+/// them again only when the worst-case look count changes — in a fleet,
+/// once per configuration rather than once per device.
+#[derive(Debug, Clone, Copy)]
+struct LookBudget {
+    /// The worst-case look count these were derived for (0: not yet).
+    looks: u64,
+    beta_look: f64,
+    /// `ln(1/alpha_look)` — the early-reject evidence threshold, so the
+    /// hot checkpoint avoids `powf`/`ln` entirely.
+    ln_inv_alpha: f64,
+    z_alpha: f64,
+    z_beta: f64,
+    /// A standardised distance at or below which one upper tail term
+    /// alone exceeds `beta_look`: `gauss_tail_upper` is at least
+    /// `1.01·beta_look` there, a margin far above the rounding of
+    /// either side, so no count of remaining codes can accept.
+    z_accept: f64,
+}
+
+impl LookBudget {
+    const UNSET: LookBudget = LookBudget {
+        looks: 0,
+        beta_look: 0.5,
+        ln_inv_alpha: 0.0,
+        z_alpha: 0.0,
+        z_beta: 0.0,
+        z_accept: 0.0,
+    };
+
+    /// Brings the budgets up to date for a sweep of `samples` samples
+    /// under `policy`: one look at `min_samples`, then one every
+    /// `check_interval`.
+    fn derive(&mut self, policy: &SequencerConfig, samples: u64) {
+        let looks = samples
+            .saturating_sub(policy.min_samples)
+            .div_euclid(policy.check_interval)
+            + 1;
+        if looks == self.looks {
+            return;
+        }
+        let alpha_look = SequencerConfig::per_look(policy.alpha, looks);
+        let beta_look = SequencerConfig::per_look(policy.beta, looks);
+        *self = LookBudget {
+            looks,
+            beta_look,
+            ln_inv_alpha: -alpha_look.ln(),
+            z_alpha: normal_quantile(1.0 - alpha_look),
+            z_beta: normal_quantile(1.0 - beta_look),
+            z_accept: accept_threshold(beta_look),
+        };
+    }
+}
+
+/// Bisects for the largest standardised distance whose upper tail term
+/// is still at least `1.01·beta_look` (the tail falls monotonically;
+/// the returned end always meets the bound).
+fn accept_threshold(beta_look: f64) -> f64 {
+    let target = 1.01 * beta_look;
+    let (mut lo, mut hi) = (0.0, 40.0);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if gauss_tail_upper(mid) >= target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// A verdict type the sequencer can wrap: exposes the device decision
 /// and the consumed-sample count.
 pub trait SweptVerdict {
@@ -306,16 +388,24 @@ fn gauss_tail_lower(z: f64) -> f64 {
     }
 }
 
-/// A latched static event: a code measurement or a functional check.
+/// A static event as the tallies read it: of a code measurement, only
+/// its width, its DNL and INL verdicts and the running INL; of a
+/// functional check, whether it matched.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Code(CodeResult),
+    Code {
+        count: u64,
+        dnl_pass: bool,
+        inl_pass: bool,
+        inl_counts: i64,
+    },
     Functional(bool),
 }
 
-/// Latch capacity: events are admitted on arrival up to the due
-/// checkpoint's horizon, so only those of the [`STATIC_DECISION_LATENCY`]
-/// samples after it wait — at most one of each kind per sample.
+/// Latch capacity. An event goes straight into the tallies when nothing
+/// waits ahead of it and it closes within the due checkpoint's horizon,
+/// so only events of the [`STATIC_DECISION_LATENCY`] samples after that
+/// horizon wait — at most one of each kind per sample.
 const LATCH: usize = 2 * STATIC_DECISION_LATENCY as usize;
 
 /// The early-stop decision layer for the static-linearity workload.
@@ -326,9 +416,10 @@ const LATCH: usize = 2 * STATIC_DECISION_LATENCY as usize;
 /// count reaches [`next_due`](StaticSequencer::next_due).
 ///
 /// Reusable across sweeps: [`StaticSequencer::begin`] rederives the
-/// per-config thresholds and clears the tallies without touching the
-/// heap (the struct is entirely inline state), so the sequenced
-/// device→verdict hot path stays allocation-free after warm-up.
+/// per-config count window (the look budgets only when the look count
+/// changes) and clears the tallies without touching the heap (the
+/// struct is entirely inline state), so the sequenced device→verdict
+/// hot path stays allocation-free after warm-up.
 #[derive(Debug, Clone)]
 pub struct StaticSequencer {
     policy: SequencerConfig,
@@ -338,13 +429,7 @@ pub struct StaticSequencer {
     i_ideal: f64,
     inl_limit: Option<u64>,
     expected: u64,
-    alpha_look: f64,
-    beta_look: f64,
-    /// `ln(1/alpha_look)` — the early-reject evidence threshold, so the
-    /// hot checkpoint avoids `powf`/`ln` entirely.
-    ln_inv_alpha: f64,
-    z_alpha: f64,
-    z_beta: f64,
+    budget: LookBudget,
     // Visible tallies.
     codes: u64,
     dnl_failures: u64,
@@ -353,7 +438,11 @@ pub struct StaticSequencer {
     functional_mismatches: u64,
     inl_last: i64,
     last_event_sample: u64,
-    widths: Running,
+    /// Welford mean and sum of squared deviations of the admitted code
+    /// widths (`codes` is their count): `Running::push`'s recurrence,
+    /// without the extremes the rules never read.
+    width_mean: f64,
+    width_m2: f64,
     // Visibility protocol: the consumed-sample count the next
     // checkpoint falls due at, and the events not yet admitted, in
     // arrival order.
@@ -379,11 +468,7 @@ impl StaticSequencer {
             i_ideal: 1.0,
             inl_limit: None,
             expected: 0,
-            alpha_look: 0.5,
-            beta_look: 0.5,
-            ln_inv_alpha: 0.0,
-            z_alpha: 0.0,
-            z_beta: 0.0,
+            budget: LookBudget::UNSET,
             codes: 0,
             dnl_failures: 0,
             inl_failures: 0,
@@ -391,7 +476,8 @@ impl StaticSequencer {
             functional_mismatches: 0,
             inl_last: 0,
             last_event_sample: 0,
-            widths: Running::new(),
+            width_mean: 0.0,
+            width_m2: 0.0,
             next_due: policy.min_samples + STATIC_DECISION_LATENCY,
             latched: [(0, Event::Functional(true)); LATCH],
             latched_len: 0,
@@ -412,15 +498,7 @@ impl StaticSequencer {
         // i_ideal samples per code over the expected codes plus the
         // 14-LSB lead-in/overshoot of the harness ramp.
         let horizon = limits.i_ideal() * (self.expected + 14);
-        let looks = horizon
-            .saturating_sub(self.policy.min_samples)
-            .div_euclid(self.policy.check_interval)
-            + 1;
-        self.alpha_look = SequencerConfig::per_look(self.policy.alpha, looks);
-        self.beta_look = SequencerConfig::per_look(self.policy.beta, looks);
-        self.ln_inv_alpha = -self.alpha_look.ln();
-        self.z_alpha = normal_quantile(1.0 - self.alpha_look);
-        self.z_beta = normal_quantile(1.0 - self.beta_look);
+        self.budget.derive(&self.policy, horizon);
         self.codes = 0;
         self.dnl_failures = 0;
         self.inl_failures = 0;
@@ -428,32 +506,56 @@ impl StaticSequencer {
         self.functional_mismatches = 0;
         self.inl_last = 0;
         self.last_event_sample = 0;
-        self.widths = Running::new();
+        self.width_mean = 0.0;
+        self.width_m2 = 0.0;
         self.next_due = self.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
         self.latched_len = 0;
     }
 
-    /// Latches one code measurement, stamped with its behavioural
+    /// Observes one code measurement, stamped with its behavioural
     /// closing sample `at`.
+    #[inline]
     pub fn observe_code(&mut self, at: u64, code: &CodeResult) {
-        self.latch(at, Event::Code(*code));
+        self.observe(
+            at,
+            Event::Code {
+                count: code.count,
+                dnl_pass: code.dnl_verdict.is_pass(),
+                inl_pass: code.inl_pass,
+                inl_counts: code.inl_counts,
+            },
+        );
     }
 
-    /// Latches one functional check, stamped with its behavioural
+    /// Observes one functional check, stamped with its behavioural
     /// closing sample `at`.
+    #[inline]
     pub fn observe_functional(&mut self, at: u64, ok: bool) {
-        self.latch(at, Event::Functional(ok));
+        self.observe(at, Event::Functional(ok));
     }
 
     /// The consumed-sample count at which the next checkpoint falls
     /// due — the countdown target engines compare against instead of a
     /// per-sample modulo.
+    #[inline]
     pub fn next_due(&self) -> u64 {
         self.next_due
     }
 
-    /// Queues `event`, then admits every latched event the due
-    /// checkpoint's horizon covers (no tallies are read before it).
+    /// Admits `event` on arrival when nothing is latched ahead of it and
+    /// the due checkpoint's horizon covers it (no tallies are read
+    /// before that checkpoint); latches it otherwise.
+    #[inline]
+    fn observe(&mut self, at: u64, event: Event) {
+        if self.latched_len == 0 && at <= self.next_due - STATIC_DECISION_LATENCY {
+            self.tally(at, event);
+        } else {
+            self.latch(at, event);
+        }
+    }
+
+    /// Queues `event` behind the latched ones, then admits every latched
+    /// event the due checkpoint's horizon covers.
     fn latch(&mut self, at: u64, event: Event) {
         assert!(self.latched_len < LATCH, "sequencer checkpoint missed");
         self.latched[self.latched_len] = (at, event);
@@ -465,22 +567,37 @@ impl StaticSequencer {
     /// the visible tallies, in arrival order.
     fn admit(&mut self, horizon: u64) {
         while self.latched_len > 0 && self.latched[0].0 <= horizon {
-            match self.latched[0] {
-                (at, Event::Code(code)) => {
-                    self.codes += 1;
-                    self.dnl_failures += u64::from(!code.dnl_verdict.is_pass());
-                    self.inl_failures += u64::from(!code.inl_pass);
-                    self.inl_last = code.inl_counts;
-                    self.last_event_sample = at;
-                    self.widths.push(code.count as f64);
-                }
-                (_, Event::Functional(ok)) => {
-                    self.functional_checks += 1;
-                    self.functional_mismatches += u64::from(!ok);
-                }
-            }
+            let (at, event) = self.latched[0];
+            self.tally(at, event);
             self.latched.copy_within(1..self.latched_len, 0);
             self.latched_len -= 1;
+        }
+    }
+
+    /// Adds one event, closing at sample `at`, to the visible tallies.
+    #[inline]
+    fn tally(&mut self, at: u64, event: Event) {
+        match event {
+            Event::Code {
+                count,
+                dnl_pass,
+                inl_pass,
+                inl_counts,
+            } => {
+                self.codes += 1;
+                self.dnl_failures += u64::from(!dnl_pass);
+                self.inl_failures += u64::from(!inl_pass);
+                self.inl_last = inl_counts;
+                self.last_event_sample = at;
+                let x = count as f64;
+                let delta = x - self.width_mean;
+                self.width_mean += delta / self.codes as f64;
+                self.width_m2 += delta * (x - self.width_mean);
+            }
+            Event::Functional(ok) => {
+                self.functional_checks += 1;
+                self.functional_mismatches += u64::from(!ok);
+            }
         }
     }
 
@@ -538,12 +655,19 @@ impl StaticSequencer {
     pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
         let visible = consumed.saturating_sub(STATIC_DECISION_LATENCY);
         self.admit(visible);
-        self.next_due = self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
+        self.next_due = if consumed == self.next_due {
+            // `visible` is on the lattice: the next point is one
+            // interval on (no division).
+            consumed + self.policy.check_interval
+        } else {
+            self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY
+        };
         self.decide(visible)
     }
 
     /// Takes the checkpoint when one is due after `consumed` samples;
     /// the early-stop outcome when it stops the sweep.
+    #[inline]
     pub(crate) fn stop_if_due(&mut self, consumed: u64) -> Option<SeqOutcome<BistVerdict>> {
         if consumed != self.next_due {
             return None;
@@ -553,6 +677,22 @@ impl StaticSequencer {
             decision,
             verdict: self.verdict(consumed),
         })
+    }
+
+    /// Takes every checkpoint falling due at or before `end`, for an
+    /// engine that has consumed up to a quiet stretch: samples, ending at
+    /// `end`, in which no event closes. Each checkpoint sees exactly the
+    /// tallies it would see at its own sample, so this is
+    /// [`stop_if_due`](StaticSequencer::stop_if_due) at every sample of
+    /// the stretch. The early-stop outcome of the first that stops.
+    #[inline]
+    pub(crate) fn stop_in_quiet(&mut self, end: u64) -> Option<SeqOutcome<BistVerdict>> {
+        while self.next_due <= end {
+            if let Some(stop) = self.stop_if_due(self.next_due) {
+                return Some(stop);
+            }
+        }
+        None
     }
 
     /// The decision rule on the tallies visible at sample `visible`.
@@ -589,29 +729,46 @@ impl StaticSequencer {
         if k < MIN_CODES_FOR_STATS {
             return SeqDecision::Continue;
         }
+        let LookBudget {
+            beta_look,
+            ln_inv_alpha,
+            z_alpha,
+            z_beta,
+            z_accept,
+            ..
+        } = self.budget;
         let remaining = (self.expected - k) as f64;
-        let mean = self.widths.mean();
-        let sd = self.widths.std_dev().max(1e-6);
+        let mean = self.width_mean;
+        let sd = (self.width_m2 / (k - 1) as f64).sqrt().max(1e-6);
         let se = sd / (k as f64).sqrt();
         let drift = mean - self.i_ideal;
 
         // --- Early accept (spends beta): every remaining code is
         // predicted to pass both windows with confidence.
         // `P(any fail) ≤ r·p_hi` (Bonferroni), so gating `r·p_hi` is
-        // conservative and avoids `powf` on the hot path.
-        let sd_hi = sd * (1.0 + self.z_beta / (2.0 * (k - 1) as f64).sqrt());
-        let p_hi = self
-            .tail_outside_upper(mean - self.z_beta * se, sd_hi)
-            .max(self.tail_outside_upper(mean + self.z_beta * se, sd_hi));
-        let inl_ok = match self.inl_limit {
-            None => true,
-            Some(limit) => {
-                let end = (self.inl_last as f64 + drift * remaining).abs();
-                let spread = self.z_beta * (2.0 * sd_hi * remaining.sqrt() + se * remaining);
-                end + spread <= limit as f64
-            }
-        };
-        if remaining * p_hi <= self.beta_look && inl_ok {
+        // conservative and avoids `powf` on the hot path. `p_hi` is at
+        // least each of its four tail terms and `r ≥ 1`, so an inner
+        // term whose distance is at most `z_accept` already fails the
+        // rule: those two distances are compared first (the usual
+        // failure early in a sweep), with no `exp` and the same outcome.
+        let sd_hi = sd * (1.0 + z_beta / (2.0 * (k - 1) as f64).sqrt());
+        let (lo, hi) = (mean - z_beta * se, mean + z_beta * se);
+        let accept = (lo - self.i_min) / sd_hi > z_accept
+            && (self.i_max - hi) / sd_hi > z_accept
+            && remaining
+                * self
+                    .tail_outside_upper(lo, sd_hi)
+                    .max(self.tail_outside_upper(hi, sd_hi))
+                <= beta_look
+            && match self.inl_limit {
+                None => true,
+                Some(limit) => {
+                    let end = (self.inl_last as f64 + drift * remaining).abs();
+                    let spread = z_beta * (2.0 * sd_hi * remaining.sqrt() + se * remaining);
+                    end + spread <= limit as f64
+                }
+            };
+        if accept {
             return SeqDecision::AcceptEarly(visible);
         }
 
@@ -619,15 +776,20 @@ impl StaticSequencer {
         // fail somewhere ahead with confidence, under the *optimistic*
         // reading of the statistics. `(1−p)^r ≤ e^{−r·p}`, so demanding
         // `r·p_lo ≥ ln(1/alpha_look)` is conservative.
+        // With both standardised distances at least 2, each tail term
+        // is below `φ(2)·2/5 < 0.0217`, so `r·p_lo < 0.05·r`: when that
+        // is short of the threshold the rule cannot fire, and its two
+        // `exp`s are skipped with the same outcome.
         let center = (self.i_min + self.i_max) / 2.0;
-        let mean_opt = center.clamp(mean - self.z_alpha * se, mean + self.z_alpha * se);
-        let p_lo = self.tail_outside_lower(mean_opt, sd);
-        if remaining * p_lo >= self.ln_inv_alpha {
+        let mean_opt = center.clamp(mean - z_alpha * se, mean + z_alpha * se);
+        let near = (mean_opt - (self.i_min - 0.5)).min((self.i_max + 0.5) - mean_opt);
+        let settled = near >= 2.0 * sd && 0.05 * remaining < ln_inv_alpha;
+        if !settled && remaining * self.tail_outside_lower(mean_opt, sd) >= ln_inv_alpha {
             return SeqDecision::RejectEarly(visible);
         }
         if let Some(limit) = self.inl_limit {
             let end = (self.inl_last as f64 + drift * remaining).abs();
-            let spread = self.z_alpha * (2.0 * sd * remaining.sqrt() + se * remaining);
+            let spread = z_alpha * (2.0 * sd * remaining.sqrt() + se * remaining);
             if end - spread > limit as f64 {
                 return SeqDecision::RejectEarly(visible);
             }
@@ -687,10 +849,7 @@ pub struct DynSequencer {
     noise_max_half: f64,
     order_multiplicity: f64,
     guard_scale: f64,
-    alpha_look: f64,
-    beta_look: f64,
-    z_alpha: f64,
-    z_beta: f64,
+    budget: LookBudget,
     // Quadrature recurrence at the fundamental.
     rot_cos: f64,
     rot_sin: f64,
@@ -732,10 +891,7 @@ impl DynSequencer {
             noise_max_half: 0.0,
             order_multiplicity: 1.0,
             guard_scale: 0.0,
-            alpha_look: 0.5,
-            beta_look: 0.5,
-            z_alpha: 0.0,
-            z_beta: 0.0,
+            budget: LookBudget::UNSET,
             rot_cos: 1.0,
             rot_sin: 0.0,
             cur_cos: 1.0,
@@ -789,14 +945,7 @@ impl DynSequencer {
         self.thd_ratio_max = 10f64.powf(limits.max_thd_db / 10.0);
         // Limits are in LSB²; the sequencer works in half-LSB² (×4).
         self.noise_max_half = limits.max_noise_power_lsb2 * 4.0;
-        let looks = (n as u64)
-            .saturating_sub(self.policy.min_samples)
-            .div_euclid(self.policy.check_interval)
-            + 1;
-        self.alpha_look = SequencerConfig::per_look(self.policy.alpha, looks);
-        self.beta_look = SequencerConfig::per_look(self.policy.beta, looks);
-        self.z_alpha = normal_quantile(1.0 - self.alpha_look);
-        self.z_beta = normal_quantile(1.0 - self.beta_look);
+        self.budget.derive(&self.policy, n as u64);
         self.cur_cos = 1.0;
         self.cur_sin = 0.0;
         self.qc = 0.0;
@@ -892,13 +1041,16 @@ impl DynSequencer {
         let nad = resid.mean().max(0.0);
         let se = resid.std_dev() / (blocks as f64).sqrt();
         let guard = self.guard_scale * carrier / (m * m);
-        let nad_hi = nad + self.z_beta * se + guard;
-        let nad_lo = (nad - self.z_alpha * se - guard).max(0.0);
+        let LookBudget {
+            z_alpha, z_beta, ..
+        } = self.budget;
+        let nad_hi = nad + z_beta * se + guard;
+        let nad_lo = (nad - z_alpha * se - guard).max(0.0);
         // Carrier estimation uncertainty: noise-driven variance plus
         // the same relative leakage bound.
         let car_se = 2.0 * (carrier * nad / m).max(0.0).sqrt() + 4.0 * carrier / m;
-        let car_lo = carrier - self.z_beta * car_se;
-        let car_hi = carrier + self.z_alpha * car_se;
+        let car_lo = carrier - z_beta * car_se;
+        let car_hi = carrier + z_alpha * car_se;
 
         // Accept: every limit confidently met. SINAD/ENOB share the
         // carrier/NAD ratio; THD is bounded by multiplicity × NAD;
@@ -1117,6 +1269,146 @@ mod tests {
         assert_eq!((at_second.codes_judged, at_second.dnl_failures), (6, 1));
         assert_eq!(at_second.functional_mismatches, 1);
         assert_eq!(at_second.samples, 152);
+    }
+
+    /// A static event for [`drive_per_sample`] and [`drive_quiet`].
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        Code(CodeResult),
+        Check(bool),
+    }
+
+    /// The verdict a checkpoint at `visible` must report: the tallies
+    /// of exactly the events closing at or before `visible`.
+    fn tallies_through(events: &[(u64, Ev)], visible: u64, expected: u64) -> BistVerdict {
+        let seen = || events.iter().filter(|(at, _)| *at <= visible);
+        let codes = || {
+            seen().filter_map(|(_, e)| match e {
+                Ev::Code(c) => Some(*c),
+                Ev::Check(_) => None,
+            })
+        };
+        let checks = || {
+            seen().filter_map(|(_, e)| match e {
+                Ev::Check(ok) => Some(*ok),
+                Ev::Code(_) => None,
+            })
+        };
+        BistVerdict {
+            codes_judged: codes().count() as u64,
+            dnl_failures: codes().filter(|c| !c.dnl_verdict.is_pass()).count() as u64,
+            inl_failures: codes().filter(|c| !c.inl_pass).count() as u64,
+            functional_checks: checks().count() as u64,
+            functional_mismatches: checks().filter(|ok| !ok).count() as u64,
+            expected_codes: expected,
+            samples: visible + STATIC_DECISION_LATENCY,
+        }
+    }
+
+    fn observe_at(seq: &mut StaticSequencer, events: &[(u64, Ev)], sample: u64) {
+        for (at, e) in events.iter().filter(|(at, _)| *at == sample) {
+            match e {
+                Ev::Code(c) => seq.observe_code(*at, c),
+                Ev::Check(ok) => seq.observe_functional(*at, *ok),
+            }
+        }
+    }
+
+    /// Feeds `events` sample by sample, taking every checkpoint as it
+    /// falls due, until one stops; each checkpoint's decision and
+    /// verdict.
+    fn drive_per_sample(
+        seq: &mut StaticSequencer,
+        events: &[(u64, Ev)],
+        end: u64,
+    ) -> Vec<SeqOutcome<BistVerdict>> {
+        let mut taken = Vec::new();
+        for consumed in 1..=end {
+            observe_at(seq, events, consumed);
+            if consumed == seq.next_due() {
+                let decision = seq.checkpoint(consumed);
+                taken.push(SeqOutcome {
+                    decision,
+                    verdict: seq.verdict(consumed),
+                });
+                if decision.stops() {
+                    break;
+                }
+            }
+        }
+        taken
+    }
+
+    /// Feeds `events` as a run-skipping batch lane does: each stretch
+    /// between event samples is quiet, so its checkpoints are taken
+    /// through `stop_in_quiet`.
+    fn drive_quiet(
+        seq: &mut StaticSequencer,
+        events: &[(u64, Ev)],
+        end: u64,
+    ) -> Option<SeqOutcome<BistVerdict>> {
+        let mut samples: Vec<u64> = events.iter().map(|(at, _)| *at).collect();
+        samples.dedup();
+        for sample in samples {
+            if let Some(stop) = seq.stop_in_quiet(sample - 1) {
+                return Some(stop);
+            }
+            observe_at(seq, events, sample);
+            if let Some(stop) = seq.stop_if_due(sample) {
+                return Some(stop);
+            }
+        }
+        seq.stop_in_quiet(end)
+    }
+
+    #[test]
+    fn checkpoints_see_exactly_the_events_closing_by_their_horizon_on_either_drive() {
+        let policy = SequencerConfig {
+            min_samples: 100,
+            check_interval: 50,
+            ..Default::default()
+        };
+        let config = cfg(5);
+        let limits = config.limits();
+        let (good, wide) = (code(limits.i_ideal()), code(limits.i_max() + 1));
+        // Events on both sides of the horizons (100, 150): on one, and
+        // one or two samples past it, where they wait for the next
+        // checkpoint. Too few codes for the statistical rules, so only
+        // an admitted failure can stop the sweep.
+        let late_failure = [
+            (40, Ev::Code(good)),
+            (60, Ev::Check(true)),
+            (99, Ev::Code(good)),
+            (100, Ev::Code(good)),
+            (100, Ev::Check(true)),
+            (101, Ev::Code(wide)),
+            (102, Ev::Check(false)),
+            (130, Ev::Code(good)),
+        ];
+        // A failure admitted long before the first checkpoint, with no
+        // event near it: the first checkpoint must reject.
+        let early_failure = [
+            (20, Ev::Code(good)),
+            (40, Ev::Code(wide)),
+            (60, Ev::Code(good)),
+        ];
+        for (events, first_stop) in [
+            (&late_failure[..], SeqDecision::RejectEarly(150)),
+            (&early_failure[..], SeqDecision::RejectEarly(100)),
+        ] {
+            let mut seq = StaticSequencer::new(policy);
+            seq.begin(&config);
+            let taken = drive_per_sample(&mut seq, events, 400);
+            for outcome in &taken {
+                let visible = outcome.verdict.samples - STATIC_DECISION_LATENCY;
+                let want = tallies_through(events, visible, seq.expected);
+                assert_eq!(outcome.verdict, want, "checkpoint at {visible}");
+            }
+            let stop = *taken.last().expect("a checkpoint");
+            assert_eq!(stop.decision, first_stop);
+            seq.begin(&config);
+            assert_eq!(drive_quiet(&mut seq, events, 400), Some(stop));
+        }
     }
 
     #[test]

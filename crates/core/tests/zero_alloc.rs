@@ -161,26 +161,30 @@ fn hot_path_is_allocation_free_after_warmup() {
     // and the refill queue all reach their high-water mark on the first
     // pass, and a reused batch drained with `finish_reports` +
     // `clear_reports` (not `take_reports`, which surrenders the
-    // buffer) allocates nothing afterwards. Four batches cover
+    // buffer) allocates nothing afterwards. Five batches cover
     // run-skip and fallback static lanes, and the coded and
-    // per-sample dynamic lanes, plain and sequenced.
+    // per-sample dynamic lanes, plain and sequenced — the sequenced
+    // run-skip lane with its checkpoints being the fleet path.
     const FLEET: usize = 8;
     let w_dyn_plain = Workload::dynamic_sine(dyn_config);
     let mut b_static = ScreenBatch::new(w_plain, None, 4);
     let mut b_static_seq = ScreenBatch::new(w_noisy, Some(policy), 4);
+    let mut b_skip_seq = ScreenBatch::new(w_plain, Some(policy), 4);
     let mut b_dyn = ScreenBatch::new(w_dyn_plain, None, 4);
     let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy), 4);
 
-    let mut batch_all = |accepted: &mut u32| {
+    let mut batch_all = |accepted: &mut u32, stopped: &mut u32| {
         for i in 0..FLEET {
             let rng = || StdRng::seed_from_u64(i as u64);
             b_static.push(BatchDevice::new(i, &adc, rng()));
             b_static_seq.push(BatchDevice::new(i, &adc, rng()));
+            b_skip_seq.push(BatchDevice::new(i, &adc, rng()));
             b_dyn.push(BatchDevice::new(i, &adc, rng()));
             b_dyn_seq.push(BatchDevice::new(i, &adc, rng()));
         }
         b_static.run_batched();
         b_static_seq.run_batched();
+        b_skip_seq.run_batched();
         b_dyn.run_batched();
         b_dyn_seq.run_batched();
         for r in b_static.finish_reports() {
@@ -188,6 +192,10 @@ fn hot_path_is_allocation_free_after_warmup() {
         }
         for r in b_static_seq.finish_reports() {
             *accepted += u32::from(r.verdict.accepted());
+        }
+        for r in b_skip_seq.finish_reports() {
+            *accepted += u32::from(r.verdict.accepted());
+            *stopped += u32::from(r.verdict.stopped_early());
         }
         for r in b_dyn.finish_reports() {
             *accepted += u32::from(r.verdict.accepted());
@@ -197,16 +205,17 @@ fn hot_path_is_allocation_free_after_warmup() {
         }
         b_static.clear_reports();
         b_static_seq.clear_reports();
+        b_skip_seq.clear_reports();
         b_dyn.clear_reports();
         b_dyn_seq.clear_reports();
     };
 
-    let mut warm_batch_accepted = 0u32;
-    batch_all(&mut warm_batch_accepted);
+    let (mut warm_batch_accepted, mut warm_batch_stopped) = (0u32, 0u32);
+    batch_all(&mut warm_batch_accepted, &mut warm_batch_stopped);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut batch_accepted = 0u32;
-    batch_all(&mut batch_accepted);
+    let (mut batch_accepted, mut batch_stopped) = (0u32, 0u32);
+    batch_all(&mut batch_accepted, &mut batch_stopped);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
@@ -214,10 +223,15 @@ fn hot_path_is_allocation_free_after_warmup() {
         "batched hot path allocated {} times after warm-up",
         after - before
     );
-    assert!(batch_accepted <= 4 * FLEET as u32);
+    assert!(batch_accepted <= 5 * FLEET as u32);
     assert_eq!(
-        batch_accepted, warm_batch_accepted,
+        (batch_accepted, batch_stopped),
+        (warm_batch_accepted, warm_batch_stopped),
         "reused batches must reproduce the warm pass verdicts"
+    );
+    assert!(
+        batch_stopped > 0,
+        "no run-skip lane stopped at a checkpoint"
     );
 
     // The pooled per-worker drain gets the same guarantee: a worker's

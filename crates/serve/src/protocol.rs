@@ -39,6 +39,11 @@ use crate::service::Submission;
 /// ≈ 2 MiB); higher resolutions screen through the in-process door.
 pub const MAX_FRAME: usize = 1 << 22;
 
+/// Frames up to this many bytes are read into a buffer sized up front;
+/// a longer one grows its buffer only as its bytes arrive, so a length
+/// prefix alone cannot claim [`MAX_FRAME`] bytes of memory.
+const EAGER_FRAME: usize = 1 << 16;
+
 /// Largest device resolution accepted over the wire (see
 /// [`MAX_FRAME`]).
 pub const MAX_WIRE_BITS: u32 = 18;
@@ -142,8 +147,18 @@ pub fn read_frame<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Opt
             format!("frame length {len} outside 1..={MAX_FRAME}"),
         ));
     }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
+    if len <= EAGER_FRAME {
+        buf.resize(len, 0);
+        r.read_exact(buf)?;
+    } else {
+        buf.clear();
+        if r.take(len as u64).read_to_end(buf)? < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF inside frame body",
+            ));
+        }
+    }
     Ok(Some(&buf[..]))
 }
 

@@ -255,6 +255,28 @@ fn framing_rejects_oversize_and_truncation() {
 }
 
 #[test]
+fn a_length_prefix_alone_claims_no_frame_buffer() {
+    // The peer announces the largest frame, sends 16 body bytes and
+    // closes: the read fails, and the buffer grew only with what came.
+    let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&[0x01; 16]);
+    let mut reader = &wire[..];
+    let mut buf = Vec::new();
+    let err = read_frame(&mut reader, &mut buf).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(buf.capacity() < 1 << 16, "capacity {}", buf.capacity());
+    // A large frame that does arrive reads back whole.
+    let payload: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &payload).unwrap();
+    let mut reader = &wire[..];
+    assert_eq!(
+        read_frame(&mut reader, &mut buf).unwrap(),
+        Some(&payload[..])
+    );
+}
+
+#[test]
 fn writer_rejects_out_of_bounds_payloads() {
     // The sender fails fast (InvalidInput) instead of framing a
     // payload the peer would abort the session over.
