@@ -474,8 +474,9 @@ impl StaticEngine {
                     head_left -= head;
                     for _ in 0..head {
                         consumed += 1;
-                        push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
-                        if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed))
+                        let seq = seq.as_deref_mut();
+                        if let Some(stop) =
+                            push_sample(&mut mon, &mut func, seq, consumed, bit, code)
                         {
                             break 'sweep Some(stop);
                         }
@@ -505,8 +506,8 @@ impl StaticEngine {
                     let v = self.noise.perturb_voltage(ramp.value(t).0, &mut dev.rng);
                     let code = dev.adc.convert(Volts(v));
                     consumed += 1;
-                    push_sample(&mut mon, &mut func, seq.as_deref_mut(), consumed, bit, code);
-                    if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_if_due(consumed)) {
+                    let seq = seq.as_deref_mut();
+                    if let Some(stop) = push_sample(&mut mon, &mut func, seq, consumed, bit, code) {
                         break 'sweep Some(stop);
                     }
                 }
@@ -535,7 +536,9 @@ impl StaticEngine {
 
 /// Pushes sample `at` (code `code`, monitored bit `bit`) through one
 /// static lane's accumulators — the same `push` the scalar engine
-/// steps — latching the events it closes into the lane's sequencer.
+/// steps — feeding the events it closes to the lane's sequencer, which
+/// takes its checkpoint if one falls due at `at`. The early-stop
+/// outcome when that checkpoint stops the sweep.
 #[inline(always)]
 fn push_sample(
     mon: &mut MonitorState,
@@ -544,17 +547,17 @@ fn push_sample(
     at: u64,
     bit: u32,
     code: Code,
-) {
+) -> Option<SeqOutcome<BistVerdict>> {
     let measured = mon.push((code.0 >> bit) & 1 == 1);
     let checked = func.push(code);
-    if let Some(seq) = seq {
-        if let Some(m) = measured {
-            seq.observe_code(at, &m);
-        }
-        if let Some(c) = checked {
-            seq.observe_functional(at, c.ok);
-        }
+    let seq = seq?;
+    if let Some(m) = measured {
+        seq.observe_code(at, &m);
     }
+    if let Some(c) = checked {
+        seq.observe_functional(at, c.ok);
+    }
+    seq.stop_if_due(at)
 }
 
 /// First sample index in `[from, total)` whose ramp voltage reaches

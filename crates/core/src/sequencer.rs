@@ -438,11 +438,7 @@ pub struct StaticSequencer {
     functional_mismatches: u64,
     inl_last: i64,
     last_event_sample: u64,
-    /// Welford mean and sum of squared deviations of the admitted code
-    /// widths (`codes` is their count): `Running::push`'s recurrence,
-    /// without the extremes the rules never read.
-    width_mean: f64,
-    width_m2: f64,
+    widths: Running,
     // Visibility protocol: the consumed-sample count the next
     // checkpoint falls due at, and the events not yet admitted, in
     // arrival order.
@@ -476,8 +472,7 @@ impl StaticSequencer {
             functional_mismatches: 0,
             inl_last: 0,
             last_event_sample: 0,
-            width_mean: 0.0,
-            width_m2: 0.0,
+            widths: Running::new(),
             next_due: policy.min_samples + STATIC_DECISION_LATENCY,
             latched: [(0, Event::Functional(true)); LATCH],
             latched_len: 0,
@@ -506,8 +501,7 @@ impl StaticSequencer {
         self.functional_mismatches = 0;
         self.inl_last = 0;
         self.last_event_sample = 0;
-        self.width_mean = 0.0;
-        self.width_m2 = 0.0;
+        self.widths = Running::new();
         self.next_due = self.next_checkpoint_after(0) + STATIC_DECISION_LATENCY;
         self.latched_len = 0;
     }
@@ -589,10 +583,7 @@ impl StaticSequencer {
                 self.inl_failures += u64::from(!inl_pass);
                 self.inl_last = inl_counts;
                 self.last_event_sample = at;
-                let x = count as f64;
-                let delta = x - self.width_mean;
-                self.width_mean += delta / self.codes as f64;
-                self.width_m2 += delta * (x - self.width_mean);
+                self.widths.push(count as f64);
             }
             Event::Functional(ok) => {
                 self.functional_checks += 1;
@@ -655,13 +646,7 @@ impl StaticSequencer {
     pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
         let visible = consumed.saturating_sub(STATIC_DECISION_LATENCY);
         self.admit(visible);
-        self.next_due = if consumed == self.next_due {
-            // `visible` is on the lattice: the next point is one
-            // interval on (no division).
-            consumed + self.policy.check_interval
-        } else {
-            self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY
-        };
+        self.next_due = self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
         self.decide(visible)
     }
 
@@ -738,8 +723,8 @@ impl StaticSequencer {
             ..
         } = self.budget;
         let remaining = (self.expected - k) as f64;
-        let mean = self.width_mean;
-        let sd = (self.width_m2 / (k - 1) as f64).sqrt().max(1e-6);
+        let mean = self.widths.mean();
+        let sd = self.widths.std_dev().max(1e-6);
         let se = sd / (k as f64).sqrt();
         let drift = mean - self.i_ideal;
 
@@ -1281,28 +1266,29 @@ mod tests {
     /// The verdict a checkpoint at `visible` must report: the tallies
     /// of exactly the events closing at or before `visible`.
     fn tallies_through(events: &[(u64, Ev)], visible: u64, expected: u64) -> BistVerdict {
-        let seen = || events.iter().filter(|(at, _)| *at <= visible);
-        let codes = || {
-            seen().filter_map(|(_, e)| match e {
-                Ev::Code(c) => Some(*c),
-                Ev::Check(_) => None,
-            })
-        };
-        let checks = || {
-            seen().filter_map(|(_, e)| match e {
-                Ev::Check(ok) => Some(*ok),
-                Ev::Code(_) => None,
-            })
-        };
-        BistVerdict {
-            codes_judged: codes().count() as u64,
-            dnl_failures: codes().filter(|c| !c.dnl_verdict.is_pass()).count() as u64,
-            inl_failures: codes().filter(|c| !c.inl_pass).count() as u64,
-            functional_checks: checks().count() as u64,
-            functional_mismatches: checks().filter(|ok| !ok).count() as u64,
+        let mut want = BistVerdict {
+            codes_judged: 0,
+            dnl_failures: 0,
+            inl_failures: 0,
+            functional_checks: 0,
+            functional_mismatches: 0,
             expected_codes: expected,
             samples: visible + STATIC_DECISION_LATENCY,
+        };
+        for (_, e) in events.iter().filter(|(at, _)| *at <= visible) {
+            match e {
+                Ev::Code(c) => {
+                    want.codes_judged += 1;
+                    want.dnl_failures += u64::from(!c.dnl_verdict.is_pass());
+                    want.inl_failures += u64::from(!c.inl_pass);
+                }
+                Ev::Check(ok) => {
+                    want.functional_checks += 1;
+                    want.functional_mismatches += u64::from(!ok);
+                }
+            }
         }
+        want
     }
 
     fn observe_at(seq: &mut StaticSequencer, events: &[(u64, Ev)], sample: u64) {
