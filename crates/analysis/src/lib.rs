@@ -5,7 +5,7 @@
 //! the paper's BIST philosophy applies to silicon, applied to the
 //! reproduction itself. The three invariants the workspace already
 //! enforces dynamically (zero allocation on the hot paths, bit-identical
-//! fleet reports for any `workers × lane_width × chunk_size`, identical
+//! fleet reports for any `workers × chunk_size`, identical
 //! early-stop latch points on both backends) each get a static shadow
 //! that fires when the regression is *written*, not when a fleet run
 //! diverges:

@@ -56,7 +56,7 @@ fn live_workspace_is_clean() {
     );
     assert!(
         analysis.stats.hot_regions >= 10,
-        "lane loops, pool drains, checkpoints and Goertzel push are marked"
+        "device loops, pool drains, checkpoints and Goertzel push are marked"
     );
     assert!(analysis.stats.allow_markers >= 4);
     assert!(

@@ -1,7 +1,8 @@
-//! Experiment E16: **batched fleet screening** — the lane-parallel
-//! structure-of-arrays engine (`bist_core::batch` behind
-//! `Screener::run`) against the scalar one-device-at-a-time engine
-//! (`Screener::screen_one`), on exactness first and throughput second.
+//! Experiment E16: **batched fleet screening** — the batch engine
+//! (`bist_core::batch` behind `Screener::run`: run-skipping static
+//! sweeps, a shared sine table and the 8-device coded Goertzel kernel)
+//! against the scalar engine (`Screener::screen_one`), on exactness
+//! first and throughput second.
 //!
 //! Part 1 screens identical populations (same devices, same per-device
 //! RNG streams) through both engines in all four modes — static and
@@ -20,14 +21,12 @@
 //! Part 2 times the engines and reports devices/s each way: scalar vs
 //! batched (one core), plus the pooled engine at the configured worker
 //! count. The run fails when the batched engine's speedup falls below
-//! the floors the lane refactor promises: ≥ 4x on the static
-//! (run-skipping) workload and ≥ 5x on the dynamic (coded-lane)
-//! workload. When the host actually has the cores to back the
+//! its floors: ≥ 4x on the static (run-skipping) workload and ≥ 5x on
+//! the dynamic (coded-kernel) workload. When the host actually has the cores to back the
 //! configured pool (≥ 4 workers, all resident), the pooled static
 //! throughput must additionally clear 3x the single-worker batched
 //! rate — informational on smaller hosts, a hard gate on multi-core CI.
-//! Every batched and pooled run is 16 lanes wide; the timed pooled runs
-//! use the pool's default chunk.
+//! The timed pooled runs use the pool's default chunk.
 //! The committed `crates/bench/baseline/batched_fleet.json` additionally
 //! gates the absolute devices/s numbers through `perf_gate`.
 //!
@@ -49,8 +48,6 @@ use bist_mc::batch::{stream_rng, Batch};
 /// Device RNG salt shared with the static fleet experiments.
 const STATIC_SALT: usize = 0x5eed_0000_0000_0000;
 const DYN_SEED_XOR: u64 = 0xba7c;
-/// SoA lane width of every batched and pooled screener.
-const LANES: usize = 16;
 /// Speedup floors: batched over scalar (static, dynamic) and pooled
 /// over single-worker batched (static).
 const MIN_STATIC_X: f64 = 4.0;
@@ -91,7 +88,7 @@ fn run(sc: &mut Scenario) -> bool {
         .collect();
     let dyn_rng = |i: usize| stream_rng(SEED ^ DYN_SEED_XOR, &[1, i as u64]);
 
-    // --- Part 1: exactness, all four modes, lanes then cores --------
+    // --- Part 1: exactness, all four modes, batched then pooled -----
     // Pooled runs are compared at several worker counts × chunk sizes;
     // the checksum folds every batched report so two JSON records can
     // be diffed for divergence without rerunning.
@@ -101,7 +98,7 @@ fn run(sc: &mut Scenario) -> bool {
     for sequenced in [false, true] {
         let w = Workload::static_ramp(config);
         let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w).lane_width(LANES);
+        let mut batched = Screener::new(w);
         if sequenced {
             scalar = scalar.sequencer(policy);
             batched = batched.sequencer(policy);
@@ -120,7 +117,6 @@ fn run(sc: &mut Scenario) -> bool {
         checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
-                .lane_width(LANES)
                 .workers(pool_workers)
                 .chunk_size(pool_chunk);
             if sequenced {
@@ -143,7 +139,7 @@ fn run(sc: &mut Scenario) -> bool {
     for sequenced in [false, true] {
         let w = Workload::dynamic_sine(dyn_config);
         let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w).lane_width(LANES);
+        let mut batched = Screener::new(w);
         if sequenced {
             scalar = scalar.sequencer(policy);
             batched = batched.sequencer(policy);
@@ -167,7 +163,6 @@ fn run(sc: &mut Scenario) -> bool {
         checksum.fold_reports(&reports);
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
-                .lane_width(LANES)
                 .workers(pool_workers)
                 .chunk_size(pool_chunk);
             if sequenced {
@@ -194,7 +189,7 @@ fn run(sc: &mut Scenario) -> bool {
     }
     println!(
         "exactness: {} static + {} dynamic devices × (plain, sequenced) × \
-         (scalar, batched {LANES}-lane, pooled {:?} workers×chunk) → {divergences} divergences",
+         (scalar, batched, pooled {:?} workers×chunk) → {divergences} divergences",
         devices, dyn_devices, POOL_GRID
     );
 
@@ -206,7 +201,7 @@ fn run(sc: &mut Scenario) -> bool {
         }
     });
     let batched_static = throughput(devices, || {
-        let mut s = Screener::new(Workload::static_ramp(config)).lane_width(LANES);
+        let mut s = Screener::new(Workload::static_ramp(config));
         let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
         std::hint::black_box(reports.len());
     });
@@ -217,7 +212,7 @@ fn run(sc: &mut Scenario) -> bool {
         }
     });
     let batched_dyn = throughput(dyn_devices, || {
-        let mut s = Screener::new(Workload::dynamic_sine(dyn_config)).lane_width(LANES);
+        let mut s = Screener::new(Workload::dynamic_sine(dyn_config));
         let reports = s.run(
             dyn_fleet
                 .iter()
@@ -227,16 +222,12 @@ fn run(sc: &mut Scenario) -> bool {
         std::hint::black_box(reports.len());
     });
     let pooled_static = throughput(devices, || {
-        let mut s = Screener::new(Workload::static_ramp(config))
-            .lane_width(LANES)
-            .workers(workers);
+        let mut s = Screener::new(Workload::static_ramp(config)).workers(workers);
         let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
         std::hint::black_box(reports.len());
     });
     let pooled_dyn = throughput(dyn_devices, || {
-        let mut s = Screener::new(Workload::dynamic_sine(dyn_config))
-            .lane_width(LANES)
-            .workers(workers);
+        let mut s = Screener::new(Workload::dynamic_sine(dyn_config)).workers(workers);
         let reports = s.run(
             dyn_fleet
                 .iter()
@@ -262,7 +253,7 @@ fn run(sc: &mut Scenario) -> bool {
          batched {batched_dyn:.0} dev/s ({dyn_x:.2}x, floor {MIN_DYN_X:.2}x)"
     );
     println!(
-        "throughput pooled ({workers} workers × {LANES} lanes, chunk {}, \
+        "throughput pooled ({workers} workers, chunk {}, \
          {host_cores} host cores): static {pooled_static:.0} dev/s \
          ({pooled_static_x:.2}x batched, floor {MIN_POOL_STATIC_X:.2}x {}), \
          dynamic {pooled_dyn:.0} dev/s",
@@ -289,7 +280,6 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric("dyn_speedup_x", dyn_x);
     sc.metric("pooled_static_x", pooled_static_x);
     sc.metric_count("workers", workers as u64);
-    sc.metric_count("lane_width", LANES as u64);
     sc.metric_count("host_cores", host_cores as u64);
     sc.metric_count("report_checksum", checksum.finish());
     let path = sc.csv(
@@ -336,16 +326,16 @@ fn run(sc: &mut Scenario) -> bool {
         && dyn_x >= MIN_DYN_X
         && (!pool_gate_live || pooled_static_x >= MIN_POOL_STATIC_X);
     if clean {
-        println!("reading: the lane-parallel engine reports bit-identical verdicts for any");
+        println!("reading: the batch engine reports bit-identical verdicts for any");
         println!(
-            "workers × lanes × chunk and screens {static_x:.1}x more static / {dyn_x:.1}x \
+            "workers × chunk and screens {static_x:.1}x more static / {dyn_x:.1}x \
              more dynamic devices"
         );
         println!(
             "per second on one core ({pooled_static_x:.1}x again across {workers} workers) — \
-             lockstep lanes,"
+             run-skip,"
         );
-        println!("run-skip, the shared stimulus table and the worker pool pay for the refactor.");
+        println!("the shared stimulus table, the coded kernel and the worker pool pay for it.");
     } else {
         println!(
             "reading: GATE FAILED — divergences {divergences}, static {static_x:.2}x \

@@ -27,8 +27,6 @@
 //! snapshot must parse through `record_metrics` — the same flat JSON
 //! contract `perf_gate` relies on.
 //!
-//! Every service and screener runs 16 lanes wide.
-//!
 //! Knobs: `BIST_DEVICES` (default 600), `BIST_DYN_DEVICES` (default
 //! 96), `BIST_WORKERS` (default 0 = all cores).
 
@@ -46,8 +44,6 @@ use bist_serve::{submission_rng, ServiceConfig, ServiceHandle, Submission};
 use std::fmt::Write as _;
 
 const SEED_MIX: u64 = 0x9e37_79b9;
-/// SoA lane width of every service and screener.
-const LANES: usize = 16;
 /// Floor on streamed over pooled throughput.
 const MIN_RATIO: f64 = 0.8;
 
@@ -102,7 +98,7 @@ fn reference(subs: &[Submission]) -> Vec<(u64, String)> {
         if group.is_empty() {
             continue;
         }
-        let reports = Screener::new(workload).lane_width(LANES).run(
+        let reports = Screener::new(workload).run(
             group
                 .iter()
                 .map(|s| (s.adc.clone(), submission_rng(s.seed))),
@@ -165,7 +161,6 @@ fn run(sc: &mut Scenario) -> bool {
             .with_workload(static_workload())
             .with_workload(dyn_workload())
             .with_workers(service_workers)
-            .with_lane_width(LANES)
             .start();
         let got = stream_fleet(&handle, &subs);
         let drain = handle.shutdown();
@@ -205,29 +200,22 @@ fn run(sc: &mut Scenario) -> bool {
 
     // --- Part 2: streaming throughput vs the batched-pool floor -----
     let pooled_rate = throughput(total, || {
-        let static_reports = Screener::new(static_workload())
-            .lane_width(LANES)
-            .workers(workers)
-            .run(
-                subs[..devices]
-                    .iter()
-                    .map(|s| (s.adc.clone(), submission_rng(s.seed))),
-            );
-        let dyn_reports = Screener::new(dyn_workload())
-            .lane_width(LANES)
-            .workers(workers)
-            .run(
-                subs[devices..]
-                    .iter()
-                    .map(|s| (s.adc.clone(), submission_rng(s.seed))),
-            );
+        let static_reports = Screener::new(static_workload()).workers(workers).run(
+            subs[..devices]
+                .iter()
+                .map(|s| (s.adc.clone(), submission_rng(s.seed))),
+        );
+        let dyn_reports = Screener::new(dyn_workload()).workers(workers).run(
+            subs[devices..]
+                .iter()
+                .map(|s| (s.adc.clone(), submission_rng(s.seed))),
+        );
         std::hint::black_box(static_reports.len() + dyn_reports.len());
     });
     let handle = ServiceConfig::new()
         .with_workload(static_workload())
         .with_workload(dyn_workload())
         .with_workers(workers)
-        .with_lane_width(LANES)
         .start();
     let service_rate = throughput(total, || {
         std::hint::black_box(stream_fleet(&handle, &subs).len());
@@ -236,7 +224,7 @@ fn run(sc: &mut Scenario) -> bool {
     handle.shutdown();
     let ratio = service_rate / pooled_rate.max(1e-9);
     println!(
-        "throughput ({total} devices, {workers} workers × {LANES} lanes): \
+        "throughput ({total} devices, {workers} workers): \
          pooled {pooled_rate:.0} dev/s, streamed {service_rate:.0} dev/s \
          ({ratio:.2}x, floor {MIN_RATIO:.2}x)"
     );
@@ -315,7 +303,6 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("busy_responses", busy_responses);
     sc.metric_count("max_queue_depth", max_depth);
     sc.metric_count("workers", workers as u64);
-    sc.metric_count("lane_width", LANES as u64);
     sc.metric("service_uptime_seconds", uptime_snapshot.uptime_seconds);
     let path = sc.csv(
         "service_soak.csv",

@@ -12,7 +12,7 @@
 //!   [`crate::functional::FunctionalAcc`]) and the streaming Goertzel
 //!   bank of [`crate::dynamic`]. Zero-size, zero-cost: this is exactly
 //!   the allocation-free hot path the Monte-Carlo fleet runs. It also
-//!   overrides the batch hook with the lane-parallel SoA engine of
+//!   overrides the batch hook with the behavioural engine of
 //!   [`crate::batch`].
 //! * [`RtlBackend`] — the gate-accurate `bist_rtl::top::BistTop` (and
 //!   fixed-point [`bist_rtl::dyn_top::DynBistTop`]), clocked one code
@@ -72,7 +72,7 @@ use rand::RngCore;
 /// **Batch contract** (`process_batch`): the reports a batch yields are
 /// device-for-device identical to running each queued device through
 /// the corresponding judge — the default body literally does that.
-/// [`BehavioralBackend`] overrides it with the lane-parallel engine of
+/// [`BehavioralBackend`] overrides it with the behavioural engine of
 /// [`crate::batch`], which the batch-equivalence property tests pin
 /// bit-exact to the scalar path.
 pub trait Backend {
@@ -199,8 +199,8 @@ impl Backend for BehavioralBackend {
         }
     }
 
-    /// The lane-parallel SoA engine: run-skipping static lanes, coded
-    /// and per-sample Goertzel lanes over a shared stimulus table —
+    /// The behavioural batch engine: run-skipping static sweeps, coded
+    /// and per-sample Goertzel records over a shared stimulus table —
     /// bit-exact to the scalar path either way (see [`crate::batch`]).
     fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>) {
         batch.run_batched();

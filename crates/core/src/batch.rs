@@ -1,70 +1,68 @@
-//! Lane-parallel batch screening: N devices advance in lockstep
-//! through structure-of-arrays state blocks.
+//! Batch screening: a queue of devices, each screened to completion on
+//! its own code stream.
 //!
 //! [`ScreenBatch`] is the one batch engine. It is built from a
-//! [`Workload`], an optional early-stop sequencer and a lane width, and
-//! owns the device queue, the report buffer and two ways of draining
-//! the queue: [`ScreenBatch::run_scalar`] screens one device at a time
-//! through a [`Backend`]'s judge for the workload (the reference, and
-//! the path hardware-model backends take), and [`ScreenBatch::run_batched`]
-//! runs the lane-parallel behavioural engine. The fleet hot loop is
-//! embarrassingly lane-parallel: every device runs the same plan over
-//! the same sample grid, only the transfer function (and its noise
-//! draws) differ. Each workload keeps its own private lane state:
+//! [`Workload`] and an optional early-stop sequencer, and owns the
+//! device queue, the report buffer and two ways of draining the queue:
+//! [`ScreenBatch::run_scalar`] screens one device at a time through a
+//! [`Backend`]'s judge for the workload (the reference, and the path
+//! hardware-model backends take), and [`ScreenBatch::run_batched`] runs
+//! the behavioural engine. That engine also takes one device at a time
+//! and screens it from its first sample to its verdict, as the on-chip
+//! monitor does; what it saves over the scalar path it saves by knowing
+//! the stimulus:
 //!
-//! * static — code tallies as lane-indexed
-//!   [`MonitorState`]/[`FunctionalState`] arrays. On the dominant
-//!   noiseless-ramp workload each lane additionally *run-skips*: the
-//!   ramp is monotone and the transition levels are known
-//!   ([`Adc::transition_levels`]), so the next code flip is found by a
-//!   galloping search over the closed-form ramp instead of sample-by-
-//!   sample conversion, and the accumulators advance over the constant
-//!   run in O(1) ([`MonitorState::skip_run`]). The replayed head of
-//!   each run keeps the deglitcher and median-filter state machines
-//!   bit-exact with the scalar path.
-//! * dynamic — the coherent sine stimulus evaluated **once** per batch
-//!   into a table, planned by the batch's first zero-jitter lane (at
-//!   zero jitter the stimulus is device-independent), and sorted once by
-//!   value. A lane whose plan differs from the table's falls back to
-//!   per-sample evaluation. A noiseless, unsequenced lane whose
-//!   device states at most 255 transition levels is *coded* on install:
-//!   one walk of the table in value order against the sorted levels
-//!   yields its whole record, one byte per sample, in `[u8; 8]` rows
-//!   shared by an 8-lane group. Each group's coded lanes then cross the
-//!   record in one kernel pass holding the Goertzel state as
-//!   `[bin][lane]` rows and the Welford moments as `[lane]` rows: the
-//!   Welford divide is one vector operation across the group, and each
-//!   sample's resonator updates are eight independent chains per bin
-//!   instead of one (AVX2+FMA when the host has it). Other lanes —
-//!   noisy, sequenced, or converters that state no levels — step
-//!   sample by sample through lane-major resonators.
+//! * static — on the dominant noiseless-ramp workload the sweep
+//!   *run-skips*: the ramp is monotone and the transition levels are
+//!   known ([`Adc::transition_levels`]), so the next code flip is found
+//!   by a galloping search over the closed-form ramp instead of
+//!   sample-by-sample conversion, and the accumulators advance over the
+//!   constant run in O(1) ([`MonitorState::skip_run`]). The replayed
+//!   head of each run keeps the deglitcher and median-filter state
+//!   machines bit-exact with the scalar path. Other sweeps convert
+//!   sample by sample.
+//! * dynamic — the coherent sine stimulus is evaluated **once** per
+//!   batch into a table, planned by the batch's first zero-jitter
+//!   device (at zero jitter the stimulus is device-independent), and
+//!   sorted once by value. A device whose plan differs from the table's
+//!   falls back to per-sample evaluation. A noiseless, unsequenced
+//!   device that states at most 255 transition levels is *coded*: one
+//!   walk of the table in value order against the sorted levels yields
+//!   its whole record, one byte per sample, in the next column of a
+//!   pending group of eight `[u8; 8]` rows. The group crosses the
+//!   record in one kernel pass when its eighth column fills and when
+//!   the queue drains, holding the Goertzel state as `[bin][device]`
+//!   rows and the Welford moments as `[device]` rows: the Welford
+//!   divide is one vector operation across the group, and each sample's
+//!   resonator updates are eight independent chains per bin instead of
+//!   one (AVX2+FMA when the host has it). Other devices — noisy,
+//!   sequenced, or converters that state no levels — step sample by
+//!   sample through the scalar engine's own [`GoertzelBank`].
 //!
-//! A sequenced batch keeps one sequencer per lane and feeds it exactly
-//! as the scalar judges do: each event is stamped with its closing
-//! sample, the sequencer admits it under its own visibility protocol
-//! (see [`crate::sequencer`]), and the lane takes each checkpoint at
-//! the sequencer's [`next_due`](StaticSequencer::next_due) sample. A
-//! run-skipping lane takes the checkpoints that fall inside a run's
-//! skipped bulk, where no event closes, without splitting the run. A
-//! finished lane is refilled from the device queue so the batch never
-//! idles.
+//! A sequenced batch keeps one sequencer and feeds it exactly as the
+//! scalar judges do: each event is stamped with its closing sample, the
+//! sequencer admits it under its own visibility protocol (see
+//! [`crate::sequencer`]), and the sweep takes each checkpoint at the
+//! sequencer's [`next_due`](StaticSequencer::next_due) sample. A
+//! run-skipping sweep takes the checkpoints that fall inside a run's
+//! skipped bulk, where no event closes, without splitting the run.
 //!
 //! **Bit-exactness.** Every verdict a batch reports is identical to
 //! running the same device, with the same RNG, through the scalar
 //! engine: run-skipping evaluates the *same* ramp expression on the
-//! *same* sample indices; the fallback path replays
-//! [`bist_adc::stream::CodeStream`]'s draw order per lane; per-sample
-//! dynamic lanes run the scalar engine's own [`GoertzelBank`], and the
-//! group kernel applies [`GoertzelBank::push`]'s per-(lane, bin)
-//! operation sequence, then loads its result into the lane's bank. The
-//! `batch_equivalence` property tests pin this for arbitrary lane
-//! widths and refill orders.
+//! *same* sample indices; the per-sample paths replay
+//! [`bist_adc::stream::CodeStream`]'s draw order with the device's own
+//! RNG; per-sample dynamic devices run the scalar engine's own
+//! [`GoertzelBank`], and the group kernel applies
+//! [`GoertzelBank::push`]'s per-(device, bin) operation sequence, then
+//! loads its result into that bank. The `batch_equivalence` property
+//! tests pin this for any fleet size, mix and refill order.
 
 use std::collections::VecDeque;
 
 use crate::backend::Backend;
 use crate::config::BistConfig;
-use crate::dynamic::{plan_sine, DynamicConfig, DynamicVerdict};
+use crate::dynamic::{plan_sine, DynamicConfig};
 use crate::functional::FunctionalState;
 use crate::harness::{plan_ramp, BistVerdict};
 use crate::lsb_monitor::MonitorState;
@@ -77,17 +75,9 @@ use bist_adc::{Adc, SamplingConfig};
 use bist_dsp::goertzel::{harmonic_plan, Goertzel, GoertzelBank};
 use rand::RngCore;
 
-/// Default number of devices advancing in lockstep.
-pub const DEFAULT_LANE_WIDTH: usize = 16;
-
-/// Samples each active lane advances before the scheduler visits the
-/// next lane — large enough to amortise the visit, small enough that a
-/// freshly refilled lane joins the lockstep quickly.
-const CHUNK: u64 = 4096;
-
 /// One queued device: a stable report index, its transfer function and
-/// its private noise RNG (per-lane draw order is preserved exactly, so
-/// verdicts are independent of lane scheduling).
+/// its private noise RNG (the device's draw order is its own, so
+/// verdicts are independent of queue order).
 #[derive(Debug, Clone)]
 pub struct BatchDevice<A, R> {
     /// Caller-chosen identifier carried into the report (unique per
@@ -110,21 +100,21 @@ impl<A, R> BatchDevice<A, R> {
 /// sample table.
 ///
 /// A dynamic [`ScreenBatch`] plans its table lazily, on its first
-/// zero-jitter lane. Lanes whose plan differs from the table's (or any
-/// jittered noise model) fall back to per-sample evaluation, so the
+/// zero-jitter device. Devices whose plan differs from the table's (or
+/// any jittered noise model) fall back to per-sample evaluation, so the
 /// table never changes a verdict.
 #[derive(Debug, Default)]
 struct StimulusTable {
     plan: Option<(SineWave, SamplingConfig)>,
     values: Vec<f64>,
     /// Sample indices in ascending value order — empty when a value is
-    /// not finite, which keeps every lane off the coded path.
+    /// not finite, which keeps every device off the coded path.
     order: Vec<u32>,
 }
 
 impl StimulusTable {
     /// (Re)plans the table in place: evaluates every sample and sorts
-    /// the value order coded lanes walk.
+    /// the value order coded devices walk.
     fn plan(&mut self, sine: SineWave, sampling: SamplingConfig) {
         self.values.clear();
         self.values
@@ -140,10 +130,9 @@ impl StimulusTable {
     }
 }
 
-/// A batch of devices screened through one [`Workload`] in
-/// lane-parallel lockstep — the one batch engine behind
-/// [`crate::screener::Screener::run`], the worker pool, the resident
-/// shard and `bist_mc`'s experiments.
+/// A queue of devices screened through one [`Workload`] — the one
+/// batch engine behind [`crate::screener::Screener::run`], the worker
+/// pool, the resident shard and `bist_mc`'s experiments.
 ///
 /// Build one with [`ScreenBatch::new`], [`push`](ScreenBatch::push)
 /// the devices, hand it to [`Backend::process_batch`], then collect
@@ -153,56 +142,49 @@ impl StimulusTable {
 pub struct ScreenBatch<A, R> {
     workload: Workload,
     sequencer: Option<SequencerConfig>,
-    lane_width: usize,
     queue: VecDeque<BatchDevice<A, R>>,
     reports: Vec<ScreenReport>,
     scalar: ScalarPath,
-    devices: Vec<Option<BatchDevice<A, R>>>,
-    lanes: LaneEngine,
+    engine: BatchEngine,
 }
 
-/// The lane state of a [`ScreenBatch`]: one private layout per
-/// workload.
+/// The behavioural engine of a [`ScreenBatch`]: one per workload.
 #[derive(Debug)]
-enum LaneEngine {
-    Static(StaticEngine),
-    Dynamic(DynEngine),
+enum BatchEngine {
+    Static(Box<StaticEngine>),
+    Dynamic(Box<DynEngine>),
 }
 
 impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
     /// A batch screening `workload`, under the early-stop `sequencer`
-    /// policy when one is given, `lane_width` lanes wide
-    /// ([`DEFAULT_LANE_WIDTH`] is the usual choice).
+    /// policy when one is given.
     ///
     /// # Panics
     ///
-    /// Panics when `lane_width` is zero.
-    pub fn new(workload: Workload, sequencer: Option<SequencerConfig>, lane_width: usize) -> Self {
-        assert!(lane_width >= 1, "a batch needs at least one lane");
-        let lanes = match workload {
+    /// Panics when `sequencer` fails [`SequencerConfig::validate`].
+    pub fn new(workload: Workload, sequencer: Option<SequencerConfig>) -> Self {
+        let engine = match workload {
             Workload::Static {
                 config,
                 noise,
                 slope_error,
-            } => LaneEngine::Static(StaticEngine {
+            } => BatchEngine::Static(Box::new(StaticEngine {
                 config,
                 noise,
                 slope_error,
-                lanes: StaticLanes::default(),
-            }),
+                seq: sequencer.map(StaticSequencer::new),
+            })),
             Workload::Dynamic { config, noise } => {
-                LaneEngine::Dynamic(DynEngine::new(config, noise))
+                BatchEngine::Dynamic(Box::new(DynEngine::new(config, noise, sequencer)))
             }
         };
         ScreenBatch {
             workload,
             sequencer,
-            lane_width,
             queue: VecDeque::new(),
             reports: Vec::new(),
             scalar: ScalarPath::default(),
-            devices: Vec::new(),
-            lanes,
+            engine,
         }
     }
 
@@ -216,7 +198,7 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
         self.queue.push_back(device);
     }
 
-    /// Number of devices still waiting for a lane.
+    /// Number of devices still waiting to be screened.
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
@@ -243,7 +225,7 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
     }
 
     /// Screens the queue one device at a time through the judge of
-    /// `backend` — the reference the lane engine is measured
+    /// `backend` — the reference the behavioural engine is measured
     /// against, and the path hardware-model backends take.
     pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
         while let Some(mut dev) = self.queue.pop_front() {
@@ -261,218 +243,127 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
         }
     }
 
-    /// Screens the queue through the lane-parallel behavioural engine:
-    /// lanes advance in lockstep chunks, coded dynamic lanes run their
-    /// whole record in their group's kernel pass, finished lanes refill
-    /// from the queue, and every verdict is bit-exact to
+    /// Screens the queue through the behavioural engine: each device to
+    /// completion, coded dynamic devices in groups of eight through the
+    /// group kernel, every verdict bit-exact to
     /// [`run_scalar`](ScreenBatch::run_scalar) with
     /// [`crate::backend::BehavioralBackend`].
     pub fn run_batched(&mut self) {
-        loop {
-            let mut active = false;
-            for group in 0..self.lane_width.div_ceil(GROUP) {
-                let mut coded = [false; GROUP];
-                for lane in group * GROUP..((group + 1) * GROUP).min(self.lane_width) {
-                    if !self.ensure_installed(lane) {
-                        continue;
-                    }
-                    active = true;
-                    if matches!(&self.lanes, LaneEngine::Dynamic(e) if e.lanes.coded[lane]) {
-                        coded[lane % GROUP] = true;
-                    } else {
-                        self.step(lane);
-                    }
-                }
-                if let LaneEngine::Dynamic(engine) = &mut self.lanes {
-                    if coded.contains(&true) {
-                        engine.run_group(group, coded);
-                    }
-                }
-                for (col, _) in coded.iter().enumerate().filter(|(_, &c)| c) {
-                    self.step(group * GROUP + col);
-                }
-            }
-            if !active {
-                break;
-            }
-        }
-    }
-
-    /// Installs the next queued device when `lane` is empty; whether
-    /// the lane now holds a device.
-    fn ensure_installed(&mut self, lane: usize) -> bool {
-        if lane == self.devices.len() {
-            self.devices.push(None);
-        }
-        if self.devices[lane].is_none() {
-            let Some(dev) = self.queue.pop_front() else {
-                return false;
-            };
-            match &mut self.lanes {
-                LaneEngine::Static(engine) => engine.install(lane, &dev.adc, self.sequencer),
-                LaneEngine::Dynamic(engine) => engine.install(lane, &dev.adc, self.sequencer),
-            }
-            self.devices[lane] = Some(dev);
-        }
-        true
-    }
-
-    /// Advances `lane` by one chunk and banks the report when the
-    /// lane's device concluded.
-    fn step(&mut self, lane: usize) {
-        let dev = self.devices[lane].as_mut().expect("lane is active");
-        let verdict = match &mut self.lanes {
-            LaneEngine::Static(engine) => engine.advance_lane(lane, dev).map(ScreenVerdict::Static),
-            LaneEngine::Dynamic(engine) => {
-                engine.advance_lane(lane, dev).map(ScreenVerdict::Dynamic)
-            }
-        };
-        if let Some(verdict) = verdict {
-            let dev = self.devices[lane].take().expect("lane is active");
-            self.reports.push(ScreenReport {
-                device: dev.index,
-                verdict,
-            });
+        match &mut self.engine {
+            BatchEngine::Static(engine) => engine.run(&mut self.queue, &mut self.reports),
+            BatchEngine::Dynamic(engine) => engine.run(&mut self.queue, &mut self.reports),
         }
     }
 }
 
-/// Sets lane `lane` of one structure-of-arrays column, growing the
-/// column by one when the lane is new (lanes fill in order).
-fn put<T>(column: &mut Vec<T>, lane: usize, value: T) {
-    if lane == column.len() {
-        column.push(value);
-    } else {
-        column[lane] = value;
-    }
-}
-
-/// Structure-of-arrays state for the static lanes.
-#[derive(Debug, Clone, Default)]
-struct StaticLanes {
-    monitor: Vec<MonitorState>,
-    functional: Vec<FunctionalState>,
-    /// One sequencer per lane when the batch is sequenced, else empty.
-    seq: Vec<StaticSequencer>,
-    consumed: Vec<u64>,
-    total: Vec<u64>,
-    ramp: Vec<Ramp>,
-    sampling: Vec<SamplingConfig>,
-    run_skip: Vec<bool>,
-    cur_code: Vec<u32>,
-    run_end: Vec<u64>,
-    head_left: Vec<u64>,
-}
-
-/// The static (ramp/linearity) lane engine: the plan every lane shares
-/// and the lanes' state.
+/// The static (ramp/linearity) engine: the plan every device shares
+/// and the sequencer each sequenced sweep reuses.
 #[derive(Debug)]
 struct StaticEngine {
     config: BistConfig,
     noise: NoiseConfig,
     slope_error: f64,
-    lanes: StaticLanes,
+    seq: Option<StaticSequencer>,
 }
 
 impl StaticEngine {
-    /// Installs a device into `lane`, planning its sweep and resetting
-    /// the lane's accumulators (allocation-free once the lane exists).
-    fn install<A: Adc>(&mut self, lane: usize, adc: &A, sequencer: Option<SequencerConfig>) {
-        let (ramp, sampling) = plan_ramp(adc, &self.config);
-        let ramp = ramp.with_slope_error(self.slope_error);
-        // Run-skipping needs a device-independent, strictly advancing
-        // stimulus (noiseless, positive effective slope; harness ramps
-        // have no bow) and known transition levels to search against.
-        let run_skip = self.noise.is_noiseless()
-            && ramp.effective_slope() > 0.0
-            && adc.transition_levels().is_some();
-        let monitor = MonitorState::new(&self.config);
-        let functional = FunctionalState::new(self.config.monitored_bit(), self.config.deglitch());
-        let l = &mut self.lanes;
-        if let Some(policy) = sequencer {
-            if lane == l.seq.len() {
-                // A copy of the first lane's sequencer keeps the look
-                // budgets it derived, so `begin` derives them once per
-                // batch.
-                let seq = l.seq.first().cloned();
-                l.seq
-                    .push(seq.unwrap_or_else(|| StaticSequencer::new(policy)));
-            }
-            l.seq[lane].begin(&self.config);
-        }
-        put(&mut l.monitor, lane, monitor);
-        put(&mut l.functional, lane, functional);
-        put(&mut l.consumed, lane, 0);
-        put(&mut l.total, lane, sampling.samples as u64);
-        put(&mut l.ramp, lane, ramp);
-        put(&mut l.sampling, lane, sampling);
-        put(&mut l.run_skip, lane, run_skip);
-        put(&mut l.cur_code, lane, 0);
-        put(&mut l.run_end, lane, 0);
-        put(&mut l.head_left, lane, 0);
-    }
-
-    /// Advances one lane holding `dev` by one chunk, or until a
-    /// checkpoint stops its sweep or the sweep ends. Returns the
-    /// device's outcome when its sweep concluded.
-    // bist-lint: hot-path — the static lane inner loop
-    fn advance_lane<A: Adc, R: RngCore>(
+    /// Sweeps each queued device from its first sample until a
+    /// checkpoint stops the sweep or the sweep ends, one report each.
+    // bist-lint: hot-path — the static device loop
+    fn run<A: Adc, R: RngCore>(
         &mut self,
-        lane: usize,
-        dev: &mut BatchDevice<A, R>,
-    ) -> Option<SeqOutcome<BistVerdict>> {
+        queue: &mut VecDeque<BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
         // Replayed head of each constant-code run: the deglitcher taps
         // / median window saturate after two identical samples, after
         // which `skip_run` covers the remainder in O(1).
         let head_n: u64 = if self.config.deglitch() { 2 } else { 1 };
         let bit = self.config.monitored_bit();
-        let total = self.lanes.total[lane];
-        let ramp = self.lanes.ramp[lane];
-        let sampling = self.lanes.sampling[lane];
-        let run_skip = self.lanes.run_skip[lane];
-        let mut consumed = self.lanes.consumed[lane];
-        let until = (consumed + CHUNK).min(total);
-        let mut mon = self.lanes.monitor[lane];
-        let mut func = self.lanes.functional[lane];
-        let mut cur_code = self.lanes.cur_code[lane];
-        let mut run_end = self.lanes.run_end[lane];
-        let mut head_left = self.lanes.head_left[lane];
-        let mut seq = self.lanes.seq.get_mut(lane);
+        while let Some(mut dev) = queue.pop_front() {
+            let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
+            let ramp = ramp.with_slope_error(self.slope_error);
+            let total = sampling.samples as u64;
+            // Run-skipping needs a device-independent, strictly
+            // advancing stimulus (noiseless, positive effective slope;
+            // harness ramps have no bow) and known transition levels to
+            // search against.
+            let run_skip = self.noise.is_noiseless() && ramp.effective_slope() > 0.0;
+            let levels = dev.adc.transition_levels().filter(|_| run_skip);
+            let mut mon = MonitorState::new(&self.config);
+            let mut func = FunctionalState::new(bit, self.config.deglitch());
+            let mut seq = self.seq.as_mut();
+            if let Some(seq) = seq.as_deref_mut() {
+                seq.begin(&self.config);
+            }
+            let mut consumed = 0;
 
-        let stop = 'sweep: {
-            if run_skip {
-                let levels = dev
-                    .adc
-                    .transition_levels()
-                    .expect("run-skip lane has levels");
-                while consumed < until {
-                    if run_end <= consumed {
-                        // Open a run: settle the level cursor to the
-                        // exact partition point at this sample, then
-                        // gallop to the first sample at or above the
-                        // next transition level.
-                        let v = ramp.value(sampling.sample_time(consumed as usize)).0;
-                        let m = levels.len();
-                        let mut c = cur_code as usize;
-                        while c < m && levels[c] <= v {
-                            c += 1;
+            let stop = 'sweep: {
+                if let Some(levels) = levels {
+                    let (mut cur_code, mut run_end, mut head_left) = (0u32, 0u64, 0u64);
+                    while consumed < total {
+                        if run_end <= consumed {
+                            // Open a run: settle the level cursor to the
+                            // exact partition point at this sample, then
+                            // gallop to the first sample at or above the
+                            // next transition level.
+                            let v = ramp.value(sampling.sample_time(consumed as usize)).0;
+                            let m = levels.len();
+                            let mut c = cur_code as usize;
+                            while c < m && levels[c] <= v {
+                                c += 1;
+                            }
+                            while c > 0 && levels[c - 1] > v {
+                                c -= 1;
+                            }
+                            cur_code = c as u32;
+                            run_end = if c < m {
+                                first_at_or_above(&ramp, &sampling, levels[c], consumed + 1, total)
+                            } else {
+                                total
+                            };
+                            head_left = head_n;
                         }
-                        while c > 0 && levels[c - 1] > v {
-                            c -= 1;
+                        let code = Code(cur_code);
+                        let head = head_left.min(run_end - consumed);
+                        head_left -= head;
+                        for _ in 0..head {
+                            consumed += 1;
+                            let seq = seq.as_deref_mut();
+                            if let Some(stop) =
+                                push_sample(&mut mon, &mut func, seq, consumed, bit, code)
+                            {
+                                break 'sweep Some(stop);
+                            }
                         }
-                        cur_code = c as u32;
-                        run_end = if c < m {
-                            first_at_or_above(&ramp, &sampling, levels[c], consumed + 1, total)
-                        } else {
-                            total
-                        };
-                        head_left = head_n;
+                        // No event closes in the rest of the run, so each
+                        // checkpoint falling due in it is taken now, on
+                        // the tallies it would see at its own sample, and
+                        // a checkpoint that continues does not split the
+                        // run.
+                        if let Some(stop) =
+                            seq.as_deref_mut().and_then(|s| s.stop_in_quiet(run_end))
+                        {
+                            break 'sweep Some(stop);
+                        }
+                        let bulk = run_end - consumed;
+                        if bulk > 0 {
+                            mon.skip_run(bulk);
+                            func.skip_run(bulk);
+                            consumed = run_end;
+                        }
                     }
-                    let end = run_end.min(until);
-                    let code = Code(cur_code);
-                    let head = head_left.min(end - consumed);
-                    head_left -= head;
-                    for _ in 0..head {
+                } else {
+                    // Per-sample fallback: byte-for-byte the scalar
+                    // acquisition (`CodeStream::next`), with the
+                    // device's own RNG so the draw order matches the
+                    // scalar run exactly.
+                    while consumed < total {
+                        let t = self
+                            .noise
+                            .perturb_time(sampling.sample_time(consumed as usize), &mut dev.rng);
+                        let v = self.noise.perturb_voltage(ramp.value(t).0, &mut dev.rng);
+                        let code = dev.adc.convert(Volts(v));
                         consumed += 1;
                         let seq = seq.as_deref_mut();
                         if let Some(stop) =
@@ -481,62 +372,28 @@ impl StaticEngine {
                             break 'sweep Some(stop);
                         }
                     }
-                    // No event closes in the rest of the run, so each
-                    // checkpoint falling due in it is taken now, on the
-                    // tallies it would see at its own sample, and a
-                    // checkpoint that continues does not split the run.
-                    if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_in_quiet(end)) {
-                        break 'sweep Some(stop);
-                    }
-                    let bulk = end - consumed;
-                    if bulk > 0 {
-                        mon.skip_run(bulk);
-                        func.skip_run(bulk);
-                        consumed = end;
-                    }
                 }
-            } else {
-                // Per-sample fallback: byte-for-byte the scalar
-                // acquisition (`CodeStream::next`), with the lane's own
-                // RNG so the draw order matches the scalar run exactly.
-                while consumed < until {
-                    let t = self
-                        .noise
-                        .perturb_time(sampling.sample_time(consumed as usize), &mut dev.rng);
-                    let v = self.noise.perturb_voltage(ramp.value(t).0, &mut dev.rng);
-                    let code = dev.adc.convert(Volts(v));
-                    consumed += 1;
-                    let seq = seq.as_deref_mut();
-                    if let Some(stop) = push_sample(&mut mon, &mut func, seq, consumed, bit, code) {
-                        break 'sweep Some(stop);
-                    }
-                }
-            }
-            None
-        };
-        let outcome = stop.or_else(|| {
-            (consumed == total).then(|| {
+                None
+            };
+            let outcome = stop.unwrap_or_else(|| {
                 SeqOutcome::completed(BistVerdict::from_tallies(
                     &self.config,
                     mon.tally(),
                     func.tally(),
                     consumed,
                 ))
-            })
-        });
-        self.lanes.consumed[lane] = consumed;
-        self.lanes.monitor[lane] = mon;
-        self.lanes.functional[lane] = func;
-        self.lanes.cur_code[lane] = cur_code;
-        self.lanes.run_end[lane] = run_end;
-        self.lanes.head_left[lane] = head_left;
-        outcome
+            });
+            reports.push(ScreenReport {
+                device: dev.index,
+                verdict: ScreenVerdict::Static(outcome),
+            });
+        }
     }
 }
 
 /// Pushes sample `at` (code `code`, monitored bit `bit`) through one
-/// static lane's accumulators — the same `push` the scalar engine
-/// steps — feeding the events it closes to the lane's sequencer, which
+/// static sweep's accumulators — the same `push` the scalar engine
+/// steps — feeding the events it closes to the sweep's sequencer, which
 /// takes its checkpoint if one falls due at `at`. The early-stop
 /// outcome when that checkpoint stops the sweep.
 #[inline(always)]
@@ -597,12 +454,12 @@ fn first_at_or_above(
     lo
 }
 
-/// Lanes per coded group: each sample of a group's record is one
+/// Devices per coded group: each sample of a group's record is one
 /// `[u8; GROUP]` row of codes.
 const GROUP: usize = 8;
 
 /// A coded group's accumulators: the resonator states `s1`, `s2` as
-/// `[bin][lane]` rows and the Welford moments as `[lane]` rows.
+/// `[bin][device]` rows and the Welford moments as `[device]` rows.
 #[derive(Debug, Clone)]
 struct GroupState {
     coeff: Vec<f64>,
@@ -648,10 +505,10 @@ fn code_record(table: &StimulusTable, levels: &[f64], rows: &mut [[u8; GROUP]], 
 }
 
 /// Advances a coded group from zeroed state over its whole record.
-/// Each lane gets exactly `advance_lane`'s arithmetic in its order —
-/// `x = code + ½ − fs/2`, then every bin's `s0 = x + c·s1 − s2`, then
-/// the Welford step — so results are bit-identical. Eight lanes side
-/// by side turn the Welford divide chain into one vector divide per
+/// Each column gets exactly the per-sample path's arithmetic in its
+/// order — `x = code + ½ − fs/2`, then every bin's `s0 = x + c·s1 − s2`,
+/// then the Welford step — so results are bit-identical. Eight devices
+/// side by side turn the Welford divide chain into one vector divide per
 /// sample and give the core eight independent resonator chains per bin
 /// to overlap.
 // bist-lint: hot-path — shared body of both group-kernel entries
@@ -683,7 +540,7 @@ fn group_kernel_body(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
 }
 
 /// x86-64 entry compiled with AVX2+FMA enabled: `mul_add` lowers to a
-/// hardware `vfmadd` and the lane-wise Welford divide to 4-wide
+/// hardware `vfmadd` and the column-wise Welford divide to 4-wide
 /// `vdivpd` — correctly rounded, bit-identical to the portable build's
 /// `fma()` libm calls and scalar divides.
 ///
@@ -715,176 +572,155 @@ fn group_kernel(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
     group_kernel_body(rows, st, half_fs);
 }
 
-/// Structure-of-arrays state for the dynamic lanes, each with the
-/// scalar engine's own [`GoertzelBank`].
-#[derive(Debug, Clone, Default)]
-struct DynLanes {
-    banks: Vec<GoertzelBank>,
-    /// One sequencer per lane when the batch is sequenced, else empty.
-    seq: Vec<DynSequencer>,
-    consumed: Vec<u64>,
-    use_table: Vec<bool>,
-    sine: Vec<SineWave>,
-    sampling: Vec<SamplingConfig>,
-    /// Whether the lane's record is coded into its group's rows.
-    coded: Vec<bool>,
-}
-
-/// The dynamic (coherent-sine) lane engine: the plan every lane shares,
-/// the stimulus table, the coded record rows and the lanes' state.
+/// The dynamic (coherent-sine) engine: the plan every device shares,
+/// the stimulus table, the scalar engine's [`GoertzelBank`] and the
+/// sequencer each per-sample record reuses, and the pending coded
+/// group.
 #[derive(Debug)]
 struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
-    /// Stimulus voltages shared by every zero-jitter lane whose plan
+    /// Stimulus voltages shared by every zero-jitter device whose plan
     /// matches the table's — evaluated once per batch.
-    table: Box<StimulusTable>,
-    lanes: DynLanes,
-    /// Coded records, one `record_len`-row block per lane group:
-    /// lane `l`'s code for sample `i` is
-    /// `codes[(l / GROUP) * record_len + i][l % GROUP]`.
+    table: StimulusTable,
+    bank: GoertzelBank,
+    seq: Option<DynSequencer>,
+    /// The pending group's coded records: the code of the device in
+    /// column `c` for sample `i` is `codes[i][c]`.
     codes: Vec<[u8; GROUP]>,
+    /// Report indices of the devices coded into the pending group, by
+    /// column; the first `coded` are live.
+    pending: [usize; GROUP],
+    coded: usize,
     group: GroupState,
 }
 
 impl DynEngine {
-    fn new(config: DynamicConfig, noise: NoiseConfig) -> Self {
+    fn new(config: DynamicConfig, noise: NoiseConfig, sequencer: Option<SequencerConfig>) -> Self {
         let n = config.record_len();
         let plan = harmonic_plan(config.cycles() as usize, n, config.harmonics());
         let coeff = plan.bins.iter().map(|&b| Goertzel::for_bin(b, n).coeff());
         DynEngine {
             config,
             noise,
-            table: Box::default(),
-            lanes: DynLanes::default(),
+            table: StimulusTable::default(),
+            bank: GoertzelBank::new(config.cycles() as usize, n, config.harmonics()),
+            seq: sequencer.map(DynSequencer::new),
             codes: Vec::new(),
+            pending: [0; GROUP],
+            coded: 0,
             group: GroupState::new(coeff.collect()),
         }
     }
 
-    /// Runs `group`'s coded record block through [`group_kernel`] and
-    /// hands each `coded` lane's state back to its resonators and
-    /// Welford slots, leaving the lane at the end of its record.
-    // bist-lint: hot-path — coded group dispatch
-    fn run_group(&mut self, group: usize, coded: [bool; GROUP]) {
-        let record = self.config.record_len();
-        let half_fs = (self.config.resolution().code_count() / 2) as f64;
-        let st = &mut self.group;
-        st.reset();
-        group_kernel(&self.codes[group * record..][..record], st, half_fs);
-        for (col, _) in coded.iter().enumerate().filter(|(_, &c)| c) {
-            let lane = group * GROUP + col;
-            let st = &self.group;
-            let state = |bin: usize| (st.s1[bin][col], st.s2[bin][col]);
-            self.lanes.banks[lane].set_state(record, st.mean[col], st.m2[col], state);
-            self.lanes.consumed[lane] = record as u64;
-        }
-    }
-
-    /// Installs a device into `lane`, planning its record and resetting
-    /// the lane's resonators (allocation-free once the lane and the
-    /// table exist).
-    fn install<A: Adc>(&mut self, lane: usize, adc: &A, sequencer: Option<SequencerConfig>) {
-        let (sine, sampling) = plan_sine(adc, &self.config);
-        let jitter_free = self.noise.jitter_seconds() == 0.0;
-        if jitter_free && self.table.plan.is_none() {
-            // First zero-jitter lane establishes the batch's stimulus
-            // table: the identical expression the scalar stream
-            // evaluates, so table lanes stay bit-exact.
-            self.table.plan(sine, sampling);
-        }
-        let use_table = jitter_free && self.table.plan == Some((sine, sampling));
-        // A noiseless, unsequenced table lane whose codes fit a byte is
-        // coded once here and then runs in its group's kernel pass.
-        let levels = adc
-            .transition_levels()
-            .filter(|levels| levels.len() <= usize::from(u8::MAX));
-        let coded = match levels {
-            Some(levels)
-                if use_table
-                    && self.noise.is_noiseless()
-                    && sequencer.is_none()
-                    && !self.table.order.is_empty() =>
-            {
-                let record = self.config.record_len();
-                let rows = (lane / GROUP + 1) * record;
-                if self.codes.len() < rows {
-                    self.codes.resize(rows, [0; GROUP]);
-                }
-                let block = &mut self.codes[lane / GROUP * record..][..record];
-                code_record(&self.table, levels, block, lane % GROUP);
-                true
-            }
-            _ => false,
-        };
-        let l = &mut self.lanes;
-        if lane == l.banks.len() {
-            let c = &self.config;
-            let bank = GoertzelBank::new(c.cycles() as usize, c.record_len(), c.harmonics());
-            l.banks.push(bank);
-            if let Some(policy) = sequencer {
-                l.seq.push(DynSequencer::new(policy));
-            }
-        }
-        l.banks[lane].reset();
-        if let Some(seq) = l.seq.get_mut(lane) {
-            seq.begin(&self.config);
-        }
-        put(&mut l.consumed, lane, 0);
-        put(&mut l.use_table, lane, use_table);
-        put(&mut l.sine, lane, sine);
-        put(&mut l.sampling, lane, sampling);
-        put(&mut l.coded, lane, coded);
-    }
-
-    /// Advances one lane holding `dev` by one chunk (or to the end of
-    /// its record / an early-stop decision). Returns the device's
-    /// outcome when its record concluded.
-    // bist-lint: hot-path — the dynamic lane inner loop
-    fn advance_lane<A: Adc, R: RngCore>(
+    /// Screens each queued device to completion, or codes it into the
+    /// pending group, which is flushed when it fills and when the queue
+    /// drains; one report per device.
+    // bist-lint: hot-path — the dynamic device loop
+    fn run<A: Adc, R: RngCore>(
         &mut self,
-        lane: usize,
-        dev: &mut BatchDevice<A, R>,
-    ) -> Option<SeqOutcome<DynamicVerdict>> {
-        let record_len = self.config.record_len() as u64;
+        queue: &mut VecDeque<BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        let record_len = self.config.record_len();
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
-        let sine = self.lanes.sine[lane];
-        let sampling = self.lanes.sampling[lane];
-        let use_table = self.lanes.use_table[lane];
-        let mut consumed = self.lanes.consumed[lane];
-        let until = (consumed + CHUNK).min(record_len);
-        let bank = &mut self.lanes.banks[lane];
-        let mut seq = self.lanes.seq.get_mut(lane);
-        let mut decision = SeqDecision::Continue;
-        while consumed < until {
-            let i = consumed as usize;
-            let v0 = if use_table {
-                self.table.values[i]
-            } else {
-                let t = self
-                    .noise
-                    .perturb_time(sampling.sample_time(i), &mut dev.rng);
-                sine.value(t).0
-            };
-            let v = self.noise.perturb_voltage(v0, &mut dev.rng);
-            let code = dev.adc.convert(Volts(v));
-            bank.push(f64::from(code.0) + 0.5 - half_fs);
-            consumed += 1;
+        let jitter_free = self.noise.jitter_seconds() == 0.0;
+        while let Some(mut dev) = queue.pop_front() {
+            let (sine, sampling) = plan_sine(&dev.adc, &self.config);
+            if jitter_free && self.table.plan.is_none() {
+                // The first zero-jitter device establishes the batch's
+                // stimulus table: the identical expression the scalar
+                // stream evaluates, so table devices stay bit-exact.
+                self.table.plan(sine, sampling);
+            }
+            let use_table = jitter_free && self.table.plan == Some((sine, sampling));
+            // A noiseless, unsequenced table device whose codes fit a
+            // byte is coded into the pending group's next column.
+            let codable = use_table
+                && self.noise.is_noiseless()
+                && self.seq.is_none()
+                && !self.table.order.is_empty();
+            let levels = dev
+                .adc
+                .transition_levels()
+                .filter(|levels| codable && levels.len() <= usize::from(u8::MAX));
+            if let Some(levels) = levels {
+                if self.codes.len() < record_len {
+                    self.codes.resize(record_len, [0; GROUP]);
+                }
+                code_record(&self.table, levels, &mut self.codes, self.coded);
+                self.pending[self.coded] = dev.index;
+                self.coded += 1;
+                if self.coded == GROUP {
+                    self.flush(reports);
+                }
+                continue;
+            }
+
+            let bank = &mut self.bank;
+            bank.reset();
+            let mut seq = self.seq.as_mut();
             if let Some(seq) = seq.as_deref_mut() {
-                seq.push(code);
-                if consumed == seq.next_due() {
-                    decision = seq.checkpoint(consumed);
-                    if decision.stops() {
-                        break;
+                seq.begin(&self.config);
+            }
+            let mut consumed = 0;
+            let mut decision = SeqDecision::Continue;
+            while consumed < record_len as u64 {
+                let i = consumed as usize;
+                let v0 = if use_table {
+                    self.table.values[i]
+                } else {
+                    let t = self
+                        .noise
+                        .perturb_time(sampling.sample_time(i), &mut dev.rng);
+                    sine.value(t).0
+                };
+                let v = self.noise.perturb_voltage(v0, &mut dev.rng);
+                let code = dev.adc.convert(Volts(v));
+                bank.push(f64::from(code.0) + 0.5 - half_fs);
+                consumed += 1;
+                if let Some(seq) = seq.as_deref_mut() {
+                    seq.push(code);
+                    if consumed == seq.next_due() {
+                        decision = seq.checkpoint(consumed);
+                        if decision.stops() {
+                            break;
+                        }
                     }
                 }
             }
+            let verdict = self.config.judge_powers(&bank.powers(), consumed);
+            reports.push(ScreenReport {
+                device: dev.index,
+                verdict: ScreenVerdict::Dynamic(SeqOutcome { decision, verdict }),
+            });
         }
-        self.lanes.consumed[lane] = consumed;
-        (decision.stops() || consumed == record_len).then(|| SeqOutcome {
-            decision,
-            verdict: self.config.judge_powers(&bank.powers(), consumed),
-        })
+        self.flush(reports);
+    }
+
+    /// Runs the pending group's coded records through [`group_kernel`]
+    /// and reports each coded device from its column's state, loaded
+    /// into the bank; a no-op when nothing is pending.
+    // bist-lint: hot-path — the coded group flush
+    fn flush(&mut self, reports: &mut Vec<ScreenReport>) {
+        if self.coded == 0 {
+            return;
+        }
+        let record = self.config.record_len();
+        let half_fs = (self.config.resolution().code_count() / 2) as f64;
+        self.group.reset();
+        group_kernel(&self.codes[..record], &mut self.group, half_fs);
+        let st = &self.group;
+        for (col, &device) in self.pending[..self.coded].iter().enumerate() {
+            let state = |bin: usize| (st.s1[bin][col], st.s2[bin][col]);
+            self.bank.set_state(record, st.mean[col], st.m2[col], state);
+            let verdict = self.config.judge_powers(&self.bank.powers(), record as u64);
+            reports.push(ScreenReport {
+                device,
+                verdict: ScreenVerdict::Dynamic(SeqOutcome::completed(verdict)),
+            });
+        }
+        self.coded = 0;
     }
 }
 

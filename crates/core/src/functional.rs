@@ -119,9 +119,9 @@ pub struct FunctionalAcc<'s> {
 /// detector, expectation counter, median window and mismatch tally —
 /// everything [`FunctionalAcc`] holds except the borrowed check buffer.
 ///
-/// `Copy`, so lane-parallel engines (the batched verdict path in
-/// `bist_core::batch`) can keep one per lane in a plain array and step
-/// them with the *same* `push` the scalar accumulator uses.
+/// `Copy`, so the batched verdict path (`bist_core::batch`) can keep
+/// one in a local and step it with the *same* `push` the scalar
+/// accumulator uses.
 #[derive(Debug, Clone, Copy)]
 pub struct FunctionalState {
     monitored_bit: u32,

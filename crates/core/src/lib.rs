@@ -33,11 +33,11 @@
 //!   for that pipeline: the behavioural accumulators or the
 //!   gate-accurate `bist-rtl` datapath ([`backend::RtlBackend`]),
 //!   bit-exact with each other, over scalar devices and whole batches.
-//! * [`batch`] — lane-parallel fleet screening through one engine,
-//!   [`batch::ScreenBatch`]: N devices advance in lockstep through
-//!   structure-of-arrays accumulator/Goertzel state,
-//!   with run-skipping on noiseless ramps and a shared sine table —
-//!   bit-exact to the scalar engines, several times faster.
+//! * [`batch`] — fleet screening through one engine,
+//!   [`batch::ScreenBatch`]: each device screened to completion, with
+//!   run-skipping on noiseless ramps, a shared sine table and an
+//!   8-device coded Goertzel kernel — bit-exact to the scalar engines,
+//!   several times faster.
 //! * [`pool`] — the cores axis over [`batch`]: a scoped worker pool
 //!   where each worker owns a reusable batch engine and claims small
 //!   device chunks from a shared atomic-cursor queue, merging reports

@@ -139,9 +139,9 @@ pub struct MonitorTally {
 /// tallies — everything [`LsbMonitorAcc`] holds except the borrowed
 /// result buffer.
 ///
-/// `Copy`, so lane-parallel engines (the batched verdict path in
-/// `bist_core::batch`) can keep one per lane in a plain array and step
-/// them with the *same* `push` the scalar accumulator uses — batched
+/// `Copy`, so the batched verdict path (`bist_core::batch`) can keep
+/// one in a local and step it with the *same* `push` the scalar
+/// accumulator uses — batched
 /// and scalar sweeps run the identical code path, not a re-derivation.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorState {

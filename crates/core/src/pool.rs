@@ -1,18 +1,18 @@
 //! The workspace's one work-stealing pool: scoped workers claiming
 //! small chunks of work from an atomic cursor.
 //!
-//! The lane-parallel [`ScreenBatch`] keeps one core busy;
-//! the paper's §5 economics rest on testing "several A/D converters …
-//! in parallel", and on a workstation that parallelism is cores ×
-//! lanes. This module supplies the cores axis, in two shapes:
+//! A [`ScreenBatch`] screens its queue one device at a time on one
+//! core; the paper's §5 economics rest on testing "several A/D
+//! converters … in parallel", and on a workstation that parallelism is
+//! the host's cores. This module supplies them, in two shapes:
 //!
 //! * [`run_pool`] screens a device fleet — the pool behind
 //!   [`Screener::run`](crate::screener::Screener::run). A
 //!   [`DeviceQueue`] packs the fleet into chunks; each worker owns one
-//!   reusable [`Engine`] (a [`ScreenBatch`]: per-worker lanes, scratch
-//!   and report buffer — the zero-alloc steady state proven by
-//!   `tests/zero_alloc.rs`) plus its own backend, and [`drain`]s the
-//!   queue. Reports merge by device index.
+//!   reusable [`ScreenBatch`] (device queue, scratch and report buffer
+//!   — the zero-alloc steady state proven by `tests/zero_alloc.rs`)
+//!   plus its own backend, and [`drain`]s the queue. Reports merge by
+//!   device index.
 //! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
 //!   fan-out behind `bist_mc`'s experiments, differential sweeps and
 //!   tables, where devices derive from `(seed, index)`. Results come
@@ -29,9 +29,9 @@
 //! verdict is a pure function of `(device, rng)` — which worker
 //! screens a device, and in which order, cannot change its report.
 //! Merging by device index (or range start) therefore makes pooled
-//! output bit-identical for any `workers × lane_width × chunk_size`
-//! combination; the `batch_equivalence` property tests pin that
-//! invariant against the scalar engine.
+//! output bit-identical for any `workers × chunk_size` combination;
+//! the `batch_equivalence` property tests pin that invariant against
+//! the scalar engine.
 
 use std::iter;
 use std::mem;
@@ -105,7 +105,7 @@ fn fan_out<T: Send>(workers: usize, job: impl Fn() -> Vec<T> + Sync) -> Vec<T> {
 ///
 /// Each worker builds one `state` from `init` and threads it through
 /// every range it claims — the seam that lets a fleet worker keep a warm
-/// backend (RTL tops, batch lanes) across chunks. Workers are clamped to
+/// backend (RTL tops, batch scratch) across chunks. Workers are clamped to
 /// the chunk count; when that leaves one, the whole range is a single
 /// inline `work(&mut init(), 0, size)` call.
 pub fn map_ranges<S, T, Init, F>(size: usize, workers: usize, init: Init, work: F) -> Vec<T>
@@ -197,58 +197,31 @@ impl<A, R> DeviceQueue<A, R> {
     }
 }
 
-/// A reusable screening engine the pool drives — a [`ScreenBatch`]:
-/// queue devices, screen them through a backend, take the reports.
-pub trait Engine<A, R> {
-    /// Queues one device for screening.
-    fn push(&mut self, device: BatchDevice<A, R>);
-
-    /// Screens every queued device through `backend`'s batch seam.
-    fn screen<B: Backend>(&mut self, backend: &mut B);
-
-    /// Takes the accumulated reports, sorted by device index.
-    fn take_reports(&mut self) -> Vec<ScreenReport>;
-}
-
-impl<A: Adc, R: RngCore> Engine<A, R> for ScreenBatch<A, R> {
-    fn push(&mut self, device: BatchDevice<A, R>) {
-        ScreenBatch::push(self, device);
-    }
-
-    fn screen<B: Backend>(&mut self, backend: &mut B) {
-        backend.process_batch(self);
-    }
-
-    fn take_reports(&mut self) -> Vec<ScreenReport> {
-        ScreenBatch::take_reports(self)
-    }
-}
-
 /// A worker's inner loop: claim a chunk, queue it into the worker's
-/// own `engine`, screen it through `backend`, repeat until the queue
-/// is dry. Reports accumulate in the engine across chunks;
-/// allocation-free once the engine's lanes are warm.
+/// own `batch`, screen it through `backend`'s batch seam, repeat until
+/// the queue is dry. Reports accumulate in the batch across chunks;
+/// allocation-free once the batch is warm.
 // bist-lint: hot-path — per-worker drain loop
-pub fn drain<A, R, E, B>(engine: &mut E, queue: &DeviceQueue<A, R>, backend: &mut B)
-where
-    E: Engine<A, R>,
-    B: Backend,
-{
+pub fn drain<A: Adc, R: RngCore, B: Backend>(
+    batch: &mut ScreenBatch<A, R>,
+    queue: &DeviceQueue<A, R>,
+    backend: &mut B,
+) {
     while let Some(devices) = queue.claim() {
         for dev in devices {
-            engine.push(dev);
+            batch.push(dev);
         }
-        engine.screen(backend);
+        backend.process_batch(batch);
     }
 }
 
 /// Screens a fleet across a scoped pool of `workers` threads (`0` =
 /// available parallelism) claiming `chunk`-device chunks from a shared
-/// [`DeviceQueue`]; every worker owns one engine from `make_engine` and
+/// [`DeviceQueue`]; every worker owns one batch from `make_batch` and
 /// one `B::default()` backend.
 ///
 /// Workers are clamped to the chunk count. With a single worker one
-/// engine screens the fleet through `backend` — the caller's own, warm
+/// batch screens the fleet through `backend` — the caller's own, warm
 /// backend — `chunk` devices per pass, so it never holds more than one
 /// chunk of devices.
 ///
@@ -258,34 +231,33 @@ where
 /// # Panics
 ///
 /// Panics when `chunk` is zero.
-pub fn run_pool<A, R, E, B>(
+pub fn run_pool<A, R, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     workers: usize,
     chunk: usize,
-    make_engine: impl Fn() -> E + Sync,
+    make_batch: impl Fn() -> ScreenBatch<A, R> + Sync,
     backend: &mut B,
 ) -> Vec<ScreenReport>
 where
-    A: Send,
-    R: Send,
-    E: Engine<A, R>,
+    A: Adc + Send,
+    R: RngCore + Send,
     B: Backend + Default,
 {
     assert!(chunk >= 1, "a pool needs a positive chunk size");
     let workers = resolve_workers(workers);
     if workers <= 1 {
-        return screen_in_chunks(make_engine(), devices, chunk, backend);
+        return screen_in_chunks(make_batch(), devices, chunk, backend);
     }
     let queue = DeviceQueue::new(devices, chunk);
     let workers = workers.min(queue.chunk_count());
     if workers <= 1 {
         let fleet = iter::from_fn(|| queue.claim()).flatten();
-        return screen_in_chunks(make_engine(), fleet, chunk, backend);
+        return screen_in_chunks(make_batch(), fleet, chunk, backend);
     }
     let mut reports = fan_out(workers, || {
-        let mut engine = make_engine();
-        drain(&mut engine, &queue, &mut B::default());
-        engine.take_reports()
+        let mut batch = make_batch();
+        drain(&mut batch, &queue, &mut B::default());
+        batch.take_reports()
     });
     reports.sort_unstable_by_key(|r| r.device);
     reports
@@ -293,21 +265,17 @@ where
 
 /// The single-worker path of [`run_pool`]: queue at most `chunk`
 /// devices, screen them, repeat until the fleet is dry.
-fn screen_in_chunks<A, R, E, B>(
-    mut engine: E,
+fn screen_in_chunks<A: Adc, R: RngCore, B: Backend>(
+    mut batch: ScreenBatch<A, R>,
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     chunk: usize,
     backend: &mut B,
-) -> Vec<ScreenReport>
-where
-    E: Engine<A, R>,
-    B: Backend,
-{
+) -> Vec<ScreenReport> {
     let mut devices = devices.into_iter();
-    while devices.by_ref().take(chunk).map(|d| engine.push(d)).count() > 0 {
-        engine.screen(backend);
+    while devices.by_ref().take(chunk).map(|d| batch.push(d)).count() > 0 {
+        backend.process_batch(&mut batch);
     }
-    engine.take_reports()
+    batch.take_reports()
 }
 
 #[cfg(test)]
@@ -315,10 +283,13 @@ mod tests {
     use super::*;
     use crate::backend::BehavioralBackend;
     use crate::config::BistConfig;
+    use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
+    use crate::harness::{BistVerdict, Scratch};
     use crate::screener::Workload;
+    use crate::sequencer::{DynSequencer, SeqOutcome, StaticSequencer};
     use bist_adc::spec::LinearitySpec;
     use bist_adc::transfer::TransferFunction;
-    use bist_adc::types::{Resolution, Volts};
+    use bist_adc::types::{Code, Resolution, Volts};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -367,7 +338,7 @@ mod tests {
             .counter_bits(6)
             .build()
             .expect("paper-range counter");
-        ScreenBatch::new(Workload::static_ramp(config), None, 4)
+        ScreenBatch::new(Workload::static_ramp(config), None)
     }
 
     #[test]
@@ -385,27 +356,41 @@ mod tests {
         }
     }
 
-    /// A static batch that records the deepest queue it ever held.
-    struct DepthProbe<'a> {
-        batch: ScreenBatch<TransferFunction, StdRng>,
-        deepest: &'a AtomicUsize,
+    /// The behavioural backend, recording the deepest queue its batch
+    /// seam was handed.
+    #[derive(Default)]
+    struct DepthProbe {
+        deepest: usize,
     }
 
-    impl Engine<TransferFunction, StdRng> for DepthProbe<'_> {
-        fn push(&mut self, device: BatchDevice<TransferFunction, StdRng>) {
-            self.batch.push(device);
-            // ORDERING: Relaxed suffices — a single-threaded high-water
-            // mark, read after `run_pool` returns.
-            self.deepest
-                .fetch_max(self.batch.queued(), Ordering::Relaxed);
+    impl Backend for DepthProbe {
+        fn name(&self) -> &'static str {
+            "depth-probe"
         }
 
-        fn screen<B: Backend>(&mut self, backend: &mut B) {
-            backend.process_batch(&mut self.batch);
+        fn judge<I: IntoIterator<Item = Code>>(
+            &mut self,
+            config: &BistConfig,
+            seq: Option<&mut StaticSequencer>,
+            codes: I,
+            scratch: &mut Scratch,
+        ) -> SeqOutcome<BistVerdict> {
+            BehavioralBackend.judge(config, seq, codes, scratch)
         }
 
-        fn take_reports(&mut self) -> Vec<ScreenReport> {
-            self.batch.take_reports()
+        fn judge_dyn<I: IntoIterator<Item = Code>>(
+            &mut self,
+            config: &DynamicConfig,
+            seq: Option<&mut DynSequencer>,
+            codes: I,
+            scratch: &mut DynScratch,
+        ) -> SeqOutcome<DynamicVerdict> {
+            BehavioralBackend.judge_dyn(config, seq, codes, scratch)
+        }
+
+        fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>) {
+            self.deepest = self.deepest.max(batch.queued());
+            BehavioralBackend.process_batch(batch);
         }
     }
 
@@ -413,15 +398,10 @@ mod tests {
     fn one_worker_screens_at_most_one_chunk_at_a_time() {
         let unchunked = run_pool(fleet(23), 1, usize::MAX, batch, &mut BehavioralBackend);
         for chunk in [1, 5, 23] {
-            let deepest = AtomicUsize::new(0);
-            let make_probe = || DepthProbe {
-                batch: batch(),
-                deepest: &deepest,
-            };
-            let reports = run_pool(fleet(23), 1, chunk, make_probe, &mut BehavioralBackend);
+            let mut probe = DepthProbe::default();
+            let reports = run_pool(fleet(23), 1, chunk, batch, &mut probe);
             assert_eq!(reports, unchunked, "chunk={chunk}");
-            // ORDERING: Relaxed — `run_pool` has returned; one thread.
-            assert_eq!(deepest.load(Ordering::Relaxed), chunk, "chunk={chunk}");
+            assert_eq!(probe.deepest, chunk, "chunk={chunk}");
         }
     }
 

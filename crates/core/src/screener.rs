@@ -11,7 +11,7 @@
 //!
 //! [`Screener::run`] screens the fleet through one [`ScreenBatch`] per
 //! worker and the backend's batch seam ([`Backend::process_batch`]): the
-//! behavioural backend runs the batch's lane-parallel engine, the RTL
+//! behavioural backend runs the batch's behavioural engine, the RTL
 //! backend clocks each device through the gate-accurate datapath
 //! scalar-wise — same reports, ordered by device index, either way.
 //! With [`Screener::workers`] the fleet is additionally sharded across
@@ -23,7 +23,7 @@
 //! per-code detail in the screener's [`Scratch`] for inspection.
 
 use crate::backend::{Backend, BehavioralBackend};
-use crate::batch::{BatchDevice, ScreenBatch, DEFAULT_LANE_WIDTH};
+use crate::batch::{BatchDevice, ScreenBatch};
 use crate::config::BistConfig;
 use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
@@ -221,7 +221,6 @@ pub struct Screener<B = BehavioralBackend> {
     workload: Workload,
     backend: B,
     sequencer: Option<SequencerConfig>,
-    lane_width: usize,
     workers: usize,
     chunk: usize,
     scalar: ScalarPath,
@@ -235,7 +234,6 @@ impl Screener<BehavioralBackend> {
             workload,
             backend: BehavioralBackend,
             sequencer: None,
-            lane_width: DEFAULT_LANE_WIDTH,
             workers: 1,
             chunk: pool::DEFAULT_CHUNK,
             scalar: ScalarPath::default(),
@@ -251,7 +249,6 @@ impl<B: Backend> Screener<B> {
             workload: self.workload,
             backend,
             sequencer: self.sequencer,
-            lane_width: self.lane_width,
             workers: self.workers,
             chunk: self.chunk,
             scalar: self.scalar,
@@ -261,13 +258,6 @@ impl<B: Backend> Screener<B> {
     /// Screens under the uncertainty-guided early-stop sequencer.
     pub fn sequencer(mut self, policy: SequencerConfig) -> Self {
         self.sequencer = Some(policy);
-        self
-    }
-
-    /// Sets the batch lane width used by [`Screener::run`].
-    pub fn lane_width(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "a screener needs at least one lane");
-        self.lane_width = lanes;
         self
     }
 
@@ -300,7 +290,7 @@ impl<B: Backend> Screener<B> {
     /// Screens a fleet: one `(adc, rng)` pair per device, reports
     /// ordered by the device's position in the iterator. Dispatches
     /// through the backend's batch seam, so the behavioural backend
-    /// runs the lane-parallel engine and the RTL backend the scalar
+    /// runs the batch engine and the RTL backend the scalar
     /// gate-accurate loop — identical reports either way. With
     /// [`Screener::workers`] > 1 (or `0` on a multi-core host) the
     /// fleet is sharded across the scoped pool of [`crate::pool`];
@@ -335,12 +325,12 @@ impl<B: Backend> Screener<B> {
         I: IntoIterator<Item = (A, R)>,
         B: Default,
     {
-        let (workload, sequencer, lane_width) = (self.workload, self.sequencer, self.lane_width);
+        let (workload, sequencer) = (self.workload, self.sequencer);
         let fleet = devices
             .into_iter()
             .enumerate()
             .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-        let make_batch = || ScreenBatch::new(workload, sequencer, lane_width);
+        let make_batch = || ScreenBatch::new(workload, sequencer);
         let reports = pool::run_pool(
             fleet,
             self.workers,

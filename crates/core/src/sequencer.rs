@@ -50,7 +50,7 @@
 //!   closes within the due checkpoint's horizon, with nothing waiting
 //!   ahead of it, goes straight into the tallies on arrival; only the
 //!   events of the last two samples before a checkpoint wait in a
-//!   four-slot latch. A run-skipping batch lane knows that no event
+//!   four-slot latch. A run-skipping batch sweep knows that no event
 //!   closes in the skipped bulk of a constant-code run, so it takes the
 //!   checkpoints falling due there without stopping at each: they see
 //!   the same tallies they would at their own sample. Early verdict
@@ -1325,7 +1325,7 @@ mod tests {
         taken
     }
 
-    /// Feeds `events` as a run-skipping batch lane does: each stretch
+    /// Feeds `events` as a run-skipping batch sweep does: each stretch
     /// between event samples is quiet, so its checkpoints are taken
     /// through `stop_in_quiet`.
     fn drive_quiet(

@@ -4,15 +4,15 @@
 //! A [`ResidentShard`] keeps one [`ScreenBatch`] per resident workload
 //! — the same engine [`crate::pool`] hands its scoped workers — alive
 //! between bursts, so a long-running service screens continuously
-//! without re-allocating: after the first burst warms the engines (lane
-//! scratch, report buffers, sine table), every later submit→verdict
+//! without re-allocating: after the first burst warms the engines
+//! (scratch, report buffers, sine table), every later submit→verdict
 //! round trip is allocation-free — proven by the counting-allocator
 //! test in `crates/core/tests/zero_alloc.rs`.
 //!
 //! A job's id is its engine device index, so each verdict comes back
 //! tagged with the id of the job it answers. Because every engine
-//! verdict is bit-identical to the scalar screener for any lane width
-//! and refill order (the batch-equivalence property), any arrival
+//! verdict is bit-identical to the scalar screener for any queue and
+//! refill order (the batch-equivalence property), any arrival
 //! order, burst grouping, or worker count yields the same per-id
 //! verdicts as one [`crate::screener::Screener::run`] pass.
 
@@ -67,22 +67,21 @@ pub struct ResidentShard<A, R, B> {
 
 impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
     /// Builds a shard resident for each of `workloads`, every engine
-    /// `lane_width` lanes wide under the early-stop `sequencer` policy
-    /// (when given), judging with `backend`. Jobs of a kind go to the
-    /// first workload of that kind.
+    /// under the early-stop `sequencer` policy (when given), judging
+    /// with `backend`. Jobs of a kind go to the first workload of that
+    /// kind.
     ///
     /// # Panics
     ///
-    /// Panics when `workloads` is empty or `lane_width` is zero.
+    /// Panics when `workloads` is empty.
     pub fn new(
         workloads: impl IntoIterator<Item = Workload>,
         sequencer: Option<SequencerConfig>,
-        lane_width: usize,
         backend: B,
     ) -> Self {
         let engines: Vec<_> = workloads
             .into_iter()
-            .map(|w| ScreenBatch::new(w, sequencer, lane_width))
+            .map(|w| ScreenBatch::new(w, sequencer))
             .collect();
         assert!(
             !engines.is_empty(),
@@ -141,7 +140,6 @@ impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
 mod tests {
     use super::*;
     use crate::backend::BehavioralBackend;
-    use crate::batch::DEFAULT_LANE_WIDTH;
     use crate::config::BistConfig;
     use crate::dynamic::DynamicConfig;
     use crate::screener::Screener;
@@ -170,7 +168,7 @@ mod tests {
             static_workload(),
             Workload::dynamic_sine(DynamicConfig::paper_default()),
         ];
-        let mut shard = ResidentShard::new(workloads, None, DEFAULT_LANE_WIDTH, BehavioralBackend);
+        let mut shard = ResidentShard::new(workloads, None, BehavioralBackend);
         // Screen 6 static devices in two bursts with shuffled ids.
         let ids = [40u64, 11, 32, 23, 14, 5];
         let mut streamed = Vec::new();
@@ -201,7 +199,7 @@ mod tests {
             static_workload(),
             Workload::dynamic_sine(DynamicConfig::paper_default()),
         ];
-        let mut shard = ResidentShard::new(workloads, None, DEFAULT_LANE_WIDTH, BehavioralBackend);
+        let mut shard = ResidentShard::new(workloads, None, BehavioralBackend);
         let jobs = (0..4u64).map(|id| {
             let (adc, rng) = device(id);
             ShardJob {
@@ -226,12 +224,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not resident for dynamic")]
     fn unrouted_kind_panics() {
-        let mut shard = ResidentShard::new(
-            [static_workload()],
-            None,
-            DEFAULT_LANE_WIDTH,
-            BehavioralBackend,
-        );
+        let mut shard = ResidentShard::new([static_workload()], None, BehavioralBackend);
         let (adc, rng) = device(0);
         shard.process(
             [ShardJob {

@@ -18,7 +18,7 @@
 //!   value.
 //! * [`Zoo`] — a mixed-architecture fleet with a stable per-device
 //!   `(seed, index) → (architecture, rng)` assignment, so zoo reports
-//!   are bit-identical for any workers × lanes × chunking, exactly like
+//!   are bit-identical for any workers × chunking, exactly like
 //!   single-architecture batches.
 //!
 //! It also hosts the canonical seeded-RNG derivations ([`stream_rng`],
@@ -146,7 +146,7 @@ impl fmt::Display for DnlSignature {
 ///
 /// `sample_transfer` must consume rng draws identically for a given
 /// source value — the fleet's bit-exactness guarantees (same report for
-/// any workers × lanes × chunking, scalar ≡ batched) rest on device `i`
+/// any workers × chunking, scalar ≡ batched) rest on device `i`
 /// being a pure function of `(source, rng_i)`.
 pub trait DeviceSource {
     /// The architecture tag (stable; keys per-architecture priors).
@@ -370,7 +370,7 @@ const ZOO_NOISE_SALT: u64 = 0x200_0153;
 /// rng are each pure functions of `(seed, i)` on independent
 /// [`stream_rng`] streams — no draw-order coupling between devices — so
 /// a zoo fleet screened through `Screener::run` produces bit-identical
-/// reports for any workers × lane width × chunk size, and adding noise
+/// reports for any workers × chunk size, and adding noise
 /// draws to one device never perturbs its neighbours.
 ///
 /// All sources must state the same resolution (one fleet is screened

@@ -1,6 +1,6 @@
-//! Property-based equivalence of the lane-parallel SoA batch engines
-//! against the scalar reference: for any fleet size, lane width, noise
-//! setting, and refill order, `Screener::run` (and the raw
+//! Property-based equivalence of the batch engine against the scalar
+//! reference: for any fleet size, device mix, noise setting, worker
+//! count and refill order, `Screener::run` (and the raw
 //! `ScreenBatch` driver) must produce reports bit-exact to
 //! `Screener::screen_one` on the same devices with the same per-device
 //! RNG streams — including the sequencer's latch points
@@ -64,7 +64,7 @@ fn static_config(counter_bits: u32) -> BistConfig {
 }
 
 /// A short coherent record keeps each proptest case cheap while still
-/// exercising the Goertzel bank, coded lanes and the group kernel.
+/// exercising the Goertzel bank, coded devices and the group kernel.
 fn dyn_config() -> DynamicConfig {
     DynamicConfig::new(Resolution::SIX_BIT, 512, 127).expect("coherent short record")
 }
@@ -91,11 +91,10 @@ fn scalar_verdicts<A: Adc + Sync>(
 fn batched_verdicts<A: Adc + Sync>(
     workload: Workload,
     sequenced: bool,
-    lanes: usize,
     devices: &[A],
     seed: u64,
 ) -> Vec<(usize, ScreenVerdict)> {
-    let mut screener = Screener::new(workload).lane_width(lanes);
+    let mut screener = Screener::new(workload);
     if sequenced {
         screener = screener.sequencer(SequencerConfig::default());
     }
@@ -133,12 +132,12 @@ fn pooled_and_scalar<B: Backend + Default>(
     (pooled, scalar)
 }
 
-/// A mixed fleet at `config`'s resolution for the coded-lane tests,
+/// A mixed fleet at `config`'s resolution for the coded-device tests,
 /// drawn from `seed`: mismatched flash devices; transfers with a tied
 /// level (a missing code), a level on a stimulus sample (a tie with
 /// `v`), and a level beyond the sine's swing (a stuck end code); and,
 /// every `faulty_every`-th device, a fault-wrapped flash that states no
-/// levels, so one lane group holds coded and per-sample lanes at once.
+/// levels, so one queue holds coded and per-sample devices at once.
 fn coded_fleet(
     seed: u64,
     config: &DynamicConfig,
@@ -184,9 +183,9 @@ fn coded_fleet(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Coded lanes: any lane width 1–20 (not only multiples of the
-    /// 8-lane group) over fleets mixing coded and per-sample lanes
-    /// screens bit-exact to the scalar engine. 5–8-bit devices are
+    /// Coded devices: fleets of 1–39 mixing coded and per-sample
+    /// devices — so partial, full and overflowing 8-device groups —
+    /// screen bit-exact to the scalar engine. 5–8-bit devices are
     /// coded; 9- and 10-bit ones state more levels than a byte of code
     /// holds and take the per-sample path.
     #[test]
@@ -194,7 +193,6 @@ proptest! {
         seed in any::<u64>(),
         bits in 5u32..11,
         n in 1usize..40,
-        lanes in 1usize..21,
         faulty_every in 2usize..7,
     ) {
         let resolution = Resolution::new(bits).expect("valid resolution");
@@ -203,7 +201,7 @@ proptest! {
         let devices: Vec<&(dyn Adc + Sync)> = fleet.iter().map(|d| &**d).collect();
         let workload = Workload::dynamic_sine(config);
         let scalar = scalar_verdicts(workload, false, &devices, seed);
-        let batched = batched_verdicts(workload, false, lanes, &devices, seed);
+        let batched = batched_verdicts(workload, false, &devices, seed);
         prop_assert_eq!(batched.len(), n);
         for (i, (device, verdict)) in batched.into_iter().enumerate() {
             prop_assert_eq!(device, i);
@@ -211,20 +209,20 @@ proptest! {
         }
     }
 
-    /// Static workload: any fleet size × lane width × counter size ×
-    /// sequencing choice gives reports bit-exact to the scalar engine.
+    /// Static workload: any fleet size × counter size × sequencing
+    /// choice gives reports bit-exact to the scalar engine. 7-bit
+    /// counters plan ramps longer than 4,096 samples.
     #[test]
     fn static_batched_matches_scalar(
         seed in any::<u64>(),
         n in 1usize..10,
-        lanes in 1usize..9,
-        counter_bits in 4u32..7,
+        counter_bits in 4u32..8,
         sequenced in any::<bool>(),
     ) {
         let devices = fleet(seed, n);
         let workload = Workload::static_ramp(static_config(counter_bits));
         let scalar = scalar_verdicts(workload, sequenced, &devices, seed);
-        let batched = batched_verdicts(workload, sequenced, lanes, &devices, seed);
+        let batched = batched_verdicts(workload, sequenced, &devices, seed);
         prop_assert_eq!(batched.len(), n);
         for (i, (device, verdict)) in batched.into_iter().enumerate() {
             prop_assert_eq!(device, i);
@@ -232,19 +230,18 @@ proptest! {
         }
     }
 
-    /// Dynamic workload: the shared-stimulus table, coded lanes and the
-    /// group kernel never change a verdict or a latch point.
+    /// Dynamic workload: the shared-stimulus table, coded devices and
+    /// the group kernel never change a verdict or a latch point.
     #[test]
     fn dynamic_batched_matches_scalar(
         seed in any::<u64>(),
         n in 1usize..7,
-        lanes in 1usize..6,
         sequenced in any::<bool>(),
     ) {
         let devices = fleet(seed, n);
         let workload = Workload::dynamic_sine(dyn_config());
         let scalar = scalar_verdicts(workload, sequenced, &devices, seed);
-        let batched = batched_verdicts(workload, sequenced, lanes, &devices, seed);
+        let batched = batched_verdicts(workload, sequenced, &devices, seed);
         prop_assert_eq!(batched.len(), n);
         for (i, (device, verdict)) in batched.into_iter().enumerate() {
             prop_assert_eq!(device, i);
@@ -253,7 +250,7 @@ proptest! {
     }
 
     /// Worker pool: sharding the fleet across a work-stealing pool of
-    /// any size, with any chunk size and lane width, on either workload
+    /// any size, with any chunk size, on either workload
     /// with or without a sequencer, through either backend's batch
     /// seam, over a fleet split across two input ranges, is bit-exact
     /// to that backend's scalar engine — which worker screens a device
@@ -262,7 +259,6 @@ proptest! {
     fn pooled_matches_scalar_for_any_worker_count(
         seed in any::<u64>(),
         n in 1usize..16,
-        lanes in 1usize..5,
         workers in 1usize..17,
         chunk in 1usize..10,
         sequenced in any::<bool>(),
@@ -271,8 +267,8 @@ proptest! {
         shifted in any::<u16>(),
     ) {
         // Two input ranges: a worker's batch plans its stimulus table
-        // from its first device, and lanes of the other range fall back
-        // to per-sample evaluation.
+        // from its first device, and devices of the other range fall
+        // back to per-sample evaluation.
         let devices = two_range_fleet(seed, n, shifted);
         let workload = if dynamic {
             Workload::dynamic_sine(dyn_config())
@@ -280,7 +276,6 @@ proptest! {
             Workload::static_ramp(static_config(5))
         };
         let mut screener = Screener::new(workload)
-            .lane_width(lanes)
             .workers(workers)
             .chunk_size(chunk);
         if sequenced {
@@ -299,13 +294,12 @@ proptest! {
     }
 
     /// Refill order: pushing the fleet in arbitrarily-sized waves with
-    /// `run_batched` between waves (lanes refill mid-flight, reports
+    /// `run_batched` between waves (the queue refills, reports
     /// accumulate across calls) matches the scalar engine.
     #[test]
     fn static_refill_order_is_irrelevant(
         seed in any::<u64>(),
         n in 1usize..12,
-        lanes in 1usize..5,
         split in 0usize..12,
         sequenced in any::<bool>(),
     ) {
@@ -316,7 +310,7 @@ proptest! {
             scalar_verdicts(Workload::static_ramp(config), sequenced, &devices, seed);
 
         let policy = sequenced.then(SequencerConfig::default);
-        let mut batch = ScreenBatch::new(Workload::static_ramp(config), policy, lanes);
+        let mut batch = ScreenBatch::new(Workload::static_ramp(config), policy);
         for (i, adc) in devices.iter().enumerate().take(split) {
             batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }
@@ -339,7 +333,6 @@ proptest! {
     fn dynamic_refill_order_is_irrelevant(
         seed in any::<u64>(),
         n in 1usize..7,
-        lanes in 1usize..5,
         split in 0usize..7,
         sequenced in any::<bool>(),
     ) {
@@ -350,7 +343,7 @@ proptest! {
             scalar_verdicts(Workload::dynamic_sine(config), sequenced, &devices, seed);
 
         let policy = sequenced.then(SequencerConfig::default);
-        let mut batch = ScreenBatch::new(Workload::dynamic_sine(config), policy, lanes);
+        let mut batch = ScreenBatch::new(Workload::dynamic_sine(config), policy);
         for (i, adc) in devices.iter().enumerate().take(split) {
             batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }
@@ -366,7 +359,7 @@ proptest! {
             prop_assert_eq!(report.verdict, scalar[i]);
         }
 
-        let mut raw = ScreenBatch::new(Workload::dynamic_sine(config), policy, lanes);
+        let mut raw = ScreenBatch::new(Workload::dynamic_sine(config), policy);
         for (i, adc) in devices.iter().enumerate() {
             raw.push(BatchDevice::new(i, adc, device_rng(seed, i)));
         }
@@ -379,17 +372,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Architecture mixes through the zoo seam: any non-empty subset of
-    /// {flash, iid, SAR, pipeline} × fleet size × lane width × worker
-    /// count, on either workload with or without a sequencer, screens
-    /// bit-exact to `screen_one` over the same zoo devices and noise
-    /// streams — latch points included. Which architecture a device is,
-    /// and which lane or worker it lands on, cannot change its report.
+    /// {flash, iid, SAR, pipeline} × fleet size × worker count, on
+    /// either workload with or without a sequencer, screens bit-exact
+    /// to `screen_one` over the same zoo devices and noise streams —
+    /// latch points included. Which architecture a device is, and which
+    /// worker it lands on, cannot change its report.
     #[test]
-    fn zoo_mixes_match_scalar_for_any_workers_and_lanes(
+    fn zoo_mixes_match_scalar_for_any_worker_count(
         seed in any::<u64>(),
         mask in 1u8..16,
         n in 1usize..12,
-        lanes in 1usize..6,
         workers in 1usize..9,
         sequenced in any::<bool>(),
         dynamic in any::<bool>(),
@@ -420,7 +412,7 @@ proptest! {
             .map(|i| scalar_screener.screen_one(&zoo.device(i), &mut zoo.noise_rng(i)))
             .collect();
 
-        let mut screener = Screener::new(workload).lane_width(lanes).workers(workers);
+        let mut screener = Screener::new(workload).workers(workers);
         if sequenced {
             screener = screener.sequencer(SequencerConfig::default());
         }

@@ -1,7 +1,7 @@
 //! Proves the acceptance criterion of the streaming engine: after
 //! warm-up, the device→verdict hot paths — scalar `Screener::screen_one`
 //! on every workload × backend × sequencing combination, and the
-//! lane-parallel `ScreenBatch` engine on both workloads — perform
+//! `ScreenBatch` engine on both workloads — perform
 //! **zero heap allocations**.
 //!
 //! A counting global allocator wraps the system allocator; the test
@@ -11,9 +11,10 @@
 //! this integration-test binary so no sibling test thread can perturb
 //! the counter.
 
+use bist_adc::faults::{FaultyAdc, OutputFault};
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
-use bist_adc::transfer::TransferFunction;
+use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
 use bist_core::backend::{BehavioralBackend, RtlBackend};
 use bist_core::batch::{BatchDevice, ScreenBatch};
@@ -156,22 +157,28 @@ fn hot_path_is_allocation_free_after_warmup() {
     assert!(accepted <= 18);
     assert!(stopped > 0, "no sequenced run stopped early");
 
-    // The lane-parallel batch engines get the same guarantee: lanes,
-    // the shared stimulus table, the coded record rows, report buffers
-    // and the refill queue all reach their high-water mark on the first
-    // pass, and a reused batch drained with `finish_reports` +
+    // The batch engines get the same guarantee: sequencers, the shared
+    // stimulus table, the coded record rows, report buffers and the
+    // refill queue all reach their high-water mark on the first pass,
+    // and a reused batch drained with `finish_reports` +
     // `clear_reports` (not `take_reports`, which surrenders the
-    // buffer) allocates nothing afterwards. Five batches cover
-    // run-skip and fallback static lanes, and the coded and
-    // per-sample dynamic lanes, plain and sequenced — the sequenced
-    // run-skip lane with its checkpoints being the fleet path.
+    // buffer) allocates nothing afterwards. Six batches cover run-skip
+    // and fallback static sweeps, and the coded and per-sample dynamic
+    // records, plain and sequenced — the sequenced run-skip sweep with
+    // its checkpoints being the fleet path. The mixed batch interleaves
+    // per-sample devices (a fault-wrapped converter states no levels)
+    // with 11 coded ones: one full 8-device group, then a partial group
+    // of 3 flushed when the queue drains.
     const FLEET: usize = 8;
+    const MIXED: usize = 13;
     let w_dyn_plain = Workload::dynamic_sine(dyn_config);
-    let mut b_static = ScreenBatch::new(w_plain, None, 4);
-    let mut b_static_seq = ScreenBatch::new(w_noisy, Some(policy), 4);
-    let mut b_skip_seq = ScreenBatch::new(w_plain, Some(policy), 4);
-    let mut b_dyn = ScreenBatch::new(w_dyn_plain, None, 4);
-    let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy), 4);
+    let faulty = FaultyAdc::new(device(), OutputFault::CodeOffset(1));
+    let mut b_static = ScreenBatch::new(w_plain, None);
+    let mut b_static_seq = ScreenBatch::new(w_noisy, Some(policy));
+    let mut b_skip_seq = ScreenBatch::new(w_plain, Some(policy));
+    let mut b_dyn = ScreenBatch::new(w_dyn_plain, None);
+    let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy));
+    let mut b_dyn_mixed = ScreenBatch::new(w_dyn_plain, None);
 
     let mut batch_all = |accepted: &mut u32, stopped: &mut u32| {
         for i in 0..FLEET {
@@ -182,11 +189,16 @@ fn hot_path_is_allocation_free_after_warmup() {
             b_dyn.push(BatchDevice::new(i, &adc, rng()));
             b_dyn_seq.push(BatchDevice::new(i, &adc, rng()));
         }
+        for i in 0..MIXED {
+            let dev: &dyn Adc = if i % 5 == 4 { &faulty } else { &adc };
+            b_dyn_mixed.push(BatchDevice::new(i, dev, StdRng::seed_from_u64(i as u64)));
+        }
         b_static.run_batched();
         b_static_seq.run_batched();
         b_skip_seq.run_batched();
         b_dyn.run_batched();
         b_dyn_seq.run_batched();
+        b_dyn_mixed.run_batched();
         for r in b_static.finish_reports() {
             *accepted += u32::from(r.verdict.accepted());
         }
@@ -203,11 +215,17 @@ fn hot_path_is_allocation_free_after_warmup() {
         for r in b_dyn_seq.finish_reports() {
             *accepted += u32::from(r.verdict.accepted());
         }
+        let mixed = b_dyn_mixed.finish_reports();
+        assert_eq!(mixed.len(), MIXED, "every mixed device is reported");
+        for r in mixed {
+            *accepted += u32::from(r.verdict.accepted());
+        }
         b_static.clear_reports();
         b_static_seq.clear_reports();
         b_skip_seq.clear_reports();
         b_dyn.clear_reports();
         b_dyn_seq.clear_reports();
+        b_dyn_mixed.clear_reports();
     };
 
     let (mut warm_batch_accepted, mut warm_batch_stopped) = (0u32, 0u32);
@@ -223,7 +241,7 @@ fn hot_path_is_allocation_free_after_warmup() {
         "batched hot path allocated {} times after warm-up",
         after - before
     );
-    assert!(batch_accepted <= 5 * FLEET as u32);
+    assert!(batch_accepted <= (5 * FLEET + MIXED) as u32);
     assert_eq!(
         (batch_accepted, batch_stopped),
         (warm_batch_accepted, warm_batch_stopped),
@@ -238,7 +256,7 @@ fn hot_path_is_allocation_free_after_warmup() {
     // steady state is claim → push → run, and claiming is one
     // `fetch_add` plus a buffer move. Packing a fleet into a
     // `DeviceQueue` allocates, so the queues are prebuilt before the
-    // snapshot; the drain itself — warm lanes, reused reports — must
+    // snapshot; the drain itself — warm batches, reused reports — must
     // not allocate.
     let make_queue = |chunk: usize| {
         DeviceQueue::new(
@@ -246,8 +264,8 @@ fn hot_path_is_allocation_free_after_warmup() {
             chunk,
         )
     };
-    let mut p_static = ScreenBatch::new(w_plain, None, 4);
-    let mut p_dyn = ScreenBatch::new(w_dyn_plain, None, 4);
+    let mut p_static = ScreenBatch::new(w_plain, None);
+    let mut p_dyn = ScreenBatch::new(w_dyn_plain, None);
 
     let mut drain_accepted = |q_static: &DeviceQueue<_, _>, q_dyn: &DeviceQueue<_, _>| -> u32 {
         let mut accepted = 0u32;
@@ -289,7 +307,7 @@ fn hot_path_is_allocation_free_after_warmup() {
     // its batch engines, so after one warm burst the
     // whole submit→verdict round trip must not allocate.
     const SERVICE_BURST: u64 = 12;
-    let mut shard = ResidentShard::new([w_noisy, w_dyn], None, 4, BehavioralBackend);
+    let mut shard = ResidentShard::new([w_noisy, w_dyn], None, BehavioralBackend);
     let submit: Ring<ShardJob<&TransferFunction, StdRng>> =
         Ring::with_capacity(SERVICE_BURST as usize);
     let verdict_ring: Ring<ShardVerdict> = Ring::with_capacity(SERVICE_BURST as usize);

@@ -15,7 +15,7 @@ use crate::batch::{stream_rng, Batch};
 use crate::estimate::Proportion;
 use bist_adc::noise::NoiseConfig;
 use bist_core::backend::{Backend, BehavioralBackend};
-use bist_core::batch::{BatchDevice, ScreenBatch, DEFAULT_LANE_WIDTH};
+use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
 use bist_core::harness::{conventional_test, reference_measurement};
@@ -105,7 +105,7 @@ impl Experiment {
     /// an explicit verdict backend — the unit of work for the fan-out.
     ///
     /// The range is screened as one batch through the backend's batch
-    /// seam: the behavioural backend runs the lane-parallel engines of
+    /// seam: the behavioural backend runs the batch engines of
     /// [`bist_core::batch`], the RTL backend clocks each device
     /// scalar-wise — verdicts are bit-identical either way. Per-device
     /// streams depend only on `(seed, index)`, so two backends see
@@ -127,7 +127,7 @@ impl Experiment {
         let start = Instant::now();
         let to = to.min(self.batch.size);
         let mut result = ExperimentResult::default();
-        let mut work = ScreenBatch::new(self.workload, None, DEFAULT_LANE_WIDTH);
+        let mut work = ScreenBatch::new(self.workload, None);
         let mut truths = Vec::with_capacity(to.saturating_sub(from));
         for i in from..to {
             let (adc, rng) = match self.workload {

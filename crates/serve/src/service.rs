@@ -18,8 +18,8 @@
 //! plain threads, each owning a [`ResidentShard`] whose batch engines
 //! stay warm between bursts — the steady state allocates nothing.
 //! Verdicts are tagged with submission ids, and because every engine
-//! verdict is bit-identical to the scalar screener for any lane
-//! width/refill order, any arrival order, burst grouping, or worker
+//! verdict is bit-identical to the scalar screener for any queue and
+//! refill order, any arrival order, burst grouping, or worker
 //! count streams back exactly the per-device reports
 //! [`Screener::run`](bist_core::screener::Screener::run) would emit.
 
@@ -32,7 +32,6 @@ use std::time::Duration;
 
 use bist_adc::transfer::TransferFunction;
 use bist_core::backend::BehavioralBackend;
-use bist_core::batch::DEFAULT_LANE_WIDTH;
 use bist_core::ring::{Enqueue, Ring};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
@@ -125,8 +124,6 @@ pub struct ServiceConfig {
     pub dynamic_workload: Option<Workload>,
     /// Early-stop sequencing policy for both engines.
     pub sequencer: Option<SequencerConfig>,
-    /// SoA lane width of each worker's batch engines.
-    pub lane_width: usize,
     /// Worker-shard count (`0` = the host's available parallelism).
     pub workers: usize,
     /// Most submissions a worker claims per burst. Small bursts keep
@@ -149,7 +146,6 @@ impl ServiceConfig {
             static_workload: None,
             dynamic_workload: None,
             sequencer: None,
-            lane_width: DEFAULT_LANE_WIDTH,
             workers: 0,
             burst: 32,
             submit_capacity: 1024,
@@ -176,13 +172,6 @@ impl ServiceConfig {
     /// Sets the worker-shard count (`0` = available parallelism).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the engines' SoA lane width (≥ 1).
-    pub fn with_lane_width(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 1, "the service needs at least one lane");
-        self.lane_width = lanes;
         self
     }
 
@@ -213,8 +202,8 @@ impl ServiceConfig {
     /// # Panics
     ///
     /// Panics when no workload is resident, when a workload is filed
-    /// under the other kind's field, when the lane width is zero, or
-    /// when the sequencer policy fails [`SequencerConfig::validate`].
+    /// under the other kind's field, or when the sequencer policy fails
+    /// [`SequencerConfig::validate`].
     pub fn start(self) -> ServiceHandle {
         ServiceHandle::start(self)
     }
@@ -446,10 +435,6 @@ impl ServiceHandle {
                     .is_none_or(|w| w.kind() == JobKind::Dynamic),
             "a resident workload is filed under the other kind"
         );
-        assert!(
-            config.lane_width >= 1,
-            "the service needs at least one lane"
-        );
         if let Some(Err(e)) = config.sequencer.map(|policy| policy.validate()) {
             panic!("invalid sequencer policy: {e}");
         }
@@ -467,12 +452,8 @@ impl ServiceHandle {
                     .name(format!("bist-serve-worker-{i}"))
                     .spawn(move || {
                         let c = &shared.config;
-                        let mut shard = ResidentShard::new(
-                            c.workloads(),
-                            c.sequencer,
-                            c.lane_width,
-                            BehavioralBackend,
-                        );
+                        let mut shard =
+                            ResidentShard::new(c.workloads(), c.sequencer, BehavioralBackend);
                         let mut jobs = Vec::with_capacity(c.burst);
                         let mut routes = Vec::with_capacity(c.burst);
                         worker_loop(&shared, &mut shard, &mut jobs, &mut routes);
@@ -823,8 +804,7 @@ mod tests {
         assert!(matches!(shared.submit_job(sub, reply), Enqueue::Accepted));
         shared.submit.close();
         let c = &shared.config;
-        let mut shard =
-            ResidentShard::new(c.workloads(), c.sequencer, c.lane_width, BehavioralBackend);
+        let mut shard = ResidentShard::new(c.workloads(), c.sequencer, BehavioralBackend);
         let mut routes = Vec::new();
         worker_loop(&shared, &mut shard, &mut Vec::new(), &mut routes);
         assert_eq!(verdicts.try_pop().map(|v| v.id), Some(7));

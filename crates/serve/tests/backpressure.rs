@@ -137,11 +137,11 @@ fn busy_returns_the_submission_intact() {
     handle.shutdown();
 }
 
-/// A workload filed under the other kind's field, a zero lane width
-/// set through the public field, or an invalid sequencer policy used to
-/// leave every worker panicking while `submit` still answered
-/// `Accepted`, so no verdict ever arrived. `start` must refuse such a
-/// config on the caller's thread, before any worker spawns.
+/// A workload filed under the other kind's field or an invalid
+/// sequencer policy used to leave every worker panicking while `submit`
+/// still answered `Accepted`, so no verdict ever arrived. `start` must
+/// refuse such a config on the caller's thread, before any worker
+/// spawns.
 #[test]
 fn misfiled_workload_is_rejected_at_start() {
     let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
@@ -153,10 +153,6 @@ fn misfiled_workload_is_rejected_at_start() {
         ServiceConfig {
             dynamic_workload: Some(static_workload()),
             ..ServiceConfig::new()
-        },
-        ServiceConfig {
-            lane_width: 0,
-            ..ServiceConfig::new().with_workload(static_workload())
         },
         ServiceConfig::new()
             .with_workload(static_workload())

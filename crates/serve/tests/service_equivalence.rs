@@ -1,5 +1,5 @@
 //! The service invariant, property-tested: for any fleet size, worker
-//! count 1–16, lane width, arrival order, and static/dynamic mix, the
+//! count 1–16, arrival order, and static/dynamic mix, the
 //! verdicts a resident service streams back are bit-identical to what
 //! `Screener::run` reports for the same devices with the same
 //! per-submission RNG streams.
@@ -23,7 +23,7 @@ fn static_workload() -> Workload {
 }
 
 /// A short coherent record keeps each case cheap while exercising the
-/// Goertzel bank and lane pairing.
+/// Goertzel bank and the coded group kernel.
 fn dyn_workload() -> Workload {
     Workload::dynamic_sine(DynamicConfig::new(Resolution::SIX_BIT, 512, 127).expect("coherent"))
 }
@@ -90,15 +90,14 @@ fn arrival_order(n: usize, seed: u64) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Streamed verdicts ≡ `Screener::run`, any workers × lanes ×
-    /// arrival order × workload mix.
+    /// Streamed verdicts ≡ `Screener::run`, any workers × arrival
+    /// order × workload mix.
     #[test]
     fn streamed_verdicts_match_screener_run(
         fleet_seed in any::<u64>(),
         n_static in 0usize..12,
         n_dyn in 0usize..5,
         workers in 1usize..17,
-        lanes in 1usize..9,
         order_seed in any::<u64>(),
     ) {
         prop_assume!(n_static + n_dyn > 0);
@@ -109,7 +108,6 @@ proptest! {
             .with_workload(static_workload())
             .with_workload(dyn_workload())
             .with_workers(workers)
-            .with_lane_width(lanes)
             .with_burst(4)
             .start();
         for &i in &arrival_order(subs.len(), order_seed) {
@@ -162,7 +160,6 @@ fn zoo_submissions_match_screener_run() {
         .with_workload(static_workload())
         .with_workload(dyn_workload())
         .with_workers(4)
-        .with_lane_width(3)
         .start();
     for sub in &subs {
         assert!(handle.submit(sub.clone()).is_accepted());

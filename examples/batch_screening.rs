@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         // Ground truth the way the paper did it: a high-accuracy
         // reference measurement, not an oracle — then the whole batch
-        // through the lane-parallel batched engine, on every core.
+        // through the batched engine, on every core.
         let matrix = Experiment::new(batch, Workload::static_ramp(config))
             .with_ground_truth(GroundTruthMode::Reference {
                 samples_per_code: 1000,

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Act one: the whole mixed fleet through one `Screener::run` —
     // full sweep first (ground truth), then sequenced. The engine
-    // neither knows nor cares which architecture fills each lane.
+    // neither knows nor cares which architecture each device is.
     let full = Screener::new(workload).workers(0).run(zoo.fleet(FLEET));
     let seq = Screener::new(workload)
         .sequencer(SequencerConfig::default())
