@@ -40,8 +40,8 @@
 //!   never by a field or local of the same name. Doc comments,
 //!   doctests and strings never count.
 //!
-//! Diagnostics are machine-readable flat JSON (the same record shape
-//! `perf_gate` diffs — see [`report::render_json`]) and suppressible
+//! Diagnostics are machine-readable flat JSON (the record shape of the
+//! bench binaries — see [`report::render_json`]) and suppressible
 //! only via inline `// bist-lint: allow(<rule>) — <reason>` markers.
 //! The analyzer runs against the live workspace as a tier-1 test
 //! (`tests/workspace_clean.rs`) and as the dedicated `static-analysis`

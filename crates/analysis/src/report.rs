@@ -1,7 +1,7 @@
-//! Machine-readable report rendering: the same flat-JSON record shape
-//! the `perf_gate` binary diffs (`"metrics"` is a flat object of
-//! numeric gauges — parseable by `bist_bench::record_metrics`), plus a
-//! `diagnostics` array for tooling.
+//! Machine-readable report rendering: the flat-JSON record shape of
+//! the bench binaries (`"metrics"` is a flat object of numeric gauges —
+//! parseable by `bist_bench::record_metrics`), plus a `diagnostics`
+//! array for tooling.
 
 use crate::rules::Rule;
 use crate::workspace::Analysis;
@@ -25,7 +25,7 @@ fn esc(s: &str) -> String {
 ///
 /// Layout mirrors the `Scenario` records under `bench/out/`: a
 /// `"scenario"` name, a flat `"metrics"` object (every value numeric —
-/// the part `perf_gate` can diff), then the diagnostics array.
+/// the part `record_metrics` reads), then the diagnostics array.
 pub fn render_json(a: &Analysis) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"scenario\": \"bist_lint\",\n  \"metrics\": {\n");

@@ -58,7 +58,7 @@ fn live_workspace_is_clean() {
         analysis.stats.hot_regions >= 10,
         "device loops, pool drains, checkpoints and Goertzel push are marked"
     );
-    assert!(analysis.stats.allow_markers >= 4);
+    assert!(analysis.stats.allow_markers >= 2);
     assert!(
         analysis.stats.ordering_sites >= 2,
         "pool cursor + service atomics"
@@ -105,7 +105,7 @@ fn every_scanned_file_lexes_to_its_physical_line_count() {
 }
 
 #[test]
-fn json_report_parses_with_the_perf_gate_reader() {
+fn json_report_parses_with_the_record_reader() {
     let analysis = analyze_workspace(&root()).expect("workspace scan");
     let json = bist_analysis::report::render_json(&analysis);
     let metrics = bist_bench::record_metrics(&json);
@@ -210,7 +210,7 @@ fn inserting_an_allocation_into_a_hot_path_fires() {
 
 #[test]
 fn removing_an_allow_marker_fires() {
-    let diags = analyze_mutated("crates/mc/src/experiment.rs", |s| {
+    let diags = analyze_mutated("crates/serve/src/telemetry.rs", |s| {
         s.lines()
             .filter(|l| !l.contains("bist-lint: allow(determinism)"))
             .collect::<Vec<_>>()

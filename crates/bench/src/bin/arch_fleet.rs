@@ -26,8 +26,9 @@
 //! reduce mean samples-to-decision on **at least one** architecture,
 //! and on **every** architecture its drift from full-sweep ground
 //! truth must stay within a binomial allowance of the base policy's —
-//! priors tighten the schedule, never the error budgets. Per-tuned-run
-//! `<arch>_devices_per_s` figures feed the committed baseline gate.
+//! priors tighten the schedule, never the error budgets. Each
+//! architecture's speed is fleetbench's to measure
+//! (`generate.<arch>.devices_per_s`, `zoo_screen`).
 //!
 //! Knobs: `BIST_DEVICES` (differential devices, default 64),
 //! `BIST_ZOO_DEVICES` (mixed fleet, default 200), `BIST_EVAL_DEVICES`
@@ -45,7 +46,6 @@ use bist_core::sequencer::SequencerConfig;
 use bist_core::source::{Architecture, SourceSpec, Zoo};
 use bist_mc::batch::Batch;
 use bist_mc::differential::run_arch_differential;
-use std::time::Instant;
 
 /// Held-out evaluation fleets draw from a different seed space than
 /// the calibration sweep.
@@ -74,11 +74,9 @@ struct Pass {
     accepted: Vec<bool>,
     samples: u64,
     early_stops: u64,
-    elapsed: f64,
 }
 
 fn sequenced_pass(policy: SequencerConfig, fleet: &[TransferFunction], batch: &Batch) -> Pass {
-    let start = Instant::now();
     let reports = Screener::new(Workload::static_ramp(eval_config()))
         .sequencer(policy)
         .run(
@@ -87,12 +85,10 @@ fn sequenced_pass(policy: SequencerConfig, fleet: &[TransferFunction], batch: &B
                 .enumerate()
                 .map(|(i, tf)| (tf, batch.device_rng(i ^ EVAL_NOISE_SALT))),
         );
-    let elapsed = start.elapsed().as_secs_f64();
     let mut pass = Pass {
         accepted: Vec::with_capacity(fleet.len()),
         samples: 0,
         early_stops: 0,
-        elapsed,
     };
     for r in &reports {
         let o = r.verdict.as_static().expect("static workload");
@@ -181,9 +177,7 @@ fn run(sc: &mut Scenario) -> bool {
             .map(|r| (r.device, r.verdict))
             .collect::<Vec<(usize, ScreenVerdict)>>()
     };
-    let start = Instant::now();
     let w1 = zoo_run(1);
-    let zoo_elapsed = start.elapsed().as_secs_f64();
     let w4 = zoo_run(4);
     let workers_identical = w1 == w4;
     if !workers_identical {
@@ -209,7 +203,6 @@ fn run(sc: &mut Scenario) -> bool {
         "saving",
         "drift I b/t",
         "drift II b/t",
-        "tuned dev/s",
     ])
     .with_title("E17 priors: held-out fleets, base vs architecture-conditioned policy");
     for source in [
@@ -249,7 +242,6 @@ fn run(sc: &mut Scenario) -> bool {
         if tuned.samples < base.samples {
             improved += 1;
         }
-        let dps = eval_devices as f64 / tuned.elapsed.max(1e-9);
         prior_table.row_owned(vec![
             arch.label().to_string(),
             format!("{:.2}", good as f64 / eval_devices as f64),
@@ -258,7 +250,6 @@ fn run(sc: &mut Scenario) -> bool {
             format!("{:+.1}%", 100.0 * (tuned_mean - base_mean) / base_mean),
             format!("{base_i}/{tuned_i}"),
             format!("{base_ii}/{tuned_ii}"),
-            format!("{dps:.0}"),
         ]);
         if !arch_drift_ok {
             println!(
@@ -272,7 +263,6 @@ fn run(sc: &mut Scenario) -> bool {
         sc.metric(&format!("{label}_tuned_mean_samples"), tuned_mean);
         sc.metric_count(&format!("{label}_tuned_drift_i"), tuned_i);
         sc.metric_count(&format!("{label}_tuned_drift_ii"), tuned_ii);
-        sc.metric(&format!("{label}_devices_per_s"), dps);
         sc.metric(
             &format!("{label}_early_stop_rate"),
             tuned.early_stops as f64 / eval_devices as f64,
@@ -289,10 +279,6 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("priors_improved_archs", u64::from(improved));
     sc.metric_count("workers_identical", u64::from(workers_identical));
     sc.metric_count("report_checksum", checksum.finish());
-    sc.metric(
-        "zoo_devices_per_s",
-        zoo_devices as f64 / zoo_elapsed.max(1e-9),
-    );
     let path = sc.csv(
         "arch_fleet.csv",
         &[

@@ -2,13 +2,13 @@
 //! (`bist_core::batch` behind `Screener::run`: run-skipping static
 //! sweeps, a shared sine table and the 8-device coded Goertzel kernel)
 //! against the scalar engine (`Screener::screen_one`), on exactness
-//! first and throughput second.
+//! first and relative speed second.
 //!
 //! Part 1 screens identical populations (same devices, same per-device
 //! RNG streams) through both engines in all four modes — static and
 //! dynamic, plain and early-stop sequenced — and demands bit-exact
 //! report equality. **Any mismatch counts as a divergence and fails the
-//! run** (exit 1), which the CI perf-baseline smoke relies on.
+//! run** (exit 1), which the CI fleet verdict gates rely on.
 //!
 //! Part 1b shards the same populations across the work-stealing worker
 //! pool (`Screener::workers`) at several worker counts and chunk sizes
@@ -16,19 +16,21 @@
 //! ones — the cores axis must be invisible in the output. A FNV-1a
 //! checksum over every report is emitted as `report_checksum`, so two
 //! runs at different `BIST_WORKERS` can be diffed from their JSON
-//! records alone (the CI perf-baseline job does exactly that).
+//! records alone (the CI fleet verdict gates diff it against the
+//! committed `crates/bench/baseline/batched_fleet.json`).
 //!
-//! Part 2 times the engines and reports devices/s each way: scalar vs
-//! batched (one core), plus the pooled engine at the configured worker
-//! count. The run fails when the batched engine's speedup falls below
-//! its floors: ≥ 4x on the static (run-skipping) workload and ≥ 5x on
-//! the dynamic (coded-kernel) workload. When the host actually has the cores to back the
-//! configured pool (≥ 4 workers, all resident), the pooled static
-//! throughput must additionally clear 3x the single-worker batched
-//! rate — informational on smaller hosts, a hard gate on multi-core CI.
-//! The timed pooled runs use the pool's default chunk.
-//! The committed `crates/bench/baseline/batched_fleet.json` additionally
-//! gates the absolute devices/s numbers through `perf_gate`.
+//! Part 2 times the engines against each other in the same run
+//! (`bist_bench::speed_ratio`: the median of interleaved pass pairs):
+//! batched over scalar (one core), and the pooled engine at the
+//! configured worker count over single-worker batched. The run fails
+//! when the batched engine's speedup falls below its floors: ≥ 4x on
+//! the static (run-skipping) workload and ≥ 5x on the dynamic
+//! (coded-kernel) workload. When the host actually has the cores to
+//! back the configured pool (≥ 4 workers, all resident), the pooled
+//! static speedup must additionally clear 3x — informational on smaller
+//! hosts, a hard gate on multi-core CI. The timed pooled runs use the
+//! pool's default chunk. Absolute devices/s are fleetbench's to
+//! measure (`engine.{static,dynamic}.devices_per_s`, `pool.speedup`).
 //!
 //! Knobs: `BIST_DEVICES` (default 600), `BIST_DYN_DEVICES` (default
 //! 96), `BIST_WORKERS` (default 0 = all cores).
@@ -37,7 +39,7 @@ use bist_adc::flash::{FlashAdc, FlashConfig};
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::{throughput, Fnv, Scenario, SEED};
+use bist_bench::{speed_ratio, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -193,25 +195,25 @@ fn run(sc: &mut Scenario) -> bool {
         devices, dyn_devices, POOL_GRID
     );
 
-    // --- Part 2: throughput, scalar vs batched ----------------------
-    let scalar_static = throughput(devices, || {
+    // --- Part 2: speed ratios, timed in the same run ----------------
+    let scalar_static = || {
         let mut s = Screener::new(Workload::static_ramp(config));
         for (i, tf) in fleet.iter().enumerate() {
             std::hint::black_box(s.screen_one(tf, &mut static_rng(i)).accepted());
         }
-    });
-    let batched_static = throughput(devices, || {
-        let mut s = Screener::new(Workload::static_ramp(config));
+    };
+    let batched_static = |w: usize| {
+        let mut s = Screener::new(Workload::static_ramp(config)).workers(w);
         let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
         std::hint::black_box(reports.len());
-    });
-    let scalar_dyn = throughput(dyn_devices, || {
+    };
+    let scalar_dyn = || {
         let mut s = Screener::new(Workload::dynamic_sine(dyn_config));
         for (i, adc) in dyn_fleet.iter().enumerate() {
             std::hint::black_box(s.screen_one(adc, &mut dyn_rng(i)).accepted());
         }
-    });
-    let batched_dyn = throughput(dyn_devices, || {
+    };
+    let batched_dyn = || {
         let mut s = Screener::new(Workload::dynamic_sine(dyn_config));
         let reports = s.run(
             dyn_fleet
@@ -220,43 +222,26 @@ fn run(sc: &mut Scenario) -> bool {
                 .map(|(i, adc)| (adc, dyn_rng(i))),
         );
         std::hint::black_box(reports.len());
-    });
-    let pooled_static = throughput(devices, || {
-        let mut s = Screener::new(Workload::static_ramp(config)).workers(workers);
-        let reports = s.run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))));
-        std::hint::black_box(reports.len());
-    });
-    let pooled_dyn = throughput(dyn_devices, || {
-        let mut s = Screener::new(Workload::dynamic_sine(dyn_config)).workers(workers);
-        let reports = s.run(
-            dyn_fleet
-                .iter()
-                .enumerate()
-                .map(|(i, adc)| (adc, dyn_rng(i))),
-        );
-        std::hint::black_box(reports.len());
-    });
-    let static_x = batched_static / scalar_static.max(1e-9);
-    let dyn_x = batched_dyn / scalar_dyn.max(1e-9);
-    let pooled_static_x = pooled_static / batched_static.max(1e-9);
+    };
+    let static_x = speed_ratio(scalar_static, || batched_static(1));
+    let dyn_x = speed_ratio(scalar_dyn, batched_dyn);
+    let pooled_static_x = speed_ratio(|| batched_static(1), || batched_static(workers));
     // The multiplicative pool floor only binds where it is physically
     // meaningful: a ≥4-worker pool whose workers all have a core to
     // run on. Elsewhere (this includes single-core CI shards) the
-    // pooled numbers are recorded but informational.
+    // pooled ratio is recorded but informational.
     let pool_gate_live = workers >= 4 && host_cores >= workers;
     println!(
-        "throughput static ({devices} devices): scalar {scalar_static:.0} dev/s, \
-         batched {batched_static:.0} dev/s ({static_x:.2}x, floor {MIN_STATIC_X:.2}x)"
+        "speed static ({devices} devices): batched {static_x:.2}x scalar \
+         (floor {MIN_STATIC_X:.2}x)"
     );
     println!(
-        "throughput dynamic ({dyn_devices} devices): scalar {scalar_dyn:.0} dev/s, \
-         batched {batched_dyn:.0} dev/s ({dyn_x:.2}x, floor {MIN_DYN_X:.2}x)"
+        "speed dynamic ({dyn_devices} devices): batched {dyn_x:.2}x scalar \
+         (floor {MIN_DYN_X:.2}x)"
     );
     println!(
-        "throughput pooled ({workers} workers, chunk {}, \
-         {host_cores} host cores): static {pooled_static:.0} dev/s \
-         ({pooled_static_x:.2}x batched, floor {MIN_POOL_STATIC_X:.2}x {}), \
-         dynamic {pooled_dyn:.0} dev/s",
+        "speed pooled ({workers} workers, chunk {}, {host_cores} host cores): \
+         static {pooled_static_x:.2}x batched (floor {MIN_POOL_STATIC_X:.2}x {})",
         pool::DEFAULT_CHUNK,
         if pool_gate_live {
             "LIVE"
@@ -266,16 +251,6 @@ fn run(sc: &mut Scenario) -> bool {
     );
 
     sc.metric_count("divergences", divergences);
-    sc.metric("scalar_static_devices_per_s", scalar_static);
-    sc.metric("batched_static_devices_per_s", batched_static);
-    sc.metric("scalar_dyn_devices_per_s", scalar_dyn);
-    sc.metric("batched_dyn_devices_per_s", batched_dyn);
-    sc.metric("pooled_static_devices_per_s", pooled_static);
-    sc.metric("pooled_dyn_devices_per_s", pooled_dyn);
-    sc.metric(
-        "per_worker_static_devices_per_s",
-        pooled_static / workers as f64,
-    );
     sc.metric("static_speedup_x", static_x);
     sc.metric("dyn_speedup_x", dyn_x);
     sc.metric("pooled_static_x", pooled_static_x);
@@ -284,36 +259,22 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("report_checksum", checksum.finish());
     let path = sc.csv(
         "batched_fleet.csv",
-        &[
-            "workload",
-            "scalar_devices_per_s",
-            "batched_devices_per_s",
-            "speedup_x",
-        ],
+        &["ratio", "value_x", "floor_x"],
         &[
             vec![
-                "static".into(),
-                format!("{scalar_static:.1}"),
-                format!("{batched_static:.1}"),
+                "batched/scalar static".into(),
                 format!("{static_x:.3}"),
+                format!("{MIN_STATIC_X:.1}"),
             ],
             vec![
-                "dynamic".into(),
-                format!("{scalar_dyn:.1}"),
-                format!("{batched_dyn:.1}"),
+                "batched/scalar dynamic".into(),
                 format!("{dyn_x:.3}"),
+                format!("{MIN_DYN_X:.1}"),
             ],
             vec![
-                format!("static pooled x{workers}"),
-                format!("{batched_static:.1}"),
-                format!("{pooled_static:.1}"),
+                format!("pooled x{workers}/batched static"),
                 format!("{pooled_static_x:.3}"),
-            ],
-            vec![
-                format!("dynamic pooled x{workers}"),
-                format!("{batched_dyn:.1}"),
-                format!("{pooled_dyn:.1}"),
-                format!("{:.3}", pooled_dyn / batched_dyn.max(1e-9)),
+                format!("{MIN_POOL_STATIC_X:.1}"),
             ],
         ],
     );

@@ -1,6 +1,6 @@
 //! Experiment E13: **dynamic differential fleet validation** of the
-//! behavioural↔RTL verdict seam, plus the throughput cost of judging
-//! the §2 dynamic parameters with fixed-point gates.
+//! behavioural↔RTL verdict seam for the §2 dynamic parameters judged
+//! with fixed-point gates.
 //!
 //! Part 1 sweeps both dynamic verdict backends — the streaming Goertzel
 //! bank and the fixed-point `bist_rtl::DynBistTop` — over the same
@@ -13,9 +13,9 @@
 //! (exit 1), which the CI smoke step relies on.
 //!
 //! Part 2 screens a paper-point population (6-bit, σ = 0.21, 4096
-//! samples × 1021 cycles) through each backend end to end and reports
-//! devices/s and samples/s, so the dynamic path joins the run-over-run
-//! perf trajectory (`bench/out/dyn_fleet.json`).
+//! samples × 1021 cycles) through each backend end to end, through the
+//! batch seam (`Experiment::run_with`), and demands equal tallies. The
+//! RTL path's speed is fleetbench's to measure (`rtl.*.devices_per_s`).
 //!
 //! Knobs: `BIST_DEVICES` (default 1000 → 12 000 device×scenario
 //! comparisons), `BIST_WORKERS`.
@@ -70,7 +70,7 @@ fn run(sc: &mut Scenario) -> bool {
     println!("{table}");
     report_divergences(&result.divergences, "");
 
-    // --- Part 2: fleet throughput, backend vs backend ---------------
+    // --- Part 2: fleet tallies, backend vs backend ------------------
     let flash =
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21);
     let batch = Batch::of(flash).seed(SEED).size(devices);
@@ -80,17 +80,12 @@ fn run(sc: &mut Scenario) -> bool {
     let rtl = experiment.run_with(workers, RtlBackend::new);
     let verdicts_agree = behavioral == rtl;
     println!(
-        "throughput (6-bit σ0.21, {devices} devices): behavioral {:.0} dev/s ({:.2e} samp/s), \
-         rtl {:.0} dev/s ({:.2e} samp/s), gate-accuracy cost {:.1}x; acceptance {:.1}%",
-        behavioral.devices_per_second(),
-        behavioral.samples_per_second(),
-        rtl.devices_per_second(),
-        rtl.samples_per_second(),
-        behavioral.devices_per_second() / rtl.devices_per_second().max(1e-9),
+        "fleet (6-bit σ0.21, {devices} devices): behavioral {behavioral}, rtl {rtl}; \
+         acceptance {:.1}%",
         100.0 * behavioral.acceptance_rate(),
     );
     if !verdicts_agree {
-        println!("throughput phase: screening tallies DIVERGED");
+        println!("fleet phase: screening tallies DIVERGED");
     }
 
     sc.metric_count("devices", devices as u64);
@@ -98,10 +93,6 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("divergences", result.divergences.len() as u64);
     sc.metric("agreement_rate", result.agreement_rate());
     sc.metric("acceptance_rate", behavioral.acceptance_rate());
-    sc.metric("behavioral_devices_per_s", behavioral.devices_per_second());
-    sc.metric("behavioral_samples_per_s", behavioral.samples_per_second());
-    sc.metric("rtl_devices_per_s", rtl.devices_per_second());
-    sc.metric("rtl_samples_per_s", rtl.samples_per_second());
     let path = sc.csv(
         "dyn_fleet.csv",
         &[

@@ -1,6 +1,5 @@
 //! Experiment E12: **differential fleet validation** of the
-//! behavioural↔RTL verdict seam, plus the throughput cost of judging
-//! with real gates.
+//! behavioural↔RTL verdict seam.
 //!
 //! Part 1 sweeps both verdict backends — the production behavioural
 //! accumulators and the gate-accurate `bist_rtl::BistTop` — over the
@@ -9,9 +8,10 @@
 //! **Any divergence fails the run** (exit 1), which is what the CI
 //! smoke step relies on.
 //!
-//! Part 2 screens the same batch through each backend end to end and
-//! reports devices/s and samples/s, so the RTL path joins the
-//! run-over-run perf trajectory (`bench/out/rtl_fleet.json`).
+//! Part 2 screens the same batch through each backend end to end,
+//! through the batch seam (`Experiment::run_with`), and demands equal
+//! tallies. The RTL path's speed is fleetbench's to measure
+//! (`rtl.*.devices_per_s`, `rtl.slowdown_vs_behavioral`).
 //!
 //! The second sweep runs a ramp with a −0.022 relative slope error: the
 //! paper's "slightly too steep" measurement ramp.
@@ -80,7 +80,7 @@ fn run(sc: &mut Scenario) -> bool {
     report_divergences(&nominal.divergences, "nominal");
     report_divergences(&skewed.divergences, "skewed");
 
-    // --- Part 2: fleet throughput, backend vs backend ---------------
+    // --- Part 2: fleet tallies, backend vs backend ------------------
     let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
         .counter_bits(6)
         .build()
@@ -89,17 +89,9 @@ fn run(sc: &mut Scenario) -> bool {
     let behavioral = experiment.run(workers);
     let rtl = experiment.run_with(workers, RtlBackend::new);
     let verdicts_agree = behavioral == rtl;
-    println!(
-        "throughput (6-bit counter, {devices} devices): behavioral {:.0} dev/s ({:.2e} samp/s), \
-         rtl {:.0} dev/s ({:.2e} samp/s), gate-accuracy cost {:.1}x",
-        behavioral.devices_per_second(),
-        behavioral.samples_per_second(),
-        rtl.devices_per_second(),
-        rtl.samples_per_second(),
-        behavioral.devices_per_second() / rtl.devices_per_second().max(1e-9),
-    );
+    println!("fleet (6-bit counter, {devices} devices): behavioral {behavioral}, rtl {rtl}");
     if !verdicts_agree {
-        println!("throughput phase: screening results DIVERGED");
+        println!("fleet phase: screening results DIVERGED");
     }
 
     sc.metric_count("devices", devices as u64);
@@ -110,10 +102,6 @@ fn run(sc: &mut Scenario) -> bool {
     );
     sc.metric("agreement_rate_nominal", nominal.agreement_rate());
     sc.metric("agreement_rate_skewed", skewed.agreement_rate());
-    sc.metric("behavioral_devices_per_s", behavioral.devices_per_second());
-    sc.metric("behavioral_samples_per_s", behavioral.samples_per_second());
-    sc.metric("rtl_devices_per_s", rtl.devices_per_second());
-    sc.metric("rtl_samples_per_s", rtl.samples_per_second());
     let path = sc.csv(
         "rtl_fleet.csv",
         &[

@@ -4,8 +4,11 @@
 //! Every binary in this crate regenerates one table or figure of the
 //! ED&TC 1997 paper (see DESIGN.md §4 for the experiment index), prints
 //! it next to the published values, and drops a CSV plus a
-//! machine-readable `<name>.json` perf record under `bench/out/`. The
-//! binaries run their Monte-Carlo batches in parallel by default;
+//! machine-readable `<name>.json` record under `bench/out/`. The fleet
+//! binaries check verdicts: each exits 1 on a divergence, and the only
+//! speeds they gate are ratios of two engines timed in the same run
+//! ([`speed_ratio`]); absolute devices/s are fleetbench's to measure.
+//! The binaries run their Monte-Carlo batches in parallel by default;
 //! `BIST_WORKERS` overrides the worker count (0 = available
 //! parallelism) alongside the `BIST_*` batch knobs. A knob set to a value
 //! that does not parse stops the binary. Every binary seeds its devices
@@ -52,13 +55,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     path
 }
 
-/// Returns the committed performance-baseline directory
-/// (`crates/bench/baseline/`) holding the perf records the CI
-/// `perf-baseline` job diffs fresh runs against.
-pub fn baseline_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline")
-}
-
 /// The master seed every reproduction binary draws its devices from.
 pub const SEED: u64 = 1997;
 
@@ -73,16 +69,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
     parse_knob(name, env_raw(name).as_deref(), default)
 }
 
-/// Reads an environment variable as f64 with a default.
-///
-/// # Panics
-///
-/// Panics, naming the variable and its value, if it is set but does not
-/// parse as an `f64`.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    parse_knob(name, env_raw(name).as_deref(), default)
-}
-
 /// The raw value of an environment variable, `None` when unset. A value
 /// that is not UTF-8 comes back lossily converted, so it fails to parse
 /// rather than reading as unset.
@@ -92,7 +78,7 @@ fn env_raw(name: &str) -> Option<String> {
 
 /// Parses a knob's raw value: unset takes `default`, and a set value that
 /// does not parse panics, so a mistyped knob never runs as the default.
-fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>, default: T) -> T {
+fn parse_knob(name: &str, raw: Option<&str>, default: usize) -> usize {
     match raw {
         None => default,
         Some(v) => v
@@ -120,14 +106,6 @@ pub fn record_metrics(json: &str) -> Vec<(String, f64)> {
         return Vec::new();
     };
     parse_flat_pairs(&body[..end])
-}
-
-/// Looks up one numeric metric of a perf record.
-pub fn record_metric(json: &str, key: &str) -> Option<f64> {
-    record_metrics(json)
-        .into_iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
 }
 
 /// Index of the `}` closing a flat (depth-1) object body, respecting
@@ -228,23 +206,37 @@ impl fmt::Write for Fnv {
     }
 }
 
-/// Devices/s of `pass`, which screens `devices` devices: one warm-up
-/// pass, then repeated passes until enough wall-clock accumulates for a
-/// stable rate (0.3 s and two passes, or 64 passes).
-pub fn throughput(devices: usize, mut pass: impl FnMut()) -> f64 {
-    pass();
-    let start = Instant::now();
-    let mut screened = 0usize;
-    let mut passes = 0u32;
-    loop {
+/// Pairs of passes [`speed_ratio`] times; odd, so the median is one
+/// pair's ratio.
+const RATIO_PAIRS: usize = 15;
+
+/// How many times faster `candidate` runs than `base`, where one call of
+/// either screens the same devices: the median, over `RATIO_PAIRS` (15)
+/// pairs, of one `base` pass's wall time over one `candidate` pass's.
+/// One warm-up pass of each runs first, and the side that runs first
+/// alternates from pair to pair, so a shift in host load falls on both
+/// sides alike and one disturbed pair cannot move the result.
+pub fn speed_ratio(mut base: impl FnMut(), mut candidate: impl FnMut()) -> f64 {
+    fn timed(pass: &mut impl FnMut()) -> f64 {
+        let start = Instant::now();
         pass();
-        screened += devices;
-        passes += 1;
-        if (start.elapsed().as_secs_f64() > 0.3 && passes >= 2) || passes >= 64 {
-            break;
-        }
+        start.elapsed().as_secs_f64().max(1e-9)
     }
-    screened as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    base();
+    candidate();
+    let mut ratios: Vec<f64> = (0..RATIO_PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let b = timed(&mut base);
+                b / timed(&mut candidate)
+            } else {
+                let c = timed(&mut candidate);
+                timed(&mut base) / c
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[RATIO_PAIRS / 2]
 }
 
 /// Prints a differential sweep's first ten divergences, then how many
@@ -394,23 +386,41 @@ mod tests {
     #[test]
     fn env_usize_default() {
         assert_eq!(env_usize("BIST_SURELY_UNSET_VAR", 42), 42);
-        assert_eq!(env_f64("BIST_SURELY_UNSET_VAR", 0.25), 0.25);
     }
 
     #[test]
     fn knob_parses_set_values() {
-        assert_eq!(parse_knob("BIST_WORKERS", Some("4"), 0usize), 4);
-        assert_eq!(parse_knob("BIST_PERF_TOLERANCE", Some("1.0"), 0.25), 1.0);
+        assert_eq!(parse_knob("BIST_WORKERS", Some("4"), 0), 4);
+        assert_eq!(parse_knob("BIST_DEVICES", None, 600), 600);
     }
 
     #[test]
     fn knob_rejects_unparsable_values() {
         for raw in ["four", "1e3", ""] {
-            let panic = std::panic::catch_unwind(|| parse_knob("BIST_DEVICES", Some(raw), 0usize))
+            let panic = std::panic::catch_unwind(|| parse_knob("BIST_DEVICES", Some(raw), 0))
                 .expect_err(raw);
             let msg = panic.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains(&format!("BIST_DEVICES={raw:?}")), "{msg}");
         }
+    }
+
+    #[test]
+    fn speed_ratio_reads_candidate_speed_over_base_speed() {
+        let (mut base_passes, mut candidate_passes) = (0, 0);
+        let ratio = speed_ratio(
+            || {
+                base_passes += 1;
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            },
+            || candidate_passes += 1,
+        );
+        assert!(
+            ratio > 10.0,
+            "a 2 ms base against an empty candidate: {ratio}"
+        );
+        // One warm-up pass of each, then one pass of each per pair.
+        assert_eq!(base_passes, RATIO_PAIRS + 1);
+        assert_eq!(candidate_passes, RATIO_PAIRS + 1);
     }
 
     #[test]
@@ -429,8 +439,6 @@ mod tests {
                 ("devices_per_s".to_owned(), 1234.5),
             ]
         );
-        assert_eq!(record_metric(json, "devices_per_s"), Some(1234.5));
-        assert_eq!(record_metric(json, "missing"), None);
         assert!(record_metrics("not json").is_empty());
     }
 

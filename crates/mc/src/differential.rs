@@ -510,7 +510,7 @@ fn write_verdict(v: &ScreenVerdict, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 /// A candidate cell the grid builder dropped because its configuration
 /// failed validation (e.g. a fixed-point-unrealisable dynamic plan).
 /// Skipped cells carry no screened devices and are excluded from every
-/// throughput and drift figure.
+/// agreement, drift and reduction figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedCell<Id> {
     /// The rejected cell.
@@ -532,8 +532,7 @@ pub struct DifferentialResult<Id: CellId> {
     pub divergences: Vec<Divergence<Id>>,
     /// Accounting per valid sweep cell (stable grid order).
     pub per_scenario: Vec<Id::Tally>,
-    /// Candidate cells rejected by config validation — excluded from
-    /// all throughput figures so devices/s stays comparable.
+    /// Candidate cells rejected by config validation, never screened.
     pub skipped_cells: Vec<SkippedCell<Id>>,
 }
 

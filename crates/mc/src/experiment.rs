@@ -6,10 +6,9 @@
 //! screened as one [`ScreenBatch`] through the backend's batch seam
 //! ([`Backend::process_batch`]), so screening a device is
 //! allocation-free after warm-up. The one [`ExperimentResult`] carries
-//! the accept tally, a [`Rejections`] tally by failed check, throughput
-//! accounting (devices and ADC samples per second) and — for static
-//! workloads, where ground truth exists — the type I/II confusion
-//! matrix.
+//! the accept tally, the ADC samples consumed, a [`Rejections`] tally
+//! by failed check and — for static workloads, where ground truth
+//! exists — the type I/II confusion matrix.
 
 use crate::batch::{stream_rng, Batch};
 use crate::estimate::Proportion;
@@ -23,7 +22,6 @@ use bist_core::pool;
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::source::DeviceSource;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// How ground truth is established for each device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +121,6 @@ impl Experiment {
         from: usize,
         to: usize,
     ) -> ExperimentResult {
-        // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
-        let start = Instant::now();
         let to = to.min(self.batch.size);
         let mut result = ExperimentResult::default();
         let mut work = ScreenBatch::new(self.workload, None);
@@ -168,23 +164,19 @@ impl Experiment {
             result.rejections.record(verdict);
             result.count(verdict.accepted(), verdict.samples());
         }
-        result.elapsed = start.elapsed();
         result
     }
 
     /// Runs the whole batch across `workers` threads (0 = available
     /// parallelism; 1 = a sequential sweep) with a per-worker backend
     /// built by `make_backend` — `|| RtlBackend::new()` for the
-    /// gate-accurate datapath. Returns the merged result with
-    /// wall-clock `elapsed`; everything else is bit-identical to a
+    /// gate-accurate datapath. The merged result is bit-identical to a
     /// sequential [`Experiment::run_range_with`] for any worker count.
     pub fn run_with<B, F>(&self, workers: usize, make_backend: F) -> ExperimentResult
     where
         B: Backend,
         F: Fn() -> B + Sync,
     {
-        // bist-lint: allow(determinism) — wall-clock throughput metadata (elapsed/devices-per-s); never feeds a verdict or report ordering
-        let start = Instant::now();
         let partials = pool::map_ranges(
             self.batch.size,
             workers,
@@ -195,9 +187,6 @@ impl Experiment {
         for partial in &partials {
             total.merge(partial);
         }
-        // Per-range elapsed sums CPU time; report the observed wall-clock so
-        // devices/s and samples/s mean what a caller expects of a fan-out.
-        total.elapsed = start.elapsed();
         total
     }
 
@@ -265,12 +254,8 @@ impl Rejections {
     }
 }
 
-/// Accumulated outcome of an experiment, with throughput accounting.
-///
-/// Equality compares the accounting but not `elapsed`, so two runs of
-/// the same experiment compare equal regardless of timing — e.g.
-/// across different worker counts.
-#[derive(Debug, Clone, Copy, Default)]
+/// Accumulated outcome of an experiment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExperimentResult {
     /// Devices screened.
     pub screened: u64,
@@ -278,16 +263,6 @@ pub struct ExperimentResult {
     pub accepted: u64,
     /// Total ADC samples consumed by the BIST captures.
     pub samples: u64,
-    /// Devices belonging to sweep cells rejected by config validation:
-    /// planned but never screened (see
-    /// [`ExperimentResult::skipped_invalid`]). Excluded from every
-    /// count, rate and throughput figure, so devices/s stays comparable
-    /// across sweeps with and without invalid cells.
-    pub invalid: u64,
-    /// Time spent screening: wall-clock for a [`Experiment::run_with`]
-    /// fan-out, summed per-range CPU time when partials are merged by
-    /// hand.
-    pub elapsed: Duration,
     /// The confusion matrix against ground truth — static workloads
     /// only; empty for dynamic experiments.
     pub matrix: ConfusionMatrix,
@@ -296,32 +271,17 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// The result of a sweep cell rejected by config validation: its
-    /// `devices` are recorded as planned-but-invalid and nothing else —
-    /// merging it into a sweep total cannot move any rate or
-    /// throughput figure.
-    pub fn skipped_invalid(devices: u64) -> Self {
-        ExperimentResult {
-            invalid: devices,
-            ..ExperimentResult::default()
-        }
-    }
-
     fn count(&mut self, accepted: bool, samples: u64) {
         self.screened += 1;
         self.accepted += u64::from(accepted);
         self.samples += samples;
     }
 
-    /// Merges a partial result (e.g. from another worker). Elapsed
-    /// times add; [`Experiment::run_with`] overwrites the sum with the
-    /// observed wall-clock.
+    /// Merges a partial result (e.g. from another worker).
     pub fn merge(&mut self, other: &ExperimentResult) {
         self.screened += other.screened;
         self.accepted += other.accepted;
         self.samples += other.samples;
-        self.invalid += other.invalid;
-        self.elapsed += other.elapsed;
         self.matrix.merge(&other.matrix);
         self.rejections.merge(&other.rejections);
     }
@@ -344,42 +304,7 @@ impl ExperimentResult {
             self.accepted as f64 / self.screened as f64
         }
     }
-
-    /// Screening throughput in devices per second of [`Self::elapsed`].
-    /// Counts only devices actually screened — cells rejected by config
-    /// validation ([`Self::invalid`]) contribute nothing.
-    pub fn devices_per_second(&self) -> f64 {
-        self.per_second(self.screened)
-    }
-
-    /// Acquisition throughput in ADC samples per second of
-    /// [`Self::elapsed`].
-    pub fn samples_per_second(&self) -> f64 {
-        self.per_second(self.samples)
-    }
-
-    fn per_second(&self, count: u64) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            count as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
-
-impl PartialEq for ExperimentResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.screened == other.screened
-            && self.accepted == other.accepted
-            && self.samples == other.samples
-            && self.invalid == other.invalid
-            && self.matrix == other.matrix
-            && self.rejections == other.rejections
-    }
-}
-
-impl Eq for ExperimentResult {}
 
 impl fmt::Display for ExperimentResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -721,13 +646,10 @@ mod tests {
     }
 
     #[test]
-    fn result_accounts_samples_and_throughput() {
+    fn result_accounts_samples_and_merges() {
         let r = static_experiment(3, 20, 6).run(0);
         // Every device's sweep is ~Δs⁻¹ samples per code on 64 codes.
         assert!(r.samples > 20 * 64, "samples {}", r.samples);
-        assert!(r.elapsed > Duration::ZERO);
-        assert!(r.devices_per_second() > 0.0);
-        assert!(r.samples_per_second() > r.devices_per_second());
         // Merging partials adds every counter.
         let mut merged = r;
         merged.merge(&r);
@@ -749,7 +671,6 @@ mod tests {
         assert_eq!(ideal.accepted, 30, "{ideal}");
         assert_eq!(ideal.samples, 30 * 4096);
         assert_eq!(ideal.matrix.total(), 0, "no dynamic ground truth");
-        assert!(ideal.devices_per_second() > 0.0);
         let worst = dyn_experiment(30, 0.3).run(0);
         assert!(worst.accepted < 30, "{worst}");
         assert!(worst.acceptance_rate() < ideal.acceptance_rate());
@@ -829,30 +750,5 @@ mod tests {
         let worst = dyn_experiment(30, 0.3).run(0);
         assert_eq!((worst.screened, worst.accepted), (30, 14));
         assert_eq!(counts(&worst.rejections), (0, 0, 0, 0, (16, 1, 16, 0)));
-    }
-
-    #[test]
-    fn invalid_cells_do_not_move_throughput_or_rates() {
-        // A sweep cell rejected by config validation records its
-        // planned devices as `invalid` and nothing else, so devices/s
-        // and the rates stay comparable across sweeps.
-        for exp in [static_experiment(3, 20, 6), dyn_experiment(10, 0.0)] {
-            let before = exp.run(1);
-            let mut total = before;
-            total.merge(&ExperimentResult::skipped_invalid(500));
-            assert_eq!(total.invalid, 500);
-            assert_eq!(
-                total.screened, before.screened,
-                "invalid devices not screened"
-            );
-            assert_eq!(total.samples, before.samples);
-            assert_eq!(total.matrix, before.matrix);
-            assert_eq!(total.rejections, before.rejections);
-            assert_eq!(total.acceptance_rate(), before.acceptance_rate());
-            assert_eq!(total.type_i().point(), before.type_i().point());
-            assert_eq!(total.devices_per_second(), before.devices_per_second());
-            // Equality accounts for the invalid tally.
-            assert_ne!(total, before);
-        }
     }
 }

@@ -18,9 +18,9 @@
 //!   accumulators by default, or the gate-accurate `bist-rtl`
 //!   datapath; the fan-out runs on `bist_core::pool`, and results are
 //!   independent of the worker count. One
-//!   [`experiment::ExperimentResult`] carries the accept tally,
-//!   rejections by failed check, throughput (devices/s, samples/s) and
-//!   the confusion matrix.
+//!   [`experiment::ExperimentResult`] carries the accept tally, the
+//!   ADC samples consumed, rejections by failed check and the
+//!   confusion matrix.
 //! * [`differential`] — the behavioural↔RTL seam validator: one
 //!   device-outer loop sweeps both backends over identical code streams
 //!   at fleet scale and demands that they latch the same decision and

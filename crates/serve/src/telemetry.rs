@@ -1,7 +1,7 @@
 //! Live service telemetry: monotonically increasing counters bumped on
 //! the ingest and verdict paths, snapshotted on demand into the same
 //! flat-JSON `{"metrics": {...}}` shape `bist_bench::record_metrics`
-//! parses and `perf_gate` diffs.
+//! parses.
 //!
 //! Every counter is a relaxed atomic: telemetry observes the service,
 //! it never synchronizes it — the rings' mutexes order the actual
@@ -187,9 +187,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as the flat perf-record JSON shape the
-    /// bench tooling (`record_metrics`, `perf_gate`) parses: one
-    /// `"metrics"` object of numeric leaves.
+    /// Renders the snapshot as the flat record JSON shape
+    /// `bist_bench::record_metrics` parses: one `"metrics"` object of
+    /// numeric leaves.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"scenario\": \"bist_serve_telemetry\",\n  \"metrics\": {");
         let u = [
