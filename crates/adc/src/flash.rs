@@ -288,7 +288,7 @@ impl fmt::Display for FlashAdc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bist_dsp::stats::{mean_pairwise_correlation, Running};
+    use bist_dsp::stats::Running;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -334,8 +334,43 @@ mod tests {
         assert!((widths.mean() - 1.0).abs() < 0.01);
     }
 
+    /// Average correlation between distinct positions of repeated vector
+    /// observations, over all pairs `i < j`: the statistic Eq. 10
+    /// predicts. Uses `Σ_{i≠j} cov_ij = Var(Σ_i x_i) − Σ_i var_i`, all
+    /// unnormalised.
+    fn mean_pairwise_correlation(samples: &[Vec<f64>]) -> f64 {
+        let dim = samples[0].len();
+        let n = samples.len() as f64;
+        let mut means = vec![0.0; dim];
+        for s in samples {
+            for (m, &v) in means.iter_mut().zip(s) {
+                *m += v;
+            }
+        }
+        for m in &mut means {
+            *m /= n;
+        }
+        let sq = |d: f64| d * d;
+        let sum_vars: f64 = samples
+            .iter()
+            .flat_map(|s| s.iter().zip(&means).map(|(&x, &m)| sq(x - m)))
+            .sum();
+        let sum_means: f64 = means.iter().sum();
+        let var_of_sum: f64 = samples
+            .iter()
+            .map(|s| sq(s.iter().sum::<f64>() - sum_means))
+            .sum();
+        let pairs = (dim * (dim - 1)) as f64;
+        (var_of_sum - sum_vars) / pairs / (sum_vars / dim as f64)
+    }
+
     #[test]
     fn width_correlation_matches_eq10() {
+        // The estimator itself: two positions moving in opposite
+        // directions are perfectly anticorrelated.
+        let opposite = [vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]];
+        assert!((mean_pairwise_correlation(&opposite) + 1.0).abs() < 1e-12);
+
         // Ladder-only mismatch: the fixed-sum constraint gives
         // ρ = −1/(N−1) with N = 2^n codes (Eq. 10). Use a small device so
         // the effect is visible above estimation noise.
@@ -434,7 +469,7 @@ mod tests {
         let adc = cfg.sample(&mut rng(1)).with_ladder_short(10);
         let tf = adc.transfer().unwrap();
         // Code 10's width collapses to zero.
-        assert!(tf.code_width(10).0.abs() < 1e-12);
+        assert!(tf.code_widths_lsb()[9].0.abs() < 1e-11);
     }
 
     #[test]

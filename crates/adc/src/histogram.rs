@@ -6,7 +6,6 @@
 //! taken for the test of all the codes, can be compared to the BIST with
 //! a 7-bit counter."* The ramp histogram here is that conventional test.
 
-use crate::sampler::Capture;
 use crate::types::{Code, Lsb, Resolution};
 use std::error::Error;
 use std::fmt;
@@ -53,15 +52,6 @@ impl CodeHistogram {
             h.record(c);
         }
         h
-    }
-
-    /// Builds a histogram from a materialised capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any code exceeds the resolution's maximum code.
-    pub fn from_capture(resolution: Resolution, capture: &Capture) -> Self {
-        CodeHistogram::from_codes(resolution, capture.codes().iter().copied())
     }
 
     /// Records one code occurrence.
@@ -229,7 +219,7 @@ mod tests {
         // 1000 samples/code on average.
         let ramp = Ramp::new(Volts(-0.05), 1.0);
         let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_capture(Resolution::SIX_BIT, &cap);
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
         let lin = ramp_linearity(&h).unwrap();
         assert!(lin.peak_dnl().0 < 0.01, "peak dnl {}", lin.peak_dnl().0);
         assert!((lin.samples_per_code - 1000.0).abs() < 30.0);
@@ -240,7 +230,7 @@ mod tests {
         let adc = skewed();
         let ramp = Ramp::new(Volts(-0.05), 1.0);
         let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_capture(Resolution::SIX_BIT, &cap);
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
         let lin = ramp_linearity(&h).unwrap();
         // Inner-code index 9 == code 10.
         assert!(
@@ -265,7 +255,7 @@ mod tests {
             TransferFunction::from_transitions(Resolution::SIX_BIT, Volts(0.0), Volts(6.4), t);
         let ramp = Ramp::new(Volts(-0.05), 1.0);
         let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_capture(Resolution::SIX_BIT, &cap);
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
         let lin = ramp_linearity(&h).unwrap();
         assert!((lin.dnl[9].0 + 1.0).abs() < 1e-6);
     }

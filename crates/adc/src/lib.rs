@@ -60,7 +60,7 @@ pub mod transfer;
 pub mod types;
 
 pub use flash::{FlashAdc, FlashConfig};
-pub use sampler::{acquire, acquire_noisy, Capture, SamplingConfig};
+pub use sampler::{acquire, Capture, SamplingConfig};
 pub use spec::{GroundTruth, LinearitySpec};
 pub use stream::CodeStream;
 pub use transfer::{Adc, TransferFunction};

@@ -1,5 +1,5 @@
 //! Static linearity metrics computed directly from a transfer function:
-//! DNL, INL, offset error, gain error, missing codes and monotonicity.
+//! DNL and INL.
 //!
 //! These are the "static" parameters of the paper's §2. Computed from the
 //! *true* transition levels they constitute the ground truth that the
@@ -7,7 +7,6 @@
 
 use crate::transfer::TransferFunction;
 use crate::types::Lsb;
-use std::fmt;
 
 /// Differential non-linearity per inner code, in LSB:
 /// `DNL[k] = (W[k] − q)/q` for codes `1..=2ⁿ−2`.
@@ -68,77 +67,6 @@ pub fn inl_from_dnl(dnl_values: &[Lsb]) -> Vec<Lsb> {
         .collect()
 }
 
-/// Offset error in LSB: deviation of the first transition from its ideal
-/// position (`low + 1·q`).
-pub fn offset_error(tf: &TransferFunction) -> Lsb {
-    let q = tf.lsb_size().0;
-    let ideal_first = tf.low().0 + q;
-    Lsb((tf.transitions()[0] - ideal_first) / q)
-}
-
-/// Gain error in LSB: deviation of the *span* of the transfer (first to
-/// last transition) from the ideal span of `2ⁿ − 2` LSB.
-pub fn gain_error(tf: &TransferFunction) -> Lsb {
-    let q = tf.lsb_size().0;
-    let t = tf.transitions();
-    let span = t[t.len() - 1] - t[0];
-    let ideal_span = (t.len() - 1) as f64 * q;
-    Lsb((span - ideal_span) / q)
-}
-
-/// Indices (inner codes) whose width is below `threshold` LSB —
-/// effectively missing codes. The conventional threshold is a width of
-/// 0 (DNL = −1), but histogram tests often use a small positive value.
-pub fn missing_codes(tf: &TransferFunction, threshold: Lsb) -> Vec<u32> {
-    tf.code_widths_lsb()
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| w.0 <= threshold.0)
-        .map(|(i, _)| i as u32 + 1)
-        .collect()
-}
-
-/// Summary of the static linearity of one converter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticSummary {
-    /// Worst-case |DNL| over the inner codes, in LSB.
-    pub peak_dnl: Lsb,
-    /// Worst-case |INL| (endpoint-corrected), in LSB.
-    pub peak_inl: Lsb,
-    /// Offset error in LSB.
-    pub offset: Lsb,
-    /// Gain error in LSB.
-    pub gain: Lsb,
-    /// Number of missing codes (width ≤ 0).
-    pub missing: usize,
-}
-
-impl StaticSummary {
-    /// Computes the summary for a transfer function.
-    pub fn of(tf: &TransferFunction) -> Self {
-        let d = dnl(tf);
-        let i = inl(tf);
-        let peak = |xs: &[Lsb]| Lsb(xs.iter().map(|x| x.0.abs()).fold(0.0f64, f64::max));
-        StaticSummary {
-            peak_dnl: peak(&d),
-            peak_inl: peak(&i),
-            offset: offset_error(tf),
-            gain: gain_error(tf),
-            missing: missing_codes(tf, Lsb(0.0)).len(),
-        }
-    }
-}
-
-impl fmt::Display for StaticSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "DNL {:.3} LSB, INL {:.3} LSB, offset {:.3} LSB, gain {:.3} LSB, {} missing",
-            self.peak_dnl.0, self.peak_inl.0, self.offset.0, self.gain.0, self.missing
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +94,8 @@ mod tests {
 
     #[test]
     fn ideal_has_zero_metrics() {
-        let s = StaticSummary::of(&ideal());
-        assert!(s.peak_dnl.0 < 1e-9);
-        assert!(s.peak_inl.0 < 1e-9);
-        assert!(s.offset.0.abs() < 1e-9);
-        assert!(s.gain.0.abs() < 1e-9);
-        assert_eq!(s.missing, 0);
+        let tf = ideal();
+        assert!(dnl(&tf).iter().chain(&inl(&tf)).all(|x| x.0.abs() < 1e-9));
     }
 
     #[test]
@@ -222,28 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn offset_error_detects_shift() {
-        let tf = ideal().with_offset(Volts(0.05));
-        assert!((offset_error(&tf).0 - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gain_error_detects_scale() {
-        let tf = ideal().with_gain(1.01);
-        // Span stretches by 1 %: 62 ideal LSB * 0.01 = 0.62 LSB.
-        assert!((gain_error(&tf).0 - 0.62).abs() < 1e-6);
-        // Offset error also moves (first transition scaled).
-        assert!((offset_error(&tf).0 - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
     fn missing_codes_found() {
+        // A zero-width code reads DNL = −1; no other code deviates.
         let tf = with_widths(&[1.0, 0.0, 1.0]);
-        let missing = missing_codes(&tf, Lsb(0.0));
-        assert_eq!(missing, vec![2]);
-        let s = StaticSummary::of(&tf);
-        assert_eq!(s.missing, 1);
-        assert!((s.peak_dnl.0 - 1.0).abs() < 1e-9);
+        let d = dnl(&tf);
+        assert!((d[1].0 + 1.0).abs() < 1e-9);
+        assert!(d
+            .iter()
+            .enumerate()
+            .all(|(k, x)| k == 1 || x.0.abs() < 1e-9));
     }
 
     #[test]
@@ -259,11 +170,5 @@ mod tests {
             let direct = (t[k + 1] - t[0] - (k + 1) as f64 * q) / q;
             assert!((a.0 - direct).abs() < 1e-9, "k={k}");
         }
-    }
-
-    #[test]
-    fn summary_display() {
-        let s = StaticSummary::of(&ideal());
-        assert!(s.to_string().contains("DNL"));
     }
 }

@@ -8,12 +8,10 @@
 //! Monte-Carlo engine) consume the stream directly and never allocate a
 //! capture.
 
-use crate::noise::NoiseConfig;
 use crate::signal::Stimulus;
 use crate::stream::CodeStream;
 use crate::transfer::Adc;
 use crate::types::Code;
-use rand::RngCore;
 use std::fmt;
 
 /// Sampling parameters for one acquisition.
@@ -65,7 +63,7 @@ pub struct Capture {
 
 impl Capture {
     /// Assembles a capture from already-collected codes (crate-internal;
-    /// use [`CodeStream::capture`] or [`acquire`]/[`acquire_noisy`]).
+    /// use [`CodeStream::capture`] or [`acquire`]).
     pub(crate) fn from_parts(codes: Vec<Code>, sampling: SamplingConfig) -> Self {
         Capture { codes, sampling }
     }
@@ -73,11 +71,6 @@ impl Capture {
     /// The captured codes.
     pub fn codes(&self) -> &[Code] {
         &self.codes
-    }
-
-    /// The sampling configuration used.
-    pub fn sampling(&self) -> &SamplingConfig {
-        &self.sampling
     }
 
     /// Iterates over bit `b` (0 = LSB) of every code — the signal the
@@ -114,26 +107,11 @@ pub fn acquire<A: Adc, S: Stimulus>(adc: &A, stimulus: &S, sampling: SamplingCon
     CodeStream::noiseless(adc, stimulus, sampling).capture()
 }
 
-/// Samples `stimulus` through `adc` with the given noise sources and
-/// materialises the result. Thin wrapper over [`CodeStream::noisy`].
-///
-/// Jitter perturbs each sample instant; input and transition noise
-/// perturb the sampled voltage. With [`NoiseConfig::noiseless`] this is
-/// identical to [`acquire`].
-pub fn acquire_noisy<A: Adc, S: Stimulus, R: RngCore + ?Sized>(
-    adc: &A,
-    stimulus: &S,
-    sampling: SamplingConfig,
-    noise: &NoiseConfig,
-    rng: &mut R,
-) -> Capture {
-    CodeStream::noisy(adc, stimulus, sampling, noise, rng).capture()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signal::{Dc, Ramp};
+    use crate::noise::NoiseConfig;
+    use crate::signal::{Ramp, SineWave};
     use crate::transfer::TransferFunction;
     use crate::types::{Resolution, Volts};
     use rand::rngs::StdRng;
@@ -141,6 +119,11 @@ mod tests {
 
     fn six_bit() -> TransferFunction {
         TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+    }
+
+    /// A constant level: a sine of zero amplitude.
+    fn dc(v: f64) -> SineWave {
+        SineWave::new(0.0, 1.0, 0.0, Volts(v))
     }
 
     #[test]
@@ -169,7 +152,7 @@ mod tests {
     #[test]
     fn dc_acquisition_is_constant() {
         let adc = six_bit();
-        let cap = acquire(&adc, &Dc(Volts(3.25)), SamplingConfig::new(1e3, 16));
+        let cap = acquire(&adc, &dc(3.25), SamplingConfig::new(1e3, 16));
         assert!(cap.codes().iter().all(|&c| c == Code(32)));
     }
 
@@ -209,7 +192,7 @@ mod tests {
     #[test]
     fn msb_stream_is_bit_five() {
         let adc = six_bit();
-        let cap = acquire(&adc, &Dc(Volts(5.0)), SamplingConfig::new(1e3, 4));
+        let cap = acquire(&adc, &dc(5.0), SamplingConfig::new(1e3, 4));
         // 5.0 V → code 50 = 0b110010: bit 5 is 1.
         assert!(cap.bits(5).all(|b| b));
         assert!(cap.bits(0).all(|b| !b));
@@ -218,7 +201,7 @@ mod tests {
     #[test]
     fn normalized_is_centered() {
         let adc = six_bit();
-        let cap = acquire(&adc, &Dc(Volts(3.25)), SamplingConfig::new(1e3, 2));
+        let cap = acquire(&adc, &dc(3.25), SamplingConfig::new(1e3, 2));
         // code 32 → (32.5)/64 - 0.5 = 0.0078125
         let first = cap.normalized(6).next().unwrap();
         assert!((first - 0.0078125).abs() < 1e-12);
@@ -231,7 +214,8 @@ mod tests {
         let sampling = SamplingConfig::new(1e3, 100);
         let mut rng = StdRng::seed_from_u64(1);
         let a = acquire(&adc, &ramp, sampling);
-        let b = acquire_noisy(&adc, &ramp, sampling, &NoiseConfig::noiseless(), &mut rng);
+        let b =
+            CodeStream::noisy(&adc, &ramp, sampling, &NoiseConfig::noiseless(), &mut rng).capture();
         assert_eq!(a, b);
     }
 
@@ -240,7 +224,7 @@ mod tests {
         let adc = six_bit();
         // Park the input exactly on a transition: noiseless output is
         // constant, transition noise makes it flip between codes.
-        let dc = Dc(Volts(0.2));
+        let dc = dc(0.2);
         let sampling = SamplingConfig::new(1e3, 1000);
         let mut rng = StdRng::seed_from_u64(2);
         let clean = acquire(&adc, &dc, sampling);
@@ -250,7 +234,7 @@ mod tests {
         };
         assert_eq!(toggles(&clean), 0);
         let noise = NoiseConfig::noiseless().with_transition_noise(0.02);
-        let noisy = acquire_noisy(&adc, &dc, sampling, &noise, &mut rng);
+        let noisy = CodeStream::noisy(&adc, &dc, sampling, &noise, &mut rng).capture();
         assert!(toggles(&noisy) > 100, "expected heavy LSB toggling");
     }
 
@@ -262,7 +246,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let clean = acquire(&adc, &ramp, sampling);
         let noise = NoiseConfig::noiseless().with_jitter(2e-6);
-        let jittered = acquire_noisy(&adc, &ramp, sampling, &noise, &mut rng);
+        let jittered = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).capture();
         assert_ne!(clean, jittered);
         // But the overall trajectory is still a ramp of the same span.
         assert_eq!(clean.codes().last(), jittered.codes().last());
@@ -271,7 +255,7 @@ mod tests {
     #[test]
     fn capture_display() {
         let adc = six_bit();
-        let cap = acquire(&adc, &Dc(Volts(1.0)), SamplingConfig::new(250.0, 8));
+        let cap = acquire(&adc, &dc(1.0), SamplingConfig::new(250.0, 8));
         assert_eq!(cap.to_string(), "8 samples @ 250 Hz");
     }
 }

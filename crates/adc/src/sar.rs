@@ -478,8 +478,8 @@ mod tests {
         // each level trips the comparator (`>=`, not `>`).
         let sar = SarConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(64.0)).sample(&mut rng(1));
         let tf = sar.transfer().unwrap();
-        for k in 1..=63 {
-            assert_eq!(tf.transition(k), Volts(f64::from(k)));
+        for (k, &t) in (1..=63).zip(tf.transitions()) {
+            assert_eq!(t, f64::from(k));
         }
         assert_transfer_matches_sweep(&sar);
     }

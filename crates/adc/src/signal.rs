@@ -1,4 +1,4 @@
-//! Test stimuli: a linear ramp, a sine and DC.
+//! Test stimuli: a linear ramp and a sine.
 //!
 //! The paper's static BIST drives the converter with a slow voltage ramp
 //! whose slope `U` sets the voltage step between samples,
@@ -23,16 +23,6 @@ pub trait Stimulus {
 impl<S: Stimulus + ?Sized> Stimulus for &S {
     fn value(&self, t: f64) -> Volts {
         (**self).value(t)
-    }
-}
-
-/// A constant (DC) level.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Dc(pub Volts);
-
-impl Stimulus for Dc {
-    fn value(&self, _t: f64) -> Volts {
-        self.0
     }
 }
 
@@ -122,21 +112,6 @@ impl SineWave {
         }
     }
 
-    /// The amplitude in volts.
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
-    /// The frequency in hertz.
-    pub fn frequency(&self) -> f64 {
-        self.frequency
-    }
-
-    /// The DC offset.
-    pub fn offset(&self) -> Volts {
-        self.offset
-    }
-
     /// Chooses a coherent frequency for `n` samples at rate `fs` with
     /// `cycles` full periods in the record (`cycles` should be odd and
     /// coprime with `n` for best code coverage).
@@ -170,13 +145,6 @@ impl fmt::Display for SineWave {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dc_is_constant() {
-        let s = Dc(Volts(1.2));
-        assert_eq!(s.value(0.0), Volts(1.2));
-        assert_eq!(s.value(1e9), Volts(1.2));
-    }
 
     #[test]
     fn ramp_is_linear() {

@@ -118,8 +118,8 @@ impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> CodeStream<'_, A, S, R> 
     ///
     /// On a partially consumed stream the capture's sampling metadata
     /// is adjusted to cover only the remaining samples (start time and
-    /// count), so `codes()[i]` always corresponds to
-    /// `sampling().sample_time(i)`.
+    /// count), so `codes()[i]` always corresponds to the capture's
+    /// `i`-th sample time.
     pub fn capture(self) -> Capture {
         let mut sampling = self.sampling;
         sampling.start_time = self.sampling.sample_time(self.next);
@@ -161,7 +161,7 @@ impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> FusedIterator for CodeSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{acquire, acquire_noisy};
+    use crate::sampler::acquire;
     use crate::signal::Ramp;
     use crate::transfer::TransferFunction;
     use crate::types::Resolution;
@@ -192,7 +192,7 @@ mod tests {
             .with_jitter(1e-6);
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        let cap = acquire_noisy(&adc, &ramp, sampling, &noise, &mut rng_a);
+        let cap = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng_a).capture();
         let streamed: Vec<Code> =
             CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng_b).collect();
         assert_eq!(cap.codes(), &streamed[..]);
@@ -216,7 +216,7 @@ mod tests {
         let ramp = Ramp::new(Volts(0.0), 1.0);
         let sampling = SamplingConfig::new(250.0, 8);
         let cap = CodeStream::noiseless(&adc, &ramp, sampling).capture();
-        assert_eq!(cap.sampling(), &sampling);
+        assert_eq!(cap, Capture::from_parts(cap.codes().to_vec(), sampling));
         assert_eq!(cap.codes().len(), 8);
     }
 
@@ -229,9 +229,13 @@ mod tests {
         let head: Vec<Code> = s.by_ref().take(4).collect();
         let cap = s.capture();
         assert_eq!(cap.codes().len(), 6);
-        assert_eq!(cap.sampling().samples, 6);
-        assert!((cap.sampling().start_time - sampling.sample_time(4)).abs() < 1e-15);
-        // codes()[i] still pairs with sampling().sample_time(i).
+        let rest = SamplingConfig {
+            start_time: sampling.sample_time(4),
+            samples: 6,
+            ..sampling
+        };
+        assert_eq!(cap, Capture::from_parts(cap.codes().to_vec(), rest));
+        // codes()[i] still pairs with the rest's sample_time(i).
         let full = acquire(&adc, &ramp, sampling);
         assert_eq!(&full.codes()[..4], &head[..]);
         assert_eq!(&full.codes()[4..], cap.codes());

@@ -117,20 +117,6 @@ impl TransferFunction {
         Volts((self.high.0 - self.low.0) / self.resolution.code_count() as f64)
     }
 
-    /// The transition level `T[k]` for `k` in `1..=2ⁿ−1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn transition(&self, k: u32) -> Volts {
-        assert!(
-            (1..=self.resolution.transition_count()).contains(&k),
-            "transition index {k} out of range 1..={}",
-            self.resolution.transition_count()
-        );
-        Volts(self.transitions[(k - 1) as usize])
-    }
-
     /// All transition levels in volts (`T[1]` first).
     pub fn transitions(&self) -> &[f64] {
         &self.transitions
@@ -144,20 +130,6 @@ impl TransferFunction {
         Code(count as u32)
     }
 
-    /// The width of inner code `k` (`1..=2ⁿ−2`) in volts:
-    /// `T[k+1] − T[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not an inner code.
-    pub fn code_width(&self, k: u32) -> Volts {
-        assert!(
-            (1..=self.resolution.inner_code_count()).contains(&k),
-            "code {k} is not an inner code"
-        );
-        Volts(self.transitions[k as usize] - self.transitions[(k - 1) as usize])
-    }
-
     /// Widths of all inner codes in LSB units (the `ΔV` of the paper's
     /// §3, ideally 1 LSB each).
     pub fn code_widths_lsb(&self) -> Vec<Lsb> {
@@ -166,30 +138,6 @@ impl TransferFunction {
             .windows(2)
             .map(|w| Lsb((w[1] - w[0]) / q))
             .collect()
-    }
-
-    /// Offsets every transition level by `delta` volts (models an input
-    /// offset error).
-    pub fn with_offset(mut self, delta: Volts) -> Self {
-        for t in &mut self.transitions {
-            *t += delta.0;
-        }
-        self
-    }
-
-    /// Scales every transition level about `low` by `gain` (models a gain
-    /// error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gain <= 0` (which would fold the transfer).
-    pub fn with_gain(mut self, gain: f64) -> Self {
-        assert!(gain > 0.0, "gain must be positive");
-        let low = self.low.0;
-        for t in &mut self.transitions {
-            *t = low + (*t - low) * gain;
-        }
-        self
     }
 }
 
@@ -509,8 +457,8 @@ mod tests {
     fn ideal_transitions_are_uniform() {
         let tf = six_bit();
         assert_eq!(tf.transitions().len(), 63);
-        assert!((tf.transition(1).0 - 0.1).abs() < 1e-12);
-        assert!((tf.transition(63).0 - 6.3).abs() < 1e-12);
+        assert!((tf.transitions()[0] - 0.1).abs() < 1e-12);
+        assert!((tf.transitions()[62] - 6.3).abs() < 1e-12);
         for w in tf.code_widths_lsb() {
             assert!((w.0 - 1.0).abs() < 1e-9);
         }
@@ -546,29 +494,14 @@ mod tests {
 
     #[test]
     fn code_width_matches_transition_difference() {
-        let tf = six_bit();
-        for k in 1..=62 {
-            let w = tf.code_width(k);
-            assert!((w.0 - 0.1).abs() < 1e-12, "code {k}: {w}");
+        let mut t: Vec<f64> = (1..=63).map(|k| f64::from(k) * 0.1).collect();
+        t[20] += 0.03;
+        let tf = TransferFunction::from_transitions(Resolution::SIX_BIT, Volts(0.0), Volts(6.4), t);
+        let t = tf.transitions();
+        for (k, w) in tf.code_widths_lsb().iter().enumerate() {
+            let want = (t[k + 1] - t[k]) / 0.1;
+            assert!((w.0 - want).abs() < 1e-12, "code {}: {}", k + 1, w.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not an inner code")]
-    fn code_width_of_end_code_panics() {
-        six_bit().code_width(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an inner code")]
-    fn code_width_of_top_code_panics() {
-        six_bit().code_width(63);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn transition_index_zero_panics() {
-        six_bit().transition(0);
     }
 
     #[test]
@@ -600,27 +533,7 @@ mod tests {
         // Code 2 has zero width: input 2.0 jumps straight to code 3.
         assert_eq!(tf.convert(Volts(1.99)), Code(1));
         assert_eq!(tf.convert(Volts(2.0)), Code(3));
-        assert_eq!(tf.code_width(2).0, 0.0);
-    }
-
-    #[test]
-    fn offset_shifts_all_transitions() {
-        let tf = six_bit().with_offset(Volts(0.05));
-        assert!((tf.transition(1).0 - 0.15).abs() < 1e-12);
-        assert_eq!(tf.convert(Volts(0.1)), Code(0)); // moved up
-    }
-
-    #[test]
-    fn gain_scales_about_low() {
-        let tf = six_bit().with_gain(2.0);
-        assert!((tf.transition(1).0 - 0.2).abs() < 1e-12);
-        assert!((tf.transition(2).0 - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "gain must be positive")]
-    fn gain_rejects_non_positive() {
-        six_bit().with_gain(0.0);
+        assert_eq!(tf.code_widths_lsb()[1].0, 0.0);
     }
 
     #[test]
@@ -636,9 +549,9 @@ mod tests {
     fn characterize_recovers_ideal_transitions() {
         let tf = six_bit();
         let rec = characterize(&tf, Volts(0.0005));
-        for k in 1..=63 {
-            let err = (rec.transition(k).0 - tf.transition(k).0).abs();
-            assert!(err <= 0.0006, "transition {k}: err {err}");
+        for (k, (r, t)) in rec.transitions().iter().zip(tf.transitions()).enumerate() {
+            let err = (r - t).abs();
+            assert!(err <= 0.0006, "transition {}: err {err}", k + 1);
         }
     }
 

@@ -50,8 +50,7 @@ proptest! {
         let res = Resolution::new(4).expect("4 bits valid");
         let hi = t.last().copied().expect("non-empty") + 0.1;
         let tf = TransferFunction::from_transitions(res, Volts(0.0), Volts(hi), t);
-        for k in 1..=15u32 {
-            let tv = tf.transition(k).0;
+        for (k, &tv) in (1..=15u32).zip(tf.transitions()) {
             prop_assert!(tf.convert(Volts(tv + 1e-9)).0 >= k);
             prop_assert!(tf.convert(Volts(tv - 1e-9)).0 <= k);
         }
@@ -97,10 +96,9 @@ proptest! {
         let tf = TransferFunction::from_transitions(res, Volts(0.0), Volts(hi), t.clone());
         let step = 0.0005;
         let rec = characterize(&tf, Volts(step));
-        for k in 1..=15u32 {
-            let expect = tf.transition(k).0.max(-step);
-            let err = (rec.transition(k).0 - expect).abs();
-            prop_assert!(err <= step * 1.01, "transition {k}: err {err}");
+        for (k, (r, t)) in rec.transitions().iter().zip(tf.transitions()).enumerate() {
+            let err = (r - t.max(-step)).abs();
+            prop_assert!(err <= step * 1.01, "transition {}: err {err}", k + 1);
         }
     }
 
@@ -146,7 +144,8 @@ proptest! {
         let tf = adc.transfer().expect("flash states transfer");
         let q = tf.lsb_size().0;
         let width_sum: f64 = tf.code_widths_lsb().iter().map(|w| w.0 * q).sum();
-        let span = tf.transition(63).0 - tf.transition(1).0;
+        let t = tf.transitions();
+        let span = t[62] - t[0];
         prop_assert!((width_sum - span).abs() < 1e-9);
     }
 }
@@ -178,9 +177,8 @@ proptest! {
         let q = (hi.0 - lo.0) / res.code_count() as f64;
         let direct = characterize(&adc, Volts(q / 256.0));
         let table = adc.transfer().expect("sar characterises");
-        for k in 1..=res.transition_count() {
-            let (a, b) = (table.transition(k).0, direct.transition(k).0);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "transition {}: {} vs {}", k, a, b);
+        for (k, (a, b)) in table.transitions().iter().zip(direct.transitions()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "transition {}: {} vs {}", k + 1, a, b);
         }
     }
 }

@@ -31,9 +31,11 @@
 //!   (`crates/*/src`, outside bins and the API-mirroring compat crates)
 //!   is used in code by another file, or by its own file outside its
 //!   own definition, its own `impl` blocks and `#[cfg(test)]` code.
-//!   Pass 1 indexes how every file mentions each identifier. A use
-//!   counts only where the item can be meant: in a file whose package
-//!   is the item's own or depends on it (`fleetbench/` included), not at
+//!   Tests do not count as users: pass 1 indexes how every file
+//!   mentions each identifier, skipping `#[cfg(test)]` code and files
+//!   under a `tests/` directory. A use counts only where the item can
+//!   be meant: in a file whose package is the item's own or depends on
+//!   it (examples, bins and `fleetbench/` included), not at
 //!   a definition site, not in a `pub use` of its own crate, and not as
 //!   an enum variant (its definition or an `Enum::Variant` path). An
 //!   inherent method is used only where it is called or named by path,

@@ -8,7 +8,7 @@
 //! | `undocumented-unsafe` | every `unsafe` justified; `#[target_feature]` kernels only reached behind runtime detection | UB has no runtime gate — this is the only net |
 //! | `atomic-ordering` | every atomic `Ordering::` choice justified | worker-count `report_checksum` equality gate |
 //! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any workers × chunk |
-//! | `dead-pub` | every bare-`pub` library item is used in code somewhere other than its own definition, its own `impl` blocks, `#[cfg(test)]` code, its crate's own `pub use` re-exports and crates that cannot name it | none — the compiler's dead-code lint stops at `pub` |
+//! | `dead-pub` | every bare-`pub` library item is used in code somewhere other than its own definition, its own `impl` blocks, tests (`#[cfg(test)]` code and files under a `tests/` directory), its crate's own `pub use` re-exports and crates that cannot name it | none — the compiler's dead-code lint stops at `pub` |
 //!
 //! Diagnostics are suppressible only via an inline
 //! `// bist-lint: allow(<rule>) — <reason>` marker (same line or the
@@ -195,8 +195,13 @@ impl Index {
             let st = Structure::build(&lines);
             let kernels = st.fns.iter().filter(|f| f.target_feature);
             index.kernels.extend(kernels.map(|f| f.name.clone()));
+            // Tests check an item; they are no reason for it to exist.
+            let test_file = ctx.path.split('/').any(|c| c == "tests");
             let mut strongest: BTreeMap<&str, Mention> = BTreeMap::new();
-            for (_, name, how) in mentions(&lines) {
+            for (li, name, how) in mentions(&lines) {
+                if test_file || st.in_cfg_test(li) {
+                    continue;
+                }
                 let m = strongest.entry(name).or_insert(how);
                 *m = (*m).max(how);
             }
@@ -727,7 +732,7 @@ fn check_dead_pub(
                 Rule::DeadPub,
                 format!(
                     "`pub {} {path}` is used nowhere outside its own definition, impl \
-                     blocks and `#[cfg(test)]` code",
+                     blocks and tests",
                     item.kind
                 ),
             );

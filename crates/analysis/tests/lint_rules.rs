@@ -227,7 +227,7 @@ fn dead_pub(line: usize, item: &str) -> (Rule, usize, String) {
         line,
         format!(
             "`pub {item}` is used nowhere outside its own definition, impl blocks and \
-             `#[cfg(test)]` code"
+             tests"
         ),
     )
 }
@@ -419,6 +419,47 @@ fn dead_pub_counts_a_variant_as_no_use_of_a_same_named_type() {
         dead_pub_in(&files),
         [dead_at("crates/dsp/src/stats.rs", 1, "struct Histogram")]
     );
+}
+
+#[test]
+fn dead_pub_ignores_test_only_callers() {
+    let lib = "pub fn settle() -> u32 {\n    1\n}\n";
+    // Another file's `#[cfg(test)]` module, and an integration test.
+    let unit = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n\
+                \x20       assert_eq!(crate::sweep::settle(), 1);\n    }\n}\n";
+    let integration = "#[test]\nfn t() {\n    assert_eq!(core::settle(), 1);\n}\n";
+    let caller = |path: &str, krate: &str, deps: &[&str]| FileContext {
+        path: path.to_owned(),
+        krate: krate.to_owned(),
+        deps: deps.iter().map(|d| (*d).to_owned()).collect(),
+        ..FileContext::default()
+    };
+    let files = [
+        (lib_file("core", "sweep.rs", &[]), lib),
+        (lib_file("core", "monitor.rs", &[]), unit),
+        (
+            caller("crates/core/tests/sweep.rs", "core", &[]),
+            integration,
+        ),
+    ];
+    assert_eq!(
+        dead_pub_in(&files),
+        [dead_at("crates/core/src/sweep.rs", 1, "fn settle")]
+    );
+    // One call from an example, or from a `src/bin/` binary, clears it.
+    let call = "fn main() {\n    let _ = core::settle();\n}\n";
+    for user in [
+        caller("examples/tour.rs", "root", &["core"]),
+        caller("crates/bench/src/bin/table1.rs", "bench", &["core"]),
+    ] {
+        let files = [
+            files[0].clone(),
+            files[1].clone(),
+            files[2].clone(),
+            (user, call),
+        ];
+        assert_eq!(dead_pub_in(&files), [], "{}", files[3].0.path);
+    }
 }
 
 #[test]

@@ -22,21 +22,30 @@ fn root() -> PathBuf {
 /// whole workspace with it, returning that file's findings — the
 /// in-memory version of editing the file and re-running `bist-lint`.
 fn analyze_mutated(rel: &str, mutate: impl Fn(&str) -> String) -> Vec<Diagnostic> {
-    let mut sources = read_sources(&root()).expect("workspace sources");
-    let (_, src) = sources
-        .iter_mut()
-        .find(|(path, _)| path == rel)
-        .unwrap_or_else(|| panic!("{rel} is scanned"));
-    let mutated = mutate(src);
-    assert_ne!(*src, mutated, "mutation must change {rel}");
-    *src = mutated;
-    let packages = Packages::read(&root()).expect("workspace manifests");
-    let analysis = analyze_sources(&sources, &packages);
-    analysis
-        .diagnostics
+    analyze_edited(&[(rel, &mutate)])
         .into_iter()
         .filter(|d| d.file == rel)
         .collect()
+}
+
+/// A workspace file and the mutation applied to its source.
+type Edit<'a> = (&'a str, &'a dyn Fn(&str) -> String);
+
+/// Applies each edit and re-analyzes the whole workspace, returning
+/// every finding.
+fn analyze_edited(edits: &[Edit]) -> Vec<Diagnostic> {
+    let mut sources = read_sources(&root()).expect("workspace sources");
+    for &(rel, mutate) in edits {
+        let (_, src) = sources
+            .iter_mut()
+            .find(|(path, _)| path == rel)
+            .unwrap_or_else(|| panic!("{rel} is scanned"));
+        let mutated = mutate(src);
+        assert_ne!(*src, mutated, "mutation must change {rel}");
+        *src = mutated;
+    }
+    let packages = Packages::read(&root()).expect("workspace manifests");
+    analyze_sources(&sources, &packages).diagnostics
 }
 
 #[test]
@@ -241,4 +250,22 @@ fn appending_an_uncalled_pub_fn_fires_once_at_its_line() {
         [(Rule::DeadPub, line)],
         "{diags:?}"
     );
+}
+
+#[test]
+fn a_pub_fn_only_tests_call_fires_until_an_example_calls_it() {
+    let lib = "crates/core/src/lib.rs";
+    let item = |s: &str| format!("{s}\npub fn only_tests_call_this() -> u32 {{\n    0\n}}\n");
+    let test = |s: &str| {
+        format!("{s}\n#[test]\nfn calls_it() {{\n    assert_eq!(bist_core::only_tests_call_this(), 0);\n}}\n")
+    };
+    let edits: [Edit; 2] = [(lib, &item), ("crates/core/tests/properties.rs", &test)];
+    let diags = analyze_edited(&edits);
+    let fired: Vec<(&str, Rule)> = diags.iter().map(|d| (d.file.as_str(), d.rule)).collect();
+    assert_eq!(fired, [(lib, Rule::DeadPub)], "{diags:?}");
+    // One production caller clears it.
+    let example =
+        |s: &str| format!("{s}\nfn _use() -> u32 {{\n    bist_core::only_tests_call_this()\n}}\n");
+    let edits: [Edit; 3] = [edits[0], edits[1], ("examples/quickstart.rs", &example)];
+    assert_eq!(analyze_edited(&edits), []);
 }

@@ -37,7 +37,7 @@
 
 use bist_adc::flash::{FlashAdc, FlashConfig};
 use bist_adc::spec::LinearitySpec;
-use bist_adc::transfer::TransferFunction;
+use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
 use bist_bench::{speed_ratio, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
@@ -46,6 +46,7 @@ use bist_core::pool;
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::{stream_rng, Batch};
+use rand::RngCore;
 
 /// Device RNG salt shared with the static fleet experiments.
 const STATIC_SALT: usize = 0x5eed_0000_0000_0000;
@@ -91,104 +92,20 @@ fn run(sc: &mut Scenario) -> bool {
     let dyn_rng = |i: usize| stream_rng(SEED ^ DYN_SEED_XOR, &[1, i as u64]);
 
     // --- Part 1: exactness, all four modes, batched then pooled -----
-    // Pooled runs are compared at several worker counts × chunk sizes;
-    // the checksum folds every batched report so two JSON records can
+    // The checksum folds every batched report so two JSON records can
     // be diffed for divergence without rerunning.
-    const POOL_GRID: [(usize, usize); 4] = [(1, 5), (2, 8), (4, 32), (16, 3)];
-    let mut divergences = 0u64;
     let mut checksum = Fnv::default();
-    for sequenced in [false, true] {
-        let w = Workload::static_ramp(config);
-        let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w);
-        if sequenced {
-            scalar = scalar.sequencer(policy);
-            batched = batched.sequencer(policy);
-        }
-        let label = if sequenced { "static seq" } else { "static" };
-        let reports: Vec<_> = batched
-            .run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))))
-            .into_iter()
-            .map(|r| (r.device, r.verdict))
-            .collect();
-        divergences += compare(
-            &reports,
-            |i| scalar.screen_one(&fleet[i], &mut static_rng(i)),
-            label,
-        );
-        checksum.fold_reports(&reports);
-        for (pool_workers, pool_chunk) in POOL_GRID {
-            let mut pooled = Screener::new(w)
-                .workers(pool_workers)
-                .chunk_size(pool_chunk);
-            if sequenced {
-                pooled = pooled.sequencer(policy);
-            }
-            let pooled_reports: Vec<_> = pooled
-                .run(fleet.iter().enumerate().map(|(i, tf)| (tf, static_rng(i))))
-                .into_iter()
-                .map(|r| (r.device, r.verdict))
-                .collect();
-            if pooled_reports != reports {
-                println!(
-                    "DIVERGENCE ({label}) pooled workers={pool_workers} chunk={pool_chunk} \
-                     differs from batched"
-                );
-                divergences += 1;
-            }
-        }
-    }
-    for sequenced in [false, true] {
-        let w = Workload::dynamic_sine(dyn_config);
-        let mut scalar = Screener::new(w);
-        let mut batched = Screener::new(w);
-        if sequenced {
-            scalar = scalar.sequencer(policy);
-            batched = batched.sequencer(policy);
-        }
-        let label = if sequenced { "dynamic seq" } else { "dynamic" };
-        let reports: Vec<_> = batched
-            .run(
-                dyn_fleet
-                    .iter()
-                    .enumerate()
-                    .map(|(i, adc)| (adc, dyn_rng(i))),
-            )
-            .into_iter()
-            .map(|r| (r.device, r.verdict))
-            .collect();
-        divergences += compare(
-            &reports,
-            |i| scalar.screen_one(&dyn_fleet[i], &mut dyn_rng(i)),
-            label,
-        );
-        checksum.fold_reports(&reports);
-        for (pool_workers, pool_chunk) in POOL_GRID {
-            let mut pooled = Screener::new(w)
-                .workers(pool_workers)
-                .chunk_size(pool_chunk);
-            if sequenced {
-                pooled = pooled.sequencer(policy);
-            }
-            let pooled_reports: Vec<_> = pooled
-                .run(
-                    dyn_fleet
-                        .iter()
-                        .enumerate()
-                        .map(|(i, adc)| (adc, dyn_rng(i))),
-                )
-                .into_iter()
-                .map(|r| (r.device, r.verdict))
-                .collect();
-            if pooled_reports != reports {
-                println!(
-                    "DIVERGENCE ({label}) pooled workers={pool_workers} chunk={pool_chunk} \
-                     differs from batched"
-                );
-                divergences += 1;
-            }
-        }
-    }
+    let static_w = Workload::static_ramp(config);
+    let dyn_w = Workload::dynamic_sine(dyn_config);
+    let mut divergences = check_exactness(
+        static_w,
+        policy,
+        &fleet,
+        static_rng,
+        "static",
+        &mut checksum,
+    );
+    divergences += check_exactness(dyn_w, policy, &dyn_fleet, dyn_rng, "dynamic", &mut checksum);
     println!(
         "exactness: {} static + {} dynamic devices × (plain, sequenced) × \
          (scalar, batched, pooled {:?} workers×chunk) → {divergences} divergences",
@@ -305,6 +222,74 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
+}
+
+/// Pooled runs are compared at several worker counts × chunk sizes.
+const POOL_GRID: [(usize, usize); 4] = [(1, 5), (2, 8), (4, 32), (16, 3)];
+
+/// Part 1 for one workload, plain then sequenced: screens `fleet`
+/// through the batched engine, compares every report against the
+/// scalar engine and against the pooled engine at each `POOL_GRID`
+/// point, and folds the batched reports into `checksum`. Returns the
+/// divergence count.
+fn check_exactness<D, R>(
+    w: Workload,
+    policy: SequencerConfig,
+    fleet: &[D],
+    rng: impl Fn(usize) -> R,
+    kind: &str,
+    checksum: &mut Fnv,
+) -> u64
+where
+    D: Adc + Sync,
+    R: RngCore + Send,
+{
+    let mut divergences = 0u64;
+    for sequenced in [false, true] {
+        let mut scalar = Screener::new(w);
+        let mut batched = Screener::new(w);
+        if sequenced {
+            scalar = scalar.sequencer(policy);
+            batched = batched.sequencer(policy);
+        }
+        let label = if sequenced {
+            format!("{kind} seq")
+        } else {
+            kind.to_owned()
+        };
+        let reports: Vec<_> = batched
+            .run(fleet.iter().enumerate().map(|(i, d)| (d, rng(i))))
+            .into_iter()
+            .map(|r| (r.device, r.verdict))
+            .collect();
+        divergences += compare(
+            &reports,
+            |i| scalar.screen_one(&fleet[i], &mut rng(i)),
+            &label,
+        );
+        checksum.fold_reports(&reports);
+        for (pool_workers, pool_chunk) in POOL_GRID {
+            let mut pooled = Screener::new(w)
+                .workers(pool_workers)
+                .chunk_size(pool_chunk);
+            if sequenced {
+                pooled = pooled.sequencer(policy);
+            }
+            let pooled_reports: Vec<_> = pooled
+                .run(fleet.iter().enumerate().map(|(i, d)| (d, rng(i))))
+                .into_iter()
+                .map(|r| (r.device, r.verdict))
+                .collect();
+            if pooled_reports != reports {
+                println!(
+                    "DIVERGENCE ({label}) pooled workers={pool_workers} chunk={pool_chunk} \
+                     differs from batched"
+                );
+                divergences += 1;
+            }
+        }
+    }
+    divergences
 }
 
 /// Compares batched reports against the scalar engine re-screening the

@@ -2,7 +2,8 @@
 //! runner, ASCII plotting, CSV emission and output-directory management.
 //!
 //! Every binary in this crate regenerates one table or figure of the
-//! ED&TC 1997 paper (see DESIGN.md §4 for the experiment index), prints
+//! ED&TC 1997 paper (`repro_all` runs the whole set; the README's
+//! reproduction section lists them), prints
 //! it next to the published values, and drops a CSV plus a
 //! machine-readable `<name>.json` record under `bench/out/`. The fleet
 //! binaries check verdicts: each exits 1 on a divergence, and the only

@@ -155,16 +155,6 @@ impl CodeProbabilities {
             0.0
         }
     }
-
-    /// Conditional per-code type II probability `P(accept | faulty)`.
-    pub fn type_ii_conditional(&self) -> f64 {
-        let p_faulty = 1.0 - self.p_good;
-        if p_faulty > 0.0 {
-            self.p_accept_and_faulty / p_faulty
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Evaluates Eqs. 6–7 for one code: integrates `h·f` over the good and

@@ -76,9 +76,6 @@ use rand::RngCore;
 /// [`crate::batch`], which the batch-equivalence property tests pin
 /// bit-exact to the scalar path.
 pub trait Backend {
-    /// Stable backend name for perf records and reports.
-    fn name(&self) -> &'static str;
-
     /// Judges one static sweep (re-`begin`-ing `seq`), leaving per-code
     /// detail in `scratch` (as much as the backend models — see the
     /// implementors). An early-stopped verdict holds the
@@ -124,10 +121,6 @@ pub trait Backend {
 pub struct BehavioralBackend;
 
 impl Backend for BehavioralBackend {
-    fn name(&self) -> &'static str {
-        "behavioral"
-    }
-
     fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
@@ -223,8 +216,8 @@ impl Backend for BehavioralBackend {
 /// Scratch detail: per-code monitor results are recorded (with the
 /// hardware's view — a saturated code reports the clamped width, since
 /// the chip cannot know more); per-check functional detail is not (the
-/// silicon latches only the counters), so
-/// [`Scratch::checks`](Scratch::checks) is empty after an RTL sweep.
+/// silicon latches only the counters), so the functional checks of
+/// [`Scratch::take_outcome`] are empty after an RTL sweep.
 #[derive(Debug, Default)]
 pub struct RtlBackend {
     top: Option<BistTop>,
@@ -281,10 +274,6 @@ impl RtlBackend {
 }
 
 impl Backend for RtlBackend {
-    fn name(&self) -> &'static str {
-        "rtl"
-    }
-
     fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
@@ -515,8 +504,8 @@ mod tests {
         assert_eq!(plain, watched);
         assert_eq!(plain.decision, SeqDecision::Continue);
         assert!(plain.verdict.accepted());
-        assert_eq!(s1.monitor_codes(), s2.monitor_codes());
-        assert_eq!(s1.checks(), s2.checks());
+        assert_eq!(s1.monitor_codes, s2.monitor_codes);
+        assert_eq!(s1.checks, s2.checks);
     }
 
     #[test]
@@ -536,8 +525,8 @@ mod tests {
             );
             assert!(verdict.accepted(), "counter {bits}: {verdict:?}");
             assert_eq!(verdict.codes_judged, 62);
-            assert_eq!(scratch.monitor_codes().len(), 62);
-            assert!(scratch.checks().is_empty(), "RTL keeps only counters");
+            assert_eq!(scratch.monitor_codes.len(), 62);
+            assert!(scratch.checks.is_empty(), "RTL keeps only counters");
         }
     }
 

@@ -529,11 +529,10 @@ mod tests {
         let config = DynamicConfig::paper_default();
         let (sine, sampling) = plan_sine(&ideal(), &config);
         assert_eq!(sampling.samples, 4096);
-        assert!((sine.amplitude() - 3.2 * (1.0 + DEFAULT_OVERDRIVE)).abs() < 1e-12);
-        assert!((sine.offset().0 - 3.2).abs() < 1e-12);
-        // Coherency: an integer number of cycles in the record.
-        let cycles = sine.frequency() * sampling.samples as f64 / sampling.sample_rate;
-        assert!((cycles - 1021.0).abs() < 1e-9);
+        // Centred mid-range, with 1021 cycles in the record (coherent).
+        let frequency = SineWave::coherent_frequency(1021, 4096, sampling.sample_rate);
+        let amplitude = 3.2 * (1.0 + DEFAULT_OVERDRIVE);
+        assert_eq!(sine, SineWave::new(amplitude, frequency, 0.0, Volts(3.2)));
     }
 
     #[test]

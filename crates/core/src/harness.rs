@@ -21,9 +21,7 @@
 //! [`FunctionalAcc`](crate::functional::FunctionalAcc), the transition
 //! counter and (for the histogram harnesses) the
 //! [`CodeHistogram`] — consume it
-//! incrementally from one traversal. No capture is materialised on the
-//! production path; [`bist_from_capture`] remains as the materialised
-//! reference for tests, plots and external code records.
+//! incrementally from one traversal. No capture is materialised.
 //!
 //! The verdict stage is pluggable through [`crate::backend::Backend`]:
 //! the identical fused acquisition can be judged by the behavioural
@@ -46,14 +44,13 @@
 //! [`crate::screener::Screener::screen_one`] performs zero heap
 //! allocations (enforced by `tests/zero_alloc.rs`).
 
-use crate::backend::{Backend, BehavioralBackend};
 use crate::config::BistConfig;
 use crate::functional::{FunctionalCheck, FunctionalResult, FunctionalTally};
 use crate::limits::slope_for_delta_s;
 use crate::lsb_monitor::{CodeResult, MonitorResult, MonitorTally};
 use bist_adc::histogram::{ramp_linearity, CodeHistogram, HistogramLinearity, HistogramTestError};
 use bist_adc::noise::NoiseConfig;
-use bist_adc::sampler::{Capture, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::stream::CodeStream;
@@ -188,8 +185,8 @@ impl BistVerdict {
 /// every run *clears* the buffers but never shrinks them, so capacity
 /// warms up on the first device and subsequent devices allocate
 /// nothing. Keep one `Scratch` per worker thread and pass it to
-/// [`Backend::judge`] (a [`crate::screener::Screener`] carries its
-/// own).
+/// [`crate::backend::Backend::judge`] (a [`crate::screener::Screener`]
+/// carries its own).
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub(crate) monitor_codes: Vec<CodeResult>,
@@ -200,16 +197,6 @@ impl Scratch {
     /// Creates an empty scratch (buffers warm up on first use).
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// Per-code monitor results of the most recent sweep.
-    pub fn monitor_codes(&self) -> &[CodeResult] {
-        &self.monitor_codes
-    }
-
-    /// Functional checks of the most recent sweep.
-    pub fn checks(&self) -> &[FunctionalCheck] {
-        &self.checks
     }
 
     /// Assembles the full [`BistOutcome`] of the most recent sweep,
@@ -249,18 +236,6 @@ pub fn plan_ramp<A: Adc + ?Sized>(adc: &A, config: &BistConfig) -> (Ramp, Sampli
         Ramp::new(start, slope),
         SamplingConfig::new(SAMPLE_RATE, samples),
     )
-}
-
-/// Runs the BIST processing on an already-captured code record (e.g.
-/// from a shared acquisition or an external source) — the materialised
-/// counterpart of the streaming engine, kept for tests and diagnostics.
-pub fn bist_from_capture(config: &BistConfig, capture: &Capture) -> BistOutcome {
-    let mut scratch = Scratch::new();
-    let codes = capture.codes().iter().copied();
-    let verdict = BehavioralBackend
-        .judge(config, None, codes, &mut scratch)
-        .verdict;
-    scratch.take_outcome(verdict)
 }
 
 /// Error from a histogram-based harness.
@@ -389,10 +364,10 @@ pub fn judge_linearity(linearity: &HistogramLinearity, spec: &LinearitySpec) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, BehavioralBackend};
     use crate::screener::{Screener, Workload};
     use bist_adc::faults::{FaultyAdc, OutputFault};
     use bist_adc::flash::FlashConfig;
-    use bist_adc::sampler::acquire_noisy;
     use bist_adc::transfer::TransferFunction;
     use bist_adc::types::Resolution;
     use rand::rngs::StdRng;
@@ -487,18 +462,16 @@ mod tests {
                     .with_slope_error(slope_error),
             );
             let verdict = screener.screen_one(&adc, &mut rng(100 + round));
+            let streamed = screener.take_static_outcome(&verdict).unwrap();
             let (ramp, sampling) = plan_ramp(&adc, &config);
             let ramp = ramp.with_slope_error(slope_error);
-            let capture = acquire_noisy(&adc, &ramp, sampling, &noise, &mut rng(100 + round));
-            let materialized = bist_from_capture(&config, &capture);
-            assert_eq!(
-                screener.scratch().monitor_codes(),
-                &materialized.monitor.codes[..]
-            );
-            assert_eq!(
-                screener.scratch().checks(),
-                &materialized.functional.checks[..]
-            );
+            let mut rng = rng(100 + round);
+            let capture = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).capture();
+            let mut scratch = Scratch::new();
+            let codes = capture.codes().iter().copied();
+            let judged = BehavioralBackend.judge(&config, None, codes, &mut scratch);
+            let materialized = scratch.take_outcome(judged.verdict);
+            assert_eq!(streamed, materialized);
             assert_eq!(verdict.accepted(), materialized.accepted());
             assert_eq!(verdict.samples(), capture.codes().len() as u64);
         }
@@ -519,7 +492,9 @@ mod tests {
             .expect("static workload");
         assert_eq!(outcome.monitor.codes.len() as u64, codes_judged);
         assert!(outcome.accepted());
-        assert!(screener.scratch().monitor_codes().is_empty());
+        // The detail moved out: a second take finds the buffers empty.
+        let again = screener.take_static_outcome(&verdict).unwrap();
+        assert!(again.monitor.codes.is_empty() && again.functional.checks.is_empty());
     }
 
     #[test]

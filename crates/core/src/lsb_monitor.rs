@@ -6,10 +6,9 @@
 //! time — exactly like the on-chip block, which has no sample memory —
 //! extracting the run length of every complete code (the gap between
 //! consecutive transitions), judging it against the count window, and
-//! accumulating INL. [`monitor_bit_stream`] is the materialised
-//! convenience wrapper over a captured `&[bool]`. Bit-exact with the
-//! RTL [`bist_rtl::datapath::LsbProcessor`] — a cross-validation test
-//! in this crate enforces it.
+//! accumulating INL. Bit-exact with the RTL
+//! [`bist_rtl::datapath::LsbProcessor`] — a cross-validation test in
+//! this crate enforces it.
 //!
 //! ## Scratch-reuse contract
 //!
@@ -76,50 +75,6 @@ impl fmt::Display for MonitorResult {
             self.inl_failures,
             if self.all_pass() { "PASS" } else { "FAIL" }
         )
-    }
-}
-
-/// Runs the behavioural LSB monitor over a monitored-bit stream.
-///
-/// The stream is the sampled level of the monitored bit (one entry per
-/// ADC sample). The segment before the first transition and the segment
-/// after the last transition are partial codes and are not judged,
-/// mirroring the hardware.
-///
-/// # Examples
-///
-/// ```
-/// use bist_adc::spec::LinearitySpec;
-/// use bist_adc::types::Resolution;
-/// use bist_core::config::BistConfig;
-/// use bist_core::lsb_monitor::monitor_bit_stream;
-///
-/// # fn main() -> Result<(), bist_core::limits::PlanLimitsError> {
-/// let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
-///     .counter_bits(4)
-///     .build()?;
-/// // Three complete codes of 11 samples each (in-window for i∈[6,16]).
-/// let mut stream = Vec::new();
-/// for run in 0..5 {
-///     stream.extend(std::iter::repeat(run % 2 == 1).take(11));
-/// }
-/// let result = monitor_bit_stream(&cfg, &stream);
-/// assert_eq!(result.codes.len(), 3);
-/// assert!(result.all_pass());
-/// # Ok(())
-/// # }
-/// ```
-pub fn monitor_bit_stream(config: &BistConfig, stream: &[bool]) -> MonitorResult {
-    let mut codes = Vec::new();
-    let mut acc = LsbMonitorAcc::new(config, &mut codes);
-    for &b in stream {
-        acc.push(b);
-    }
-    let tally = acc.finish();
-    MonitorResult {
-        codes,
-        dnl_failures: tally.dnl_failures,
-        inl_failures: tally.inl_failures,
     }
 }
 
@@ -279,12 +234,41 @@ impl MonitorState {
 
 /// Streaming LSB monitor: push the monitored bit one sample at a time.
 ///
-/// Replicates [`monitor_bit_stream`] exactly (including the optional
-/// 3-tap majority-vote deglitcher, realised here as two zero-initialised
-/// tap registers, matching the RTL) without materialising the bit
-/// stream. Per-code results land in the borrowed buffer; counters are
-/// returned by [`LsbMonitorAcc::finish`]. The sweep state itself lives
-/// in a [`MonitorState`] — this wrapper only adds the result buffer.
+/// Each pushed entry is the sampled level of the monitored bit (one per
+/// ADC sample). The segment before the first transition and the segment
+/// after the last transition are partial codes and are not judged,
+/// mirroring the hardware. The optional 3-tap majority-vote deglitcher
+/// is realised as two zero-initialised tap registers, matching the RTL.
+/// Per-code results land in the borrowed buffer; counters are returned
+/// by [`LsbMonitorAcc::finish`]. The sweep state itself lives in a
+/// [`MonitorState`] — this wrapper only adds the result buffer.
+///
+/// # Examples
+///
+/// ```
+/// use bist_adc::spec::LinearitySpec;
+/// use bist_adc::types::Resolution;
+/// use bist_core::config::BistConfig;
+/// use bist_core::lsb_monitor::LsbMonitorAcc;
+///
+/// # fn main() -> Result<(), bist_core::limits::PlanLimitsError> {
+/// let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+///     .counter_bits(4)
+///     .build()?;
+/// // Three complete codes of 11 samples each (in-window for i∈[6,16]).
+/// let mut codes = Vec::new();
+/// let mut acc = LsbMonitorAcc::new(&cfg, &mut codes);
+/// for run in 0..5 {
+///     for _ in 0..11 {
+///         acc.push(run % 2 == 1);
+///     }
+/// }
+/// let tally = acc.finish();
+/// assert_eq!(tally.codes_judged, 3);
+/// assert_eq!(tally.dnl_failures + tally.inl_failures, 0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct LsbMonitorAcc<'s> {
     state: MonitorState,
@@ -338,6 +322,21 @@ mod tests {
         out
     }
 
+    /// Runs the monitor over a whole materialised bit stream.
+    fn monitor(config: &BistConfig, stream: &[bool]) -> MonitorResult {
+        let mut codes = Vec::new();
+        let mut acc = LsbMonitorAcc::new(config, &mut codes);
+        for &b in stream {
+            acc.push(b);
+        }
+        let tally = acc.finish();
+        MonitorResult {
+            codes,
+            dnl_failures: tally.dnl_failures,
+            inl_failures: tally.inl_failures,
+        }
+    }
+
     /// The measured counts in sweep order.
     fn counts(result: &MonitorResult) -> Vec<u64> {
         result.codes.iter().map(|c| c.count).collect()
@@ -345,14 +344,14 @@ mod tests {
 
     #[test]
     fn drops_partial_first_and_last_runs() {
-        let result = monitor_bit_stream(&cfg(4), &stream(&[7, 10, 12, 9, 100]));
+        let result = monitor(&cfg(4), &stream(&[7, 10, 12, 9, 100]));
         assert_eq!(counts(&result), vec![10, 12, 9]);
     }
 
     #[test]
     fn verdicts_follow_window() {
         // Window [6, 16] for the 4-bit planned config.
-        let result = monitor_bit_stream(&cfg(4), &stream(&[3, 5, 10, 16, 3]));
+        let result = monitor(&cfg(4), &stream(&[3, 5, 10, 16, 3]));
         let verdicts: Vec<WindowVerdict> = result.codes.iter().map(|c| c.dnl_verdict).collect();
         assert_eq!(
             verdicts,
@@ -369,7 +368,7 @@ mod tests {
     #[test]
     fn counter_saturation_flags_overflow() {
         // 4-bit counter capacity is 16 counts; a 30-sample run overflows.
-        let result = monitor_bit_stream(&cfg(4), &stream(&[3, 30, 10, 3]));
+        let result = monitor(&cfg(4), &stream(&[3, 30, 10, 3]));
         assert!(result.codes[0].overflow);
         assert_eq!(result.codes[0].count, 16);
         assert_eq!(result.codes[0].dnl_verdict, WindowVerdict::TooWide);
@@ -380,7 +379,7 @@ mod tests {
     fn width_estimates_use_delta_s() {
         let config = cfg(4);
         let ds = config.delta_s().0;
-        let result = monitor_bit_stream(&config, &stream(&[3, 11, 3]));
+        let result = monitor(&config, &stream(&[3, 11, 3]));
         assert!((result.codes[0].width_lsb.0 - 11.0 * ds).abs() < 1e-12);
         assert!((result.codes[0].dnl_lsb.0 - (11.0 * ds - 1.0)).abs() < 1e-12);
     }
@@ -390,23 +389,23 @@ mod tests {
         // Planned 4-bit config: i_ideal = round(1/0.09375) = 11.
         let config = cfg(4);
         assert_eq!(config.limits().i_ideal(), 11);
-        let result = monitor_bit_stream(&config, &stream(&[3, 13, 9, 11, 3]));
+        let result = monitor(&config, &stream(&[3, 13, 9, 11, 3]));
         let inls: Vec<i64> = result.codes.iter().map(|c| c.inl_counts).collect();
         assert_eq!(inls, vec![2, 0, 0]);
     }
 
     #[test]
     fn empty_and_constant_streams() {
-        let result = monitor_bit_stream(&cfg(4), &[]);
+        let result = monitor(&cfg(4), &[]);
         assert!(result.codes.is_empty());
-        let result = monitor_bit_stream(&cfg(4), &[true; 100]);
+        let result = monitor(&cfg(4), &[true; 100]);
         assert!(result.codes.is_empty());
         assert!(result.all_pass());
     }
 
     #[test]
     fn single_transition_judges_nothing() {
-        let result = monitor_bit_stream(&cfg(4), &stream(&[50, 50]));
+        let result = monitor(&cfg(4), &stream(&[50, 50]));
         assert!(result.codes.is_empty());
     }
 
@@ -417,7 +416,7 @@ mod tests {
         // splits a code into two short (failing) runs.
         s[16] = !s[16];
         let raw_cfg = cfg(4);
-        let raw = monitor_bit_stream(&raw_cfg, &s);
+        let raw = monitor(&raw_cfg, &s);
         assert!(raw.dnl_failures > 0);
         let deglitched_cfg =
             BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
@@ -425,13 +424,13 @@ mod tests {
                 .deglitch(true)
                 .build()
                 .unwrap();
-        let filtered = monitor_bit_stream(&deglitched_cfg, &s);
+        let filtered = monitor(&deglitched_cfg, &s);
         assert_eq!(filtered.dnl_failures, 0, "{filtered}");
     }
 
     #[test]
     fn dnl_profile_and_display() {
-        let result = monitor_bit_stream(&cfg(4), &stream(&[3, 11, 11, 3]));
+        let result = monitor(&cfg(4), &stream(&[3, 11, 11, 3]));
         assert_eq!(result.codes.len(), 2);
         assert!(result.to_string().contains("PASS"));
     }
@@ -444,7 +443,7 @@ mod tests {
         let config = cfg(4);
         let runs: Vec<u64> = (0..40).map(|i| 6 + (i * 7) % 12).collect();
         let s = stream(&runs);
-        let behavioural = monitor_bit_stream(&config, &s);
+        let behavioural = monitor(&config, &s);
 
         let mut rtl = LsbProcessor::new(config.to_rtl());
         let mut rtl_counts = Vec::new();

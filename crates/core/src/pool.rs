@@ -364,10 +364,6 @@ mod tests {
     }
 
     impl Backend for DepthProbe {
-        fn name(&self) -> &'static str {
-            "depth-probe"
-        }
-
         fn judge<I: IntoIterator<Item = Code>>(
             &mut self,
             config: &BistConfig,

@@ -177,11 +177,6 @@ impl PriorsBank {
         self.per_arch[arch.index()]
     }
 
-    /// Total runs absorbed across architectures.
-    pub fn runs(&self) -> u64 {
-        self.per_arch.iter().map(|t| t.runs).sum()
-    }
-
     /// The architecture-conditioned policy: the base drift budgets with
     /// `min_samples`/`check_interval` tightened toward where `arch`'s
     /// observed decisions land. Returns the base policy untouched while

@@ -19,8 +19,8 @@
 //! reusable batch (which plans its own dynamic stimulus table) and
 //! claiming small device chunks from a shared queue — reports stay
 //! bit-identical for any worker count.
-//! [`Screener::screen_one`] is the scalar single-device path, leaving
-//! per-code detail in the screener's [`Scratch`] for inspection.
+//! [`Screener::screen_one`] is the scalar single-device path;
+//! [`Screener::take_static_outcome`] then returns its per-code detail.
 
 use crate::backend::{Backend, BehavioralBackend};
 use crate::batch::{BatchDevice, ScreenBatch};
@@ -342,8 +342,8 @@ impl<B: Backend> Screener<B> {
     }
 
     /// Screens one device through the scalar engine, leaving per-code
-    /// detail (as much as the backend models) in
-    /// [`Screener::scratch`].
+    /// detail (as much as the backend models) for
+    /// [`Screener::take_static_outcome`].
     pub fn screen_one<A: Adc + ?Sized, R: RngCore + ?Sized>(
         &mut self,
         adc: &A,
@@ -351,12 +351,6 @@ impl<B: Backend> Screener<B> {
     ) -> ScreenVerdict {
         self.scalar
             .screen(&self.workload, self.sequencer, &mut self.backend, adc, rng)
-    }
-
-    /// Per-sweep detail left by the last [`Screener::screen_one`] on a
-    /// static workload.
-    pub fn scratch(&self) -> &Scratch {
-        &self.scalar.scratch
     }
 
     /// Assembles the full per-code [`BistOutcome`] for the most recent

@@ -114,14 +114,6 @@ impl SeqDecision {
     pub fn stops(&self) -> bool {
         !matches!(self, SeqDecision::Continue)
     }
-
-    /// The decision sample index, if the sweep was stopped early.
-    pub fn at_sample(&self) -> Option<u64> {
-        match self {
-            SeqDecision::Continue => None,
-            SeqDecision::AcceptEarly(s) | SeqDecision::RejectEarly(s) => Some(*s),
-        }
-    }
 }
 
 impl fmt::Display for SeqDecision {
@@ -1411,7 +1403,9 @@ mod tests {
         );
         assert!(out.accepted());
         assert!(out.stopped_early(), "{:?}", out.decision);
-        let at = out.decision.at_sample().unwrap();
+        let SeqDecision::AcceptEarly(at) = out.decision else {
+            panic!("{:?}", out.decision)
+        };
         assert!(at >= policy.min_samples);
         assert_eq!((at - policy.min_samples) % policy.check_interval, 0);
         // The ideal staircase is zero-variance: the statistical accept
@@ -1552,7 +1546,5 @@ mod tests {
         assert_eq!(SeqDecision::Continue.to_string(), "continue");
         assert!(SeqDecision::AcceptEarly(7).to_string().contains("7"));
         assert!(SeqDecision::RejectEarly(9).stops());
-        assert_eq!(SeqDecision::AcceptEarly(7).at_sample(), Some(7));
-        assert_eq!(SeqDecision::Continue.at_sample(), None);
     }
 }

@@ -123,6 +123,13 @@ mod tests {
     use bist_adc::transfer::TransferFunction;
     use bist_adc::types::{Resolution, Volts};
 
+    /// A 6-bit converter over 0–6.4 V whose ideal transition levels
+    /// (`k·0.1 V`) are mapped through `f`.
+    fn transfer(f: impl Fn(f64) -> f64) -> TransferFunction {
+        let t = (1..=63).map(|k| f(f64::from(k) * 0.1)).collect();
+        TransferFunction::from_transitions(Resolution::SIX_BIT, Volts(0.0), Volts(6.4), t)
+    }
+
     fn config() -> BistConfig {
         BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(6)
@@ -157,8 +164,7 @@ mod tests {
     #[test]
     fn detects_offset_error() {
         let cfg = config();
-        let adc = TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
-            .with_offset(Volts(0.05)); // +0.5 LSB
+        let adc = transfer(|t| t + 0.05); // +0.5 LSB
         let est = estimate_offset_gain(&cfg, &sweep(&adc, &cfg), -2.0).expect("transitions");
         assert!(
             (est.offset_lsb.0 - 0.5).abs() < 0.05,
@@ -171,8 +177,7 @@ mod tests {
     #[test]
     fn detects_gain_error() {
         let cfg = config();
-        let adc =
-            TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_gain(1.02); // span stretches 2 %: 62 LSB → +1.24 LSB
+        let adc = transfer(|t| t * 1.02); // span stretches 2 %: 62 LSB → +1.24 LSB
         let est = estimate_offset_gain(&cfg, &sweep(&adc, &cfg), -2.0).expect("transitions");
         assert!((est.gain_lsb.0 - 1.24).abs() < 0.1, "gain {}", est.gain_lsb);
     }

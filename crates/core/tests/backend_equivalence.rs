@@ -21,6 +21,7 @@ use bist_adc::types::{Code, Resolution};
 use bist_core::backend::{Backend, BehavioralBackend, RtlBackend};
 use bist_core::config::BistConfig;
 use bist_core::harness::Scratch;
+use bist_core::lsb_monitor::CodeResult;
 use proptest::prelude::*;
 
 /// Samples of settled input required after the last transition for the
@@ -65,7 +66,9 @@ fn stream(widths: &[u8], glitches: &[usize], deglitch: bool) -> Vec<Code> {
     codes
 }
 
-fn run_both(config: &BistConfig, codes: &[Code]) -> (Scratch, Scratch) {
+/// Judges `codes` through both backends, asserting equal verdicts, and
+/// returns each backend's per-code monitor results.
+fn run_both(config: &BistConfig, codes: &[Code]) -> (Vec<CodeResult>, Vec<CodeResult>) {
     let mut scratch_b = Scratch::new();
     let mut scratch_r = Scratch::new();
     let behavioral = BehavioralBackend
@@ -80,7 +83,10 @@ fn run_both(config: &BistConfig, codes: &[Code]) -> (Scratch, Scratch) {
         "verdict mismatch for {} codes at {config}",
         codes.len()
     );
-    (scratch_b, scratch_r)
+    (
+        scratch_b.take_outcome(behavioral).monitor.codes,
+        scratch_r.take_outcome(rtl).monitor.codes,
+    )
 }
 
 proptest! {
@@ -101,12 +107,12 @@ proptest! {
     ) {
         let config = config(counter_bits, deglitch, check_inl);
         let codes = stream(&widths, &glitches, deglitch);
-        let (scratch_b, scratch_r) = run_both(&config, &codes);
+        let (codes_b, codes_r) = run_both(&config, &codes);
         // Per-code detail: the hardware's view differs only in the
         // engineering width estimate of saturated codes (it cannot know
         // the unmeasurable raw width), so compare the on-chip fields.
-        prop_assert_eq!(scratch_b.monitor_codes().len(), scratch_r.monitor_codes().len());
-        for (b, r) in scratch_b.monitor_codes().iter().zip(scratch_r.monitor_codes()) {
+        prop_assert_eq!(codes_b.len(), codes_r.len());
+        for (b, r) in codes_b.iter().zip(&codes_r) {
             prop_assert_eq!(b.index, r.index);
             prop_assert_eq!(b.count, r.count);
             prop_assert_eq!(b.overflow, r.overflow);
@@ -146,11 +152,10 @@ proptest! {
     ) {
         let config = config(counter_bits, false, true);
         let codes = stream(&widths, &[], false);
-        let (scratch_b, scratch_r) = run_both(&config, &codes);
-        prop_assert!(scratch_b
-            .monitor_codes()
+        let (codes_b, codes_r) = run_both(&config, &codes);
+        prop_assert!(codes_b
             .iter()
-            .zip(scratch_r.monitor_codes())
+            .zip(&codes_r)
             .all(|(b, r)| b.overflow == r.overflow && b.count == r.count));
     }
 }

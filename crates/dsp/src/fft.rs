@@ -2,9 +2,8 @@
 //! Iterative radix-2 fast Fourier transform.
 //!
 //! Implements the decimation-in-time Cooley–Tukey algorithm for
-//! power-of-two lengths, plus helpers for real-valued inputs. The forward
-//! transform computes `X[k] = Σ x[n]·e^{-2πi·kn/N}` (no normalisation);
-//! the inverse divides by `N`, so `ifft(fft(x)) == x`.
+//! power-of-two lengths. The transform computes
+//! `X[k] = Σ x[n]·e^{-2πi·kn/N}` (no normalisation).
 
 use crate::complex::Complex64;
 use std::error::Error;
@@ -68,14 +67,13 @@ fn bit_reverse_permute(data: &mut [Complex64]) {
     }
 }
 
-/// Core butterfly pass; `sign` is −1 for the forward and +1 for the
-/// inverse transform.
-fn transform_in_place(data: &mut [Complex64], sign: f64) {
+/// Core butterfly pass of the forward transform.
+fn transform_in_place(data: &mut [Complex64]) {
     let n = data.len();
     bit_reverse_permute(data);
     let mut len = 2;
     while len <= n {
-        let ang = sign * std::f64::consts::TAU / len as f64;
+        let ang = -std::f64::consts::TAU / len as f64;
         let wlen = Complex64::cis(ang);
         let half = len / 2;
         let mut start = 0;
@@ -119,59 +117,20 @@ pub fn fft_in_place(data: &mut [Complex64]) -> Result<(), FftLengthError> {
     if !is_power_of_two(data.len()) {
         return Err(FftLengthError { len: data.len() });
     }
-    transform_in_place(data, -1.0);
+    transform_in_place(data);
     Ok(())
-}
-
-/// Computes the inverse FFT of `data` in place (including the `1/N`
-/// normalisation).
-///
-/// # Errors
-///
-/// Returns [`FftLengthError`] if `data.len()` is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex64]) -> Result<(), FftLengthError> {
-    if !is_power_of_two(data.len()) {
-        return Err(FftLengthError { len: data.len() });
-    }
-    transform_in_place(data, 1.0);
-    let n = data.len() as f64;
-    for z in data.iter_mut() {
-        *z = *z / n;
-    }
-    Ok(())
-}
-
-/// Computes the FFT of a real-valued signal, returning the full complex
-/// spectrum.
-///
-/// # Errors
-///
-/// Returns [`FftLengthError`] if `signal.len()` is not a power of two.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), bist_dsp::fft::FftLengthError> {
-/// let n = 64;
-/// let tone: Vec<f64> = (0..n)
-///     .map(|i| (std::f64::consts::TAU * 4.0 * i as f64 / n as f64).sin())
-///     .collect();
-/// let spec = bist_dsp::fft::fft_real(&tone)?;
-/// // Energy concentrates in bins 4 and N-4.
-/// assert!(spec[4].abs() > 30.0);
-/// assert!(spec[5].abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex64>, FftLengthError> {
-    let mut data: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_re(x)).collect();
-    fft_in_place(&mut data)?;
-    Ok(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full complex spectrum of a real-valued signal.
+    fn real_spectrum(signal: &[f64]) -> Vec<Complex64> {
+        let mut data: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_re(x)).collect();
+        fft_in_place(&mut data).unwrap();
+        data
+    }
 
     fn assert_close(a: Complex64, b: Complex64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a} (tol {tol})");
@@ -237,20 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_inverse() {
-        let n = 128;
-        let signal: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.5).cos()))
-            .collect();
-        let mut data = signal.clone();
-        fft_in_place(&mut data).unwrap();
-        ifft_in_place(&mut data).unwrap();
-        for (a, b) in data.iter().zip(&signal) {
-            assert_close(*a, *b, 1e-10);
-        }
-    }
-
-    #[test]
     fn parseval_energy_is_conserved() {
         let n = 256;
         let signal: Vec<Complex64> = (0..n)
@@ -273,7 +218,7 @@ mod tests {
             .collect();
         // One-sided amplitudes |X[k]|·2/N: a coherent tone shows its
         // amplitude in its bin.
-        let mags: Vec<f64> = fft_real(&tone).unwrap()[..=n / 2]
+        let mags: Vec<f64> = real_spectrum(&tone)[..=n / 2]
             .iter()
             .map(|x| x.abs() * 2.0 / n as f64)
             .collect();
@@ -313,7 +258,7 @@ mod tests {
     fn real_signal_spectrum_is_conjugate_symmetric() {
         let n = 64;
         let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin() + 0.2).collect();
-        let spec = fft_real(&signal).unwrap();
+        let spec = real_spectrum(&signal);
         for k in 1..n / 2 {
             assert_close(spec[k], spec[n - k].conj(), 1e-9);
         }

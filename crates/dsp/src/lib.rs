@@ -12,11 +12,10 @@
 //! * [`window`] / [`spectrum`] — windowing and single-tone spectral metrics.
 //! * [`goertzel`] — cheap single-bin DFT, the "simple digital function"
 //!   flavour of on-chip processing the paper advocates.
-//! * [`special`] — erf and the normal distribution for the §3 error
+//! * [`special`] — erfc and the normal distribution for the §3 error
 //!   theory.
 //! * [`integrate`] — quadrature used to evaluate Eqs. 6–7.
-//! * [`stats`] — Welford moments and pairwise correlation (Eq. 10 checks).
-//! * [`filter`] — the majority-vote LSB deglitcher of §3.
+//! * [`stats`] — Welford moments.
 //!
 //! ## Example
 //!
@@ -44,7 +43,6 @@
 
 pub mod complex;
 pub mod fft;
-pub mod filter;
 pub mod goertzel;
 pub mod integrate;
 pub mod special;
@@ -53,7 +51,7 @@ pub mod stats;
 pub mod window;
 
 pub use complex::Complex64;
-pub use fft::{fft_in_place, fft_real, ifft_in_place};
+pub use fft::fft_in_place;
 pub use goertzel::{harmonic_plan, Goertzel, GoertzelBank, HarmonicPlan, ToneMetrics, TonePowers};
 pub use spectrum::{analyze_tone, SpectralAnalysis, ToneAnalysisConfig};
 pub use window::Window;

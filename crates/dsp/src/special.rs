@@ -1,34 +1,6 @@
-//! Special functions for the statistical error analysis of §3: the error
-//! function, the standard normal distribution and its quantile.
-
-/// The error function `erf(x)`, accurate to about 1.2×10⁻⁷ (Abramowitz &
-/// Stegun 7.1.26 rational approximation), refined by one Newton step
-/// against the exact derivative for ~1e-12 accuracy on moderate `x`.
-///
-/// # Examples
-///
-/// ```
-/// let e = bist_dsp::special::erf(1.0);
-/// assert!((e - 0.8427007929497149).abs() < 1e-9);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    // A&S 7.1.26 for a first estimate.
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let ax = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * ax);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    let mut estimate = 1.0 - poly * (-ax * ax).exp();
-    // One Newton refinement: d/dx erf = 2/sqrt(pi) e^{-x^2}. Use a
-    // high-accuracy series/continued-fraction target via erfc_cf for the
-    // residual where it matters (moderate x).
-    if ax < 6.0 {
-        let target = 1.0 - erfc_continued_fraction(ax);
-        estimate = target;
-    }
-    sign * estimate
-}
+//! Special functions for the statistical error analysis of §3: the
+//! complementary error function, the standard normal distribution and
+//! its quantile.
 
 /// The complementary error function `erfc(x) = 1 − erf(x)`, accurate for
 /// large `x` where direct subtraction would cancel.
@@ -96,16 +68,6 @@ fn erfc_continued_fraction_scaled(x: f64) -> f64 {
         }
     }
     1.0 / (f * std::f64::consts::PI.sqrt())
-}
-
-/// erfc via continued fraction including the exponential factor (helper
-/// for [`erf`]'s refinement).
-fn erfc_continued_fraction(x: f64) -> f64 {
-    if x < 0.5 {
-        1.0 - erf_series(x)
-    } else {
-        erfc_continued_fraction_scaled(x) * (-x * x).exp()
-    }
 }
 
 /// Standard normal probability density `φ(z)`.
@@ -233,8 +195,8 @@ mod tests {
             (3.0, 0.9999779095030014),
         ];
         for (x, want) in cases {
-            assert!((erf(x) - want).abs() < 1e-10, "erf({x})");
-            assert!((erf(-x) + want).abs() < 1e-10, "erf(-{x})");
+            assert!((1.0 - erfc(x) - want).abs() < 1e-10, "erf({x})");
+            assert!((erfc(-x) - 1.0 - want).abs() < 1e-10, "erf(-{x})");
         }
     }
 
@@ -245,14 +207,6 @@ mod tests {
         // erfc(10) ≈ 2.088e-45: relative accuracy matters here.
         let v = erfc(10.0);
         assert!((v - 2.0884875837625447e-45).abs() / 2.09e-45 < 1e-6);
-    }
-
-    #[test]
-    fn erf_plus_erfc_is_one() {
-        for i in 0..100 {
-            let x = -4.0 + i as f64 * 0.08;
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x={x}");
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Descriptive statistics used throughout the reproduction: running
-//! moments (Welford) and sample correlation.
+//! moments (Welford).
 //!
-//! The paper's verification hinges on code-width statistics: the standard
-//! deviation (0.16–0.21 LSB from circuit simulation) and the inter-code
-//! correlation `ρ = −1/(N−1)` (Eq. 10). These helpers let tests confirm
-//! that the behavioural flash model actually produces those statistics.
+//! The paper's verification hinges on code-width statistics such as the
+//! standard deviation (0.16–0.21 LSB from circuit simulation). These
+//! helpers let tests confirm that the behavioural flash model actually
+//! produces those statistics.
 
 use std::fmt;
 
@@ -150,64 +150,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     xs.iter().copied().collect::<Running>().std_dev()
 }
 
-/// Average pairwise correlation between distinct positions of repeated
-/// vector observations.
-///
-/// `samples` is a collection of equal-length vectors (e.g. the code-width
-/// vector of each Monte-Carlo device). The estimator averages the
-/// correlation over all distinct position pairs `(i, j)`, `i < j` — this
-/// is what Eq. 10 of the paper predicts to be `−1/(N−1)` for flash
-/// converters.
-///
-/// Returns 0 if there are fewer than 2 samples or fewer than 2 positions.
-pub fn mean_pairwise_correlation(samples: &[Vec<f64>]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let dim = samples[0].len();
-    if dim < 2 {
-        return 0.0;
-    }
-    assert!(
-        samples.iter().all(|s| s.len() == dim),
-        "all sample vectors must have equal length"
-    );
-    // Column means/variances.
-    let n = samples.len() as f64;
-    let mut means = vec![0.0; dim];
-    for s in samples {
-        for (m, &v) in means.iter_mut().zip(s) {
-            *m += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n;
-    }
-    let mut vars = vec![0.0; dim];
-    for s in samples {
-        for ((v, &x), &m) in vars.iter_mut().zip(s).zip(&means) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-    // Average covariance over pairs via the identity
-    // Σ_{i≠j} cov_ij = Var(Σ_i x_i) - Σ_i var_ii (all unnormalised).
-    let mut var_of_sum = 0.0;
-    let sum_means: f64 = means.iter().sum();
-    for s in samples {
-        let d = s.iter().sum::<f64>() - sum_means;
-        var_of_sum += d * d;
-    }
-    let sum_vars: f64 = vars.iter().sum();
-    let off_diag_cov_total = var_of_sum - sum_vars;
-    let mean_var = sum_vars / dim as f64;
-    if mean_var == 0.0 {
-        return 0.0;
-    }
-    let pairs = (dim * (dim - 1)) as f64;
-    (off_diag_cov_total / pairs) / mean_var
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,64 +206,6 @@ mod tests {
         let mut empty = Running::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn correlation_of_anticorrelated() {
-        // Two positions observed three times, moving in opposite directions.
-        let samples = [vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]];
-        assert!((mean_pairwise_correlation(&samples) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_degenerate_inputs() {
-        assert_eq!(mean_pairwise_correlation(&[vec![1.0, 2.0]]), 0.0);
-        assert_eq!(mean_pairwise_correlation(&[vec![1.0], vec![2.0]]), 0.0);
-        let constant = [vec![1.0, 1.0], vec![1.0, 1.0]];
-        assert_eq!(mean_pairwise_correlation(&constant), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn correlation_length_mismatch_panics() {
-        mean_pairwise_correlation(&[vec![1.0, 2.0], vec![1.0]]);
-    }
-
-    #[test]
-    fn pairwise_correlation_iid_near_zero() {
-        // Deterministic pseudo-random iid columns (splitmix64): expect ≈ 0.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            (z ^ (z >> 31)) as f64 / u64::MAX as f64
-        };
-        let samples: Vec<Vec<f64>> = (0..400).map(|_| (0..8).map(|_| next()).collect()).collect();
-        let rho = mean_pairwise_correlation(&samples);
-        assert!(rho.abs() < 0.05, "rho = {rho}");
-    }
-
-    #[test]
-    fn pairwise_correlation_sum_constrained() {
-        // Columns constrained to a fixed sum have rho = -1/(N-1) — the
-        // flash-ladder structure of Eq. 10 (here N = 4, rho = -1/3).
-        let dim = 4;
-        let samples: Vec<Vec<f64>> = (0..2000)
-            .map(|s| {
-                let mut v: Vec<f64> = (0..dim)
-                    .map(|d| (((s * dim + d) as f64 * 78.233).sin() * 12543.123).fract())
-                    .collect();
-                let m = v.iter().sum::<f64>() / dim as f64;
-                for x in &mut v {
-                    *x -= m; // enforce fixed (zero) sum
-                }
-                v
-            })
-            .collect();
-        let rho = mean_pairwise_correlation(&samples);
-        assert!((rho + 1.0 / 3.0).abs() < 0.05, "rho = {rho}");
     }
 
     #[test]

@@ -17,9 +17,8 @@ use std::fmt;
 /// ```
 /// use bist_dsp::window::Window;
 ///
-/// let w = Window::Hann.coefficients(8);
-/// assert_eq!(w.len(), 8);
-/// assert!(w[0] < 1e-12); // Hann is zero at the edges
+/// assert!(Window::Hann.value(0, 8) < 1e-12); // Hann is zero at the edges
+/// assert!((Window::Hann.value(4, 8) - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
@@ -94,15 +93,6 @@ impl Window {
             .sum()
     }
 
-    /// Generates the `n`-point window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn coefficients(self, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.value(i, n)).collect()
-    }
-
     /// Multiplies `signal` by the window in place.
     ///
     /// # Examples
@@ -162,17 +152,21 @@ impl fmt::Display for Window {
 mod tests {
     use super::*;
 
+    /// The `n`-point window.
+    fn window_values(win: Window, n: usize) -> Vec<f64> {
+        (0..n).map(|i| win.value(i, n)).collect()
+    }
+
     #[test]
     fn rectangular_is_all_ones() {
-        assert!(Window::Rectangular
-            .coefficients(16)
+        assert!(window_values(Window::Rectangular, 16)
             .iter()
             .all(|&w| (w - 1.0).abs() < 1e-15));
     }
 
     #[test]
     fn hann_zero_at_edges_unity_at_centre() {
-        let w = Window::Hann.coefficients(64);
+        let w = window_values(Window::Hann, 64);
         assert!(w[0].abs() < 1e-12);
         assert!((w[32] - 1.0).abs() < 1e-12);
     }
@@ -180,7 +174,7 @@ mod tests {
     #[test]
     fn windows_are_bounded() {
         for win in Window::ALL {
-            for &w in &win.coefficients(128) {
+            for &w in &window_values(win, 128) {
                 assert!(
                     (-0.1..=1.100001).contains(&w),
                     "{win} coefficient {w} out of expected range"
@@ -193,7 +187,7 @@ mod tests {
     fn windows_are_symmetric_periodically() {
         // Periodic windows satisfy w[i] == w[n-i] for i >= 1.
         for win in Window::ALL {
-            let w = win.coefficients(64);
+            let w = window_values(win, 64);
             for i in 1..64 {
                 assert!((w[i] - w[64 - i]).abs() < 1e-12, "{win} asymmetric at {i}");
             }
@@ -203,7 +197,7 @@ mod tests {
     #[test]
     fn coherent_gain_matches_mean() {
         for win in Window::ALL {
-            let w = win.coefficients(4096);
+            let w = window_values(win, 4096);
             let mean = w.iter().sum::<f64>() / w.len() as f64;
             assert!(
                 (mean - win.coherent_gain()).abs() < 1e-6,
@@ -224,7 +218,7 @@ mod tests {
     #[test]
     fn enbw_matches_direct_computation() {
         for win in Window::ALL {
-            let w = win.coefficients(4096);
+            let w = window_values(win, 4096);
             let n = w.len() as f64;
             let sum: f64 = w.iter().sum();
             let sum_sq: f64 = w.iter().map(|x| x * x).sum();

@@ -110,11 +110,6 @@ impl Batch {
         self.source.sample_transfer(&mut rng)
     }
 
-    /// Iterates over all devices in the batch.
-    pub fn devices(&self) -> impl Iterator<Item = TransferFunction> + '_ {
-        (0..self.size).map(move |i| self.device(i))
-    }
-
     /// Classifies every device against `spec` across `workers` threads
     /// (0 = available parallelism), returning the good-device
     /// proportion — the ground-truth yield sweep used by the
@@ -289,7 +284,7 @@ mod tests {
     fn iid_width_statistics_match() {
         let b = Batch::paper_simulation(7, 300);
         let mut acc = Running::new();
-        for tf in b.devices() {
+        for tf in (0..b.size).map(|i| b.device(i)) {
             for w in tf.code_widths_lsb() {
                 acc.push(w.0);
             }
@@ -305,7 +300,9 @@ mod tests {
         assert!(matches!(b.source, SourceSpec::Flash(_)));
         // Yield under the stringent spec lands near the paper's 30 %.
         let spec = LinearitySpec::paper_stringent();
-        let good = b.devices().filter(|tf| spec.classify(tf).good).count();
+        let good = (0..b.size)
+            .filter(|&i| spec.classify(&b.device(i)).good)
+            .count();
         let yield_frac = good as f64 / b.size as f64;
         assert!(
             (0.2..0.45).contains(&yield_frac),

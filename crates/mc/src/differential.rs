@@ -1335,7 +1335,7 @@ mod tests {
         };
         let result = run_seq_differential(59, &policy, 4, 0);
         assert!(result.is_clean());
-        // Per-decision at_sample checks live in
+        // Per-decision stop-sample checks live in
         // crates/core/tests/sequencer_equivalence.rs; here: no cell's
         // sequenced runs averaged fewer samples than the floor.
         for t in &result.per_scenario {
@@ -1423,7 +1423,8 @@ mod tests {
         let result = run_arch_differential(47, &policy, 5, 0);
         let mut bank = PriorsBank::new(policy);
         result.seed_priors(&mut bank);
-        assert_eq!(bank.runs(), result.comparisons);
+        let runs: u64 = Architecture::ALL.iter().map(|&a| bank.tally(a).runs).sum();
+        assert_eq!(runs, result.comparisons);
         for arch in Architecture::ALL {
             let expected: u64 = result
                 .per_scenario

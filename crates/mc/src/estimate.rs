@@ -33,11 +33,6 @@ impl Proportion {
         self.successes
     }
 
-    /// Number of trials.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
     /// The point estimate; `None` for zero trials.
     pub fn point(&self) -> Option<f64> {
         if self.trials == 0 {
@@ -69,14 +64,6 @@ impl Proportion {
         let center = (p + z2 / (2.0 * n)) / denom;
         let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
         Some(((center - half).max(0.0), (center + half).min(1.0)))
-    }
-
-    /// Whether the 95 % interval contains `p`.
-    pub fn consistent_with(&self, p: f64) -> bool {
-        match self.wilson(0.95) {
-            Some((lo, hi)) => (lo..=hi).contains(&p),
-            None => false,
-        }
     }
 }
 
@@ -134,13 +121,6 @@ mod tests {
         let wide = Proportion::new(10, 100).wilson(0.95).unwrap();
         let narrow = Proportion::new(1000, 10_000).wilson(0.95).unwrap();
         assert!(narrow.1 - narrow.0 < wide.1 - wide.0);
-    }
-
-    #[test]
-    fn consistent_with_checks_interval() {
-        let p = Proportion::new(13, 100); // the paper's measured 0.13
-        assert!(p.consistent_with(0.13));
-        assert!(!p.consistent_with(0.5));
     }
 
     #[test]

@@ -479,7 +479,7 @@ mod tests {
         reference: &ExperimentResult,
     ) {
         let n = exp.batch.size;
-        let name = B::default().name();
+        let name = std::any::type_name::<B>();
         let mut backend = B::default();
         let mut split = exp.run_range_with(&mut backend, 0, n / 3);
         split.merge(&exp.run_range_with(&mut backend, n / 3, n + 1000));
@@ -526,8 +526,8 @@ mod tests {
                 if exp.ground_truth == GroundTruthMode::Exact {
                     for &w in *workers {
                         let good = exp.batch.classify(config.spec(), w);
-                        assert_eq!(good.successes(), reference.matrix.good(), "{label}");
-                        assert_eq!(good.trials(), n as u64, "{label}");
+                        let expected = Proportion::new(reference.matrix.good(), n as u64);
+                        assert_eq!(good, expected, "{label}");
                     }
                 }
             }

@@ -139,8 +139,7 @@ mod parallel {
             let spec = LinearitySpec::paper_stringent();
             let seq = batch.classify(&spec, 1);
             let par = batch.classify(&spec, 4);
-            assert_eq!(seq.successes(), par.successes());
-            assert_eq!(seq.trials(), par.trials());
+            assert_eq!(seq, par);
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each function returns structured rows; the `bist-bench` binaries
 //! format them next to the paper's published values. Interpretation
-//! conventions (recorded in DESIGN.md §4): Table 1 probabilities are
+//! conventions: Table 1 probabilities are
 //! *conditional* rates — `P(reject|good)`, `P(accept|faulty)` — while
 //! Table 2 is *joint* device fractions (the 10–100 ppm shipped-part
 //! language); both conventions are emitted so readers can compare.

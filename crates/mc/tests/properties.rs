@@ -53,7 +53,10 @@ proptest! {
         let mut covered = 0;
         for _ in 0..reps {
             let successes = (0..trials_per_rep).filter(|_| next() < p_true).count() as u64;
-            if Proportion::new(successes, trials_per_rep).consistent_with(p_true) {
+            let (lo, hi) = Proportion::new(successes, trials_per_rep)
+                .wilson(0.95)
+                .expect("non-zero trials");
+            if (lo..=hi).contains(&p_true) {
                 covered += 1;
             }
         }

@@ -65,11 +65,6 @@ impl Accumulator {
         self.value
     }
 
-    /// The saturation bound (`+limit`/`−limit`).
-    pub fn limit(&self) -> i64 {
-        self.limit
-    }
-
     /// Whether saturation has occurred since the last clear.
     pub fn saturated(&self) -> bool {
         self.saturated
@@ -131,8 +126,8 @@ mod tests {
 
     #[test]
     fn limit_matches_width() {
-        assert_eq!(Accumulator::new(6).limit(), 31);
-        assert_eq!(Accumulator::new(2).limit(), 1);
+        assert_eq!(Accumulator::new(6).limit, 31);
+        assert_eq!(Accumulator::new(2).limit, 1);
     }
 
     #[test]
@@ -146,7 +141,7 @@ mod tests {
         let mut a = Accumulator::new(63);
         a.add(i64::MAX);
         a.add(i64::MAX);
-        assert_eq!(a.value(), a.limit());
+        assert_eq!(a.value(), a.limit);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Counter {
     pub fn overflowed(&self) -> bool {
         self.overflow
     }
-
-    /// The maximum representable count, `2^width − 1`.
-    pub fn max_count(&self) -> u64 {
-        self.value.max_value()
-    }
 }
 
 impl fmt::Display for Counter {
@@ -157,7 +152,7 @@ mod tests {
         // The paper sweeps 4..=7-bit counters; max counts 15..=127.
         for bits in 4..=7 {
             let c = Counter::new(bits);
-            assert_eq!(c.max_count(), (1 << bits) - 1);
+            assert_eq!(c.value().max_value(), (1 << bits) - 1);
         }
     }
 

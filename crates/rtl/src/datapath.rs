@@ -601,7 +601,7 @@ mod tests {
         let mut chk = UpperBitChecker::new(5);
         for (lsb, upper) in code_walk(&codes, 8, 5) {
             // Upper bit 2 stuck at 0 (i.e. code bit 3).
-            let faulty = upper.with_bit(2, false);
+            let faulty = Bus::new(upper.width(), upper.value() & !0b100);
             chk.tick(lsb, faulty);
         }
         assert!(!chk.all_pass());

@@ -10,7 +10,7 @@
 //!
 //! * [`logic`] / [`sim`] — width-checked buses, clock, ASCII waveform
 //!   tracer.
-//! * [`registers`] — DFF, shift register, LFSR, MISR (signature
+//! * [`registers`] — DFF, shift register, MISR (signature
 //!   compaction).
 //! * [`counter`] — the n-bit saturating sample counter (the paper's cost
 //!   knob, swept 4–7 bits).

@@ -104,24 +104,6 @@ impl Bus {
         (self.value >> i) & 1 == 1
     }
 
-    /// Returns a copy with bit `i` set to `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= width`.
-    pub fn with_bit(&self, i: u32, b: bool) -> Bus {
-        assert!(i < self.width, "bit index {i} out of range");
-        let mask = 1u64 << i;
-        Bus {
-            width: self.width,
-            value: if b {
-                self.value | mask
-            } else {
-                self.value & !mask
-            },
-        }
-    }
-
     /// Wrapping addition within the bus width.
     pub fn wrapping_add(&self, rhs: u64) -> Bus {
         Bus::truncate(self.width, self.value.wrapping_add(rhs))
@@ -197,8 +179,6 @@ mod tests {
         assert!(!b.bit(1));
         assert!(b.bit(2));
         assert!(b.bit(5));
-        assert_eq!(b.with_bit(1, true).value(), 0b100111);
-        assert_eq!(b.with_bit(0, false).value(), 0b100100);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Sequential primitives: flip-flops, shift registers, LFSR and MISR.
+//! Sequential primitives: flip-flops, shift registers and a MISR.
 //!
-//! The LFSR/MISR pair is classic logic-BIST furniture: an LFSR can serve
-//! as a cheap on-chip pattern source and a MISR compacts a response
+//! The MISR is classic logic-BIST furniture: it compacts a response
 //! stream into a signature — the natural on-chip back-end when even the
 //! pass/fail limits of the LSB monitor are to be checked off-chip from a
 //! single signature read.
@@ -91,56 +90,6 @@ impl ShiftRegister {
     /// Clears all stages.
     pub fn clear(&mut self) {
         self.bits.fill(false);
-    }
-}
-
-/// A Fibonacci linear-feedback shift register.
-///
-/// `taps` is a bitmask of feedback taps (bit i set ⇒ stage i feeds the
-/// XOR). With a maximal-length polynomial the sequence period is
-/// `2^width − 1`.
-///
-/// # Examples
-///
-/// ```
-/// use bist_rtl::registers::Lfsr;
-///
-/// // x⁴ + x³ + 1 is maximal for 4 bits: taps at stages 3 and 2.
-/// let mut lfsr = Lfsr::new(4, 0b1100, 0b0001);
-/// let mut seen = std::collections::HashSet::new();
-/// for _ in 0..15 {
-///     seen.insert(lfsr.tick().value());
-/// }
-/// assert_eq!(seen.len(), 15); // full period, all non-zero states
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lfsr {
-    state: Bus,
-    taps: u64,
-}
-
-impl Lfsr {
-    /// Creates an LFSR of `width` bits with feedback `taps` and a
-    /// non-zero `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed` is zero (the LFSR would lock up), if `taps` is
-    /// zero, or if either does not fit in `width` bits.
-    pub fn new(width: u32, taps: u64, seed: u64) -> Self {
-        assert!(seed != 0, "seed must be non-zero");
-        assert!(taps != 0, "taps must be non-zero");
-        let state = Bus::new(width, seed);
-        let _check = Bus::new(width, taps);
-        Lfsr { state, taps }
-    }
-
-    /// Advances one cycle and returns the new state.
-    pub fn tick(&mut self) -> Bus {
-        let fb = ((self.state.value() & self.taps).count_ones() & 1) as u64;
-        let next = (self.state.value() << 1 | fb) & self.state.max_value();
-        self.state = Bus::truncate(self.state.width(), next);
-        self.state
     }
 }
 
@@ -237,38 +186,6 @@ mod tests {
     #[should_panic(expected = "length must be non-zero")]
     fn zero_len_shift_register_panics() {
         ShiftRegister::new(0);
-    }
-
-    #[test]
-    fn lfsr_maximal_period() {
-        // x^6 + x^5 + 1: taps at stages 5 and 4 → period 63 (the
-        // paper's 6-bit world).
-        let mut lfsr = Lfsr::new(6, 0b110000, 1);
-        let start = lfsr.state.value();
-        let mut period = 0;
-        loop {
-            lfsr.tick();
-            period += 1;
-            if lfsr.state.value() == start {
-                break;
-            }
-            assert!(period <= 64, "no repeat found");
-        }
-        assert_eq!(period, 63);
-    }
-
-    #[test]
-    fn lfsr_never_reaches_zero() {
-        let mut lfsr = Lfsr::new(4, 0b1100, 0b1000);
-        for _ in 0..100 {
-            assert_ne!(lfsr.tick().value(), 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "seed must be non-zero")]
-    fn lfsr_zero_seed_panics() {
-        Lfsr::new(4, 0b1100, 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use bist_core::backend::BehavioralBackend;
 use bist_core::ring::{Enqueue, Ring};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
-use bist_core::source::{device_rng, DeviceSource, SourceSpec, Zoo};
+use bist_core::source::{device_rng, DeviceSource, SourceSpec};
 use bist_core::Workload;
 use rand::rngs::StdRng;
 
@@ -73,8 +73,9 @@ pub struct Submission {
 impl Submission {
     /// Draws device `index` from an architecture `source` exactly as
     /// [`Batch::of`](bist_mc::Batch)`(source).seed(fleet_seed)` and
-    /// [`Zoo`] do — through [`bist_core::source::device_rng`] — and
-    /// wraps it for submission with id `index`. The noise stream is
+    /// [`Zoo`](bist_core::source::Zoo) do — through
+    /// [`bist_core::source::device_rng`] — and wraps it for submission
+    /// with id `index`. The noise stream is
     /// `noise_seed`, expanded service-side by [`submission_rng`], so a
     /// caller reproduces the verdict with
     /// [`Screener::run`](bist_core::screener::Screener::run) over
@@ -93,20 +94,6 @@ impl Submission {
             id: index,
             kind,
             adc,
-            seed: noise_seed,
-        }
-    }
-
-    /// Wraps device `index` of a mixed-architecture [`Zoo`] for
-    /// submission — the fleet entry point for heterogeneous silicon.
-    /// The zoo picks the architecture and draws the device from its
-    /// seeded streams; the submission carries it with id `index` and
-    /// noise stream `noise_seed`.
-    pub fn from_zoo(kind: JobKind, zoo: &Zoo, index: u64, noise_seed: u64) -> Self {
-        Submission {
-            id: index,
-            kind,
-            adc: zoo.device(index as usize),
             seed: noise_seed,
         }
     }

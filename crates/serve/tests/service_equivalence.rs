@@ -130,7 +130,7 @@ proptest! {
 }
 
 /// The zoo seam through the front door: a mixed flash/iid/SAR/pipeline
-/// fleet built with `Submission::from_zoo` streams back verdicts
+/// fleet built from `Zoo::device` streams back verdicts
 /// bit-identical to `Screener::run` over the same devices and noise
 /// streams — the service needs no idea which architecture it screens.
 #[test]
@@ -146,7 +146,12 @@ fn zoo_submissions_match_screener_run() {
             } else {
                 JobKind::Dynamic
             };
-            Submission::from_zoo(kind, &zoo, i, 0xa11c_e5ed ^ i)
+            Submission {
+                id: i,
+                kind,
+                adc: zoo.device(i as usize),
+                seed: 0xa11c_e5ed ^ i,
+            }
         })
         .collect();
     let census = zoo.census(n as usize);

@@ -15,8 +15,9 @@ use bist_adc::sampler::{acquire, SamplingConfig};
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::{Resolution, Volts};
+use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::config::BistConfig;
-use bist_core::harness::bist_from_capture;
+use bist_core::harness::Scratch;
 use bist_core::screener::{Screener, Workload};
 use bist_rtl::top::{BistTop, BistTopConfig};
 use rand::rngs::StdRng;
@@ -60,7 +61,10 @@ fn top_level_agrees_with_harness_on_flash_batch() {
             &Ramp::new(Volts(-0.2), slope),
             SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize),
         );
-        let behavioural = bist_from_capture(&config, &capture);
+        let mut scratch = Scratch::new();
+        let codes = capture.codes().iter().copied();
+        let verdict = BehavioralBackend.judge(&config, None, codes, &mut scratch);
+        let behavioural = scratch.take_outcome(verdict.verdict);
 
         let mut top = top_from(&config);
         run_top(&mut top, capture.codes());

@@ -11,7 +11,7 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::config::BistConfig;
 use bist_core::functional::check_code_stream;
-use bist_core::lsb_monitor::monitor_bit_stream;
+use bist_core::lsb_monitor::{CodeResult, LsbMonitorAcc};
 use bist_rtl::datapath::{LsbProcessor, UpperBitChecker};
 use bist_rtl::logic::Bus;
 use proptest::prelude::*;
@@ -23,6 +23,16 @@ fn paper_config(bits: u32) -> BistConfig {
         .counter_bits(bits)
         .build()
         .expect("paper operating point")
+}
+
+/// The behavioural monitor's per-code results over a whole bit stream.
+fn monitor_codes(config: &BistConfig, stream: &[bool]) -> Vec<CodeResult> {
+    let mut codes = Vec::new();
+    let mut acc = LsbMonitorAcc::new(config, &mut codes);
+    for &b in stream {
+        acc.push(b);
+    }
+    codes
 }
 
 /// Captures a full ramp sweep of a random flash device.
@@ -47,7 +57,7 @@ fn behavioural_monitor_matches_rtl_on_flash_devices() {
             let capture = flash_capture(seed, &config);
             let stream: Vec<bool> = capture.bits(0).collect();
 
-            let behavioural = monitor_bit_stream(&config, &stream);
+            let behavioural = monitor_codes(&config, &stream);
             let mut rtl = LsbProcessor::new(config.to_rtl());
             let mut rtl_counts = Vec::new();
             let mut rtl_pass = Vec::new();
@@ -57,15 +67,15 @@ fn behavioural_monitor_matches_rtl_on_flash_devices() {
                     rtl_pass.push(m.dnl_verdict);
                 }
             }
-            let n = rtl_counts.len().min(behavioural.codes.len());
+            let n = rtl_counts.len().min(behavioural.len());
             assert!(n >= 60, "seed {seed}: only {n} common measurements");
             for i in 0..n {
                 assert_eq!(
-                    behavioural.codes[i].count, rtl_counts[i],
+                    behavioural[i].count, rtl_counts[i],
                     "seed {seed} bits {bits} code {i}: count mismatch"
                 );
                 assert_eq!(
-                    behavioural.codes[i].dnl_verdict, rtl_pass[i],
+                    behavioural[i].dnl_verdict, rtl_pass[i],
                     "seed {seed} bits {bits} code {i}: verdict mismatch"
                 );
             }
@@ -105,7 +115,7 @@ proptest! {
             stream.extend(std::iter::repeat_n(level, r as usize));
             level = !level;
         }
-        let behavioural = monitor_bit_stream(&config, &stream);
+        let behavioural = monitor_codes(&config, &stream);
         let mut rtl = LsbProcessor::new(config.to_rtl());
         let mut rtl_ms = Vec::new();
         for &b in &stream {
@@ -113,13 +123,13 @@ proptest! {
                 rtl_ms.push(m);
             }
         }
-        let n = rtl_ms.len().min(behavioural.codes.len());
+        let n = rtl_ms.len().min(behavioural.len());
         // The RTL's synchroniser latency may drop at most the final edge.
-        prop_assert!(behavioural.codes.len() <= rtl_ms.len() + 1);
+        prop_assert!(behavioural.len() <= rtl_ms.len() + 1);
         for i in 0..n {
-            prop_assert_eq!(behavioural.codes[i].count, rtl_ms[i].count);
-            prop_assert_eq!(behavioural.codes[i].dnl_verdict, rtl_ms[i].dnl_verdict);
-            prop_assert_eq!(behavioural.codes[i].inl_counts, rtl_ms[i].inl_counts);
+            prop_assert_eq!(behavioural[i].count, rtl_ms[i].count);
+            prop_assert_eq!(behavioural[i].dnl_verdict, rtl_ms[i].dnl_verdict);
+            prop_assert_eq!(behavioural[i].inl_counts, rtl_ms[i].inl_counts);
         }
     }
 
@@ -137,13 +147,13 @@ proptest! {
             stream.extend(std::iter::repeat_n(level, r as usize));
             level = !level;
         }
-        let result = monitor_bit_stream(&config, &stream);
+        let result = monitor_codes(&config, &stream);
         // Complete inner runs are runs[1..n-1].
         let expected: Vec<u64> = runs[1..runs.len() - 1]
             .iter()
             .map(|&r| r.min(capacity))
             .collect();
-        let got: Vec<u64> = result.codes.iter().map(|c| c.count).collect();
+        let got: Vec<u64> = result.iter().map(|c| c.count).collect();
         prop_assert_eq!(got, expected);
     }
 }

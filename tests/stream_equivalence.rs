@@ -12,7 +12,7 @@
 
 use bist_adc::histogram::CodeHistogram;
 use bist_adc::noise::NoiseConfig;
-use bist_adc::sampler::{acquire_noisy, SamplingConfig};
+use bist_adc::sampler::{Capture, SamplingConfig};
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::stream::CodeStream;
@@ -21,7 +21,7 @@ use bist_adc::types::{Resolution, Volts};
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
-use bist_core::harness::{bist_from_capture, Scratch};
+use bist_core::harness::{BistOutcome, Scratch};
 use bist_core::limits::slope_for_delta_s;
 use bist_mc::batch::Batch;
 use proptest::prelude::*;
@@ -39,6 +39,16 @@ fn plan(config: &BistConfig, slope_error: f64) -> (Ramp, SamplingConfig) {
         Ramp::new(Volts(-0.2), slope).with_slope_error(slope_error),
         SamplingConfig::new(FS, samples),
     )
+}
+
+/// The materialised path: judge an already-collected capture.
+fn judge_capture(config: &BistConfig, capture: &Capture) -> BistOutcome {
+    let mut scratch = Scratch::new();
+    let codes = capture.codes().iter().copied();
+    let verdict = BehavioralBackend
+        .judge(config, None, codes, &mut scratch)
+        .verdict;
+    scratch.take_outcome(verdict)
 }
 
 fn config(bits: u32, deglitch: bool) -> BistConfig {
@@ -81,8 +91,8 @@ proptest! {
         let (ramp, sampling) = plan(&cfg, slope_error);
 
         let mut rng_m = StdRng::seed_from_u64(seed ^ 0xfeed);
-        let capture = acquire_noisy(&tf, &ramp, sampling, &noise, &mut rng_m);
-        let materialized = bist_from_capture(&cfg, &capture);
+        let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).capture();
+        let materialized = judge_capture(&cfg, &capture);
 
         let mut rng_s = StdRng::seed_from_u64(seed ^ 0xfeed);
         let mut scratch = Scratch::new();
@@ -96,8 +106,7 @@ proptest! {
         prop_assert_eq!(verdict.inl_failures, materialized.monitor.inl_failures);
         prop_assert_eq!(verdict.functional_mismatches, materialized.functional.mismatches);
         prop_assert_eq!(verdict.samples as usize, capture.codes().len());
-        prop_assert_eq!(scratch.monitor_codes(), &materialized.monitor.codes[..]);
-        prop_assert_eq!(scratch.checks(), &materialized.functional.checks[..]);
+        prop_assert_eq!(scratch.take_outcome(verdict), materialized);
     }
 
     /// Batch level: screening a whole batch through the streaming
@@ -129,8 +138,8 @@ proptest! {
             streamed.record(truth, verdict.accepted());
 
             let mut rng = batch.device_rng(i);
-            let capture = acquire_noisy(&tf, &ramp, sampling, &noise, &mut rng);
-            materialized.record(truth, bist_from_capture(&cfg, &capture).accepted());
+            let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng).capture();
+            materialized.record(truth, judge_capture(&cfg, &capture).accepted());
         }
         prop_assert_eq!(streamed, materialized);
     }
@@ -156,8 +165,9 @@ proptest! {
             CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s),
         );
         let mut rng_m = StdRng::seed_from_u64(seed);
-        let capture = acquire_noisy(&tf, &ramp, sampling, &noise, &mut rng_m);
-        let materialized = CodeHistogram::from_capture(Resolution::SIX_BIT, &capture);
+        let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).capture();
+        let materialized =
+            CodeHistogram::from_codes(Resolution::SIX_BIT, capture.codes().iter().copied());
         prop_assert_eq!(streamed, materialized);
     }
 }
