@@ -180,8 +180,9 @@ pub fn ramp_linearity(hist: &CodeHistogram) -> Result<HistogramLinearity, Histog
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{acquire, SamplingConfig};
+    use crate::sampler::SamplingConfig;
     use crate::signal::Ramp;
+    use crate::stream::CodeStream;
     use crate::transfer::TransferFunction;
     use crate::types::{Resolution, Volts};
 
@@ -218,8 +219,8 @@ mod tests {
         let adc = ideal();
         // 1000 samples/code on average.
         let ramp = Ramp::new(Volts(-0.05), 1.0);
-        let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
+        let codes = CodeStream::noiseless(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, codes);
         let lin = ramp_linearity(&h).unwrap();
         assert!(lin.peak_dnl().0 < 0.01, "peak dnl {}", lin.peak_dnl().0);
         assert!((lin.samples_per_code - 1000.0).abs() < 30.0);
@@ -229,8 +230,8 @@ mod tests {
     fn ramp_histogram_detects_skewed_widths() {
         let adc = skewed();
         let ramp = Ramp::new(Volts(-0.05), 1.0);
-        let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
+        let codes = CodeStream::noiseless(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, codes);
         let lin = ramp_linearity(&h).unwrap();
         // Inner-code index 9 == code 10.
         assert!(
@@ -254,8 +255,8 @@ mod tests {
         let adc =
             TransferFunction::from_transitions(Resolution::SIX_BIT, Volts(0.0), Volts(6.4), t);
         let ramp = Ramp::new(Volts(-0.05), 1.0);
-        let cap = acquire(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
-        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, cap.codes().iter().copied());
+        let codes = CodeStream::noiseless(&adc, &ramp, SamplingConfig::new(1e4, 65_000));
+        let h = CodeHistogram::from_codes(Resolution::SIX_BIT, codes);
         let lin = ramp_linearity(&h).unwrap();
         assert!((lin.dnl[9].0 + 1.0).abs() < 1e-6);
     }

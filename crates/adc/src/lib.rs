@@ -18,7 +18,7 @@
 //! * [`signal`] / [`noise`] / [`stream`] / [`sampler`] — ramp/sine
 //!   stimuli, the §3 noise sources (jitter, transition noise),
 //!   the lazy single-pass acquisition stream ([`stream::CodeStream`])
-//!   and its materialised [`sampler::Capture`] view.
+//!   and its sampling plan ([`sampler::SamplingConfig`]).
 //! * [`metrics`] / [`histogram`] — ground-truth DNL/INL and the
 //!   conventional code-density test (ramp histogram).
 //! * [`faults`] — gross spot-defect injection (stuck bits, stuck codes).
@@ -60,7 +60,7 @@ pub mod transfer;
 pub mod types;
 
 pub use flash::{FlashAdc, FlashConfig};
-pub use sampler::{acquire, Capture, SamplingConfig};
+pub use sampler::SamplingConfig;
 pub use spec::{GroundTruth, LinearitySpec};
 pub use stream::CodeStream;
 pub use transfer::{Adc, TransferFunction};

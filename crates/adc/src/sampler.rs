@@ -2,17 +2,10 @@
 //!
 //! The conversion itself is performed lazily by
 //! [`crate::stream::CodeStream`]; this module holds the sampling plan
-//! ([`SamplingConfig`]) and the materialised view ([`Capture`]) that
-//! tests, plots and the conventional histogram baselines collect the
-//! stream into. Production-path consumers (the BIST harness, the
-//! Monte-Carlo engine) consume the stream directly and never allocate a
-//! capture.
-
-use crate::signal::Stimulus;
-use crate::stream::CodeStream;
-use crate::transfer::Adc;
-use crate::types::Code;
-use std::fmt;
+//! ([`SamplingConfig`]). Tests and plots that need a whole record
+//! `collect()` the stream; production-path consumers (the BIST harness,
+//! the Monte-Carlo engine) consume it directly and never materialise
+//! one.
 
 /// Sampling parameters for one acquisition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,72 +46,33 @@ impl SamplingConfig {
     }
 }
 
-/// A captured record of output codes plus capture metadata — the
-/// materialised (`collect()`ed) view of a [`CodeStream`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Capture {
-    codes: Vec<Code>,
-    sampling: SamplingConfig,
-}
-
-impl Capture {
-    /// Assembles a capture from already-collected codes (crate-internal;
-    /// use [`CodeStream::capture`] or [`acquire`]).
-    pub(crate) fn from_parts(codes: Vec<Code>, sampling: SamplingConfig) -> Self {
-        Capture { codes, sampling }
-    }
-
-    /// The captured codes.
-    pub fn codes(&self) -> &[Code] {
-        &self.codes
-    }
-
-    /// Iterates over bit `b` (0 = LSB) of every code — the signal the
-    /// paper's on-chip LSB monitor watches. Allocation-free; `collect()`
-    /// when a materialised stream is needed.
-    pub fn bits(&self, b: u32) -> impl Iterator<Item = bool> + '_ {
-        self.codes.iter().map(move |c| (c.0 >> b) & 1 == 1)
-    }
-
-    /// Iterates over the codes centred to `±0.5`-normalised values for
-    /// spectral analysis: `(code + 0.5)/2ⁿ − 0.5`, given the resolution
-    /// implied by `bits`.
-    pub fn normalized(&self, bits: u32) -> impl Iterator<Item = f64> + '_ {
-        let n = (1u64 << bits) as f64;
-        self.codes.iter().map(move |c| (c.0 as f64 + 0.5) / n - 0.5)
-    }
-}
-
-impl fmt::Display for Capture {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} samples @ {} Hz",
-            self.codes.len(),
-            self.sampling.sample_rate
-        )
-    }
-}
-
-/// Samples `stimulus` through `adc` without noise (the deterministic
-/// sampling process assumed by the §3 theory) and materialises the
-/// result. Thin wrapper over [`CodeStream::noiseless`].
-pub fn acquire<A: Adc, S: Stimulus>(adc: &A, stimulus: &S, sampling: SamplingConfig) -> Capture {
-    CodeStream::noiseless(adc, stimulus, sampling).capture()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::noise::NoiseConfig;
-    use crate::signal::{Ramp, SineWave};
+    use crate::signal::{Ramp, SineWave, Stimulus};
+    use crate::stream::CodeStream;
     use crate::transfer::TransferFunction;
-    use crate::types::{Resolution, Volts};
+    use crate::types::{Code, Resolution, Volts};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn six_bit() -> TransferFunction {
         TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
+    }
+
+    /// The noiseless record of `stimulus` through `adc`.
+    fn acquire(
+        adc: &TransferFunction,
+        stimulus: &impl Stimulus,
+        sampling: SamplingConfig,
+    ) -> Vec<Code> {
+        CodeStream::noiseless(adc, stimulus, sampling).collect()
+    }
+
+    /// Bit `b` (0 = LSB) of every code.
+    fn bits(codes: &[Code], b: u32) -> impl Iterator<Item = bool> + '_ {
+        codes.iter().map(move |c| (c.0 >> b) & 1 == 1)
     }
 
     /// A constant level: a sine of zero amplitude.
@@ -153,7 +107,7 @@ mod tests {
     fn dc_acquisition_is_constant() {
         let adc = six_bit();
         let cap = acquire(&adc, &dc(3.25), SamplingConfig::new(1e3, 16));
-        assert!(cap.codes().iter().all(|&c| c == Code(32)));
+        assert!(cap.iter().all(|&c| c == Code(32)));
     }
 
     #[test]
@@ -162,7 +116,7 @@ mod tests {
         // 1 V/s ramp, 1 kHz sampling: 6.4 s sweep = 6400 samples, 100/code.
         let ramp = Ramp::new(Volts(-0.05), 1.0);
         let cap = acquire(&adc, &ramp, SamplingConfig::new(1e3, 6600));
-        let raw: Vec<u32> = cap.codes().iter().map(|c| c.0).collect();
+        let raw: Vec<u32> = cap.iter().map(|c| c.0).collect();
         assert_eq!(raw[0], 0);
         assert_eq!(*raw.last().unwrap(), 63);
         // Monotone non-decreasing.
@@ -182,10 +136,10 @@ mod tests {
         let adc = six_bit();
         let ramp = Ramp::new(Volts(0.05), 1.0);
         let cap = acquire(&adc, &ramp, SamplingConfig::new(1e3, 6300));
-        let lsb: Vec<bool> = cap.bits(0).collect();
+        let lsb: Vec<bool> = bits(&cap, 0).collect();
         // The LSB toggles once per code: count transitions ≈ codes crossed.
         let transitions = lsb.windows(2).filter(|w| w[0] != w[1]).count();
-        let codes_crossed = cap.codes().last().unwrap().0 - cap.codes()[0].0;
+        let codes_crossed = cap.last().unwrap().0 - cap[0].0;
         assert_eq!(transitions as u32, codes_crossed);
     }
 
@@ -194,17 +148,8 @@ mod tests {
         let adc = six_bit();
         let cap = acquire(&adc, &dc(5.0), SamplingConfig::new(1e3, 4));
         // 5.0 V → code 50 = 0b110010: bit 5 is 1.
-        assert!(cap.bits(5).all(|b| b));
-        assert!(cap.bits(0).all(|b| !b));
-    }
-
-    #[test]
-    fn normalized_is_centered() {
-        let adc = six_bit();
-        let cap = acquire(&adc, &dc(3.25), SamplingConfig::new(1e3, 2));
-        // code 32 → (32.5)/64 - 0.5 = 0.0078125
-        let first = cap.normalized(6).next().unwrap();
-        assert!((first - 0.0078125).abs() < 1e-12);
+        assert!(bits(&cap, 5).all(|b| b));
+        assert!(bits(&cap, 0).all(|b| !b));
     }
 
     #[test]
@@ -214,8 +159,8 @@ mod tests {
         let sampling = SamplingConfig::new(1e3, 100);
         let mut rng = StdRng::seed_from_u64(1);
         let a = acquire(&adc, &ramp, sampling);
-        let b =
-            CodeStream::noisy(&adc, &ramp, sampling, &NoiseConfig::noiseless(), &mut rng).capture();
+        let noiseless = NoiseConfig::noiseless();
+        let b: Vec<Code> = CodeStream::noisy(&adc, &ramp, sampling, &noiseless, &mut rng).collect();
         assert_eq!(a, b);
     }
 
@@ -228,13 +173,13 @@ mod tests {
         let sampling = SamplingConfig::new(1e3, 1000);
         let mut rng = StdRng::seed_from_u64(2);
         let clean = acquire(&adc, &dc, sampling);
-        let toggles = |cap: &Capture| {
-            let bits: Vec<bool> = cap.bits(0).collect();
-            bits.windows(2).filter(|w| w[0] != w[1]).count()
+        let toggles = |cap: &[Code]| {
+            let lsb: Vec<bool> = bits(cap, 0).collect();
+            lsb.windows(2).filter(|w| w[0] != w[1]).count()
         };
         assert_eq!(toggles(&clean), 0);
         let noise = NoiseConfig::noiseless().with_transition_noise(0.02);
-        let noisy = CodeStream::noisy(&adc, &dc, sampling, &noise, &mut rng).capture();
+        let noisy: Vec<Code> = CodeStream::noisy(&adc, &dc, sampling, &noise, &mut rng).collect();
         assert!(toggles(&noisy) > 100, "expected heavy LSB toggling");
     }
 
@@ -246,16 +191,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let clean = acquire(&adc, &ramp, sampling);
         let noise = NoiseConfig::noiseless().with_jitter(2e-6);
-        let jittered = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).capture();
+        let jittered: Vec<Code> =
+            CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).collect();
         assert_ne!(clean, jittered);
         // But the overall trajectory is still a ramp of the same span.
-        assert_eq!(clean.codes().last(), jittered.codes().last());
-    }
-
-    #[test]
-    fn capture_display() {
-        let adc = six_bit();
-        let cap = acquire(&adc, &dc(1.0), SamplingConfig::new(250.0, 8));
-        assert_eq!(cap.to_string(), "8 samples @ 250 Hz");
+        assert_eq!(clean.last(), jittered.last());
     }
 }

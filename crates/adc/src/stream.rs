@@ -4,18 +4,17 @@
 //! and counters consume the ramp capture code by code, with no sample
 //! memory. [`CodeStream`] is the simulation equivalent: an iterator that
 //! fuses stimulus evaluation, noise injection and conversion, producing
-//! one [`Code`] per sample instant without materialising the capture.
-//! [`crate::sampler::Capture`] is now just a `collect()`ed view of this
-//! stream, kept for tests and plotting.
+//! one [`Code`] per sample instant without materialising the record;
+//! tests and plots that need one `collect()` it.
 //!
 //! The per-sample operation is identical to the historical two-pass
 //! path (perturb the instant, perturb the voltage, convert), and noise
 //! draws happen in sample order — so streaming consumers observe
-//! bit-for-bit the same codes as a materialised capture from the same
-//! RNG state.
+//! bit-for-bit the same codes as a collected record from the same RNG
+//! state.
 
 use crate::noise::NoiseConfig;
-use crate::sampler::{Capture, SamplingConfig};
+use crate::sampler::SamplingConfig;
 use crate::signal::Stimulus;
 use crate::transfer::Adc;
 use crate::types::{Code, Volts};
@@ -112,22 +111,6 @@ impl<'a, A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore + ?Sized>
     }
 }
 
-impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> CodeStream<'_, A, S, R> {
-    /// Materialises the remaining codes into a [`Capture`] — the view
-    /// used by tests, plots and the conventional histogram baselines.
-    ///
-    /// On a partially consumed stream the capture's sampling metadata
-    /// is adjusted to cover only the remaining samples (start time and
-    /// count), so `codes()[i]` always corresponds to the capture's
-    /// `i`-th sample time.
-    pub fn capture(self) -> Capture {
-        let mut sampling = self.sampling;
-        sampling.start_time = self.sampling.sample_time(self.next);
-        sampling.samples -= self.next;
-        Capture::from_parts(self.collect(), sampling)
-    }
-}
-
 impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> Iterator for CodeStream<'_, A, S, R> {
     type Item = Code;
 
@@ -161,7 +144,6 @@ impl<A: Adc + ?Sized, S: Stimulus + ?Sized, R: RngCore> FusedIterator for CodeSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::acquire;
     use crate::signal::Ramp;
     use crate::transfer::TransferFunction;
     use crate::types::Resolution;
@@ -177,9 +159,11 @@ mod tests {
         let adc = six_bit();
         let ramp = Ramp::new(Volts(-0.1), 1.0);
         let sampling = SamplingConfig::new(1e3, 7000);
-        let cap = acquire(&adc, &ramp, sampling);
+        let per_sample: Vec<Code> = (0..sampling.samples)
+            .map(|i| adc.convert(ramp.value(sampling.sample_time(i))))
+            .collect();
         let streamed: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
-        assert_eq!(cap.codes(), &streamed[..]);
+        assert_eq!(per_sample, streamed);
     }
 
     #[test]
@@ -192,10 +176,11 @@ mod tests {
             .with_jitter(1e-6);
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        let cap = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng_a).capture();
-        let streamed: Vec<Code> =
+        let first: Vec<Code> =
+            CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng_a).collect();
+        let again: Vec<Code> =
             CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng_b).collect();
-        assert_eq!(cap.codes(), &streamed[..]);
+        assert_eq!(first, again);
     }
 
     #[test]
@@ -208,37 +193,6 @@ mod tests {
         s.next();
         assert_eq!(s.len(), 8);
         assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn capture_view_keeps_sampling_metadata() {
-        let adc = six_bit();
-        let ramp = Ramp::new(Volts(0.0), 1.0);
-        let sampling = SamplingConfig::new(250.0, 8);
-        let cap = CodeStream::noiseless(&adc, &ramp, sampling).capture();
-        assert_eq!(cap, Capture::from_parts(cap.codes().to_vec(), sampling));
-        assert_eq!(cap.codes().len(), 8);
-    }
-
-    #[test]
-    fn capture_after_partial_consumption_keeps_consistent_metadata() {
-        let adc = six_bit();
-        let ramp = Ramp::new(Volts(0.0), 1.0);
-        let sampling = SamplingConfig::new(1e3, 10);
-        let mut s = CodeStream::noiseless(&adc, &ramp, sampling);
-        let head: Vec<Code> = s.by_ref().take(4).collect();
-        let cap = s.capture();
-        assert_eq!(cap.codes().len(), 6);
-        let rest = SamplingConfig {
-            start_time: sampling.sample_time(4),
-            samples: 6,
-            ..sampling
-        };
-        assert_eq!(cap, Capture::from_parts(cap.codes().to_vec(), rest));
-        // codes()[i] still pairs with the rest's sample_time(i).
-        let full = acquire(&adc, &ramp, sampling);
-        assert_eq!(&full.codes()[..4], &head[..]);
-        assert_eq!(&full.codes()[4..], cap.codes());
     }
 
     #[test]

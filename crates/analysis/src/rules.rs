@@ -7,7 +7,7 @@
 //! | `hot-path-alloc` | no allocating constructs in marked hot paths | counting-allocator proof (`crates/core/tests/zero_alloc.rs`) |
 //! | `undocumented-unsafe` | every `unsafe` justified; `#[target_feature]` kernels only reached behind runtime detection | UB has no runtime gate — this is the only net |
 //! | `atomic-ordering` | every atomic `Ordering::` choice justified | worker-count `report_checksum` equality gate |
-//! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any workers × chunk |
+//! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any worker count |
 //! | `dead-pub` | every bare-`pub` library item is used in code somewhere other than its own definition, its own `impl` blocks, tests (`#[cfg(test)]` code and files under a `tests/` directory), its crate's own `pub use` re-exports and crates that cannot name it | none — the compiler's dead-code lint stops at `pub` |
 //!
 //! Diagnostics are suppressible only via an inline

@@ -7,13 +7,15 @@
 //! Part 1 screens identical populations (same devices, same per-device
 //! RNG streams) through both engines in all four modes — static and
 //! dynamic, plain and early-stop sequenced — and demands bit-exact
-//! report equality. **Any mismatch counts as a divergence and fails the
-//! run** (exit 1), which the CI fleet verdict gates rely on.
+//! report equality, then screens each population a second time through
+//! the same, now warm, batched `Screener` and demands the same reports
+//! again. **Any mismatch counts as a divergence and fails the run**
+//! (exit 1), which the CI fleet verdict gates rely on.
 //!
 //! Part 1b shards the same populations across the work-stealing worker
-//! pool (`Screener::workers`) at several worker counts and chunk sizes
-//! and demands the pooled reports stay bit-identical to the batched
-//! ones — the cores axis must be invisible in the output. A FNV-1a
+//! pool (`Screener::workers`) at several worker counts and demands the
+//! pooled reports stay bit-identical to the batched ones — the cores
+//! axis must be invisible in the output. A FNV-1a
 //! checksum over every report is emitted as `report_checksum`, so two
 //! runs at different `BIST_WORKERS` can be diffed from their JSON
 //! records alone (the CI fleet verdict gates diff it against the
@@ -28,8 +30,7 @@
 //! (coded-kernel) workload. When the host actually has the cores to
 //! back the configured pool (≥ 4 workers, all resident), the pooled
 //! static speedup must additionally clear 3x — informational on smaller
-//! hosts, a hard gate on multi-core CI. The timed pooled runs use the
-//! pool's default chunk. Absolute devices/s are fleetbench's to
+//! hosts, a hard gate on multi-core CI. Absolute devices/s are fleetbench's to
 //! measure (`engine.{static,dynamic}.devices_per_s`, `pool.speedup`).
 //!
 //! Knobs: `BIST_DEVICES` (default 600), `BIST_DYN_DEVICES` (default
@@ -108,7 +109,7 @@ fn run(sc: &mut Scenario) -> bool {
     divergences += check_exactness(dyn_w, policy, &dyn_fleet, dyn_rng, "dynamic", &mut checksum);
     println!(
         "exactness: {} static + {} dynamic devices × (plain, sequenced) × \
-         (scalar, batched, pooled {:?} workers×chunk) → {divergences} divergences",
+         (scalar, batched, warm batched, pooled {:?} workers) → {divergences} divergences",
         devices, dyn_devices, POOL_GRID
     );
 
@@ -206,7 +207,7 @@ fn run(sc: &mut Scenario) -> bool {
     if clean {
         println!("reading: the batch engine reports bit-identical verdicts for any");
         println!(
-            "workers × chunk and screens {static_x:.1}x more static / {dyn_x:.1}x \
+            "worker count and screens {static_x:.1}x more static / {dyn_x:.1}x \
              more dynamic devices"
         );
         println!(
@@ -224,14 +225,15 @@ fn run(sc: &mut Scenario) -> bool {
     clean
 }
 
-/// Pooled runs are compared at several worker counts × chunk sizes.
-const POOL_GRID: [(usize, usize); 4] = [(1, 5), (2, 8), (4, 32), (16, 3)];
+/// Pooled runs are compared at several worker counts.
+const POOL_GRID: [usize; 4] = [1, 2, 4, 16];
 
 /// Part 1 for one workload, plain then sequenced: screens `fleet`
 /// through the batched engine, compares every report against the
-/// scalar engine and against the pooled engine at each `POOL_GRID`
-/// point, and folds the batched reports into `checksum`. Returns the
-/// divergence count.
+/// scalar engine, against a second run of the same warm screener and
+/// against the pooled engine at each `POOL_GRID` worker count, and
+/// folds the batched reports into `checksum`. Returns the divergence
+/// count.
 fn check_exactness<D, R>(
     w: Workload,
     policy: SequencerConfig,
@@ -257,34 +259,31 @@ where
         } else {
             kind.to_owned()
         };
-        let reports: Vec<_> = batched
-            .run(fleet.iter().enumerate().map(|(i, d)| (d, rng(i))))
-            .into_iter()
-            .map(|r| (r.device, r.verdict))
-            .collect();
+        let run = |screener: &mut Screener| -> Vec<_> {
+            screener
+                .run(fleet.iter().enumerate().map(|(i, d)| (d, rng(i))))
+                .into_iter()
+                .map(|r| (r.device, r.verdict))
+                .collect()
+        };
+        let reports = run(&mut batched);
         divergences += compare(
             &reports,
             |i| scalar.screen_one(&fleet[i], &mut rng(i)),
             &label,
         );
         checksum.fold_reports(&reports);
-        for (pool_workers, pool_chunk) in POOL_GRID {
-            let mut pooled = Screener::new(w)
-                .workers(pool_workers)
-                .chunk_size(pool_chunk);
+        if run(&mut batched) != reports {
+            println!("DIVERGENCE ({label}) a warm screener's second run differs from its first");
+            divergences += 1;
+        }
+        for pool_workers in POOL_GRID {
+            let mut pooled = Screener::new(w).workers(pool_workers);
             if sequenced {
                 pooled = pooled.sequencer(policy);
             }
-            let pooled_reports: Vec<_> = pooled
-                .run(fleet.iter().enumerate().map(|(i, d)| (d, rng(i))))
-                .into_iter()
-                .map(|r| (r.device, r.verdict))
-                .collect();
-            if pooled_reports != reports {
-                println!(
-                    "DIVERGENCE ({label}) pooled workers={pool_workers} chunk={pool_chunk} \
-                     differs from batched"
-                );
+            if run(&mut pooled) != reports {
+                println!("DIVERGENCE ({label}) pooled workers={pool_workers} differs from batched");
                 divergences += 1;
             }
         }

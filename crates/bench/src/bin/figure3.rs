@@ -7,20 +7,20 @@
 //! directly as stretched/compressed LSB half-periods — the observation
 //! the whole BIST rests on.
 
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
+use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_bench::Scenario;
 
 fn lsb_row(adc: &TransferFunction, samples: usize) -> (Vec<u32>, Vec<bool>) {
-    let capture = acquire(
-        adc,
-        &Ramp::new(Volts(-0.02), 1.0),
-        SamplingConfig::new(1000.0, samples),
-    );
-    let lsb = capture.bits(0).collect();
-    (capture.codes().iter().map(|c| c.0).collect(), lsb)
+    let ramp = Ramp::new(Volts(-0.02), 1.0);
+    let codes: Vec<u32> = CodeStream::noiseless(adc, &ramp, SamplingConfig::new(1000.0, samples))
+        .map(|c| c.0)
+        .collect();
+    let lsb = codes.iter().map(|c| c & 1 == 1).collect();
+    (codes, lsb)
 }
 
 fn render(label: &str, bits: &[bool]) -> String {

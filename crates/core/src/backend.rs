@@ -31,12 +31,13 @@
 //! configurations and counter widths. On the dynamic workload the
 //! contract is decision-exactness — see the trait docs.
 
-use crate::batch::ScreenBatch;
+use crate::batch::{BatchDevice, ScreenBatch};
 use crate::config::BistConfig;
 use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalAcc;
 use crate::harness::{BistVerdict, Scratch};
 use crate::lsb_monitor::{CodeResult, LsbMonitorAcc};
+use crate::screener::ScreenReport;
 use crate::sequencer::{
     DynSequencer, SeqDecision, SeqOutcome, StaticSequencer, STATIC_DECISION_LATENCY,
 };
@@ -69,9 +70,9 @@ use rand::RngCore;
 /// report the same consumed-sample count (the RTL flushes its input
 /// pipeline).
 ///
-/// **Batch contract** (`process_batch`): the reports a batch yields are
-/// device-for-device identical to running each queued device through
-/// the corresponding judge — the default body literally does that.
+/// **Batch contract** (`process_batch`): the reports an engine yields
+/// are device-for-device identical to running each device through the
+/// corresponding judge — the default body literally does that.
 /// [`BehavioralBackend`] overrides it with the behavioural engine of
 /// [`crate::batch`], which the batch-equivalence property tests pin
 /// bit-exact to the scalar path.
@@ -100,15 +101,19 @@ pub trait Backend {
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict>;
 
-    /// Screens every device queued in `batch`, leaving one report per
-    /// device (see [`ScreenBatch::take_reports`]). The default pops
-    /// devices one at a time through the judges above
-    /// ([`ScreenBatch::run_scalar`]).
-    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>)
-    where
+    /// Screens `devices` on `batch`'s engine, appending one report per
+    /// device to `reports` in any order ([`ScreenBatch::screen`], the
+    /// caller, sorts them). The default judges the devices one at a
+    /// time through the judges above.
+    fn process_batch<A: Adc, R: RngCore>(
+        &mut self,
+        batch: &mut ScreenBatch,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) where
         Self: Sized,
     {
-        batch.run_scalar(self);
+        batch.run_scalar(self, devices, reports);
     }
 }
 
@@ -195,8 +200,13 @@ impl Backend for BehavioralBackend {
     /// The behavioural batch engine: run-skipping static sweeps, coded
     /// and per-sample Goertzel records over a shared stimulus table —
     /// bit-exact to the scalar path either way (see [`crate::batch`]).
-    fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>) {
-        batch.run_batched();
+    fn process_batch<A: Adc, R: RngCore>(
+        &mut self,
+        batch: &mut ScreenBatch,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        batch.run_batched(devices, reports);
     }
 }
 

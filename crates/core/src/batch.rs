@@ -1,16 +1,17 @@
-//! Batch screening: a queue of devices, each screened to completion on
-//! its own code stream.
+//! Batch screening: devices streamed through one warm engine, each
+//! screened to completion on its own code stream.
 //!
 //! [`ScreenBatch`] is the one batch engine. It is built from a
-//! [`Workload`] and an optional early-stop sequencer, and owns the
-//! device queue, the report buffer and two ways of draining the queue:
-//! [`ScreenBatch::run_scalar`] screens one device at a time through a
-//! [`Backend`]'s judge for the workload (the reference, and the path
-//! hardware-model backends take), and [`ScreenBatch::run_batched`] runs
-//! the behavioural engine. That engine also takes one device at a time
-//! and screens it from its first sample to its verdict, as the on-chip
-//! monitor does; what it saves over the scalar path it saves by knowing
-//! the stimulus:
+//! [`Workload`] and an optional early-stop sequencer and holds no
+//! devices: [`ScreenBatch::screen`] takes them as an iterator and
+//! appends one report per device to the caller's `Vec`. The backend's
+//! batch hook ([`Backend::process_batch`]) chooses how: its default
+//! screens one device at a time through the backend's judge for the
+//! workload (the reference, and the path hardware-model backends take),
+//! and [`crate::backend::BehavioralBackend`] runs the behavioural
+//! engine. That engine also takes one device at a time and screens it
+//! from its first sample to its verdict, as the on-chip monitor does;
+//! what it saves over the scalar path it saves by knowing the stimulus:
 //!
 //! * static — on the dominant noiseless-ramp workload the sweep
 //!   *run-skips*: the ramp is monotone and the transition levels are
@@ -22,7 +23,7 @@
 //!   machines bit-exact with the scalar path. Other sweeps convert
 //!   sample by sample.
 //! * dynamic — the coherent sine stimulus is evaluated **once** per
-//!   batch into a table, planned by the batch's first zero-jitter
+//!   engine into a table, planned by the engine's first zero-jitter
 //!   device (at zero jitter the stimulus is device-independent), and
 //!   sorted once by value. A device whose plan differs from the table's
 //!   falls back to per-sample evaluation. A noiseless, unsequenced
@@ -31,7 +32,7 @@
 //!   its whole record, one byte per sample, in the next column of a
 //!   pending group of eight `[u8; 8]` rows. The group crosses the
 //!   record in one kernel pass when its eighth column fills and when
-//!   the queue drains, holding the Goertzel state as `[bin][device]`
+//!   the device stream ends, holding the Goertzel state as `[bin][device]`
 //!   rows and the Welford moments as `[device]` rows: the Welford
 //!   divide is one vector operation across the group, and each sample's
 //!   resonator updates are eight independent chains per bin instead of
@@ -39,15 +40,16 @@
 //!   sequenced, or converters that state no levels — step sample by
 //!   sample through the scalar engine's own [`GoertzelBank`].
 //!
-//! A sequenced batch keeps one sequencer and feeds it exactly as the
-//! scalar judges do: each event is stamped with its closing sample, the
-//! sequencer admits it under its own visibility protocol (see
-//! [`crate::sequencer`]), and the sweep takes each checkpoint at the
-//! sequencer's [`next_due`](StaticSequencer::next_due) sample. A
-//! run-skipping sweep takes the checkpoints that fall inside a run's
-//! skipped bulk, where no event closes, without splitting the run.
+//! A sequenced engine keeps one sequencer, built from its policy, and
+//! feeds it exactly as the scalar judges do: each event is stamped with
+//! its closing sample, the sequencer admits it under its own visibility
+//! protocol (see [`crate::sequencer`]), and the sweep takes each
+//! checkpoint at the sequencer's [`next_due`](StaticSequencer::next_due)
+//! sample. A run-skipping sweep takes the checkpoints that fall inside a
+//! run's skipped bulk, where no event closes, without splitting the run.
+//! The scalar path judges with the same sequencer.
 //!
-//! **Bit-exactness.** Every verdict a batch reports is identical to
+//! **Bit-exactness.** Every verdict the engine reports is identical to
 //! running the same device, with the same RNG, through the scalar
 //! engine: run-skipping evaluates the *same* ramp expression on the
 //! *same* sample indices; the per-sample paths replay
@@ -56,32 +58,32 @@
 //! [`GoertzelBank`], and the group kernel applies
 //! [`GoertzelBank::push`]'s per-(device, bin) operation sequence, then
 //! loads its result into that bank. The `batch_equivalence` property
-//! tests pin this for any fleet size, mix and refill order.
-
-use std::collections::VecDeque;
+//! tests pin this for any fleet size, mix and split of the fleet across
+//! calls.
 
 use crate::backend::Backend;
 use crate::config::BistConfig;
-use crate::dynamic::{plan_sine, DynamicConfig};
+use crate::dynamic::{plan_sine, DynScratch, DynamicConfig};
 use crate::functional::FunctionalState;
-use crate::harness::{plan_ramp, BistVerdict};
+use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
 use crate::lsb_monitor::MonitorState;
-use crate::screener::{ScalarPath, ScreenReport, ScreenVerdict, Workload};
+use crate::screener::{ScreenReport, ScreenVerdict, Workload};
 use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
 use bist_adc::noise::NoiseConfig;
 use bist_adc::signal::{Ramp, SineWave, Stimulus};
+use bist_adc::stream::CodeStream;
 use bist_adc::types::{Code, Volts};
 use bist_adc::{Adc, SamplingConfig};
 use bist_dsp::goertzel::{harmonic_plan, Goertzel, GoertzelBank};
 use rand::RngCore;
 
-/// One queued device: a stable report index, its transfer function and
-/// its private noise RNG (the device's draw order is its own, so
-/// verdicts are independent of queue order).
+/// One device to screen: a stable report index, its transfer function
+/// and its private noise RNG (the device's draw order is its own, so
+/// verdicts are independent of the order devices arrive in).
 #[derive(Debug, Clone)]
 pub struct BatchDevice<A, R> {
     /// Caller-chosen identifier carried into the report (unique per
-    /// batch; reports are ordered by it).
+    /// [`ScreenBatch::screen`] call; reports are ordered by it).
     pub index: usize,
     /// The device under test.
     pub adc: A,
@@ -90,7 +92,7 @@ pub struct BatchDevice<A, R> {
 }
 
 impl<A, R> BatchDevice<A, R> {
-    /// Bundles one device for the queue.
+    /// Bundles one device for screening.
     pub fn new(index: usize, adc: A, rng: R) -> Self {
         BatchDevice { index, adc, rng }
     }
@@ -130,22 +132,26 @@ impl StimulusTable {
     }
 }
 
-/// A queue of devices screened through one [`Workload`] — the one
-/// batch engine behind [`crate::screener::Screener::run`], the worker
-/// pool, the resident shard and `bist_mc`'s experiments.
+/// The one screening engine for a [`Workload`] — behind
+/// [`crate::screener::Screener`], each pooled worker of
+/// [`crate::pool`], the resident shard and `bist_mc`'s experiments.
 ///
-/// Build one with [`ScreenBatch::new`], [`push`](ScreenBatch::push)
-/// the devices, hand it to [`Backend::process_batch`], then collect
-/// [`take_reports`](ScreenBatch::take_reports). The batch owns all
-/// working state, so a warm batch re-run allocates nothing.
+/// Build one with [`ScreenBatch::new`] and hand it device streams with
+/// [`ScreenBatch::screen`]. The engine owns all working state
+/// (sequencer, stimulus table, coded rows, scratch) and no devices or
+/// reports, so a warm engine screens without allocating.
 #[derive(Debug)]
-pub struct ScreenBatch<A, R> {
+pub struct ScreenBatch {
     workload: Workload,
     sequencer: Option<SequencerConfig>,
-    queue: VecDeque<BatchDevice<A, R>>,
-    reports: Vec<ScreenReport>,
-    scalar: ScalarPath,
     engine: BatchEngine,
+    /// What the scalar path judges fleet devices into.
+    scratch: Scratch,
+    /// Per-code detail of the most recent
+    /// [`screen_one`](ScreenBatch::screen_one), kept apart from
+    /// `scratch` so a later scalar fleet run does not overwrite it.
+    detail: Scratch,
+    dyn_scratch: DynScratch,
 }
 
 /// The behavioural engine of a [`ScreenBatch`]: one per workload.
@@ -155,8 +161,8 @@ enum BatchEngine {
     Dynamic(Box<DynEngine>),
 }
 
-impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
-    /// A batch screening `workload`, under the early-stop `sequencer`
+impl ScreenBatch {
+    /// An engine screening `workload`, under the early-stop `sequencer`
     /// policy when one is given.
     ///
     /// # Panics
@@ -181,10 +187,10 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
         ScreenBatch {
             workload,
             sequencer,
-            queue: VecDeque::new(),
-            reports: Vec::new(),
-            scalar: ScalarPath::default(),
             engine,
+            scratch: Scratch::default(),
+            detail: Scratch::default(),
+            dyn_scratch: DynScratch::default(),
         }
     }
 
@@ -193,65 +199,111 @@ impl<A: Adc, R: RngCore> ScreenBatch<A, R> {
         &self.workload
     }
 
-    /// Queues one device for screening.
-    pub fn push(&mut self, device: BatchDevice<A, R>) {
-        self.queue.push_back(device);
+    /// The early-stop policy the engine screens under, if any.
+    pub(crate) fn sequencer(&self) -> Option<SequencerConfig> {
+        self.sequencer
     }
 
-    /// Number of devices still waiting to be screened.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
+    /// Screens `devices` through `backend`'s batch hook
+    /// ([`Backend::process_batch`]), appending one report per device to
+    /// `reports`; the appended reports are sorted by device index.
+    pub fn screen<A: Adc, R: RngCore, B: Backend>(
+        &mut self,
+        backend: &mut B,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        let start = reports.len();
+        backend.process_batch(self, devices, reports);
+        reports[start..].sort_unstable_by_key(|r| r.device);
     }
 
-    /// Reports accumulated so far, sorted by device index.
-    ///
-    /// The sort is in place and allocation-free, so this (with
-    /// [`clear_reports`](ScreenBatch::clear_reports)) is the warm-path
-    /// way to drain a reused batch.
-    pub fn finish_reports(&mut self) -> &[ScreenReport] {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        &self.reports
-    }
-
-    /// Clears the report buffer, keeping its capacity.
-    pub fn clear_reports(&mut self) {
-        self.reports.clear();
-    }
-
-    /// Takes the accumulated reports, sorted by device index.
-    pub fn take_reports(&mut self) -> Vec<ScreenReport> {
-        self.reports.sort_unstable_by_key(|r| r.device);
-        std::mem::take(&mut self.reports)
-    }
-
-    /// Screens the queue one device at a time through the judge of
-    /// `backend` — the reference the behavioural engine is measured
-    /// against, and the path hardware-model backends take.
-    pub fn run_scalar<B: Backend>(&mut self, backend: &mut B) {
-        while let Some(mut dev) = self.queue.pop_front() {
-            let verdict = self.scalar.screen(
-                &self.workload,
-                self.sequencer,
+    /// Screens `devices` one at a time through the judge of `backend` —
+    /// the reference the behavioural engine is measured against, and
+    /// the path hardware-model backends take.
+    pub(crate) fn run_scalar<A: Adc, R: RngCore, B: Backend>(
+        &mut self,
+        backend: &mut B,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        for mut dev in devices {
+            let verdict = self.engine.judge(
                 backend,
                 &dev.adc,
                 &mut dev.rng,
+                &mut self.scratch,
+                &mut self.dyn_scratch,
             );
-            self.reports.push(ScreenReport {
+            reports.push(ScreenReport {
                 device: dev.index,
                 verdict,
             });
         }
     }
 
-    /// Screens the queue through the behavioural engine: each device to
+    /// Screens `devices` through the behavioural engine: each device to
     /// completion, coded dynamic devices in groups of eight through the
     /// group kernel, every verdict bit-exact to
     /// [`run_scalar`](ScreenBatch::run_scalar) with
     /// [`crate::backend::BehavioralBackend`].
-    pub fn run_batched(&mut self) {
+    pub(crate) fn run_batched<A: Adc, R: RngCore>(
+        &mut self,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
         match &mut self.engine {
-            BatchEngine::Static(engine) => engine.run(&mut self.queue, &mut self.reports),
-            BatchEngine::Dynamic(engine) => engine.run(&mut self.queue, &mut self.reports),
+            BatchEngine::Static(engine) => engine.run(devices, reports),
+            BatchEngine::Dynamic(engine) => engine.run(devices, reports),
+        }
+    }
+
+    /// Screens one device through the scalar path, leaving its per-code
+    /// detail for [`take_static_outcome`](ScreenBatch::take_static_outcome).
+    pub(crate) fn screen_one<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        adc: &A,
+        rng: &mut R,
+    ) -> ScreenVerdict {
+        self.engine
+            .judge(backend, adc, rng, &mut self.detail, &mut self.dyn_scratch)
+    }
+
+    /// The full per-code [`BistOutcome`] of the most recent static
+    /// [`screen_one`](ScreenBatch::screen_one), or `None` for a dynamic
+    /// verdict.
+    pub(crate) fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
+        let outcome = verdict.as_static()?;
+        Some(self.detail.take_outcome(outcome.verdict))
+    }
+}
+
+impl BatchEngine {
+    /// The scalar per-device path: plans the stimulus, streams the noisy
+    /// codes and judges them through `backend`'s judge for the workload,
+    /// under the engine's sequencer.
+    fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        adc: &A,
+        rng: &mut R,
+        scratch: &mut Scratch,
+        dyn_scratch: &mut DynScratch,
+    ) -> ScreenVerdict {
+        match self {
+            BatchEngine::Static(e) => {
+                let (ramp, sampling) = plan_ramp(adc, &e.config);
+                let ramp = ramp.with_slope_error(e.slope_error);
+                let stream = CodeStream::noisy(adc, &ramp, sampling, &e.noise, rng);
+                ScreenVerdict::Static(backend.judge(&e.config, e.seq.as_mut(), stream, scratch))
+            }
+            BatchEngine::Dynamic(e) => {
+                let (sine, sampling) = plan_sine(adc, &e.config);
+                let stream = CodeStream::noisy(adc, &sine, sampling, &e.noise, rng);
+                let seq = e.seq.as_mut();
+                ScreenVerdict::Dynamic(backend.judge_dyn(&e.config, seq, stream, dyn_scratch))
+            }
         }
     }
 }
@@ -267,12 +319,12 @@ struct StaticEngine {
 }
 
 impl StaticEngine {
-    /// Sweeps each queued device from its first sample until a
-    /// checkpoint stops the sweep or the sweep ends, one report each.
+    /// Sweeps each device from its first sample until a checkpoint
+    /// stops the sweep or the sweep ends, one report each.
     // bist-lint: hot-path — the static device loop
     fn run<A: Adc, R: RngCore>(
         &mut self,
-        queue: &mut VecDeque<BatchDevice<A, R>>,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
     ) {
         // Replayed head of each constant-code run: the deglitcher taps
@@ -280,7 +332,7 @@ impl StaticEngine {
         // which `skip_run` covers the remainder in O(1).
         let head_n: u64 = if self.config.deglitch() { 2 } else { 1 };
         let bit = self.config.monitored_bit();
-        while let Some(mut dev) = queue.pop_front() {
+        for mut dev in devices {
             let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
             let ramp = ramp.with_slope_error(self.slope_error);
             let total = sampling.samples as u64;
@@ -581,7 +633,7 @@ struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
     /// Stimulus voltages shared by every zero-jitter device whose plan
-    /// matches the table's — evaluated once per batch.
+    /// matches the table's — evaluated once per engine.
     table: StimulusTable,
     bank: GoertzelBank,
     seq: Option<DynSequencer>,
@@ -613,22 +665,22 @@ impl DynEngine {
         }
     }
 
-    /// Screens each queued device to completion, or codes it into the
-    /// pending group, which is flushed when it fills and when the queue
-    /// drains; one report per device.
+    /// Screens each device to completion, or codes it into the pending
+    /// group, which is flushed when it fills and when the device stream
+    /// ends; one report per device.
     // bist-lint: hot-path — the dynamic device loop
     fn run<A: Adc, R: RngCore>(
         &mut self,
-        queue: &mut VecDeque<BatchDevice<A, R>>,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
     ) {
         let record_len = self.config.record_len();
         let half_fs = (self.config.resolution().code_count() / 2) as f64;
         let jitter_free = self.noise.jitter_seconds() == 0.0;
-        while let Some(mut dev) = queue.pop_front() {
+        for mut dev in devices {
             let (sine, sampling) = plan_sine(&dev.adc, &self.config);
             if jitter_free && self.table.plan.is_none() {
-                // The first zero-jitter device establishes the batch's
+                // The first zero-jitter device establishes the engine's
                 // stimulus table: the identical expression the scalar
                 // stream evaluates, so table devices stay bit-exact.
                 self.table.plan(sine, sampling);

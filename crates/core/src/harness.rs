@@ -57,7 +57,6 @@ use bist_adc::stream::CodeStream;
 use bist_adc::transfer::Adc;
 use bist_adc::types::Volts;
 use rand::RngCore;
-use std::error::Error;
 use std::fmt;
 
 /// Sample rate used by the simulated harnesses — static ramp and
@@ -238,36 +237,6 @@ pub fn plan_ramp<A: Adc + ?Sized>(adc: &A, config: &BistConfig) -> (Ramp, Sampli
     )
 }
 
-/// Error from a histogram-based harness.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum HarnessError {
-    /// The underlying histogram test failed.
-    Histogram(HistogramTestError),
-}
-
-impl fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HarnessError::Histogram(e) => write!(f, "histogram test failed: {e}"),
-        }
-    }
-}
-
-impl Error for HarnessError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            HarnessError::Histogram(e) => Some(e),
-        }
-    }
-}
-
-impl From<HistogramTestError> for HarnessError {
-    fn from(e: HistogramTestError) -> Self {
-        HarnessError::Histogram(e)
-    }
-}
-
 /// A histogram-test verdict: the linearity estimate plus the spec
 /// decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,7 +257,8 @@ pub struct HistogramVerdict {
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError`] if the capture yields an unusable histogram.
+/// Returns [`HistogramTestError`] if the ramp yields an unusable
+/// histogram.
 ///
 /// # Panics
 ///
@@ -299,7 +269,7 @@ pub fn reference_measurement<A: Adc + ?Sized, R: RngCore + ?Sized>(
     samples_per_code: u32,
     noise: &NoiseConfig,
     rng: &mut R,
-) -> Result<HistogramVerdict, HarnessError> {
+) -> Result<HistogramVerdict, HistogramTestError> {
     assert!(samples_per_code > 0, "samples per code must be non-zero");
     let (low, high) = adc.input_range();
     let lsb = adc.resolution().lsb_size(Volts(high.0 - low.0)).0;
@@ -330,7 +300,8 @@ pub fn reference_measurement<A: Adc + ?Sized, R: RngCore + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError`] if the capture yields an unusable histogram.
+/// Returns [`HistogramTestError`] if the ramp yields an unusable
+/// histogram.
 ///
 /// # Panics
 ///
@@ -341,7 +312,7 @@ pub fn conventional_test<A: Adc + ?Sized, R: RngCore + ?Sized>(
     total_samples: u32,
     noise: &NoiseConfig,
     rng: &mut R,
-) -> Result<HistogramVerdict, HarnessError> {
+) -> Result<HistogramVerdict, HistogramTestError> {
     let codes = adc.resolution().code_count();
     assert!(
         total_samples >= codes,
@@ -369,7 +340,7 @@ mod tests {
     use bist_adc::faults::{FaultyAdc, OutputFault};
     use bist_adc::flash::FlashConfig;
     use bist_adc::transfer::TransferFunction;
-    use bist_adc::types::Resolution;
+    use bist_adc::types::{Code, Resolution};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -466,14 +437,15 @@ mod tests {
             let (ramp, sampling) = plan_ramp(&adc, &config);
             let ramp = ramp.with_slope_error(slope_error);
             let mut rng = rng(100 + round);
-            let capture = CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).capture();
+            let capture: Vec<Code> =
+                CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).collect();
             let mut scratch = Scratch::new();
-            let codes = capture.codes().iter().copied();
+            let codes = capture.iter().copied();
             let judged = BehavioralBackend.judge(&config, None, codes, &mut scratch);
             let materialized = scratch.take_outcome(judged.verdict);
             assert_eq!(streamed, materialized);
             assert_eq!(verdict.accepted(), materialized.accepted());
-            assert_eq!(verdict.samples(), capture.codes().len() as u64);
+            assert_eq!(verdict.samples(), capture.len() as u64);
         }
     }
 

@@ -34,13 +34,14 @@
 //!   gate-accurate `bist-rtl` datapath ([`backend::RtlBackend`]),
 //!   bit-exact with each other, over scalar devices and whole batches.
 //! * [`batch`] — fleet screening through one engine,
-//!   [`batch::ScreenBatch`]: each device screened to completion, with
+//!   [`batch::ScreenBatch`], which holds no devices: each device of a
+//!   stream screened to completion, with
 //!   run-skipping on noiseless ramps, a shared sine table and an
 //!   8-device coded Goertzel kernel — bit-exact to the scalar engines,
 //!   several times faster.
 //! * [`pool`] — the cores axis over [`batch`]: a scoped worker pool
-//!   where each worker owns a reusable batch engine and claims small
-//!   device chunks from a shared atomic-cursor queue, merging reports
+//!   where each worker owns an engine and streams the small device
+//!   chunks it claims from a shared atomic-cursor queue, merging reports
 //!   by device index so output is bit-identical for any worker count.
 //! * [`ring`] / [`shard`] — the resident-service substrate consumed by
 //!   `bist-serve`: a bounded MPMC ring with explicit backpressure

@@ -1,25 +1,27 @@
 //! The workspace's one work-stealing pool: scoped workers claiming
 //! small chunks of work from an atomic cursor.
 //!
-//! A [`ScreenBatch`] screens its queue one device at a time on one
-//! core; the paper's §5 economics rest on testing "several A/D
+//! A [`ScreenBatch`] screens its device stream one device at a time on
+//! one core; the paper's §5 economics rest on testing "several A/D
 //! converters … in parallel", and on a workstation that parallelism is
 //! the host's cores. This module supplies them, in two shapes:
 //!
 //! * [`run_pool`] screens a device fleet — the pool behind
-//!   [`Screener::run`](crate::screener::Screener::run). A
-//!   [`DeviceQueue`] packs the fleet into chunks; each worker owns one
-//!   reusable [`ScreenBatch`] (device queue, scratch and report buffer
-//!   — the zero-alloc steady state proven by `tests/zero_alloc.rs`)
-//!   plus its own backend, and [`drain`]s the queue. Reports merge by
-//!   device index.
+//!   [`Screener::run`](crate::screener::Screener::run). With one worker
+//!   the fleet streams straight into the caller's engine. Otherwise a
+//!   [`DeviceQueue`] packs the fleet into [`DEFAULT_CHUNK`]-device
+//!   chunks; each worker owns one [`ScreenBatch`] engine (sequencer,
+//!   stimulus table, scratch — the zero-alloc steady state proven by
+//!   `tests/zero_alloc.rs`) plus its own backend, and [`drain`]s the
+//!   queue, streaming each chunk it claims into its engine. Reports
+//!   merge by device index.
 //! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
 //!   fan-out behind `bist_mc`'s experiments, differential sweeps and
 //!   tables, where devices derive from `(seed, index)`. Results come
 //!   back in range order.
 //!
 //! Both claim through one cursor (one `fetch_add`, allocation-free), so
-//! a worker whose early-stop sequencer drains its chunk quickly comes
+//! a worker whose early-stop sequencer finishes its chunk quickly comes
 //! back for more while slower workers are still busy, instead of idling
 //! behind a contiguous pre-partition. Each worker keeps its results in
 //! a local `Vec`; the pool merges them after the scoped join, which is
@@ -29,9 +31,9 @@
 //! verdict is a pure function of `(device, rng)` — which worker
 //! screens a device, and in which order, cannot change its report.
 //! Merging by device index (or range start) therefore makes pooled
-//! output bit-identical for any `workers × chunk_size` combination;
-//! the `batch_equivalence` property tests pin that invariant against
-//! the scalar engine.
+//! output bit-identical for any worker count and chunk size; the
+//! `batch_equivalence` property tests pin that invariant against the
+//! scalar engine.
 
 use std::iter;
 use std::mem;
@@ -46,7 +48,7 @@ use crate::screener::ScreenReport;
 use bist_adc::Adc;
 use rand::RngCore;
 
-/// Default devices per claimed chunk: small enough that a worker whose
+/// Devices per claimed chunk: small enough that a worker whose
 /// sequencer early-stops whole chunks refills promptly, large enough
 /// to amortise the claim.
 pub const DEFAULT_CHUNK: usize = 32;
@@ -197,45 +199,35 @@ impl<A, R> DeviceQueue<A, R> {
     }
 }
 
-/// A worker's inner loop: claim a chunk, queue it into the worker's
-/// own `batch`, screen it through `backend`'s batch seam, repeat until
-/// the queue is dry. Reports accumulate in the batch across chunks;
-/// allocation-free once the batch is warm.
+/// A worker's inner loop: streams every chunk it claims from `queue`
+/// into its own `engine` through `backend`'s batch seam, appending the
+/// reports to `reports`, until the queue is dry. Allocation-free once
+/// the engine and `reports` are warm.
 // bist-lint: hot-path — per-worker drain loop
 pub fn drain<A: Adc, R: RngCore, B: Backend>(
-    batch: &mut ScreenBatch<A, R>,
+    engine: &mut ScreenBatch,
     queue: &DeviceQueue<A, R>,
     backend: &mut B,
+    reports: &mut Vec<ScreenReport>,
 ) {
-    while let Some(devices) = queue.claim() {
-        for dev in devices {
-            batch.push(dev);
-        }
-        backend.process_batch(batch);
-    }
+    engine.screen(backend, iter::from_fn(|| queue.claim()).flatten(), reports);
 }
 
 /// Screens a fleet across a scoped pool of `workers` threads (`0` =
-/// available parallelism) claiming `chunk`-device chunks from a shared
-/// [`DeviceQueue`]; every worker owns one batch from `make_batch` and
-/// one `B::default()` backend.
+/// available parallelism) claiming [`DEFAULT_CHUNK`]-device chunks from
+/// a shared [`DeviceQueue`]; every worker owns one engine for
+/// `engine`'s workload and policy and one `B::default()` backend.
 ///
-/// Workers are clamped to the chunk count. With a single worker one
-/// batch screens the fleet through `backend` — the caller's own, warm
-/// backend — `chunk` devices per pass, so it never holds more than one
-/// chunk of devices.
+/// Workers are clamped to the chunk count. With a single worker the
+/// fleet streams through `engine` and `backend` — the caller's own,
+/// warm ones — one device at a time.
 ///
 /// Returns reports sorted by device index — bit-identical to a
-/// single-worker run for any worker count and chunk size.
-///
-/// # Panics
-///
-/// Panics when `chunk` is zero.
+/// single-worker run for any worker count.
 pub fn run_pool<A, R, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     workers: usize,
-    chunk: usize,
-    make_batch: impl Fn() -> ScreenBatch<A, R> + Sync,
+    engine: &mut ScreenBatch,
     backend: &mut B,
 ) -> Vec<ScreenReport>
 where
@@ -243,39 +235,29 @@ where
     R: RngCore + Send,
     B: Backend + Default,
 {
-    assert!(chunk >= 1, "a pool needs a positive chunk size");
+    let devices = devices.into_iter();
     let workers = resolve_workers(workers);
     if workers <= 1 {
-        return screen_in_chunks(make_batch(), devices, chunk, backend);
+        let mut reports = Vec::with_capacity(devices.size_hint().0);
+        engine.screen(backend, devices, &mut reports);
+        return reports;
     }
-    let queue = DeviceQueue::new(devices, chunk);
+    let queue = DeviceQueue::new(devices, DEFAULT_CHUNK);
     let workers = workers.min(queue.chunk_count());
     if workers <= 1 {
-        let fleet = iter::from_fn(|| queue.claim()).flatten();
-        return screen_in_chunks(make_batch(), fleet, chunk, backend);
+        let mut reports = Vec::new();
+        drain(engine, &queue, backend, &mut reports);
+        return reports;
     }
+    let (workload, sequencer) = (*engine.workload(), engine.sequencer());
     let mut reports = fan_out(workers, || {
-        let mut batch = make_batch();
-        drain(&mut batch, &queue, &mut B::default());
-        batch.take_reports()
+        let mut local = Vec::new();
+        let mut engine = ScreenBatch::new(workload, sequencer);
+        drain(&mut engine, &queue, &mut B::default(), &mut local);
+        local
     });
     reports.sort_unstable_by_key(|r| r.device);
     reports
-}
-
-/// The single-worker path of [`run_pool`]: queue at most `chunk`
-/// devices, screen them, repeat until the fleet is dry.
-fn screen_in_chunks<A: Adc, R: RngCore, B: Backend>(
-    mut batch: ScreenBatch<A, R>,
-    devices: impl IntoIterator<Item = BatchDevice<A, R>>,
-    chunk: usize,
-    backend: &mut B,
-) -> Vec<ScreenReport> {
-    let mut devices = devices.into_iter();
-    while devices.by_ref().take(chunk).map(|d| batch.push(d)).count() > 0 {
-        backend.process_batch(&mut batch);
-    }
-    batch.take_reports()
 }
 
 #[cfg(test)]
@@ -283,13 +265,11 @@ mod tests {
     use super::*;
     use crate::backend::BehavioralBackend;
     use crate::config::BistConfig;
-    use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
-    use crate::harness::{BistVerdict, Scratch};
+    use crate::dynamic::DynamicConfig;
     use crate::screener::Workload;
-    use crate::sequencer::{DynSequencer, SeqOutcome, StaticSequencer};
     use bist_adc::spec::LinearitySpec;
     use bist_adc::transfer::TransferFunction;
-    use bist_adc::types::{Code, Resolution, Volts};
+    use bist_adc::types::{Resolution, Volts};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -333,7 +313,7 @@ mod tests {
         assert_eq!(seen, (0..23).collect::<Vec<_>>());
     }
 
-    fn batch() -> ScreenBatch<TransferFunction, StdRng> {
+    fn engine() -> ScreenBatch {
         let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(6)
             .build()
@@ -341,63 +321,67 @@ mod tests {
         ScreenBatch::new(Workload::static_ramp(config), None)
     }
 
+    fn run(n: usize, workers: usize) -> Vec<ScreenReport> {
+        run_pool(fleet(n), workers, &mut engine(), &mut BehavioralBackend)
+    }
+
     #[test]
     fn pooled_reports_are_sorted_and_worker_count_invariant() {
-        let reference = run_pool(fleet(17), 1, 5, batch, &mut BehavioralBackend);
-        assert_eq!(reference.len(), 17);
+        // Three default chunks, so every worker count above one pools.
+        let n = 2 * DEFAULT_CHUNK + 5;
+        let reference = run(n, 1);
+        assert_eq!(reference.len(), n);
         for (i, r) in reference.iter().enumerate() {
             assert_eq!(r.device, i, "reports merge by device index");
         }
         for workers in [2, 3, 16] {
-            for chunk in [1, 4, 32] {
-                let pooled = run_pool(fleet(17), workers, chunk, batch, &mut BehavioralBackend);
-                assert_eq!(pooled, reference, "workers={workers} chunk={chunk}");
-            }
+            assert_eq!(run(n, workers), reference, "workers={workers}");
+        }
+        for chunk in [1, 4, 32] {
+            let mut reports = Vec::new();
+            drain(
+                &mut engine(),
+                &DeviceQueue::new(fleet(n), chunk),
+                &mut BehavioralBackend,
+                &mut reports,
+            );
+            assert_eq!(reports, reference, "chunk={chunk}");
         }
     }
 
-    /// The behavioural backend, recording the deepest queue its batch
-    /// seam was handed.
-    #[derive(Default)]
-    struct DepthProbe {
-        deepest: usize,
+    /// A noise RNG for a noiseless fleet — never drawn — that counts
+    /// how many of its kind are alive.
+    struct Live<'a>(&'a AtomicUsize);
+
+    impl RngCore for Live<'_> {
+        fn next_u64(&mut self) -> u64 {
+            unreachable!("a noiseless fleet draws no noise")
+        }
     }
 
-    impl Backend for DepthProbe {
-        fn judge<I: IntoIterator<Item = Code>>(
-            &mut self,
-            config: &BistConfig,
-            seq: Option<&mut StaticSequencer>,
-            codes: I,
-            scratch: &mut Scratch,
-        ) -> SeqOutcome<BistVerdict> {
-            BehavioralBackend.judge(config, seq, codes, scratch)
-        }
-
-        fn judge_dyn<I: IntoIterator<Item = Code>>(
-            &mut self,
-            config: &DynamicConfig,
-            seq: Option<&mut DynSequencer>,
-            codes: I,
-            scratch: &mut DynScratch,
-        ) -> SeqOutcome<DynamicVerdict> {
-            BehavioralBackend.judge_dyn(config, seq, codes, scratch)
-        }
-
-        fn process_batch<A: Adc, R: RngCore>(&mut self, batch: &mut ScreenBatch<A, R>) {
-            self.deepest = self.deepest.max(batch.queued());
-            BehavioralBackend.process_batch(batch);
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            // ORDERING: Relaxed — the counters are only read after the
+            // single-threaded run returns.
+            self.0.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     #[test]
-    fn one_worker_screens_at_most_one_chunk_at_a_time() {
-        let unchunked = run_pool(fleet(23), 1, usize::MAX, batch, &mut BehavioralBackend);
-        for chunk in [1, 5, 23] {
-            let mut probe = DepthProbe::default();
-            let reports = run_pool(fleet(23), 1, chunk, batch, &mut probe);
-            assert_eq!(reports, unchunked, "chunk={chunk}");
-            assert_eq!(probe.deepest, chunk, "chunk={chunk}");
+    fn one_worker_holds_one_device_at_a_time() {
+        let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
+        for workload in [*engine().workload(), dynamic] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let devices = fleet(3 * DEFAULT_CHUNK).map(|d| {
+                // ORDERING: Relaxed — as in `Live::drop`.
+                peak.fetch_max(live.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+                BatchDevice::new(d.index, d.adc, Live(&live))
+            });
+            let mut engine = ScreenBatch::new(workload, None);
+            let reports = run_pool(devices, 1, &mut engine, &mut BehavioralBackend);
+            assert_eq!(reports.len(), 3 * DEFAULT_CHUNK);
+            // ORDERING: Relaxed — as in `Live::drop`.
+            assert_eq!(peak.load(Ordering::Relaxed), 1, "{workload:?}");
         }
     }
 

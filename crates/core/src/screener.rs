@@ -9,29 +9,29 @@
 //!             or .screen_one(&adc, rng)   one device  → ScreenVerdict
 //! ```
 //!
-//! [`Screener::run`] screens the fleet through one [`ScreenBatch`] per
-//! worker and the backend's batch seam ([`Backend::process_batch`]): the
-//! behavioural backend runs the batch's behavioural engine, the RTL
-//! backend clocks each device through the gate-accurate datapath
-//! scalar-wise — same reports, ordered by device index, either way.
-//! With [`Screener::workers`] the fleet is additionally sharded across
-//! the scoped worker pool of [`crate::pool`], each worker owning a
-//! reusable batch (which plans its own dynamic stimulus table) and
-//! claiming small device chunks from a shared queue — reports stay
-//! bit-identical for any worker count.
-//! [`Screener::screen_one`] is the scalar single-device path;
+//! A screener owns one [`ScreenBatch`] engine for its whole life, built
+//! when the workload and sequencer policy are set, so repeated
+//! [`Screener::run`] calls reuse its sequencer, stimulus table and coded
+//! rows. `run` streams the fleet through that engine and the backend's
+//! batch seam ([`Backend::process_batch`]): the behavioural backend runs
+//! the engine's behavioural loops, the RTL backend clocks each device
+//! through the gate-accurate datapath scalar-wise — same reports,
+//! ordered by device index, either way. With [`Screener::workers`] the
+//! fleet is instead sharded across the scoped worker pool of
+//! [`crate::pool`], each worker streaming the chunks it claims into its
+//! own engine — reports stay bit-identical for any worker count.
+//! [`Screener::screen_one`] is the engine's scalar single-device path;
 //! [`Screener::take_static_outcome`] then returns its per-code detail.
 
 use crate::backend::{Backend, BehavioralBackend};
 use crate::batch::{BatchDevice, ScreenBatch};
 use crate::config::BistConfig;
-use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
-use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
+use crate::dynamic::{DynamicConfig, DynamicVerdict};
+use crate::harness::{BistOutcome, BistVerdict};
 use crate::pool;
-use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
+use crate::sequencer::{SeqDecision, SeqOutcome, SequencerConfig};
 use crate::shard::JobKind;
 use bist_adc::noise::NoiseConfig;
-use bist_adc::stream::CodeStream;
 use bist_adc::types::Resolution;
 use bist_adc::Adc;
 use rand::RngCore;
@@ -218,12 +218,9 @@ pub struct ScreenReport {
 /// ```
 #[derive(Debug)]
 pub struct Screener<B = BehavioralBackend> {
-    workload: Workload,
     backend: B,
-    sequencer: Option<SequencerConfig>,
+    engine: ScreenBatch,
     workers: usize,
-    chunk: usize,
-    scalar: ScalarPath,
 }
 
 impl Screener<BehavioralBackend> {
@@ -231,12 +228,9 @@ impl Screener<BehavioralBackend> {
     /// backend (swap with [`Screener::backend`]).
     pub fn new(workload: Workload) -> Self {
         Screener {
-            workload,
             backend: BehavioralBackend,
-            sequencer: None,
+            engine: ScreenBatch::new(workload, None),
             workers: 1,
-            chunk: pool::DEFAULT_CHUNK,
-            scalar: ScalarPath::default(),
         }
     }
 }
@@ -246,55 +240,50 @@ impl<B: Backend> Screener<B> {
     /// [`crate::backend::RtlBackend`] gate-accurate screening).
     pub fn backend<B2: Backend>(self, backend: B2) -> Screener<B2> {
         Screener {
-            workload: self.workload,
             backend,
-            sequencer: self.sequencer,
+            engine: self.engine,
             workers: self.workers,
-            chunk: self.chunk,
-            scalar: self.scalar,
         }
     }
 
-    /// Screens under the uncertainty-guided early-stop sequencer.
+    /// Screens under the uncertainty-guided early-stop sequencer,
+    /// rebuilding the engine for the new policy.
     pub fn sequencer(mut self, policy: SequencerConfig) -> Self {
-        self.sequencer = Some(policy);
+        self.engine = ScreenBatch::new(*self.engine.workload(), Some(policy));
         self
     }
 
     /// Shards [`Screener::run`] across a scoped worker pool of
     /// `workers` threads (`0` = the host's available parallelism; the
-    /// default `1` keeps the in-thread engine). Each pooled worker
-    /// owns its own batch engine and a `B::default()` backend, and
-    /// reports stay bit-identical for any worker count — see
-    /// [`crate::pool`].
+    /// default `1` streams the fleet through the screener's own
+    /// engine). Each pooled worker owns its own engine and a
+    /// `B::default()` backend, and reports stay bit-identical for any
+    /// worker count — see [`crate::pool`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Sets the size of the device chunks pooled workers claim from
-    /// the shared queue (≥ 1; default [`pool::DEFAULT_CHUNK`]). Small
-    /// chunks keep early-stopping workers fed; large ones amortise the
-    /// claim.
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        assert!(chunk >= 1, "a screener needs a positive chunk size");
-        self.chunk = chunk;
-        self
-    }
-
     /// The configured workload.
     pub fn workload(&self) -> &Workload {
-        &self.workload
+        self.engine.workload()
     }
 
     /// Screens a fleet: one `(adc, rng)` pair per device, reports
     /// ordered by the device's position in the iterator. Dispatches
     /// through the backend's batch seam, so the behavioural backend
-    /// runs the batch engine and the RTL backend the scalar
+    /// runs the behavioural engine and the RTL backend the scalar
     /// gate-accurate loop — identical reports either way. With
     /// [`Screener::workers`] > 1 (or `0` on a multi-core host) the
     /// fleet is sharded across the scoped pool of [`crate::pool`];
     /// reports stay bit-identical for any worker count.
+    ///
+    /// Pooled workers judge with `B::default()` backends — both
+    /// [`BehavioralBackend`] and [`crate::backend::RtlBackend`]
+    /// default to exactly their `new` state, so verdicts don't depend
+    /// on which worker (or the single-threaded path) screened a
+    /// device. On the dynamic workload each worker's engine plans its
+    /// own sine table from its first device.
     pub fn run<A, R, I>(&mut self, devices: I) -> Vec<ScreenReport>
     where
         A: Adc + Send,
@@ -302,43 +291,11 @@ impl<B: Backend> Screener<B> {
         I: IntoIterator<Item = (A, R)>,
         B: Default,
     {
-        let mut reports = Vec::new();
-        self.run_into(devices, &mut reports);
-        reports
-    }
-
-    /// [`Screener::run`] appending into a caller-owned buffer — the
-    /// reusable-engine path: the report `Vec`'s capacity (and, for
-    /// pooled runs, each worker's batch engine across its chunks) is
-    /// reused instead of reallocated per fleet.
-    ///
-    /// Pooled workers judge with `B::default()` backends — both
-    /// [`BehavioralBackend`] and [`crate::backend::RtlBackend`]
-    /// default to exactly their `new` state, so verdicts don't depend
-    /// on which worker (or the single-threaded path) screened a
-    /// device. On the dynamic workload each worker's batch plans its
-    /// own sine table from its first device.
-    pub fn run_into<A, R, I>(&mut self, devices: I, out: &mut Vec<ScreenReport>)
-    where
-        A: Adc + Send,
-        R: RngCore + Send,
-        I: IntoIterator<Item = (A, R)>,
-        B: Default,
-    {
-        let (workload, sequencer) = (self.workload, self.sequencer);
         let fleet = devices
             .into_iter()
             .enumerate()
             .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-        let make_batch = || ScreenBatch::new(workload, sequencer);
-        let reports = pool::run_pool(
-            fleet,
-            self.workers,
-            self.chunk,
-            make_batch,
-            &mut self.backend,
-        );
-        out.extend(reports);
+        pool::run_pool(fleet, self.workers, &mut self.engine, &mut self.backend)
     }
 
     /// Screens one device through the scalar engine, leaving per-code
@@ -349,74 +306,55 @@ impl<B: Backend> Screener<B> {
         adc: &A,
         rng: &mut R,
     ) -> ScreenVerdict {
-        self.scalar
-            .screen(&self.workload, self.sequencer, &mut self.backend, adc, rng)
+        self.engine.screen_one(&mut self.backend, adc, rng)
     }
 
     /// Assembles the full per-code [`BistOutcome`] for the most recent
     /// static [`Screener::screen_one`], or `None` for a dynamic
     /// verdict.
     pub fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
-        match verdict {
-            ScreenVerdict::Static(o) => Some(self.scalar.scratch.take_outcome(o.verdict)),
-            ScreenVerdict::Dynamic(_) => None,
-        }
+        self.engine.take_static_outcome(verdict)
     }
 }
 
-/// The scalar per-device path — plan the stimulus, stream the noisy
-/// codes, judge them through the backend's judge for the workload —
-/// with the scratch and sequencers it reuses from device to device.
-/// [`Screener::screen_one`] and [`ScreenBatch::run_scalar`] both screen
-/// through it.
-#[derive(Debug, Default)]
-pub(crate) struct ScalarPath {
-    scratch: Scratch,
-    dyn_scratch: DynScratch,
-    static_seq: Option<StaticSequencer>,
-    dyn_seq: Option<DynSequencer>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bist_adc::spec::LinearitySpec;
+    use bist_adc::transfer::TransferFunction;
+    use bist_adc::types::Volts;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-impl ScalarPath {
-    /// Screens `adc` under `workload` (and the early-stop `sequencer`
-    /// policy, when given) through `backend`.
-    pub(crate) fn screen<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
-        &mut self,
-        workload: &Workload,
-        sequencer: Option<SequencerConfig>,
-        backend: &mut B,
-        adc: &A,
-        rng: &mut R,
-    ) -> ScreenVerdict {
-        match *workload {
-            Workload::Static {
-                config,
-                noise,
-                slope_error,
-            } => {
-                let (ramp, sampling) = plan_ramp(adc, &config);
-                let ramp = ramp.with_slope_error(slope_error);
-                let stream = CodeStream::noisy(adc, &ramp, sampling, &noise, rng);
-                let seq = sequencer.map(|policy| {
-                    self.static_seq
-                        .get_or_insert_with(|| StaticSequencer::new(policy))
-                });
-                ScreenVerdict::Static(backend.judge(&config, seq, stream, &mut self.scratch))
-            }
-            Workload::Dynamic { config, noise } => {
-                let (sine, sampling) = plan_sine(adc, &config);
-                let stream = CodeStream::noisy(adc, &sine, sampling, &noise, rng);
-                let seq = sequencer.map(|policy| {
-                    self.dyn_seq
-                        .get_or_insert_with(|| DynSequencer::new(policy))
-                });
-                ScreenVerdict::Dynamic(backend.judge_dyn(
-                    &config,
-                    seq,
-                    stream,
-                    &mut self.dyn_scratch,
-                ))
-            }
+    /// A screener re-sequenced after it has screened judges its next
+    /// device under the new policy, as a fresh screener with that
+    /// policy does — on both workloads.
+    #[test]
+    fn resequencing_replaces_the_early_stop_policy() {
+        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+            .counter_bits(5)
+            .build()
+            .unwrap();
+        let adc = TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
+        let late = SequencerConfig {
+            min_samples: 1_000_000,
+            ..SequencerConfig::default()
+        };
+        let workloads = [
+            Workload::static_ramp(config),
+            Workload::dynamic_sine(DynamicConfig::paper_default()),
+        ];
+        for workload in workloads {
+            let rng = || StdRng::seed_from_u64(7);
+            let mut screener = Screener::new(workload).sequencer(SequencerConfig::default());
+            let early = screener.screen_one(&adc, &mut rng());
+            assert!(early.stopped_early(), "{workload:?}: {early:?}");
+            let mut screener = screener.sequencer(late);
+            let fresh = Screener::new(workload)
+                .sequencer(late)
+                .screen_one(&adc, &mut rng());
+            assert!(!fresh.stopped_early(), "{workload:?}: {fresh:?}");
+            assert_eq!(screener.screen_one(&adc, &mut rng()), fresh, "{workload:?}");
         }
     }
 }

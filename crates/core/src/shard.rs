@@ -1,24 +1,26 @@
 //! Resident worker shard: the reusable compute unit behind the
 //! screening service (`bist-serve`).
 //!
-//! A [`ResidentShard`] keeps one [`ScreenBatch`] per resident workload
-//! — the same engine [`crate::pool`] hands its scoped workers — alive
-//! between bursts, so a long-running service screens continuously
-//! without re-allocating: after the first burst warms the engines
-//! (scratch, report buffers, sine table), every later submit→verdict
-//! round trip is allocation-free — proven by the counting-allocator
-//! test in `crates/core/tests/zero_alloc.rs`.
+//! A [`ResidentShard`] keeps one [`ScreenBatch`] engine per resident
+//! workload — the same engine [`crate::pool`] hands its scoped workers —
+//! alive between bursts, so a long-running service screens
+//! continuously without re-allocating: after the first burst warms the
+//! engines (scratch, sine table) and the shard's burst and report
+//! buffers, every later submit→verdict round trip is allocation-free —
+//! proven by the counting-allocator test in
+//! `crates/core/tests/zero_alloc.rs`.
 //!
 //! A job's id is its engine device index, so each verdict comes back
 //! tagged with the id of the job it answers. Because every engine
-//! verdict is bit-identical to the scalar screener for any queue and
-//! refill order (the batch-equivalence property), any arrival
-//! order, burst grouping, or worker count yields the same per-id
-//! verdicts as one [`crate::screener::Screener::run`] pass.
+//! verdict is bit-identical to the scalar screener for any device order
+//! and any split of the fleet across calls (the batch-equivalence
+//! property), any arrival order, burst grouping, or worker count yields
+//! the same per-id verdicts as one [`crate::screener::Screener::run`]
+//! pass.
 
 use crate::backend::Backend;
 use crate::batch::{BatchDevice, ScreenBatch};
-use crate::screener::{ScreenVerdict, Workload};
+use crate::screener::{ScreenReport, ScreenVerdict, Workload};
 use crate::sequencer::SequencerConfig;
 use bist_adc::Adc;
 use rand::RngCore;
@@ -57,19 +59,23 @@ pub struct ShardVerdict {
     pub verdict: ScreenVerdict,
 }
 
-/// A resident worker shard: long-lived batch engines, one per resident
+/// A resident worker shard: long-lived engines, one per resident
 /// workload, reused burst after burst.
 #[derive(Debug)]
 pub struct ResidentShard<A, R, B> {
-    engines: Vec<ScreenBatch<A, R>>,
+    engines: Vec<ScreenBatch>,
     backend: B,
+    /// The burst being screened; empty between bursts.
+    burst: Vec<ShardJob<A, R>>,
+    reports: Vec<ScreenReport>,
 }
 
 impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
     /// Builds a shard resident for each of `workloads`, every engine
     /// under the early-stop `sequencer` policy (when given), judging
     /// with `backend`. Jobs of a kind go to the first workload of that
-    /// kind.
+    /// kind; later workloads of a resident kind are never screened, so
+    /// they get no engine.
     ///
     /// # Panics
     ///
@@ -79,22 +85,30 @@ impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
         sequencer: Option<SequencerConfig>,
         backend: B,
     ) -> Self {
-        let engines: Vec<_> = workloads
-            .into_iter()
-            .map(|w| ScreenBatch::new(w, sequencer))
-            .collect();
+        let mut engines: Vec<ScreenBatch> = Vec::new();
+        for w in workloads {
+            if !engines.iter().any(|e| e.workload().kind() == w.kind()) {
+                engines.push(ScreenBatch::new(w, sequencer));
+            }
+        }
         assert!(
             !engines.is_empty(),
             "a resident shard needs at least one workload"
         );
-        ResidentShard { engines, backend }
+        ResidentShard {
+            engines,
+            backend,
+            burst: Vec::new(),
+            reports: Vec::new(),
+        }
     }
 
     // bist-lint: hot-path — service steady state: every burst is screened through here
     /// Screens one burst of jobs, streaming one [`ShardVerdict`] per
     /// job into `sink` (grouped by workload in the order the shard was
-    /// built with, each group in id order). After the first burst the
-    /// engines are warm and this path allocates nothing.
+    /// built with, each group in id order). Each engine screens its
+    /// jobs in place, by reference. After the first burst the buffers
+    /// and engines are warm and this path allocates nothing.
     ///
     /// # Panics
     ///
@@ -107,32 +121,34 @@ impl<A: Adc, R: RngCore, B: Backend> ResidentShard<A, R, B> {
         F: FnMut(ShardVerdict),
     {
         for job in jobs {
-            let Some(engine) = self
-                .engines
-                .iter_mut()
-                .find(|e| e.workload().kind() == job.kind)
-            else {
+            if !self.engines.iter().any(|e| e.workload().kind() == job.kind) {
                 let kind = match job.kind {
                     JobKind::Static => "static",
                     JobKind::Dynamic => "dynamic",
                 };
                 panic!("shard is not resident for {kind} jobs");
-            };
-            let index = usize::try_from(job.id).expect("job id fits a device index");
-            engine.push(BatchDevice::new(index, job.adc, job.rng));
+            }
+            self.burst.push(job);
         }
         for engine in &mut self.engines {
-            if engine.queued() > 0 {
-                self.backend.process_batch(engine);
-                for report in engine.finish_reports() {
-                    sink(ShardVerdict {
-                        id: report.device as u64,
-                        verdict: report.verdict,
-                    });
-                }
-                engine.clear_reports();
+            let kind = engine.workload().kind();
+            let devices = self
+                .burst
+                .iter_mut()
+                .filter(|job| job.kind == kind)
+                .map(|job| {
+                    let index = usize::try_from(job.id).expect("job id fits a device index");
+                    BatchDevice::new(index, &job.adc, &mut job.rng)
+                });
+            engine.screen(&mut self.backend, devices, &mut self.reports);
+            for report in self.reports.drain(..) {
+                sink(ShardVerdict {
+                    id: report.device as u64,
+                    verdict: report.verdict,
+                });
             }
         }
+        self.burst.clear();
     }
 }
 

@@ -116,10 +116,10 @@ pub fn estimate_offset_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bist_adc::sampler::acquire;
     use bist_adc::sampler::SamplingConfig;
     use bist_adc::signal::Ramp;
     use bist_adc::spec::LinearitySpec;
+    use bist_adc::stream::CodeStream;
     use bist_adc::transfer::TransferFunction;
     use bist_adc::types::{Resolution, Volts};
 
@@ -142,13 +142,10 @@ mod tests {
         let lsb = 0.1;
         let slope = cfg.delta_s().0 * lsb * 1.0e6;
         let samples = ((6.4 + 1.2) / slope * 1.0e6) as usize;
-        acquire(
-            adc,
-            &Ramp::new(Volts(-0.2), slope),
-            SamplingConfig::new(1.0e6, samples),
-        )
-        .bits(0)
-        .collect()
+        let ramp = Ramp::new(Volts(-0.2), slope);
+        CodeStream::noiseless(adc, &ramp, SamplingConfig::new(1.0e6, samples))
+            .map(|c| c.0 & 1 == 1)
+            .collect()
     }
 
     #[test]

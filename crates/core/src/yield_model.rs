@@ -39,11 +39,6 @@ impl YieldModel {
         &self.dist
     }
 
-    /// Number of codes.
-    pub fn codes(&self) -> u64 {
-        self.codes
-    }
-
     /// `P(one code within spec)`.
     pub fn p_code_good(&self, spec: &LinearitySpec) -> f64 {
         self.dist.p_code_good(spec)

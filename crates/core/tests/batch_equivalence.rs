@@ -1,7 +1,7 @@
 //! Property-based equivalence of the batch engine against the scalar
 //! reference: for any fleet size, device mix, noise setting, worker
-//! count and refill order, `Screener::run` (and the raw
-//! `ScreenBatch` driver) must produce reports bit-exact to
+//! count and split of the fleet across calls, `Screener::run` (and a
+//! raw `ScreenBatch` engine) must produce reports bit-exact to
 //! `Screener::screen_one` on the same devices with the same per-device
 //! RNG streams — including the sequencer's latch points
 //! (`SeqDecision`), not just the final verdicts.
@@ -16,6 +16,7 @@ use bist_core::backend::{Backend, BehavioralBackend, RtlBackend};
 use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::{plan_sine, DynamicConfig};
+use bist_core::pool::DEFAULT_CHUNK;
 use bist_core::screener::{ScreenReport, ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::source::{SourceSpec, Zoo};
@@ -130,6 +131,30 @@ fn pooled_and_scalar<B: Backend + Default>(
             .map(|(i, adc)| (adc, device_rng(seed, i))),
     );
     (pooled, scalar)
+}
+
+/// `devices` screened on one behavioural engine in two `screen` calls,
+/// split before device `split` (clamped to the fleet).
+fn screened_in_two_calls(
+    workload: Workload,
+    sequenced: bool,
+    devices: &[FlashAdc],
+    seed: u64,
+    split: usize,
+) -> Vec<ScreenReport> {
+    let mut engine = ScreenBatch::new(workload, sequenced.then(SequencerConfig::default));
+    let part = |range: std::ops::Range<usize>| {
+        range.map(|i| BatchDevice::new(i, &devices[i], device_rng(seed, i)))
+    };
+    let split = split.min(devices.len());
+    let mut reports = Vec::new();
+    engine.screen(&mut BehavioralBackend, part(0..split), &mut reports);
+    engine.screen(
+        &mut BehavioralBackend,
+        part(split..devices.len()),
+        &mut reports,
+    );
+    reports
 }
 
 /// A mixed fleet at `config`'s resolution for the coded-device tests,
@@ -249,18 +274,17 @@ proptest! {
         }
     }
 
-    /// Worker pool: sharding the fleet across a work-stealing pool of
-    /// any size, with any chunk size, on either workload
-    /// with or without a sequencer, through either backend's batch
-    /// seam, over a fleet split across two input ranges, is bit-exact
-    /// to that backend's scalar engine — which worker screens a device
-    /// cannot change its report.
+    /// Worker pool: sharding the fleet — up to three chunks — across a
+    /// work-stealing pool of any size, on either workload with or
+    /// without a sequencer, through either backend's batch seam, over a
+    /// fleet split across two input ranges, is bit-exact to that
+    /// backend's scalar engine — which worker screens a device cannot
+    /// change its report.
     #[test]
     fn pooled_matches_scalar_for_any_worker_count(
         seed in any::<u64>(),
-        n in 1usize..16,
+        n in 1usize..3 * DEFAULT_CHUNK,
         workers in 1usize..17,
-        chunk in 1usize..10,
         sequenced in any::<bool>(),
         dynamic in any::<bool>(),
         rtl in any::<bool>(),
@@ -275,9 +299,7 @@ proptest! {
         } else {
             Workload::static_ramp(static_config(5))
         };
-        let mut screener = Screener::new(workload)
-            .workers(workers)
-            .chunk_size(chunk);
+        let mut screener = Screener::new(workload).workers(workers);
         if sequenced {
             screener = screener.sequencer(SequencerConfig::default());
         }
@@ -293,9 +315,9 @@ proptest! {
         }
     }
 
-    /// Refill order: pushing the fleet in arbitrarily-sized waves with
-    /// `run_batched` between waves (the queue refills, reports
-    /// accumulate across calls) matches the scalar engine.
+    /// One engine, two `screen` calls: splitting the fleet at any point
+    /// across two calls on one warm static engine matches the scalar
+    /// engine.
     #[test]
     fn static_refill_order_is_irrelevant(
         seed in any::<u64>(),
@@ -303,23 +325,10 @@ proptest! {
         split in 0usize..12,
         sequenced in any::<bool>(),
     ) {
-        let split = split.min(n);
         let devices = fleet(seed, n);
-        let config = static_config(4);
-        let scalar =
-            scalar_verdicts(Workload::static_ramp(config), sequenced, &devices, seed);
-
-        let policy = sequenced.then(SequencerConfig::default);
-        let mut batch = ScreenBatch::new(Workload::static_ramp(config), policy);
-        for (i, adc) in devices.iter().enumerate().take(split) {
-            batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
-        }
-        batch.run_batched();
-        for (i, adc) in devices.iter().enumerate().skip(split) {
-            batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
-        }
-        batch.run_batched();
-        let reports = batch.take_reports();
+        let workload = Workload::static_ramp(static_config(4));
+        let scalar = scalar_verdicts(workload, sequenced, &devices, seed);
+        let reports = screened_in_two_calls(workload, sequenced, &devices, seed, split);
         prop_assert_eq!(reports.len(), n);
         for (i, report) in reports.into_iter().enumerate() {
             prop_assert_eq!(report.device, i);
@@ -327,8 +336,8 @@ proptest! {
         }
     }
 
-    /// Same refill property for the dynamic engine, and `run_scalar`
-    /// through the raw batch driver agrees with `screen_one` too.
+    /// The same two-call property for the dynamic engine, whose
+    /// stimulus table the second call finds already planned.
     #[test]
     fn dynamic_refill_order_is_irrelevant(
         seed in any::<u64>(),
@@ -336,35 +345,15 @@ proptest! {
         split in 0usize..7,
         sequenced in any::<bool>(),
     ) {
-        let split = split.min(n);
         let devices = fleet(seed, n);
-        let config = dyn_config();
-        let scalar =
-            scalar_verdicts(Workload::dynamic_sine(config), sequenced, &devices, seed);
-
-        let policy = sequenced.then(SequencerConfig::default);
-        let mut batch = ScreenBatch::new(Workload::dynamic_sine(config), policy);
-        for (i, adc) in devices.iter().enumerate().take(split) {
-            batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
-        }
-        batch.run_batched();
-        for (i, adc) in devices.iter().enumerate().skip(split) {
-            batch.push(BatchDevice::new(i, adc, device_rng(seed, i)));
-        }
-        batch.run_batched();
-        let reports = batch.take_reports();
+        let workload = Workload::dynamic_sine(dyn_config());
+        let scalar = scalar_verdicts(workload, sequenced, &devices, seed);
+        let reports = screened_in_two_calls(workload, sequenced, &devices, seed, split);
         prop_assert_eq!(reports.len(), n);
-        for (i, report) in reports.iter().enumerate() {
+        for (i, report) in reports.into_iter().enumerate() {
             prop_assert_eq!(report.device, i);
             prop_assert_eq!(report.verdict, scalar[i]);
         }
-
-        let mut raw = ScreenBatch::new(Workload::dynamic_sine(config), policy);
-        for (i, adc) in devices.iter().enumerate() {
-            raw.push(BatchDevice::new(i, adc, device_rng(seed, i)));
-        }
-        raw.run_scalar(&mut BehavioralBackend);
-        prop_assert_eq!(raw.take_reports(), reports);
     }
 }
 

@@ -1,8 +1,10 @@
 //! Proves the acceptance criterion of the streaming engine: after
 //! warm-up, the device→verdict hot paths — scalar `Screener::screen_one`
-//! on every workload × backend × sequencing combination, and the
-//! `ScreenBatch` engine on both workloads — perform
-//! **zero heap allocations**.
+//! on every workload × backend × sequencing combination, the
+//! `ScreenBatch` engine on both workloads, the pooled worker drain and
+//! the resident shard — perform **zero heap allocations**, and a warm
+//! single-worker `Screener::run` allocates only the report `Vec` it
+//! returns.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! warms each engine on a first pass (buffers reach the workload's
@@ -158,17 +160,16 @@ fn hot_path_is_allocation_free_after_warmup() {
     assert!(stopped > 0, "no sequenced run stopped early");
 
     // The batch engines get the same guarantee: sequencers, the shared
-    // stimulus table, the coded record rows, report buffers and the
-    // refill queue all reach their high-water mark on the first pass,
-    // and a reused batch drained with `finish_reports` +
-    // `clear_reports` (not `take_reports`, which surrenders the
-    // buffer) allocates nothing afterwards. Six batches cover run-skip
-    // and fallback static sweeps, and the coded and per-sample dynamic
-    // records, plain and sequenced — the sequenced run-skip sweep with
-    // its checkpoints being the fleet path. The mixed batch interleaves
-    // per-sample devices (a fault-wrapped converter states no levels)
-    // with 11 coded ones: one full 8-device group, then a partial group
-    // of 3 flushed when the queue drains.
+    // stimulus table, the coded record rows and the caller's report
+    // buffer all reach their high-water mark on the first pass, and a
+    // warm engine screening into a cleared buffer allocates nothing
+    // afterwards. Six engines cover run-skip and fallback static sweeps,
+    // and the coded and per-sample dynamic records, plain and sequenced
+    // — the sequenced run-skip sweep with its checkpoints being the
+    // fleet path. The mixed stream interleaves per-sample devices (a
+    // fault-wrapped converter states no levels) with 11 coded ones: one
+    // full 8-device group, then a partial group of 3 flushed when the
+    // stream ends.
     const FLEET: usize = 8;
     const MIXED: usize = 13;
     let w_dyn_plain = Workload::dynamic_sine(dyn_config);
@@ -179,53 +180,36 @@ fn hot_path_is_allocation_free_after_warmup() {
     let mut b_dyn = ScreenBatch::new(w_dyn_plain, None);
     let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy));
     let mut b_dyn_mixed = ScreenBatch::new(w_dyn_plain, None);
+    let mut reports = Vec::new();
 
     let mut batch_all = |accepted: &mut u32, stopped: &mut u32| {
-        for i in 0..FLEET {
-            let rng = || StdRng::seed_from_u64(i as u64);
-            b_static.push(BatchDevice::new(i, &adc, rng()));
-            b_static_seq.push(BatchDevice::new(i, &adc, rng()));
-            b_skip_seq.push(BatchDevice::new(i, &adc, rng()));
-            b_dyn.push(BatchDevice::new(i, &adc, rng()));
-            b_dyn_seq.push(BatchDevice::new(i, &adc, rng()));
+        let fleet =
+            || (0..FLEET).map(|i| BatchDevice::new(i, &adc, StdRng::seed_from_u64(i as u64)));
+        // Early stops are counted on the sequenced run-skip sweep.
+        for (engine, count_stops) in [
+            (&mut b_static, false),
+            (&mut b_static_seq, false),
+            (&mut b_skip_seq, true),
+            (&mut b_dyn, false),
+            (&mut b_dyn_seq, false),
+        ] {
+            reports.clear();
+            engine.screen(&mut BehavioralBackend, fleet(), &mut reports);
+            for r in &reports {
+                *accepted += u32::from(r.verdict.accepted());
+                *stopped += u32::from(count_stops && r.verdict.stopped_early());
+            }
         }
-        for i in 0..MIXED {
+        let mixed = (0..MIXED).map(|i| {
             let dev: &dyn Adc = if i % 5 == 4 { &faulty } else { &adc };
-            b_dyn_mixed.push(BatchDevice::new(i, dev, StdRng::seed_from_u64(i as u64)));
-        }
-        b_static.run_batched();
-        b_static_seq.run_batched();
-        b_skip_seq.run_batched();
-        b_dyn.run_batched();
-        b_dyn_seq.run_batched();
-        b_dyn_mixed.run_batched();
-        for r in b_static.finish_reports() {
+            BatchDevice::new(i, dev, StdRng::seed_from_u64(i as u64))
+        });
+        reports.clear();
+        b_dyn_mixed.screen(&mut BehavioralBackend, mixed, &mut reports);
+        assert_eq!(reports.len(), MIXED, "every mixed device is reported");
+        for r in &reports {
             *accepted += u32::from(r.verdict.accepted());
         }
-        for r in b_static_seq.finish_reports() {
-            *accepted += u32::from(r.verdict.accepted());
-        }
-        for r in b_skip_seq.finish_reports() {
-            *accepted += u32::from(r.verdict.accepted());
-            *stopped += u32::from(r.verdict.stopped_early());
-        }
-        for r in b_dyn.finish_reports() {
-            *accepted += u32::from(r.verdict.accepted());
-        }
-        for r in b_dyn_seq.finish_reports() {
-            *accepted += u32::from(r.verdict.accepted());
-        }
-        let mixed = b_dyn_mixed.finish_reports();
-        assert_eq!(mixed.len(), MIXED, "every mixed device is reported");
-        for r in mixed {
-            *accepted += u32::from(r.verdict.accepted());
-        }
-        b_static.clear_reports();
-        b_static_seq.clear_reports();
-        b_skip_seq.clear_reports();
-        b_dyn.clear_reports();
-        b_dyn_seq.clear_reports();
-        b_dyn_mixed.clear_reports();
     };
 
     let (mut warm_batch_accepted, mut warm_batch_stopped) = (0u32, 0u32);
@@ -245,19 +229,54 @@ fn hot_path_is_allocation_free_after_warmup() {
     assert_eq!(
         (batch_accepted, batch_stopped),
         (warm_batch_accepted, warm_batch_stopped),
-        "reused batches must reproduce the warm pass verdicts"
+        "warm engines must reproduce the warm-up pass verdicts"
     );
     assert!(
         batch_stopped > 0,
-        "no run-skip lane stopped at a checkpoint"
+        "no run-skip sweep stopped at a checkpoint"
+    );
+
+    // A warm single-worker `Screener::run` streams the fleet through the
+    // screener's own engine, so the report `Vec` it returns is the only
+    // allocation of each call — static and dynamic, plain and sequenced.
+    let mut r_static = Screener::new(w_plain);
+    let mut r_static_seq = Screener::new(w_plain).sequencer(policy);
+    let mut r_dyn = Screener::new(w_dyn_plain);
+    let mut r_dyn_seq = Screener::new(w_dyn).sequencer(policy);
+    let mut run_all = || -> u32 {
+        let fleet = || (0..FLEET).map(|i| (&adc, StdRng::seed_from_u64(i as u64)));
+        [
+            r_static.run(fleet()),
+            r_static_seq.run(fleet()),
+            r_dyn.run(fleet()),
+            r_dyn_seq.run(fleet()),
+        ]
+        .iter()
+        .flatten()
+        .map(|r| u32::from(r.verdict.accepted()))
+        .sum()
+    };
+    let warm_run_accepted = run_all();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let run_accepted = run_all();
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        4,
+        "four warm `Screener::run` calls allocated {} times, not once each",
+        after - before
+    );
+    assert_eq!(
+        run_accepted, warm_run_accepted,
+        "a warm screener must reproduce its first run's verdicts"
     );
 
     // The pooled per-worker drain gets the same guarantee: a worker's
-    // steady state is claim → push → run, and claiming is one
-    // `fetch_add` plus a buffer move. Packing a fleet into a
+    // steady state claims a chunk (one `fetch_add` plus a buffer move)
+    // and streams it into its engine. Packing a fleet into a
     // `DeviceQueue` allocates, so the queues are prebuilt before the
-    // snapshot; the drain itself — warm batches, reused reports — must
-    // not allocate.
+    // snapshot; the drain itself — warm engines, a reused report
+    // buffer — must not allocate.
     let make_queue = |chunk: usize| {
         DeviceQueue::new(
             (0..FLEET).map(|i| BatchDevice::new(i, &adc, StdRng::seed_from_u64(i as u64))),
@@ -268,18 +287,18 @@ fn hot_path_is_allocation_free_after_warmup() {
     let mut p_dyn = ScreenBatch::new(w_dyn_plain, None);
 
     let mut drain_accepted = |q_static: &DeviceQueue<_, _>, q_dyn: &DeviceQueue<_, _>| -> u32 {
-        let mut accepted = 0u32;
-        drain(&mut p_static, q_static, &mut BehavioralBackend);
-        drain(&mut p_dyn, q_dyn, &mut BehavioralBackend);
-        for r in p_static.finish_reports() {
-            accepted += u32::from(r.verdict.accepted());
-        }
-        for r in p_dyn.finish_reports() {
-            accepted += u32::from(r.verdict.accepted());
-        }
-        p_static.clear_reports();
-        p_dyn.clear_reports();
-        accepted
+        reports.clear();
+        drain(
+            &mut p_static,
+            q_static,
+            &mut BehavioralBackend,
+            &mut reports,
+        );
+        drain(&mut p_dyn, q_dyn, &mut BehavioralBackend, &mut reports);
+        reports
+            .iter()
+            .map(|r| u32::from(r.verdict.accepted()))
+            .sum()
     };
 
     let warm_pool_accepted = drain_accepted(&make_queue(3), &make_queue(3));
@@ -304,8 +323,8 @@ fn hot_path_is_allocation_free_after_warmup() {
     // enter a bounded ring, a resident shard screens the burst with
     // warm engines, and verdicts leave through a second ring. The
     // rings move items inside preallocated slots and the shard reuses
-    // its batch engines, so after one warm burst the
-    // whole submit→verdict round trip must not allocate.
+    // its engines and burst buffers, so after one warm burst the whole
+    // submit→verdict round trip must not allocate.
     const SERVICE_BURST: u64 = 12;
     let mut shard = ResidentShard::new([w_noisy, w_dyn], None, BehavioralBackend);
     let submit: Ring<ShardJob<&TransferFunction, StdRng>> =

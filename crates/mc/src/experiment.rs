@@ -2,10 +2,10 @@
 //! the §4/§5 static linearity ramp or the §2 dynamic sine record — and
 //! account the outcome.
 //!
-//! One [`Experiment`] runs either workload. Each device range is
-//! screened as one [`ScreenBatch`] through the backend's batch seam
-//! ([`Backend::process_batch`]), so screening a device is
-//! allocation-free after warm-up. The one [`ExperimentResult`] carries
+//! One [`Experiment`] runs either workload. Each pool worker streams
+//! the device ranges it claims through one [`ScreenBatch`] engine and
+//! the backend's batch seam ([`Backend::process_batch`]), so screening
+//! a device is allocation-free after warm-up. The one [`ExperimentResult`] carries
 //! the accept tally, the ADC samples consumed, a [`Rejections`] tally
 //! by failed check and — for static workloads, where ground truth
 //! exists — the type I/II confusion matrix.
@@ -99,12 +99,13 @@ impl Experiment {
         self
     }
 
-    /// Runs device indices `[from, to)` (clamped to the batch) through
-    /// an explicit verdict backend — the unit of work for the fan-out.
+    /// Screens device indices `[from, to)` (clamped to the batch) on
+    /// `engine`, built for this experiment's workload, through an
+    /// explicit verdict backend — the unit of work for the fan-out.
     ///
-    /// The range is screened as one batch through the backend's batch
-    /// seam: the behavioural backend runs the batch engines of
-    /// [`bist_core::batch`], the RTL backend clocks each device
+    /// The range streams through the backend's batch seam: the
+    /// behavioural backend runs the engine's behavioural loops
+    /// ([`bist_core::batch`]), the RTL backend clocks each device
     /// scalar-wise — verdicts are bit-identical either way. Per-device
     /// streams depend only on `(seed, index)`, so two backends see
     /// bit-identical code streams and the result is independent of how
@@ -115,17 +116,17 @@ impl Experiment {
     ///   `batch.device_rng(i ^ 0x5eed_0000_0000_0000)`;
     /// * dynamic — device from `stream_rng(seed, &[0, i])`, acquisition
     ///   `stream_rng(seed, &[DYN_EXP_SALT, i])`.
-    pub fn run_range_with<B: Backend>(
+    fn run_range<B: Backend>(
         &self,
+        engine: &mut ScreenBatch,
         backend: &mut B,
         from: usize,
         to: usize,
     ) -> ExperimentResult {
         let to = to.min(self.batch.size);
         let mut result = ExperimentResult::default();
-        let mut work = ScreenBatch::new(self.workload, None);
         let mut truths = Vec::with_capacity(to.saturating_sub(from));
-        for i in from..to {
+        let devices = (from..to).map(|i| {
             let (adc, rng) = match self.workload {
                 Workload::Static { config, .. } => {
                     let tf = self.batch.device(i);
@@ -153,10 +154,11 @@ impl Experiment {
                     (adc, stream_rng(seed, &[DYN_EXP_SALT, index]))
                 }
             };
-            work.push(BatchDevice::new(i, adc, rng));
-        }
-        backend.process_batch(&mut work);
-        for report in work.finish_reports() {
+            BatchDevice::new(i, adc, rng)
+        });
+        let mut reports = Vec::with_capacity(to.saturating_sub(from));
+        engine.screen(backend, devices, &mut reports);
+        for report in &reports {
             let verdict = &report.verdict;
             if let Some(&truth_good) = truths.get(report.device - from) {
                 result.matrix.record(truth_good, verdict.accepted());
@@ -170,8 +172,9 @@ impl Experiment {
     /// Runs the whole batch across `workers` threads (0 = available
     /// parallelism; 1 = a sequential sweep) with a per-worker backend
     /// built by `make_backend` — `|| RtlBackend::new()` for the
-    /// gate-accurate datapath. The merged result is bit-identical to a
-    /// sequential [`Experiment::run_range_with`] for any worker count.
+    /// gate-accurate datapath — and one engine per worker, kept across
+    /// the ranges it claims. The merged result is bit-identical to a
+    /// sequential sweep for any worker count.
     pub fn run_with<B, F>(&self, workers: usize, make_backend: F) -> ExperimentResult
     where
         B: Backend,
@@ -180,8 +183,8 @@ impl Experiment {
         let partials = pool::map_ranges(
             self.batch.size,
             workers,
-            &make_backend,
-            |backend, from, to| self.run_range_with(backend, from, to),
+            || (make_backend(), ScreenBatch::new(self.workload, None)),
+            |(backend, engine), from, to| self.run_range(engine, backend, from, to),
         );
         let mut total = ExperimentResult::default();
         for partial in &partials {
@@ -433,6 +436,17 @@ mod tests {
     use bist_core::harness::BistVerdict;
     use bist_core::sequencer::{SeqDecision, SeqOutcome};
 
+    /// Screens `[from, to)` of `exp` on a fresh engine: one range of
+    /// the fan-out, run alone.
+    fn run_range_with<B: Backend>(
+        exp: &Experiment,
+        backend: &mut B,
+        from: usize,
+        to: usize,
+    ) -> ExperimentResult {
+        exp.run_range(&mut ScreenBatch::new(exp.workload, None), backend, from, to)
+    }
+
     fn config(bits: u32) -> BistConfig {
         BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(bits)
@@ -481,8 +495,8 @@ mod tests {
         let n = exp.batch.size;
         let name = std::any::type_name::<B>();
         let mut backend = B::default();
-        let mut split = exp.run_range_with(&mut backend, 0, n / 3);
-        split.merge(&exp.run_range_with(&mut backend, n / 3, n + 1000));
+        let mut split = run_range_with(exp, &mut backend, 0, n / 3);
+        split.merge(&run_range_with(exp, &mut backend, n / 3, n + 1000));
         assert_eq!(&split, reference, "{label} / {name}: split ranges");
         for &w in workers {
             let fanned = exp.run_with(w, B::default);
@@ -516,7 +530,7 @@ mod tests {
         ];
         for (label, exp, workers) in &rows {
             let n = exp.batch.size;
-            let reference = exp.run_range_with(&mut BehavioralBackend, 0, n);
+            let reference = run_range_with(exp, &mut BehavioralBackend, 0, n);
             assert_eq!(reference.screened, n as u64, "{label}");
             check_rows::<BehavioralBackend>(label, exp, workers, &reference);
             check_rows::<RtlBackend>(label, exp, workers, &reference);
@@ -538,15 +552,15 @@ mod tests {
     fn run_range_partitions_consistently() {
         let exp = static_experiment(5, 100, 5);
         let whole = exp.run(0);
-        let mut parts = exp.run_range_with(&mut BehavioralBackend, 0, 40);
-        parts.merge(&exp.run_range_with(&mut BehavioralBackend, 40, 100));
+        let mut parts = run_range_with(&exp, &mut BehavioralBackend, 0, 40);
+        parts.merge(&run_range_with(&exp, &mut BehavioralBackend, 40, 100));
         assert_eq!(whole, parts);
     }
 
     #[test]
     fn range_clamps_to_batch() {
         let exp = static_experiment(5, 10, 5);
-        let r = exp.run_range_with(&mut BehavioralBackend, 0, 1000);
+        let r = run_range_with(&exp, &mut BehavioralBackend, 0, 1000);
         assert_eq!(r.matrix.total(), 10);
         assert_eq!(r.screened, 10);
     }
@@ -570,10 +584,10 @@ mod tests {
     #[test]
     fn dyn_experiment_range_clamps_and_merges() {
         let exp = dyn_experiment(10, 0.16);
-        let whole = exp.run_range_with(&mut BehavioralBackend, 0, 1000);
+        let whole = run_range_with(&exp, &mut BehavioralBackend, 0, 1000);
         assert_eq!(whole.screened, 10);
-        let mut parts = exp.run_range_with(&mut BehavioralBackend, 0, 4);
-        parts.merge(&exp.run_range_with(&mut BehavioralBackend, 4, 10));
+        let mut parts = run_range_with(&exp, &mut BehavioralBackend, 0, 4);
+        parts.merge(&run_range_with(&exp, &mut BehavioralBackend, 4, 10));
         assert_eq!(whole, parts);
     }
 

@@ -81,7 +81,7 @@ mod parallel {
         use crate::{Batch, Experiment};
         use bist_adc::spec::LinearitySpec;
         use bist_adc::types::Resolution;
-        use bist_core::backend::{BehavioralBackend, RtlBackend};
+        use bist_core::backend::RtlBackend;
         use bist_core::config::BistConfig;
         use bist_core::screener::Workload;
 
@@ -99,7 +99,7 @@ mod parallel {
         #[test]
         fn parallel_equals_sequential() {
             let exp = experiment(240);
-            let seq = exp.run_range_with(&mut BehavioralBackend, 0, 240);
+            let seq = exp.run(1);
             for workers in [2, 3, 8] {
                 let par = exp.run(workers);
                 assert_eq!(par, seq, "workers {workers}");

@@ -18,8 +18,9 @@
 //! plain threads, each owning a [`ResidentShard`] whose batch engines
 //! stay warm between bursts — the steady state allocates nothing.
 //! Verdicts are tagged with submission ids, and because every engine
-//! verdict is bit-identical to the scalar screener for any queue and
-//! refill order, any arrival order, burst grouping, or worker
+//! verdict is bit-identical to the scalar screener for any device order
+//! and any split of the fleet across calls, any arrival order, burst
+//! grouping, or worker
 //! count streams back exactly the per-device reports
 //! [`Screener::run`](bist_core::screener::Screener::run) would emit.
 

@@ -12,8 +12,9 @@
 //! Run with: `cargo run --release --example dynamic_test`
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::SineWave;
+use bist_adc::stream::CodeStream;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
@@ -34,8 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cycles = 1021u32;
     let f_in = SineWave::coherent_frequency(cycles, n, fs);
     let sine = SineWave::new(3.26, f_in, 0.0, Volts(3.2));
-    let capture = acquire(&device, &sine, SamplingConfig::new(fs, n));
-    let record: Vec<f64> = capture.normalized(Resolution::SIX_BIT.bits()).collect();
+    // Codes centred to ±0.5-normalised values: (code + 0.5)/2ⁿ − 0.5.
+    let full_scale = f64::from(Resolution::SIX_BIT.code_count());
+    let record: Vec<f64> = CodeStream::noiseless(&device, &sine, SamplingConfig::new(fs, n))
+        .map(|c| (c.0 as f64 + 0.5) / full_scale - 0.5)
+        .collect();
 
     // --- 1. FFT test -----------------------------------------------------
     let analysis = analyze_tone(&record, &ToneAnalysisConfig::default())?;

@@ -8,11 +8,12 @@
 //!
 //! Run with: `cargo run --example partial_bist_planning`
 
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
+use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
-use bist_adc::types::{Resolution, Volts};
+use bist_adc::types::{Code, Resolution, Volts};
 use bist_core::config::BistConfig;
 use bist_core::functional::check_code_stream;
 use bist_core::qmin::QminPlan;
@@ -44,8 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .monitored_bit(1)
         .build()?;
     let ramp = Ramp::new(Volts(-0.2), 8.0); // a faster ramp than the LSB test allows
-    let capture = acquire(&adc, &ramp, SamplingConfig::new(f_sample, 900_000));
-    let functional = check_code_stream(capture.codes(), config.monitored_bit());
+    let sampling = SamplingConfig::new(f_sample, 900_000);
+    let capture: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
+    let functional = check_code_stream(&capture, config.monitored_bit());
     println!("  {functional}");
     println!(
         "  ({} falling edges of bit 1 checked the upper word's +1 continuity)",
@@ -60,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             value: false,
         },
     );
-    let capture = acquire(&faulty, &ramp, SamplingConfig::new(f_sample, 900_000));
-    let functional = check_code_stream(capture.codes(), config.monitored_bit());
+    let capture: Vec<Code> = CodeStream::noiseless(&faulty, &ramp, sampling).collect();
+    let functional = check_code_stream(&capture, config.monitored_bit());
     println!("  with bit 4 stuck low: {functional}");
     Ok(())
 }

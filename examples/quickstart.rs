@@ -58,17 +58,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    §2 — offset and gain — with no extra hardware.
     //    (The harness ramp starts 2 LSB below the input range.)
     let lsb_stream: Vec<bool> = {
-        use bist_adc::sampler::{acquire, SamplingConfig};
+        use bist_adc::sampler::SamplingConfig;
         use bist_adc::signal::Ramp;
+        use bist_adc::stream::CodeStream;
         let slope = config.delta_s().0 * 0.1 * 1.0e6;
         let samples = ((6.4 + 1.2) / slope * 1.0e6) as usize;
-        acquire(
-            &device,
-            &Ramp::new(bist_adc::types::Volts(-0.2), slope),
-            SamplingConfig::new(1.0e6, samples),
-        )
-        .bits(0)
-        .collect()
+        let ramp = Ramp::new(bist_adc::types::Volts(-0.2), slope);
+        CodeStream::noiseless(&device, &ramp, SamplingConfig::new(1.0e6, samples))
+            .map(|c| c.0 & 1 == 1)
+            .collect()
     };
     if let Some(est) = bist_core::static_params::estimate_offset_gain(&config, &lsb_stream, -2.0) {
         println!("\nstatic parameters:  {est}");

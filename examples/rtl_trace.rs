@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --example rtl_trace`
 
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
+use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::config::BistConfig;
@@ -24,17 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .delta_s(bist_adc::types::Lsb(0.11))
         .build()?;
     let slope = 0.11 * 0.1 * 1000.0; // Δs · LSB · f_sample
-    let capture = acquire(
-        &adc,
-        &Ramp::new(Volts(-0.05), slope),
-        SamplingConfig::new(1000.0, 85),
-    );
+    let ramp = Ramp::new(Volts(-0.05), slope);
+    let capture = CodeStream::noiseless(&adc, &ramp, SamplingConfig::new(1000.0, 85));
 
     println!("config: {config}\n");
     let mut bist = LsbProcessor::new(config.to_rtl());
     let mut trace = Trace::new();
     let mut results = Vec::new();
-    for (cycle, code) in capture.codes().iter().enumerate() {
+    for (cycle, code) in capture.enumerate() {
         let lsb = code.0 & 1 == 1;
         trace.sample(cycle as u64, "code", u64::from(code.0));
         trace.sample(cycle as u64, "lsb", u64::from(lsb));

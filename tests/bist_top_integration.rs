@@ -11,10 +11,11 @@
 //! tolerances this test used to need are gone.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
-use bist_adc::types::{Resolution, Volts};
+use bist_adc::stream::CodeStream;
+use bist_adc::types::{Code, Resolution, Volts};
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::config::BistConfig;
 use bist_core::harness::Scratch;
@@ -39,7 +40,7 @@ fn top_from(config: &BistConfig) -> BistTop {
 }
 
 /// Runs a capture through the top level, honouring the drain protocol.
-fn run_top(top: &mut BistTop, codes: &[bist_adc::types::Code]) {
+fn run_top(top: &mut BistTop, codes: &[Code]) {
     for code in codes {
         top.tick(u64::from(code.0));
     }
@@ -56,18 +57,16 @@ fn top_level_agrees_with_harness_on_flash_batch() {
         let mut rng = StdRng::seed_from_u64(seed);
         let adc = FlashConfig::paper_device().sample(&mut rng);
         let slope = config.delta_s().0 * 0.1 * 1.0e6;
-        let capture = acquire(
-            &adc,
-            &Ramp::new(Volts(-0.2), slope),
-            SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize),
-        );
+        let ramp = Ramp::new(Volts(-0.2), slope);
+        let sampling = SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize);
+        let capture: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
         let mut scratch = Scratch::new();
-        let codes = capture.codes().iter().copied();
+        let codes = capture.iter().copied();
         let verdict = BehavioralBackend.judge(&config, None, codes, &mut scratch);
         let behavioural = scratch.take_outcome(verdict.verdict);
 
         let mut top = top_from(&config);
-        run_top(&mut top, capture.codes());
+        run_top(&mut top, &capture);
         let report = top.report();
         // Exact agreement, field by field — no latency fudge.
         assert_eq!(
@@ -146,13 +145,11 @@ fn signature_distinguishes_devices() {
         let mut rng = StdRng::seed_from_u64(seed);
         let adc = FlashConfig::paper_device().sample(&mut rng);
         let slope = config.delta_s().0 * 0.1 * 1.0e6;
-        let capture = acquire(
-            &adc,
-            &Ramp::new(Volts(-0.2), slope),
-            SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize),
-        );
+        let ramp = Ramp::new(Volts(-0.2), slope);
+        let sampling = SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize);
+        let capture: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
         let mut top = top_from(&config);
-        run_top(&mut top, capture.codes());
+        run_top(&mut top, &capture);
         signatures.insert(top.report().signature.value());
     }
     assert_eq!(signatures.len(), 20, "signature collision across devices");

@@ -214,9 +214,9 @@ fn streaming_verdict_matches_materialised_fft() {
             let verdict = BehavioralBackend
                 .judge_dyn(&config, None, codes(), &mut scratch)
                 .verdict;
+            let full_scale = f64::from(config.resolution().code_count());
             let record: Vec<f64> = codes()
-                .capture()
-                .normalized(config.resolution().bits())
+                .map(|c| (c.0 as f64 + 0.5) / full_scale - 0.5)
                 .collect();
             let fft = analyze_tone(&record, &fft_config)
                 .expect("coherent record length is a power of two");

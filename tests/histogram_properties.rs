@@ -4,8 +4,9 @@
 
 use bist_adc::histogram::{ramp_linearity, CodeHistogram};
 use bist_adc::metrics::{dnl, inl_from_dnl};
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
+use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use proptest::prelude::*;
@@ -41,12 +42,9 @@ proptest! {
     fn ramp_histogram_recovers_dnl(tf in arb_transfer()) {
         let samples_per_code = 200.0;
         let slope = 0.1 / samples_per_code * 1.0e6;
-        let capture = acquire(
-            &tf,
-            &Ramp::new(Volts(-0.05), slope),
-            SamplingConfig::new(1.0e6, (3.4 / slope * 1.0e6) as usize),
-        );
-        let hist = CodeHistogram::from_codes(tf.resolution(), capture.codes().iter().copied());
+        let ramp = Ramp::new(Volts(-0.05), slope);
+        let codes = CodeStream::noiseless(&tf, &ramp, SamplingConfig::new(1.0e6, (3.4 / slope * 1.0e6) as usize));
+        let hist = CodeHistogram::from_codes(tf.resolution(), codes);
         let est = ramp_linearity(&hist).expect("full coverage");
         let truth = dnl(&tf);
         prop_assert_eq!(est.dnl.len(), truth.len());
@@ -64,12 +62,9 @@ proptest! {
     #[test]
     fn ramp_histogram_recovers_inl(tf in arb_transfer()) {
         let slope = 0.1 / 200.0 * 1.0e6;
-        let capture = acquire(
-            &tf,
-            &Ramp::new(Volts(-0.05), slope),
-            SamplingConfig::new(1.0e6, (3.4 / slope * 1.0e6) as usize),
-        );
-        let hist = CodeHistogram::from_codes(tf.resolution(), capture.codes().iter().copied());
+        let ramp = Ramp::new(Volts(-0.05), slope);
+        let codes = CodeStream::noiseless(&tf, &ramp, SamplingConfig::new(1.0e6, (3.4 / slope * 1.0e6) as usize));
+        let hist = CodeHistogram::from_codes(tf.resolution(), codes);
         let est = ramp_linearity(&hist).expect("full coverage");
         let truth = inl_from_dnl(&dnl(&tf));
         for (k, (e, t)) in est.inl.iter().zip(&truth).enumerate() {
@@ -84,12 +79,9 @@ proptest! {
     /// whose true width is zero.
     #[test]
     fn histogram_total_equals_samples(tf in arb_transfer()) {
-        let capture = acquire(
-            &tf,
-            &Ramp::new(Volts(-0.05), 100.0),
-            SamplingConfig::new(1.0e6, 40_000),
-        );
-        let hist = CodeHistogram::from_codes(tf.resolution(), capture.codes().iter().copied());
+        let ramp = Ramp::new(Volts(-0.05), 100.0);
+        let codes = CodeStream::noiseless(&tf, &ramp, SamplingConfig::new(1.0e6, 40_000));
+        let hist = CodeHistogram::from_codes(tf.resolution(), codes);
         prop_assert_eq!(hist.total(), 40_000u64);
     }
 }

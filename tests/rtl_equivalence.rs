@@ -5,10 +5,11 @@
 //! property-based random run-length streams.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::sampler::{acquire, SamplingConfig};
+use bist_adc::sampler::SamplingConfig;
 use bist_adc::signal::Ramp;
 use bist_adc::spec::LinearitySpec;
-use bist_adc::types::{Resolution, Volts};
+use bist_adc::stream::CodeStream;
+use bist_adc::types::{Code, Resolution, Volts};
 use bist_core::config::BistConfig;
 use bist_core::functional::check_code_stream;
 use bist_core::lsb_monitor::{CodeResult, LsbMonitorAcc};
@@ -36,17 +37,14 @@ fn monitor_codes(config: &BistConfig, stream: &[bool]) -> Vec<CodeResult> {
 }
 
 /// Captures a full ramp sweep of a random flash device.
-fn flash_capture(seed: u64, config: &BistConfig) -> bist_adc::sampler::Capture {
+fn flash_capture(seed: u64, config: &BistConfig) -> Vec<Code> {
     let mut rng = StdRng::seed_from_u64(seed);
     let adc = FlashConfig::paper_device().sample(&mut rng);
     let lsb = 0.1;
     let slope = config.delta_s().0 * lsb * 1.0e6;
     let samples = ((6.4 + 1.4) / slope * 1.0e6) as usize;
-    acquire(
-        &adc,
-        &Ramp::new(Volts(-0.2), slope),
-        SamplingConfig::new(1.0e6, samples),
-    )
+    let ramp = Ramp::new(Volts(-0.2), slope);
+    CodeStream::noiseless(&adc, &ramp, SamplingConfig::new(1.0e6, samples)).collect()
 }
 
 #[test]
@@ -55,7 +53,7 @@ fn behavioural_monitor_matches_rtl_on_flash_devices() {
         for bits in [4, 6] {
             let config = paper_config(bits);
             let capture = flash_capture(seed, &config);
-            let stream: Vec<bool> = capture.bits(0).collect();
+            let stream: Vec<bool> = capture.iter().map(|c| c.0 & 1 == 1).collect();
 
             let behavioural = monitor_codes(&config, &stream);
             let mut rtl = LsbProcessor::new(config.to_rtl());
@@ -88,9 +86,9 @@ fn functional_checker_matches_rtl_on_flash_devices() {
     for seed in 0..10 {
         let config = paper_config(5);
         let capture = flash_capture(seed, &config);
-        let behavioural = check_code_stream(capture.codes(), 0);
+        let behavioural = check_code_stream(&capture, 0);
         let mut rtl = UpperBitChecker::new(5);
-        for &c in capture.codes() {
+        for &c in &capture {
             rtl.tick(c.0 & 1 == 1, Bus::truncate(5, u64::from(c.0 >> 1)));
         }
         assert_eq!(behavioural.mismatches, rtl.mismatches(), "seed {seed}");

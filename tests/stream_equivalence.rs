@@ -12,12 +12,12 @@
 
 use bist_adc::histogram::CodeHistogram;
 use bist_adc::noise::NoiseConfig;
-use bist_adc::sampler::{Capture, SamplingConfig};
-use bist_adc::signal::Ramp;
+use bist_adc::sampler::SamplingConfig;
+use bist_adc::signal::{Ramp, Stimulus};
 use bist_adc::spec::LinearitySpec;
 use bist_adc::stream::CodeStream;
 use bist_adc::transfer::TransferFunction;
-use bist_adc::types::{Resolution, Volts};
+use bist_adc::types::{Code, Resolution, Volts};
 use bist_core::backend::{Backend, BehavioralBackend};
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
@@ -42,9 +42,9 @@ fn plan(config: &BistConfig, slope_error: f64) -> (Ramp, SamplingConfig) {
 }
 
 /// The materialised path: judge an already-collected capture.
-fn judge_capture(config: &BistConfig, capture: &Capture) -> BistOutcome {
+fn judge_capture(config: &BistConfig, capture: &[Code]) -> BistOutcome {
     let mut scratch = Scratch::new();
-    let codes = capture.codes().iter().copied();
+    let codes = capture.iter().copied();
     let verdict = BehavioralBackend
         .judge(config, None, codes, &mut scratch)
         .verdict;
@@ -91,7 +91,8 @@ proptest! {
         let (ramp, sampling) = plan(&cfg, slope_error);
 
         let mut rng_m = StdRng::seed_from_u64(seed ^ 0xfeed);
-        let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).capture();
+        let capture: Vec<Code> =
+            CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).collect();
         let materialized = judge_capture(&cfg, &capture);
 
         let mut rng_s = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -105,7 +106,7 @@ proptest! {
         prop_assert_eq!(verdict.dnl_failures, materialized.monitor.dnl_failures);
         prop_assert_eq!(verdict.inl_failures, materialized.monitor.inl_failures);
         prop_assert_eq!(verdict.functional_mismatches, materialized.functional.mismatches);
-        prop_assert_eq!(verdict.samples as usize, capture.codes().len());
+        prop_assert_eq!(verdict.samples as usize, capture.len());
         prop_assert_eq!(scratch.take_outcome(verdict), materialized);
     }
 
@@ -138,7 +139,8 @@ proptest! {
             streamed.record(truth, verdict.accepted());
 
             let mut rng = batch.device_rng(i);
-            let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng).capture();
+            let capture: Vec<Code> =
+                CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng).collect();
             materialized.record(truth, judge_capture(&cfg, &capture).accepted());
         }
         prop_assert_eq!(streamed, materialized);
@@ -165,21 +167,23 @@ proptest! {
             CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s),
         );
         let mut rng_m = StdRng::seed_from_u64(seed);
-        let capture = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).capture();
-        let materialized =
-            CodeHistogram::from_codes(Resolution::SIX_BIT, capture.codes().iter().copied());
+        let capture: Vec<Code> =
+            CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_m).collect();
+        let materialized = CodeHistogram::from_codes(Resolution::SIX_BIT, capture);
         prop_assert_eq!(streamed, materialized);
     }
 }
 
-/// Non-property pin: the stream view and the capture view of one sweep
-/// are literally the same codes (the capture is just `collect()`).
+/// Non-property pin: a collected capture of one sweep is literally the
+/// per-sample conversion of the stimulus at each sample instant.
 #[test]
 fn capture_is_collected_stream() {
     let tf = TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
     let ramp = Ramp::new(Volts(-0.1), 1.0);
     let sampling = SamplingConfig::new(1e3, 7000);
-    let collected: Vec<_> = CodeStream::noiseless(&tf, &ramp, sampling).collect();
-    let capture = CodeStream::noiseless(&tf, &ramp, sampling).capture();
-    assert_eq!(capture.codes(), &collected[..]);
+    let capture: Vec<Code> = CodeStream::noiseless(&tf, &ramp, sampling).collect();
+    let per_sample: Vec<Code> = (0..sampling.samples)
+        .map(|i| tf.convert(ramp.value(sampling.sample_time(i))))
+        .collect();
+    assert_eq!(capture, per_sample);
 }
