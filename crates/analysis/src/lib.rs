@@ -12,7 +12,7 @@
 //!
 //! * [`rules::Rule::HotPathAlloc`] — no allocating constructs inside
 //!   `// bist-lint: hot-path`-marked regions (statically complements
-//!   the counting-allocator proof in `crates/core/tests/zero_alloc.rs`).
+//!   the counting-allocator proof in `tests/zero_alloc.rs`).
 //! * [`rules::Rule::UndocumentedUnsafe`] — every `unsafe` carries a
 //!   `SAFETY` justification, and every `#[target_feature]` kernel is
 //!   only reached from an `is_x86_feature_detected!`-guarded scope or

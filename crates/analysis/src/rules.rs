@@ -4,7 +4,7 @@
 //!
 //! | rule | statically proves | runtime gate it shadows |
 //! |---|---|---|
-//! | `hot-path-alloc` | no allocating constructs in marked hot paths | counting-allocator proof (`crates/core/tests/zero_alloc.rs`) |
+//! | `hot-path-alloc` | no allocating constructs in marked hot paths | counting-allocator proof (`tests/zero_alloc.rs`) |
 //! | `undocumented-unsafe` | every `unsafe` justified; `#[target_feature]` kernels only reached behind runtime detection | UB has no runtime gate — this is the only net |
 //! | `atomic-ordering` | every atomic `Ordering::` choice justified | worker-count `report_checksum` equality gate |
 //! | `determinism` | no wall clocks, hash iteration or stray RNGs in report-producing crates | bit-identical fleet reports for any worker count |

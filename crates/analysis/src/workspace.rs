@@ -278,7 +278,7 @@ mod tests {
         assert!(c.report_crate && c.rng_seam);
         let c = context_for("crates/serve/src/service.rs");
         assert!(c.report_crate && !c.test_code && !c.rng_seam);
-        let c = context_for("crates/core/tests/zero_alloc.rs");
+        let c = context_for("tests/zero_alloc.rs");
         assert!(!c.report_crate && c.test_code);
         let c = context_for("crates/serve/tests/backpressure.rs");
         assert!(!c.report_crate && c.test_code);
@@ -295,7 +295,7 @@ mod tests {
             "crates/bench/src/bin/table1.rs",
             "crates/analysis/src/main.rs",
             "crates/compat/rand/src/lib.rs",
-            "crates/core/tests/zero_alloc.rs",
+            "tests/zero_alloc.rs",
             "src/lib.rs",
             "fleetbench/src/lib.rs",
         ] {

@@ -134,7 +134,8 @@ impl StimulusTable {
 
 /// The one screening engine for a [`Workload`] — behind
 /// [`crate::screener::Screener`], each pooled worker of
-/// [`crate::pool`], the resident shard and `bist_mc`'s experiments.
+/// [`crate::pool`], each `bist-serve` worker and `bist_mc`'s
+/// experiments.
 ///
 /// Build one with [`ScreenBatch::new`] and hand it device streams with
 /// [`ScreenBatch::screen`]. The engine owns all working state

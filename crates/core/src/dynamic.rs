@@ -17,7 +17,7 @@
 //!   harmonics + Welford total-power moments, so the record is never
 //!   materialised. One reusable [`DynScratch`] per worker keeps the
 //!   device→verdict hot path allocation-free after warm-up (enforced by
-//!   `crates/core/tests/zero_alloc.rs`).
+//!   the workspace's `tests/zero_alloc.rs`).
 //! * **Verdict** — a compact [`DynamicVerdict`]: the four §2 metrics
 //!   judged against configurable [`DynamicLimits`], plus an exact
 //!   sample-count completeness check (a truncated record must never

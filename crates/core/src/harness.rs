@@ -42,7 +42,7 @@
 //! their capacity, so after the first device ("warm-up") the
 //! device→verdict hot path under
 //! [`crate::screener::Screener::screen_one`] performs zero heap
-//! allocations (enforced by `tests/zero_alloc.rs`).
+//! allocations (enforced by the workspace's `tests/zero_alloc.rs`).
 
 use crate::config::BistConfig;
 use crate::functional::{FunctionalCheck, FunctionalResult, FunctionalTally};

@@ -45,10 +45,8 @@
 //!   by device index so output is bit-identical for any worker count.
 //! * [`ring`] / [`shard`] — the resident-service substrate consumed by
 //!   `bist-serve`: a bounded MPMC ring with explicit backpressure
-//!   ([`ring::Enqueue`]) and a long-lived worker shard
-//!   ([`shard::ResidentShard`]) that keeps the batch engines warm
-//!   between bursts and streams id-tagged verdicts, allocation-free in
-//!   steady state.
+//!   ([`ring::Enqueue`]), the [`shard::JobKind`] a submission is routed
+//!   by and the id-tagged [`shard::ShardVerdict`] that streams back.
 //! * [`source`] — the device-generation seam next to the front door:
 //!   the object-safe [`source::DeviceSource`] trait (flash, iid-widths,
 //!   SAR, pipeline), the `Copy` [`source::SourceSpec`] dispatch form,
@@ -145,6 +143,6 @@ pub use qmin::QminPlan;
 pub use ring::{Enqueue, Ring};
 pub use screener::{ScreenReport, ScreenVerdict, Screener, Workload};
 pub use sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
-pub use shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
+pub use shard::{JobKind, ShardVerdict};
 pub use source::{Architecture, DeviceSource, DnlSignature, IidWidthSource, SourceSpec, Zoo};
 pub use yield_model::YieldModel;

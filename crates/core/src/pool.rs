@@ -12,9 +12,9 @@
 //!   [`DeviceQueue`] packs the fleet into [`DEFAULT_CHUNK`]-device
 //!   chunks; each worker owns one [`ScreenBatch`] engine (sequencer,
 //!   stimulus table, scratch — the zero-alloc steady state proven by
-//!   `tests/zero_alloc.rs`) plus its own backend, and [`drain`]s the
-//!   queue, streaming each chunk it claims into its engine. Reports
-//!   merge by device index.
+//!   the workspace's `tests/zero_alloc.rs`) plus its own backend, and
+//!   [`drain`]s the queue, streaming each chunk it claims into its
+//!   engine. Reports merge by device index.
 //! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
 //!   fan-out behind `bist_mc`'s experiments, differential sweeps and
 //!   tables, where devices derive from `(seed, index)`. Results come

@@ -15,10 +15,11 @@
 //!    surfaces as [`Enqueue::Busy`] with the submission handed back —
 //!    memory never grows without bound and an accepted device is never
 //!    dropped.
-//! 2. **Allocation-free steady state.** Each worker owns a
-//!    [`bist_core::shard::ResidentShard`] whose batch engines stay
-//!    warm between bursts (proven by the counting-allocator test in
-//!    `crates/core/tests/zero_alloc.rs`).
+//! 2. **Allocation-free steady state.** Each worker owns one
+//!    [`bist_core::batch::ScreenBatch`] per resident workload, screens
+//!    each burst in place, and keeps its engines and buffers warm
+//!    between bursts (proven by the counting-allocator test in the
+//!    workspace's `tests/zero_alloc.rs`).
 //! 3. **Worker-count determinism.** Verdicts are tagged with
 //!    submission ids and each is bit-identical to what
 //!    [`Screener::run`](bist_core::screener::Screener::run) reports

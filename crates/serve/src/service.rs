@@ -1,11 +1,11 @@
-//! The resident screening service: bounded ingest, resident worker
-//! shards, streamed verdicts, graceful drain.
+//! The resident screening service: bounded ingest, resident workers,
+//! streamed verdicts, graceful drain.
 //!
 //! ```text
 //!  ServiceHandle::submit ──┐                         ┌─ in-process verdict ring ─ recv_verdict
 //!                          ▼                         │
-//!            bounded submit Ring<Job> ══ workers ════╡   (each worker: ResidentShard,
-//!                          ▲             (resident)  │    engines warm across bursts)
+//!            bounded submit Ring<Job> ══ workers ════╡   (each worker: one ScreenBatch per
+//!                          ▲             (resident)  │    workload, warm across bursts)
 //!  TCP sessions ───────────┘                         └─ per-session event ring ─ writer thread
 //! ```
 //!
@@ -14,14 +14,14 @@
 //! never dropped) and a slow verdict consumer backpressures the
 //! workers (they block pushing, never buffer unboundedly). A TCP
 //! session that stops reading is evicted after a fixed deadline, so it
-//! cannot park the workers. Workers are
-//! plain threads, each owning a [`ResidentShard`] whose batch engines
-//! stay warm between bursts — the steady state allocates nothing.
-//! Verdicts are tagged with submission ids, and because every engine
-//! verdict is bit-identical to the scalar screener for any device order
-//! and any split of the fleet across calls, any arrival order, burst
-//! grouping, or worker
-//! count streams back exactly the per-device reports
+//! cannot park the workers. Workers are plain threads, each owning one
+//! [`ScreenBatch`] engine per resident workload; a worker screens each
+//! burst where it lies, and its engines and buffers stay warm between
+//! bursts — the steady state allocates nothing. Verdicts are tagged
+//! with submission ids, and because every engine verdict is
+//! bit-identical to the scalar screener for any device order and any
+//! split of the fleet across calls, any arrival order, burst grouping,
+//! or worker count streams back exactly the per-device reports
 //! [`Screener::run`](bist_core::screener::Screener::run) would emit.
 
 use std::io::{BufReader, BufWriter, Write};
@@ -33,9 +33,11 @@ use std::time::Duration;
 
 use bist_adc::transfer::TransferFunction;
 use bist_core::backend::BehavioralBackend;
+use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::ring::{Enqueue, Ring};
+use bist_core::screener::ScreenReport;
 use bist_core::sequencer::SequencerConfig;
-use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
+use bist_core::shard::{JobKind, ShardVerdict};
 use bist_core::source::{device_rng, DeviceSource, SourceSpec};
 use bist_core::Workload;
 use rand::rngs::StdRng;
@@ -105,14 +107,14 @@ impl Submission {
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Static workload, when the service screens [`JobKind::Static`]
-    /// submissions. Must be a [`Workload::Static`] variant.
-    pub static_workload: Option<Workload>,
+    /// submissions; filed here by [`ServiceConfig::with_workload`].
+    static_workload: Option<Workload>,
     /// Dynamic workload, when the service screens [`JobKind::Dynamic`]
-    /// submissions. Must be a [`Workload::Dynamic`] variant.
-    pub dynamic_workload: Option<Workload>,
+    /// submissions; filed here by [`ServiceConfig::with_workload`].
+    dynamic_workload: Option<Workload>,
     /// Early-stop sequencing policy for both engines.
     pub sequencer: Option<SequencerConfig>,
-    /// Worker-shard count (`0` = the host's available parallelism).
+    /// Worker count (`0` = the host's available parallelism).
     pub workers: usize,
     /// Most submissions a worker claims per burst. Small bursts keep
     /// latency low under light load; large ones amortise the claim.
@@ -126,9 +128,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with no workloads resident yet — set at least one of
-    /// [`ServiceConfig::static_workload`] /
-    /// [`ServiceConfig::dynamic_workload`] before [`ServiceConfig::start`].
+    /// A config with no workloads resident yet — make it resident for
+    /// at least one with [`ServiceConfig::with_workload`] before
+    /// [`ServiceConfig::start`].
     pub fn new() -> Self {
         ServiceConfig {
             static_workload: None,
@@ -157,7 +159,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the worker-shard count (`0` = available parallelism).
+    /// Sets the worker count (`0` = available parallelism).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -184,14 +186,13 @@ impl ServiceConfig {
         self
     }
 
-    /// Starts the resident service: spawns the worker shards and
+    /// Starts the resident service: spawns the workers and
     /// returns the handle that submits, receives and shuts down.
     ///
     /// # Panics
     ///
-    /// Panics when no workload is resident, when a workload is filed
-    /// under the other kind's field, or when the sequencer policy fails
-    /// [`SequencerConfig::validate`].
+    /// Panics when no workload is resident or when the sequencer policy
+    /// fails [`SequencerConfig::validate`].
     pub fn start(self) -> ServiceHandle {
         ServiceHandle::start(self)
     }
@@ -201,6 +202,14 @@ impl ServiceConfig {
         self.static_workload
             .into_iter()
             .chain(self.dynamic_workload)
+    }
+
+    /// A fresh engine per resident workload, static first: the
+    /// screening state each worker keeps warm.
+    fn engines(&self) -> Vec<ScreenBatch> {
+        self.workloads()
+            .map(|w| ScreenBatch::new(w, self.sequencer))
+            .collect()
     }
 }
 
@@ -251,23 +260,9 @@ impl Reply {
 /// the verdict goes.
 #[derive(Debug)]
 struct Job {
-    id: u64,
-    kind: JobKind,
-    adc: TransferFunction,
-    seed: u64,
+    sub: Submission,
     rng: StdRng,
     reply: Reply,
-}
-
-impl Job {
-    fn into_submission(self) -> Submission {
-        Submission {
-            id: self.id,
-            kind: self.kind,
-            adc: self.adc,
-            seed: self.seed,
-        }
-    }
 }
 
 /// State shared by the handle, the workers and every TCP session.
@@ -288,33 +283,22 @@ impl SvcShared {
             .any(|w| w.kind() == sub.kind && w.resolution() == resolution)
     }
 
-    /// The ingest seam shared by the in-process and TCP doors.
+    /// The ingest seam shared by the in-process and TCP doors; each
+    /// door has already checked that the service [`accepts`] `sub`.
+    ///
+    /// [`accepts`]: SvcShared::accepts
     fn submit_job(&self, sub: Submission, reply: Reply) -> Enqueue<Submission> {
-        assert!(
-            self.accepts(&sub),
-            "service is not resident for {:?} submissions of {}-bit devices",
-            sub.kind,
-            sub.adc.resolution().bits()
-        );
         let rng = submission_rng(sub.seed);
-        let job = Job {
-            id: sub.id,
-            kind: sub.kind,
-            adc: sub.adc,
-            seed: sub.seed,
-            rng,
-            reply,
-        };
-        match self.submit.try_push(job) {
+        match self.submit.try_push(Job { sub, rng, reply }) {
             Enqueue::Accepted => {
                 self.telemetry.count_submit(true);
                 Enqueue::Accepted
             }
             Enqueue::Busy(job) => {
                 self.telemetry.count_submit(false);
-                Enqueue::Busy(job.into_submission())
+                Enqueue::Busy(job.sub)
             }
-            Enqueue::Closed(job) => Enqueue::Closed(job.into_submission()),
+            Enqueue::Closed(job) => Enqueue::Closed(job.sub),
         }
     }
 
@@ -325,24 +309,27 @@ impl SvcShared {
 }
 
 // bist-lint: hot-path — resident worker steady state: claim a burst, screen it, stream verdicts
-/// One worker shard's life: block on the submit ring, top the burst up
-/// without blocking, screen it through the resident engines, stream
-/// each verdict to its submitter. Exits when the ring is closed and
-/// drained, so accepted devices always complete. The burst and route
-/// buffers are caller-owned so this loop allocates nothing once warm.
+/// One worker's life: block on the submit ring, top the burst up
+/// without blocking, screen it in place through the resident
+/// `engines`, stream each verdict to its submitter. Exits when the ring
+/// is closed and drained, so accepted devices always complete. The
+/// burst and report buffers are caller-owned so this loop allocates
+/// nothing once warm.
 ///
-/// Verdicts are routed by burst slot index, not by the caller-chosen
-/// submission id: ids are only unique per client, and one burst mixes
-/// jobs from every TCP session plus the in-process handle, so two
-/// clients reusing the same id must still each get their own verdict.
-/// The shard echoes the slot index we tag each [`ShardJob`] with; the
-/// `routes` table restores the caller's id before delivery.
+/// Each engine screens the jobs of its kind by reference, each tagged
+/// with its slot in the burst, not with the caller-chosen submission
+/// id: ids are only unique per client, and one burst mixes jobs from
+/// every TCP session plus the in-process handle, so two clients reusing
+/// the same id must still each get their own verdict. A report's slot
+/// names the job whose id and reply it goes to. Verdicts stream grouped
+/// by workload, static first, each group in slot order.
 fn worker_loop(
     shared: &SvcShared,
-    shard: &mut ResidentShard<TransferFunction, StdRng, BehavioralBackend>,
+    engines: &mut [ScreenBatch],
     jobs: &mut Vec<Job>,
-    routes: &mut Vec<(u64, Reply)>,
+    reports: &mut Vec<ScreenReport>,
 ) {
+    let telemetry = &shared.telemetry;
     while let Some(first) = shared.submit.pop() {
         jobs.push(first);
         while jobs.len() < shared.config.burst {
@@ -351,30 +338,27 @@ fn worker_loop(
                 None => break,
             }
         }
-        for job in jobs.iter() {
-            routes.push((job.id, job.reply.clone()));
-        }
-        let telemetry = &shared.telemetry;
-        shard.process(
-            jobs.drain(..).enumerate().map(|(slot, job)| ShardJob {
-                id: slot as u64,
-                kind: job.kind,
-                adc: job.adc,
-                rng: job.rng,
-            }),
-            |verdict| {
-                let (id, reply) = &routes[verdict.id as usize];
+        for engine in engines.iter_mut() {
+            let kind = engine.workload().kind();
+            let devices = jobs
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, job)| job.sub.kind == kind)
+                .map(|(slot, job)| BatchDevice::new(slot, &job.sub.adc, &mut job.rng));
+            engine.screen(&mut BehavioralBackend, devices, reports);
+            for report in reports.drain(..) {
+                let job = &jobs[report.device];
                 let verdict = ShardVerdict {
-                    id: *id,
-                    verdict: verdict.verdict,
+                    id: job.sub.id,
+                    verdict: report.verdict,
                 };
                 telemetry.count_verdict(&verdict);
-                reply.deliver(verdict, telemetry);
-            },
-        );
+                job.reply.deliver(verdict, telemetry);
+            }
+        }
         // Each `Reply` holds its session alive: drop them now, not
         // when the worker is next woken.
-        routes.clear();
+        jobs.clear();
     }
 }
 
@@ -409,24 +393,14 @@ struct ListenerHandle {
 impl ServiceHandle {
     /// Starts the service described by `config` (see
     /// [`ServiceConfig::start`]).
-    pub fn start(mut config: ServiceConfig) -> ServiceHandle {
+    pub fn start(config: ServiceConfig) -> ServiceHandle {
         assert!(
-            config.static_workload.is_some() || config.dynamic_workload.is_some(),
+            config.workloads().next().is_some(),
             "the service needs at least one resident workload"
-        );
-        assert!(
-            config
-                .static_workload
-                .is_none_or(|w| w.kind() == JobKind::Static)
-                && config
-                    .dynamic_workload
-                    .is_none_or(|w| w.kind() == JobKind::Dynamic),
-            "a resident workload is filed under the other kind"
         );
         if let Some(Err(e)) = config.sequencer.map(|policy| policy.validate()) {
             panic!("invalid sequencer policy: {e}");
         }
-        config.burst = config.burst.max(1);
         let shared = Arc::new(SvcShared {
             submit: Ring::with_capacity(config.submit_capacity),
             telemetry: Telemetry::new(),
@@ -440,13 +414,12 @@ impl ServiceHandle {
                     .name(format!("bist-serve-worker-{i}"))
                     .spawn(move || {
                         let c = &shared.config;
-                        let mut shard =
-                            ResidentShard::new(c.workloads(), c.sequencer, BehavioralBackend);
+                        let mut engines = c.engines();
                         let mut jobs = Vec::with_capacity(c.burst);
-                        let mut routes = Vec::with_capacity(c.burst);
-                        worker_loop(&shared, &mut shard, &mut jobs, &mut routes);
+                        let mut reports = Vec::with_capacity(c.burst);
+                        worker_loop(&shared, &mut engines, &mut jobs, &mut reports);
                     })
-                    .expect("spawn worker shard")
+                    .expect("spawn worker")
             })
             .collect();
         ServiceHandle {
@@ -467,6 +440,12 @@ impl ServiceHandle {
     /// Panics when no resident workload screens `sub.kind` at the
     /// device's resolution — a routing bug, not load.
     pub fn submit(&self, sub: Submission) -> Enqueue<Submission> {
+        assert!(
+            self.shared.accepts(&sub),
+            "service is not resident for {:?} submissions of {}-bit devices",
+            sub.kind,
+            sub.adc.resolution().bits()
+        );
         self.shared
             .submit_job(sub, Reply::Local(Arc::clone(&self.verdicts)))
     }
@@ -791,12 +770,15 @@ mod tests {
         let reply = Reply::Local(Arc::clone(&verdicts));
         assert!(matches!(shared.submit_job(sub, reply), Enqueue::Accepted));
         shared.submit.close();
-        let c = &shared.config;
-        let mut shard = ResidentShard::new(c.workloads(), c.sequencer, BehavioralBackend);
-        let mut routes = Vec::new();
-        worker_loop(&shared, &mut shard, &mut Vec::new(), &mut routes);
+        let mut jobs = Vec::new();
+        worker_loop(
+            &shared,
+            &mut shared.config.engines(),
+            &mut jobs,
+            &mut Vec::new(),
+        );
         assert_eq!(verdicts.try_pop().map(|v| v.id), Some(7));
-        assert_eq!(routes.len(), 0, "the delivered burst's replies outlive it");
+        assert!(jobs.is_empty(), "the delivered burst's replies outlive it");
         assert_eq!(Arc::strong_count(&verdicts), 1);
     }
 }

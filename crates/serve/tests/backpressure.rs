@@ -5,7 +5,6 @@
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::config::BistConfig;
-use bist_core::dynamic::DynamicConfig;
 use bist_core::ring::Enqueue;
 use bist_core::screener::Workload;
 use bist_core::sequencer::SequencerConfig;
@@ -137,32 +136,18 @@ fn busy_returns_the_submission_intact() {
     handle.shutdown();
 }
 
-/// A workload filed under the other kind's field or an invalid
-/// sequencer policy used to leave every worker panicking while `submit`
-/// still answered `Accepted`, so no verdict ever arrived. `start` must
-/// refuse such a config on the caller's thread, before any worker
-/// spawns.
+/// An invalid sequencer policy used to leave every worker panicking
+/// while `submit` still answered `Accepted`, so no verdict ever
+/// arrived. `start` must refuse such a config on the caller's thread,
+/// before any worker spawns.
 #[test]
-fn misfiled_workload_is_rejected_at_start() {
-    let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
-    let misfiled = [
-        ServiceConfig {
-            static_workload: Some(dynamic),
-            ..ServiceConfig::new()
-        },
-        ServiceConfig {
-            dynamic_workload: Some(static_workload()),
-            ..ServiceConfig::new()
-        },
-        ServiceConfig::new()
-            .with_workload(static_workload())
-            .with_sequencer(SequencerConfig {
-                check_interval: 0,
-                ..SequencerConfig::default()
-            }),
-    ];
-    for config in misfiled {
-        let started = std::panic::catch_unwind(|| config.with_workers(1).start());
-        assert!(started.is_err(), "started with {config:?}");
-    }
+fn invalid_sequencer_is_rejected_at_start() {
+    let config = ServiceConfig::new()
+        .with_workload(static_workload())
+        .with_sequencer(SequencerConfig {
+            check_interval: 0,
+            ..SequencerConfig::default()
+        });
+    let started = std::panic::catch_unwind(|| config.with_workers(1).start());
+    assert!(started.is_err(), "started with {config:?}");
 }

@@ -3,7 +3,7 @@
 //! verdicts plus a live telemetry snapshot.
 //!
 //! This is the paper's screen run as infrastructure: the same batched
-//! engines behind `Screener::run` stay resident in worker shards, and
+//! engines behind `Screener::run` stay resident in its workers, and
 //! devices arrive one TCP frame at a time instead of one `Vec` per
 //! call — with bounded queues, explicit `Busy` backpressure, and
 //! verdicts streaming back the moment they latch.

@@ -2,9 +2,9 @@
 //! warm-up, the device→verdict hot paths — scalar `Screener::screen_one`
 //! on every workload × backend × sequencing combination, the
 //! `ScreenBatch` engine on both workloads, the pooled worker drain and
-//! the resident shard — perform **zero heap allocations**, and a warm
-//! single-worker `Screener::run` allocates only the report `Vec` it
-//! returns.
+//! the resident `bist-serve` service's submit→verdict round trip —
+//! perform **zero heap allocations**, and a warm single-worker
+//! `Screener::run` allocates only the report `Vec` it returns.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! warms each engine on a first pass (buffers reach the workload's
@@ -23,10 +23,10 @@ use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool::{drain, DeviceQueue};
-use bist_core::ring::Ring;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
-use bist_core::shard::{JobKind, ResidentShard, ShardJob, ShardVerdict};
+use bist_core::shard::JobKind;
+use bist_serve::{ServiceConfig, Submission};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -320,52 +320,60 @@ fn hot_path_is_allocation_free_after_warmup() {
     );
 
     // The resident service steady state (`bist-serve`): submissions
-    // enter a bounded ring, a resident shard screens the burst with
-    // warm engines, and verdicts leave through a second ring. The
-    // rings move items inside preallocated slots and the shard reuses
-    // its engines and burst buffers, so after one warm burst the whole
-    // submit→verdict round trip must not allocate.
-    const SERVICE_BURST: u64 = 12;
-    let mut shard = ResidentShard::new([w_noisy, w_dyn], None, BehavioralBackend);
-    let submit: Ring<ShardJob<&TransferFunction, StdRng>> =
-        Ring::with_capacity(SERVICE_BURST as usize);
-    let verdict_ring: Ring<ShardVerdict> = Ring::with_capacity(SERVICE_BURST as usize);
-    let mut service_round = |accepted: &mut u32| {
-        for id in 0..SERVICE_BURST {
-            let job = ShardJob {
+    // enter a bounded ring, the worker screens each burst in place
+    // through its warm engines, and verdicts leave through a second
+    // ring. The rings move items inside preallocated slots and the
+    // worker reuses its engines and burst buffers, so after one warm
+    // round the whole submit→verdict round trip must not allocate.
+    // Building a round clones each device, so both rounds are built
+    // before the snapshot.
+    const SERVICE_ROUND: u64 = 48;
+    let handle = ServiceConfig::new()
+        .with_workload(w_noisy)
+        .with_workload(w_dyn)
+        .with_workers(1)
+        .with_burst(8)
+        .start();
+    let round = || -> Vec<Submission> {
+        (0..SERVICE_ROUND)
+            .map(|id| Submission {
                 id,
                 kind: if id % 2 == 0 {
                     JobKind::Static
                 } else {
                     JobKind::Dynamic
                 },
-                adc: &adc,
-                rng: StdRng::seed_from_u64(id),
-            };
-            assert!(submit.try_push(job).is_accepted());
+                adc: adc.clone(),
+                seed: id,
+            })
+            .collect()
+    };
+    let service_round = |subs: Vec<Submission>| -> u32 {
+        for sub in subs {
+            assert!(handle.submit(sub).is_accepted());
         }
-        shard.process(std::iter::from_fn(|| submit.try_pop()), |verdict| {
-            assert!(verdict_ring.try_push(verdict).is_accepted());
-        });
-        while let Some(verdict) = verdict_ring.try_pop() {
-            *accepted += u32::from(verdict.verdict.accepted());
-        }
+        (0..SERVICE_ROUND)
+            .map(|_| {
+                let verdict = handle.recv_verdict().expect("the service is running");
+                u32::from(verdict.verdict.accepted())
+            })
+            .sum()
     };
 
-    let mut warm_service_accepted = 0u32;
-    service_round(&mut warm_service_accepted);
+    let warm_service_accepted = service_round(round());
+    let subs = round();
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut service_accepted = 0u32;
-    service_round(&mut service_accepted);
+    let service_accepted = service_round(subs);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "resident shard submit→verdict steady state allocated {} times after warm-up",
+        "resident service submit→verdict steady state allocated {} times after warm-up",
         after - before
     );
     assert_eq!(
         service_accepted, warm_service_accepted,
-        "the resident shard must reproduce the warm burst verdicts"
+        "the resident service must reproduce the warm round's verdicts"
     );
+    assert_eq!(handle.shutdown().telemetry.completed, 2 * SERVICE_ROUND);
 }
