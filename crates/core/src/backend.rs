@@ -7,13 +7,14 @@
 //! the dynamic record — with one sample loop in which an optional
 //! early-stop sequencer is a single branch:
 //!
-//! * [`BehavioralBackend`] — the reference accumulators
-//!   ([`crate::lsb_monitor::LsbMonitorAcc`] +
-//!   [`crate::functional::FunctionalAcc`]) and the streaming Goertzel
-//!   bank of [`crate::dynamic`]. Zero-size, zero-cost: this is exactly
-//!   the allocation-free hot path the Monte-Carlo fleet runs. It also
+//! * [`BehavioralBackend`] — the reference state machines
+//!   ([`MonitorState`] + [`FunctionalState`], stepped by one shared
+//!   static sample step) and the streaming Goertzel bank of
+//!   [`crate::dynamic`]. Zero-size, zero-cost: this is exactly the
+//!   allocation-free hot path the Monte-Carlo fleet runs. It also
 //!   overrides the batch hook with the behavioural engine of
-//!   [`crate::batch`].
+//!   [`crate::batch`], whose devices that neither run-skip nor code go
+//!   through these same judges.
 //! * [`RtlBackend`] — the gate-accurate `bist_rtl::top::BistTop` (and
 //!   fixed-point [`bist_rtl::dyn_top::DynBistTop`]), clocked one code
 //!   per tick and drained through its synchroniser latency at end of
@@ -34,9 +35,9 @@
 use crate::batch::{BatchDevice, ScreenBatch};
 use crate::config::BistConfig;
 use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
-use crate::functional::FunctionalAcc;
+use crate::functional::FunctionalState;
 use crate::harness::{BistVerdict, Scratch};
-use crate::lsb_monitor::{CodeResult, LsbMonitorAcc};
+use crate::lsb_monitor::{CodeResult, MonitorState};
 use crate::screener::ScreenReport;
 use crate::sequencer::{
     DynSequencer, SeqDecision, SeqOutcome, StaticSequencer, STATIC_DECISION_LATENCY,
@@ -117,15 +118,17 @@ pub trait Backend {
     }
 }
 
-/// The behavioural reference backend — zero-size: the streaming
-/// accumulators ([`LsbMonitorAcc`], [`FunctionalAcc`]) and the
-/// streaming Goertzel bank, so a [`crate::screener::Screener`] sweep
-/// compiled through it is the allocation-free hot path (the
-/// counting-allocator test keeps it honest).
+/// The behavioural reference backend — zero-size: the heap-free
+/// [`MonitorState`] and [`FunctionalState`], with per-code detail
+/// recorded in the caller's [`Scratch`], and the streaming Goertzel
+/// bank, so a [`crate::screener::Screener`] sweep compiled through it
+/// is the allocation-free hot path (the counting-allocator test keeps
+/// it honest).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BehavioralBackend;
 
 impl Backend for BehavioralBackend {
+    // bist-lint: hot-path — the scalar static judge
     fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
@@ -134,72 +137,51 @@ impl Backend for BehavioralBackend {
         scratch: &mut Scratch,
     ) -> SeqOutcome<BistVerdict> {
         let bit = config.monitored_bit();
-        let mut monitor = LsbMonitorAcc::new(config, &mut scratch.monitor_codes);
-        let mut functional = FunctionalAcc::new(bit, config.deglitch(), &mut scratch.checks);
+        let mut mon = MonitorState::new(config);
+        let mut func = FunctionalState::new(bit, config.deglitch());
+        scratch.clear();
         if let Some(seq) = seq.as_deref_mut() {
             seq.begin(config);
         }
         let mut consumed = 0u64;
         for code in codes {
             consumed += 1;
-            let measured = monitor.push((code.0 >> bit) & 1 == 1);
-            let checked = functional.push(code);
-            if let Some(seq) = seq.as_deref_mut() {
-                if let Some(m) = measured {
-                    seq.observe_code(consumed, &m);
-                }
-                if let Some(c) = checked {
-                    seq.observe_functional(consumed, c.ok);
-                }
-                if let Some(stop) = seq.stop_if_due(consumed) {
-                    return stop;
-                }
+            let (seq, detail) = (seq.as_deref_mut(), Some(&mut *scratch));
+            if let Some(stop) = push_sample(&mut mon, &mut func, seq, detail, consumed, bit, code) {
+                return stop;
             }
         }
         SeqOutcome::completed(BistVerdict::from_tallies(
             config,
-            monitor.finish(),
-            functional.finish(),
+            mon.tally(),
+            func.tally(),
             consumed,
         ))
     }
 
+    // bist-lint: hot-path — the scalar dynamic judge
     fn judge_dyn<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &DynamicConfig,
-        mut seq: Option<&mut DynSequencer>,
+        seq: Option<&mut DynSequencer>,
         codes: I,
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict> {
         let bank = scratch.bank_for(config);
         let half_fs = (config.resolution().code_count() / 2) as f64;
-        if let Some(seq) = seq.as_deref_mut() {
-            seq.begin(config);
-        }
-        let mut decision = SeqDecision::Continue;
-        let mut consumed = 0u64;
-        for code in codes {
-            consumed += 1;
+        let (decision, consumed) = drive_dyn(config, seq, codes, |code| {
             bank.push(f64::from(code.0) + 0.5 - half_fs);
-            if let Some(seq) = seq.as_deref_mut() {
-                seq.push(code);
-                if consumed == seq.next_due() {
-                    decision = seq.checkpoint(consumed);
-                    if decision.stops() {
-                        break;
-                    }
-                }
-            }
-        }
+        });
         SeqOutcome {
             decision,
             verdict: config.judge_powers(&bank.powers(), consumed),
         }
     }
 
-    /// The behavioural batch engine: run-skipping static sweeps, coded
-    /// and per-sample Goertzel records over a shared stimulus table —
-    /// bit-exact to the scalar path either way (see [`crate::batch`]).
+    /// The behavioural batch engine: run-skipping static sweeps and
+    /// coded Goertzel groups over a shared stimulus table, every other
+    /// device through the judges above — bit-exact to the scalar path
+    /// (see [`crate::batch`]).
     fn process_batch<A: Adc, R: RngCore>(
         &mut self,
         batch: &mut ScreenBatch,
@@ -293,8 +275,7 @@ impl Backend for RtlBackend {
     ) -> SeqOutcome<BistVerdict> {
         let want = Self::top_config(config);
         let top = self.top_for(want);
-        scratch.monitor_codes.clear();
-        scratch.checks.clear();
+        scratch.clear();
         if let Some(seq) = seq.as_deref_mut() {
             seq.begin(config);
         }
@@ -363,29 +344,12 @@ impl Backend for RtlBackend {
     fn judge_dyn<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &DynamicConfig,
-        mut seq: Option<&mut DynSequencer>,
+        seq: Option<&mut DynSequencer>,
         codes: I,
         _scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict> {
         let top = self.dyn_top_for(config.to_rtl());
-        if let Some(seq) = seq.as_deref_mut() {
-            seq.begin(config);
-        }
-        let mut decision = SeqDecision::Continue;
-        let mut consumed = 0u64;
-        for code in codes {
-            consumed += 1;
-            top.tick(u64::from(code.0));
-            if let Some(seq) = seq.as_deref_mut() {
-                seq.push(code);
-                if consumed == seq.next_due() {
-                    decision = seq.checkpoint(consumed);
-                    if decision.stops() {
-                        break;
-                    }
-                }
-            }
-        }
+        let (decision, _) = drive_dyn(config, seq, codes, |code| top.tick(u64::from(code.0)));
         for _ in 0..DynBistTop::DRAIN_TICKS {
             top.drain_tick();
         }
@@ -394,6 +358,73 @@ impl Backend for RtlBackend {
             verdict: rtl_dyn_verdict(config, &top.report()),
         }
     }
+}
+
+/// One sample of a static sweep, the step every behavioural static
+/// path shares — the scalar judge and the batch engine's run-skip
+/// heads: pushes sample `at` (code `code`, monitored bit `bit`) through
+/// the sweep's accumulators, records the code measurement and check it
+/// closes in `detail` when one is given, and feeds them to the sweep's
+/// sequencer, which takes its checkpoint if one falls due at `at`. The
+/// early-stop outcome when that checkpoint stops the sweep.
+// bist-lint: hot-path — the one static sample step
+#[inline(always)]
+pub(crate) fn push_sample(
+    mon: &mut MonitorState,
+    func: &mut FunctionalState,
+    seq: Option<&mut StaticSequencer>,
+    detail: Option<&mut Scratch>,
+    at: u64,
+    bit: u32,
+    code: Code,
+) -> Option<SeqOutcome<BistVerdict>> {
+    let measured = mon.push((code.0 >> bit) & 1 == 1);
+    let checked = func.push(code);
+    if let Some(detail) = detail {
+        detail.monitor_codes.extend(measured);
+        detail.checks.extend(checked);
+    }
+    let seq = seq?;
+    if let Some(m) = measured {
+        seq.observe_code(at, &m);
+    }
+    if let Some(c) = checked {
+        seq.observe_functional(at, c.ok);
+    }
+    seq.stop_if_due(at)
+}
+
+/// The one dynamic sample loop both backends' `judge_dyn` share:
+/// (re-)begins `seq`, hands each code to the backend's `sink` and then
+/// to the sequencer, whose checkpoints may stop the record. The last
+/// decision and the number of codes consumed.
+// bist-lint: hot-path — the shared dynamic sequencer drive
+#[inline(always)]
+fn drive_dyn<I: IntoIterator<Item = Code>>(
+    config: &DynamicConfig,
+    mut seq: Option<&mut DynSequencer>,
+    codes: I,
+    mut sink: impl FnMut(Code),
+) -> (SeqDecision, u64) {
+    if let Some(seq) = seq.as_deref_mut() {
+        seq.begin(config);
+    }
+    let mut decision = SeqDecision::Continue;
+    let mut consumed = 0u64;
+    for code in codes {
+        consumed += 1;
+        sink(code);
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.push(code);
+            if consumed == seq.next_due() {
+                decision = seq.checkpoint(consumed);
+                if decision.stops() {
+                    break;
+                }
+            }
+        }
+    }
+    (decision, consumed)
 }
 
 /// Maps one RTL code measurement onto the scratch's per-code view (the
@@ -491,8 +522,8 @@ mod tests {
         let config = cfg(5, false);
         let adc = ideal();
         let (ramp, sampling) = plan_ramp(&adc, &config);
-        let mut s1 = Scratch::new();
-        let mut s2 = Scratch::new();
+        let mut s1 = Scratch::default();
+        let mut s2 = Scratch::default();
         // A sequencer whose first checkpoint lies past the stream
         // watches the whole sweep without ever taking a decision.
         let mut seq = StaticSequencer::new(SequencerConfig {
@@ -522,7 +553,7 @@ mod tests {
     fn rtl_backend_accepts_ideal_device_all_counters() {
         let adc = ideal();
         let mut backend = RtlBackend::new();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         for bits in 4..=7 {
             let config = cfg(bits, false);
             let verdict = static_sweep(
@@ -561,7 +592,7 @@ mod tests {
             ] {
                 let config = cfg(bits, deglitch);
                 let adc = FlashConfig::paper_device().sample(&mut StdRng::seed_from_u64(seed));
-                let mut scratch = Scratch::new();
+                let mut scratch = Scratch::default();
                 let behavioral = static_sweep(
                     &mut BehavioralBackend,
                     &adc,
@@ -589,7 +620,7 @@ mod tests {
     #[test]
     fn rtl_backend_reuses_top_across_devices_and_rebuilds_on_config_change() {
         let mut backend = RtlBackend::new();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         let adc = ideal();
         let c4 = cfg(4, false);
         let c6 = cfg(6, true);
@@ -615,7 +646,7 @@ mod tests {
             .build()
             .unwrap();
         let adc = ideal();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         let behavioral = static_sweep(
             &mut BehavioralBackend,
             &adc,
@@ -733,7 +764,7 @@ mod tests {
         // A fleet screener holds one RtlBackend and runs static and
         // dynamic sweeps through it; the two cached tops coexist.
         let mut backend = RtlBackend::new();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         let mut dyn_scratch = DynScratch::new();
         let adc = ideal();
         let static_v = static_sweep(
@@ -765,7 +796,7 @@ mod tests {
             .build()
             .unwrap();
         let adc = ideal();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         static_sweep(
             &mut RtlBackend::new(),
             &adc,

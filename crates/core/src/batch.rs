@@ -19,62 +19,65 @@
 //!   by a galloping search over the closed-form ramp instead of
 //!   sample-by-sample conversion, and the accumulators advance over the
 //!   constant run in O(1) ([`MonitorState::skip_run`]). The replayed
-//!   head of each run keeps the deglitcher and median-filter state
-//!   machines bit-exact with the scalar path. Other sweeps convert
-//!   sample by sample.
+//!   head of each run goes through the scalar judge's own sample step,
+//!   which keeps the deglitcher and median-filter state machines
+//!   bit-exact with the scalar path; it records no per-code detail.
+//!   Other sweeps (noisy, or converters that state no levels) run the
+//!   scalar judge itself on [`CodeStream::noisy`].
 //! * dynamic — the coherent sine stimulus is evaluated **once** per
 //!   engine into a table, planned by the engine's first zero-jitter
 //!   device (at zero jitter the stimulus is device-independent), and
-//!   sorted once by value. A device whose plan differs from the table's
-//!   falls back to per-sample evaluation. A noiseless, unsequenced
-//!   device that states at most 255 transition levels is *coded*: one
-//!   walk of the table in value order against the sorted levels yields
-//!   its whole record, one byte per sample, in the next column of a
-//!   pending group of eight `[u8; 8]` rows. The group crosses the
-//!   record in one kernel pass when its eighth column fills and when
-//!   the device stream ends, holding the Goertzel state as `[bin][device]`
-//!   rows and the Welford moments as `[device]` rows: the Welford
-//!   divide is one vector operation across the group, and each sample's
-//!   resonator updates are eight independent chains per bin instead of
-//!   one (AVX2+FMA when the host has it). Other devices — noisy,
-//!   sequenced, or converters that state no levels — step sample by
-//!   sample through the scalar engine's own [`GoertzelBank`].
+//!   sorted once by value. A noiseless, unsequenced device that states
+//!   at most 255 transition levels is *coded*: one walk of the table in
+//!   value order against the sorted levels yields its whole record, one
+//!   byte per sample, in the next column of a pending group of eight
+//!   `[u8; 8]` rows. The group crosses the record in one kernel pass
+//!   when its eighth column fills and when the device stream ends,
+//!   holding the Goertzel state as `[bin][device]` rows and the Welford
+//!   moments as `[device]` rows: the Welford divide is one vector
+//!   operation across the group, and each sample's resonator updates
+//!   are eight independent chains per bin instead of one (AVX2+FMA when
+//!   the host has it). Each column is then loaded into the scalar
+//!   judge's bank for its verdict. Other devices — noisy, sequenced, or
+//!   converters that state no levels — run the scalar judge: on the
+//!   table's values through the voltage noise when their plan matches
+//!   the table's, on [`CodeStream::noisy`] otherwise.
 //!
 //! A sequenced engine keeps one sequencer, built from its policy, and
 //! feeds it exactly as the scalar judges do: each event is stamped with
 //! its closing sample, the sequencer admits it under its own visibility
 //! protocol (see [`crate::sequencer`]), and the sweep takes each
-//! checkpoint at the sequencer's [`next_due`](StaticSequencer::next_due)
-//! sample. A run-skipping sweep takes the checkpoints that fall inside a
-//! run's skipped bulk, where no event closes, without splitting the run.
-//! The scalar path judges with the same sequencer.
+//! checkpoint as it falls due. A run-skipping sweep takes the
+//! checkpoints that fall inside a run's skipped bulk, where no event
+//! closes, without splitting the run.
 //!
 //! **Bit-exactness.** Every verdict the engine reports is identical to
 //! running the same device, with the same RNG, through the scalar
-//! engine: run-skipping evaluates the *same* ramp expression on the
-//! *same* sample indices; the per-sample paths replay
-//! [`bist_adc::stream::CodeStream`]'s draw order with the device's own
-//! RNG; per-sample dynamic devices run the scalar engine's own
-//! [`GoertzelBank`], and the group kernel applies
-//! [`GoertzelBank::push`]'s per-(device, bin) operation sequence, then
-//! loads its result into that bank. The `batch_equivalence` property
-//! tests pin this for any fleet size, mix and split of the fleet across
-//! calls.
+//! judge — by construction wherever the engine *is* that judge, which
+//! is every device it neither run-skips nor codes. Run-skipping
+//! evaluates the *same* ramp expression on the *same* sample indices
+//! and steps the judge's own sample step; the table path feeds the
+//! judge the values [`CodeStream::noisy`] would evaluate, with the
+//! device's own RNG in its draw order; the group kernel applies
+//! [`bist_dsp::goertzel::GoertzelBank::push`]'s per-(device, bin)
+//! operation sequence, then loads its result into the judge's bank. The
+//! `batch_equivalence` property tests pin this for any fleet size, mix
+//! and split of the fleet across calls.
 
-use crate::backend::Backend;
+use crate::backend::{push_sample, Backend, BehavioralBackend};
 use crate::config::BistConfig;
-use crate::dynamic::{plan_sine, DynScratch, DynamicConfig};
+use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalState;
 use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
 use crate::lsb_monitor::MonitorState;
 use crate::screener::{ScreenReport, ScreenVerdict, Workload};
-use crate::sequencer::{DynSequencer, SeqDecision, SeqOutcome, SequencerConfig, StaticSequencer};
+use crate::sequencer::{DynSequencer, SeqOutcome, SequencerConfig, StaticSequencer};
 use bist_adc::noise::NoiseConfig;
 use bist_adc::signal::{Ramp, SineWave, Stimulus};
 use bist_adc::stream::CodeStream;
 use bist_adc::types::{Code, Volts};
 use bist_adc::{Adc, SamplingConfig};
-use bist_dsp::goertzel::{harmonic_plan, Goertzel, GoertzelBank};
+use bist_dsp::goertzel::{harmonic_plan, Goertzel};
 use rand::RngCore;
 
 /// One device to screen: a stable report index, its transfer function
@@ -103,8 +106,8 @@ impl<A, R> BatchDevice<A, R> {
 ///
 /// A dynamic [`ScreenBatch`] plans its table lazily, on its first
 /// zero-jitter device. Devices whose plan differs from the table's (or
-/// any jittered noise model) fall back to per-sample evaluation, so the
-/// table never changes a verdict.
+/// any jittered noise model) go through the scalar judge on their own
+/// stimulus, so the table never changes a verdict.
 #[derive(Debug, Default)]
 struct StimulusTable {
     plan: Option<(SineWave, SamplingConfig)>,
@@ -254,8 +257,8 @@ impl ScreenBatch {
         reports: &mut Vec<ScreenReport>,
     ) {
         match &mut self.engine {
-            BatchEngine::Static(engine) => engine.run(devices, reports),
-            BatchEngine::Dynamic(engine) => engine.run(devices, reports),
+            BatchEngine::Static(engine) => engine.run(devices, reports, &mut self.scratch),
+            BatchEngine::Dynamic(engine) => engine.run(devices, reports, &mut self.dyn_scratch),
         }
     }
 
@@ -293,17 +296,9 @@ impl BatchEngine {
         dyn_scratch: &mut DynScratch,
     ) -> ScreenVerdict {
         match self {
-            BatchEngine::Static(e) => {
-                let (ramp, sampling) = plan_ramp(adc, &e.config);
-                let ramp = ramp.with_slope_error(e.slope_error);
-                let stream = CodeStream::noisy(adc, &ramp, sampling, &e.noise, rng);
-                ScreenVerdict::Static(backend.judge(&e.config, e.seq.as_mut(), stream, scratch))
-            }
+            BatchEngine::Static(e) => ScreenVerdict::Static(e.judge(backend, adc, rng, scratch)),
             BatchEngine::Dynamic(e) => {
-                let (sine, sampling) = plan_sine(adc, &e.config);
-                let stream = CodeStream::noisy(adc, &sine, sampling, &e.noise, rng);
-                let seq = e.seq.as_mut();
-                ScreenVerdict::Dynamic(backend.judge_dyn(&e.config, seq, stream, dyn_scratch))
+                ScreenVerdict::Dynamic(e.judge(backend, adc, rng, dyn_scratch))
             }
         }
     }
@@ -320,160 +315,135 @@ struct StaticEngine {
 }
 
 impl StaticEngine {
+    /// Plans `adc`'s ramp and judges its noisy code stream through
+    /// `backend`'s judge, under the engine's sequencer.
+    fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        adc: &A,
+        rng: &mut R,
+        scratch: &mut Scratch,
+    ) -> SeqOutcome<BistVerdict> {
+        let (ramp, sampling) = plan_ramp(adc, &self.config);
+        let ramp = ramp.with_slope_error(self.slope_error);
+        let codes = CodeStream::noisy(adc, &ramp, sampling, &self.noise, rng);
+        backend.judge(&self.config, self.seq.as_mut(), codes, scratch)
+    }
+
     /// Sweeps each device from its first sample until a checkpoint
-    /// stops the sweep or the sweep ends, one report each.
+    /// stops the sweep or the sweep ends, one report each: run-skipping
+    /// when it can, through the scalar judge (detail into `scratch`)
+    /// otherwise.
     // bist-lint: hot-path — the static device loop
     fn run<A: Adc, R: RngCore>(
         &mut self,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
+        scratch: &mut Scratch,
     ) {
-        // Replayed head of each constant-code run: the deglitcher taps
-        // / median window saturate after two identical samples, after
-        // which `skip_run` covers the remainder in O(1).
-        let head_n: u64 = if self.config.deglitch() { 2 } else { 1 };
-        let bit = self.config.monitored_bit();
         for mut dev in devices {
             let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
             let ramp = ramp.with_slope_error(self.slope_error);
-            let total = sampling.samples as u64;
             // Run-skipping needs a device-independent, strictly
             // advancing stimulus (noiseless, positive effective slope;
             // harness ramps have no bow) and known transition levels to
             // search against.
             let run_skip = self.noise.is_noiseless() && ramp.effective_slope() > 0.0;
-            let levels = dev.adc.transition_levels().filter(|_| run_skip);
-            let mut mon = MonitorState::new(&self.config);
-            let mut func = FunctionalState::new(bit, self.config.deglitch());
-            let mut seq = self.seq.as_mut();
-            if let Some(seq) = seq.as_deref_mut() {
-                seq.begin(&self.config);
-            }
-            let mut consumed = 0;
-
-            let stop = 'sweep: {
-                if let Some(levels) = levels {
-                    let (mut cur_code, mut run_end, mut head_left) = (0u32, 0u64, 0u64);
-                    while consumed < total {
-                        if run_end <= consumed {
-                            // Open a run: settle the level cursor to the
-                            // exact partition point at this sample, then
-                            // gallop to the first sample at or above the
-                            // next transition level.
-                            let v = ramp.value(sampling.sample_time(consumed as usize)).0;
-                            let m = levels.len();
-                            let mut c = cur_code as usize;
-                            while c < m && levels[c] <= v {
-                                c += 1;
-                            }
-                            while c > 0 && levels[c - 1] > v {
-                                c -= 1;
-                            }
-                            cur_code = c as u32;
-                            run_end = if c < m {
-                                first_at_or_above(&ramp, &sampling, levels[c], consumed + 1, total)
-                            } else {
-                                total
-                            };
-                            head_left = head_n;
-                        }
-                        let code = Code(cur_code);
-                        let head = head_left.min(run_end - consumed);
-                        head_left -= head;
-                        for _ in 0..head {
-                            consumed += 1;
-                            let seq = seq.as_deref_mut();
-                            if let Some(stop) =
-                                push_sample(&mut mon, &mut func, seq, consumed, bit, code)
-                            {
-                                break 'sweep Some(stop);
-                            }
-                        }
-                        // No event closes in the rest of the run, so each
-                        // checkpoint falling due in it is taken now, on
-                        // the tallies it would see at its own sample, and
-                        // a checkpoint that continues does not split the
-                        // run.
-                        if let Some(stop) =
-                            seq.as_deref_mut().and_then(|s| s.stop_in_quiet(run_end))
-                        {
-                            break 'sweep Some(stop);
-                        }
-                        let bulk = run_end - consumed;
-                        if bulk > 0 {
-                            mon.skip_run(bulk);
-                            func.skip_run(bulk);
-                            consumed = run_end;
-                        }
-                    }
-                } else {
-                    // Per-sample fallback: byte-for-byte the scalar
-                    // acquisition (`CodeStream::next`), with the
-                    // device's own RNG so the draw order matches the
-                    // scalar run exactly.
-                    while consumed < total {
-                        let t = self
-                            .noise
-                            .perturb_time(sampling.sample_time(consumed as usize), &mut dev.rng);
-                        let v = self.noise.perturb_voltage(ramp.value(t).0, &mut dev.rng);
-                        let code = dev.adc.convert(Volts(v));
-                        consumed += 1;
-                        let seq = seq.as_deref_mut();
-                        if let Some(stop) =
-                            push_sample(&mut mon, &mut func, seq, consumed, bit, code)
-                        {
-                            break 'sweep Some(stop);
-                        }
-                    }
-                }
-                None
+            let outcome = match dev.adc.transition_levels().filter(|_| run_skip) {
+                Some(levels) => self.run_skip(levels, &ramp, &sampling),
+                None => self.judge(&mut BehavioralBackend, &dev.adc, &mut dev.rng, scratch),
             };
-            let outcome = stop.unwrap_or_else(|| {
-                SeqOutcome::completed(BistVerdict::from_tallies(
-                    &self.config,
-                    mon.tally(),
-                    func.tally(),
-                    consumed,
-                ))
-            });
             reports.push(ScreenReport {
                 device: dev.index,
                 verdict: ScreenVerdict::Static(outcome),
             });
         }
     }
-}
 
-/// Pushes sample `at` (code `code`, monitored bit `bit`) through one
-/// static sweep's accumulators — the same `push` the scalar engine
-/// steps — feeding the events it closes to the sweep's sequencer, which
-/// takes its checkpoint if one falls due at `at`. The early-stop
-/// outcome when that checkpoint stops the sweep.
-#[inline(always)]
-fn push_sample(
-    mon: &mut MonitorState,
-    func: &mut FunctionalState,
-    seq: Option<&mut StaticSequencer>,
-    at: u64,
-    bit: u32,
-    code: Code,
-) -> Option<SeqOutcome<BistVerdict>> {
-    let measured = mon.push((code.0 >> bit) & 1 == 1);
-    let checked = func.push(code);
-    let seq = seq?;
-    if let Some(m) = measured {
-        seq.observe_code(at, &m);
+    /// Sweeps one noiseless device with transition levels `levels`
+    /// run by run: each constant-code run's head through
+    /// [`push_sample`], which records nothing, and the rest in O(1).
+    // bist-lint: hot-path — the run-skipping sweep
+    fn run_skip(
+        &mut self,
+        levels: &[f64],
+        ramp: &Ramp,
+        sampling: &SamplingConfig,
+    ) -> SeqOutcome<BistVerdict> {
+        // Replayed head of each constant-code run: the deglitcher taps
+        // / median window saturate after two identical samples, after
+        // which `skip_run` covers the remainder in O(1).
+        let head_n: u64 = if self.config.deglitch() { 2 } else { 1 };
+        let bit = self.config.monitored_bit();
+        let total = sampling.samples as u64;
+        let mut mon = MonitorState::new(&self.config);
+        let mut func = FunctionalState::new(bit, self.config.deglitch());
+        let mut seq = self.seq.as_mut();
+        if let Some(seq) = seq.as_deref_mut() {
+            seq.begin(&self.config);
+        }
+        let (mut consumed, mut cur_code, mut run_end, mut head_left) = (0u64, 0u32, 0u64, 0u64);
+        while consumed < total {
+            if run_end <= consumed {
+                // Open a run: settle the level cursor to the exact
+                // partition point at this sample, then gallop to the
+                // first sample at or above the next transition level.
+                let v = ramp.value(sampling.sample_time(consumed as usize)).0;
+                let m = levels.len();
+                let mut c = cur_code as usize;
+                while c < m && levels[c] <= v {
+                    c += 1;
+                }
+                while c > 0 && levels[c - 1] > v {
+                    c -= 1;
+                }
+                cur_code = c as u32;
+                run_end = if c < m {
+                    first_at_or_above(ramp, sampling, levels[c], consumed + 1, total)
+                } else {
+                    total
+                };
+                head_left = head_n;
+            }
+            let code = Code(cur_code);
+            let head = head_left.min(run_end - consumed);
+            head_left -= head;
+            for _ in 0..head {
+                consumed += 1;
+                let seq = seq.as_deref_mut();
+                if let Some(stop) = push_sample(&mut mon, &mut func, seq, None, consumed, bit, code)
+                {
+                    return stop;
+                }
+            }
+            // No event closes in the rest of the run, so each checkpoint
+            // falling due in it is taken now, on the tallies it would
+            // see at its own sample, and a checkpoint that continues
+            // does not split the run.
+            if let Some(stop) = seq.as_deref_mut().and_then(|s| s.stop_in_quiet(run_end)) {
+                return stop;
+            }
+            let bulk = run_end - consumed;
+            if bulk > 0 {
+                mon.skip_run(bulk);
+                func.skip_run(bulk);
+                consumed = run_end;
+            }
+        }
+        SeqOutcome::completed(BistVerdict::from_tallies(
+            &self.config,
+            mon.tally(),
+            func.tally(),
+            consumed,
+        ))
     }
-    if let Some(c) = checked {
-        seq.observe_functional(at, c.ok);
-    }
-    seq.stop_if_due(at)
 }
 
 /// First sample index in `[from, total)` whose ramp voltage reaches
 /// `level`, or `total`. Gallop-then-bisect over the monotone predicate
 /// `ramp(t_j) ≥ level`, evaluating the *same* closed-form expression
-/// the per-sample path would, so the crossing sample is exact.
+/// the scalar judge's code stream would, so the crossing sample is
+/// exact.
 fn first_at_or_above(
     ramp: &Ramp,
     sampling: &SamplingConfig,
@@ -558,7 +528,7 @@ fn code_record(table: &StimulusTable, levels: &[f64], rows: &mut [[u8; GROUP]], 
 }
 
 /// Advances a coded group from zeroed state over its whole record.
-/// Each column gets exactly the per-sample path's arithmetic in its
+/// Each column gets exactly the scalar judge's bank arithmetic in its
 /// order — `x = code + ½ − fs/2`, then every bin's `s0 = x + c·s1 − s2`,
 /// then the Welford step — so results are bit-identical. Eight devices
 /// side by side turn the Welford divide chain into one vector divide per
@@ -626,9 +596,8 @@ fn group_kernel(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
 }
 
 /// The dynamic (coherent-sine) engine: the plan every device shares,
-/// the stimulus table, the scalar engine's [`GoertzelBank`] and the
-/// sequencer each per-sample record reuses, and the pending coded
-/// group.
+/// the stimulus table, the sequencer each scalar-judged record reuses,
+/// and the pending coded group.
 #[derive(Debug)]
 struct DynEngine {
     config: DynamicConfig,
@@ -636,7 +605,6 @@ struct DynEngine {
     /// Stimulus voltages shared by every zero-jitter device whose plan
     /// matches the table's — evaluated once per engine.
     table: StimulusTable,
-    bank: GoertzelBank,
     seq: Option<DynSequencer>,
     /// The pending group's coded records: the code of the device in
     /// column `c` for sample `i` is `codes[i][c]`.
@@ -657,7 +625,6 @@ impl DynEngine {
             config,
             noise,
             table: StimulusTable::default(),
-            bank: GoertzelBank::new(config.cycles() as usize, n, config.harmonics()),
             seq: sequencer.map(DynSequencer::new),
             codes: Vec::new(),
             pending: [0; GROUP],
@@ -666,17 +633,32 @@ impl DynEngine {
         }
     }
 
-    /// Screens each device to completion, or codes it into the pending
-    /// group, which is flushed when it fills and when the device stream
-    /// ends; one report per device.
+    /// Plans `adc`'s sine and judges its noisy code stream through
+    /// `backend`'s judge, under the engine's sequencer.
+    fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        adc: &A,
+        rng: &mut R,
+        scratch: &mut DynScratch,
+    ) -> SeqOutcome<DynamicVerdict> {
+        let (sine, sampling) = plan_sine(adc, &self.config);
+        let codes = CodeStream::noisy(adc, &sine, sampling, &self.noise, rng);
+        backend.judge_dyn(&self.config, self.seq.as_mut(), codes, scratch)
+    }
+
+    /// Codes each device into the pending group, which is flushed when
+    /// it fills and when the device stream ends, or judges it through
+    /// the scalar judge (its bank in `scratch`) — from the stimulus
+    /// table when its plan matches; one report per device.
     // bist-lint: hot-path — the dynamic device loop
     fn run<A: Adc, R: RngCore>(
         &mut self,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
+        scratch: &mut DynScratch,
     ) {
         let record_len = self.config.record_len();
-        let half_fs = (self.config.resolution().code_count() / 2) as f64;
         let jitter_free = self.noise.jitter_seconds() == 0.0;
         for mut dev in devices {
             let (sine, sampling) = plan_sine(&dev.adc, &self.config);
@@ -705,57 +687,36 @@ impl DynEngine {
                 self.pending[self.coded] = dev.index;
                 self.coded += 1;
                 if self.coded == GROUP {
-                    self.flush(reports);
+                    self.flush(reports, scratch);
                 }
                 continue;
             }
 
-            let bank = &mut self.bank;
-            bank.reset();
-            let mut seq = self.seq.as_mut();
-            if let Some(seq) = seq.as_deref_mut() {
-                seq.begin(&self.config);
-            }
-            let mut consumed = 0;
-            let mut decision = SeqDecision::Continue;
-            while consumed < record_len as u64 {
-                let i = consumed as usize;
-                let v0 = if use_table {
-                    self.table.values[i]
-                } else {
-                    let t = self
-                        .noise
-                        .perturb_time(sampling.sample_time(i), &mut dev.rng);
-                    sine.value(t).0
-                };
-                let v = self.noise.perturb_voltage(v0, &mut dev.rng);
-                let code = dev.adc.convert(Volts(v));
-                bank.push(f64::from(code.0) + 0.5 - half_fs);
-                consumed += 1;
-                if let Some(seq) = seq.as_deref_mut() {
-                    seq.push(code);
-                    if consumed == seq.next_due() {
-                        decision = seq.checkpoint(consumed);
-                        if decision.stops() {
-                            break;
-                        }
-                    }
-                }
-            }
-            let verdict = self.config.judge_powers(&bank.powers(), consumed);
+            // At zero jitter the sample instants are unperturbed, so a
+            // table device's stream is the table's values through the
+            // voltage noise — `CodeStream::noisy`'s draws, in its order.
+            let outcome = if use_table {
+                let (adc, rng, noise) = (&dev.adc, &mut dev.rng, &self.noise);
+                let values = self.table.values.iter();
+                let codes = values.map(|&v| adc.convert(Volts(noise.perturb_voltage(v, rng))));
+                BehavioralBackend.judge_dyn(&self.config, self.seq.as_mut(), codes, scratch)
+            } else {
+                self.judge(&mut BehavioralBackend, &dev.adc, &mut dev.rng, scratch)
+            };
             reports.push(ScreenReport {
                 device: dev.index,
-                verdict: ScreenVerdict::Dynamic(SeqOutcome { decision, verdict }),
+                verdict: ScreenVerdict::Dynamic(outcome),
             });
         }
-        self.flush(reports);
+        self.flush(reports, scratch);
     }
 
     /// Runs the pending group's coded records through [`group_kernel`]
     /// and reports each coded device from its column's state, loaded
-    /// into the bank; a no-op when nothing is pending.
+    /// into the scalar judge's bank in `scratch`; a no-op when nothing
+    /// is pending.
     // bist-lint: hot-path — the coded group flush
-    fn flush(&mut self, reports: &mut Vec<ScreenReport>) {
+    fn flush(&mut self, reports: &mut Vec<ScreenReport>, scratch: &mut DynScratch) {
         if self.coded == 0 {
             return;
         }
@@ -764,10 +725,11 @@ impl DynEngine {
         self.group.reset();
         group_kernel(&self.codes[..record], &mut self.group, half_fs);
         let st = &self.group;
+        let bank = scratch.bank_for(&self.config);
         for (col, &device) in self.pending[..self.coded].iter().enumerate() {
             let state = |bin: usize| (st.s1[bin][col], st.s2[bin][col]);
-            self.bank.set_state(record, st.mean[col], st.m2[col], state);
-            let verdict = self.config.judge_powers(&self.bank.powers(), record as u64);
+            bank.set_state(record, st.mean[col], st.m2[col], state);
+            let verdict = self.config.judge_powers(&bank.powers(), record as u64);
             reports.push(ScreenReport {
                 device,
                 verdict: ScreenVerdict::Dynamic(SeqOutcome::completed(verdict)),
@@ -825,6 +787,47 @@ mod tests {
                 )
             });
             assert_eq!(whole, split, "deglitch {deglitch}");
+        }
+    }
+
+    /// The run-skipping sweep records no per-code detail: a fleet of
+    /// noiseless flash devices, sequenced or not, leaves the engine's
+    /// scratch buffers empty and unallocated, while a noisy fleet,
+    /// which the scalar judge screens, fills them.
+    #[test]
+    fn run_skipped_fleet_leaves_scratch_unallocated() {
+        use bist_adc::flash::FlashConfig;
+        use bist_adc::spec::LinearitySpec;
+        use bist_adc::types::Resolution;
+        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+            .counter_bits(5)
+            .deglitch(true)
+            .build()
+            .unwrap();
+        let noisy = NoiseConfig::noiseless().with_transition_noise(0.004);
+        for (noise, sequencer) in [
+            (NoiseConfig::noiseless(), None),
+            (NoiseConfig::noiseless(), Some(SequencerConfig::default())),
+            (noisy, None),
+        ] {
+            let workload = Workload::static_ramp(config).with_noise(noise);
+            let mut batch = ScreenBatch::new(workload, sequencer);
+            let mut rng = StdRng::seed_from_u64(7);
+            let devices = (0..16).map(|i| {
+                let adc = FlashConfig::paper_device().sample(&mut rng);
+                BatchDevice::new(i, adc, StdRng::seed_from_u64(i as u64))
+            });
+            let mut reports = Vec::new();
+            batch.screen(&mut BehavioralBackend, devices, &mut reports);
+            assert_eq!(reports.len(), 16);
+            let s = &batch.scratch;
+            let allocated = s.monitor_codes.capacity() + s.checks.capacity();
+            assert_eq!(
+                allocated > 0,
+                !noise.is_noiseless(),
+                "{noise:?} {sequencer:?}"
+            );
+            assert_eq!(batch.detail.monitor_codes.capacity(), 0);
         }
     }
 

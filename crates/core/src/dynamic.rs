@@ -121,23 +121,22 @@ impl DynamicConfig {
         record_len: usize,
         cycles: u32,
     ) -> Result<Self, ConfigError> {
-        DynamicConfig::builder(resolution, record_len, cycles).build()
-    }
-
-    /// Starts a builder for a dynamic test plan — the validating front
-    /// door for non-default harmonics or limits (an
-    /// unrealisable plan surfaces as a [`ConfigError`]).
-    pub fn builder(resolution: Resolution, record_len: usize, cycles: u32) -> DynamicConfigBuilder {
-        DynamicConfigBuilder {
-            config: DynamicConfig {
-                resolution,
-                record_len,
-                cycles,
-                harmonics: DEFAULT_HARMONICS,
-                overdrive: DEFAULT_OVERDRIVE,
-                limits: DynamicLimits::for_resolution(resolution),
-            },
+        if cycles == 0 || 2 * cycles as usize >= record_len {
+            return Err(ConfigError::FundamentalOutOfRange { cycles, record_len });
         }
+        let config = DynamicConfig {
+            resolution,
+            record_len,
+            cycles,
+            harmonics: DEFAULT_HARMONICS,
+            overdrive: DEFAULT_OVERDRIVE,
+            limits: DynamicLimits::for_resolution(resolution),
+        };
+        config
+            .to_rtl()
+            .validate()
+            .map_err(ConfigError::FixedPointUnrealisable)?;
+        Ok(config)
     }
 
     /// The paper-scale operating point: the 6-bit vehicle with the
@@ -229,63 +228,6 @@ impl fmt::Display for DynamicConfig {
             self.harmonics + 1,
             self.limits
         )
-    }
-}
-
-/// Builder for [`DynamicConfig`]: overrides applied before the single
-/// validation in [`build`](DynamicConfigBuilder::build).
-///
-/// # Examples
-///
-/// ```
-/// use bist_adc::types::Resolution;
-/// use bist_core::dynamic::DynamicConfig;
-///
-/// # fn main() -> Result<(), bist_core::config::ConfigError> {
-/// let plan = DynamicConfig::builder(Resolution::SIX_BIT, 4096, 1021)
-///     .harmonics(4)
-///     .build()?;
-/// assert_eq!(plan.harmonics(), 4);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynamicConfigBuilder {
-    config: DynamicConfig,
-}
-
-impl DynamicConfigBuilder {
-    /// Sets the number of harmonic orders counted as distortion.
-    pub fn harmonics(mut self, harmonics: usize) -> Self {
-        self.config.harmonics = harmonics;
-        self
-    }
-
-    /// Sets the acceptance limits.
-    pub fn limits(mut self, limits: DynamicLimits) -> Self {
-        self.config.limits = limits;
-        self
-    }
-
-    /// Builds and validates the plan: the fundamental must lie strictly
-    /// between DC and Nyquist, and the full tone-bin plan (including
-    /// any harmonics override) must fit the fixed-point registers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when either audit fails.
-    pub fn build(self) -> Result<DynamicConfig, ConfigError> {
-        let c = &self.config;
-        if c.cycles == 0 || 2 * c.cycles as usize >= c.record_len {
-            return Err(ConfigError::FundamentalOutOfRange {
-                cycles: c.cycles,
-                record_len: c.record_len,
-            });
-        }
-        c.to_rtl()
-            .validate()
-            .map_err(ConfigError::FixedPointUnrealisable)?;
-        Ok(self.config)
     }
 }
 

@@ -7,6 +7,13 @@
 //! counter clocked by that edge verifies the converter's functionality —
 //! stuck output bits, decoder miswires and skipped codes all break the
 //! `+1` continuity.
+//!
+//! [`FunctionalState`] holds no buffer: [`FunctionalState::push`]
+//! returns the check a code fires, and the caller keeps it or not. The
+//! scalar judge ([`crate::backend::BehavioralBackend`]) records each
+//! one in the per-worker `harness::Scratch` (cleared, not shrunk, so the
+//! hot path is allocation-free after the first device); the batch
+//! engine's run-skipping sweep records nothing.
 
 use bist_adc::types::Code;
 use std::fmt;
@@ -74,19 +81,15 @@ impl fmt::Display for FunctionalResult {
 /// assert!(result.checks.len() >= 14);
 /// ```
 pub fn check_code_stream(codes: &[Code], monitored_bit: u32) -> FunctionalResult {
-    let mut checks = Vec::new();
-    let mut acc = FunctionalAcc::new(monitored_bit, false, &mut checks);
-    for &code in codes {
-        acc.push(code);
-    }
-    let tally = acc.finish();
+    let mut state = FunctionalState::new(monitored_bit, false);
+    let checks = codes.iter().filter_map(|&code| state.push(code)).collect();
     FunctionalResult {
         checks,
-        mismatches: tally.mismatches,
+        mismatches: state.tally().mismatches,
     }
 }
 
-/// Compact (heap-free) summary returned by [`FunctionalAcc::finish`].
+/// Compact (heap-free) summary returned by [`FunctionalState::tally`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionalTally {
     /// Number of checks fired.
@@ -95,33 +98,18 @@ pub struct FunctionalTally {
     pub mismatches: u64,
 }
 
-/// Streaming upper-bit functional checker: push codes one sample at a
-/// time.
+/// The heap-free per-sweep state of the upper-bit functional checker:
+/// edge detector, expectation counter, median window and mismatch
+/// tally. Push codes one sample at a time.
 ///
 /// Replicates [`check_code_stream`] exactly without materialising the
 /// code stream. With `deglitch` enabled the codes are first passed
 /// through a streaming median-of-3 filter (the first sample passes
-/// through unchanged; the trailing in-flight window is discarded at
-/// [`FunctionalAcc::finish`]) — the behavioural twin of the RTL
-/// `CodeMedianFilter` guarding `bist_rtl`'s upper-bit checker, and
-/// bit-exact with it per the backend-equivalence property tests.
-///
-/// Follows the same scratch-reuse contract as
-/// [`crate::lsb_monitor::LsbMonitorAcc`]: the borrowed check buffer is
-/// cleared, not reallocated.
-#[derive(Debug)]
-pub struct FunctionalAcc<'s> {
-    state: FunctionalState,
-    checks: &'s mut Vec<FunctionalCheck>,
-}
-
-/// The heap-free per-sweep state of the functional checker: edge
-/// detector, expectation counter, median window and mismatch tally —
-/// everything [`FunctionalAcc`] holds except the borrowed check buffer.
-///
-/// `Copy`, so the batched verdict path (`bist_core::batch`) can keep
-/// one in a local and step it with the *same* `push` the scalar
-/// accumulator uses.
+/// through unchanged; the trailing in-flight window is never judged) —
+/// the behavioural twin of the RTL `CodeMedianFilter` guarding
+/// `bist_rtl`'s upper-bit checker, and bit-exact with it per the
+/// backend-equivalence property tests. `Copy`, so every behavioural
+/// sweep keeps one in a local and steps it with the *same* `push`.
 #[derive(Debug, Clone, Copy)]
 pub struct FunctionalState {
     monitored_bit: u32,
@@ -237,30 +225,6 @@ impl FunctionalState {
             checks: self.fired,
             mismatches: self.mismatches,
         }
-    }
-}
-
-impl<'s> FunctionalAcc<'s> {
-    /// Starts a sweep, clearing (but not shrinking) the check buffer.
-    pub fn new(monitored_bit: u32, deglitch: bool, checks: &'s mut Vec<FunctionalCheck>) -> Self {
-        checks.clear();
-        FunctionalAcc {
-            state: FunctionalState::new(monitored_bit, deglitch),
-            checks,
-        }
-    }
-
-    /// Pushes one raw code sample, recording and returning the check it
-    /// fires, if any.
-    pub fn push(&mut self, code: Code) -> Option<FunctionalCheck> {
-        let check = self.state.push(code);
-        self.checks.extend(check);
-        check
-    }
-
-    /// Ends the sweep with the [`FunctionalState::tally`] so far.
-    pub fn finish(self) -> FunctionalTally {
-        self.state.tally()
     }
 }
 

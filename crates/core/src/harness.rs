@@ -17,9 +17,9 @@
 //! matches the hardware semantics: a lazy
 //! [`CodeStream`] evaluates the stimulus,
 //! injects noise and converts one sample at a time, and the
-//! accumulators — [`LsbMonitorAcc`](crate::lsb_monitor::LsbMonitorAcc),
-//! [`FunctionalAcc`](crate::functional::FunctionalAcc), the transition
-//! counter and (for the histogram harnesses) the
+//! accumulators — [`MonitorState`](crate::lsb_monitor::MonitorState),
+//! [`FunctionalState`](crate::functional::FunctionalState), the
+//! transition counter and (for the histogram harnesses) the
 //! [`CodeHistogram`] — consume it
 //! incrementally from one traversal. No capture is materialised.
 //!
@@ -193,9 +193,10 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// Creates an empty scratch (buffers warm up on first use).
-    pub fn new() -> Self {
-        Scratch::default()
+    /// Empties both detail buffers, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.monitor_codes.clear();
+        self.checks.clear();
     }
 
     /// Assembles the full [`BistOutcome`] of the most recent sweep,
@@ -439,7 +440,7 @@ mod tests {
             let mut rng = rng(100 + round);
             let capture: Vec<Code> =
                 CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).collect();
-            let mut scratch = Scratch::new();
+            let mut scratch = Scratch::default();
             let codes = capture.iter().copied();
             let judged = BehavioralBackend.judge(&config, None, codes, &mut scratch);
             let materialized = scratch.take_outcome(judged.verdict);

@@ -1,22 +1,23 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the maths/netlists
 //! Behavioural reference model of the Figure-4 LSB-processing block.
 //!
-//! The primary interface is the streaming accumulator
-//! [`LsbMonitorAcc`]: it consumes the monitored bit one sample at a
-//! time — exactly like the on-chip block, which has no sample memory —
-//! extracting the run length of every complete code (the gap between
-//! consecutive transitions), judging it against the count window, and
-//! accumulating INL. Bit-exact with the RTL
-//! [`bist_rtl::datapath::LsbProcessor`] — a cross-validation test in
-//! this crate enforces it.
+//! [`MonitorState`] is the block's whole sweep state: it consumes the
+//! monitored bit one sample at a time — exactly like the on-chip block,
+//! which has no sample memory — extracting the run length of every
+//! complete code (the gap between consecutive transitions), judging it
+//! against the count window, and accumulating INL. Bit-exact with the
+//! RTL [`bist_rtl::datapath::LsbProcessor`] — a cross-validation test
+//! in this crate enforces it.
 //!
-//! ## Scratch-reuse contract
+//! ## Heap-free state
 //!
-//! [`LsbMonitorAcc::new`] borrows the caller's `Vec<CodeResult>` result
-//! buffer, clearing its contents but keeping its capacity — so a caller
-//! screening many devices (see `harness::Scratch`) pays the per-code
-//! allocation only on the first device and the hot path is
-//! allocation-free afterwards.
+//! The state holds no buffer: [`MonitorState::push`] returns the code
+//! measurement a sample completes, and the caller keeps it or not. The
+//! scalar judge ([`crate::backend::BehavioralBackend`]) records each
+//! one in the per-worker `harness::Scratch`, whose buffers are cleared,
+//! not shrunk, so after the first device the hot path is
+//! allocation-free; the batch engine's run-skipping sweep records
+//! nothing.
 
 use crate::config::BistConfig;
 use bist_adc::types::Lsb;
@@ -78,7 +79,7 @@ impl fmt::Display for MonitorResult {
     }
 }
 
-/// Compact (heap-free) summary returned by [`LsbMonitorAcc::finish`].
+/// Compact (heap-free) summary returned by [`MonitorState::tally`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorTally {
     /// Number of complete codes judged.
@@ -91,13 +92,43 @@ pub struct MonitorTally {
 
 /// The heap-free per-sweep state of the LSB monitor: the window
 /// comparator, the deglitcher taps, the run tracker and the failure
-/// tallies — everything [`LsbMonitorAcc`] holds except the borrowed
-/// result buffer.
+/// tallies. Push the monitored bit one sample at a time.
 ///
-/// `Copy`, so the batched verdict path (`bist_core::batch`) can keep
-/// one in a local and step it with the *same* `push` the scalar
-/// accumulator uses — batched
-/// and scalar sweeps run the identical code path, not a re-derivation.
+/// Each pushed entry is the sampled level of the monitored bit (one per
+/// ADC sample). The segment before the first transition and the segment
+/// after the last transition are partial codes and are not judged,
+/// mirroring the hardware. The optional 3-tap majority-vote deglitcher
+/// is realised as two zero-initialised tap registers, matching the RTL.
+/// `Copy`, so every behavioural sweep keeps one in a local and steps it
+/// with the *same* `push`.
+///
+/// # Examples
+///
+/// ```
+/// use bist_adc::spec::LinearitySpec;
+/// use bist_adc::types::Resolution;
+/// use bist_core::config::BistConfig;
+/// use bist_core::lsb_monitor::MonitorState;
+///
+/// # fn main() -> Result<(), bist_core::limits::PlanLimitsError> {
+/// let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+///     .counter_bits(4)
+///     .build()?;
+/// // Three complete codes of 11 samples each (in-window for i∈[6,16]).
+/// let mut state = MonitorState::new(&cfg);
+/// let mut judged = Vec::new();
+/// for run in 0..5 {
+///     for _ in 0..11 {
+///         judged.extend(state.push(run % 2 == 1));
+///     }
+/// }
+/// let tally = state.tally();
+/// assert_eq!(tally.codes_judged, 3);
+/// assert_eq!(judged.len(), 3);
+/// assert_eq!(tally.dnl_failures + tally.inl_failures, 0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorState {
     comparator: WindowComparator,
@@ -232,73 +263,6 @@ impl MonitorState {
     }
 }
 
-/// Streaming LSB monitor: push the monitored bit one sample at a time.
-///
-/// Each pushed entry is the sampled level of the monitored bit (one per
-/// ADC sample). The segment before the first transition and the segment
-/// after the last transition are partial codes and are not judged,
-/// mirroring the hardware. The optional 3-tap majority-vote deglitcher
-/// is realised as two zero-initialised tap registers, matching the RTL.
-/// Per-code results land in the borrowed buffer; counters are returned
-/// by [`LsbMonitorAcc::finish`]. The sweep state itself lives in a
-/// [`MonitorState`] — this wrapper only adds the result buffer.
-///
-/// # Examples
-///
-/// ```
-/// use bist_adc::spec::LinearitySpec;
-/// use bist_adc::types::Resolution;
-/// use bist_core::config::BistConfig;
-/// use bist_core::lsb_monitor::LsbMonitorAcc;
-///
-/// # fn main() -> Result<(), bist_core::limits::PlanLimitsError> {
-/// let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
-///     .counter_bits(4)
-///     .build()?;
-/// // Three complete codes of 11 samples each (in-window for i∈[6,16]).
-/// let mut codes = Vec::new();
-/// let mut acc = LsbMonitorAcc::new(&cfg, &mut codes);
-/// for run in 0..5 {
-///     for _ in 0..11 {
-///         acc.push(run % 2 == 1);
-///     }
-/// }
-/// let tally = acc.finish();
-/// assert_eq!(tally.codes_judged, 3);
-/// assert_eq!(tally.dnl_failures + tally.inl_failures, 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct LsbMonitorAcc<'s> {
-    state: MonitorState,
-    codes: &'s mut Vec<CodeResult>,
-}
-
-impl<'s> LsbMonitorAcc<'s> {
-    /// Starts a sweep, clearing (but not shrinking) the result buffer.
-    pub fn new(config: &BistConfig, codes: &'s mut Vec<CodeResult>) -> Self {
-        codes.clear();
-        LsbMonitorAcc {
-            state: MonitorState::new(config),
-            codes,
-        }
-    }
-
-    /// Pushes one raw sample of the monitored bit, recording and
-    /// returning the code measurement it completes, if any.
-    pub fn push(&mut self, raw: bool) -> Option<CodeResult> {
-        let result = self.state.push(raw);
-        self.codes.extend(result);
-        result
-    }
-
-    /// Ends the sweep with the [`MonitorState::tally`] so far.
-    pub fn finish(self) -> MonitorTally {
-        self.state.tally()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,12 +288,9 @@ mod tests {
 
     /// Runs the monitor over a whole materialised bit stream.
     fn monitor(config: &BistConfig, stream: &[bool]) -> MonitorResult {
-        let mut codes = Vec::new();
-        let mut acc = LsbMonitorAcc::new(config, &mut codes);
-        for &b in stream {
-            acc.push(b);
-        }
-        let tally = acc.finish();
+        let mut state = MonitorState::new(config);
+        let codes = stream.iter().filter_map(|&b| state.push(b)).collect();
+        let tally = state.tally();
         MonitorResult {
             codes,
             dnl_failures: tally.dnl_failures,

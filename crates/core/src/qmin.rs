@@ -117,15 +117,6 @@ impl QminPlan {
         let headroom = (1u64 << q) as f64 - self.nl(q);
         (headroom / (1u64 << (n + 1)) as f64).max(0.0)
     }
-
-    /// Sweeps `q_min` over a logarithmic range of stimulus/sample
-    /// frequency ratios, producing `(ratio, q_min)` rows.
-    pub fn sweep(&self, ratios: &[f64], f_sample: f64) -> Vec<(f64, Option<u32>)> {
-        ratios
-            .iter()
-            .map(|&r| (r, self.q_min(r * f_sample, f_sample)))
-            .collect()
-    }
 }
 
 impl fmt::Display for QminPlan {
@@ -222,10 +213,9 @@ mod tests {
     #[test]
     fn sweep_produces_rows() {
         let plan = paper_plan();
-        let rows = plan.sweep(&[1e-6, 1e-3, 0.5], 1e6);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].1, Some(1));
-        assert_eq!(rows[2].1, None);
+        let rows = [1e-6, 1e-3, 0.5].map(|ratio| plan.q_min(ratio * 1e6, 1e6));
+        assert_eq!(rows[0], Some(1));
+        assert_eq!(rows[2], None);
     }
 
     #[test]

@@ -64,16 +64,6 @@ impl Table {
         self.rows.push(cells);
         self
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Table {
@@ -161,16 +151,16 @@ mod tests {
     #[test]
     fn len_and_empty() {
         let mut t = Table::new(&["a"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         t.row_owned(cells(&["1"])).row_owned(cells(&["2"]));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
     fn row_owned_works() {
         let mut t = Table::new(&["a", "b"]);
         t.row_owned(vec!["1".into(), "2".into()]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

@@ -264,11 +264,6 @@ impl<B: Backend> Screener<B> {
         self
     }
 
-    /// The configured workload.
-    pub fn workload(&self) -> &Workload {
-        self.engine.workload()
-    }
-
     /// Screens a fleet: one `(adc, rng)` pair per device, reports
     /// ordered by the device's position in the iterator. Dispatches
     /// through the backend's batch seam, so the behavioural backend

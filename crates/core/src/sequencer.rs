@@ -44,9 +44,8 @@
 //!   lag). Engines stamp each event with its behavioural closing sample
 //!   — the behavioural and batch engines as they record it, the RTL
 //!   two ticks later as it emits it. A checkpoint falls due after
-//!   consuming sample `s + 2` ([`StaticSequencer::next_due`]) and sees
-//!   exactly the events with closing sample `≤ s`, whichever order they
-//!   arrived in. No tally is read between checkpoints, so an event that
+//!   consuming sample `s + 2` and sees exactly the events with closing
+//!   sample `≤ s`, whichever order they arrived in. No tally is read between checkpoints, so an event that
 //!   closes within the due checkpoint's horizon, with nothing waiting
 //!   ahead of it, goes straight into the tallies on arrival; only the
 //!   events of the last two samples before a checkpoint wait in a
@@ -403,9 +402,9 @@ const LATCH: usize = 2 * STATIC_DECISION_LATENCY as usize;
 /// The early-stop decision layer for the static-linearity workload.
 ///
 /// Owns the visibility protocol (see the module docs): engines feed
-/// every event through the `observe_*` methods and call
-/// [`checkpoint`](StaticSequencer::checkpoint) when the consumed-sample
-/// count reaches [`next_due`](StaticSequencer::next_due).
+/// every event through the `observe_*` methods, and each
+/// [`checkpoint`](StaticSequencer::checkpoint) is taken as it falls
+/// due, [`STATIC_DECISION_LATENCY`] samples past its evidence horizon.
 ///
 /// Reusable across sweeps: [`StaticSequencer::begin`] rederives the
 /// per-config count window (the look budgets only when the look count
@@ -518,14 +517,6 @@ impl StaticSequencer {
     #[inline]
     pub fn observe_functional(&mut self, at: u64, ok: bool) {
         self.observe(at, Event::Functional(ok));
-    }
-
-    /// The consumed-sample count at which the next checkpoint falls
-    /// due — the countdown target engines compare against instead of a
-    /// per-sample modulo.
-    #[inline]
-    pub fn next_due(&self) -> u64 {
-        self.next_due
     }
 
     /// Admits `event` on arrival when nothing is latched ahead of it and
@@ -1170,9 +1161,9 @@ mod tests {
         // evidence lattice and fall due the decision latency later.
         let mut seq = StaticSequencer::new(p);
         seq.begin(&cfg(5));
-        assert_eq!(seq.next_due(), 100 + STATIC_DECISION_LATENCY);
-        assert_eq!(seq.checkpoint(seq.next_due()), SeqDecision::Continue);
-        assert_eq!(seq.next_due(), 150 + STATIC_DECISION_LATENCY);
+        assert_eq!(seq.next_due, 100 + STATIC_DECISION_LATENCY);
+        assert_eq!(seq.checkpoint(seq.next_due), SeqDecision::Continue);
+        assert_eq!(seq.next_due, 150 + STATIC_DECISION_LATENCY);
         // Dynamic checkpoints sit on block boundaries from
         // `min_samples` on, strictly inside the record.
         let mut dyn_seq = DynSequencer::new(p);
@@ -1221,7 +1212,7 @@ mod tests {
                 if consumed == 102 + lag {
                     seq.observe_functional(102, false);
                 }
-                if consumed == seq.next_due() {
+                if consumed == seq.next_due {
                     let decision = seq.checkpoint(consumed);
                     checkpoints.push((decision, seq.verdict(consumed)));
                     if decision.stops() {
@@ -1303,7 +1294,7 @@ mod tests {
         let mut taken = Vec::new();
         for consumed in 1..=end {
             observe_at(seq, events, consumed);
-            if consumed == seq.next_due() {
+            if consumed == seq.next_due {
                 let decision = seq.checkpoint(consumed);
                 taken.push(SeqOutcome {
                     decision,

@@ -414,16 +414,6 @@ impl Zoo {
         self
     }
 
-    /// The master seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The shared resolution of every source.
-    pub fn resolution(&self) -> Resolution {
-        self.sources[0].resolution()
-    }
-
     /// The source set, in assignment-index order.
     pub fn sources(&self) -> &[SourceSpec] {
         &self.sources

@@ -34,11 +34,6 @@ impl YieldModel {
         YieldModel::new(WidthDistribution::paper_worst_case(), 64)
     }
 
-    /// The width distribution.
-    pub fn distribution(&self) -> &WidthDistribution {
-        &self.dist
-    }
-
     /// `P(one code within spec)`.
     pub fn p_code_good(&self, spec: &LinearitySpec) -> f64 {
         self.dist.p_code_good(spec)

@@ -1,5 +1,5 @@
 //! Property tests of the behavioural↔RTL verdict seam: for the same
-//! code stream, `LsbMonitorAcc` + `FunctionalAcc` (via
+//! code stream, `MonitorState` + `FunctionalState` (via
 //! `BehavioralBackend`) and the gate-accurate `bist_rtl::BistTop` (via
 //! `RtlBackend`) must produce identical pass/fail, DNL-failure counts,
 //! functional-mismatch counts and per-code measurements — including
@@ -69,8 +69,8 @@ fn stream(widths: &[u8], glitches: &[usize], deglitch: bool) -> Vec<Code> {
 /// Judges `codes` through both backends, asserting equal verdicts, and
 /// returns each backend's per-code monitor results.
 fn run_both(config: &BistConfig, codes: &[Code]) -> (Vec<CodeResult>, Vec<CodeResult>) {
-    let mut scratch_b = Scratch::new();
-    let mut scratch_r = Scratch::new();
+    let mut scratch_b = Scratch::default();
+    let mut scratch_r = Scratch::default();
     let behavioral = BehavioralBackend
         .judge(config, None, codes.iter().copied(), &mut scratch_b)
         .verdict;
@@ -181,8 +181,8 @@ fn toggling_lsb_breaks_completeness_in_both_backends() {
             })
         })
         .collect();
-    let mut scratch_b = Scratch::new();
-    let mut scratch_r = Scratch::new();
+    let mut scratch_b = Scratch::default();
+    let mut scratch_r = Scratch::default();
     let behavioral = BehavioralBackend
         .judge(&config, None, codes.iter().copied(), &mut scratch_b)
         .verdict;

@@ -162,7 +162,7 @@ fn screened_in_two_calls(
 /// level (a missing code), a level on a stimulus sample (a tie with
 /// `v`), and a level beyond the sine's swing (a stuck end code); and,
 /// every `faulty_every`-th device, a fault-wrapped flash that states no
-/// levels, so one queue holds coded and per-sample devices at once.
+/// levels, so one queue holds coded and scalar-judged devices at once.
 fn coded_fleet(
     seed: u64,
     config: &DynamicConfig,
@@ -208,11 +208,11 @@ fn coded_fleet(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Coded devices: fleets of 1–39 mixing coded and per-sample
+    /// Coded devices: fleets of 1–39 mixing coded and scalar-judged
     /// devices — so partial, full and overflowing 8-device groups —
     /// screen bit-exact to the scalar engine. 5–8-bit devices are
     /// coded; 9- and 10-bit ones state more levels than a byte of code
-    /// holds and take the per-sample path.
+    /// holds and go through the scalar judge.
     #[test]
     fn coded_lanes_match_scalar(
         seed in any::<u64>(),
@@ -292,7 +292,7 @@ proptest! {
     ) {
         // Two input ranges: a worker's batch plans its stimulus table
         // from its first device, and devices of the other range fall
-        // back to per-sample evaluation.
+        // back to the scalar judge on their own stimulus.
         let devices = two_range_fleet(seed, n, shifted);
         let workload = if dynamic {
             Workload::dynamic_sine(dyn_config())

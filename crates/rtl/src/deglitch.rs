@@ -12,7 +12,7 @@
 //! Figure-2 upper-bit checker: a rank-order (median-of-3) filter over
 //! whole output codes — two word registers plus a compare-select
 //! network. It is bit-exact with the streaming median the behavioural
-//! `FunctionalAcc` applies when deglitching is enabled.
+//! `FunctionalState` applies when deglitching is enabled.
 //!
 //! Both filters expose a `hold()` drain operation that recirculates the
 //! filter's own output. Recirculation provably never creates a new

@@ -113,18 +113,18 @@ pub struct ServiceConfig {
     /// submissions; filed here by [`ServiceConfig::with_workload`].
     dynamic_workload: Option<Workload>,
     /// Early-stop sequencing policy for both engines.
-    pub sequencer: Option<SequencerConfig>,
+    sequencer: Option<SequencerConfig>,
     /// Worker count (`0` = the host's available parallelism).
-    pub workers: usize,
+    workers: usize,
     /// Most submissions a worker claims per burst. Small bursts keep
     /// latency low under light load; large ones amortise the claim.
-    pub burst: usize,
+    burst: usize,
     /// Capacity of the bounded submission queue — the backpressure
     /// threshold at which `submit` answers [`Enqueue::Busy`].
-    pub submit_capacity: usize,
+    submit_capacity: usize,
     /// Capacity of each verdict ring (the in-process ring and each TCP
     /// session's event ring).
-    pub verdict_capacity: usize,
+    verdict_capacity: usize,
 }
 
 impl ServiceConfig {

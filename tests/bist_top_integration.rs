@@ -60,7 +60,7 @@ fn top_level_agrees_with_harness_on_flash_batch() {
         let ramp = Ramp::new(Volts(-0.2), slope);
         let sampling = SamplingConfig::new(1.0e6, ((6.4 + 1.4) / slope * 1.0e6) as usize);
         let capture: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         let codes = capture.iter().copied();
         let verdict = BehavioralBackend.judge(&config, None, codes, &mut scratch);
         let behavioural = scratch.take_outcome(verdict.verdict);

@@ -12,7 +12,7 @@ use bist_adc::stream::CodeStream;
 use bist_adc::types::{Code, Resolution, Volts};
 use bist_core::config::BistConfig;
 use bist_core::functional::check_code_stream;
-use bist_core::lsb_monitor::{CodeResult, LsbMonitorAcc};
+use bist_core::lsb_monitor::{CodeResult, MonitorState};
 use bist_rtl::datapath::{LsbProcessor, UpperBitChecker};
 use bist_rtl::logic::Bus;
 use proptest::prelude::*;
@@ -28,12 +28,8 @@ fn paper_config(bits: u32) -> BistConfig {
 
 /// The behavioural monitor's per-code results over a whole bit stream.
 fn monitor_codes(config: &BistConfig, stream: &[bool]) -> Vec<CodeResult> {
-    let mut codes = Vec::new();
-    let mut acc = LsbMonitorAcc::new(config, &mut codes);
-    for &b in stream {
-        acc.push(b);
-    }
-    codes
+    let mut state = MonitorState::new(config);
+    stream.iter().filter_map(|&b| state.push(b)).collect()
 }
 
 /// Captures a full ramp sweep of a random flash device.

@@ -43,7 +43,7 @@ fn plan(config: &BistConfig, slope_error: f64) -> (Ramp, SamplingConfig) {
 
 /// The materialised path: judge an already-collected capture.
 fn judge_capture(config: &BistConfig, capture: &[Code]) -> BistOutcome {
-    let mut scratch = Scratch::new();
+    let mut scratch = Scratch::default();
     let codes = capture.iter().copied();
     let verdict = BehavioralBackend
         .judge(config, None, codes, &mut scratch)
@@ -96,7 +96,7 @@ proptest! {
         let materialized = judge_capture(&cfg, &capture);
 
         let mut rng_s = StdRng::seed_from_u64(seed ^ 0xfeed);
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         let codes = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s);
         let verdict = BehavioralBackend.judge(&cfg, None, codes, &mut scratch).verdict;
 
@@ -128,7 +128,7 @@ proptest! {
 
         let mut streamed = ConfusionMatrix::new();
         let mut materialized = ConfusionMatrix::new();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::default();
         for i in 0..batch.size {
             let tf = batch.device(i);
             let truth = spec.classify(&tf).good;

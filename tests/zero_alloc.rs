@@ -164,9 +164,9 @@ fn hot_path_is_allocation_free_after_warmup() {
     // buffer all reach their high-water mark on the first pass, and a
     // warm engine screening into a cleared buffer allocates nothing
     // afterwards. Six engines cover run-skip and fallback static sweeps,
-    // and the coded and per-sample dynamic records, plain and sequenced
+    // and the coded and scalar-judged dynamic records, plain and sequenced
     // — the sequenced run-skip sweep with its checkpoints being the
-    // fleet path. The mixed stream interleaves per-sample devices (a
+    // fleet path. The mixed stream interleaves scalar-judged devices (a
     // fault-wrapped converter states no levels) with 11 coded ones: one
     // full 8-device group, then a partial group of 3 flushed when the
     // stream ends.
