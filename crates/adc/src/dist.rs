@@ -40,16 +40,6 @@ impl Normal {
         Normal { mean, sigma }
     }
 
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The distribution standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draws one sample using the Marsaglia polar method.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.sigma == 0.0 {
@@ -63,13 +53,6 @@ impl Normal {
                 let factor = (-2.0 * s.ln() / s).sqrt();
                 return self.mean + self.sigma * u * factor;
             }
-        }
-    }
-
-    /// Fills `out` with independent samples.
-    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for x in out {
-            *x = self.sample(rng);
         }
     }
 }
@@ -116,15 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_populates_slice() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = [0.0; 8];
-        Normal::new(0.0, 1.0).fill(&mut rng, &mut buf);
-        assert!(buf.iter().all(|x| x.is_finite()));
-        assert!(buf.iter().any(|&x| x != 0.0));
-    }
-
-    #[test]
     #[should_panic(expected = "sigma must be non-negative")]
     fn negative_sigma_panics() {
         Normal::new(0.0, -1.0);
@@ -139,7 +113,7 @@ mod tests {
     #[test]
     fn accessors() {
         let n = Normal::new(1.0, 2.0);
-        assert_eq!(n.mean(), 1.0);
-        assert_eq!(n.sigma(), 2.0);
+        assert_eq!(n.mean, 1.0);
+        assert_eq!(n.sigma, 2.0);
     }
 }

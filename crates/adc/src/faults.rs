@@ -102,11 +102,6 @@ impl<A: Adc> FaultyAdc<A> {
     pub fn new(inner: A, fault: OutputFault) -> Self {
         FaultyAdc { inner, fault }
     }
-
-    /// Unwraps the inner converter.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
 }
 
 impl<A: Adc> Adc for FaultyAdc<A> {
@@ -203,8 +198,7 @@ mod tests {
     #[test]
     fn into_inner_round_trip() {
         let bad = FaultyAdc::new(ideal(), OutputFault::CodeOffset(1));
-        let good = bad.into_inner();
-        assert_eq!(good.convert(Volts(3.25)), Code(32));
+        assert_eq!(bad.inner.convert(Volts(3.25)), Code(32));
     }
 
     #[test]

@@ -65,17 +65,6 @@ impl FlashConfig {
         FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21)
     }
 
-    /// Sets the comparator offset σ in LSB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn with_offset_sigma_lsb(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        self.sigma_offset_lsb = sigma;
-        self
-    }
-
     /// Chooses ladder and comparator mismatch so the *code width*
     /// standard deviation equals `sigma_lsb`, split evenly between the
     /// two mechanisms (`σ_w² = σ_R² + 2σ_os²`).
@@ -95,11 +84,6 @@ impl FlashConfig {
     /// The converter resolution.
     pub fn resolution(&self) -> Resolution {
         self.resolution
-    }
-
-    /// The nominal input range.
-    pub fn input_range(&self) -> (Volts, Volts) {
-        (self.low, self.high)
     }
 
     /// The predicted code-width standard deviation in LSB:
@@ -200,11 +184,6 @@ impl FlashAdc {
             thresholds,
             sorted,
         }
-    }
-
-    /// The configuration this instance was drawn from.
-    pub fn config(&self) -> &FlashConfig {
-        &self.config
     }
 
     /// Applies a short-circuit fault to ladder segment `k` (the resistor
@@ -437,8 +416,8 @@ mod tests {
     #[test]
     fn bubble_detection_with_large_offsets() {
         // Huge comparator offsets guarantee reordered thresholds.
-        let cfg = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4))
-            .with_offset_sigma_lsb(3.0);
+        let mut cfg = FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
+        cfg.sigma_offset_lsb = 3.0;
         let adc = cfg.sample(&mut rng(2));
         let mut any_bubble = false;
         let mut v = 0.0;
@@ -501,7 +480,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sigma must be non-negative")]
     fn negative_sigma_panics() {
-        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(1.0)).with_offset_sigma_lsb(-0.1);
+        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(1.0)).with_width_sigma_lsb(-0.1);
     }
 
     #[test]

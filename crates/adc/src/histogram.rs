@@ -21,8 +21,8 @@ use std::fmt;
 /// let mut h = CodeHistogram::new(Resolution::SIX_BIT);
 /// h.record(Code(3));
 /// h.record(Code(3));
-/// assert_eq!(h.count(Code(3)), 2);
-/// assert_eq!(h.total(), 2);
+/// assert_eq!(h.counts()[3], 2);
+/// assert_eq!(h.counts().iter().sum::<u64>(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeHistogram {
@@ -68,28 +68,9 @@ impl CodeHistogram {
         self.counts[code.0 as usize] += 1;
     }
 
-    /// The resolution this histogram was built for.
-    pub fn resolution(&self) -> Resolution {
-        self.resolution
-    }
-
-    /// Occurrences of `code`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` exceeds the maximum code.
-    pub fn count(&self, code: Code) -> u64 {
-        self.counts[code.0 as usize]
-    }
-
     /// All counts, indexed by code.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Total recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Total samples on inner codes only.
@@ -203,7 +184,7 @@ mod tests {
         h.record(Code(0));
         h.record(Code(63));
         h.record(Code(5));
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.counts().iter().sum::<u64>(), 3);
         assert_eq!(h.inner_total(), 1);
     }
 

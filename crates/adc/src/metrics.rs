@@ -28,27 +28,6 @@ pub fn dnl(tf: &TransferFunction) -> Vec<Lsb> {
         .collect()
 }
 
-/// Integral non-linearity at each transition, in LSB, endpoint-corrected:
-/// the deviation of `T[k]` from the straight line through the first and
-/// last transitions.
-///
-/// Returns one value per transition (`k = 1..=2ⁿ−1`); the endpoint
-/// correction forces the first and last entries to zero.
-pub fn inl(tf: &TransferFunction) -> Vec<Lsb> {
-    let t = tf.transitions();
-    let n = t.len();
-    if n < 2 {
-        return vec![Lsb(0.0); n];
-    }
-    let first = t[0];
-    let last = t[n - 1];
-    let q_eff = (last - first) / (n - 1) as f64;
-    t.iter()
-        .enumerate()
-        .map(|(i, &x)| Lsb((x - (first + i as f64 * q_eff)) / q_eff))
-        .collect()
-}
-
 /// INL computed by accumulating DNL (the way the paper's on-chip block
 /// does it: *"The INL of each transition is determined from the DNL test
 /// by successively adding the determined DNL values of each code"*).
@@ -95,7 +74,8 @@ mod tests {
     #[test]
     fn ideal_has_zero_metrics() {
         let tf = ideal();
-        assert!(dnl(&tf).iter().chain(&inl(&tf)).all(|x| x.0.abs() < 1e-9));
+        let d = dnl(&tf);
+        assert!(d.iter().chain(&inl_from_dnl(&d)).all(|x| x.0.abs() < 1e-9));
     }
 
     #[test]
@@ -117,14 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_inl_zero_at_ends() {
-        let tf = with_widths(&[1.2, 0.8, 1.1, 0.9]);
-        let i = inl(&tf);
-        assert!(i[0].0.abs() < 1e-9);
-        assert!(i.last().unwrap().0.abs() < 1e-9);
-    }
-
-    #[test]
     fn inl_detects_bow() {
         // A transfer with a parabolic bow: INL peaks mid-range.
         let res = Resolution::new(6).unwrap();
@@ -137,7 +109,7 @@ mod tests {
             })
             .collect();
         let tf = TransferFunction::from_transitions(res, Volts(0.0), Volts(6.4), t);
-        let i = inl(&tf);
+        let i = inl_from_dnl(&dnl(&tf));
         let peak = i.iter().map(|x| x.0.abs()).fold(0.0f64, f64::max);
         assert!((peak - 0.5).abs() < 0.05, "peak {peak}");
         // Peak near the middle.

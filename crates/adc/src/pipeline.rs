@@ -139,13 +139,6 @@ pub struct PipelineAdc {
     residue_gain: f64,
 }
 
-impl PipelineAdc {
-    /// The configuration this instance was drawn from.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-}
-
 impl Adc for PipelineAdc {
     fn resolution(&self) -> Resolution {
         self.config.resolution

@@ -142,11 +142,6 @@ pub struct SarAdc {
 }
 
 impl SarAdc {
-    /// The configuration this instance was drawn from.
-    pub fn config(&self) -> &SarConfig {
-        &self.config
-    }
-
     /// The DAC output voltage for a code.
     pub fn dac(&self, code: Code) -> Volts {
         let mut v = self.config.low.0;

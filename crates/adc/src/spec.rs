@@ -33,6 +33,10 @@ pub struct LinearitySpec {
 impl LinearitySpec {
     /// A spec with both DNL and INL limits (each `±limit` LSB).
     ///
+    /// This is the only constructor of an INL limit: the LSB monitor's
+    /// INL window, the sequencer's INL projection and the RTL's
+    /// `inl_limit_counts` all start from a spec built here.
+    ///
     /// # Panics
     ///
     /// Panics if either limit is not positive.

@@ -70,13 +70,6 @@ pub struct InvalidResolutionError {
     bits: u32,
 }
 
-impl InvalidResolutionError {
-    /// The rejected bit count.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-}
-
 impl fmt::Display for InvalidResolutionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -202,7 +195,7 @@ mod tests {
     #[test]
     fn resolution_error_reports_bits() {
         let err = Resolution::new(40).unwrap_err();
-        assert_eq!(err.bits(), 40);
+        assert_eq!(err.bits, 40);
         assert!(err.to_string().contains("40"));
     }
 

@@ -1,7 +1,6 @@
 //! Property-based tests of the converter substrate's invariants.
 
 use bist_adc::flash::FlashConfig;
-use bist_adc::metrics::{dnl, inl, inl_from_dnl};
 use bist_adc::sar::SarConfig;
 use bist_adc::transfer::{characterize, Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
@@ -53,33 +52,6 @@ proptest! {
         for (k, &tv) in (1..=15u32).zip(tf.transitions()) {
             prop_assert!(tf.convert(Volts(tv + 1e-9)).0 >= k);
             prop_assert!(tf.convert(Volts(tv - 1e-9)).0 <= k);
-        }
-    }
-
-    /// Accumulated-DNL INL and endpoint INL measure the same transfer:
-    /// writing X_k = T[k+2] − T[1], the two conventions satisfy
-    /// `acc[k] = X_k/q − (k+1)` and `endpoint[k+1] = X_k/q_eff − (k+1)`,
-    /// so their difference is exactly `X_k·(1/q − 1/q_eff)` — a fixed
-    /// multiple of the transition level.
-    #[test]
-    fn inl_conventions_are_consistent(t in arb_transitions()) {
-        let res = Resolution::new(4).expect("4 bits valid");
-        let hi = t.last().copied().expect("non-empty") + 0.1;
-        let tf = TransferFunction::from_transitions(res, Volts(0.0), Volts(hi), t);
-        let d = dnl(&tf);
-        let acc = inl_from_dnl(&d);
-        let endpoint = inl(&tf);
-        let q = tf.lsb_size().0;
-        let trans = tf.transitions();
-        let q_eff = (trans[trans.len() - 1] - trans[0]) / (trans.len() - 1) as f64;
-        let c = 1.0 / q - 1.0 / q_eff;
-        for (k, a) in acc.iter().enumerate() {
-            let x = trans[k + 1] - trans[0];
-            let predicted = endpoint[k + 1].0 + x * c;
-            prop_assert!(
-                (a.0 - predicted).abs() < 1e-9,
-                "k {}: acc {} vs predicted {}", k, a.0, predicted
-            );
         }
     }
 

@@ -402,15 +402,16 @@ const LATCH: usize = 2 * STATIC_DECISION_LATENCY as usize;
 /// The early-stop decision layer for the static-linearity workload.
 ///
 /// Owns the visibility protocol (see the module docs): engines feed
-/// every event through the `observe_*` methods, and each
-/// [`checkpoint`](StaticSequencer::checkpoint) is taken as it falls
-/// due, [`STATIC_DECISION_LATENCY`] samples past its evidence horizon.
+/// every event through the `observe_*` methods, and each `checkpoint`
+/// is taken as it falls due, [`STATIC_DECISION_LATENCY`] samples past
+/// its evidence horizon. Only this crate builds and drives one; the
+/// type is public because [`Backend`](crate::backend::Backend) names it.
 ///
-/// Reusable across sweeps: [`StaticSequencer::begin`] rederives the
-/// per-config count window (the look budgets only when the look count
-/// changes) and clears the tallies without touching the heap (the
-/// struct is entirely inline state), so the sequenced device→verdict
-/// hot path stays allocation-free after warm-up.
+/// Reusable across sweeps: `begin` rederives the per-config count
+/// window (the look budgets only when the look count changes) and
+/// clears the tallies without touching the heap (the struct is
+/// entirely inline state), so the sequenced device→verdict hot path
+/// stays allocation-free after warm-up.
 #[derive(Debug, Clone)]
 pub struct StaticSequencer {
     policy: SequencerConfig,
@@ -444,7 +445,7 @@ impl StaticSequencer {
     /// # Panics
     ///
     /// Panics if the policy fails [`SequencerConfig::validate`].
-    pub fn new(policy: SequencerConfig) -> Self {
+    pub(crate) fn new(policy: SequencerConfig) -> Self {
         if let Err(e) = policy.validate() {
             panic!("invalid sequencer policy: {e}");
         }
@@ -473,7 +474,7 @@ impl StaticSequencer {
     /// Arms the sequencer for one sweep under `config`: derives the
     /// count window, the expected measurement count and the per-look
     /// budgets, and clears every tally.
-    pub fn begin(&mut self, config: &BistConfig) {
+    pub(crate) fn begin(&mut self, config: &BistConfig) {
         let limits = config.limits();
         self.i_min = limits.i_min() as f64;
         self.i_max = limits.i_max() as f64;
@@ -500,7 +501,7 @@ impl StaticSequencer {
     /// Observes one code measurement, stamped with its behavioural
     /// closing sample `at`.
     #[inline]
-    pub fn observe_code(&mut self, at: u64, code: &CodeResult) {
+    pub(crate) fn observe_code(&mut self, at: u64, code: &CodeResult) {
         self.observe(
             at,
             Event::Code {
@@ -515,7 +516,7 @@ impl StaticSequencer {
     /// Observes one functional check, stamped with its behavioural
     /// closing sample `at`.
     #[inline]
-    pub fn observe_functional(&mut self, at: u64, ok: bool) {
+    pub(crate) fn observe_functional(&mut self, at: u64, ok: bool) {
         self.observe(at, Event::Functional(ok));
     }
 
@@ -589,7 +590,7 @@ impl StaticSequencer {
     /// The compact verdict as visible at stop time: the sequencer's own
     /// tallies (identical across backends by construction) with the
     /// physically consumed sample count.
-    pub fn verdict(&self, samples_consumed: u64) -> BistVerdict {
+    pub(crate) fn verdict(&self, samples_consumed: u64) -> BistVerdict {
         BistVerdict {
             codes_judged: self.codes,
             dnl_failures: self.dnl_failures,
@@ -626,7 +627,7 @@ impl StaticSequencer {
     /// events closing at or before `consumed −` [`STATIC_DECISION_LATENCY`],
     /// schedules the next checkpoint and decides on that evidence.
     // bist-lint: hot-path — static checkpoint decision
-    pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
+    pub(crate) fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
         let visible = consumed.saturating_sub(STATIC_DECISION_LATENCY);
         self.admit(visible);
         self.next_due = self.next_checkpoint_after(visible) + STATIC_DECISION_LATENCY;
@@ -802,7 +803,8 @@ struct BlockSums {
 ///
 /// Reusable across sweeps and configurations: the block buffer is
 /// cleared, never shrunk, so the sequenced dynamic hot path is
-/// allocation-free after warm-up.
+/// allocation-free after warm-up. Like [`StaticSequencer`], only this
+/// crate builds and drives one.
 #[derive(Debug, Clone)]
 pub struct DynSequencer {
     policy: SequencerConfig,
@@ -844,7 +846,7 @@ impl DynSequencer {
     /// # Panics
     ///
     /// Panics if the policy fails [`SequencerConfig::validate`].
-    pub fn new(policy: SequencerConfig) -> Self {
+    pub(crate) fn new(policy: SequencerConfig) -> Self {
         if let Err(e) = policy.validate() {
             panic!("invalid sequencer policy: {e}");
         }
@@ -879,7 +881,7 @@ impl DynSequencer {
     /// limit thresholds (in half-LSB² units), the leakage guard and the
     /// per-look budgets, and clears all accumulation. The block buffer
     /// keeps its capacity.
-    pub fn begin(&mut self, config: &DynamicConfig) {
+    pub(crate) fn begin(&mut self, config: &DynamicConfig) {
         let n = config.record_len();
         let bin = config.cycles() as usize;
         if self.n != n || self.bin != bin || self.harmonics != config.harmonics() {
@@ -931,7 +933,7 @@ impl DynSequencer {
     /// Feeds one acquired code as its centred half-LSB value
     /// `v = 2·code + 1 − 2ⁿ` — the identical integer for both backends.
     // bist-lint: hot-path — per-sample dynamic sequencer update
-    pub fn push(&mut self, code: Code) {
+    pub(crate) fn push(&mut self, code: Code) {
         let v = 2 * i64::from(code.0) + 1 - self.full_scale;
         let x = v as f64;
         let (c, s) = (self.cur_cos, self.cur_sin);
@@ -963,7 +965,7 @@ impl DynSequencer {
     /// due — on a block boundary at or after `min_samples` (no pipeline
     /// latency) — or `u64::MAX` once none falls strictly inside the
     /// record.
-    pub fn next_due(&self) -> u64 {
+    pub(crate) fn next_due(&self) -> u64 {
         self.next_due
     }
 
@@ -984,7 +986,7 @@ impl DynSequencer {
     /// ([`next_due`](DynSequencer::next_due)): schedules the next one
     /// and evaluates the decision rule.
     // bist-lint: hot-path — dynamic checkpoint decision
-    pub fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
+    pub(crate) fn checkpoint(&mut self, consumed: u64) -> SeqDecision {
         self.next_due = self.next_checkpoint_after(consumed);
         let blocks = self.blocks.len() as u64;
         if blocks < MIN_BLOCKS_FOR_STATS {

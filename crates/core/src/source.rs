@@ -170,6 +170,8 @@ impl DeviceSource for FlashConfig {
     }
 
     fn resolution(&self) -> Resolution {
+        // The inherent accessor must stay: without it this path
+        // resolves to this trait method and the call recurses.
         FlashConfig::resolution(self)
     }
 
@@ -186,6 +188,8 @@ impl DeviceSource for SarConfig {
     }
 
     fn resolution(&self) -> Resolution {
+        // The inherent accessor must stay: without it this path
+        // resolves to this trait method and the call recurses.
         SarConfig::resolution(self)
     }
 
@@ -202,6 +206,8 @@ impl DeviceSource for PipelineConfig {
     }
 
     fn resolution(&self) -> Resolution {
+        // The inherent accessor must stay: without it this path
+        // resolves to this trait method and the call recurses.
         PipelineConfig::resolution(self)
     }
 

@@ -17,14 +17,6 @@ pub struct FftLengthError {
     len: usize,
 }
 
-impl FftLengthError {
-    /// The offending length.
-    #[allow(clippy::len_without_is_empty)] // an error has no emptiness notion
-    pub fn len(&self) -> usize {
-        self.len
-    }
-}
-
 impl fmt::Display for FftLengthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -140,7 +132,7 @@ mod tests {
     fn rejects_non_power_of_two() {
         let mut data = vec![Complex64::ZERO; 12];
         let err = fft_in_place(&mut data).unwrap_err();
-        assert_eq!(err.len(), 12);
+        assert_eq!(err.len, 12);
         assert!(err.to_string().contains("12"));
     }
 

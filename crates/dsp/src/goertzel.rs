@@ -80,11 +80,6 @@ impl Goertzel {
         self.count += 1;
     }
 
-    /// Number of samples processed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// The recurrence coefficient `2·cos ω` that [`push`](Self::push)
     /// multiplies by.
     pub fn coeff(&self) -> f64 {
@@ -339,11 +334,6 @@ impl GoertzelBank {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Number of samples processed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// The record length the bank was planned for.
     pub fn n(&self) -> usize {
         self.n
@@ -498,7 +488,7 @@ mod tests {
         g.push(1.0);
         g.push(-1.0);
         g.reset();
-        assert_eq!(g.count(), 0);
+        assert_eq!(g.count, 0);
         assert_eq!(g.power(), 0.0);
     }
 
@@ -599,7 +589,7 @@ mod tests {
             bank.push((i as f64 * 0.3).sin());
         }
         bank.reset();
-        assert_eq!(bank.count(), 0);
+        assert_eq!(bank.count, 0);
         for i in 0..n {
             bank.push((TAU * 9.0 * i as f64 / n as f64).cos());
         }

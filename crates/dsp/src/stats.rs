@@ -94,16 +94,6 @@ impl Running {
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
-
-    /// Minimum observation (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`−∞` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 impl fmt::Display for Running {
@@ -136,20 +126,6 @@ impl FromIterator<f64> for Running {
     }
 }
 
-/// Sample mean of a slice (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Unbiased sample standard deviation of a slice (0 for n < 2).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    xs.iter().copied().collect::<Running>().std_dev()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +144,8 @@ mod tests {
         r.push(42.0);
         assert_eq!(r.mean(), 42.0);
         assert_eq!(r.sample_variance(), 0.0);
-        assert_eq!(r.min(), 42.0);
-        assert_eq!(r.max(), 42.0);
+        assert_eq!(r.min, 42.0);
+        assert_eq!(r.max, 42.0);
     }
 
     #[test]

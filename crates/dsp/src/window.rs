@@ -93,27 +93,6 @@ impl Window {
             .sum()
     }
 
-    /// Multiplies `signal` by the window in place.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bist_dsp::window::Window;
-    /// let mut signal = vec![1.0; 16];
-    /// Window::Hann.apply(&mut signal);
-    /// assert!(signal[0] < 1e-12);
-    /// assert!((signal[8] - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn apply(self, signal: &mut [f64]) {
-        let n = signal.len();
-        if n == 0 {
-            return;
-        }
-        for (i, s) in signal.iter_mut().enumerate() {
-            *s *= self.value(i, n);
-        }
-    }
-
     /// The coherent gain: mean of the window coefficients. Amplitude
     /// estimates must be divided by this.
     pub fn coherent_gain(self) -> f64 {
@@ -249,13 +228,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         Window::Hann.value(8, 8);
-    }
-
-    #[test]
-    fn apply_on_empty_is_noop() {
-        let mut empty: Vec<f64> = vec![];
-        Window::Hann.apply(&mut empty);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -64,21 +64,6 @@ impl Batch {
         self
     }
 
-    /// The batch's device source.
-    pub fn source(&self) -> SourceSpec {
-        self.source
-    }
-
-    /// The converter resolution, as the source states it.
-    pub fn resolution(&self) -> Resolution {
-        self.source.resolution()
-    }
-
-    /// The batch's architecture tag.
-    pub fn architecture(&self) -> bist_core::source::Architecture {
-        self.source.architecture()
-    }
-
     /// The paper's measured batch: 364 physical flash devices at the
     /// worst-case mismatch.
     pub fn paper_measurement(seed: u64) -> Self {
@@ -259,11 +244,11 @@ mod tests {
     fn sar_and_pipeline_batches_run_through_the_same_seam() {
         for src in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
             let b = Batch::of(src).seed(3).size(8);
-            assert_eq!(b.resolution(), Resolution::SIX_BIT);
-            assert_eq!(b.architecture(), src.architecture());
+            assert_eq!(b.source.resolution(), Resolution::SIX_BIT);
+            assert_eq!(b.source.architecture(), src.architecture());
             assert_eq!(b.device(2).transitions(), b.device(2).transitions());
             assert_ne!(b.device(2).transitions(), b.device(3).transitions());
-            assert_eq!(b.source(), src);
+            assert_eq!(b.source, src);
         }
     }
 

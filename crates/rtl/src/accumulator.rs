@@ -18,8 +18,7 @@ use std::fmt;
 ///
 /// let mut acc = Accumulator::new(6); // range ±31
 /// acc.add(20);
-/// acc.add(20);
-/// assert_eq!(acc.value(), 31); // saturated
+/// assert_eq!(acc.add(20), 31); // saturated
 /// assert!(acc.saturated());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +59,6 @@ impl Accumulator {
         self.value
     }
 
-    /// The current accumulated value.
-    pub fn value(&self) -> i64 {
-        self.value
-    }
-
     /// Whether saturation has occurred since the last clear.
     pub fn saturated(&self) -> bool {
         self.saturated
@@ -97,7 +91,7 @@ mod tests {
         let mut a = Accumulator::new(8);
         assert_eq!(a.add(5), 5);
         assert_eq!(a.add(-8), -3);
-        assert_eq!(a.value(), -3);
+        assert_eq!(a.value, -3);
         assert!(!a.saturated());
     }
 
@@ -105,11 +99,11 @@ mod tests {
     fn saturates_positive_and_negative() {
         let mut a = Accumulator::new(4); // ±7
         a.add(100);
-        assert_eq!(a.value(), 7);
+        assert_eq!(a.value, 7);
         assert!(a.saturated());
         a.clear();
         a.add(-100);
-        assert_eq!(a.value(), -7);
+        assert_eq!(a.value, -7);
         assert!(a.saturated());
     }
 
@@ -121,7 +115,7 @@ mod tests {
         assert!(a.saturated(), "flag is sticky");
         a.clear();
         assert!(!a.saturated());
-        assert_eq!(a.value(), 0);
+        assert_eq!(a.value, 0);
     }
 
     #[test]
@@ -141,7 +135,7 @@ mod tests {
         let mut a = Accumulator::new(63);
         a.add(i64::MAX);
         a.add(i64::MAX);
-        assert_eq!(a.value(), a.limit);
+        assert_eq!(a.value, a.limit);
     }
 
     #[test]

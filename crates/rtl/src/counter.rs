@@ -70,11 +70,6 @@ impl Counter {
         self.value
     }
 
-    /// The counter width in bits.
-    pub fn width(&self) -> u32 {
-        self.value.width()
-    }
-
     /// Whether the counter has hit its ceiling since the last clear.
     pub fn overflowed(&self) -> bool {
         self.overflow

@@ -18,7 +18,6 @@ use std::fmt;
 /// let b = Bus::new(4, 0b1010);
 /// assert_eq!(b.bit(1), true);
 /// assert_eq!(b.wrapping_add(8).value(), 0b0010); // 4-bit wrap
-/// assert_eq!(b.saturating_add(8).value(), 0b1111); // 4-bit saturate
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bus {
@@ -109,15 +108,6 @@ impl Bus {
         Bus::truncate(self.width, self.value.wrapping_add(rhs))
     }
 
-    /// Saturating addition within the bus width.
-    pub fn saturating_add(&self, rhs: u64) -> Bus {
-        let sum = self.value.saturating_add(rhs);
-        Bus {
-            width: self.width,
-            value: sum.min(self.max_value()),
-        }
-    }
-
     /// The bit slice `[hi:lo]` (inclusive, Verilog-style) as a new bus.
     ///
     /// # Panics
@@ -193,16 +183,6 @@ mod tests {
         assert_eq!(b.wrapping_add(1).value(), 15);
         assert_eq!(b.wrapping_add(2).value(), 0);
         assert_eq!(b.wrapping_add(18).value(), 0);
-    }
-
-    #[test]
-    fn saturating_add_sticks_at_max() {
-        let b = Bus::new(4, 14);
-        assert_eq!(b.saturating_add(1).value(), 15);
-        assert_eq!(b.saturating_add(100).value(), 15);
-        // 64-bit edge: no overflow panic.
-        let big = Bus::new(64, u64::MAX - 1);
-        assert_eq!(big.saturating_add(5).value(), u64::MAX);
     }
 
     #[test]

@@ -15,11 +15,6 @@ pub struct Dff {
 }
 
 impl Dff {
-    /// A flip-flop initialised to 0.
-    pub fn new() -> Self {
-        Dff::default()
-    }
-
     /// Clocks the flip-flop: captures `d` when `enable`, returns the
     /// *previous* output (the registered value visible during this
     /// cycle).
@@ -75,16 +70,6 @@ impl ShiftRegister {
     /// The current stage contents (stage 0 first).
     pub fn bits(&self) -> &[bool] {
         &self.bits
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the register is empty (never: kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
     }
 
     /// Clears all stages.
@@ -151,7 +136,7 @@ mod tests {
 
     #[test]
     fn dff_registers_with_enable() {
-        let mut ff = Dff::new();
+        let mut ff = Dff::default();
         assert!(!ff.tick(true, true)); // old value was 0
         assert!(ff.q());
         assert!(ff.tick(false, false)); // hold: returns 1, keeps 1
@@ -170,8 +155,8 @@ mod tests {
         }
         // First 3 outputs are the zero reset state, then input delayed.
         assert_eq!(out, vec![false, false, false, true, false]);
-        assert_eq!(sr.len(), 3);
-        assert!(!sr.is_empty());
+        assert_eq!(sr.bits.len(), 3);
+        assert!(!sr.bits.is_empty());
     }
 
     #[test]

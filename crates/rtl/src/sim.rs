@@ -50,11 +50,6 @@ impl Trace {
         self.last_cycle = self.last_cycle.max(cycle);
     }
 
-    /// The samples of one signal.
-    pub fn samples(&self, signal: &str) -> Option<&[(u64, u64)]> {
-        self.signals.get(signal).map(Vec::as_slice)
-    }
-
     /// Renders single-bit signals as `▁▔` waveforms and multi-bit
     /// signals as value sequences, one line per signal.
     pub fn render(&self) -> String {
@@ -103,8 +98,8 @@ mod tests {
         t.sample(1, "a", 0);
         t.sample(0, "count", 12);
         assert!(t.signals.keys().eq(["a", "count"]));
-        assert_eq!(t.samples("a").unwrap(), &[(0, 1), (1, 0)]);
-        assert!(t.samples("missing").is_none());
+        assert_eq!(t.signals["a"], [(0, 1), (1, 0)]);
+        assert!(!t.signals.contains_key("missing"));
     }
 
     #[test]

@@ -212,24 +212,6 @@ impl BistTop {
         }
     }
 
-    /// Live count of completed code measurements — readable mid-sweep
-    /// (the early-stop sequencer polls these between ticks; the full
-    /// [`Self::report`] assembles the MISR signature too, which a
-    /// per-tick poll does not need).
-    pub fn measurements(&self) -> u64 {
-        self.lsb.measurements()
-    }
-
-    /// Live count of DNL window failures.
-    pub fn dnl_failures(&self) -> u64 {
-        self.lsb.dnl_failures()
-    }
-
-    /// Live count of INL window failures.
-    pub fn inl_failures(&self) -> u64 {
-        self.lsb.inl_failures()
-    }
-
     /// Live count of upper-bit comparisons fired.
     pub fn functional_checks(&self) -> u64 {
         self.upper.checks()

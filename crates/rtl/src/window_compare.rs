@@ -79,16 +79,6 @@ impl WindowComparator {
         WindowComparator { i_min, i_max }
     }
 
-    /// The lower limit.
-    pub fn i_min(&self) -> u64 {
-        self.i_min
-    }
-
-    /// The upper limit.
-    pub fn i_max(&self) -> u64 {
-        self.i_max
-    }
-
     /// Classifies a raw count.
     pub fn compare(&self, count: u64) -> WindowVerdict {
         if count < self.i_min {
@@ -164,8 +154,8 @@ mod tests {
     #[test]
     fn accessors_and_display() {
         let c = WindowComparator::new(6, 16);
-        assert_eq!(c.i_min(), 6);
-        assert_eq!(c.i_max(), 16);
+        assert_eq!(c.i_min, 6);
+        assert_eq!(c.i_max, 16);
         assert_eq!(c.to_string(), "window [6, 16]");
         assert_eq!(WindowVerdict::TooNarrow.to_string(), "too narrow");
     }

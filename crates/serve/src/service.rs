@@ -483,11 +483,6 @@ impl ServiceHandle {
         Ok(addr)
     }
 
-    /// The TCP door's address, when open.
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().map(|l| l.addr)
-    }
-
     /// Gracefully stops the service: closes the front door, lets the
     /// workers drain every queued submission, and collects the
     /// verdicts of the drained devices (in-process submissions only;

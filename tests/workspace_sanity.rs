@@ -18,7 +18,7 @@ fn umbrella_reexports_resolve() {
 
     // adc_bist::rtl is bist_rtl.
     let counter: bist_rtl::counter::Counter = adc_bist::rtl::counter::Counter::new(4);
-    assert_eq!(counter.width(), 4);
+    assert_eq!(counter.value().width(), 4);
 
     // adc_bist::core is bist_core (the re-export shadows `::core`; the
     // paper harness is reachable through it).
