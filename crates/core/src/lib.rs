@@ -48,15 +48,12 @@
 //!   ([`ring::Enqueue`]), the [`shard::JobKind`] a submission is routed
 //!   by and the id-tagged [`shard::ShardVerdict`] that streams back.
 //! * [`source`] — the device-generation seam next to the front door:
-//!   the object-safe [`source::DeviceSource`] trait (flash, iid-widths,
-//!   SAR, pipeline), the `Copy` [`source::SourceSpec`] dispatch form,
-//!   mixed-architecture [`source::Zoo`] fleets with a stable per-device
+//!   the `Copy` [`source::SourceSpec`] over the four device models
+//!   (flash, iid-widths, SAR, pipeline) and the
+//!   [`source::DeviceSource`] trait it implements, mixed-architecture
+//!   [`source::Zoo`] fleets with a stable per-device
 //!   `(seed, index) → (arch, rng)` assignment, and the canonical
 //!   seeded-stream derivations ([`source::stream_rng`]).
-//! * [`priors`] — per-architecture empirical priors accumulated from
-//!   sequenced screening (samples-to-decision, early-stop rate,
-//!   decision-mode tallies) handing the sequencer
-//!   architecture-conditioned `min_samples`/`check_interval` hints.
 //! * [`screener`] — the [`screener::Screener`] front door tying it all
 //!   together: one builder for workload × backend × sequencing ×
 //!   worker count, over a fleet or a single device.
@@ -117,7 +114,6 @@ pub mod harness;
 pub mod limits;
 pub mod lsb_monitor;
 pub mod pool;
-pub mod priors;
 pub mod qmin;
 pub mod report;
 pub mod ring;
@@ -138,7 +134,6 @@ pub use decision::ConfusionMatrix;
 pub use dynamic::{DynChecks, DynScratch, DynamicConfig, DynamicLimits, DynamicVerdict};
 pub use harness::{BistOutcome, BistVerdict, Scratch};
 pub use limits::CountLimits;
-pub use priors::{ArchPrior, PriorsBank, SeqTally};
 pub use qmin::QminPlan;
 pub use ring::{Enqueue, Ring};
 pub use screener::{ScreenReport, ScreenVerdict, Screener, Workload};

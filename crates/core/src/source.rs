@@ -6,16 +6,15 @@
 //! device was mismatched. This module is the one seam they all sample
 //! through:
 //!
-//! * [`DeviceSource`] — object-safe: `sample_transfer(rng)` draws one
-//!   device as a [`TransferFunction`], plus metadata (architecture tag,
-//!   resolution, expected DNL signature).
-//! * Implementors: [`FlashConfig`] (resistor ladder + comparator
-//!   offsets), [`IidWidthSource`] (the §3 iid-Gaussian theory model),
+//! * [`SourceSpec`] — a `Copy` enum over the four device models:
+//!   [`FlashConfig`] (resistor ladder + comparator offsets),
+//!   [`IidWidthSource`] (the §3 iid-Gaussian theory model),
 //!   [`SarConfig`] (binary-weighted capacitor mismatch) and
-//!   [`PipelineConfig`] (inter-stage gain error).
-//! * [`SourceSpec`] — the `Copy` enum-dispatch form, for the many fleet
-//!   descriptors (`Batch`, experiments, sweep cells) that are passed by
-//!   value.
+//!   [`PipelineConfig`] (inter-stage gain error). Fleet descriptors
+//!   (`Batch`, experiments, sweep cells) embed it and pass it by value.
+//! * [`DeviceSource`] — the trait [`SourceSpec`] implements:
+//!   `sample_transfer(rng)` draws one device as a [`TransferFunction`],
+//!   plus its architecture tag and resolution.
 //! * [`Zoo`] — a mixed-architecture fleet with a stable per-device
 //!   `(seed, index) → (architecture, rng)` assignment, so zoo reports
 //!   are bit-identical for any workers × chunking, exactly like
@@ -62,7 +61,7 @@ impl Architecture {
     ];
 
     /// A dense index in `0..COUNT`, stable across releases — used for
-    /// per-architecture accumulator arrays (e.g. `bist_core::priors`).
+    /// per-architecture count arrays (e.g. [`Zoo::census`]).
     pub fn index(self) -> usize {
         match self {
             Architecture::Flash => 0,
@@ -134,13 +133,10 @@ impl fmt::Display for DnlSignature {
     }
 }
 
-/// One architecture's device generator: draws mismatched converter
-/// instances as [`TransferFunction`]s plus the metadata fleet tooling
-/// keys on.
-///
-/// Object-safe (`&dyn DeviceSource` works) so heterogeneous source
-/// collections need no generics; [`SourceSpec`] is the `Copy`
-/// enum-dispatch form for by-value descriptors.
+/// The device generator fleet entry points sample through: draws
+/// mismatched converter instances as [`TransferFunction`]s plus the
+/// metadata fleet tooling keys on. [`SourceSpec`] is its one
+/// implementor.
 ///
 /// # Contract
 ///
@@ -149,7 +145,7 @@ impl fmt::Display for DnlSignature {
 /// any workers × chunking, scalar ≡ batched) rest on device `i`
 /// being a pure function of `(source, rng_i)`.
 pub trait DeviceSource {
-    /// The architecture tag (stable; keys per-architecture priors).
+    /// The architecture tag (stable; labels per-architecture cells).
     fn architecture(&self) -> Architecture;
 
     /// The resolution every sampled device states.
@@ -157,65 +153,6 @@ pub trait DeviceSource {
 
     /// Draws one device instance as its transfer function.
     fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction;
-
-    /// The DNL signature screening should expect from this source.
-    fn dnl_signature(&self) -> DnlSignature {
-        self.architecture().dnl_signature()
-    }
-}
-
-impl DeviceSource for FlashConfig {
-    fn architecture(&self) -> Architecture {
-        Architecture::Flash
-    }
-
-    fn resolution(&self) -> Resolution {
-        // The inherent accessor must stay: without it this path
-        // resolves to this trait method and the call recurses.
-        FlashConfig::resolution(self)
-    }
-
-    fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction {
-        self.sample(rng)
-            .transfer()
-            .expect("flash states its transfer")
-    }
-}
-
-impl DeviceSource for SarConfig {
-    fn architecture(&self) -> Architecture {
-        Architecture::Sar
-    }
-
-    fn resolution(&self) -> Resolution {
-        // The inherent accessor must stay: without it this path
-        // resolves to this trait method and the call recurses.
-        SarConfig::resolution(self)
-    }
-
-    fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction {
-        self.sample(rng)
-            .transfer()
-            .expect("sar states its transfer")
-    }
-}
-
-impl DeviceSource for PipelineConfig {
-    fn architecture(&self) -> Architecture {
-        Architecture::Pipeline
-    }
-
-    fn resolution(&self) -> Resolution {
-        // The inherent accessor must stay: without it this path
-        // resolves to this trait method and the call recurses.
-        PipelineConfig::resolution(self)
-    }
-
-    fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction {
-        self.sample(rng)
-            .transfer()
-            .expect("pipeline states its transfer")
-    }
 }
 
 /// The §3 theory model as a device source: iid Gaussian code widths at a
@@ -241,20 +178,6 @@ impl IidWidthSource {
     /// The width distribution devices draw from.
     pub fn distribution(&self) -> WidthDistribution {
         self.dist
-    }
-}
-
-impl DeviceSource for IidWidthSource {
-    fn architecture(&self) -> Architecture {
-        Architecture::IidWidths
-    }
-
-    fn resolution(&self) -> Resolution {
-        self.resolution
-    }
-
-    fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction {
-        iid_width_transfer(self.resolution, &self.dist, rng)
     }
 }
 
@@ -293,28 +216,37 @@ impl SourceSpec {
     pub fn paper_pipeline() -> Self {
         SourceSpec::Pipeline(PipelineConfig::paper_device())
     }
-
-    fn as_dyn(&self) -> &dyn DeviceSource {
-        match self {
-            SourceSpec::Flash(c) => c,
-            SourceSpec::IidWidths(c) => c,
-            SourceSpec::Sar(c) => c,
-            SourceSpec::Pipeline(c) => c,
-        }
-    }
 }
 
 impl DeviceSource for SourceSpec {
     fn architecture(&self) -> Architecture {
-        self.as_dyn().architecture()
+        match self {
+            SourceSpec::Flash(_) => Architecture::Flash,
+            SourceSpec::IidWidths(_) => Architecture::IidWidths,
+            SourceSpec::Sar(_) => Architecture::Sar,
+            SourceSpec::Pipeline(_) => Architecture::Pipeline,
+        }
     }
 
     fn resolution(&self) -> Resolution {
-        self.as_dyn().resolution()
+        match self {
+            SourceSpec::Flash(c) => c.resolution(),
+            SourceSpec::IidWidths(c) => c.resolution,
+            SourceSpec::Sar(c) => c.resolution(),
+            SourceSpec::Pipeline(c) => c.resolution(),
+        }
     }
 
     fn sample_transfer(&self, rng: &mut dyn RngCore) -> TransferFunction {
-        self.as_dyn().sample_transfer(rng)
+        match self {
+            SourceSpec::Flash(c) => c.sample(rng).transfer().expect("flash states its transfer"),
+            SourceSpec::IidWidths(c) => iid_width_transfer(c.resolution, &c.dist, rng),
+            SourceSpec::Sar(c) => c.sample(rng).transfer().expect("sar states its transfer"),
+            SourceSpec::Pipeline(c) => c
+                .sample(rng)
+                .transfer()
+                .expect("pipeline states its transfer"),
+        }
     }
 }
 
@@ -586,6 +518,26 @@ mod tests {
             assert_eq!(a.transitions(), b.transitions(), "{s}");
             let c = s.sample_transfer(&mut stream_rng(9, &[4]));
             assert_ne!(a.transitions(), c.transitions(), "{s}");
+            // Each variant draws exactly what its own model draws.
+            for seed in [1, 2, 3] {
+                let own = match s {
+                    SourceSpec::Flash(c) => c.sample(&mut device_rng(seed, 5)).transfer(),
+                    SourceSpec::IidWidths(c) => Some(iid_width_transfer(
+                        c.resolution,
+                        &c.dist,
+                        &mut device_rng(seed, 5),
+                    )),
+                    SourceSpec::Sar(c) => c.sample(&mut device_rng(seed, 5)).transfer(),
+                    SourceSpec::Pipeline(c) => c.sample(&mut device_rng(seed, 5)).transfer(),
+                }
+                .expect("every model states its transfer");
+                let spec = s.sample_transfer(&mut device_rng(seed, 5));
+                let bits = |tf: &TransferFunction| -> Vec<u64> {
+                    tf.transitions().iter().map(|t| t.to_bits()).collect()
+                };
+                assert_eq!(bits(&spec), bits(&own), "{s}, seed {seed}");
+                assert_eq!(spec, own, "{s}, seed {seed}");
+            }
         }
     }
 
@@ -639,21 +591,13 @@ mod tests {
 
     #[test]
     fn dnl_signatures_are_architecture_specific() {
-        assert_eq!(
-            SourceSpec::paper_sar().dnl_signature(),
-            DnlSignature::MajorCarry
-        );
-        assert_eq!(
-            SourceSpec::paper_pipeline().dnl_signature(),
-            DnlSignature::CoarseBoundary
-        );
-        assert_eq!(
-            SourceSpec::paper_flash().dnl_signature(),
-            DnlSignature::LadderCorrelated
-        );
-        assert_eq!(
-            SourceSpec::paper_iid().dnl_signature(),
-            DnlSignature::IidPerCode
-        );
+        for (s, signature) in [
+            (SourceSpec::paper_sar(), DnlSignature::MajorCarry),
+            (SourceSpec::paper_pipeline(), DnlSignature::CoarseBoundary),
+            (SourceSpec::paper_flash(), DnlSignature::LadderCorrelated),
+            (SourceSpec::paper_iid(), DnlSignature::IidPerCode),
+        ] {
+            assert_eq!(s.architecture().dnl_signature(), signature, "{s}");
+        }
     }
 }

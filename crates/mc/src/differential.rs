@@ -37,7 +37,8 @@
 //!   Candidate cells rejected by config validation are recorded as
 //!   skipped, never screened.
 //! * [`run_arch_differential`] (`arch_fleet`): every zoo paper preset ×
-//!   counter width, sequenced; its tallies seed a [`PriorsBank`].
+//!   counter width, sequenced, with [`SeqDifferentialResult`]'s
+//!   accounting per architecture.
 
 use crate::batch::{stream_rng, Batch};
 use bist_adc::flash::FlashConfig;
@@ -50,7 +51,6 @@ use bist_core::backend::RtlBackend;
 use bist_core::config::{BistConfig, ConfigError};
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
 use bist_core::pool;
-use bist_core::priors::{PriorsBank, SeqTally};
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::{SeqDecision, SequencerConfig};
 use bist_core::source::{Architecture, DeviceSource, IidWidthSource, SourceSpec};
@@ -257,26 +257,13 @@ pub enum SeqScenarioId {
         cycles: u32,
     },
     /// A static cell drawing paper-preset devices of one named zoo
-    /// architecture — the per-architecture seam validation that feeds
-    /// [`bist_core::priors`].
+    /// architecture — the per-architecture seam validation.
     Arch {
         /// The device architecture the cell draws from.
         arch: Architecture,
         /// Counter width in bits.
         counter_bits: u32,
     },
-}
-
-impl SeqScenarioId {
-    /// The device architecture this cell draws from. The legacy static
-    /// grid sweeps iid-width devices; the dynamic grid sweeps flash.
-    pub fn architecture(&self) -> Architecture {
-        match self {
-            SeqScenarioId::Static { .. } => Architecture::IidWidths,
-            SeqScenarioId::Dynamic { .. } => Architecture::Flash,
-            SeqScenarioId::Arch { arch, .. } => *arch,
-        }
-    }
 }
 
 impl fmt::Display for SeqScenarioId {
@@ -671,27 +658,6 @@ impl SeqDifferentialResult {
             0.0
         } else {
             self.sum(|t| t.early_stops) as f64 / self.comparisons as f64
-        }
-    }
-
-    /// Folds every cell's sequenced accounting into a priors bank,
-    /// keyed by the cell's device architecture. This is the feedback
-    /// edge of the zoo: differential sweeps measure per-architecture
-    /// samples-to-decision, the bank turns that into
-    /// architecture-conditioned sequencer hints.
-    pub fn seed_priors(&self, bank: &mut PriorsBank) {
-        for t in &self.per_scenario {
-            bank.absorb(
-                t.scenario.architecture(),
-                SeqTally {
-                    runs: t.comparisons,
-                    early_accepts: t.early_accepts,
-                    early_rejects: t.early_rejects,
-                    seq_samples: t.seq_samples,
-                    seq_samples_early: t.seq_samples_early,
-                    full_samples: t.full_samples,
-                },
-            );
         }
     }
 }
@@ -1123,10 +1089,8 @@ pub fn run_seq_differential(
 /// devices, fanned out across `workers` threads (0 = available
 /// parallelism): backends must latch identically for every architecture
 /// — the paper's architecture-agnostic claim, checked at the gate level.
-/// The per-cell tallies carry per-architecture samples-to-decision
-/// accounting; feed them to a [`PriorsBank`] with
-/// [`SeqDifferentialResult::seed_priors`] to derive
-/// architecture-conditioned sequencer policies.
+/// The per-cell tallies carry per-architecture samples-to-decision and
+/// type I/II drift accounting.
 pub fn run_arch_differential(
     seed: u64,
     policy: &SequencerConfig,
@@ -1376,10 +1340,9 @@ mod tests {
         // Every architecture appears in the grid, labelled.
         for arch in Architecture::ALL {
             assert!(
-                result
-                    .per_scenario
-                    .iter()
-                    .any(|t| t.scenario.architecture() == arch),
+                result.per_scenario.iter().any(
+                    |t| matches!(t.scenario, SeqScenarioId::Arch { arch: a, .. } if a == arch)
+                ),
                 "{arch} missing from the grid"
             );
         }
@@ -1414,29 +1377,6 @@ mod tests {
                 assert!(t.seq_samples_early >= t.early_stops * policy.min_samples);
                 assert!(t.seq_samples_early <= t.seq_samples);
             }
-        }
-    }
-
-    #[test]
-    fn seed_priors_accumulates_by_architecture() {
-        let policy = SequencerConfig::default();
-        let result = run_arch_differential(47, &policy, 5, 0);
-        let mut bank = PriorsBank::new(policy);
-        result.seed_priors(&mut bank);
-        let runs: u64 = Architecture::ALL.iter().map(|&a| bank.tally(a).runs).sum();
-        assert_eq!(runs, result.comparisons);
-        for arch in Architecture::ALL {
-            let expected: u64 = result
-                .per_scenario
-                .iter()
-                .filter(|t| t.scenario.architecture() == arch)
-                .map(|t| t.comparisons)
-                .sum();
-            assert_eq!(bank.tally(arch).runs, expected, "{arch}");
-            // Whatever the bank derives must be a valid policy.
-            bank.policy_for(arch)
-                .validate()
-                .expect("derived policy validates");
         }
     }
 }

@@ -6,16 +6,15 @@
 //! every architecture; only the mismatch physics behind each transfer
 //! function differs.
 //!
-//! The second act closes the loop: a per-architecture differential
-//! sweep feeds a [`PriorsBank`], which hands the sequencer
-//! architecture-conditioned `min_samples`/`check_interval` hints.
+//! The second act runs a per-architecture differential sweep: every
+//! architecture's sequenced verdicts latch identically on the
+//! behavioural and the gate-accurate RTL backends.
 //!
 //! Run with: `cargo run --release --example device_zoo`
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::config::BistConfig;
-use bist_core::priors::PriorsBank;
 use bist_core::report::{fmt_prob, Table};
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
@@ -92,22 +91,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Act two: per-architecture differential sweep (full behavioural
     // ground truth + sequenced behavioural + sequenced RTL on
-    // bit-identical streams) feeding the priors bank.
-    let base = SequencerConfig::default();
-    let diff = run_arch_differential(ZOO_SEED, &base, 6, 0);
+    // bit-identical streams).
+    let diff = run_arch_differential(ZOO_SEED, &SequencerConfig::default(), 6, 0);
     assert!(diff.is_clean(), "behavioural↔RTL divergence: {diff}");
     println!(
-        "differential: {} comparisons, {} divergences, drift I {:.2e} / II {:.2e}\n",
+        "differential: {} comparisons, {} divergences, drift I {:.2e} / II {:.2e}",
         diff.comparisons,
         diff.divergences.len(),
         diff.type_i_drift(),
         diff.type_ii_drift(),
     );
-
-    let mut bank = PriorsBank::new(base).with_min_runs(8);
-    diff.seed_priors(&mut bank);
-    println!("{bank}");
-    println!("(hints tighten min_samples toward each architecture's observed");
-    println!(" decision point; α/β stay untouched, so the error budgets hold.)");
     Ok(())
 }
