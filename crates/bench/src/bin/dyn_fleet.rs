@@ -2,8 +2,9 @@
 //! behavioural↔RTL verdict seam for the §2 dynamic parameters judged
 //! with fixed-point gates.
 //!
-//! Part 1 sweeps both dynamic verdict backends — the streaming Goertzel
-//! bank and the fixed-point `bist_rtl::DynBistTop` — over the same
+//! Part 1 sweeps both dynamic verdict backends — the behavioural engine
+//! fleets run (the streaming Goertzel bank fed from its stimulus table)
+//! and the fixed-point `bist_rtl::DynBistTop` — over the same
 //! coherent sine code streams for every device × converter resolution
 //! (6/8 bit) × mismatch σ (0 / 0.16 / 0.21 LSB) × coherent-bin choice
 //! (1021/997 cycles), demanding **decision-exact agreement**: the
@@ -13,9 +14,12 @@
 //! (exit 1), which the CI smoke step relies on.
 //!
 //! Part 2 screens a paper-point population (6-bit, σ = 0.21, 4096
-//! samples × 1021 cycles) through each backend end to end, through the
-//! batch seam (`Experiment::run_with`), and demands equal tallies. The
-//! RTL path's speed is fleetbench's to measure (`rtl.*.devices_per_s`).
+//! samples × 1021 cycles, noiseless) through `Screener::run` on each
+//! backend and compares the two device by device: the latch, plus
+//! `dyn_decisions_agree`. No Part 1 cell is codable (each carries input
+//! noise), so this is the check of the behavioural engine's coded group
+//! kernel against RTL; a divergence here fails the run too. The RTL
+//! path's speed is fleetbench's to measure (`rtl.*.devices_per_s`).
 //!
 //! Knobs: `BIST_DEVICES` (default 1000 → 12 000 device×scenario
 //! comparisons), `BIST_WORKERS`.
@@ -26,10 +30,14 @@ use bist_bench::{report_divergences, Scenario, SEED};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::report::Table;
-use bist_core::screener::Workload;
-use bist_mc::batch::Batch;
-use bist_mc::differential::run_dyn_differential;
-use bist_mc::experiment::Experiment;
+use bist_core::screener::{Screener, Workload};
+use bist_core::source::{DeviceSource, SourceSpec};
+use bist_mc::batch::stream_rng;
+use bist_mc::differential::{backends_agree, run_dyn_differential, Divergence, DynScenarioId};
+
+/// RNG-stream salt decorrelating the fleet's acquisition noise from its
+/// device generation.
+const ACQUISITION_SALT: u64 = 0xd1e_57a7;
 
 fn main() {
     let mut clean = true;
@@ -70,29 +78,52 @@ fn run(sc: &mut Scenario) -> bool {
     println!("{table}");
     report_divergences(&result.divergences, "");
 
-    // --- Part 2: fleet tallies, backend vs backend ------------------
-    let flash =
-        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21);
-    let batch = Batch::of(flash).seed(SEED).size(devices);
-    let workload = Workload::dynamic_sine(DynamicConfig::paper_default());
-    let experiment = Experiment::new(batch, workload);
-    let behavioral = experiment.run(workers);
-    let rtl = experiment.run_with(workers, RtlBackend::new);
-    let verdicts_agree = behavioral == rtl;
-    println!(
-        "fleet (6-bit σ0.21, {devices} devices): behavioral {behavioral}, rtl {rtl}; \
-         acceptance {:.1}%",
-        100.0 * behavioral.acceptance_rate(),
+    // --- Part 2: the coded fleet, backend vs backend, device by device
+    let source = SourceSpec::from(
+        FlashConfig::new(Resolution::SIX_BIT, Volts(0.0), Volts(6.4)).with_width_sigma_lsb(0.21),
     );
-    if !verdicts_agree {
-        println!("fleet phase: screening tallies DIVERGED");
-    }
+    let fleet = || {
+        (0..devices as u64).map(move |i| {
+            let adc = source.sample_transfer(&mut stream_rng(SEED, &[0, i]));
+            (adc, stream_rng(SEED, &[ACQUISITION_SALT, i]))
+        })
+    };
+    let workload = Workload::dynamic_sine(DynamicConfig::paper_default());
+    let behavioral = Screener::new(workload).workers(workers).run(fleet());
+    let rtl = Screener::new(workload)
+        .backend(RtlBackend::new())
+        .workers(workers)
+        .run(fleet());
+    let paper_point = DynScenarioId {
+        resolution_bits: 6,
+        sigma_milli_lsb: 210,
+        cycles: 1021,
+    };
+    let fleet_divergences: Vec<_> = behavioral
+        .iter()
+        .zip(&rtl)
+        .filter(|(b, r)| !backends_agree(&b.verdict, &r.verdict))
+        .map(|(b, r)| Divergence {
+            device: b.device,
+            scenario: paper_point,
+            behavioral: b.verdict,
+            rtl: r.verdict,
+        })
+        .collect();
+    let accepted = behavioral.iter().filter(|r| r.verdict.accepted()).count();
+    let acceptance_rate = accepted as f64 / devices.max(1) as f64;
+    println!(
+        "fleet ({paper_point}, {devices} devices): {}/{devices} decision-exact; acceptance {:.1}%",
+        devices - fleet_divergences.len(),
+        100.0 * acceptance_rate,
+    );
+    report_divergences(&fleet_divergences, "fleet");
 
     sc.metric_count("devices", devices as u64);
     sc.metric_count("comparisons", result.comparisons);
     sc.metric_count("divergences", result.divergences.len() as u64);
     sc.metric("agreement_rate", result.agreement_rate());
-    sc.metric("acceptance_rate", behavioral.acceptance_rate());
+    sc.metric("acceptance_rate", acceptance_rate);
     let path = sc.csv(
         "dyn_fleet.csv",
         &[
@@ -108,7 +139,7 @@ fn run(sc: &mut Scenario) -> bool {
     eprintln!("wrote {}", path.display());
     // An empty sweep must not read as a pass — the smoke gate would go
     // vacuously green on BIST_DEVICES=0.
-    let clean = result.comparisons > 0 && result.is_clean() && verdicts_agree;
+    let clean = result.comparisons > 0 && result.is_clean() && fleet_divergences.is_empty();
     if clean {
         println!("reading: the fixed-point dynamic datapath reaches the identical accept/reject");
         println!("decision on every device — §2's THD/noise-power test runs on-chip with \"simple");

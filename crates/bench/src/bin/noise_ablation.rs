@@ -16,7 +16,6 @@ use bist_adc::types::Resolution;
 use bist_bench::{Scenario, SEED};
 use bist_core::config::BistConfig;
 use bist_core::report::{fmt_prob, Table};
-use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
 use bist_mc::experiment::Experiment;
 
@@ -50,7 +49,7 @@ fn run(sc: &mut Scenario) {
                 .build()
                 .expect("valid configuration");
             let batch = Batch::paper_simulation(SEED, n);
-            let result = Experiment::new(batch, Workload::static_ramp(config))
+            let result = Experiment::new(batch, config)
                 .with_noise(noise)
                 .run(workers);
             cells.push((result.type_i(), result.type_ii()));

@@ -28,9 +28,12 @@
 //! transition — which every harness ramp does by construction (10-LSB
 //! overshoot past full scale). Property tests in `crates/core/tests`
 //! pin the equivalence on adversarial synthetic streams; the `bist-mc`
-//! differential experiment pins it fleet-wide on random devices, noise
-//! configurations and counter widths. On the dynamic workload the
-//! contract is decision-exactness — see the trait docs.
+//! differential harness pins it fleet-wide on random devices, noise
+//! configurations and counter widths, each device screened through
+//! both backends' batch hooks — the behavioural engine's run-skip
+//! sweeps and stimulus table against the RTL's scalar loop. On the
+//! dynamic workload the contract is decision-exactness — see the trait
+//! docs.
 
 use crate::batch::{BatchDevice, ScreenBatch};
 use crate::config::BistConfig;
@@ -79,15 +82,15 @@ use rand::RngCore;
 /// bit-exact to the scalar path.
 pub trait Backend {
     /// Judges one static sweep (re-`begin`-ing `seq`), leaving per-code
-    /// detail in `scratch` (as much as the backend models — see the
-    /// implementors). An early-stopped verdict holds the
-    /// sequencer-visible tallies.
+    /// detail in `detail` when one is given (as much as the backend
+    /// models — see the implementors). An early-stopped verdict holds
+    /// the sequencer-visible tallies.
     fn judge<I: IntoIterator<Item = Code>>(
         &mut self,
         config: &BistConfig,
         seq: Option<&mut StaticSequencer>,
         codes: I,
-        scratch: &mut Scratch,
+        detail: Option<&mut Scratch>,
     ) -> SeqOutcome<BistVerdict>;
 
     /// Judges one coherent record. `scratch` holds the behavioural bank
@@ -120,10 +123,10 @@ pub trait Backend {
 
 /// The behavioural reference backend — zero-size: the heap-free
 /// [`MonitorState`] and [`FunctionalState`], with per-code detail
-/// recorded in the caller's [`Scratch`], and the streaming Goertzel
-/// bank, so a [`crate::screener::Screener`] sweep compiled through it
-/// is the allocation-free hot path (the counting-allocator test keeps
-/// it honest).
+/// recorded in the caller's [`Scratch`] when one is given, and the
+/// streaming Goertzel bank, so a [`crate::screener::Screener`] sweep
+/// compiled through it is the allocation-free hot path (the
+/// counting-allocator test keeps it honest).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BehavioralBackend;
 
@@ -134,19 +137,21 @@ impl Backend for BehavioralBackend {
         config: &BistConfig,
         mut seq: Option<&mut StaticSequencer>,
         codes: I,
-        scratch: &mut Scratch,
+        mut detail: Option<&mut Scratch>,
     ) -> SeqOutcome<BistVerdict> {
         let bit = config.monitored_bit();
         let mut mon = MonitorState::new(config);
         let mut func = FunctionalState::new(bit, config.deglitch());
-        scratch.clear();
+        if let Some(detail) = detail.as_deref_mut() {
+            detail.clear();
+        }
         if let Some(seq) = seq.as_deref_mut() {
             seq.begin(config);
         }
         let mut consumed = 0u64;
         for code in codes {
             consumed += 1;
-            let (seq, detail) = (seq.as_deref_mut(), Some(&mut *scratch));
+            let (seq, detail) = (seq.as_deref_mut(), detail.as_deref_mut());
             if let Some(stop) = push_sample(&mut mon, &mut func, seq, detail, consumed, bit, code) {
                 return stop;
             }
@@ -205,11 +210,12 @@ impl Backend for BehavioralBackend {
 /// [`BistTop::DRAIN_TICKS`] cycles so measurements inside the
 /// synchroniser pipeline complete.
 ///
-/// Scratch detail: per-code monitor results are recorded (with the
-/// hardware's view — a saturated code reports the clamped width, since
-/// the chip cannot know more); per-check functional detail is not (the
-/// silicon latches only the counters), so the functional checks of
-/// [`Scratch::take_outcome`] are empty after an RTL sweep.
+/// Detail, when a [`Scratch`] is given: per-code monitor results are
+/// recorded (with the hardware's view — a saturated code reports the
+/// clamped width, since the chip cannot know more); per-check
+/// functional detail is not (the silicon latches only the counters), so
+/// the functional checks of [`Scratch::take_outcome`] are empty after
+/// an RTL sweep.
 #[derive(Debug, Default)]
 pub struct RtlBackend {
     top: Option<BistTop>,
@@ -271,11 +277,13 @@ impl Backend for RtlBackend {
         config: &BistConfig,
         mut seq: Option<&mut StaticSequencer>,
         codes: I,
-        scratch: &mut Scratch,
+        mut detail: Option<&mut Scratch>,
     ) -> SeqOutcome<BistVerdict> {
         let want = Self::top_config(config);
         let top = self.top_for(want);
-        scratch.clear();
+        if let Some(detail) = detail.as_deref_mut() {
+            detail.clear();
+        }
         if let Some(seq) = seq.as_deref_mut() {
             seq.begin(config);
         }
@@ -288,7 +296,9 @@ impl Backend for RtlBackend {
             let measured = top
                 .tick(u64::from(code.0) >> bit)
                 .map(|m| rtl_code_result(delta_s, &m));
-            scratch.monitor_codes.extend(measured);
+            if let Some(detail) = detail.as_deref_mut() {
+                detail.monitor_codes.extend(measured);
+            }
             if let Some(seq) = seq.as_deref_mut() {
                 // Emission trails the behavioural accumulators by
                 // exactly STATIC_DECISION_LATENCY ticks: stamp each
@@ -310,8 +320,9 @@ impl Backend for RtlBackend {
             }
         }
         for _ in 0..BistTop::DRAIN_TICKS {
-            if let Some(m) = top.drain_tick() {
-                scratch.monitor_codes.push(rtl_code_result(delta_s, &m));
+            let drained = top.drain_tick();
+            if let (Some(detail), Some(m)) = (detail.as_deref_mut(), drained) {
+                detail.monitor_codes.push(rtl_code_result(delta_s, &m));
             }
         }
         let report = top.report();
@@ -500,7 +511,7 @@ mod tests {
     ) -> BistVerdict {
         let (ramp, sampling) = plan_ramp(adc, config);
         let codes = CodeStream::noisy(adc, &ramp, sampling, noise, rng);
-        backend.judge(config, None, codes, scratch).verdict
+        backend.judge(config, None, codes, Some(scratch)).verdict
     }
 
     /// [`static_sweep`]'s dynamic-record counterpart.
@@ -534,13 +545,13 @@ mod tests {
             &config,
             None,
             CodeStream::noiseless(&adc, &ramp, sampling),
-            &mut s1,
+            Some(&mut s1),
         );
         let watched = BehavioralBackend.judge(
             &config,
             Some(&mut seq),
             CodeStream::noiseless(&adc, &ramp, sampling),
-            &mut s2,
+            Some(&mut s2),
         );
         assert_eq!(plain, watched);
         assert_eq!(plain.decision, SeqDecision::Continue);

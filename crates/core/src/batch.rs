@@ -62,7 +62,13 @@
 //! [`bist_dsp::goertzel::GoertzelBank::push`]'s per-(device, bin)
 //! operation sequence, then loads its result into the judge's bank. The
 //! `batch_equivalence` property tests pin this for any fleet size, mix
-//! and split of the fleet across calls.
+//! and split of the fleet across calls. The `bist_mc::differential`
+//! harness also screens every grid device through this engine against
+//! [`crate::backend::RtlBackend`] directly, so the run-skip sweep, its
+//! quiet-run checkpoints and the stimulus table answer to the
+//! gate-accurate oracle with no scalar path in between; no grid cell is
+//! coded, and `dyn_fleet`'s fleet part checks the group kernel against
+//! the oracle instead.
 
 use crate::backend::{push_sample, Backend, BehavioralBackend};
 use crate::config::BistConfig;
@@ -137,8 +143,8 @@ impl StimulusTable {
 
 /// The one screening engine for a [`Workload`] — behind
 /// [`crate::screener::Screener`], each pooled worker of
-/// [`crate::pool`], each `bist-serve` worker and `bist_mc`'s
-/// experiments.
+/// [`crate::pool`], each `bist-serve` worker, `bist_mc`'s experiments
+/// and both sides of its differential harness.
 ///
 /// Build one with [`ScreenBatch::new`] and hand it device streams with
 /// [`ScreenBatch::screen`]. The engine owns all working state
@@ -149,11 +155,8 @@ pub struct ScreenBatch {
     workload: Workload,
     sequencer: Option<SequencerConfig>,
     engine: BatchEngine,
-    /// What the scalar path judges fleet devices into.
-    scratch: Scratch,
     /// Per-code detail of the most recent
-    /// [`screen_one`](ScreenBatch::screen_one), kept apart from
-    /// `scratch` so a later scalar fleet run does not overwrite it.
+    /// [`screen_one`](ScreenBatch::screen_one); fleet runs record none.
     detail: Scratch,
     dyn_scratch: DynScratch,
 }
@@ -192,7 +195,6 @@ impl ScreenBatch {
             workload,
             sequencer,
             engine,
-            scratch: Scratch::default(),
             detail: Scratch::default(),
             dyn_scratch: DynScratch::default(),
         }
@@ -232,13 +234,9 @@ impl ScreenBatch {
         reports: &mut Vec<ScreenReport>,
     ) {
         for mut dev in devices {
-            let verdict = self.engine.judge(
-                backend,
-                &dev.adc,
-                &mut dev.rng,
-                &mut self.scratch,
-                &mut self.dyn_scratch,
-            );
+            let verdict =
+                self.engine
+                    .judge(backend, &dev.adc, &mut dev.rng, None, &mut self.dyn_scratch);
             reports.push(ScreenReport {
                 device: dev.index,
                 verdict,
@@ -257,7 +255,7 @@ impl ScreenBatch {
         reports: &mut Vec<ScreenReport>,
     ) {
         match &mut self.engine {
-            BatchEngine::Static(engine) => engine.run(devices, reports, &mut self.scratch),
+            BatchEngine::Static(engine) => engine.run(devices, reports),
             BatchEngine::Dynamic(engine) => engine.run(devices, reports, &mut self.dyn_scratch),
         }
     }
@@ -270,8 +268,9 @@ impl ScreenBatch {
         adc: &A,
         rng: &mut R,
     ) -> ScreenVerdict {
+        let detail = Some(&mut self.detail);
         self.engine
-            .judge(backend, adc, rng, &mut self.detail, &mut self.dyn_scratch)
+            .judge(backend, adc, rng, detail, &mut self.dyn_scratch)
     }
 
     /// The full per-code [`BistOutcome`] of the most recent static
@@ -286,17 +285,18 @@ impl ScreenBatch {
 impl BatchEngine {
     /// The scalar per-device path: plans the stimulus, streams the noisy
     /// codes and judges them through `backend`'s judge for the workload,
-    /// under the engine's sequencer.
+    /// under the engine's sequencer, static per-code detail into
+    /// `detail` when one is given.
     fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
         &mut self,
         backend: &mut B,
         adc: &A,
         rng: &mut R,
-        scratch: &mut Scratch,
+        detail: Option<&mut Scratch>,
         dyn_scratch: &mut DynScratch,
     ) -> ScreenVerdict {
         match self {
-            BatchEngine::Static(e) => ScreenVerdict::Static(e.judge(backend, adc, rng, scratch)),
+            BatchEngine::Static(e) => ScreenVerdict::Static(e.judge(backend, adc, rng, detail)),
             BatchEngine::Dynamic(e) => {
                 ScreenVerdict::Dynamic(e.judge(backend, adc, rng, dyn_scratch))
             }
@@ -322,24 +322,23 @@ impl StaticEngine {
         backend: &mut B,
         adc: &A,
         rng: &mut R,
-        scratch: &mut Scratch,
+        detail: Option<&mut Scratch>,
     ) -> SeqOutcome<BistVerdict> {
         let (ramp, sampling) = plan_ramp(adc, &self.config);
         let ramp = ramp.with_slope_error(self.slope_error);
         let codes = CodeStream::noisy(adc, &ramp, sampling, &self.noise, rng);
-        backend.judge(&self.config, self.seq.as_mut(), codes, scratch)
+        backend.judge(&self.config, self.seq.as_mut(), codes, detail)
     }
 
     /// Sweeps each device from its first sample until a checkpoint
     /// stops the sweep or the sweep ends, one report each: run-skipping
-    /// when it can, through the scalar judge (detail into `scratch`)
-    /// otherwise.
+    /// when it can, through the scalar judge otherwise. Neither records
+    /// per-code detail.
     // bist-lint: hot-path — the static device loop
     fn run<A: Adc, R: RngCore>(
         &mut self,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
-        scratch: &mut Scratch,
     ) {
         for mut dev in devices {
             let (ramp, sampling) = plan_ramp(&dev.adc, &self.config);
@@ -351,7 +350,7 @@ impl StaticEngine {
             let run_skip = self.noise.is_noiseless() && ramp.effective_slope() > 0.0;
             let outcome = match dev.adc.transition_levels().filter(|_| run_skip) {
                 Some(levels) => self.run_skip(levels, &ramp, &sampling),
-                None => self.judge(&mut BehavioralBackend, &dev.adc, &mut dev.rng, scratch),
+                None => self.judge(&mut BehavioralBackend, &dev.adc, &mut dev.rng, None),
             };
             reports.push(ScreenReport {
                 device: dev.index,
@@ -790,12 +789,14 @@ mod tests {
         }
     }
 
-    /// The run-skipping sweep records no per-code detail: a fleet of
-    /// noiseless flash devices, sequenced or not, leaves the engine's
-    /// scratch buffers empty and unallocated, while a noisy fleet,
-    /// which the scalar judge screens, fills them.
+    /// Fleet runs record no per-code detail: a fleet of flash devices,
+    /// run-skipped (noiseless, sequenced or not) or scalar-judged
+    /// (noisy), through either backend, leaves the engine's detail
+    /// buffers unallocated, while a single
+    /// [`screen_one`](ScreenBatch::screen_one) fills them.
     #[test]
     fn run_skipped_fleet_leaves_scratch_unallocated() {
+        use crate::backend::RtlBackend;
         use bist_adc::flash::FlashConfig;
         use bist_adc::spec::LinearitySpec;
         use bist_adc::types::Resolution;
@@ -812,22 +813,26 @@ mod tests {
         ] {
             let workload = Workload::static_ramp(config).with_noise(noise);
             let mut batch = ScreenBatch::new(workload, sequencer);
-            let mut rng = StdRng::seed_from_u64(7);
-            let devices = (0..16).map(|i| {
-                let adc = FlashConfig::paper_device().sample(&mut rng);
-                BatchDevice::new(i, adc, StdRng::seed_from_u64(i as u64))
-            });
-            let mut reports = Vec::new();
-            batch.screen(&mut BehavioralBackend, devices, &mut reports);
-            assert_eq!(reports.len(), 16);
-            let s = &batch.scratch;
-            let allocated = s.monitor_codes.capacity() + s.checks.capacity();
-            assert_eq!(
-                allocated > 0,
-                !noise.is_noiseless(),
-                "{noise:?} {sequencer:?}"
-            );
-            assert_eq!(batch.detail.monitor_codes.capacity(), 0);
+            for rtl in [false, true] {
+                let mut rng = StdRng::seed_from_u64(7);
+                let devices = (0..16).map(|i| {
+                    let adc = FlashConfig::paper_device().sample(&mut rng);
+                    BatchDevice::new(i, adc, StdRng::seed_from_u64(i as u64))
+                });
+                let mut reports = Vec::new();
+                if rtl {
+                    batch.screen(&mut RtlBackend::new(), devices, &mut reports);
+                } else {
+                    batch.screen(&mut BehavioralBackend, devices, &mut reports);
+                }
+                assert_eq!(reports.len(), 16);
+                let d = &batch.detail;
+                let allocated = d.monitor_codes.capacity() + d.checks.capacity();
+                assert_eq!(allocated, 0, "{noise:?} {sequencer:?} rtl {rtl}");
+            }
+            let adc = FlashConfig::paper_device().sample(&mut StdRng::seed_from_u64(7));
+            batch.screen_one(&mut BehavioralBackend, &adc, &mut StdRng::seed_from_u64(0));
+            assert!(batch.detail.monitor_codes.capacity() > 0, "{noise:?}");
         }
     }
 

@@ -442,7 +442,7 @@ mod tests {
                 CodeStream::noisy(&adc, &ramp, sampling, &noise, &mut rng).collect();
             let mut scratch = Scratch::default();
             let codes = capture.iter().copied();
-            let judged = BehavioralBackend.judge(&config, None, codes, &mut scratch);
+            let judged = BehavioralBackend.judge(&config, None, codes, Some(&mut scratch));
             let materialized = scratch.take_outcome(judged.verdict);
             assert_eq!(streamed, materialized);
             assert_eq!(verdict.accepted(), materialized.accepted());

@@ -72,10 +72,10 @@ fn run_both(config: &BistConfig, codes: &[Code]) -> (Vec<CodeResult>, Vec<CodeRe
     let mut scratch_b = Scratch::default();
     let mut scratch_r = Scratch::default();
     let behavioral = BehavioralBackend
-        .judge(config, None, codes.iter().copied(), &mut scratch_b)
+        .judge(config, None, codes.iter().copied(), Some(&mut scratch_b))
         .verdict;
     let rtl = RtlBackend::new()
-        .judge(config, None, codes.iter().copied(), &mut scratch_r)
+        .judge(config, None, codes.iter().copied(), Some(&mut scratch_r))
         .verdict;
     assert_eq!(
         behavioral,
@@ -184,10 +184,10 @@ fn toggling_lsb_breaks_completeness_in_both_backends() {
     let mut scratch_b = Scratch::default();
     let mut scratch_r = Scratch::default();
     let behavioral = BehavioralBackend
-        .judge(&config, None, codes.iter().copied(), &mut scratch_b)
+        .judge(&config, None, codes.iter().copied(), Some(&mut scratch_b))
         .verdict;
     let rtl = RtlBackend::new()
-        .judge(&config, None, codes.iter().copied(), &mut scratch_r)
+        .judge(&config, None, codes.iter().copied(), Some(&mut scratch_r))
         .verdict;
     assert_eq!(behavioral, rtl);
     assert!(behavioral.codes_judged > behavioral.expected_codes);

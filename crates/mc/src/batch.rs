@@ -1,9 +1,9 @@
 //! Seeded device-batch generation over the `bist_core::source` seam.
 //!
-//! A [`Batch`] is a thin, `Copy` builder over one [`SourceSpec`] —
-//! `Batch::of(source).seed(s).size(n)` — so every architecture the seam
-//! knows (flash, iid widths, SAR, pipeline) screens through the same
-//! fleet machinery. The paper's sim/measurement split is two presets:
+//! A [`Batch`] is a thin, `Copy` descriptor over one [`SourceSpec`] —
+//! `Batch::of(source).seed(s)` with its `size` set — so every
+//! architecture the seam knows (flash, iid widths, SAR, pipeline)
+//! screens through the same fleet machinery. The paper's sim/measurement split is two presets:
 //!
 //! * [`Batch::paper_simulation`] — code widths drawn iid from the §3
 //!   Gaussian (the *simulation* model behind Tables 1–2).
@@ -43,7 +43,8 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// A batch over any seam source: `Batch::of(source).seed(s).size(n)`.
+    /// An empty batch over any seam source: `Batch::of(source).seed(s)`,
+    /// then set its `size`.
     pub fn of(source: impl Into<SourceSpec>) -> Self {
         Batch {
             source: source.into(),
@@ -55,12 +56,6 @@ impl Batch {
     /// Sets the master seed (builder-style).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the device count (builder-style).
-    pub fn size(mut self, size: usize) -> Self {
-        self.size = size;
         self
     }
 
@@ -222,7 +217,10 @@ mod tests {
     fn builder_form_is_bit_identical_to_paper_presets() {
         // `Batch::of(source)` must reproduce the historical device
         // streams exactly — the paper-repro output depends on it.
-        let via_seam = Batch::of(SourceSpec::paper_flash()).seed(11).size(364);
+        let via_seam = Batch {
+            size: 364,
+            ..Batch::of(SourceSpec::paper_flash()).seed(11)
+        };
         let preset = Batch::paper_measurement(11);
         assert_eq!(via_seam, preset);
         for i in [0, 1, 100, 363] {
@@ -231,7 +229,10 @@ mod tests {
                 preset.device(i).transitions()
             );
         }
-        let via_seam = Batch::of(SourceSpec::paper_iid()).seed(5).size(40);
+        let via_seam = Batch {
+            size: 40,
+            ..Batch::of(SourceSpec::paper_iid()).seed(5)
+        };
         let preset = Batch::paper_simulation(5, 40);
         assert_eq!(via_seam, preset);
         assert_eq!(
@@ -243,7 +244,7 @@ mod tests {
     #[test]
     fn sar_and_pipeline_batches_run_through_the_same_seam() {
         for src in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
-            let b = Batch::of(src).seed(3).size(8);
+            let b = Batch::of(src).seed(3);
             assert_eq!(b.source.resolution(), Resolution::SIX_BIT);
             assert_eq!(b.source.architecture(), src.architecture());
             assert_eq!(b.device(2).transitions(), b.device(2).transitions());

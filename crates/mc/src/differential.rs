@@ -1,12 +1,15 @@
 //! Differential fleet validation of the behavioural↔RTL verdict seam:
 //! one harness, four grids.
 //!
-//! The streaming engine judges devices through pluggable backends
-//! (`bist_core::backend`): the behavioural engines the fleet runs in
-//! production, and the gate-accurate `bist_rtl::BistTop` /
-//! `bist_rtl::DynBistTop`. One device-outer loop screens every device ×
-//! grid cell through both backends on bit-identical code streams (same
-//! seeded device and noise RNG) and demands that they agree:
+//! The harness screens every device × grid cell through the engine
+//! fleets run, [`ScreenBatch`], once per verdict backend on
+//! bit-identical code streams (same seeded device and noise RNG). Each
+//! device is a one-device [`ScreenBatch::screen`] call on the cell's
+//! engines: the behavioural side goes through [`BehavioralBackend`]'s
+//! batch hook — the run-skip sweep with its quiet-run checkpoints, and
+//! the dynamic stimulus table, as a fleet takes them — and the RTL side
+//! through the hook's default scalar loop, clocking the gate-accurate
+//! `bist_rtl::BistTop` / `bist_rtl::DynBistTop`. The two must agree:
 //!
 //! * both **latch** the same sequencer decision, accept/reject and
 //!   sample count;
@@ -21,6 +24,9 @@
 //! equivalence holds because every harness sweep dwells past its last
 //! transition (10-LSB overshoot), exactly the drain contract the RTL
 //! needs to flush its synchroniser latency — see `bist_core::backend`.
+//! No grid cell is *coded* (every dynamic cell carries input noise), so
+//! the dynamic group kernel is checked against RTL by `dyn_fleet`'s
+//! fleet part instead.
 //!
 //! The four grids share the loop, the [`DifferentialResult`] and the
 //! fan-out; each keeps its own entry point, cells and RNG salts:
@@ -47,11 +53,12 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
-use bist_core::backend::RtlBackend;
+use bist_core::backend::{BehavioralBackend, RtlBackend};
+use bist_core::batch::{BatchDevice, ScreenBatch};
 use bist_core::config::{BistConfig, ConfigError};
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
 use bist_core::pool;
-use bist_core::screener::{ScreenVerdict, Screener, Workload};
+use bist_core::screener::{ScreenReport, ScreenVerdict, Workload};
 use bist_core::sequencer::{SeqDecision, SequencerConfig};
 use bist_core::source::{Architecture, DeviceSource, IidWidthSource, SourceSpec};
 use rand::rngs::StdRng;
@@ -673,7 +680,7 @@ pub fn dyn_decisions_agree(a: &DynamicVerdict, b: &DynamicVerdict) -> bool {
 /// The agreement rule of every grid: identical latches, and identical
 /// verdicts — bit-exact for static records, decision-exact for
 /// completed dynamic records (an early-stopped record is its latch).
-fn backends_agree(b: &ScreenVerdict, r: &ScreenVerdict) -> bool {
+pub fn backends_agree(b: &ScreenVerdict, r: &ScreenVerdict) -> bool {
     let latch = |v: &ScreenVerdict| (v.decision(), v.accepted(), v.samples());
     latch(b) == latch(r)
         && match (b, r) {
@@ -731,14 +738,18 @@ impl Streams<'_> {
     }
 }
 
-/// One cell's screeners — per cell, so the cached RTL tops and scratch
-/// buffers reset in place across the device-outer sweep order instead
-/// of rebuilding on every config change.
+/// One cell's engines — per cell, so each engine's sequencer and
+/// stimulus table, and the cached RTL tops, reset in place across the
+/// device-outer sweep order instead of rebuilding on every config
+/// change.
 struct Screens {
-    behavioral: Screener,
-    rtl: Screener<RtlBackend>,
+    behavioral: ScreenBatch,
+    rtl: ScreenBatch,
     /// The unsequenced behavioural ground truth of a sequenced sweep.
-    full: Option<Screener>,
+    full: Option<ScreenBatch>,
+    backend: RtlBackend,
+    /// The current device's reports: behavioural, RTL, then full.
+    reports: Vec<ScreenReport>,
 }
 
 /// One grid family: its valid cells (id, device source, workload), the
@@ -755,23 +766,20 @@ impl<Id: CellId> Grid<'_, Id> {
     fn screens(&self) -> Vec<Screens> {
         self.cells
             .iter()
-            .map(|&(.., workload)| {
-                let screener = || match self.policy {
-                    Some(policy) => Screener::new(workload).sequencer(policy),
-                    None => Screener::new(workload),
-                };
-                Screens {
-                    behavioral: screener(),
-                    rtl: screener().backend(RtlBackend::new()),
-                    full: self.policy.map(|_| Screener::new(workload)),
-                }
+            .map(|&(.., workload)| Screens {
+                behavioral: ScreenBatch::new(workload, self.policy),
+                rtl: ScreenBatch::new(workload, self.policy),
+                full: self.policy.map(|_| ScreenBatch::new(workload, None)),
+                backend: RtlBackend::new(),
+                reports: Vec::with_capacity(3),
             })
             .collect()
     }
 
     /// The device-outer loop behind every sweep: devices `from..to` ×
-    /// every cell, each screened by both backends (and the ground truth)
-    /// on fresh copies of the same noise stream, compared and tallied.
+    /// every cell, each screened as a one-device stream by both backends
+    /// (and the ground truth) on fresh copies of the same noise stream,
+    /// compared and tallied.
     fn sweep(&self, screens: &mut [Screens], from: usize, to: usize) -> DifferentialResult<Id> {
         let mut result = DifferentialResult {
             per_scenario: self
@@ -797,13 +805,16 @@ impl<Id: CellId> Grid<'_, Id> {
                         &drawn
                     }
                 };
-                let noise = || self.streams.noise_rng(i, cell);
-                let b = s.behavioral.screen_one(adc, &mut noise());
-                let r = s.rtl.screen_one(adc, &mut noise());
-                let full = match &mut s.full {
-                    Some(full) => full.screen_one(adc, &mut noise()),
-                    None => b,
-                };
+                let one = || [BatchDevice::new(i, adc, self.streams.noise_rng(i, cell))];
+                let reports = &mut s.reports;
+                reports.clear();
+                s.behavioral.screen(&mut BehavioralBackend, one(), reports);
+                s.rtl.screen(&mut s.backend, one(), reports);
+                if let Some(full) = &mut s.full {
+                    full.screen(&mut BehavioralBackend, one(), reports);
+                }
+                let (b, r) = (reports[0].verdict, reports[1].verdict);
+                let full = reports.get(2).map_or(b, |f| f.verdict);
                 let agree = backends_agree(&b, &r);
                 result.comparisons += 1;
                 if agree {
@@ -1201,14 +1212,17 @@ mod tests {
 
     #[test]
     fn mismatched_backends_are_caught() {
-        // Cell 0 (4-bit/raw/noiseless) gets an RTL screener judging
-        // with a 7-bit counter: the gate must flag that cell on every
-        // device, and only that cell.
+        // Cell 0 (4-bit/raw/noiseless) gets an RTL engine judging with
+        // a 7-bit counter, and cell 1 (4-bit/raw/transition) a 7-bit
+        // behavioural engine: the gate must flag both cells on every
+        // device, whichever side is at fault, and only those cells.
         let batch = Batch::paper_simulation(67, 3);
         let grid = static_grid(&batch, 0.0);
         let mut screens = grid.screens();
         let seven_bit = Workload::static_ramp(static_config(7, false));
-        screens[0].rtl = Screener::new(seven_bit).backend(RtlBackend::new());
+        screens[0].rtl = ScreenBatch::new(seven_bit, None);
+        let noisy_seven_bit = seven_bit.with_noise(NoisePoint::Transition.config());
+        screens[1].behavioral = ScreenBatch::new(noisy_seven_bit, None);
         let result = grid.sweep(&mut screens, 0, 3);
         assert!(!result.is_clean(), "{result}");
         let flagged: Vec<(usize, ScenarioId)> = result
@@ -1216,17 +1230,20 @@ mod tests {
             .iter()
             .map(|d| (d.device, d.scenario))
             .collect();
-        let victim = grid.cells[0].0;
-        assert_eq!(flagged, [(0, victim), (1, victim), (2, victim)]);
+        let (rtl_victim, behavioral_victim) = (grid.cells[0].0, grid.cells[1].0);
+        let expected: Vec<_> = (0..3)
+            .flat_map(|i| [(i, rtl_victim), (i, behavioral_victim)])
+            .collect();
+        assert_eq!(flagged, expected);
         assert_eq!(result.per_scenario[0].agreements, 0);
-        assert!(result.per_scenario[1..]
+        assert_eq!(result.per_scenario[1].agreements, 0);
+        assert!(result.per_scenario[2..]
             .iter()
             .all(|t| t.agreements == t.comparisons));
-        let shown = result.divergences[0].to_string();
-        assert!(
-            shown.starts_with("device 0 [4-bit/raw/noiseless]"),
-            "{shown}"
-        );
+        for (d, cell) in [(0, "4-bit/raw/noiseless"), (1, "4-bit/raw/transition")] {
+            let shown = result.divergences[d].to_string();
+            assert!(shown.starts_with(&format!("device 0 [{cell}]")), "{shown}");
+        }
     }
 
     #[test]
@@ -1315,7 +1332,10 @@ mod tests {
         // architectures: behavioural and RTL datapaths must agree on
         // every verdict field for SAR and pipeline silicon too.
         for source in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
-            let batch = Batch::of(source).seed(53).size(3);
+            let batch = Batch {
+                size: 3,
+                ..Batch::of(source).seed(53)
+            };
             let result = run_differential(&batch, 0.0, 0);
             assert_eq!(result.comparisons, 3 * 24, "{source}");
             assert!(result.is_clean(), "{source}: {result}");

@@ -8,23 +8,19 @@
 //!   simulation model) and physical flash devices (the stand-in for its
 //!   364 measured parts), plus rare-event conditional sampling and the
 //!   parallel ground-truth yield sweep ([`batch::Batch::classify`]).
-//! * [`experiment`] — one [`experiment::Experiment`] over a
-//!   `bist_core::screener::Workload`: the static linearity ramp (type
-//!   I/II against ground truth) or the dynamic sine record (SINAD, THD,
-//!   ENOB, noise power). Each device range is screened through the
-//!   backend's batch seam with one reusable engine per worker, so the
-//!   hot path allocates nothing after warm-up. The verdict backend is
-//!   pluggable ([`experiment::Experiment::run_with`]): the behavioural
-//!   accumulators by default, or the gate-accurate `bist-rtl`
-//!   datapath; the fan-out runs on `bist_core::pool`, and results are
-//!   independent of the worker count. One
-//!   [`experiment::ExperimentResult`] carries the accept tally, the
-//!   ADC samples consumed, rejections by failed check and the
-//!   confusion matrix.
+//! * [`experiment`] — one [`experiment::Experiment`]: a batch screened
+//!   under a static test plan, with type I/II against ground truth. Each
+//!   pool worker (`bist_core::pool`) streams its device ranges through
+//!   one reusable `ScreenBatch` engine, so the hot path allocates
+//!   nothing after warm-up and results are independent of the worker
+//!   count. One [`experiment::ExperimentResult`] carries the accept
+//!   tally, the ADC samples consumed, rejections by failed check and
+//!   the confusion matrix.
 //! * [`differential`] — the behavioural↔RTL seam validator: one
-//!   device-outer loop sweeps both backends over identical code streams
-//!   at fleet scale and demands that they latch the same decision and
-//!   agree on the verdict. Four grids run through it: static
+//!   device-outer loop screens every device through the engine fleets
+//!   run, once per backend, on identical code streams and demands that
+//!   the two latch the same decision and agree on the verdict. Four
+//!   grids run through it: static
 //!   ([`differential::run_differential`], bit-exact verdicts), dynamic
 //!   ([`differential::run_dyn_differential`], decision-exact between the
 //!   Goertzel bank and the fixed-point RTL), sequenced
@@ -43,7 +39,6 @@
 //! use bist_adc::spec::LinearitySpec;
 //! use bist_adc::types::Resolution;
 //! use bist_core::config::BistConfig;
-//! use bist_core::screener::Workload;
 //! use bist_mc::batch::Batch;
 //! use bist_mc::experiment::Experiment;
 //!
@@ -52,7 +47,7 @@
 //!     .counter_bits(4)
 //!     .build()?;
 //! let batch = Batch::paper_simulation(1, 200);
-//! let result = Experiment::new(batch, Workload::static_ramp(cfg)).run(0);
+//! let result = Experiment::new(batch, cfg).run(0);
 //! println!("type I = {}", result.type_i());
 //! # Ok(())
 //! # }
@@ -73,27 +68,22 @@ pub use differential::{DifferentialResult, Divergence, SeqDifferentialResult};
 pub use estimate::Proportion;
 pub use experiment::{Experiment, ExperimentResult, GroundTruthMode, Rejections};
 
-/// Worker fan-out checks: [`Experiment::run_with`] and
-/// [`Batch::classify`] across worker counts against sequential sweeps.
+/// Worker fan-out checks: [`Experiment::run`] and [`Batch::classify`]
+/// across worker counts against sequential sweeps.
 #[cfg(test)]
 mod parallel {
     mod tests {
         use crate::{Batch, Experiment};
         use bist_adc::spec::LinearitySpec;
         use bist_adc::types::Resolution;
-        use bist_core::backend::RtlBackend;
         use bist_core::config::BistConfig;
-        use bist_core::screener::Workload;
 
         fn experiment(size: usize) -> Experiment {
             let cfg = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
                 .counter_bits(5)
                 .build()
                 .unwrap();
-            Experiment::new(
-                Batch::paper_simulation(29, size),
-                Workload::static_ramp(cfg),
-            )
+            Experiment::new(Batch::paper_simulation(29, size), cfg)
         }
 
         #[test]
@@ -123,14 +113,6 @@ mod parallel {
             let exp = experiment(64);
             let r = exp.run(0);
             assert_eq!(r.matrix.total(), 64);
-        }
-
-        #[test]
-        fn rtl_backend_fleet_matches_behavioral() {
-            let exp = experiment(60);
-            let behavioral = exp.run(2);
-            let rtl = exp.run_with(2, RtlBackend::new);
-            assert_eq!(behavioral, rtl);
         }
 
         #[test]

@@ -108,7 +108,7 @@ pub fn table1(cfg: &Table1Config) -> Vec<Table1Row> {
             let analytic = analytic_point(&spec, 0.21, ds, JUDGED_CODES);
 
             let sim_batch = Batch::paper_simulation(cfg.seed, cfg.sim_batch);
-            let sim = Experiment::new(sim_batch, Workload::static_ramp(bist)).run(cfg.workers);
+            let sim = Experiment::new(sim_batch, bist).run(cfg.workers);
 
             let mut meas_batch = Batch::paper_measurement(cfg.seed ^ 0xABCD);
             meas_batch.size = cfg.meas_batch;
@@ -116,7 +116,7 @@ pub fn table1(cfg: &Table1Config) -> Vec<Table1Row> {
             // miscalibration stays a fixed fraction of the count spacing
             // (see `Table1Config::slope_error_millis`).
             let slope_error = cfg.slope_error_millis as f64 / 1000.0 * (ds / ds_4bit);
-            let meas = Experiment::new(meas_batch, Workload::static_ramp(bist))
+            let meas = Experiment::new(meas_batch, bist)
                 .with_slope_error(slope_error)
                 .run(cfg.workers);
 
@@ -265,7 +265,7 @@ pub fn figure7_mc(
                 .build()
                 .expect("sweep points are valid");
             let batch = Batch::paper_simulation(seed, batch_size);
-            let r = Experiment::new(batch, Workload::static_ramp(bist)).run(workers);
+            let r = Experiment::new(batch, bist).run(workers);
             (ds, r.type_i(), r.type_ii())
         })
         .collect()

@@ -191,7 +191,7 @@ fn from_source_matches_batch_devices() {
         SourceSpec::paper_sar(),
         SourceSpec::paper_pipeline(),
     ] {
-        let batch = Batch::of(source).seed(9).size(4);
+        let batch = Batch::of(source).seed(9);
         for i in 0..4u64 {
             let sub = Submission::from_source(JobKind::Static, source, 9, i, 55);
             assert_eq!(sub.id, i);

@@ -8,7 +8,6 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
 use bist_core::config::BistConfig;
 use bist_core::report::{fmt_prob, Table};
-use bist_core::screener::Workload;
 use bist_mc::batch::Batch;
 use bist_mc::experiment::{Experiment, GroundTruthMode};
 
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Ground truth the way the paper did it: a high-accuracy
         // reference measurement, not an oracle — then the whole batch
         // through the batched engine, on every core.
-        let matrix = Experiment::new(batch, Workload::static_ramp(config))
+        let matrix = Experiment::new(batch, config)
             .with_ground_truth(GroundTruthMode::Reference {
                 samples_per_code: 1000,
             })

@@ -62,7 +62,7 @@ fn top_level_agrees_with_harness_on_flash_batch() {
         let capture: Vec<Code> = CodeStream::noiseless(&adc, &ramp, sampling).collect();
         let mut scratch = Scratch::default();
         let codes = capture.iter().copied();
-        let verdict = BehavioralBackend.judge(&config, None, codes, &mut scratch);
+        let verdict = BehavioralBackend.judge(&config, None, codes, Some(&mut scratch));
         let behavioural = scratch.take_outcome(verdict.verdict);
 
         let mut top = top_from(&config);

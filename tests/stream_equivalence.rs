@@ -46,7 +46,7 @@ fn judge_capture(config: &BistConfig, capture: &[Code]) -> BistOutcome {
     let mut scratch = Scratch::default();
     let codes = capture.iter().copied();
     let verdict = BehavioralBackend
-        .judge(config, None, codes, &mut scratch)
+        .judge(config, None, codes, Some(&mut scratch))
         .verdict;
     scratch.take_outcome(verdict)
 }
@@ -98,7 +98,7 @@ proptest! {
         let mut rng_s = StdRng::seed_from_u64(seed ^ 0xfeed);
         let mut scratch = Scratch::default();
         let codes = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng_s);
-        let verdict = BehavioralBackend.judge(&cfg, None, codes, &mut scratch).verdict;
+        let verdict = BehavioralBackend.judge(&cfg, None, codes, Some(&mut scratch)).verdict;
 
         prop_assert_eq!(verdict.accepted(), materialized.accepted());
         prop_assert_eq!(verdict.complete(), materialized.complete());
@@ -135,7 +135,7 @@ proptest! {
 
             let mut rng = batch.device_rng(i);
             let codes = CodeStream::noisy(&tf, &ramp, sampling, &noise, &mut rng);
-            let verdict = BehavioralBackend.judge(&cfg, None, codes, &mut scratch).verdict;
+            let verdict = BehavioralBackend.judge(&cfg, None, codes, Some(&mut scratch)).verdict;
             streamed.record(truth, verdict.accepted());
 
             let mut rng = batch.device_rng(i);

@@ -7,7 +7,6 @@ use bist_adc::types::Resolution;
 use bist_core::analytic::{acceptance_probability, WidthDistribution};
 use bist_core::config::BistConfig;
 use bist_core::limits::{plan_delta_s, CountLimits};
-use bist_core::screener::Workload;
 use bist_core::yield_model::YieldModel;
 use bist_mc::batch::Batch;
 use bist_mc::experiment::Experiment;
@@ -22,7 +21,7 @@ fn analytic_type_i_within_mc_interval_at_paper_point() {
         .expect("paper operating point");
     let theory = analytic_point(&spec, 0.21, config.delta_s().0, JUDGED_CODES);
     let batch = Batch::paper_simulation(101, 3000);
-    let result = Experiment::new(batch, Workload::static_ramp(config)).run(0);
+    let result = Experiment::new(batch, config).run(0);
     let (lo, hi) = result.type_i().wilson(0.99).expect("non-empty");
     assert!(
         theory.type_i >= lo - 0.01 && theory.type_i <= hi + 0.01,
@@ -50,7 +49,7 @@ fn physical_flash_matches_iid_theory_shape() {
     let theory = analytic_point(&spec, 0.21, config.delta_s().0, JUDGED_CODES);
     let mut batch = Batch::paper_measurement(202);
     batch.size = 3000;
-    let result = Experiment::new(batch, Workload::static_ramp(config)).run(0);
+    let result = Experiment::new(batch, config).run(0);
     let mc = result.type_i().point().expect("non-empty");
     assert!(
         (mc - theory.type_i).abs() < 0.04,
