@@ -8,8 +8,10 @@
 //! the sequenced behavioural path and the sequenced gate-accurate RTL
 //! path. The two sequenced backends must latch **identical decisions
 //! at identical sample indices** for every architecture (any
-//! divergence exits 1): the paper's architecture-agnostic claim,
-//! checked at the gate level.
+//! divergence exits 1, and so does an empty sweep): the paper's
+//! architecture-agnostic claim, checked at the gate level. The
+//! per-cell table and CSV come from `bist_bench::write_seq_cells`,
+//! shared with `seq_fleet`.
 //!
 //! Part 2 screens one mixed zoo fleet (the architectures interleaved
 //! by the zoo's seeded deal) through the sequenced pooled engine at 1
@@ -27,9 +29,8 @@
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::{report_divergences, Fnv, Scenario, SEED};
+use bist_bench::{report_divergences, write_seq_cells, Fnv, Scenario, SEED};
 use bist_core::config::BistConfig;
-use bist_core::report::Table;
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::source::Zoo;
@@ -53,42 +54,13 @@ fn run(sc: &mut Scenario) -> bool {
     // --- Part 1: per-architecture differential ----------------------
     let diff = run_arch_differential(SEED, &policy, devices, workers);
     println!("arch differential  {diff}");
-    let mut table = Table::new(&[
+    write_seq_cells(
+        sc,
+        &diff,
+        "E17 per-architecture differential: every architecture, both backends",
         "cell",
-        "compared",
-        "latch-exact",
-        "early-stop %",
-        "samp/dev full",
-        "samp/dev seq",
-        "drift I",
-        "drift II",
-    ])
-    .with_title("E17 per-architecture differential: every architecture, both backends");
-    let mut csv = Vec::new();
-    for t in &diff.per_scenario {
-        let n = t.comparisons.max(1);
-        table.row_owned(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            format!("{:.0}", 100.0 * t.early_stops as f64 / n as f64),
-            format!("{:.0}", t.full_samples as f64 / n as f64),
-            format!("{:.0}", t.seq_samples as f64 / n as f64),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-        csv.push(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            t.early_stops.to_string(),
-            t.full_samples.to_string(),
-            t.seq_samples.to_string(),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-    }
-    println!("{table}");
+        "arch_fleet.csv",
+    );
     report_divergences(&diff.divergences, "");
 
     // --- Part 2: mixed-zoo worker determinism -----------------------
@@ -128,23 +100,8 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric("type_ii_drift", diff.type_ii_drift());
     sc.metric_count("workers_identical", u64::from(workers_identical));
     sc.metric_count("report_checksum", checksum.finish());
-    let path = sc.csv(
-        "arch_fleet.csv",
-        &[
-            "cell",
-            "compared",
-            "latch_exact",
-            "early_stops",
-            "full_samples",
-            "seq_samples",
-            "drift_i",
-            "drift_ii",
-        ],
-        &csv,
-    );
-    eprintln!("wrote {}", path.display());
 
-    let clean = diff.comparisons > 0 && diff.is_clean() && workers_identical;
+    let clean = diff.is_clean() && workers_identical;
     if clean {
         println!("reading: every architecture in the zoo latches the identical early-stop");
         println!("decision on both backends, and the mixed fleet's reports are invariant in");

@@ -11,15 +11,21 @@
 //! per-limit pass/fail bits, sample count and completeness expectation
 //! must be identical (the raw dB metrics may differ only by the RTL's
 //! bounded fixed-point quantisation). **Any divergence fails the run**
-//! (exit 1), which the CI smoke step relies on.
+//! (exit 1), which the CI smoke step relies on, and so does an empty
+//! sweep. The cells are `bist_mc::differential::Cell::Dynamic` cells,
+//! labelled `dynamic/…` in the table; the CSV columns carry their
+//! fields.
 //!
 //! Part 2 screens a paper-point population (6-bit, σ = 0.21, 4096
 //! samples × 1021 cycles, noiseless) through `Screener::run` on each
 //! backend and compares the two device by device: the latch, plus
 //! `dyn_decisions_agree`. No Part 1 cell is codable (each carries input
 //! noise), so this is the check of the behavioural engine's coded group
-//! kernel against RTL; a divergence here fails the run too. The RTL
-//! path's speed is fleetbench's to measure (`rtl.*.devices_per_s`).
+//! kernel against RTL; a divergence here fails the run too. Its
+//! divergences name the paper point as a `Cell::Dynamic`, and the JSON
+//! record counts them as `fleet_divergences` of `fleet_devices`, next
+//! to Part 1's `comparisons`/`divergences`. The RTL path's speed is
+//! fleetbench's to measure (`rtl.*.devices_per_s`).
 //!
 //! Knobs: `BIST_DEVICES` (default 1000 → 12 000 device×scenario
 //! comparisons), `BIST_WORKERS`.
@@ -33,7 +39,7 @@ use bist_core::report::Table;
 use bist_core::screener::{Screener, Workload};
 use bist_core::source::{DeviceSource, SourceSpec};
 use bist_mc::batch::stream_rng;
-use bist_mc::differential::{backends_agree, run_dyn_differential, Divergence, DynScenarioId};
+use bist_mc::differential::{backends_agree, run_dyn_differential, Cell, Divergence};
 
 /// RNG-stream salt decorrelating the fleet's acquisition noise from its
 /// device generation.
@@ -60,19 +66,27 @@ fn run(sc: &mut Scenario) -> bool {
         .with_title("E13 differential: Goertzel bank vs fixed-point DynBistTop");
     let mut csv = Vec::new();
     for tally in &result.per_scenario {
+        let Cell::Dynamic {
+            resolution_bits,
+            sigma_milli_lsb,
+            cycles,
+        } = tally.scenario
+        else {
+            unreachable!("the dynamic grid holds only dynamic cells")
+        };
         table.row_owned(vec![
             tally.scenario.to_string(),
             tally.comparisons.to_string(),
             tally.agreements.to_string(),
-            tally.accepted.to_string(),
+            tally.full_accepted.to_string(),
         ]);
         csv.push(vec![
-            tally.scenario.resolution_bits.to_string(),
-            format!("0.{:03}", tally.scenario.sigma_milli_lsb),
-            tally.scenario.cycles.to_string(),
+            resolution_bits.to_string(),
+            format!("0.{sigma_milli_lsb:03}"),
+            cycles.to_string(),
             tally.comparisons.to_string(),
             tally.agreements.to_string(),
-            tally.accepted.to_string(),
+            tally.full_accepted.to_string(),
         ]);
     }
     println!("{table}");
@@ -94,7 +108,7 @@ fn run(sc: &mut Scenario) -> bool {
         .backend(RtlBackend::new())
         .workers(workers)
         .run(fleet());
-    let paper_point = DynScenarioId {
+    let paper_point = Cell::Dynamic {
         resolution_bits: 6,
         sigma_milli_lsb: 210,
         cycles: 1021,
@@ -123,6 +137,8 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric_count("comparisons", result.comparisons);
     sc.metric_count("divergences", result.divergences.len() as u64);
     sc.metric("agreement_rate", result.agreement_rate());
+    sc.metric_count("fleet_devices", devices as u64);
+    sc.metric_count("fleet_divergences", fleet_divergences.len() as u64);
     sc.metric("acceptance_rate", acceptance_rate);
     let path = sc.csv(
         "dyn_fleet.csv",
@@ -137,9 +153,7 @@ fn run(sc: &mut Scenario) -> bool {
         &csv,
     );
     eprintln!("wrote {}", path.display());
-    // An empty sweep must not read as a pass — the smoke gate would go
-    // vacuously green on BIST_DEVICES=0.
-    let clean = result.comparisons > 0 && result.is_clean() && fleet_divergences.is_empty();
+    let clean = result.is_clean() && fleet_divergences.is_empty();
     if clean {
         println!("reading: the fixed-point dynamic datapath reaches the identical accept/reject");
         println!("decision on every device — §2's THD/noise-power test runs on-chip with \"simple");

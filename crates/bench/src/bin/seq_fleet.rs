@@ -14,17 +14,18 @@
 //! configured `alpha`/`beta` budgets) and samples-to-decision
 //! reduction (must reach ≥ 2x on ground-truth-accepted devices).
 //! Candidate cells rejected by config validation are reported as
-//! skipped and excluded from every figure. The sequencer's wall-clock
-//! cost per kept sample is fleetbench's to measure
-//! (`sequencer.ns_per_sample_ratio`).
+//! skipped and excluded from every figure. An empty sweep
+//! (`BIST_DEVICES=0`) is not clean, so it fails too. The per-cell
+//! table and CSV come from `bist_bench::write_seq_cells`, shared with
+//! `arch_fleet`. The sequencer's wall-clock cost per kept sample is
+//! fleetbench's to measure (`sequencer.ns_per_sample_ratio`).
 //!
 //! The policy is `SequencerConfig::default()`: drift budgets α = β =
 //! 1e-3, 256 samples before the first checkpoint, one every 64.
 //!
 //! Knobs: `BIST_DEVICES` (default 400), `BIST_WORKERS`.
 
-use bist_bench::{report_divergences, Scenario, SEED};
-use bist_core::report::Table;
+use bist_bench::{report_divergences, write_seq_cells, Scenario, SEED};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::differential::run_seq_differential;
 
@@ -49,44 +50,13 @@ fn run(sc: &mut Scenario) -> bool {
         println!("skipped cell {}: {}", cell.scenario, cell.reason);
     }
 
-    let mut table = Table::new(&[
+    write_seq_cells(
+        sc,
+        &result,
+        "E14 sequenced differential: early-stop layer over both backends",
         "scenario",
-        "compared",
-        "latch-exact",
-        "early-stop %",
-        "samp/dev full",
-        "samp/dev seq",
-        "reduction",
-        "drift I",
-        "drift II",
-    ])
-    .with_title("E14 sequenced differential: early-stop layer over both backends");
-    let mut csv = Vec::new();
-    for t in &result.per_scenario {
-        let n = t.comparisons.max(1);
-        table.row_owned(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            format!("{:.0}", 100.0 * t.early_stops as f64 / n as f64),
-            format!("{:.0}", t.full_samples as f64 / n as f64),
-            format!("{:.0}", t.seq_samples as f64 / n as f64),
-            format!("{:.2}x", t.reduction()),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-        csv.push(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            t.early_stops.to_string(),
-            t.full_samples.to_string(),
-            t.seq_samples.to_string(),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-    }
-    println!("{table}");
+        "seq_fleet.csv",
+    );
     report_divergences(&result.divergences, "");
 
     sc.metric_count("devices", devices as u64);
@@ -101,28 +71,13 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric("reduction_overall", result.reduction_overall());
     sc.metric("reduction_accepted", result.reduction_accepted());
     sc.metric("reduction_rejected", result.reduction_rejected());
-    let path = sc.csv(
-        "seq_fleet.csv",
-        &[
-            "scenario",
-            "compared",
-            "latch_exact",
-            "early_stops",
-            "full_samples",
-            "seq_samples",
-            "drift_i",
-            "drift_ii",
-        ],
-        &csv,
-    );
-    eprintln!("wrote {}", path.display());
 
-    // The gates. Empty sweeps must not read as a pass; drift must stay
-    // within the configured budgets — compared as event counts with
-    // binomial slack (budget·n + 3·√(budget·n)), since the budgets
-    // *price* occasional drift and a single in-budget event must not
-    // fail a small smoke run; passing devices must on average decide in
-    // less than half the full-sweep samples.
+    // The gates. An empty sweep is not clean; drift must stay within
+    // the configured budgets — compared as event counts with binomial
+    // slack (budget·n + 3·√(budget·n)), since the budgets *price*
+    // occasional drift and a single in-budget event must not fail a
+    // small smoke run; passing devices must on average decide in less
+    // than half the full-sweep samples.
     let good: u64 = result.per_scenario.iter().map(|t| t.full_accepted).sum();
     let bad = result.comparisons - good;
     let drift_i: u64 = result.per_scenario.iter().map(|t| t.drift_i).sum();
@@ -131,7 +86,7 @@ fn run(sc: &mut Scenario) -> bool {
         |budget: f64, n: u64| (budget * n as f64 + 3.0 * (budget * n as f64).sqrt()).ceil() as u64;
     let drift_ok = drift_i <= allow(policy.alpha, good) && drift_ii <= allow(policy.beta, bad);
     let reduction_ok = result.reduction_accepted() >= 2.0;
-    let clean = result.comparisons > 0 && result.is_clean() && drift_ok && reduction_ok;
+    let clean = result.is_clean() && drift_ok && reduction_ok;
     if clean {
         println!("reading: both backends latch the identical early-stop decision on every");
         println!("device, the sequenced verdicts drift from full-sweep ground truth within");

@@ -23,6 +23,8 @@ pub mod scenario;
 
 pub use scenario::Scenario;
 
+use bist_core::report::Table;
+use bist_mc::differential::DifferentialResult;
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::Write as _;
@@ -255,6 +257,71 @@ pub fn report_divergences<D: fmt::Display>(divergences: &[D], label: &str) {
     if divergences.len() > 10 {
         println!("... and {} more{tag}", divergences.len() - 10);
     }
+}
+
+/// Prints a sequenced differential sweep's per-cell table and writes
+/// its CSV `csv_name` (`seq_fleet`, `arch_fleet`). `cell` heads the
+/// first column of both. The table shows, per cell, the comparisons,
+/// latch-exact agreements, early-stop share, samples per device (full
+/// sweep and sequenced), reduction and type I/II drift; the CSV holds
+/// the raw counts behind them, without the reduction.
+pub fn write_seq_cells(
+    sc: &mut Scenario,
+    result: &DifferentialResult,
+    title: &str,
+    cell: &str,
+    csv_name: &str,
+) {
+    let mut table = Table::new(&[
+        cell,
+        "compared",
+        "latch-exact",
+        "early-stop %",
+        "samp/dev full",
+        "samp/dev seq",
+        "reduction",
+        "drift I",
+        "drift II",
+    ])
+    .with_title(title);
+    let mut csv = Vec::new();
+    for t in &result.per_scenario {
+        let n = t.comparisons.max(1);
+        table.row_owned(vec![
+            t.scenario.to_string(),
+            t.comparisons.to_string(),
+            t.agreements.to_string(),
+            format!("{:.0}", 100.0 * t.early_stops as f64 / n as f64),
+            format!("{:.0}", t.full_samples as f64 / n as f64),
+            format!("{:.0}", t.seq_samples as f64 / n as f64),
+            format!("{:.2}x", t.reduction()),
+            t.drift_i.to_string(),
+            t.drift_ii.to_string(),
+        ]);
+        csv.push(vec![
+            t.scenario.to_string(),
+            t.comparisons.to_string(),
+            t.agreements.to_string(),
+            t.early_stops.to_string(),
+            t.full_samples.to_string(),
+            t.seq_samples.to_string(),
+            t.drift_i.to_string(),
+            t.drift_ii.to_string(),
+        ]);
+    }
+    println!("{table}");
+    let header = [
+        cell,
+        "compared",
+        "latch_exact",
+        "early_stops",
+        "full_samples",
+        "seq_samples",
+        "drift_i",
+        "drift_ii",
+    ];
+    let path = sc.csv(csv_name, &header, &csv);
+    eprintln!("wrote {}", path.display());
 }
 
 /// A minimal ASCII scatter/line plot for the figure binaries.

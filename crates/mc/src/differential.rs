@@ -1,5 +1,5 @@
 //! Differential fleet validation of the behavioural↔RTL verdict seam:
-//! one harness, four grids.
+//! one harness, one result type, four grids.
 //!
 //! The harness screens every device × grid cell through the engine
 //! fleets run, [`ScreenBatch`], once per verdict backend on
@@ -9,7 +9,8 @@
 //! batch hook — the run-skip sweep with its quiet-run checkpoints, and
 //! the dynamic stimulus table, as a fleet takes them — and the RTL side
 //! through the hook's default scalar loop, clocking the gate-accurate
-//! `bist_rtl::BistTop` / `bist_rtl::DynBistTop`. The two must agree:
+//! `bist_rtl::BistTop` / `bist_rtl::DynBistTop`. The two must agree
+//! ([`backends_agree`]):
 //!
 //! * both **latch** the same sequencer decision, accept/reject and
 //!   sample count;
@@ -28,23 +29,27 @@
 //! the dynamic group kernel is checked against RTL by `dyn_fleet`'s
 //! fleet part instead.
 //!
-//! The four grids share the loop, the [`DifferentialResult`] and the
-//! fan-out; each keeps its own entry point, cells and RNG salts:
+//! Every grid shares the loop, the fan-out and the result: one [`Cell`]
+//! enum names every cell, and one [`CellTally`] accounts for each. A
+//! sequenced grid also screens each device unsequenced, as the
+//! full-sweep ground truth for the tally's type I/II drift and
+//! samples-to-decision figures; an unsequenced grid's own behavioural
+//! verdict is its ground truth, so its tallies read no early stops, no
+//! drift and a 1.00x reduction. Each grid keeps its own entry point,
+//! cells and RNG salts:
 //!
-//! * [`run_differential`] (`rtl_fleet`): counter widths 4–7 × deglitch
-//!   × [`NoisePoint`] × an optional ramp slope error, over one batch
-//!   device per index shared by every cell.
-//! * [`run_dyn_differential`] (`dyn_fleet`): flash devices × resolution
-//!   × mismatch σ × coherent-bin choice, a fresh device per cell.
-//! * [`run_seq_differential`] (`seq_fleet`): static and dynamic cells
-//!   under the early-stop sequencer. A third, unsequenced behavioural
-//!   screen is the full-sweep ground truth, so [`SeqDifferentialResult`]
-//!   also scores type I/II drift and samples-to-decision reduction.
-//!   Candidate cells rejected by config validation are recorded as
-//!   skipped, never screened.
-//! * [`run_arch_differential`] (`arch_fleet`): every zoo paper preset ×
-//!   counter width, sequenced, with [`SeqDifferentialResult`]'s
-//!   accounting per architecture.
+//! * [`run_differential`] (`rtl_fleet`): [`Cell::Batch`] cells, counter
+//!   widths 4–7 × deglitch × [`NoisePoint`] × an optional ramp slope
+//!   error, over one batch device per index shared by every cell.
+//! * [`run_dyn_differential`] (`dyn_fleet`): [`Cell::Dynamic`] cells,
+//!   flash devices × resolution × mismatch σ × coherent-bin choice, a
+//!   fresh device per cell.
+//! * [`run_seq_differential`] (`seq_fleet`): [`Cell::Static`] and
+//!   [`Cell::Dynamic`] cells under the early-stop sequencer. Candidate
+//!   cells rejected by config validation are recorded as skipped, never
+//!   screened.
+//! * [`run_arch_differential`] (`arch_fleet`): [`Cell::Arch`] cells,
+//!   every zoo paper preset × counter width, sequenced.
 
 use crate::batch::{stream_rng, Batch};
 use bist_adc::flash::FlashConfig;
@@ -154,96 +159,22 @@ impl NoisePoint {
     }
 }
 
-/// The id of a sweep-grid cell. It names the cell in reports and picks
-/// the grid family's per-cell tally and summary wording.
-pub trait CellId: Copy + PartialEq + fmt::Debug + fmt::Display + Send + Sync {
-    /// The family's per-cell accounting.
-    type Tally: Tally<Self>;
-
-    /// What agreement means in this family, for the summary line.
-    const AGREEMENT: &'static str;
-
-    /// Family-specific figures appended to the summary line.
-    fn summary_tail(
-        _result: &DifferentialResult<Self>,
-        _f: &mut fmt::Formatter<'_>,
-    ) -> fmt::Result {
-        Ok(())
-    }
-}
-
-/// Per-cell accounting of one grid family.
-pub trait Tally<Id>: Clone + PartialEq + fmt::Debug + Send {
-    /// An empty tally for `scenario`.
-    fn new(scenario: Id) -> Self;
-
-    /// Counts one device: whether the backends agreed, the behavioural
-    /// verdict, and the full-sweep ground truth (in unsequenced sweeps,
-    /// the behavioural verdict itself).
-    fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, full: &ScreenVerdict);
-
-    /// Adds another worker's tally of the same cell.
-    fn merge(&mut self, other: &Self);
-}
-
-/// One cell of the static sweep grid.
+/// One cell of a sweep grid: what it names in reports, and the
+/// `Display` label each fleet binary's table (and `seq_fleet`'s and
+/// `arch_fleet`'s CSV) carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioId {
-    /// Counter width in bits.
-    pub counter_bits: u32,
-    /// Whether the deglitch filters are in the datapath.
-    pub deglitch: bool,
-    /// Acquisition noise point.
-    pub noise: NoisePoint,
-}
-
-impl fmt::Display for ScenarioId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-bit/{}/{}",
-            self.counter_bits,
-            if self.deglitch { "deglitch" } else { "raw" },
-            self.noise.label()
-        )
-    }
-}
-
-impl CellId for ScenarioId {
-    type Tally = ScenarioTally<ScenarioId>;
-    const AGREEMENT: &'static str = "verdicts bit-exact";
-}
-
-/// One cell of the dynamic sweep grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynScenarioId {
-    /// Converter resolution in bits.
-    pub resolution_bits: u32,
-    /// Code-width mismatch σ_w in milli-LSB.
-    pub sigma_milli_lsb: u32,
-    /// Sine cycles per record (= the fundamental bin).
-    pub cycles: u32,
-}
-
-impl fmt::Display for DynScenarioId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-bit/σ0.{:03}/{}c",
-            self.resolution_bits, self.sigma_milli_lsb, self.cycles
-        )
-    }
-}
-
-impl CellId for DynScenarioId {
-    type Tally = ScenarioTally<DynScenarioId>;
-    const AGREEMENT: &'static str = "dynamic decisions exact";
-}
-
-/// One cell of a sequenced sweep grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqScenarioId {
-    /// A static-linearity cell.
+pub enum Cell {
+    /// A static cell of [`run_differential`]'s grid over a batch's
+    /// shared devices (the batch fixes the mismatch).
+    Batch {
+        /// Counter width in bits.
+        counter_bits: u32,
+        /// Whether the deglitch filters are in the datapath.
+        deglitch: bool,
+        /// Acquisition noise point.
+        noise: NoisePoint,
+    },
+    /// A static-linearity cell on iid-width devices.
     Static {
         /// Counter width in bits.
         counter_bits: u32,
@@ -273,10 +204,21 @@ pub enum SeqScenarioId {
     },
 }
 
-impl fmt::Display for SeqScenarioId {
+impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let filters = |deglitch: bool| if deglitch { "deglitch" } else { "raw" };
         match self {
-            SeqScenarioId::Static {
+            Cell::Batch {
+                counter_bits,
+                deglitch,
+                noise,
+            } => write!(
+                f,
+                "{counter_bits}-bit/{}/{}",
+                filters(*deglitch),
+                noise.label()
+            ),
+            Cell::Static {
                 counter_bits,
                 sigma_milli_lsb,
                 deglitch,
@@ -284,10 +226,10 @@ impl fmt::Display for SeqScenarioId {
             } => write!(
                 f,
                 "static/{counter_bits}-bit/σ0.{sigma_milli_lsb:03}/{}/{}",
-                if *deglitch { "deglitch" } else { "raw" },
+                filters(*deglitch),
                 noise.label()
             ),
-            SeqScenarioId::Dynamic {
+            Cell::Dynamic {
                 resolution_bits,
                 sigma_milli_lsb,
                 cycles,
@@ -295,74 +237,25 @@ impl fmt::Display for SeqScenarioId {
                 f,
                 "dynamic/{resolution_bits}-bit/σ0.{sigma_milli_lsb:03}/{cycles}c"
             ),
-            SeqScenarioId::Arch { arch, counter_bits } => {
+            Cell::Arch { arch, counter_bits } => {
                 write!(f, "arch/{}/{counter_bits}-bit", arch.label())
             }
         }
     }
 }
 
-impl CellId for SeqScenarioId {
-    type Tally = SeqScenarioTally;
-    const AGREEMENT: &'static str = "sequenced latches identical";
-
-    fn summary_tail(result: &SeqDifferentialResult, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            ", {:.0}% early stops, {:.2}x samples overall, drift I {:.2e} / II {:.2e}",
-            100.0 * result.early_stop_rate(),
-            result.reduction_overall(),
-            result.type_i_drift(),
-            result.type_ii_drift(),
-        )
-    }
-}
-
-/// Per-cell agreement accounting of the unsequenced sweeps.
+/// Per-cell accounting of every grid: backend agreement, plus the
+/// behavioural verdict scored against the full-sweep ground truth.
+/// In an unsequenced grid the behavioural verdict is its own ground
+/// truth, so the early-stop and drift counters stay 0 and the two
+/// sample totals are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioTally<Id> {
+pub struct CellTally {
     /// The sweep cell.
-    pub scenario: Id,
+    pub scenario: Cell,
     /// Devices compared in this cell.
     pub comparisons: u64,
     /// Devices on which the backends agreed.
-    pub agreements: u64,
-    /// Devices accepted (counted on the behavioural verdict).
-    pub accepted: u64,
-}
-
-impl<Id: Copy + PartialEq + fmt::Debug + Send> Tally<Id> for ScenarioTally<Id> {
-    fn new(scenario: Id) -> Self {
-        ScenarioTally {
-            scenario,
-            comparisons: 0,
-            agreements: 0,
-            accepted: 0,
-        }
-    }
-
-    fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, _full: &ScreenVerdict) {
-        self.comparisons += 1;
-        self.agreements += u64::from(agree);
-        self.accepted += u64::from(behavioral.accepted());
-    }
-
-    fn merge(&mut self, other: &Self) {
-        debug_assert_eq!(self.scenario, other.scenario);
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.accepted += other.accepted;
-    }
-}
-
-/// Per-cell accounting of a sequenced sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqScenarioTally {
-    /// The sweep cell.
-    pub scenario: SeqScenarioId,
-    /// Devices compared in this cell.
-    pub comparisons: u64,
-    /// Devices with latch-identical backend agreement.
     pub agreements: u64,
     /// Sequenced runs that stopped before the full stimulus.
     pub early_stops: u64,
@@ -388,20 +281,10 @@ pub struct SeqScenarioTally {
     pub seq_samples_accepted: u64,
 }
 
-impl SeqScenarioTally {
-    /// Mean samples-to-decision reduction in this cell (full / seq).
-    pub fn reduction(&self) -> f64 {
-        if self.seq_samples == 0 {
-            0.0
-        } else {
-            self.full_samples as f64 / self.seq_samples as f64
-        }
-    }
-}
-
-impl Tally<SeqScenarioId> for SeqScenarioTally {
-    fn new(scenario: SeqScenarioId) -> Self {
-        SeqScenarioTally {
+impl CellTally {
+    /// An empty tally for `scenario`.
+    fn new(scenario: Cell) -> Self {
+        CellTally {
             scenario,
             comparisons: 0,
             agreements: 0,
@@ -419,6 +302,17 @@ impl Tally<SeqScenarioId> for SeqScenarioTally {
         }
     }
 
+    /// Mean samples-to-decision reduction in this cell (full / seq).
+    pub fn reduction(&self) -> f64 {
+        if self.seq_samples == 0 {
+            0.0
+        } else {
+            self.full_samples as f64 / self.seq_samples as f64
+        }
+    }
+
+    /// Counts one device: whether the backends agreed, the behavioural
+    /// verdict, and the full-sweep ground truth.
     fn record(&mut self, agree: bool, behavioral: &ScreenVerdict, full: &ScreenVerdict) {
         let (accepted, samples) = (behavioral.accepted(), behavioral.samples());
         self.comparisons += 1;
@@ -444,6 +338,7 @@ impl Tally<SeqScenarioId> for SeqScenarioTally {
         }
     }
 
+    /// Adds another worker's tally of the same cell.
     fn merge(&mut self, other: &Self) {
         debug_assert_eq!(self.scenario, other.scenario);
         self.comparisons += other.comparisons;
@@ -465,18 +360,18 @@ impl Tally<SeqScenarioId> for SeqScenarioTally {
 /// A device/cell where the two backends disagreed, with both verdicts
 /// for the post-mortem.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Divergence<Id> {
+pub struct Divergence {
     /// Device index within the sweep.
     pub device: usize,
     /// The sweep cell.
-    pub scenario: Id,
+    pub scenario: Cell,
     /// What the behavioural engine concluded.
     pub behavioral: ScreenVerdict,
     /// What the gate-accurate datapath concluded.
     pub rtl: ScreenVerdict,
 }
 
-impl<Id: fmt::Display> fmt::Display for Divergence<Id> {
+impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "device {} [{}]: behavioral ", self.device, self.scenario)?;
         write_verdict(&self.behavioral, f)?;
@@ -506,16 +401,16 @@ fn write_verdict(v: &ScreenVerdict, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 /// Skipped cells carry no screened devices and are excluded from every
 /// agreement, drift and reduction figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkippedCell<Id> {
+pub struct SkippedCell {
     /// The rejected cell.
-    pub scenario: Id,
+    pub scenario: Cell,
     /// The validation error.
     pub reason: String,
 }
 
-/// Outcome of a differential sweep over one grid family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialResult<Id: CellId> {
+/// Outcome of a differential sweep over any grid.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DifferentialResult {
     /// Devices swept.
     pub devices: u64,
     /// Total (device × valid cell) comparisons.
@@ -523,33 +418,25 @@ pub struct DifferentialResult<Id: CellId> {
     /// Comparisons on which the backends agreed.
     pub agreements: u64,
     /// Every disagreement observed.
-    pub divergences: Vec<Divergence<Id>>,
+    pub divergences: Vec<Divergence>,
     /// Accounting per valid sweep cell (stable grid order).
-    pub per_scenario: Vec<Id::Tally>,
+    pub per_scenario: Vec<CellTally>,
     /// Candidate cells rejected by config validation, never screened.
-    pub skipped_cells: Vec<SkippedCell<Id>>,
+    pub skipped_cells: Vec<SkippedCell>,
 }
 
-/// Outcome of a sequenced (or per-architecture) differential sweep.
-pub type SeqDifferentialResult = DifferentialResult<SeqScenarioId>;
+/// The sequenced sweep's name for [`DifferentialResult`]. fleetbench
+/// (outside this workspace, changed only with the benchmark) imports it
+/// by this name, together with [`run_seq_differential_range`], the
+/// `per_scenario` field and every [`CellTally`] field name.
+pub type SeqDifferentialResult = DifferentialResult;
 
-impl<Id: CellId> Default for DifferentialResult<Id> {
-    fn default() -> Self {
-        DifferentialResult {
-            devices: 0,
-            comparisons: 0,
-            agreements: 0,
-            divergences: Vec::new(),
-            per_scenario: Vec::new(),
-            skipped_cells: Vec::new(),
-        }
-    }
-}
-
-impl<Id: CellId> DifferentialResult<Id> {
-    /// Whether the sweep found no divergence at all.
+impl DifferentialResult {
+    /// Whether the sweep compared something and found no divergence at
+    /// all. An empty sweep is not clean, so a fleet gate run at zero
+    /// devices fails instead of passing vacuously.
     pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
+        self.comparisons > 0 && self.divergences.is_empty() && self.agreements == self.comparisons
     }
 
     /// Fraction of comparisons on which the backends agreed.
@@ -579,27 +466,8 @@ impl<Id: CellId> DifferentialResult<Id> {
             }
         }
     }
-}
 
-impl<Id: CellId> fmt::Display for DifferentialResult<Id> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} {} ({} divergences",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            Id::AGREEMENT,
-            self.divergences.len()
-        )?;
-        Id::summary_tail(self, f)?;
-        f.write_str(")")
-    }
-}
-
-impl SeqDifferentialResult {
-    fn sum<F: Fn(&SeqScenarioTally) -> u64>(&self, f: F) -> u64 {
+    fn sum<F: Fn(&CellTally) -> u64>(&self, f: F) -> u64 {
         self.per_scenario.iter().map(f).sum()
     }
 
@@ -666,6 +534,25 @@ impl SeqDifferentialResult {
         } else {
             self.sum(|t| t.early_stops) as f64 / self.comparisons as f64
         }
+    }
+}
+
+impl fmt::Display for DifferentialResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} devices × {} cells: {}/{} backends agree ({} divergences, \
+             {:.0}% early stops, {:.2}x samples overall, drift I {:.2e} / II {:.2e})",
+            self.devices,
+            self.per_scenario.len(),
+            self.agreements,
+            self.comparisons,
+            self.divergences.len(),
+            100.0 * self.early_stop_rate(),
+            self.reduction_overall(),
+            self.type_i_drift(),
+            self.type_ii_drift(),
+        )
     }
 }
 
@@ -752,17 +639,17 @@ struct Screens {
     reports: Vec<ScreenReport>,
 }
 
-/// One grid family: its valid cells (id, device source, workload), the
+/// One grid: its valid cells (cell, device source, workload), the
 /// candidates config validation rejected, its streams and — for
 /// sequenced sweeps — the sequencer policy both backends run under.
-struct Grid<'a, Id> {
-    cells: Vec<(Id, SourceSpec, Workload)>,
-    skipped: Vec<SkippedCell<Id>>,
+struct Grid<'a> {
+    cells: Vec<(Cell, SourceSpec, Workload)>,
+    skipped: Vec<SkippedCell>,
     streams: Streams<'a>,
     policy: Option<SequencerConfig>,
 }
 
-impl<Id: CellId> Grid<'_, Id> {
+impl Grid<'_> {
     fn screens(&self) -> Vec<Screens> {
         self.cells
             .iter()
@@ -780,12 +667,12 @@ impl<Id: CellId> Grid<'_, Id> {
     /// every cell, each screened as a one-device stream by both backends
     /// (and the ground truth) on fresh copies of the same noise stream,
     /// compared and tallied.
-    fn sweep(&self, screens: &mut [Screens], from: usize, to: usize) -> DifferentialResult<Id> {
+    fn sweep(&self, screens: &mut [Screens], from: usize, to: usize) -> DifferentialResult {
         let mut result = DifferentialResult {
             per_scenario: self
                 .cells
                 .iter()
-                .map(|&(id, ..)| <Id::Tally as Tally<Id>>::new(id))
+                .map(|&(id, ..)| CellTally::new(id))
                 .collect(),
             skipped_cells: self.skipped.clone(),
             ..DifferentialResult::default()
@@ -814,6 +701,8 @@ impl<Id: CellId> Grid<'_, Id> {
                     full.screen(&mut BehavioralBackend, one(), reports);
                 }
                 let (b, r) = (reports[0].verdict, reports[1].verdict);
+                // An unsequenced grid's behavioural verdict is its own
+                // ground truth.
                 let full = reports.get(2).map_or(b, |f| f.verdict);
                 let agree = backends_agree(&b, &r);
                 result.comparisons += 1;
@@ -833,7 +722,7 @@ impl<Id: CellId> Grid<'_, Id> {
         result
     }
 
-    fn range(&self, from: usize, to: usize) -> DifferentialResult<Id> {
+    fn range(&self, from: usize, to: usize) -> DifferentialResult {
         self.sweep(&mut self.screens(), from, to)
     }
 
@@ -841,7 +730,7 @@ impl<Id: CellId> Grid<'_, Id> {
     /// available parallelism), one set of screeners per worker.
     /// Deterministic in the worker count: devices and RNG streams
     /// derive from `(seed, index, cell)` alone.
-    fn run(&self, devices: usize, workers: usize) -> DifferentialResult<Id> {
+    fn run(&self, devices: usize, workers: usize) -> DifferentialResult {
         let parts = pool::map_ranges(
             devices,
             workers,
@@ -890,13 +779,13 @@ fn dyn_cell(
 
 /// The static grid: every counter width × deglitch × noise point over
 /// the batch's devices, ramps skewed by `slope_error`.
-fn static_grid(batch: &Batch, slope_error: f64) -> Grid<'_, ScenarioId> {
+fn static_grid(batch: &Batch, slope_error: f64) -> Grid<'_> {
     let mut cells = Vec::new();
     for &counter_bits in &COUNTER_BITS {
         for deglitch in [false, true] {
             let config = static_config(counter_bits, deglitch);
             for noise in NoisePoint::ALL {
-                let id = ScenarioId {
+                let id = Cell::Batch {
                     counter_bits,
                     deglitch,
                     noise,
@@ -918,12 +807,12 @@ fn static_grid(batch: &Batch, slope_error: f64) -> Grid<'_, ScenarioId> {
 
 /// The dynamic grid: every resolution × mismatch σ × coherent-bin
 /// choice.
-fn dyn_grid(seed: u64) -> Grid<'static, DynScenarioId> {
+fn dyn_grid(seed: u64) -> Grid<'static> {
     let mut cells = Vec::new();
     for &resolution_bits in &DYN_RESOLUTION_BITS {
         for &sigma_milli_lsb in &DYN_SIGMA_MILLI {
             for &cycles in &DYN_CYCLES {
-                let id = DynScenarioId {
+                let id = Cell::Dynamic {
                     resolution_bits,
                     sigma_milli_lsb,
                     cycles,
@@ -951,10 +840,10 @@ fn dyn_grid(seed: u64) -> Grid<'static, DynScenarioId> {
 /// (resolution × mismatch σ at the paper bin, plus the Nyquist-folding
 /// 1024-cycle candidates — of which the 8-bit one is rejected by the
 /// fixed-point register audit and recorded as a skipped cell).
-fn seq_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId> {
+fn seq_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static> {
     let iid_cell = |counter_bits, sigma_milli_lsb: u32, deglitch, noise: NoisePoint| {
         let dist = WidthDistribution::new(1.0, sigma_milli_lsb as f64 / 1000.0);
-        let id = SeqScenarioId::Static {
+        let id = Cell::Static {
             counter_bits,
             sigma_milli_lsb,
             deglitch,
@@ -988,7 +877,7 @@ fn seq_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId>
         // rejected by the fixed-point register audit at 8 bits.
         let candidates = SEQ_DYN_SIGMA_MILLI.iter().map(|&s| (s, 1021));
         for (sigma_milli_lsb, cycles) in candidates.chain([(160, 1024)]) {
-            let id = SeqScenarioId::Dynamic {
+            let id = Cell::Dynamic {
                 resolution_bits,
                 sigma_milli_lsb,
                 cycles,
@@ -1016,7 +905,7 @@ fn seq_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId>
 
 /// The per-architecture grid: every zoo paper preset (flash, iid-width,
 /// SAR, pipeline) × counter width, all static-ramp noiseless cells.
-fn arch_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId> {
+fn arch_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static> {
     let sources = [
         SourceSpec::paper_flash(),
         SourceSpec::paper_iid(),
@@ -1026,7 +915,7 @@ fn arch_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId
     let mut cells = Vec::new();
     for &counter_bits in &ARCH_COUNTER_BITS {
         for source in sources {
-            let id = SeqScenarioId::Arch {
+            let id = Cell::Arch {
                 arch: source.architecture(),
                 counter_bits,
             };
@@ -1051,22 +940,14 @@ fn arch_grid(seed: u64, policy: &SequencerConfig) -> Grid<'static, SeqScenarioId
 /// `workers` threads (0 = available parallelism): every device × counter
 /// width × deglitch × noise point, ramps skewed by `slope_error`,
 /// demanding bit-exact verdicts.
-pub fn run_differential(
-    batch: &Batch,
-    slope_error: f64,
-    workers: usize,
-) -> DifferentialResult<ScenarioId> {
+pub fn run_differential(batch: &Batch, slope_error: f64, workers: usize) -> DifferentialResult {
     static_grid(batch, slope_error).run(batch.size, workers)
 }
 
 /// Runs the dynamic differential sweep over `devices` flash devices per
 /// cell, fanned out across `workers` threads (0 = available
 /// parallelism), demanding decision-exact dynamic verdicts.
-pub fn run_dyn_differential(
-    seed: u64,
-    devices: usize,
-    workers: usize,
-) -> DifferentialResult<DynScenarioId> {
+pub fn run_dyn_differential(seed: u64, devices: usize, workers: usize) -> DifferentialResult {
     dyn_grid(seed).run(devices, workers)
 }
 
@@ -1081,7 +962,7 @@ pub fn run_seq_differential_range(
     policy: &SequencerConfig,
     from: usize,
     to: usize,
-) -> SeqDifferentialResult {
+) -> DifferentialResult {
     seq_grid(seed, policy).range(from, to)
 }
 
@@ -1092,7 +973,7 @@ pub fn run_seq_differential(
     policy: &SequencerConfig,
     devices: usize,
     workers: usize,
-) -> SeqDifferentialResult {
+) -> DifferentialResult {
     seq_grid(seed, policy).run(devices, workers)
 }
 
@@ -1107,13 +988,14 @@ pub fn run_arch_differential(
     policy: &SequencerConfig,
     devices: usize,
     workers: usize,
-) -> SeqDifferentialResult {
+) -> DifferentialResult {
     arch_grid(seed, policy).run(devices, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bist_core::screener::Screener;
 
     #[test]
     fn small_fleet_is_bit_exact() {
@@ -1128,9 +1010,10 @@ mod tests {
         );
         // The sweep does real screening work: some devices accepted,
         // some rejected, across the grid.
-        let accepted: u64 = result.per_scenario.iter().map(|s| s.accepted).sum();
+        let accepted: u64 = result.per_scenario.iter().map(|s| s.full_accepted).sum();
         assert!(accepted > 0);
         assert!(accepted < result.comparisons);
+        check_unsequenced(&result, &static_grid(&batch, 0.0), 12);
     }
 
     #[test]
@@ -1150,9 +1033,36 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// An unsequenced grid's tallies, on one tally type: no early stop,
+    /// no drift, equal sample totals, and `full_accepted` equal to each
+    /// cell's behavioural accept count — counted afresh by a pooled
+    /// `Screener` over the cell's devices and noise streams.
+    fn check_unsequenced(result: &DifferentialResult, grid: &Grid<'_>, devices: usize) {
+        assert_eq!(result.per_scenario.len(), grid.cells.len());
+        for (cell, (t, (id, source, workload))) in
+            result.per_scenario.iter().zip(&grid.cells).enumerate()
+        {
+            assert_eq!(t.scenario, *id);
+            assert_eq!(t.early_stops + t.early_accepts + t.early_rejects, 0, "{id}");
+            assert_eq!(t.seq_samples_early, 0, "{id}");
+            assert_eq!((t.drift_i, t.drift_ii), (0, 0), "{id}");
+            assert_eq!(t.seq_samples, t.full_samples, "{id}");
+            assert_eq!(t.seq_samples_accepted, t.full_samples_accepted, "{id}");
+            let fleet = (0..devices).map(|i| {
+                (
+                    grid.streams.cell_device(source, i, cell),
+                    grid.streams.noise_rng(i, cell),
+                )
+            });
+            let reports = Screener::new(*workload).workers(2).run(fleet);
+            let accepted = reports.iter().filter(|r| r.verdict.accepted()).count();
+            assert_eq!(t.full_accepted, accepted as u64, "{id}");
+        }
+    }
+
     /// Devices 0..n swept whole equal 0..split merged with split..n,
     /// cell by cell.
-    fn check_merge<Id: CellId>(grid: &Grid<'_, Id>, split: usize, n: usize) {
+    fn check_merge(grid: &Grid<'_>, split: usize, n: usize) {
         let whole = grid.range(0, n);
         let mut parts = grid.range(0, split);
         parts.merge(&grid.range(split, n));
@@ -1162,8 +1072,8 @@ mod tests {
         assert_eq!(whole.skipped_cells, parts.skipped_cells);
     }
 
-    /// A summary line names the device count plus its grid's own wording.
-    fn check_says<Id: CellId>(r: &DifferentialResult<Id>, phrase: &str) {
+    /// A summary line names the device count plus `phrase`.
+    fn check_says(r: &DifferentialResult, phrase: &str) {
         let s = r.to_string();
         assert!(s.contains("2 devices"), "{s}");
         assert!(s.contains(phrase), "{s}");
@@ -1188,26 +1098,46 @@ mod tests {
 
     #[test]
     fn display_summarises() {
+        // One wording for every grid; an unsequenced grid reads no
+        // early stops, no reduction and no drift.
+        let unsequenced = "backends agree (0 divergences, 0% early stops, 1.00x samples overall, \
+                           drift I 0.00e0 / II 0.00e0)";
         check_says(
             &run_differential(&Batch::paper_simulation(47, 2), 0.0, 1),
-            "bit-exact",
+            unsequenced,
         );
         check_says(
             &run_arch_differential(61, &SequencerConfig::default(), 2, 1),
-            "latches identical",
+            "backends agree",
         );
     }
 
     #[test]
     fn dyn_display_summarises() {
-        check_says(&run_dyn_differential(47, 2, 1), "decisions exact");
+        let r = run_dyn_differential(47, 2, 1);
+        check_says(&r, "12 cells: 24/24 backends agree");
+        check_says(&r, "0% early stops, 1.00x samples overall");
+        assert!(r.per_scenario[0]
+            .scenario
+            .to_string()
+            .starts_with("dynamic/"));
     }
 
     #[test]
     fn seq_display_summarises() {
         let r = run_seq_differential(61, &SequencerConfig::default(), 2, 1);
+        check_says(&r, "backends agree");
         check_says(&r, "early stops");
         assert!(r.per_scenario[0].scenario.to_string().contains("static/"));
+    }
+
+    #[test]
+    fn empty_sweep_is_not_clean() {
+        assert!(!DifferentialResult::default().is_clean());
+        let batch = Batch::paper_simulation(71, 2);
+        let empty = static_grid(&batch, 0.0).range(1, 1);
+        assert_eq!(empty.comparisons, 0);
+        assert!(!empty.is_clean(), "{empty}");
     }
 
     #[test]
@@ -1225,7 +1155,7 @@ mod tests {
         screens[1].behavioral = ScreenBatch::new(noisy_seven_bit, None);
         let result = grid.sweep(&mut screens, 0, 3);
         assert!(!result.is_clean(), "{result}");
-        let flagged: Vec<(usize, ScenarioId)> = result
+        let flagged: Vec<(usize, Cell)> = result
             .divergences
             .iter()
             .map(|d| (d.device, d.scenario))
@@ -1258,9 +1188,10 @@ mod tests {
         );
         // The sweep does real screening work: the ideal cells accept,
         // the worst-case mismatch cells reject at least someone.
-        let accepted: u64 = result.per_scenario.iter().map(|s| s.accepted).sum();
+        let accepted: u64 = result.per_scenario.iter().map(|s| s.full_accepted).sum();
         assert!(accepted > 0);
         assert!(accepted < result.comparisons, "nothing was rejected");
+        check_unsequenced(&result, &dyn_grid(31), 8);
     }
 
     #[test]
@@ -1360,9 +1291,10 @@ mod tests {
         // Every architecture appears in the grid, labelled.
         for arch in Architecture::ALL {
             assert!(
-                result.per_scenario.iter().any(
-                    |t| matches!(t.scenario, SeqScenarioId::Arch { arch: a, .. } if a == arch)
-                ),
+                result
+                    .per_scenario
+                    .iter()
+                    .any(|t| matches!(t.scenario, Cell::Arch { arch: a, .. } if a == arch)),
                 "{arch} missing from the grid"
             );
         }

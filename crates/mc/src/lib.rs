@@ -19,14 +19,17 @@
 //! * [`differential`] — the behavioural↔RTL seam validator: one
 //!   device-outer loop screens every device through the engine fleets
 //!   run, once per backend, on identical code streams and demands that
-//!   the two latch the same decision and agree on the verdict. Four
-//!   grids run through it: static
+//!   the two latch the same decision and agree on the verdict. One
+//!   result type serves every grid: one [`differential::Cell`] enum
+//!   names each cell and one [`differential::CellTally`] counts its
+//!   agreements, early stops, type I/II drift against the full-sweep
+//!   ground truth and samples-to-decision (an unsequenced grid is its
+//!   own ground truth, so it reads no drift and a 1.00x reduction).
+//!   Four grids run through it: static
 //!   ([`differential::run_differential`], bit-exact verdicts), dynamic
 //!   ([`differential::run_dyn_differential`], decision-exact between the
 //!   Goertzel bank and the fixed-point RTL), sequenced
-//!   ([`differential::run_seq_differential`], early-stop latches scored
-//!   against full-sweep ground truth for type I/II drift and
-//!   samples-to-decision) and per-architecture
+//!   ([`differential::run_seq_differential`]) and per-architecture
 //!   ([`differential::run_arch_differential`]). Sweep cells rejected by
 //!   config validation are recorded as skipped, never screened.
 //! * [`estimate`] — Wilson confidence intervals for the error rates.
@@ -64,7 +67,6 @@ pub mod experiment;
 pub mod tables;
 
 pub use batch::Batch;
-pub use differential::{DifferentialResult, Divergence, SeqDifferentialResult};
 pub use estimate::Proportion;
 pub use experiment::{Experiment, ExperimentResult, GroundTruthMode, Rejections};
 
