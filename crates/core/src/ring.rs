@@ -2,7 +2,7 @@
 //! screening service (`bist-serve`).
 //!
 //! The ring is the backpressure seam of the service: submissions and
-//! verdicts both travel through fixed-capacity rings, so a flooded
+//! in-process verdicts travel through fixed-capacity rings, so a flooded
 //! service answers [`Enqueue::Busy`] (handing the item back to the
 //! caller) instead of growing without bound, and a device that was
 //! accepted is never dropped — [`Ring::pop`] keeps draining queued
@@ -20,7 +20,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Outcome of a non-blocking enqueue attempt — the service's
 /// backpressure contract.
@@ -125,19 +124,6 @@ impl<T> Ring<T> {
         }
     }
 
-    // bist-lint: hot-path — verdict delivery to a TCP session
-    /// Queues `item`, blocking while the ring is full for at most
-    /// `timeout`: [`Enqueue::Busy`] hands it back when the ring is still
-    /// full by then, [`Enqueue::Closed`] when the ring closed first.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Enqueue<T> {
-        let state = self.state.lock().expect("ring lock");
-        let (state, _) = self
-            .not_full
-            .wait_timeout_while(state, timeout, |s| !s.closed && s.len == self.capacity)
-            .expect("ring lock");
-        self.enqueue(state, item)
-    }
-
     /// Queues `item` under the held lock unless the ring is closed or
     /// full.
     fn enqueue(&self, mut state: MutexGuard<'_, RingState<T>>, item: T) -> Enqueue<T> {
@@ -234,16 +220,6 @@ mod tests {
         assert_eq!(ring.try_pop(), Some(3));
         assert_eq!(ring.try_pop(), None);
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn push_timeout_hands_back_on_a_full_or_closed_ring() {
-        let ring = Ring::with_capacity(1);
-        let wait = Duration::from_millis(5);
-        assert!(ring.push_timeout(1, wait).is_accepted());
-        assert!(matches!(ring.push_timeout(2, wait), Enqueue::Busy(2)));
-        ring.close();
-        assert!(matches!(ring.push_timeout(3, wait), Enqueue::Closed(3)));
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!
 //! Three invariants define the service:
 //!
-//! 1. **Bounded everywhere.** Submissions and verdicts travel through
-//!    fixed-capacity rings ([`bist_core::ring::Ring`]); overload
-//!    surfaces as [`Enqueue::Busy`] with the submission handed back —
-//!    memory never grows without bound and an accepted device is never
-//!    dropped.
+//! 1. **Bounded everywhere.** Submissions and in-process verdicts
+//!    travel through fixed-capacity rings ([`bist_core::ring::Ring`]),
+//!    and a TCP session's verdicts are written straight to its socket;
+//!    overload surfaces as [`Enqueue::Busy`] with the submission handed
+//!    back — memory never grows without bound and an accepted device
+//!    is never dropped.
 //! 2. **Allocation-free steady state.** Each worker owns one
 //!    [`bist_core::batch::ScreenBatch`] per resident workload, screens
 //!    each burst in place, and keeps its engines and buffers warm

@@ -6,15 +6,19 @@
 //!                          ▼                         │
 //!            bounded submit Ring<Job> ══ workers ════╡   (each worker: one ScreenBatch per
 //!                          ▲             (resident)  │    workload, warm across bursts)
-//!  TCP sessions ───────────┘                         └─ per-session event ring ─ writer thread
+//!  TCP session thread ─────┘                         └─ session lock ─ client socket
+//!       └── acks, telemetry ─────────────────────────── session lock ─┘
 //! ```
 //!
 //! Every queue is a bounded [`Ring`], so overload surfaces as
 //! [`Enqueue::Busy`] at the front door (the submission handed back,
 //! never dropped) and a slow verdict consumer backpressures the
-//! workers (they block pushing, never buffer unboundedly). A TCP
-//! session that stops reading is evicted after a fixed deadline, so it
-//! cannot park the workers. Workers are plain threads, each owning one
+//! workers (they block pushing or writing, never buffer unboundedly).
+//! Each TCP session costs one thread, which reads the client's frames
+//! and writes its acks; the workers write its verdicts themselves, all
+//! under the session's lock. A TCP session that stops reading is
+//! evicted after a fixed write deadline, so it cannot park the workers.
+//! Workers are plain threads, each owning one
 //! [`ScreenBatch`] engine per resident workload; a worker screens each
 //! burst where it lies, and its engines and buffers stay warm between
 //! bursts — the steady state allocates nothing. Verdicts are tagged
@@ -26,8 +30,8 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -45,8 +49,8 @@ use rand::rngs::StdRng;
 use crate::protocol::{self, AckStatus, ClientFrame, ServerFrame};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
-/// How long a worker waits on a TCP session whose event ring stays
-/// full before it evicts the session: its client has stopped reading.
+/// How long a write to a TCP session may block before the session is
+/// evicted: its client has stopped reading.
 const SLOW_SESSION_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Builds the device RNG for a submission seed — the service-side
@@ -122,8 +126,7 @@ pub struct ServiceConfig {
     /// Capacity of the bounded submission queue — the backpressure
     /// threshold at which `submit` answers [`Enqueue::Busy`].
     submit_capacity: usize,
-    /// Capacity of each verdict ring (the in-process ring and each TCP
-    /// session's event ring).
+    /// Capacity of the in-process verdict ring.
     verdict_capacity: usize,
 }
 
@@ -179,9 +182,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets each verdict ring's capacity (≥ 1).
+    /// Sets the in-process verdict ring's capacity (≥ 1).
     pub fn with_verdict_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "the verdict rings need capacity");
+        assert!(capacity >= 1, "the verdict ring needs capacity");
         self.verdict_capacity = capacity;
         self
     }
@@ -224,33 +227,27 @@ impl Default for ServiceConfig {
 enum Reply {
     /// The handle's in-process verdict ring.
     Local(Arc<Ring<ShardVerdict>>),
-    /// A TCP session's event ring.
-    Session(Arc<Session>),
+    /// A TCP session, written to directly.
+    Session(Arc<Mutex<Session>>),
 }
 
 impl Reply {
-    /// Delivers one verdict, blocking on a full ring (backpressure) —
-    /// a closed ring means the consumer is gone, so the verdict is
-    /// released (the device *was* screened; nobody is listening). A
-    /// TCP session whose ring stays full past
-    /// [`SLOW_SESSION_DEADLINE`] is evicted, so a client that never
-    /// reads cannot park the worker.
+    /// Delivers one verdict. The in-process ring blocks while full
+    /// (backpressure); a closed ring means the consumer is gone, so the
+    /// verdict is released (the device *was* screened; nobody is
+    /// listening). A TCP verdict is written to the client under the
+    /// session lock, and the last one of a finished session is
+    /// followed by `Finished`.
     fn deliver(&self, verdict: ShardVerdict, telemetry: &Telemetry) {
         match self {
             Reply::Local(ring) => {
                 let _ = ring.push(verdict);
             }
             Reply::Session(session) => {
-                let event = SessionEvent::Verdict(verdict);
-                match session.events.push_timeout(event, SLOW_SESSION_DEADLINE) {
-                    Enqueue::Accepted => {
-                        // ORDERING: Relaxed — telemetry gauge only; the
-                        // event ring's mutex orders the verdict itself.
-                        session.verdict_depth.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Enqueue::Busy(_) => session.evict(telemetry),
-                    Enqueue::Closed(_) => {}
-                }
+                let mut out = session.lock().expect("session lock");
+                out.send(&ServerFrame::Verdict(verdict), telemetry);
+                out.delivered += 1;
+                out.finish_if_done(telemetry);
             }
         }
     }
@@ -538,53 +535,58 @@ impl Drop for ServiceHandle {
     }
 }
 
-/// Per-TCP-session state shared between its reader and writer threads.
+/// One TCP session's write half and delivery count, shared under one
+/// lock by its reader thread (acks, telemetry) and by every worker
+/// delivering one of its verdicts. Whoever holds the lock writes.
 #[derive(Debug)]
 struct Session {
-    /// Events bound for the client, in delivery order. The writer
-    /// thread is the stream's only writer; acks, verdicts and
-    /// telemetry all funnel through here.
-    events: Ring<SessionEvent>,
-    /// Number of accepted submissions, published by the reader when
-    /// the client says `Done`; `u64::MAX` until then.
-    expected: AtomicU64,
-    /// Verdicts sitting in `events` not yet written to the client —
-    /// the session's `verdict_depth` telemetry gauge. Tracked
-    /// separately because `events` also carries acks and telemetry,
-    /// which would overstate pending verdicts.
-    verdict_depth: AtomicU64,
-    /// The client socket: the writer thread's stream, shut down when
-    /// the writer ends or the session is evicted.
-    socket: TcpStream,
-    /// Whether the session was evicted.
-    evicted: AtomicBool,
+    /// The client socket's write half; its write timeout is
+    /// [`SLOW_SESSION_DEADLINE`].
+    writer: BufWriter<TcpStream>,
+    /// The frame being written, reused across frames.
+    frame: Vec<u8>,
+    /// Submissions the reader accepted, set when it stops reading.
+    accepted: Option<u64>,
+    /// Verdicts handed to this session, written or dropped.
+    delivered: u64,
+    /// Whether the session has ended: `Finished` was written, or a
+    /// write timed out or failed. Later frames are dropped.
+    closed: bool,
 }
 
 impl Session {
-    /// Drops a session whose client stopped reading: closes its event
-    /// ring, so no worker waits on it again, and shuts its socket down,
-    /// so its reader and writer threads unblock too.
-    fn evict(&self, telemetry: &Telemetry) {
-        self.events.close();
-        let _ = self.socket.shutdown(Shutdown::Both);
-        // ORDERING: Relaxed — only picks the one caller that counts
-        // the eviction; the ring's mutex orders everything else.
-        if !self.evicted.swap(true, Ordering::Relaxed) {
+    // bist-lint: hot-path — TCP session frame write: each ack and verdict is encoded, written and flushed here
+    /// Writes and flushes one frame, returning whether the session is
+    /// still open. A write that fails, or blocks past
+    /// [`SLOW_SESSION_DEADLINE`] because the client stopped reading,
+    /// evicts the session, so it cannot park a worker.
+    fn send(&mut self, frame: &ServerFrame, telemetry: &Telemetry) -> bool {
+        if self.closed {
+            return false;
+        }
+        frame.encode(&mut self.frame);
+        let written =
+            protocol::write_frame(&mut self.writer, &self.frame).and_then(|()| self.writer.flush());
+        if written.is_err() {
             telemetry.count_eviction();
+            self.close();
+        }
+        !self.closed
+    }
+
+    /// Ends the session with `Finished` once its reader has stopped and
+    /// every accepted verdict has been delivered.
+    fn finish_if_done(&mut self, telemetry: &Telemetry) {
+        if self.accepted == Some(self.delivered) && self.send(&ServerFrame::Finished, telemetry) {
+            self.close();
         }
     }
-}
 
-#[derive(Debug)]
-enum SessionEvent {
-    Ack {
-        id: u64,
-        status: AckStatus,
-    },
-    Verdict(ShardVerdict),
-    Telemetry(String),
-    /// The reader finished; the writer re-checks its exit condition.
-    Flush,
+    /// Shuts the socket down, which also unblocks the session's reader.
+    fn close(&mut self) {
+        self.closed = true;
+        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+    }
 }
 
 fn listener_loop(listener: TcpListener, shared: Arc<SvcShared>, stop: Arc<AtomicBool>) {
@@ -596,46 +598,40 @@ fn listener_loop(listener: TcpListener, shared: Arc<SvcShared>, stop: Arc<Atomic
             break;
         }
         let Ok(stream) = conn else { continue };
-        let Ok(socket) = stream.try_clone() else {
+        let Ok(writer) = stream.try_clone() else {
             continue;
         };
-        let session = Arc::new(Session {
-            events: Ring::with_capacity(shared.config.verdict_capacity),
-            expected: AtomicU64::new(u64::MAX),
-            verdict_depth: AtomicU64::new(0),
-            socket,
-            evicted: AtomicBool::new(false),
-        });
-        let writer_session = Arc::clone(&session);
-        let writer = std::thread::Builder::new()
-            .name("bist-serve-session-writer".to_owned())
-            .spawn(move || session_writer(writer_session));
-        if writer.is_err() {
+        if writer
+            .set_write_timeout(Some(SLOW_SESSION_DEADLINE))
+            .is_err()
+        {
             continue;
         }
-        let reader_shared = Arc::clone(&shared);
-        let reader_session = Arc::clone(&session);
-        let spawned = std::thread::Builder::new()
-            .name("bist-serve-session-reader".to_owned())
-            .spawn(move || session_reader(stream, reader_shared, reader_session));
-        if spawned.is_err() {
-            // No reader will ever push Flush: close the event ring so
-            // the already-running writer's pop returns None and it
-            // exits instead of blocking on a dead session forever.
-            session.events.close();
-        }
+        let session = Arc::new(Mutex::new(Session {
+            writer: BufWriter::new(writer),
+            frame: Vec::new(),
+            accepted: None,
+            delivered: 0,
+            closed: false,
+        }));
+        let shared = Arc::clone(&shared);
+        // A failed spawn drops the session and so closes its socket.
+        let _ = std::thread::Builder::new()
+            .name("bist-serve-session".to_owned())
+            .spawn(move || session_reader(stream, shared, session));
     }
 }
 
-/// Parses client frames and feeds the ingest seam. All session replies
-/// (acks, telemetry) travel through the event ring so the writer owns
-/// the stream exclusively.
-fn session_reader(stream: TcpStream, shared: Arc<SvcShared>, session: Arc<Session>) {
+/// A TCP session's one thread: parses client frames, feeds the ingest
+/// seam and writes each reply itself; workers write the verdicts.
+fn session_reader(stream: TcpStream, shared: Arc<SvcShared>, session: Arc<Mutex<Session>>) {
+    let telemetry = &shared.telemetry;
+    let lock = || session.lock().expect("session lock");
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     let mut accepted = 0u64;
     while let Ok(Some(bytes)) = protocol::read_frame(&mut reader, &mut buf) {
-        match ClientFrame::decode(bytes) {
+        let open = match ClientFrame::decode(bytes) {
             Ok(ClientFrame::Submit(sub)) => {
                 let id = sub.id;
                 let status = if !shared.accepts(&sub) {
@@ -650,91 +646,28 @@ fn session_reader(stream: TcpStream, shared: Arc<SvcShared>, session: Arc<Sessio
                         Enqueue::Closed(_) => AckStatus::Rejected,
                     }
                 };
-                if session
-                    .events
-                    .push(SessionEvent::Ack { id, status })
-                    .is_err()
-                {
-                    break;
+                if status == AckStatus::Rejected {
+                    telemetry.count_rejection();
                 }
+                lock().send(&ServerFrame::Ack { id, status }, telemetry)
             }
             Ok(ClientFrame::Telemetry) => {
-                // ORDERING: Relaxed — telemetry gauge read; a
-                // momentarily stale depth is fine by design.
-                let pending = session.verdict_depth.load(Ordering::Relaxed);
+                let mut out = lock();
+                // Every verdict delivered so far is of a submission
+                // already counted in `accepted`, so this cannot wrap.
+                let pending = accepted - out.delivered;
                 let json = shared.snapshot(pending).to_json();
-                if session.events.push(SessionEvent::Telemetry(json)).is_err() {
-                    break;
-                }
+                out.send(&ServerFrame::Telemetry(json), telemetry)
             }
             Ok(ClientFrame::Done) | Err(_) => break,
-        }
-    }
-    // ORDERING: Relaxed — the event ring's mutex orders this store:
-    // the writer reads `expected` only after popping the Flush event
-    // pushed below (or any later event), which happens-after the push,
-    // which happens-after this store in program order under the lock.
-    session.expected.store(accepted, Ordering::Relaxed);
-    let _ = session.events.push(SessionEvent::Flush);
-}
-
-/// Streams session events to the client, finishing once every accepted
-/// verdict has been delivered after the reader is done.
-fn session_writer(session: Arc<Session>) {
-    let mut writer = BufWriter::new(&session.socket);
-    let mut frame = Vec::new();
-    let mut delivered = 0u64;
-    // Finishing is gated on having popped the Flush event itself — not
-    // just on the `expected` atomic, which becomes visible before
-    // Flush pops. The ring is FIFO, so once Flush is out every ack and
-    // telemetry event the reader queued before it has already been
-    // written; only in-flight verdicts can remain after it.
-    let mut input_done = false;
-    loop {
-        if input_done {
-            // ORDERING: Relaxed — stored before the Flush push; the
-            // ring's mutex makes it visible once Flush has popped (see
-            // session_reader), which `input_done` asserts.
-            let expected = session.expected.load(Ordering::Relaxed);
-            if delivered >= expected {
-                ServerFrame::Finished.encode(&mut frame);
-                let _ = protocol::write_frame(&mut writer, &frame);
-                let _ = writer.flush();
-                break;
-            }
-        }
-        let Some(event) = session.events.pop() else {
+        };
+        if !open {
             break;
-        };
-        let server_frame = match event {
-            SessionEvent::Ack { id, status } => Some(ServerFrame::Ack { id, status }),
-            SessionEvent::Verdict(v) => {
-                delivered += 1;
-                // ORDERING: Relaxed — telemetry gauge only, mirroring
-                // the fetch_add in Reply::deliver.
-                session.verdict_depth.fetch_sub(1, Ordering::Relaxed);
-                Some(ServerFrame::Verdict(v))
-            }
-            SessionEvent::Telemetry(json) => Some(ServerFrame::Telemetry(json)),
-            SessionEvent::Flush => {
-                input_done = true;
-                None
-            }
-        };
-        if let Some(sf) = server_frame {
-            sf.encode(&mut frame);
-            if protocol::write_frame(&mut writer, &frame).is_err() || writer.flush().is_err() {
-                break;
-            }
         }
     }
-    drop(writer);
-    // Unblocks workers still delivering to a dead session: their
-    // pushes fail fast instead of blocking forever. Workers may hold
-    // the session a while longer, so the socket is shut down here, not
-    // when its last handle drops.
-    session.events.close();
-    let _ = session.socket.shutdown(Shutdown::Both);
+    let mut out = lock();
+    out.accepted = Some(accepted);
+    out.finish_if_done(telemetry);
 }
 
 #[cfg(test)]

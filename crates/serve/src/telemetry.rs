@@ -26,6 +26,9 @@ pub struct Telemetry {
     submitted: AtomicU64,
     /// Submissions turned away with `Enqueue::Busy`.
     busy: AtomicU64,
+    /// Submissions acked `Rejected`: no resident workload screens them,
+    /// or the service is shutting down.
+    rejected: AtomicU64,
     /// Verdicts streamed back.
     completed: AtomicU64,
     /// Verdicts whose device-level decision was accept.
@@ -36,7 +39,8 @@ pub struct Telemetry {
     static_done: AtomicU64,
     /// Completed dynamic-workload devices.
     dyn_done: AtomicU64,
-    /// TCP sessions evicted because their client stopped reading.
+    /// TCP sessions evicted because a write to their client failed or
+    /// timed out: the client stopped reading or went away.
     sessions_evicted: AtomicU64,
 }
 
@@ -48,6 +52,7 @@ impl Telemetry {
             start: Instant::now(),
             submitted: AtomicU64::new(0),
             busy: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             accepted_devices: AtomicU64::new(0),
             early_stops: AtomicU64::new(0),
@@ -71,6 +76,12 @@ impl Telemetry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one submission acked `Rejected`.
+    pub fn count_rejection(&self) {
+        // ORDERING: Relaxed — monitoring counter only.
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts one streamed verdict.
     pub fn count_verdict(&self, verdict: &ShardVerdict) {
         // ORDERING: Relaxed — monitoring counters only (see above);
@@ -92,44 +103,34 @@ impl Telemetry {
         per_workload.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one TCP session evicted for not reading its verdicts.
+    /// Counts one TCP session evicted because a write to its client
+    /// failed or timed out.
     pub fn count_eviction(&self) {
         // ORDERING: Relaxed — monitoring counter only.
         self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Captures the counters into an immutable snapshot. `queue_depth`
-    /// and `verdict_depth` are the rings' current occupancy, passed in
-    /// by the service which owns the rings.
+    /// and `verdict_depth` are passed in by the service, which owns the
+    /// rings and the sessions.
     pub fn snapshot(&self, queue_depth: u64, verdict_depth: u64) -> TelemetrySnapshot {
         // bist-lint: allow(determinism) — uptime/devices-per-s are wall-clock metadata; never feed a verdict or report ordering
         let uptime_seconds = self.start.elapsed().as_secs_f64();
         // ORDERING: Relaxed — snapshot of monitoring counters; a few
         // events of staleness between fields is acceptable by design.
-        let completed = self.completed.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only (see above).
-        let submitted = self.submitted.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let busy = self.busy.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let accepted_devices = self.accepted_devices.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let early_stops = self.early_stops.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let static_done = self.static_done.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let dyn_done = self.dyn_done.load(Ordering::Relaxed);
-        // ORDERING: Relaxed — monitoring counter only.
-        let sessions_evicted = self.sessions_evicted.load(Ordering::Relaxed);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let completed = load(&self.completed);
+        let early_stops = load(&self.early_stops);
         TelemetrySnapshot {
-            submitted,
-            busy,
+            submitted: load(&self.submitted),
+            busy: load(&self.busy),
+            rejected: load(&self.rejected),
             completed,
-            accepted_devices,
+            accepted_devices: load(&self.accepted_devices),
             early_stops,
-            static_done,
-            dyn_done,
-            sessions_evicted,
+            static_done: load(&self.static_done),
+            dyn_done: load(&self.dyn_done),
+            sessions_evicted: load(&self.sessions_evicted),
             queue_depth,
             verdict_depth,
             uptime_seconds,
@@ -160,6 +161,8 @@ pub struct TelemetrySnapshot {
     pub submitted: u64,
     /// Submissions answered `Busy`.
     pub busy: u64,
+    /// Submissions acked `Rejected`.
+    pub rejected: u64,
     /// Verdicts streamed back.
     pub completed: u64,
     /// Devices whose verdict was accept.
@@ -170,13 +173,15 @@ pub struct TelemetrySnapshot {
     pub static_done: u64,
     /// Completed dynamic-workload devices.
     pub dyn_done: u64,
-    /// TCP sessions evicted because their client stopped reading.
+    /// TCP sessions evicted because a write to their client failed or
+    /// timed out: the client stopped reading or went away.
     pub sessions_evicted: u64,
     /// Submission-queue occupancy at snapshot time.
     pub queue_depth: u64,
     /// Verdicts pending delivery to the snapshotting consumer: the
     /// in-process verdict-ring occupancy for handle snapshots, or the
-    /// session's undelivered-verdict count for TCP snapshots.
+    /// session's accepted submissions not yet delivered for TCP
+    /// snapshots.
     pub verdict_depth: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
@@ -195,6 +200,7 @@ impl TelemetrySnapshot {
         let u = [
             ("submitted", self.submitted),
             ("busy", self.busy),
+            ("rejected", self.rejected),
             ("completed", self.completed),
             ("accepted_devices", self.accepted_devices),
             ("early_stops", self.early_stops),

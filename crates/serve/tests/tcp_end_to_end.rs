@@ -130,6 +130,13 @@ fn tcp_session_streams_reference_verdicts() {
     let json = telemetry_json.expect("telemetry snapshot requested");
     assert!(json.contains("\"metrics\""), "snapshot is perf-record JSON");
     assert!(json.contains("\"scenario\": \"bist_serve_telemetry\""));
+    // A TCP snapshot's `verdict_depth` counts the session's accepted
+    // submissions whose verdicts are not yet written: never more than
+    // the session submitted.
+    let n = subs.len() as u64;
+    let depth = metric(&json, "verdict_depth");
+    assert!(depth <= n, "verdict_depth {depth} > {n} submitted");
+    assert!(metric(&json, "submitted") <= n && metric(&json, "completed") <= n);
 
     let report = handle.shutdown();
     assert_eq!(report.telemetry.completed, subs.len() as u64);
@@ -254,7 +261,8 @@ fn unrouted_kind_is_rejected_not_dropped() {
         vec![(0, AckStatus::Rejected), (1, AckStatus::Accepted)]
     );
     assert_eq!(verdict_ids, vec![1], "only the accepted device verdicts");
-    handle.shutdown();
+    let report = handle.shutdown();
+    assert_eq!(report.telemetry.rejected, 1, "the refusal is counted");
 }
 
 /// Malformed bytes close the session without taking the service down:
@@ -374,7 +382,8 @@ fn devices_of_another_resolution_are_refused() {
     let refused =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.submit(eight_bit)));
     assert!(refused.is_err(), "the in-process door refuses it too");
-    handle.shutdown();
+    let report = handle.shutdown();
+    assert_eq!(report.telemetry.rejected, 8, "each TCP refusal is counted");
 }
 
 /// A client that floods submissions and never reads its answers fills
@@ -460,4 +469,59 @@ fn a_client_that_never_reads_cannot_park_the_workers() {
     drop(flood);
     let report = handle.shutdown();
     assert_eq!(report.telemetry.sessions_evicted, 1);
+}
+
+/// Reads `key`'s integer value from a flat telemetry JSON record.
+fn metric(json: &str, key: &str) -> u64 {
+    let rest = json.split(&format!("\"{key}\": ")).nth(1).expect(key);
+    let end = rest.find(|c: char| !c.is_ascii_digit()).expect(key);
+    rest[..end].parse().expect(key)
+}
+
+/// A client in lockstep sends one submission and reads its ack and
+/// verdict before it sends the next, so each verdict must reach it
+/// without further input from the client: a verdict left unflushed in
+/// the server's buffer fails the read timeout instead of hanging.
+#[test]
+fn a_lockstep_client_gets_each_verdict_without_sending_more() {
+    const ROUNDS: u64 = 64;
+    let mut handle = ServiceConfig::new()
+        .with_workload(static_workload())
+        .with_workers(1)
+        .start();
+    let addr = handle.serve_tcp(0).expect("bind localhost");
+    let batch = Batch::paper_simulation(17, ROUNDS as usize);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut buf = Vec::new();
+    for id in 0..ROUNDS {
+        let sub = Submission {
+            id,
+            kind: JobKind::Static,
+            adc: batch.device(id as usize),
+            seed: id,
+        };
+        send(&mut stream, &ClientFrame::Submit(sub));
+        // The ack and the verdict, in either order.
+        let (mut acked, mut judged) = (false, false);
+        while !(acked && judged) {
+            match recv(&mut stream, &mut buf) {
+                Some(ServerFrame::Ack { id: got, status }) => {
+                    assert_eq!((got, status), (id, AckStatus::Accepted));
+                    acked = true;
+                }
+                Some(ServerFrame::Verdict(v)) => {
+                    assert_eq!(v.id, id);
+                    judged = true;
+                }
+                other => panic!("round {id}: unexpected {other:?}"),
+            }
+        }
+    }
+    send(&mut stream, &ClientFrame::Done);
+    let last = recv(&mut stream, &mut buf);
+    assert!(matches!(last, Some(ServerFrame::Finished)), "{last:?}");
+    assert_eq!(handle.shutdown().telemetry.completed, ROUNDS);
 }
