@@ -35,13 +35,13 @@
 //! dynamic workload the contract is decision-exactness — see the trait
 //! docs.
 
-use crate::batch::{BatchDevice, ScreenBatch};
+use crate::batch::BatchDevice;
 use crate::config::BistConfig;
 use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalState;
 use crate::harness::{BistVerdict, Scratch};
 use crate::lsb_monitor::{CodeResult, MonitorState};
-use crate::screener::ScreenReport;
+use crate::screener::{ScreenReport, Screener};
 use crate::sequencer::{
     DynSequencer, SeqDecision, SeqOutcome, StaticSequencer, STATIC_DECISION_LATENCY,
 };
@@ -74,12 +74,13 @@ use rand::RngCore;
 /// report the same consumed-sample count (the RTL flushes its input
 /// pipeline).
 ///
-/// **Batch contract** (`process_batch`): the reports an engine yields
-/// are device-for-device identical to running each device through the
-/// corresponding judge — the default body literally does that.
-/// [`BehavioralBackend`] overrides it with the behavioural engine of
-/// [`crate::batch`], which the batch-equivalence property tests pin
-/// bit-exact to the scalar path.
+/// **Batch contract** (`process_batch`): the hook screens a device
+/// stream on a [`Screener`] judged by this backend, and the reports it
+/// yields are device-for-device identical to running each device
+/// through the corresponding judge — the default body literally does
+/// that. [`BehavioralBackend`] overrides it with the screener's
+/// behavioural engine of [`crate::batch`], which the batch-equivalence
+/// property tests pin bit-exact to the scalar path.
 pub trait Backend {
     /// Judges one static sweep (re-`begin`-ing `seq`), leaving per-code
     /// detail in `detail` when one is given (as much as the backend
@@ -105,19 +106,18 @@ pub trait Backend {
         scratch: &mut DynScratch,
     ) -> SeqOutcome<DynamicVerdict>;
 
-    /// Screens `devices` on `batch`'s engine, appending one report per
-    /// device to `reports` in any order ([`ScreenBatch::screen`], the
-    /// caller, sorts them). The default judges the devices one at a
-    /// time through the judges above.
+    /// Screens `devices` on `screener`, appending one report per device
+    /// to `reports` in any order ([`Screener::screen`], the caller,
+    /// sorts them). The default judges the devices one at a time
+    /// through the screener's backend's judges above.
     fn process_batch<A: Adc, R: RngCore>(
-        &mut self,
-        batch: &mut ScreenBatch,
+        screener: &mut Screener<Self>,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
     ) where
         Self: Sized,
     {
-        batch.run_scalar(self, devices, reports);
+        screener.run_scalar(devices, reports);
     }
 }
 
@@ -188,12 +188,11 @@ impl Backend for BehavioralBackend {
     /// device through the judges above — bit-exact to the scalar path
     /// (see [`crate::batch`]).
     fn process_batch<A: Adc, R: RngCore>(
-        &mut self,
-        batch: &mut ScreenBatch,
+        screener: &mut Screener<Self>,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
     ) {
-        batch.run_batched(devices, reports);
+        screener.run_batched(devices, reports);
     }
 }
 

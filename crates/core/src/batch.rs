@@ -1,17 +1,19 @@
-//! Batch screening: devices streamed through one warm engine, each
-//! screened to completion on its own code stream.
+//! The screening engine of a [`crate::screener::Screener`]: devices
+//! streamed through one warm engine, each screened to completion on its
+//! own code stream.
 //!
-//! [`ScreenBatch`] is the one batch engine. It is built from a
-//! [`Workload`] and an optional early-stop sequencer and holds no
-//! devices: [`ScreenBatch::screen`] takes them as an iterator and
-//! appends one report per device to the caller's `Vec`. The backend's
-//! batch hook ([`Backend::process_batch`]) chooses how: its default
-//! screens one device at a time through the backend's judge for the
-//! workload (the reference, and the path hardware-model backends take),
-//! and [`crate::backend::BehavioralBackend`] runs the behavioural
-//! engine. That engine also takes one device at a time and screens it
-//! from its first sample to its verdict, as the on-chip monitor does;
-//! what it saves over the scalar path it saves by knowing the stimulus:
+//! A screener owns one engine, built from its [`Workload`] and optional
+//! early-stop sequencer, which holds no devices: the screener takes
+//! them as an iterator of [`BatchDevice`]s and appends one report per
+//! device to the caller's `Vec`. The backend's batch hook
+//! ([`Backend::process_batch`]) chooses how: its default screens one
+//! device at a time through the backend's judge for the workload (the
+//! reference, and the path hardware-model backends take), and
+//! [`crate::backend::BehavioralBackend`] runs the behavioural engine of
+//! this module. That engine also takes one device at a time and screens
+//! it from its first sample to its verdict, as the on-chip monitor
+//! does; what it saves over the scalar path it saves by knowing the
+//! stimulus:
 //!
 //! * static — on the dominant noiseless-ramp workload the sweep
 //!   *run-skips*: the ramp is monotone and the transition levels are
@@ -63,8 +65,8 @@
 //! operation sequence, then loads its result into the judge's bank. The
 //! `batch_equivalence` property tests pin this for any fleet size, mix
 //! and split of the fleet across calls. The `bist_mc::differential`
-//! harness also screens every grid device through this engine against
-//! [`crate::backend::RtlBackend`] directly, so the run-skip sweep, its
+//! harness also screens every grid device through this engine against a
+//! [`crate::backend::RtlBackend`] screener, so the run-skip sweep, its
 //! quiet-run checkpoints and the stimulus table answer to the
 //! gate-accurate oracle with no scalar path in between; no grid cell is
 //! coded, and `dyn_fleet`'s fleet part checks the group kernel against
@@ -74,7 +76,7 @@ use crate::backend::{push_sample, Backend, BehavioralBackend};
 use crate::config::BistConfig;
 use crate::dynamic::{plan_sine, DynScratch, DynamicConfig, DynamicVerdict};
 use crate::functional::FunctionalState;
-use crate::harness::{plan_ramp, BistOutcome, BistVerdict, Scratch};
+use crate::harness::{plan_ramp, BistVerdict, Scratch};
 use crate::lsb_monitor::MonitorState;
 use crate::screener::{ScreenReport, ScreenVerdict, Workload};
 use crate::sequencer::{DynSequencer, SeqOutcome, SequencerConfig, StaticSequencer};
@@ -92,7 +94,8 @@ use rand::RngCore;
 #[derive(Debug, Clone)]
 pub struct BatchDevice<A, R> {
     /// Caller-chosen identifier carried into the report (unique per
-    /// [`ScreenBatch::screen`] call; reports are ordered by it).
+    /// [`Screener::screen`](crate::screener::Screener::screen) call;
+    /// reports are ordered by it).
     pub index: usize,
     /// The device under test.
     pub adc: A,
@@ -110,7 +113,7 @@ impl<A, R> BatchDevice<A, R> {
 /// The dynamic stimulus: one coherent-sine plan and its evaluated
 /// sample table.
 ///
-/// A dynamic [`ScreenBatch`] plans its table lazily, on its first
+/// A dynamic engine plans its table lazily, on its first
 /// zero-jitter device. Devices whose plan differs from the table's (or
 /// any jittered noise model) go through the scalar judge on their own
 /// stimulus, so the table never changes a verdict.
@@ -141,42 +144,21 @@ impl StimulusTable {
     }
 }
 
-/// The one screening engine for a [`Workload`] — behind
-/// [`crate::screener::Screener`], each pooled worker of
-/// [`crate::pool`], each `bist-serve` worker, `bist_mc`'s experiments
-/// and both sides of its differential harness.
-///
-/// Build one with [`ScreenBatch::new`] and hand it device streams with
-/// [`ScreenBatch::screen`]. The engine owns all working state
-/// (sequencer, stimulus table, coded rows, scratch) and no devices or
-/// reports, so a warm engine screens without allocating.
+/// The behavioural engine of a [`crate::screener::Screener`]: one per
+/// workload. It owns all working state (sequencer, stimulus table,
+/// coded rows) and no devices or reports, so a warm engine screens
+/// without allocating.
 #[derive(Debug)]
-pub struct ScreenBatch {
-    workload: Workload,
-    sequencer: Option<SequencerConfig>,
-    engine: BatchEngine,
-    /// Per-code detail of the most recent
-    /// [`screen_one`](ScreenBatch::screen_one); fleet runs record none.
-    detail: Scratch,
-    dyn_scratch: DynScratch,
-}
-
-/// The behavioural engine of a [`ScreenBatch`]: one per workload.
-#[derive(Debug)]
-enum BatchEngine {
+pub(crate) enum BatchEngine {
     Static(Box<StaticEngine>),
     Dynamic(Box<DynEngine>),
 }
 
-impl ScreenBatch {
+impl BatchEngine {
     /// An engine screening `workload`, under the early-stop `sequencer`
     /// policy when one is given.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sequencer` fails [`SequencerConfig::validate`].
-    pub fn new(workload: Workload, sequencer: Option<SequencerConfig>) -> Self {
-        let engine = match workload {
+    pub(crate) fn new(workload: Workload, sequencer: Option<SequencerConfig>) -> Self {
+        match workload {
             Workload::Static {
                 config,
                 noise,
@@ -190,104 +172,30 @@ impl ScreenBatch {
             Workload::Dynamic { config, noise } => {
                 BatchEngine::Dynamic(Box::new(DynEngine::new(config, noise, sequencer)))
             }
-        };
-        ScreenBatch {
-            workload,
-            sequencer,
-            engine,
-            detail: Scratch::default(),
-            dyn_scratch: DynScratch::default(),
-        }
-    }
-
-    /// The workload every device is screened under.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The early-stop policy the engine screens under, if any.
-    pub(crate) fn sequencer(&self) -> Option<SequencerConfig> {
-        self.sequencer
-    }
-
-    /// Screens `devices` through `backend`'s batch hook
-    /// ([`Backend::process_batch`]), appending one report per device to
-    /// `reports`; the appended reports are sorted by device index.
-    pub fn screen<A: Adc, R: RngCore, B: Backend>(
-        &mut self,
-        backend: &mut B,
-        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
-        reports: &mut Vec<ScreenReport>,
-    ) {
-        let start = reports.len();
-        backend.process_batch(self, devices, reports);
-        reports[start..].sort_unstable_by_key(|r| r.device);
-    }
-
-    /// Screens `devices` one at a time through the judge of `backend` —
-    /// the reference the behavioural engine is measured against, and
-    /// the path hardware-model backends take.
-    pub(crate) fn run_scalar<A: Adc, R: RngCore, B: Backend>(
-        &mut self,
-        backend: &mut B,
-        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
-        reports: &mut Vec<ScreenReport>,
-    ) {
-        for mut dev in devices {
-            let verdict =
-                self.engine
-                    .judge(backend, &dev.adc, &mut dev.rng, None, &mut self.dyn_scratch);
-            reports.push(ScreenReport {
-                device: dev.index,
-                verdict,
-            });
         }
     }
 
     /// Screens `devices` through the behavioural engine: each device to
     /// completion, coded dynamic devices in groups of eight through the
-    /// group kernel, every verdict bit-exact to
-    /// [`run_scalar`](ScreenBatch::run_scalar) with
+    /// group kernel, every verdict bit-exact to the scalar judge of
     /// [`crate::backend::BehavioralBackend`].
-    pub(crate) fn run_batched<A: Adc, R: RngCore>(
+    pub(crate) fn run<A: Adc, R: RngCore>(
         &mut self,
         devices: impl IntoIterator<Item = BatchDevice<A, R>>,
         reports: &mut Vec<ScreenReport>,
+        dyn_scratch: &mut DynScratch,
     ) {
-        match &mut self.engine {
+        match self {
             BatchEngine::Static(engine) => engine.run(devices, reports),
-            BatchEngine::Dynamic(engine) => engine.run(devices, reports, &mut self.dyn_scratch),
+            BatchEngine::Dynamic(engine) => engine.run(devices, reports, dyn_scratch),
         }
     }
 
-    /// Screens one device through the scalar path, leaving its per-code
-    /// detail for [`take_static_outcome`](ScreenBatch::take_static_outcome).
-    pub(crate) fn screen_one<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
-        &mut self,
-        backend: &mut B,
-        adc: &A,
-        rng: &mut R,
-    ) -> ScreenVerdict {
-        let detail = Some(&mut self.detail);
-        self.engine
-            .judge(backend, adc, rng, detail, &mut self.dyn_scratch)
-    }
-
-    /// The full per-code [`BistOutcome`] of the most recent static
-    /// [`screen_one`](ScreenBatch::screen_one), or `None` for a dynamic
-    /// verdict.
-    pub(crate) fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
-        let outcome = verdict.as_static()?;
-        Some(self.detail.take_outcome(outcome.verdict))
-    }
-}
-
-impl BatchEngine {
     /// The scalar per-device path: plans the stimulus, streams the noisy
     /// codes and judges them through `backend`'s judge for the workload,
     /// under the engine's sequencer, static per-code detail into
     /// `detail` when one is given.
-    fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
+    pub(crate) fn judge<B: Backend, A: Adc + ?Sized, R: RngCore + ?Sized>(
         &mut self,
         backend: &mut B,
         adc: &A,
@@ -307,7 +215,7 @@ impl BatchEngine {
 /// The static (ramp/linearity) engine: the plan every device shares
 /// and the sequencer each sequenced sweep reuses.
 #[derive(Debug)]
-struct StaticEngine {
+pub(crate) struct StaticEngine {
     config: BistConfig,
     noise: NoiseConfig,
     slope_error: f64,
@@ -598,7 +506,7 @@ fn group_kernel(rows: &[[u8; GROUP]], st: &mut GroupState, half_fs: f64) {
 /// the stimulus table, the sequencer each scalar-judged record reuses,
 /// and the pending coded group.
 #[derive(Debug)]
-struct DynEngine {
+pub(crate) struct DynEngine {
     config: DynamicConfig,
     noise: NoiseConfig,
     /// Stimulus voltages shared by every zero-jitter device whose plan
@@ -741,6 +649,7 @@ impl DynEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::screener::Screener;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -791,9 +700,9 @@ mod tests {
 
     /// Fleet runs record no per-code detail: a fleet of flash devices,
     /// run-skipped (noiseless, sequenced or not) or scalar-judged
-    /// (noisy), through either backend, leaves the engine's detail
+    /// (noisy), through either backend, leaves the screener's detail
     /// buffers unallocated, while a single
-    /// [`screen_one`](ScreenBatch::screen_one) fills them.
+    /// [`screen_one`](Screener::screen_one) fills them.
     #[test]
     fn run_skipped_fleet_leaves_scratch_unallocated() {
         use crate::backend::RtlBackend;
@@ -805,34 +714,32 @@ mod tests {
             .deglitch(true)
             .build()
             .unwrap();
-        let noisy = NoiseConfig::noiseless().with_transition_noise(0.004);
-        for (noise, sequencer) in [
-            (NoiseConfig::noiseless(), None),
-            (NoiseConfig::noiseless(), Some(SequencerConfig::default())),
-            (noisy, None),
-        ] {
-            let workload = Workload::static_ramp(config).with_noise(noise);
-            let mut batch = ScreenBatch::new(workload, sequencer);
-            for rtl in [false, true] {
+        let workload = Workload::static_ramp(config);
+        let noisy = workload.with_noise(NoiseConfig::noiseless().with_transition_noise(0.004));
+        let screeners = [
+            Screener::new(workload),
+            Screener::new(workload).sequencer(SequencerConfig::default()),
+            Screener::new(noisy),
+        ];
+        for (case, mut screener) in screeners.into_iter().enumerate() {
+            let fleet = || {
                 let mut rng = StdRng::seed_from_u64(7);
-                let devices = (0..16).map(|i| {
+                (0..16).map(move |i| {
                     let adc = FlashConfig::paper_device().sample(&mut rng);
                     BatchDevice::new(i, adc, StdRng::seed_from_u64(i as u64))
-                });
-                let mut reports = Vec::new();
-                if rtl {
-                    batch.screen(&mut RtlBackend::new(), devices, &mut reports);
-                } else {
-                    batch.screen(&mut BehavioralBackend, devices, &mut reports);
-                }
-                assert_eq!(reports.len(), 16);
-                let d = &batch.detail;
-                let allocated = d.monitor_codes.capacity() + d.checks.capacity();
-                assert_eq!(allocated, 0, "{noise:?} {sequencer:?} rtl {rtl}");
-            }
+                })
+            };
+            let allocated = |d: &Scratch| d.monitor_codes.capacity() + d.checks.capacity();
+            let mut reports = Vec::new();
+            screener.screen(fleet(), &mut reports);
+            assert_eq!(allocated(&screener.detail), 0, "case {case}");
+            let mut rtl = screener.backend(RtlBackend::new());
+            rtl.screen(fleet(), &mut reports);
+            assert_eq!(reports.len(), 32);
+            assert_eq!(allocated(&rtl.detail), 0, "case {case}, rtl");
             let adc = FlashConfig::paper_device().sample(&mut StdRng::seed_from_u64(7));
-            batch.screen_one(&mut BehavioralBackend, &adc, &mut StdRng::seed_from_u64(0));
-            assert!(batch.detail.monitor_codes.capacity() > 0, "{noise:?}");
+            rtl.screen_one(&adc, &mut StdRng::seed_from_u64(0));
+            assert!(rtl.detail.monitor_codes.capacity() > 0, "case {case}");
         }
     }
 

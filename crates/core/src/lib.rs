@@ -33,16 +33,15 @@
 //!   for that pipeline: the behavioural accumulators or the
 //!   gate-accurate `bist-rtl` datapath ([`backend::RtlBackend`]),
 //!   bit-exact with each other, over scalar devices and whole batches.
-//! * [`batch`] — fleet screening through one engine,
-//!   [`batch::ScreenBatch`], which holds no devices: each device of a
-//!   stream screened to completion, with
-//!   run-skipping on noiseless ramps, a shared sine table and an
-//!   8-device coded Goertzel kernel — bit-exact to the scalar engines,
-//!   several times faster.
-//! * [`pool`] — the cores axis over [`batch`]: a scoped worker pool
-//!   where each worker owns an engine and streams the small device
-//!   chunks it claims from a shared atomic-cursor queue, merging reports
-//!   by device index so output is bit-identical for any worker count.
+//! * [`batch`] — the engine a [`screener::Screener`] owns, which holds
+//!   no devices: each [`batch::BatchDevice`] of a stream screened to
+//!   completion, with run-skipping on noiseless ramps, a shared sine
+//!   table and an 8-device coded Goertzel kernel — bit-exact to the
+//!   scalar engines, several times faster.
+//! * [`pool`] — the cores axis: a scoped worker pool where each worker
+//!   owns a screener and streams the small device chunks it claims from
+//!   a shared atomic-cursor queue, merging reports by device index so
+//!   output is bit-identical for any worker count.
 //! * [`ring`] / [`shard`] — the resident-service substrate consumed by
 //!   `bist-serve`: a bounded MPMC ring with explicit backpressure
 //!   ([`ring::Enqueue`]), the [`shard::JobKind`] a submission is routed
@@ -54,9 +53,9 @@
 //!   [`source::Zoo`] fleets with a stable per-device
 //!   `(seed, index) → (arch, rng)` assignment, and the canonical
 //!   seeded-stream derivations ([`source::stream_rng`]).
-//! * [`screener`] — the [`screener::Screener`] front door tying it all
-//!   together: one builder for workload × backend × sequencing ×
-//!   worker count, over a fleet or a single device.
+//! * [`screener`] — [`screener::Screener`], the one screening type: a
+//!   builder for workload × backend × sequencing × worker count and the
+//!   warm engine over a fleet, a device stream or a single device.
 //! * [`dynamic`] — the §2 dynamic workload as a streaming subsystem:
 //!   coherent sine stimulus → code stream → Goertzel-bank accumulation
 //!   → SINAD/THD/ENOB/noise-power [`dynamic::DynamicVerdict`], judged
@@ -128,7 +127,7 @@ pub use analytic::{
     acceptance_probability, code_probabilities, device_probabilities, WidthDistribution,
 };
 pub use backend::{Backend, BehavioralBackend, RtlBackend};
-pub use batch::{BatchDevice, ScreenBatch};
+pub use batch::BatchDevice;
 pub use config::BistConfig;
 pub use decision::ConfusionMatrix;
 pub use dynamic::{DynChecks, DynScratch, DynamicConfig, DynamicLimits, DynamicVerdict};

@@ -1,20 +1,20 @@
 //! The workspace's one work-stealing pool: scoped workers claiming
 //! small chunks of work from an atomic cursor.
 //!
-//! A [`ScreenBatch`] screens its device stream one device at a time on
+//! A [`Screener`] screens its device stream one device at a time on
 //! one core; the paper's §5 economics rest on testing "several A/D
 //! converters … in parallel", and on a workstation that parallelism is
 //! the host's cores. This module supplies them, in two shapes:
 //!
 //! * [`run_pool`] screens a device fleet — the pool behind
-//!   [`Screener::run`](crate::screener::Screener::run). With one worker
-//!   the fleet streams straight into the caller's engine. Otherwise a
-//!   [`DeviceQueue`] packs the fleet into [`DEFAULT_CHUNK`]-device
-//!   chunks; each worker owns one [`ScreenBatch`] engine (sequencer,
-//!   stimulus table, scratch — the zero-alloc steady state proven by
-//!   the workspace's `tests/zero_alloc.rs`) plus its own backend, and
-//!   [`drain`]s the queue, streaming each chunk it claims into its
-//!   engine. Reports merge by device index.
+//!   [`Screener::run`]. With one worker the fleet streams straight into
+//!   the caller's screener. Otherwise a [`DeviceQueue`] packs the fleet
+//!   into [`DEFAULT_CHUNK`]-device chunks; each worker owns one
+//!   [`Screener`] for the caller's workload and policy (sequencer,
+//!   stimulus table, scratch, its own backend — the zero-alloc steady
+//!   state proven by the workspace's `tests/zero_alloc.rs`) and
+//!   [`drain`]s the queue, streaming each chunk it claims into it.
+//!   Reports merge by device index.
 //! * [`map_ranges`] maps index ranges `[from, to)` of `0..size` — the
 //!   fan-out behind `bist_mc`'s experiments, differential sweeps and
 //!   tables, where devices derive from `(seed, index)`. Results come
@@ -43,8 +43,8 @@ use std::sync::Mutex;
 use std::thread;
 
 use crate::backend::Backend;
-use crate::batch::{BatchDevice, ScreenBatch};
-use crate::screener::ScreenReport;
+use crate::batch::BatchDevice;
+use crate::screener::{ScreenReport, Screener};
 use bist_adc::Adc;
 use rand::RngCore;
 
@@ -200,35 +200,33 @@ impl<A, R> DeviceQueue<A, R> {
 }
 
 /// A worker's inner loop: streams every chunk it claims from `queue`
-/// into its own `engine` through `backend`'s batch seam, appending the
+/// into `screener` through its backend's batch seam, appending the
 /// reports to `reports`, until the queue is dry. Allocation-free once
-/// the engine and `reports` are warm.
+/// the screener and `reports` are warm.
 // bist-lint: hot-path — per-worker drain loop
 pub fn drain<A: Adc, R: RngCore, B: Backend>(
-    engine: &mut ScreenBatch,
+    screener: &mut Screener<B>,
     queue: &DeviceQueue<A, R>,
-    backend: &mut B,
     reports: &mut Vec<ScreenReport>,
 ) {
-    engine.screen(backend, iter::from_fn(|| queue.claim()).flatten(), reports);
+    screener.screen(iter::from_fn(|| queue.claim()).flatten(), reports);
 }
 
 /// Screens a fleet across a scoped pool of `workers` threads (`0` =
 /// available parallelism) claiming [`DEFAULT_CHUNK`]-device chunks from
-/// a shared [`DeviceQueue`]; every worker owns one engine for
-/// `engine`'s workload and policy and one `B::default()` backend.
+/// a shared [`DeviceQueue`]; every worker owns one screener for
+/// `screener`'s workload and policy and a `B::default()` backend.
 ///
 /// Workers are clamped to the chunk count. With a single worker the
-/// fleet streams through `engine` and `backend` — the caller's own,
-/// warm ones — one device at a time.
+/// fleet streams through `screener` — the caller's own, warm one — one
+/// device at a time.
 ///
 /// Returns reports sorted by device index — bit-identical to a
 /// single-worker run for any worker count.
 pub fn run_pool<A, R, B>(
     devices: impl IntoIterator<Item = BatchDevice<A, R>>,
     workers: usize,
-    engine: &mut ScreenBatch,
-    backend: &mut B,
+    screener: &mut Screener<B>,
 ) -> Vec<ScreenReport>
 where
     A: Adc + Send,
@@ -239,21 +237,20 @@ where
     let workers = resolve_workers(workers);
     if workers <= 1 {
         let mut reports = Vec::with_capacity(devices.size_hint().0);
-        engine.screen(backend, devices, &mut reports);
+        screener.screen(devices, &mut reports);
         return reports;
     }
     let queue = DeviceQueue::new(devices, DEFAULT_CHUNK);
     let workers = workers.min(queue.chunk_count());
     if workers <= 1 {
         let mut reports = Vec::new();
-        drain(engine, &queue, backend, &mut reports);
+        drain(screener, &queue, &mut reports);
         return reports;
     }
-    let (workload, sequencer) = (*engine.workload(), engine.sequencer());
+    let fork = screener.forks();
     let mut reports = fan_out(workers, || {
         let mut local = Vec::new();
-        let mut engine = ScreenBatch::new(workload, sequencer);
-        drain(&mut engine, &queue, &mut B::default(), &mut local);
+        drain(&mut fork(), &queue, &mut local);
         local
     });
     reports.sort_unstable_by_key(|r| r.device);
@@ -263,7 +260,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BehavioralBackend;
     use crate::config::BistConfig;
     use crate::dynamic::DynamicConfig;
     use crate::screener::Workload;
@@ -313,16 +309,16 @@ mod tests {
         assert_eq!(seen, (0..23).collect::<Vec<_>>());
     }
 
-    fn engine() -> ScreenBatch {
+    fn workload() -> Workload {
         let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
             .counter_bits(6)
             .build()
             .expect("paper-range counter");
-        ScreenBatch::new(Workload::static_ramp(config), None)
+        Workload::static_ramp(config)
     }
 
     fn run(n: usize, workers: usize) -> Vec<ScreenReport> {
-        run_pool(fleet(n), workers, &mut engine(), &mut BehavioralBackend)
+        run_pool(fleet(n), workers, &mut Screener::new(workload()))
     }
 
     #[test]
@@ -339,12 +335,8 @@ mod tests {
         }
         for chunk in [1, 4, 32] {
             let mut reports = Vec::new();
-            drain(
-                &mut engine(),
-                &DeviceQueue::new(fleet(n), chunk),
-                &mut BehavioralBackend,
-                &mut reports,
-            );
+            let queue = DeviceQueue::new(fleet(n), chunk);
+            drain(&mut Screener::new(workload()), &queue, &mut reports);
             assert_eq!(reports, reference, "chunk={chunk}");
         }
     }
@@ -370,15 +362,14 @@ mod tests {
     #[test]
     fn one_worker_holds_one_device_at_a_time() {
         let dynamic = Workload::dynamic_sine(DynamicConfig::paper_default());
-        for workload in [*engine().workload(), dynamic] {
+        for workload in [workload(), dynamic] {
             let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
             let devices = fleet(3 * DEFAULT_CHUNK).map(|d| {
                 // ORDERING: Relaxed — as in `Live::drop`.
                 peak.fetch_max(live.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
                 BatchDevice::new(d.index, d.adc, Live(&live))
             });
-            let mut engine = ScreenBatch::new(workload, None);
-            let reports = run_pool(devices, 1, &mut engine, &mut BehavioralBackend);
+            let reports = run_pool(devices, 1, &mut Screener::new(workload));
             assert_eq!(reports.len(), 3 * DEFAULT_CHUNK);
             // ORDERING: Relaxed — as in `Live::drop`.
             assert_eq!(peak.load(Ordering::Relaxed), 1, "{workload:?}");

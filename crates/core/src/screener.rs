@@ -6,28 +6,29 @@
 //!                .sequencer(policy)       early stop?   optional SequencerConfig
 //!                .workers(n)              how many cores?  scoped pool (0 = all)
 //!                .run(devices)            whole fleet → Vec<ScreenReport>
+//!             or .screen(devices, &mut v) device stream → reports appended to v
 //!             or .screen_one(&adc, rng)   one device  → ScreenVerdict
 //! ```
 //!
-//! A screener owns one [`ScreenBatch`] engine for its whole life, built
-//! when the workload and sequencer policy are set, so repeated
-//! [`Screener::run`] calls reuse its sequencer, stimulus table and coded
-//! rows. `run` streams the fleet through that engine and the backend's
-//! batch seam ([`Backend::process_batch`]): the behavioural backend runs
-//! the engine's behavioural loops, the RTL backend clocks each device
-//! through the gate-accurate datapath scalar-wise — same reports,
-//! ordered by device index, either way. With [`Screener::workers`] the
-//! fleet is instead sharded across the scoped worker pool of
-//! [`crate::pool`], each worker streaming the chunks it claims into its
-//! own engine — reports stay bit-identical for any worker count.
+//! A screener is the engine: it owns its workload and sequencer policy,
+//! the warm engine of [`crate::batch`] built from them, its scratch and
+//! its backend, so repeated calls reuse its sequencer, stimulus table
+//! and coded rows. [`Screener::run`] screens a whole fleet and
+//! [`Screener::screen`] appends the reports of a caller-indexed device
+//! stream to a caller's `Vec`; both go through the backend's batch seam
+//! ([`Backend::process_batch`]) — the behavioural engine or, on the RTL
+//! backend, the gate-accurate datapath device by device, with identical
+//! reports either way. With [`Screener::workers`] `run` shards the fleet
+//! across the scoped pool of [`crate::pool`], one screener per worker —
+//! reports stay bit-identical for any worker count.
 //! [`Screener::screen_one`] is the engine's scalar single-device path;
 //! [`Screener::take_static_outcome`] then returns its per-code detail.
 
 use crate::backend::{Backend, BehavioralBackend};
-use crate::batch::{BatchDevice, ScreenBatch};
+use crate::batch::{BatchDevice, BatchEngine};
 use crate::config::BistConfig;
-use crate::dynamic::{DynamicConfig, DynamicVerdict};
-use crate::harness::{BistOutcome, BistVerdict};
+use crate::dynamic::{DynScratch, DynamicConfig, DynamicVerdict};
+use crate::harness::{BistOutcome, BistVerdict, Scratch};
 use crate::pool;
 use crate::sequencer::{SeqDecision, SeqOutcome, SequencerConfig};
 use crate::shard::JobKind;
@@ -182,11 +183,13 @@ impl ScreenVerdict {
     }
 }
 
-/// One device's report from [`Screener::run`].
+/// One device's report from [`Screener::run`] or [`Screener::screen`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenReport {
-    /// Zero-based position of the device in the iterator passed to
-    /// [`Screener::run`].
+    /// The device's [`BatchDevice::index`], chosen by the caller of
+    /// [`Screener::screen`] (a burst slot in `bist-serve`, a batch index
+    /// in `bist_mc`); [`Screener::run`] uses the device's zero-based
+    /// position in its iterator.
     pub device: usize,
     /// The device's decision and verdict.
     pub verdict: ScreenVerdict,
@@ -218,8 +221,14 @@ pub struct ScreenReport {
 /// ```
 #[derive(Debug)]
 pub struct Screener<B = BehavioralBackend> {
+    workload: Workload,
+    sequencer: Option<SequencerConfig>,
+    engine: BatchEngine,
+    /// Per-code detail of the most recent
+    /// [`screen_one`](Screener::screen_one); fleet runs record none.
+    pub(crate) detail: Scratch,
+    dyn_scratch: DynScratch,
     backend: B,
-    engine: ScreenBatch,
     workers: usize,
 }
 
@@ -228,50 +237,70 @@ impl Screener<BehavioralBackend> {
     /// backend (swap with [`Screener::backend`]).
     pub fn new(workload: Workload) -> Self {
         Screener {
+            workload,
+            sequencer: None,
+            engine: BatchEngine::new(workload, None),
+            detail: Scratch::default(),
+            dyn_scratch: DynScratch::default(),
             backend: BehavioralBackend,
-            engine: ScreenBatch::new(workload, None),
             workers: 1,
         }
     }
 }
 
 impl<B: Backend> Screener<B> {
+    /// Builds fresh one-worker screeners for this one's workload and
+    /// policy, judged by `B::default()` — one per pooled worker.
+    pub(crate) fn forks(&self) -> impl Fn() -> Self + Sync
+    where
+        B: Default,
+    {
+        let (workload, sequencer) = (self.workload, self.sequencer);
+        move || {
+            let screener = Screener::new(workload).backend(B::default());
+            sequencer.into_iter().fold(screener, Screener::sequencer)
+        }
+    }
+
     /// Swaps the verdict backend (e.g. for
     /// [`crate::backend::RtlBackend`] gate-accurate screening).
     pub fn backend<B2: Backend>(self, backend: B2) -> Screener<B2> {
         Screener {
-            backend,
+            workload: self.workload,
+            sequencer: self.sequencer,
             engine: self.engine,
+            detail: self.detail,
+            dyn_scratch: self.dyn_scratch,
+            backend,
             workers: self.workers,
         }
     }
 
     /// Screens under the uncertainty-guided early-stop sequencer,
     /// rebuilding the engine for the new policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `policy` fails [`SequencerConfig::validate`].
     pub fn sequencer(mut self, policy: SequencerConfig) -> Self {
-        self.engine = ScreenBatch::new(*self.engine.workload(), Some(policy));
+        self.engine = BatchEngine::new(self.workload, Some(policy));
+        self.sequencer = Some(policy);
         self
     }
 
     /// Shards [`Screener::run`] across a scoped worker pool of
     /// `workers` threads (`0` = the host's available parallelism; the
-    /// default `1` streams the fleet through the screener's own
-    /// engine). Each pooled worker owns its own engine and a
-    /// `B::default()` backend, and reports stay bit-identical for any
-    /// worker count — see [`crate::pool`].
+    /// default `1` streams the fleet through this screener) — see
+    /// [`crate::pool`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
     /// Screens a fleet: one `(adc, rng)` pair per device, reports
-    /// ordered by the device's position in the iterator. Dispatches
-    /// through the backend's batch seam, so the behavioural backend
-    /// runs the behavioural engine and the RTL backend the scalar
-    /// gate-accurate loop — identical reports either way. With
-    /// [`Screener::workers`] > 1 (or `0` on a multi-core host) the
-    /// fleet is sharded across the scoped pool of [`crate::pool`];
-    /// reports stay bit-identical for any worker count.
+    /// ordered by the device's position in the iterator, through
+    /// [`Screener::screen`] or, with [`Screener::workers`] > 1 (or `0`
+    /// on a multi-core host), the scoped pool of [`crate::pool`].
     ///
     /// Pooled workers judge with `B::default()` backends — both
     /// [`BehavioralBackend`] and [`crate::backend::RtlBackend`]
@@ -290,7 +319,46 @@ impl<B: Backend> Screener<B> {
             .into_iter()
             .enumerate()
             .map(|(i, (adc, rng))| BatchDevice::new(i, adc, rng));
-        pool::run_pool(fleet, self.workers, &mut self.engine, &mut self.backend)
+        pool::run_pool(fleet, self.workers, self)
+    }
+
+    /// Screens `devices` through the backend's batch hook
+    /// ([`Backend::process_batch`]), appending one report per device to
+    /// `reports` and sorting only those by [`BatchDevice::index`].
+    /// Allocation-free once the engine and `reports` are warm.
+    pub fn screen<A: Adc, R: RngCore>(
+        &mut self,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        let start = reports.len();
+        B::process_batch(self, devices, reports);
+        reports[start..].sort_unstable_by_key(|r| r.device);
+    }
+
+    /// Screens `devices` one at a time through the backend's judge.
+    pub(crate) fn run_scalar<A: Adc, R: RngCore>(
+        &mut self,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        let (engine, scratch) = (&mut self.engine, &mut self.dyn_scratch);
+        for mut dev in devices {
+            let verdict = engine.judge(&mut self.backend, &dev.adc, &mut dev.rng, None, scratch);
+            reports.push(ScreenReport {
+                device: dev.index,
+                verdict,
+            });
+        }
+    }
+
+    /// Screens `devices` through the engine of [`crate::batch`].
+    pub(crate) fn run_batched<A: Adc, R: RngCore>(
+        &mut self,
+        devices: impl IntoIterator<Item = BatchDevice<A, R>>,
+        reports: &mut Vec<ScreenReport>,
+    ) {
+        self.engine.run(devices, reports, &mut self.dyn_scratch);
     }
 
     /// Screens one device through the scalar engine, leaving per-code
@@ -301,14 +369,17 @@ impl<B: Backend> Screener<B> {
         adc: &A,
         rng: &mut R,
     ) -> ScreenVerdict {
-        self.engine.screen_one(&mut self.backend, adc, rng)
+        let detail = Some(&mut self.detail);
+        self.engine
+            .judge(&mut self.backend, adc, rng, detail, &mut self.dyn_scratch)
     }
 
     /// Assembles the full per-code [`BistOutcome`] for the most recent
     /// static [`Screener::screen_one`], or `None` for a dynamic
     /// verdict.
     pub fn take_static_outcome(&mut self, verdict: &ScreenVerdict) -> Option<BistOutcome> {
-        self.engine.take_static_outcome(verdict)
+        let outcome = verdict.as_static()?;
+        Some(self.detail.take_outcome(outcome.verdict))
     }
 }
 
@@ -321,25 +392,29 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One static and one dynamic workload for a 6-bit ideal converter.
+    fn workloads() -> [Workload; 2] {
+        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+            .counter_bits(5)
+            .build()
+            .unwrap();
+        [
+            Workload::static_ramp(config),
+            Workload::dynamic_sine(DynamicConfig::paper_default()),
+        ]
+    }
+
     /// A screener re-sequenced after it has screened judges its next
     /// device under the new policy, as a fresh screener with that
     /// policy does — on both workloads.
     #[test]
     fn resequencing_replaces_the_early_stop_policy() {
-        let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
-            .counter_bits(5)
-            .build()
-            .unwrap();
         let adc = TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
         let late = SequencerConfig {
             min_samples: 1_000_000,
             ..SequencerConfig::default()
         };
-        let workloads = [
-            Workload::static_ramp(config),
-            Workload::dynamic_sine(DynamicConfig::paper_default()),
-        ];
-        for workload in workloads {
+        for workload in workloads() {
             let rng = || StdRng::seed_from_u64(7);
             let mut screener = Screener::new(workload).sequencer(SequencerConfig::default());
             let early = screener.screen_one(&adc, &mut rng());
@@ -350,6 +425,30 @@ mod tests {
                 .screen_one(&adc, &mut rng());
             assert!(!fresh.stopped_early(), "{workload:?}: {fresh:?}");
             assert_eq!(screener.screen_one(&adc, &mut rng()), fresh, "{workload:?}");
+        }
+    }
+
+    /// `screen` sorts only the reports it appends: a report already in
+    /// the caller's `Vec` stays first, although its device index sorts
+    /// after every appended one, and devices arriving in reverse order
+    /// are appended in index order.
+    #[test]
+    fn screen_leaves_existing_reports_in_place() {
+        let adc = TransferFunction::ideal(Resolution::SIX_BIT, Volts(0.0), Volts(6.4));
+        for workload in workloads() {
+            let mut screener = Screener::new(workload);
+            let sentinel = ScreenReport {
+                device: 99,
+                verdict: screener.screen_one(&adc, &mut StdRng::seed_from_u64(99)),
+            };
+            let mut reports = vec![sentinel];
+            let devices = (0..5)
+                .rev()
+                .map(|i| BatchDevice::new(i, &adc, StdRng::seed_from_u64(i as u64)));
+            screener.screen(devices, &mut reports);
+            assert_eq!(reports[0], sentinel, "{workload:?}");
+            let appended: Vec<usize> = reports[1..].iter().map(|r| r.device).collect();
+            assert_eq!(appended, [0, 1, 2, 3, 4], "{workload:?}");
         }
     }
 }

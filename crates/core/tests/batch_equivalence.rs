@@ -1,7 +1,8 @@
 //! Property-based equivalence of the batch engine against the scalar
 //! reference: for any fleet size, device mix, noise setting, worker
-//! count and split of the fleet across calls, `Screener::run` (and a
-//! raw `ScreenBatch` engine) must produce reports bit-exact to
+//! count and split of the fleet across calls, `Screener::run` (and
+//! `Screener::screen` on a caller's device streams) must produce
+//! reports bit-exact to
 //! `Screener::screen_one` on the same devices with the same per-device
 //! RNG streams — including the sequencer's latch points
 //! (`SeqDecision`), not just the final verdicts.
@@ -12,8 +13,8 @@ use bist_adc::signal::Stimulus;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
-use bist_core::backend::{Backend, BehavioralBackend, RtlBackend};
-use bist_core::batch::{BatchDevice, ScreenBatch};
+use bist_core::backend::{Backend, RtlBackend};
+use bist_core::batch::BatchDevice;
 use bist_core::config::BistConfig;
 use bist_core::dynamic::{plan_sine, DynamicConfig};
 use bist_core::pool::DEFAULT_CHUNK;
@@ -133,8 +134,8 @@ fn pooled_and_scalar<B: Backend + Default>(
     (pooled, scalar)
 }
 
-/// `devices` screened on one behavioural engine in two `screen` calls,
-/// split before device `split` (clamped to the fleet).
+/// `devices` screened on one behavioural screener in two `screen`
+/// calls, split before device `split` (clamped to the fleet).
 fn screened_in_two_calls(
     workload: Workload,
     sequenced: bool,
@@ -142,18 +143,17 @@ fn screened_in_two_calls(
     seed: u64,
     split: usize,
 ) -> Vec<ScreenReport> {
-    let mut engine = ScreenBatch::new(workload, sequenced.then(SequencerConfig::default));
+    let mut screener = Screener::new(workload);
+    if sequenced {
+        screener = screener.sequencer(SequencerConfig::default());
+    }
     let part = |range: std::ops::Range<usize>| {
         range.map(|i| BatchDevice::new(i, &devices[i], device_rng(seed, i)))
     };
     let split = split.min(devices.len());
     let mut reports = Vec::new();
-    engine.screen(&mut BehavioralBackend, part(0..split), &mut reports);
-    engine.screen(
-        &mut BehavioralBackend,
-        part(split..devices.len()),
-        &mut reports,
-    );
+    screener.screen(part(0..split), &mut reports);
+    screener.screen(part(split..devices.len()), &mut reports);
     reports
 }
 

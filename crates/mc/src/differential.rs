@@ -2,10 +2,11 @@
 //! one harness, one result type, four grids.
 //!
 //! The harness screens every device × grid cell through the engine
-//! fleets run, [`ScreenBatch`], once per verdict backend on
-//! bit-identical code streams (same seeded device and noise RNG). Each
-//! device is a one-device [`ScreenBatch::screen`] call on the cell's
-//! engines: the behavioural side goes through [`BehavioralBackend`]'s
+//! fleets run, [`Screener`], once per verdict backend on bit-identical
+//! code streams (same seeded device and noise RNG). Each device is a
+//! one-device [`Screener::screen`] call on each of the cell's
+//! screeners: the behavioural side goes through
+//! [`BehavioralBackend`](bist_core::backend::BehavioralBackend)'s
 //! batch hook — the run-skip sweep with its quiet-run checkpoints, and
 //! the dynamic stimulus table, as a fleet takes them — and the RTL side
 //! through the hook's default scalar loop, clocking the gate-accurate
@@ -58,12 +59,12 @@ use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
-use bist_core::backend::{BehavioralBackend, RtlBackend};
-use bist_core::batch::{BatchDevice, ScreenBatch};
+use bist_core::backend::RtlBackend;
+use bist_core::batch::BatchDevice;
 use bist_core::config::{BistConfig, ConfigError};
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
 use bist_core::pool;
-use bist_core::screener::{ScreenReport, ScreenVerdict, Workload};
+use bist_core::screener::{ScreenReport, ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::{SeqDecision, SequencerConfig};
 use bist_core::source::{Architecture, DeviceSource, IidWidthSource, SourceSpec};
 use rand::rngs::StdRng;
@@ -625,16 +626,15 @@ impl Streams<'_> {
     }
 }
 
-/// One cell's engines — per cell, so each engine's sequencer and
+/// One cell's screeners — per cell, so each screener's sequencer and
 /// stimulus table, and the cached RTL tops, reset in place across the
 /// device-outer sweep order instead of rebuilding on every config
 /// change.
 struct Screens {
-    behavioral: ScreenBatch,
-    rtl: ScreenBatch,
+    behavioral: Screener,
+    rtl: Screener<RtlBackend>,
     /// The unsequenced behavioural ground truth of a sequenced sweep.
-    full: Option<ScreenBatch>,
-    backend: RtlBackend,
+    full: Option<Screener>,
     /// The current device's reports: behavioural, RTL, then full.
     reports: Vec<ScreenReport>,
 }
@@ -653,12 +653,17 @@ impl Grid<'_> {
     fn screens(&self) -> Vec<Screens> {
         self.cells
             .iter()
-            .map(|&(.., workload)| Screens {
-                behavioral: ScreenBatch::new(workload, self.policy),
-                rtl: ScreenBatch::new(workload, self.policy),
-                full: self.policy.map(|_| ScreenBatch::new(workload, None)),
-                backend: RtlBackend::new(),
-                reports: Vec::with_capacity(3),
+            .map(|&(.., workload)| {
+                let sequenced = || match self.policy {
+                    Some(policy) => Screener::new(workload).sequencer(policy),
+                    None => Screener::new(workload),
+                };
+                Screens {
+                    behavioral: sequenced(),
+                    rtl: sequenced().backend(RtlBackend::new()),
+                    full: self.policy.map(|_| Screener::new(workload)),
+                    reports: Vec::with_capacity(3),
+                }
             })
             .collect()
     }
@@ -695,10 +700,10 @@ impl Grid<'_> {
                 let one = || [BatchDevice::new(i, adc, self.streams.noise_rng(i, cell))];
                 let reports = &mut s.reports;
                 reports.clear();
-                s.behavioral.screen(&mut BehavioralBackend, one(), reports);
-                s.rtl.screen(&mut s.backend, one(), reports);
+                s.behavioral.screen(one(), reports);
+                s.rtl.screen(one(), reports);
                 if let Some(full) = &mut s.full {
-                    full.screen(&mut BehavioralBackend, one(), reports);
+                    full.screen(one(), reports);
                 }
                 let (b, r) = (reports[0].verdict, reports[1].verdict);
                 // An unsequenced grid's behavioural verdict is its own
@@ -1150,9 +1155,9 @@ mod tests {
         let grid = static_grid(&batch, 0.0);
         let mut screens = grid.screens();
         let seven_bit = Workload::static_ramp(static_config(7, false));
-        screens[0].rtl = ScreenBatch::new(seven_bit, None);
+        screens[0].rtl = Screener::new(seven_bit).backend(RtlBackend::new());
         let noisy_seven_bit = seven_bit.with_noise(NoisePoint::Transition.config());
-        screens[1].behavioral = ScreenBatch::new(noisy_seven_bit, None);
+        screens[1].behavioral = Screener::new(noisy_seven_bit);
         let result = grid.sweep(&mut screens, 0, 3);
         assert!(!result.is_clean(), "{result}");
         let flagged: Vec<(usize, Cell)> = result

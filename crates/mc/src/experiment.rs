@@ -2,8 +2,8 @@
 //! linearity ramp and account the outcome against ground truth.
 //!
 //! Each pool worker streams the device ranges it claims through one
-//! [`ScreenBatch`] engine and the behavioural backend's batch hook (the
-//! run-skip sweep of [`bist_core::batch`]), so screening a device is
+//! [`Screener`] and the behavioural backend's batch hook (the run-skip
+//! sweep of [`bist_core::batch`]), so screening a device is
 //! allocation-free after warm-up. The one [`ExperimentResult`] carries
 //! the accept tally, the ADC samples consumed, a [`Rejections`] tally
 //! by failed check and the type I/II confusion matrix.
@@ -11,8 +11,7 @@
 use crate::batch::Batch;
 use crate::estimate::Proportion;
 use bist_adc::noise::NoiseConfig;
-use bist_core::backend::BehavioralBackend;
-use bist_core::batch::{BatchDevice, ScreenBatch};
+use bist_core::batch::BatchDevice;
 use bist_core::config::BistConfig;
 use bist_core::decision::ConfusionMatrix;
 use bist_core::harness::{conventional_test, reference_measurement, BistVerdict};
@@ -91,12 +90,12 @@ impl Experiment {
     }
 
     /// Screens device indices `[from, to)` (clamped to the batch) on
-    /// `engine`, built for this experiment's workload — the unit of
+    /// `screener`, built for this experiment's workload — the unit of
     /// work for the fan-out. Device `i` is `batch.device(i)`, its
     /// acquisition RNG (after any reference-measurement truth draws)
     /// `batch.device_rng(i ^ 0x5eed_0000_0000_0000)`, so the result is
     /// independent of how the batch is split.
-    fn run_range(&self, engine: &mut ScreenBatch, from: usize, to: usize) -> ExperimentResult {
+    fn run_range(&self, screener: &mut Screener, from: usize, to: usize) -> ExperimentResult {
         let to = to.min(self.batch.size);
         let mut truths = Vec::with_capacity(to.saturating_sub(from));
         let devices = (from..to).map(|i| {
@@ -117,7 +116,7 @@ impl Experiment {
             BatchDevice::new(i, tf, rng)
         });
         let mut reports = Vec::with_capacity(to.saturating_sub(from));
-        engine.screen(&mut BehavioralBackend, devices, &mut reports);
+        screener.screen(devices, &mut reports);
         let mut result = ExperimentResult::default();
         for (report, &truth_good) in reports.iter().zip(&truths) {
             let verdict = &report.verdict;
@@ -132,15 +131,15 @@ impl Experiment {
     }
 
     /// Runs the whole batch across `workers` threads (0 = available
-    /// parallelism; 1 = a sequential sweep), one engine per worker kept
+    /// parallelism; 1 = a sequential sweep), one screener per worker kept
     /// across the ranges it claims. The merged result is bit-identical
     /// to a sequential sweep for any worker count.
     pub fn run(&self, workers: usize) -> ExperimentResult {
         let partials = pool::map_ranges(
             self.batch.size,
             workers,
-            || ScreenBatch::new(self.workload(), None),
-            |engine, from, to| self.run_range(engine, from, to),
+            || Screener::new(self.workload()),
+            |screener, from, to| self.run_range(screener, from, to),
         );
         let mut total = ExperimentResult::default();
         for partial in &partials {
@@ -346,10 +345,10 @@ mod tests {
     use bist_adc::spec::LinearitySpec;
     use bist_adc::types::Resolution;
 
-    /// Screens `[from, to)` of `exp` on a fresh engine: one range of
+    /// Screens `[from, to)` of `exp` on a fresh screener: one range of
     /// the fan-out, run alone.
     fn run_range_alone(exp: &Experiment, from: usize, to: usize) -> ExperimentResult {
-        exp.run_range(&mut ScreenBatch::new(exp.workload(), None), from, to)
+        exp.run_range(&mut Screener::new(exp.workload()), from, to)
     }
 
     fn config(bits: u32) -> BistConfig {

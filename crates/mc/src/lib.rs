@@ -11,7 +11,7 @@
 //! * [`experiment`] — one [`experiment::Experiment`]: a batch screened
 //!   under a static test plan, with type I/II against ground truth. Each
 //!   pool worker (`bist_core::pool`) streams its device ranges through
-//!   one reusable `ScreenBatch` engine, so the hot path allocates
+//!   one reusable `Screener`, so the hot path allocates
 //!   nothing after warm-up and results are independent of the worker
 //!   count. One [`experiment::ExperimentResult`] carries the accept
 //!   tally, the ADC samples consumed, rejections by failed check and

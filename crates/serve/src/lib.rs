@@ -17,9 +17,9 @@
 //!    back — memory never grows without bound and an accepted device
 //!    is never dropped.
 //! 2. **Allocation-free steady state.** Each worker owns one
-//!    [`bist_core::batch::ScreenBatch`] per resident workload, screens
-//!    each burst in place, and keeps its engines and buffers warm
-//!    between bursts (proven by the counting-allocator test in the
+//!    [`Screener`](bist_core::screener::Screener) per resident
+//!    workload, screens each burst in place, and keeps its screeners
+//!    and buffers warm between bursts (proven by the counting-allocator test in the
 //!    workspace's `tests/zero_alloc.rs`).
 //! 3. **Worker-count determinism.** Verdicts are tagged with
 //!    submission ids and each is bit-identical to what

@@ -4,7 +4,7 @@
 //! ```text
 //!  ServiceHandle::submit ──┐                         ┌─ in-process verdict ring ─ recv_verdict
 //!                          ▼                         │
-//!            bounded submit Ring<Job> ══ workers ════╡   (each worker: one ScreenBatch per
+//!            bounded submit Ring<Job> ══ workers ════╡   (each worker: one Screener per
 //!                          ▲             (resident)  │    workload, warm across bursts)
 //!  TCP session thread ─────┘                         └─ session lock ─ client socket
 //!       └── acks, telemetry ─────────────────────────── session lock ─┘
@@ -18,15 +18,14 @@
 //! and writes its acks; the workers write its verdicts themselves, all
 //! under the session's lock. A TCP session that stops reading is
 //! evicted after a fixed write deadline, so it cannot park the workers.
-//! Workers are plain threads, each owning one
-//! [`ScreenBatch`] engine per resident workload; a worker screens each
-//! burst where it lies, and its engines and buffers stay warm between
-//! bursts — the steady state allocates nothing. Verdicts are tagged
-//! with submission ids, and because every engine verdict is
-//! bit-identical to the scalar screener for any device order and any
-//! split of the fleet across calls, any arrival order, burst grouping,
-//! or worker count streams back exactly the per-device reports
-//! [`Screener::run`](bist_core::screener::Screener::run) would emit.
+//! Workers are plain threads, each owning one [`Screener`] per resident
+//! workload; a worker screens each burst where it lies, and its
+//! screeners and buffers stay warm between bursts — the steady state
+//! allocates nothing. Verdicts are tagged with submission ids, and
+//! because every screened verdict is bit-identical to the scalar
+//! screener for any device order and any split of the fleet across
+//! calls, any arrival order, burst grouping, or worker count streams
+//! back exactly the per-device reports [`Screener::run`] would emit.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -36,13 +35,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bist_adc::transfer::TransferFunction;
-use bist_core::backend::BehavioralBackend;
-use bist_core::batch::{BatchDevice, ScreenBatch};
+use bist_core::batch::BatchDevice;
 use bist_core::ring::{Enqueue, Ring};
-use bist_core::screener::ScreenReport;
+use bist_core::screener::{ScreenReport, Screener};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::shard::{JobKind, ShardVerdict};
-use bist_core::source::{device_rng, DeviceSource, SourceSpec};
+use bist_core::source::{device_rng, stream_rng, DeviceSource, SourceSpec};
 use bist_core::Workload;
 use rand::rngs::StdRng;
 
@@ -55,10 +53,10 @@ const SLOW_SESSION_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Builds the device RNG for a submission seed — the service-side
 /// mirror of what a caller must use to reproduce a verdict with
-/// [`Screener::run`](bist_core::screener::Screener::run): the same
-/// seed through the one blessed seam, `bist_mc::batch::stream_rng`.
+/// [`Screener::run`]: the same seed through the one blessed seam,
+/// [`stream_rng`], with no stream path.
 pub fn submission_rng(seed: u64) -> StdRng {
-    bist_mc::batch::stream_rng(seed, &[])
+    stream_rng(seed, &[])
 }
 
 /// One device submission: an id the verdict will echo, the workload to
@@ -78,14 +76,12 @@ pub struct Submission {
 }
 
 impl Submission {
-    /// Draws device `index` from an architecture `source` exactly as
-    /// [`Batch::of`](bist_mc::Batch)`(source).seed(fleet_seed)` and
-    /// [`Zoo`](bist_core::source::Zoo) do — through
-    /// [`bist_core::source::device_rng`] — and wraps it for submission
-    /// with id `index`. The noise stream is
+    /// Draws device `index` from an architecture `source` exactly as a
+    /// `bist_mc` batch of that source seeded with `fleet_seed` and a
+    /// [`Zoo`](bist_core::source::Zoo) do — through [`device_rng`] —
+    /// and wraps it for submission with id `index`. The noise stream is
     /// `noise_seed`, expanded service-side by [`submission_rng`], so a
-    /// caller reproduces the verdict with
-    /// [`Screener::run`](bist_core::screener::Screener::run) over
+    /// caller reproduces the verdict with [`Screener::run`] over
     /// `(device, submission_rng(noise_seed))`.
     pub fn from_source(
         kind: JobKind,
@@ -207,11 +203,14 @@ impl ServiceConfig {
             .chain(self.dynamic_workload)
     }
 
-    /// A fresh engine per resident workload, static first: the
+    /// A fresh screener per resident workload, static first: the
     /// screening state each worker keeps warm.
-    fn engines(&self) -> Vec<ScreenBatch> {
+    fn screeners(&self) -> Vec<Screener> {
         self.workloads()
-            .map(|w| ScreenBatch::new(w, self.sequencer))
+            .map(|w| match self.sequencer {
+                Some(policy) => Screener::new(w).sequencer(policy),
+                None => Screener::new(w),
+            })
             .collect()
     }
 }
@@ -308,12 +307,12 @@ impl SvcShared {
 // bist-lint: hot-path — resident worker steady state: claim a burst, screen it, stream verdicts
 /// One worker's life: block on the submit ring, top the burst up
 /// without blocking, screen it in place through the resident
-/// `engines`, stream each verdict to its submitter. Exits when the ring
-/// is closed and drained, so accepted devices always complete. The
+/// `screeners`, stream each verdict to its submitter. Exits when the
+/// ring is closed and drained, so accepted devices always complete. The
 /// burst and report buffers are caller-owned so this loop allocates
 /// nothing once warm.
 ///
-/// Each engine screens the jobs of its kind by reference, each tagged
+/// Each screener screens the jobs of its kind by reference, each tagged
 /// with its slot in the burst, not with the caller-chosen submission
 /// id: ids are only unique per client, and one burst mixes jobs from
 /// every TCP session plus the in-process handle, so two clients reusing
@@ -322,7 +321,7 @@ impl SvcShared {
 /// by workload, static first, each group in slot order.
 fn worker_loop(
     shared: &SvcShared,
-    engines: &mut [ScreenBatch],
+    screeners: &mut [Screener],
     jobs: &mut Vec<Job>,
     reports: &mut Vec<ScreenReport>,
 ) {
@@ -335,14 +334,14 @@ fn worker_loop(
                 None => break,
             }
         }
-        for engine in engines.iter_mut() {
-            let kind = engine.workload().kind();
+        for (workload, screener) in shared.config.workloads().zip(screeners.iter_mut()) {
+            let kind = workload.kind();
             let devices = jobs
                 .iter_mut()
                 .enumerate()
                 .filter(|(_, job)| job.sub.kind == kind)
                 .map(|(slot, job)| BatchDevice::new(slot, &job.sub.adc, &mut job.rng));
-            engine.screen(&mut BehavioralBackend, devices, reports);
+            screener.screen(devices, reports);
             for report in reports.drain(..) {
                 let job = &jobs[report.device];
                 let verdict = ShardVerdict {
@@ -411,10 +410,10 @@ impl ServiceHandle {
                     .name(format!("bist-serve-worker-{i}"))
                     .spawn(move || {
                         let c = &shared.config;
-                        let mut engines = c.engines();
+                        let mut screeners = c.screeners();
                         let mut jobs = Vec::with_capacity(c.burst);
                         let mut reports = Vec::with_capacity(c.burst);
-                        worker_loop(&shared, &mut engines, &mut jobs, &mut reports);
+                        worker_loop(&shared, &mut screeners, &mut jobs, &mut reports);
                     })
                     .expect("spawn worker")
             })
@@ -701,7 +700,7 @@ mod tests {
         let mut jobs = Vec::new();
         worker_loop(
             &shared,
-            &mut shared.config.engines(),
+            &mut shared.config.screeners(),
             &mut jobs,
             &mut Vec::new(),
         );

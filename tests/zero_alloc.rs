@@ -1,7 +1,7 @@
 //! Proves the acceptance criterion of the streaming engine: after
 //! warm-up, the device→verdict hot paths — scalar `Screener::screen_one`
 //! on every workload × backend × sequencing combination, the
-//! `ScreenBatch` engine on both workloads, the pooled worker drain and
+//! batch `Screener::screen` on both workloads, the pooled worker drain and
 //! the resident `bist-serve` service's submit→verdict round trip —
 //! perform **zero heap allocations**, and a warm single-worker
 //! `Screener::run` allocates only the report `Vec` it returns.
@@ -18,8 +18,8 @@ use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::{Adc, TransferFunction};
 use bist_adc::types::{Resolution, Volts};
-use bist_core::backend::{BehavioralBackend, RtlBackend};
-use bist_core::batch::{BatchDevice, ScreenBatch};
+use bist_core::backend::RtlBackend;
+use bist_core::batch::BatchDevice;
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool::{drain, DeviceQueue};
@@ -174,12 +174,12 @@ fn hot_path_is_allocation_free_after_warmup() {
     const MIXED: usize = 13;
     let w_dyn_plain = Workload::dynamic_sine(dyn_config);
     let faulty = FaultyAdc::new(device(), OutputFault::CodeOffset(1));
-    let mut b_static = ScreenBatch::new(w_plain, None);
-    let mut b_static_seq = ScreenBatch::new(w_noisy, Some(policy));
-    let mut b_skip_seq = ScreenBatch::new(w_plain, Some(policy));
-    let mut b_dyn = ScreenBatch::new(w_dyn_plain, None);
-    let mut b_dyn_seq = ScreenBatch::new(w_dyn, Some(policy));
-    let mut b_dyn_mixed = ScreenBatch::new(w_dyn_plain, None);
+    let mut b_static = Screener::new(w_plain);
+    let mut b_static_seq = Screener::new(w_noisy).sequencer(policy);
+    let mut b_skip_seq = Screener::new(w_plain).sequencer(policy);
+    let mut b_dyn = Screener::new(w_dyn_plain);
+    let mut b_dyn_seq = Screener::new(w_dyn).sequencer(policy);
+    let mut b_dyn_mixed = Screener::new(w_dyn_plain);
     let mut reports = Vec::new();
 
     let mut batch_all = |accepted: &mut u32, stopped: &mut u32| {
@@ -194,7 +194,7 @@ fn hot_path_is_allocation_free_after_warmup() {
             (&mut b_dyn_seq, false),
         ] {
             reports.clear();
-            engine.screen(&mut BehavioralBackend, fleet(), &mut reports);
+            engine.screen(fleet(), &mut reports);
             for r in &reports {
                 *accepted += u32::from(r.verdict.accepted());
                 *stopped += u32::from(count_stops && r.verdict.stopped_early());
@@ -205,7 +205,7 @@ fn hot_path_is_allocation_free_after_warmup() {
             BatchDevice::new(i, dev, StdRng::seed_from_u64(i as u64))
         });
         reports.clear();
-        b_dyn_mixed.screen(&mut BehavioralBackend, mixed, &mut reports);
+        b_dyn_mixed.screen(mixed, &mut reports);
         assert_eq!(reports.len(), MIXED, "every mixed device is reported");
         for r in &reports {
             *accepted += u32::from(r.verdict.accepted());
@@ -283,18 +283,13 @@ fn hot_path_is_allocation_free_after_warmup() {
             chunk,
         )
     };
-    let mut p_static = ScreenBatch::new(w_plain, None);
-    let mut p_dyn = ScreenBatch::new(w_dyn_plain, None);
+    let mut p_static = Screener::new(w_plain);
+    let mut p_dyn = Screener::new(w_dyn_plain);
 
     let mut drain_accepted = |q_static: &DeviceQueue<_, _>, q_dyn: &DeviceQueue<_, _>| -> u32 {
         reports.clear();
-        drain(
-            &mut p_static,
-            q_static,
-            &mut BehavioralBackend,
-            &mut reports,
-        );
-        drain(&mut p_dyn, q_dyn, &mut BehavioralBackend, &mut reports);
+        drain(&mut p_static, q_static, &mut reports);
+        drain(&mut p_dyn, q_dyn, &mut reports);
         reports
             .iter()
             .map(|r| u32::from(r.verdict.accepted()))
